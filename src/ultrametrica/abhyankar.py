@@ -18,6 +18,7 @@ from .valuegroup import (
     RadiusProfile,
     Value,
     one_value,
+    row_reduce,
     value_le,
     weight_of,
 )
@@ -111,20 +112,9 @@ def _free_class(v: Value):
 
 def _rank(vectors) -> int:
     """Rank over Q of a list of {d: coeff} vectors (exact elimination)."""
-    basis = []
-    for vec in vectors:
-        vec = dict(vec)
-        for pivot_d, pivot in basis:
-            c = vec.get(pivot_d)
-            if c:
-                factor = c / pivot[pivot_d]
-                for d, x in pivot.items():
-                    vec[d] = vec.get(d, Fraction(0)) - factor * x
-                vec = {d: x for d, x in vec.items() if x != 0}
-        if vec:
-            pivot_d = next(iter(vec))
-            basis.append((pivot_d, vec))
-    return len(basis)
+    keys = sorted({d for vec in vectors for d in vec})
+    return len(row_reduce([[Fraction(vec.get(d, 0)) for d in keys] for vec in vectors],
+                          len(keys)))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ class Config:
     steps: int = None  # division depth M; default derived from the floor
 
     @classmethod
+    @uio.parse_guard
     def from_json(cls, data: dict) -> "Config":
         profile = uio.profile_from_json(data)
         kwargs = {}

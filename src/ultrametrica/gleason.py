@@ -1,16 +1,17 @@
 """Division algorithm, Gleason-element schedules, and verified surjections.
 
 A schedule pins, for each step m of a well-order of an exponent set J,
-a lattice monomial W_m, a coefficient monomial e_m, a scaling monomial
-eps_m, a Frobenius height b_m, and elimination coefficients d_{m,i},
-so that the combination
+omega(m), its representation h_m and three scalars: gamma_m (e_m =
+t**gamma_m), delta_m (eps_m = t**delta_m) and the Frobenius height b_m.
+With W_m = prod V_k**h_{m,k} and beta_m = e_m**(p**b_m) (e_m in direct
+mode), the stored element is G = sum_m beta_m W_m**(p**b_m) and
 
-    (eps_m * G - sum_{i<m} d_{m,i} * W_i**(p**b_i)) ** (1/p**b_m)
+    (eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m)
 
-is (omega(m), s)-adapted, where G is the stored finite element.  In
-characteristic p the p-th root distributes over sums, so the adapted
-elements have explicit finite preimages in the perfectoid Tate algebra
-and the whole division/reconstruction pipeline runs exactly.
+is (omega(m), s)-adapted.  In characteristic p the p-th root distributes
+over sums, so the adapted elements have explicit finite preimages in the
+perfectoid Tate algebra and the whole division/reconstruction pipeline
+runs exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .valuegroup import (
     floor_weight,
     is_p_exponent,
     pi_value,
+    row_reduce,
     s_value,
     t_power,
     value_le,
@@ -109,53 +111,24 @@ class IndependentRep:
         self.p = p
         self.ell = len(self.exponents)
         self.n = len(self.exponents[0]) if self.exponents else 0
-        if self._rank() != self.ell:
+        if len(row_reduce(self._system((0,) * self.n), self.ell)) != self.ell:
             raise InputValidationError(
                 "monomial exponents are dependent; supply an explicit rule"
             )
 
-    def _rank(self):
-        rows = [list(v) for v in self.exponents]
-        rank = 0
-        cols = list(range(self.n))
-        for col in cols:
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            pr = rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col] / pr[col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-            rank += 1
-        return rank
+    def _system(self, q):
+        """The n x (ell+1) augmented system sum h_k * v_k = q."""
+        return [[v[j] for v in self.exponents] + [Fraction(q[j])] for j in range(self.n)]
 
     def rep(self, q):
-        # Solve sum h_k * v_k = q exactly; unique by independence.
-        aug = [[self.exponents[k][j] for k in range(self.ell)] + [Fraction(q[j])]
-               for j in range(self.n)]
-        # Gaussian elimination on an n x (ell+1) system.
-        pivots = []
-        r = 0
-        for c in range(self.ell):
-            pivot = next((i for i in range(r, self.n) if aug[i][c] != 0), None)
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            pr = aug[r]
-            for i in range(self.n):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c] / pr[c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-            pivots.append((r, c))
-            r += 1
+        # Solve the system exactly; the solution is unique by independence.
+        aug = self._system(q)
+        pivots = row_reduce(aug, self.ell)
+        if any(row[self.ell] != 0 for row in aug[len(pivots):]):
+            return None  # inconsistent: q outside the span
         h = [Fraction(0)] * self.ell
         for row, col in pivots:
             h[col] = aug[row][self.ell] / aug[row][col]
-        for i in range(self.n):
-            if all(aug[i][c] == 0 for c in range(self.ell)) and aug[i][self.ell] != 0:
-                return None  # inconsistent: q outside the span
         for hk in h:
             if hk < 0 or not is_p_exponent(hk, self.p):
                 return None
@@ -252,13 +225,13 @@ class WellOrder:
 
 @dataclass(frozen=True)
 class GleasonSchedule:
-    """Finite-depth Gleason data with per-step condition witnesses.
+    """Finite-depth Gleason data: per step, omega(m), h_m and the scalars
+    gamma_m, delta_m, b_m; everything else is derived from them.
 
-    mode 'alpha' stores coefficients beta_m = e_m**(p**b_m) (the generic
-    construction); mode 'direct' stores beta_m = e_m (bounded one-variable
-    preimages).  d[m][i] = eps_m * beta_i for i < m; the head coefficient
-    eps_m * beta_m is recoverable but not stored, since its norm may
-    exceed 1.
+    mode 'alpha' uses coefficients beta_m = e_m**(p**b_m) (the generic
+    construction); mode 'direct' uses beta_m = e_m (bounded one-variable
+    preimages).  d(m, i) = eps_m * beta_i for i < m; the head coefficient
+    eps_m * beta_m may have norm above 1 and is not one of them.
     """
 
     profile: RadiusProfile
@@ -267,53 +240,60 @@ class GleasonSchedule:
     V: tuple
     omegas: tuple
     h_reps: tuple
-    W: tuple
-    e: tuple
-    eps: tuple
+    gammas: tuple
+    deltas: tuple
     b: tuple
-    d: tuple
-    conditions: tuple
+
+    def W(self, m: int) -> SeriesElement:
+        """Lattice monomial prod V_k**h_{m,k} (1-based m)."""
+        return _lattice_monomial(self.profile, self.V, self.h_reps[m - 1])
+
+    def e(self, m: int) -> SeriesElement:
+        return monomial(self.profile.base(), 1, self.gammas[m - 1])
+
+    def eps(self, m: int) -> SeriesElement:
+        return monomial(self.profile.base(), 1, self.deltas[m - 1])
+
+    def beta_exp(self, m: int) -> Fraction:
+        """t-exponent of beta_m."""
+        scale = 1 if self.mode == "direct" else self.profile.p ** self.b[m - 1]
+        return self.gammas[m - 1] * scale
 
     def beta(self, m: int) -> SeriesElement:
         """Coefficient of W_m**(p**b_m) in the stored element (1-based m)."""
-        em = self.e[m - 1]
-        if self.mode == "direct":
-            return em
-        return series_frac_pow(em, self.profile.p ** self.b[m - 1])
+        return monomial(self.profile.base(), 1, self.beta_exp(m))
+
+    def d(self, m: int, i: int) -> SeriesElement:
+        """Elimination coefficient d_{m,i} = eps_m * beta_i, for i < m."""
+        return monomial(self.profile.base(), 1, self.deltas[m - 1] + self.beta_exp(i))
 
     def term(self, m: int) -> SeriesElement:
-        wpow = series_frac_pow(self.W[m - 1], self.profile.p ** self.b[m - 1])
+        wpow = series_frac_pow(self.W(m), self.profile.p ** self.b[m - 1])
         return mul(lift_base(self.beta(m), self.profile), wpow)
 
-    def element(self) -> SeriesElement:
-        """The stored finite Gleason element (exact)."""
+    def element(self, start: int = 1) -> SeriesElement:
+        """The stored finite Gleason element (exact); from a later start
+        step, its tail sum_{i>=start} beta_i W_i**(p**b_i)."""
         acc = series_zero(self.profile)
-        for m in range(1, self.depth + 1):
-            acc = add(acc, self.term(m))
+        for i in range(start, self.depth + 1):
+            acc = add(acc, self.term(i))
         return acc
 
-    def adapted_expression(self, m: int, G: SeriesElement = None) -> SeriesElement:
-        """(eps_m G - sum_{i<m} d_{m,i} W_i**(p**b_i)) ** (1/p**b_m), exact."""
+    def adapted_expression(self, m: int) -> SeriesElement:
+        """(eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m), exact."""
         if not 1 <= m <= self.depth:
             raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
-        if G is None:
-            G = self.element()
-        p = self.profile.p
-        expr = mul(lift_base(self.eps[m - 1], self.profile), G)
-        for i in range(1, m):
-            wpow = series_frac_pow(self.W[i - 1], p ** self.b[i - 1])
-            expr = sub(expr, mul(lift_base(self.d[m - 1][i - 1], self.profile), wpow))
+        expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
         for _ in range(self.b[m - 1]):
             expr = pth_root(expr)
         return expr
 
 
-def _base_t_monomial(base: RadiusProfile, exponent) -> SeriesElement:
-    return monomial(base, 1, exponent)
-
-
-def _weight_value(v) -> Weight:
-    return weight_of(v)
+def _lattice_monomial(profile, V, h) -> SeriesElement:
+    W = one(profile)
+    for hk, vk in zip(h, V):
+        W = mul(W, series_frac_pow(vk, hk))
+    return W
 
 
 def _series_weight(f: SeriesElement) -> Weight:
@@ -321,6 +301,14 @@ def _series_weight(f: SeriesElement) -> Weight:
     if n is None:
         raise InputValidationError("element below floor has no weight")
     return weight_of(n)
+
+
+def _check_monomials(V):
+    for v in V:
+        if len(v.terms) != 1 or not v.floor.zero:
+            raise InputValidationError("V entries must be exact monomials")
+        if _series_weight(v).sign() <= 0:
+            raise WindowError("every |V_k| must be < 1")
 
 
 def _pick_e_alpha(profile, wW: Weight):
@@ -358,28 +346,23 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("schedules require a free profile with n >= 1")
-    base = profile.base()
+    if depth < 0:
+        raise InputValidationError(f"schedule depth must be >= 0, got {depth}")
     p = profile.p
     sigma = Weight(profile.sigma_s)
-    for v in V:
-        if len(v.terms) != 1 or not v.floor.zero:
-            raise InputValidationError("V entries must be exact monomials")
-        if _series_weight(v).sign() <= 0:
-            raise WindowError("every |V_k| must be < 1")
+    _check_monomials(V)
     wV0 = _series_weight(V[0]) if V else Weight(Fraction(0))
 
-    omegas, h_reps, Ws, es, epss, bs, ds, conds = [], [], [], [], [], [], [], []
-    beta_exps = []      # rational t-exponents of the coefficients beta_i
-    exps_taken = []     # x-exponents omega(i) * p**b_i
+    omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
+    beta_min = Fraction(0)  # min(0, t-exponents of the beta_i so far)
+    exps_taken = set()  # x-exponents omega(i) * p**b_i
 
     for m in range(1, depth + 1):
         q = well.omega(m)
         h = well.rule.rep(q)
         if h is None:
             raise InvariantViolationError("well-order emitted a non-member")
-        W = one(profile)
-        for hk, vk in zip(h, V):
-            W = mul(W, series_frac_pow(vk, hk))
+        W = _lattice_monomial(profile, V, h)
         wW = _series_weight(W) if W.terms else Weight(Fraction(0))
         if mode == "alpha":
             gamma = _pick_e_alpha(profile, wW)
@@ -394,86 +377,76 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
                     f"step {m}: constant monomial after step 1 deadlocks the tails"
                 )
             gamma = _pick_e_direct(profile, wV0, wW, m)
-        e_m = _base_t_monomial(base, gamma)
 
         # eps_m = t**delta_m, smallest exponent with |eps_m * beta_i| <= 1.
-        delta = Fraction(0)
-        for bw in beta_exps:
-            if -bw > delta:
-                delta = -bw
+        delta = -beta_min
         if not is_p_exponent(delta, p):
             raise InvariantViolationError("delta_m left Z[1/p]")
-        eps_m = _base_t_monomial(base, delta)
 
         # Minimal b_m for (1) convergence, (3) head window, (4) tails,
         # (5) distinct exponents; strict growth is implied in alpha mode
-        # by (4) and enforced explicitly in direct mode.
+        # by (4) and enforced explicitly in direct mode.  Once (1) holds,
+        # w_term > m > 0, so the largest earlier b_i gives the smallest
+        # tail weight w_term / p**b_i and is the only (4) bound that binds.
         b_floor = bs[-1] + 1 if (mode == "direct" and bs) else 0
+        tail_scale = Fraction(1, p ** max(bs)) if bs else None
         b_m = None
         for b_try in range(b_floor, _B_SAFETY):
             pb = Fraction(p**b_try)
             beta_exp = gamma * pb if mode == "alpha" else gamma
             w_term = Weight(beta_exp).add(wW.scaled(pb))
-            cond1 = w_term.sub(Weight(Fraction(m))).sign() > 0
             w_head = Weight((delta + beta_exp) / pb).add(wW)
-            cond3 = w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
-            cond4 = all(
-                w_term.scaled(Fraction(1, p**bi)).sub(sigma.add_rational(1)).sign() > 0
-                for bi in bs
-            )
-            new_exp = tuple(x * pb for x in q)
-            cond5 = new_exp not in exps_taken
-            if cond1 and cond3 and cond4 and cond5:
+            if (w_term.sub(Weight(Fraction(m))).sign() > 0
+                    and w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
+                    and (tail_scale is None or w_term.scaled(tail_scale)
+                         .sub(sigma.add_rational(1)).sign() > 0)
+                    and tuple(x * pb for x in q) not in exps_taken):
                 b_m = b_try
                 break
         if b_m is None:
             raise DenominatorCapError("no admissible b_m below the safety bound")
 
+        if delta + beta_min < 0:
+            raise InvariantViolationError("|d_{m,i}| > 1; eps_m too large")
         pb = Fraction(p**b_m)
         beta_exp = gamma * pb if mode == "alpha" else gamma
-        d_row = []
-        for i in range(m - 1):
-            d_exp = delta + beta_exps[i]
-            if d_exp < 0:
-                raise InvariantViolationError("|d_{m,i}| > 1; eps_m too large")
-            d_row.append(_base_t_monomial(base, d_exp))
-
+        beta_min = min(beta_min, beta_exp)
+        exps_taken.add(tuple(x * pb for x in q))
         omegas.append(q)
         h_reps.append(h)
-        Ws.append(W)
-        es.append(e_m)
-        epss.append(eps_m)
+        gammas.append(gamma)
+        deltas.append(delta)
         bs.append(b_m)
-        ds.append(tuple(d_row))
-        beta_exps.append(beta_exp)
-        exps_taken.append(tuple(x * pb for x in q))
-        conds.append(
-            {
-                "convergence": True,
-                "eps_bound": True,
-                "head_window": True,
-                "tail_window": True,
-                "distinct_exponents": True,
-                "b": b_m,
-                "delta": str(delta),
-                "gamma": str(gamma),
-            }
-        )
 
     return GleasonSchedule(
         profile, mode, depth, tuple(V), tuple(omegas), tuple(h_reps),
-        tuple(Ws), tuple(es), tuple(epss), tuple(bs), tuple(ds), tuple(conds),
+        tuple(gammas), tuple(deltas), tuple(bs),
     )
 
 
 def verify_schedule(schedule: GleasonSchedule, G: SeriesElement = None):
-    """Check every prefix expression against is_adapted; returns the
-    certificates.  Raises InvariantViolationError on any failure."""
+    """Independent check of every step: rebuild the subtractive form
+    (eps_m G - sum_{i<m} d_{m,i} W_i**(p**b_i)) ** (1/p**b_m), require it
+    to equal adapted_expression(m) and to pass is_adapted.  Returns the
+    certificates; raises InvariantViolationError on any failure."""
     if G is None:
         G = schedule.element()
+    profile = schedule.profile
+    p = profile.p
+    wpows = [series_frac_pow(schedule.W(i), p ** schedule.b[i - 1])
+             for i in range(1, schedule.depth + 1)]
     certs = []
     for m in range(1, schedule.depth + 1):
-        expr = schedule.adapted_expression(m, G)
+        expr = mul(lift_base(schedule.eps(m), profile), G)
+        for i in range(1, m):
+            expr = sub(expr, mul(lift_base(schedule.d(m, i), profile), wpows[i - 1]))
+        for _ in range(schedule.b[m - 1]):
+            expr = pth_root(expr)
+        if expr != schedule.adapted_expression(m):
+            raise InvariantViolationError(
+                f"schedule step {m}: the subtractive form differs from the "
+                f"closed-form adapted expression"
+            )
         cert = is_adapted(expr, schedule.omegas[m - 1])
         if not cert.passed:
             raise InvariantViolationError(
@@ -500,18 +473,9 @@ def build_gplus(profile: RadiusProfile, depth: int):
 
 def build_gmultivar(profile: RadiusProfile, V, depth: int, rule=None):
     """Gleason element for the lattice spanned by the monomials V."""
-    for v in V:
-        if len(v.terms) != 1 or not v.floor.zero:
-            raise InputValidationError("V entries must be exact monomials")
-        nv = gauss_norm(v)
-        if nv is None or not value_lt(nv, t_power(profile, 0)):
-            raise WindowError("every V_k must satisfy |V_k| < 1")
+    _check_monomials(V)
     if rule is None:
-        exps = []
-        for v in V:
-            ((_, xs), _), = v.terms.items()
-            exps.append(xs)
-        rule = IndependentRep(exps, profile.p)
+        rule = IndependentRep([xs for v in V for (_, xs) in v.terms], profile.p)
     well = WellOrder(profile.n, profile.p, rule)
     schedule = build_schedule(profile, tuple(V), well, depth, mode="alpha")
     return schedule, schedule.element()
@@ -541,7 +505,7 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
     for m in range(1, depth + 1):
         hm = schedule.h_reps[m - 1][0]
         exp = (hm * profile.p ** schedule.b[m - 1],)
-        terms[exp] = schedule.e[m - 1]
+        terms[exp] = schedule.e(m)
     preimage = make_tate(1, base, terms)
     return schedule, g_minus, preimage
 
@@ -604,21 +568,20 @@ class SurjectionSpec:
         m = self.schedule.omegas.index(q) + 1
         sched = self.schedule
         p = self.profile.p
-        image = sched.adapted_expression(m, self.G)
+        image = sched.adapted_expression(m)
         cert = is_adapted(image, q)
         if not cert.passed:
             raise InvariantViolationError(f"schedule step {m} lost adaptedness")
         pb = p ** sched.b[m - 1]
-        eps_exp = next(iter(sched.eps[m - 1].terms))[0]
+        delta = sched.deltas[m - 1]
         terms = {}
         head_exp = (Fraction(0),) * (self.n + 1) + (Fraction(1, pb),)
-        terms[head_exp] = monomial(self.base, 1, eps_exp / pb)
+        terms[head_exp] = monomial(self.base, 1, delta / pb)
         for i in range(1, m):
             h_i = sched.h_reps[i - 1]
             pbi = p ** sched.b[i - 1]
             exps = tuple(hk * pbi / pb for hk in h_i) + (Fraction(0),)
-            d_exp = next(iter(sched.d[m - 1][i - 1].terms))[0]
-            coeff = neg(monomial(self.base, 1, d_exp / pb))
+            coeff = neg(monomial(self.base, 1, (delta + sched.beta_exp(i)) / pb))
             prev = terms.get(exps)
             terms[exps] = add(prev, coeff) if prev is not None else coeff
         pre = make_tate(self.num_vars, self.base, terms)

@@ -8,6 +8,7 @@ InputValidationError with the offending path.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -39,6 +40,22 @@ def frac_from_str(s) -> Fraction:
         raise InputValidationError(f"bad rational {s!r}: {exc}")
 
 
+def parse_guard(fn):
+    """Report malformed JSON structure (a missing key, a list where an
+    object belongs, a non-numeric string) as InputValidationError."""
+
+    @functools.wraps(fn)
+    def wrapper(data, *args, **kwargs):
+        try:
+            return fn(data, *args, **kwargs)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputValidationError(
+                f"{fn.__name__}: malformed input ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    return wrapper
+
+
 # -- profiles ---------------------------------------------------------------
 
 
@@ -57,6 +74,7 @@ def profile_to_json(profile: RadiusProfile) -> dict:
     }
 
 
+@parse_guard
 def profile_from_json(data: dict) -> RadiusProfile:
     radii = []
     for spec in data.get("radii", []):
@@ -74,6 +92,9 @@ def profile_from_json(data: dict) -> RadiusProfile:
     )
 
 
+_ZERO = {"zero": True}
+
+
 # -- values -----------------------------------------------------------------
 
 
@@ -83,6 +104,7 @@ def value_to_json(v: Value) -> dict:
     return {"a": frac_to_str(v.a), "q": [frac_to_str(x) for x in v.q]}
 
 
+@parse_guard
 def value_from_json(data: dict, profile: RadiusProfile) -> Value:
     if data.get("zero"):
         return zero_value(profile)
@@ -110,6 +132,7 @@ def series_to_json(f: SeriesElement, include_profile: bool = True) -> dict:
     return out
 
 
+@parse_guard
 def series_from_json(data: dict, profile: RadiusProfile = None) -> SeriesElement:
     if profile is None:
         if "profile" not in data:
@@ -118,21 +141,10 @@ def series_from_json(data: dict, profile: RadiusProfile = None) -> SeriesElement
     if "terms" not in data:
         raise InputValidationError("series JSON needs a 'terms' list")
     terms = {}
-    for i, item in enumerate(data.get("terms", [])):
-        try:
-            t = frac_from_str(item["t"])
-            xs = tuple(frac_from_str(e) for e in item.get("x", []))
-            c = int(item["c"])
-        except (KeyError, TypeError) as exc:
-            raise InputValidationError(f"terms[{i}]: {exc}")
-        key = (t, xs)
-        terms[key] = terms.get(key, 0) + c
-    floor = (
-        value_from_json(data["floor"], profile)
-        if "floor" in data
-        else zero_value(profile)
-    )
-    return make_series(profile, terms, floor)
+    for item in data["terms"]:
+        key = (frac_from_str(item["t"]), tuple(frac_from_str(e) for e in item.get("x", [])))
+        terms[key] = terms.get(key, 0) + int(item["c"])
+    return make_series(profile, terms, value_from_json(data.get("floor", _ZERO), profile))
 
 
 # -- Tate elements ----------------------------------------------------------
@@ -153,6 +165,7 @@ def tate_to_json(f: TateElement) -> dict:
     }
 
 
+@parse_guard
 def tate_from_json(data: dict, base: RadiusProfile = None) -> TateElement:
     if base is None:
         base = profile_from_json(data["profile"])
@@ -161,18 +174,14 @@ def tate_from_json(data: dict, base: RadiusProfile = None) -> TateElement:
     for item in data.get("terms", []):
         e = tuple(frac_from_str(x) for x in item["e"])
         terms[e] = series_from_json(item["coeff"], base)
-    floor = (
-        value_from_json(data["floor"], base)
-        if "floor" in data
-        else zero_value(base)
-    )
-    return make_tate(m, base, terms, floor)
+    return make_tate(m, base, terms, value_from_json(data.get("floor", _ZERO), base))
 
 
 def hom_to_json(hom: HomSpec) -> list:
     return [series_to_json(g, include_profile=False) for g in hom.images]
 
 
+@parse_guard
 def hom_from_json(data: list, profile: RadiusProfile) -> HomSpec:
     return HomSpec(tuple(series_from_json(g, profile) for g in data))
 
@@ -190,6 +199,7 @@ def point_to_json(pt) -> dict:
     }
 
 
+@parse_guard
 def point_from_json(data: dict):
     if "disks" in data:
         return NestedPrefix(tuple(point_from_json(d) for d in data["disks"]))
@@ -221,6 +231,7 @@ def tower_to_json(pt: TowerPoint) -> list:
     return out
 
 
+@parse_guard
 def tower_from_json(data: list) -> TowerPoint:
     coords = []
     for spec in data:
@@ -238,6 +249,7 @@ def tower_from_json(data: list) -> TowerPoint:
 
 
 def schedule_to_json(s: GleasonSchedule) -> dict:
+    steps = range(1, s.depth + 1)
     return {
         "profile": profile_to_json(s.profile),
         "mode": s.mode,
@@ -245,36 +257,58 @@ def schedule_to_json(s: GleasonSchedule) -> dict:
         "V": [series_to_json(v, include_profile=False) for v in s.V],
         "omega": [[frac_to_str(x) for x in q] for q in s.omegas],
         "h": [[frac_to_str(x) for x in h] for h in s.h_reps],
-        "W": [series_to_json(w, include_profile=False) for w in s.W],
-        "e": [series_to_json(e, include_profile=False) for e in s.e],
-        "eps": [series_to_json(e, include_profile=False) for e in s.eps],
+        "W": [series_to_json(s.W(m), include_profile=False) for m in steps],
+        "e": [series_to_json(s.e(m), include_profile=False) for m in steps],
+        "eps": [series_to_json(s.eps(m), include_profile=False) for m in steps],
         "b": list(s.b),
         "d": [
-            [series_to_json(d, include_profile=False) for d in row] for row in s.d
+            [series_to_json(s.d(m, i), include_profile=False) for i in range(1, m)]
+            for m in steps
         ],
-        "conditions": list(s.conditions),
+        "conditions": [
+            dict(_CONDITION_FLAGS, b=b, delta=frac_to_str(delta), gamma=frac_to_str(gamma))
+            for b, delta, gamma in zip(s.b, s.deltas, s.gammas)
+        ],
     }
 
 
+_CONDITION_FLAGS = dict.fromkeys(
+    ("convergence", "eps_bound", "head_window", "tail_window", "distinct_exponents"),
+    True,
+)
+
+
+@parse_guard
 def schedule_from_json(data: dict) -> GleasonSchedule:
+    """Rebuild a schedule from omega, h, b, V and the gamma and delta of
+    each step's conditions; the stored W, e, eps, d and conditions must
+    equal the values derived from those."""
     profile = profile_from_json(data["profile"])
-    base = profile.base()
-    return GleasonSchedule(
+    depth = int(data["depth"])
+    conditions = data["conditions"]
+    if data["mode"] not in ("alpha", "direct"):
+        raise InputValidationError(f"schedule mode {data['mode']!r}")
+    if {len(data[key]) for key in ("omega", "h", "b", "conditions")} != {depth}:
+        raise InputValidationError(f"schedule step lists do not all have depth {depth}")
+    schedule = GleasonSchedule(
         profile=profile,
         mode=data["mode"],
-        depth=int(data["depth"]),
+        depth=depth,
         V=tuple(series_from_json(v, profile) for v in data["V"]),
         omegas=tuple(tuple(frac_from_str(x) for x in q) for q in data["omega"]),
         h_reps=tuple(tuple(frac_from_str(x) for x in h) for h in data["h"]),
-        W=tuple(series_from_json(w, profile) for w in data["W"]),
-        e=tuple(series_from_json(e, base) for e in data["e"]),
-        eps=tuple(series_from_json(e, base) for e in data["eps"]),
+        gammas=tuple(frac_from_str(c["gamma"]) for c in conditions),
+        deltas=tuple(frac_from_str(c["delta"]) for c in conditions),
         b=tuple(int(b) for b in data["b"]),
-        d=tuple(
-            tuple(series_from_json(d, base) for d in row) for row in data["d"]
-        ),
-        conditions=tuple(data.get("conditions", ())),
     )
+    derived = schedule_to_json(schedule)
+    for key in ("W", "e", "eps", "d", "conditions"):
+        if data[key] != derived[key]:
+            raise InputValidationError(
+                f"schedule {key!r} differs from the value derived from "
+                f"omega, h, gamma, delta and b"
+            )
+    return schedule
 
 
 def surjection_to_json(spec: SurjectionSpec) -> dict:

@@ -35,6 +35,7 @@ from .valuegroup import (
     value,
     value_lt,
     value_le,
+    value_lift,
     value_max,
     value_mul,
     value_pow,
@@ -159,8 +160,6 @@ def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
     if f.profile.n != 0 or not profile.extends(f.profile):
         raise ProfileMismatchError("can only lift base-field elements into extensions")
     pad = (Fraction(0),) * profile.n
-    from .valuegroup import value_lift
-
     return make_series(
         profile,
         {(t, pad): c for (t, _), c in f.terms.items()},
@@ -462,8 +461,6 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
     if nb is None or nbq is None:
         check2 = False
     else:
-        from .valuegroup import value_lift
-
         nbq_lifted = value_mul(value_lift(nbq, profile), value(profile, 0, q))
         check2 = compare(nbq_lifted, nb) is Ordering.EQUAL
     tail_terms = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputValidationError, ProfileMismatchError
+from .errors import DenominatorCapError, InputValidationError, ProfileMismatchError
 from .series import (
     SeriesElement,
     add,
@@ -69,8 +69,6 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
             if x < 0:
                 raise InputValidationError("Tate exponents must be >= 0")
             if denom_log(x, base.p) > base.max_denom_log:
-                from .errors import DenominatorCapError
-
                 raise DenominatorCapError(f"Tate exponent {x} exceeds the cap")
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
@@ -112,16 +110,6 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
     for e, c in g.terms.items():
         terms[e] = add(terms[e], c) if e in terms else c
     return make_tate(f.m, f.base, terms, value_max(f.floor, g.floor))
-
-
-def t_neg(f: TateElement) -> TateElement:
-    from .series import neg
-
-    return TateElement(f.m, f.base, {e: neg(c) for e, c in f.terms.items()}, f.floor)
-
-
-def t_sub(f: TateElement, g: TateElement) -> TateElement:
-    return t_add(f, t_neg(g))
 
 
 def t_gauss_norm(f: TateElement):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InputValidationError, ProfileMismatchError
+from .errors import InputValidationError, ProfileMismatchError, WindowError
 
 
 class Ordering(enum.Enum):
@@ -35,14 +35,30 @@ class Ordering(enum.Enum):
     GREATER = 1
 
 
+# Input caps that keep validation bounded: Miller-Rabin with the first
+# twelve prime bases is exact below MAX_PRIME, and the squarefree test
+# trial-divides up to sqrt(d) <= 10**5.
+MAX_PRIME = 318_665_857_834_031_151_167_461
+MAX_SQUAREFREE = 10**10
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    """Deterministic Miller-Rabin for 2 <= p < MAX_PRIME."""
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**r, d odd
+    d = (p - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -76,9 +92,10 @@ class FreeRadius:
     d: int
 
     def __post_init__(self):
-        if not _is_squarefree(self.d):
+        if not self.d <= MAX_SQUAREFREE or not _is_squarefree(self.d):
             raise InputValidationError(
-                f"free radius requires a squarefree integer > 1, got {self.d}"
+                f"free radius requires a squarefree integer in (1, {MAX_SQUAREFREE}],"
+                f" got {self.d}"
             )
 
 
@@ -96,8 +113,8 @@ class RadiusProfile:
     max_denom_log: int = 16
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise InputValidationError(f"p must be prime, got {self.p}")
+        if not self.p < MAX_PRIME or not _is_prime(self.p):
+            raise InputValidationError(f"p must be a prime below {MAX_PRIME}, got {self.p}")
         object.__setattr__(self, "radii", tuple(self.radii))
         object.__setattr__(self, "sigma_s", Fraction(self.sigma_s))
         if self.sigma_s <= 0:
@@ -432,14 +449,6 @@ def value_max(*vs: Value) -> Value:
     return best
 
 
-def value_min(*vs: Value) -> Value:
-    best = vs[0]
-    for v in vs[1:]:
-        if value_lt(v, best):
-            best = v
-    return best
-
-
 def value_mul(u: Value, v: Value) -> Value:
     _require_same_profile(u, v)
     if u.zero or v.zero:
@@ -496,8 +505,6 @@ def zp_in_open_interval(lo: Weight, hi: Weight, p: int, max_k: int = 64) -> Frac
     to the upper endpoint.  Raises WindowError when the interval is
     empty or no denominator up to p**max_k works.
     """
-    from .errors import WindowError
-
     if hi.sub(lo).sign() <= 0:
         raise WindowError(f"empty window ({lo}, {hi})")
     scale = 1
@@ -527,3 +534,22 @@ def is_p_exponent(x: Fraction, p: int) -> bool:
     while den % p == 0:
         den //= p
     return den == 1
+
+
+def row_reduce(rows, ncols):
+    """Gauss-Jordan elimination over the first ncols columns, in place;
+    returns the pivot positions (row, col)."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / pr[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append((r, c))
+    return pivots

@@ -192,7 +192,7 @@ def test_criterion_5_gleason_adaptedness():
             if not value_lt(gauss_norm(term), value_pow(pi, m)):
                 ok = False  # (1)
             for i in range(1, m):
-                d = schedule.d[m - 1][i - 1]
+                d = schedule.d(m, i)
                 if not value_le(gauss_norm(d), t_power(prof.base(), 0)):
                     ok = False  # (2)
             exps.add(schedule.omegas[m - 1][0] * p ** schedule.b[m - 1])

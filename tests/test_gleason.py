@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import float_weight
 from ultrametrica.errors import (
     DepthError,
     InputValidationError,
+    InvariantViolationError,
     WindowError,
 )
 from ultrametrica.gleason import (
@@ -155,16 +157,16 @@ class TestBuildGplus:
 
     def test_d_coefficients_bounded(self, prof):
         sched, _ = build_gplus(prof, 8)
-        for row in sched.d:
-            for dmi in row:
-                nd = gauss_norm(dmi)
+        for m in range(1, 9):
+            for i in range(1, m):
+                nd = gauss_norm(sched.d(m, i))
                 assert value_le(nd, t_power(prof.base(), 0))
 
     def test_epsilon_property(self, prof):
         # s <= |eps_m ** (1/p**b_m)| for every m
         sched, _ = build_gplus(prof, 8)
         for m in range(1, 9):
-            delta = next(iter(sched.eps[m - 1].terms))[0]
+            delta = next(iter(sched.eps(m).terms))[0]
             assert delta / 2 ** sched.b[m - 1] <= prof.sigma_s
 
     def test_argnorm_property(self, prof):
@@ -172,10 +174,10 @@ class TestBuildGplus:
         sched, G = build_gplus(prof, 6)
         p = prof.p
         for m in range(1, 7):
-            expr = mul(lift_base(sched.eps[m - 1], prof), G)
+            expr = mul(lift_base(sched.eps(m), prof), G)
             for i in range(1, m):
-                wpow = series_frac_pow(sched.W[i - 1], p ** sched.b[i - 1])
-                expr = sub(expr, mul(lift_base(sched.d[m - 1][i - 1], prof), wpow))
+                wpow = series_frac_pow(sched.W(i), p ** sched.b[i - 1])
+                expr = sub(expr, mul(lift_base(sched.d(m, i), prof), wpow))
             t_exp, xs = argnorm(expr)
             assert xs == (sched.omegas[m - 1][0] * p ** sched.b[m - 1],)
 
@@ -184,7 +186,7 @@ class TestBuildGplus:
         sched, G = build_gplus(prof, 6)
         rebuilt = {}
         for m in range(1, 7):
-            gamma = next(iter(sched.e[m - 1].terms))[0]
+            gamma = next(iter(sched.e(m).terms))[0]
             pb = 2 ** sched.b[m - 1]
             key = (gamma * pb, (sched.omegas[m - 1][0] * pb,))
             rebuilt[key] = 1
@@ -198,6 +200,28 @@ class TestBuildGplus:
         prof3 = make_profile(3, [FreeRadius(2)], max_denom_log=24)
         sched, G = build_gplus(prof3, 6)
         assert all(c.passed for c in verify_schedule(sched, G))
+
+
+class TestVerifySchedule:
+    def test_standard_schedule_closed_form_matches(self, spec21):
+        certs = verify_schedule(spec21.schedule, spec21.G)
+        assert len(certs) == 21 and all(c.passed for c in certs)
+
+    def test_altered_delta_rejected(self, prof):
+        sched, G = build_gplus(prof, 5)
+        deltas = list(sched.deltas)
+        deltas[2] += 64 * 2 ** sched.b[2]  # head weight +64: |expr| drops below s
+        bad = dataclasses.replace(sched, deltas=tuple(deltas))
+        with pytest.raises(InvariantViolationError, match="not adapted"):
+            verify_schedule(bad, G)
+
+    def test_altered_gamma_breaks_subtractive_form(self, prof):
+        sched, G = build_gplus(prof, 5)
+        gammas = list(sched.gammas)
+        gammas[1] += 1
+        bad = dataclasses.replace(sched, gammas=tuple(gammas))
+        with pytest.raises(InvariantViolationError, match="subtractive"):
+            verify_schedule(bad, G)
 
 
 class TestBuildGmultivar:

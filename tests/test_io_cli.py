@@ -1,16 +1,30 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import ultrametrica
 from ultrametrica import io as uio
 from ultrametrica.berkovich import DiskPoint, NestedPrefix
 from ultrametrica.cli import EXIT_INPUT, EXIT_OK, main
 from ultrametrica.errors import InputValidationError
-from ultrametrica.gleason import build_gplus
+from ultrametrica.gleason import build_gplus, standard_surjection
 from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
 from ultrametrica.tatealg import make_tate
-from ultrametrica.valuegroup import t_power, value, value_lt, zero_value
+from ultrametrica.valuegroup import (
+    MAX_SQUAREFREE,
+    FreeRadius,
+    make_profile,
+    t_power,
+    value,
+    value_lt,
+    zero_value,
+)
 
 
 @pytest.fixture
@@ -63,6 +77,31 @@ class TestSerialization:
         sched, _ = build_gplus(prof1_cap24, 4)
         back = uio.schedule_from_json(uio.schedule_to_json(sched))
         assert back == sched
+        text = json.dumps(uio.schedule_to_json(sched), sort_keys=True)
+        assert uio.schedule_from_json(json.loads(text)) == sched
+
+    @pytest.mark.parametrize("key,path", [("d", (3, 1)), ("eps", (2,))])
+    def test_schedule_edited_derived_field_rejected(self, prof1_cap24, key, path):
+        sched, _ = build_gplus(prof1_cap24, 4)
+        data = uio.schedule_to_json(sched)
+        entry = data[key]
+        for k in path:
+            entry = entry[k]
+        entry["terms"][0]["t"] = str(Fraction(entry["terms"][0]["t"]) + 1)
+        with pytest.raises(InputValidationError, match=repr(key)):
+            uio.schedule_from_json(data)
+
+    @pytest.mark.parametrize("radii,cap,depth,digest", [
+        ((2,), 32, 21,
+         "dd274fe1b2484eec27332d5116a21977cd9245d40937bcda68b04a436e1eae3b"),
+        ((2, 3), 110, 81,
+         "888c75495316d732ecb08a2c80a98236b827af40303c7b825480de537a55520b"),
+    ])
+    def test_surjection_spec_golden(self, radii, cap, depth, digest):
+        prof = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=cap)
+        payload = uio.surjection_to_json(standard_surjection(prof, depth))
+        blob = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_bad_rational_rejected(self):
         with pytest.raises(InputValidationError):
@@ -216,3 +255,56 @@ class TestCli:
         data = json.load(open(out))
         assert data["schedule"]["depth"] == 6
         assert len(data["images"]) == 3
+
+
+MALFORMED_INPUTS = [
+    (["norm"], '{"profile": [2], "terms": []}'),
+    (["invert", "--floor", "3"], '{"profile": {"p": "two", "radii": []}, "terms": []}'),
+    (["classify"], '{"radius": {"a": "1", "q": []}}'),
+    (["abhyankar"], "[1, 2]"),
+    (["surject-verify", "--config"],
+     '{"p": 2, "radii": [{"sqrt": 2}], "depth": "deep"}'),
+    (["gleason", "build", "--depth", "3", "--config"], '["p", 2]'),
+]
+
+
+@pytest.mark.parametrize("command,text", MALFORMED_INPUTS,
+                         ids=[" ".join(c[:2]) for c, _ in MALFORMED_INPUTS])
+def test_malformed_input_exits_2(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(ultrametrica.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrametrica", *command, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+
+
+def _norm_timed(tmp_path, p, d):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "profile": {"p": p, "radii": [{"sqrt": d}]},
+        "terms": [{"t": "1", "x": ["3"], "c": 1}],
+    }))
+    t0 = time.monotonic()
+    code = main(["norm", str(path)])
+    return code, time.monotonic() - t0
+
+
+def test_huge_prime_decided_fast(tmp_path, capsys):
+    code, elapsed = _norm_timed(tmp_path, 10**18 + 3, 2)  # prime
+    assert code == EXIT_OK and elapsed < 1.0
+    code, elapsed = _norm_timed(tmp_path, 10**18 + 1, 2)  # 101 * 9901 * ...
+    assert code == EXIT_INPUT and elapsed < 1.0
+
+
+def test_huge_radius_rejected_fast(tmp_path, capsys):
+    code, elapsed = _norm_timed(tmp_path, 2, 10**18 + 3)
+    assert code == EXIT_INPUT and elapsed < 1.0
+    assert str(MAX_SQUAREFREE) in capsys.readouterr().err
+    code, elapsed = _norm_timed(tmp_path, 2, MAX_SQUAREFREE - 2)  # 2*17*14033*20959
+    assert code == EXIT_OK and elapsed < 1.0

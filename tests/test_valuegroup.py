@@ -12,6 +12,8 @@ from ultrametrica.errors import (
     WindowError,
 )
 from ultrametrica.valuegroup import (
+    MAX_PRIME,
+    MAX_SQUAREFREE,
     FreeRadius,
     Ordering,
     RationalRadius,
@@ -28,6 +30,7 @@ from ultrametrica.valuegroup import (
     zero_value,
     zp_in_open_interval,
 )
+from ultrametrica.valuegroup import _is_prime
 
 
 class TestCompare:
@@ -178,6 +181,26 @@ class TestProfiles:
             FreeRadius(4)
         with pytest.raises(InputValidationError):
             FreeRadius(12)
+
+    def test_primality_matches_sieve(self):
+        n = 20000
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, 142):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, n, i))
+        assert [_is_prime(k) for k in range(n)] == sieve
+
+    def test_strong_pseudoprimes_are_composite(self):
+        for k in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051):
+            assert not _is_prime(k)
+
+    def test_input_caps(self):
+        assert make_profile(2**61 - 1, [FreeRadius(2)]).p == 2**61 - 1
+        with pytest.raises(InputValidationError):
+            make_profile(MAX_PRIME, [FreeRadius(2)])
+        with pytest.raises(InputValidationError):
+            FreeRadius(MAX_SQUAREFREE + 1)
 
     def test_duplicate_free_radii_rejected(self):
         with pytest.raises(InputValidationError):
