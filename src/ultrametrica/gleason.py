@@ -42,8 +42,8 @@ from .series import (
     mul,
     neg,
     one,
-    pth_root,
     res_ge,
+    root_pk,
     series_frac_pow,
     series_zero,
     sub,
@@ -284,9 +284,7 @@ class GleasonSchedule:
         if not 1 <= m <= self.depth:
             raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
         expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
-        for _ in range(self.b[m - 1]):
-            expr = pth_root(expr)
-        return expr
+        return root_pk(expr, self.b[m - 1])
 
 
 def _lattice_monomial(profile, V, h) -> SeriesElement:
@@ -440,8 +438,7 @@ def verify_schedule(schedule: GleasonSchedule, G: SeriesElement = None):
         expr = mul(lift_base(schedule.eps(m), profile), G)
         for i in range(1, m):
             expr = sub(expr, mul(lift_base(schedule.d(m, i), profile), wpows[i - 1]))
-        for _ in range(schedule.b[m - 1]):
-            expr = pth_root(expr)
+        expr = root_pk(expr, schedule.b[m - 1])
         if expr != schedule.adapted_expression(m):
             raise InvariantViolationError(
                 f"schedule step {m}: the subtractive form differs from the "

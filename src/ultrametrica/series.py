@@ -97,11 +97,15 @@ def _build(profile: RadiusProfile, terms: dict, floor: Value) -> SeriesElement:
     return SeriesElement(profile, _drop_below_floor(profile, terms, floor), floor)
 
 
+def _cap_error(profile: RadiusProfile, e: Fraction) -> DenominatorCapError:
+    return DenominatorCapError(
+        f"exponent {e} exceeds denominator cap p**{profile.max_denom_log}"
+    )
+
+
 def _check_exponent(profile: RadiusProfile, e: Fraction):
     if denom_log(e, profile.p) > profile.max_denom_log:
-        raise DenominatorCapError(
-            f"exponent {e} exceeds denominator cap p**{profile.max_denom_log}"
-        )
+        raise _cap_error(profile, e)
 
 
 def make_series(profile: RadiusProfile, terms, floor: Value = None) -> SeriesElement:
@@ -336,14 +340,33 @@ def frobenius(f: SeriesElement) -> SeriesElement:
     return _build(f.profile, terms, floor)
 
 
+def root_pk(f: SeriesElement, k: int) -> SeriesElement:
+    """Exact p**k-th root in one pass: exponents and floor divide by p**k.
+
+    Raises DenominatorCapError exactly when k successive pth_root calls
+    would.  Exponent denominators are p-powers and their p-log never
+    decreases under a further root, so the final exponents decide every
+    intermediate step.
+    """
+    if k < 0:
+        raise InputValidationError(f"root order p**{k} needs k >= 0")
+    profile = f.profile
+    pk = profile.p ** k
+    cap = profile.p ** profile.max_denom_log
+    terms = {}
+    for (t, xs), c in f.terms.items():
+        key = (t / pk, tuple(x / pk for x in xs))
+        for e in (key[0], *key[1]):
+            if e.denominator > cap:
+                raise _cap_error(profile, e)
+        terms[key] = c
+    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, pk))
+    return _build(profile, terms, floor)
+
+
 def pth_root(f: SeriesElement) -> SeriesElement:
     """Exact p-th root (exponents divide by p); inverse of frobenius."""
-    p = f.profile.p
-    terms = {
-        (t / p, tuple(x / p for x in xs)): c for (t, xs), c in f.terms.items()
-    }
-    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, p))
-    return make_series(f.profile, terms, floor)
+    return root_pk(f, 1)
 
 
 def res_ge(f: SeriesElement, cut: Value) -> SeriesElement:
@@ -407,10 +430,7 @@ def series_frac_pow(g: SeriesElement, e) -> SeriesElement:
         # Monomial fast path: c**(u/p**k) = c**u since c**p = c in F_p.
         ((t, xs), c), = g.terms.items()
         return monomial(g.profile, pow(c, u, p), t * e, tuple(x * e for x in xs))
-    out = series_int_pow(g, u)
-    for _ in range(k):
-        out = pth_root(out)
-    return out
+    return root_pk(series_int_pow(g, u), k)
 
 
 # ---------------------------------------------------------------------------

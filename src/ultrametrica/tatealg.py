@@ -9,7 +9,7 @@ because p-th roots are unique in characteristic p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DenominatorCapError, InputValidationError, ProfileMismatchError
@@ -179,14 +179,20 @@ def t_pth_root(f: TateElement) -> TateElement:
 
 @dataclass(frozen=True)
 class HomSpec:
-    """Images of T_1..T_m inside one target series field, all of norm <= 1."""
+    """Images of T_1..T_m inside one target series field, all of norm <= 1.
+
+    image_norms is derived: the Gauss norm of each image (None when the
+    image is below its floor).
+    """
 
     images: tuple
+    image_norms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.images:
             raise InputValidationError("HomSpec needs at least one image")
         profile = self.images[0].profile
+        norms = []
         for g in self.images:
             if g.profile != profile:
                 raise ProfileMismatchError("hom images live over different profiles")
@@ -196,6 +202,8 @@ class HomSpec:
                 raise InputValidationError("hom image is not power-bounded (norm > 1)")
             if ng is None and not g.floor.zero and not value_le(g.floor, bound):
                 raise InputValidationError("hom image floor exceeds 1")
+            norms.append(ng)
+        object.__setattr__(self, "image_norms", tuple(norms))
 
     @property
     def profile(self) -> RadiusProfile:
@@ -220,7 +228,6 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    image_norms = [gauss_norm(g) for g in hom.images]
     acc = series_zero(profile)
     floor_acc = zero_value(profile)
     skipped = False
@@ -231,7 +238,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
             continue
         bound = value_lift(nc, profile)
         computable = True
-        for ei, ni in zip(e, image_norms):
+        for ei, ni in zip(e, hom.image_norms):
             if ei == 0:
                 continue
             if ni is None:

@@ -36,10 +36,12 @@ class Ordering(enum.Enum):
 
 
 # Input caps that keep validation bounded: Miller-Rabin with the first
-# twelve prime bases is exact below MAX_PRIME, and the squarefree test
-# trial-divides up to sqrt(d) <= 10**5.
+# twelve prime bases is exact below MAX_PRIME, the squarefree test
+# trial-divides up to sqrt(d) <= 10**5, and exponent denominators stay
+# below p**MAX_DENOM_LOG, the bound root_pk compares them against.
 MAX_PRIME = 318_665_857_834_031_151_167_461
 MAX_SQUAREFREE = 10**10
+MAX_DENOM_LOG = 256
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -119,8 +121,10 @@ class RadiusProfile:
         object.__setattr__(self, "sigma_s", Fraction(self.sigma_s))
         if self.sigma_s <= 0:
             raise InputValidationError("sigma_s must be positive")
-        if self.max_denom_log < 0:
-            raise InputValidationError("max_denom_log must be >= 0")
+        if not 0 <= self.max_denom_log <= MAX_DENOM_LOG:
+            raise InputValidationError(
+                f"max_denom_log must lie in [0, {MAX_DENOM_LOG}], got {self.max_denom_log}"
+            )
         seen = set()
         for r in self.radii:
             if isinstance(r, FreeRadius):

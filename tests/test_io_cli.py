@@ -17,6 +17,7 @@ from ultrametrica.gleason import build_gplus, standard_surjection
 from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
 from ultrametrica.tatealg import make_tate
 from ultrametrica.valuegroup import (
+    MAX_DENOM_LOG,
     MAX_SQUAREFREE,
     FreeRadius,
     make_profile,
@@ -257,19 +258,25 @@ class TestCli:
         assert len(data["images"]) == 3
 
 
+# (test id, command, input file text).  In the last row the file is the
+# --out target: the cap check rejects the profile before anything is written.
 MALFORMED_INPUTS = [
-    (["norm"], '{"profile": [2], "terms": []}'),
-    (["invert", "--floor", "3"], '{"profile": {"p": "two", "radii": []}, "terms": []}'),
-    (["classify"], '{"radius": {"a": "1", "q": []}}'),
-    (["abhyankar"], "[1, 2]"),
-    (["surject-verify", "--config"],
+    ("norm", ["norm"], '{"profile": [2], "terms": []}'),
+    ("invert --floor", ["invert", "--floor", "3"],
+     '{"profile": {"p": "two", "radii": []}, "terms": []}'),
+    ("classify", ["classify"], '{"radius": {"a": "1", "q": []}}'),
+    ("abhyankar", ["abhyankar"], "[1, 2]"),
+    ("surject-verify --config", ["surject-verify", "--config"],
      '{"p": 2, "radii": [{"sqrt": 2}], "depth": "deep"}'),
-    (["gleason", "build", "--depth", "3", "--config"], '["p", 2]'),
+    ("gleason build", ["gleason", "build", "--depth", "3", "--config"], '["p", 2]'),
+    ("gleason build --max-denom-log",
+     ["gleason", "build", "--depth", "3", "--max-denom-log", str(MAX_DENOM_LOG + 1),
+      "--out"], ""),
 ]
 
 
-@pytest.mark.parametrize("command,text", MALFORMED_INPUTS,
-                         ids=[" ".join(c[:2]) for c, _ in MALFORMED_INPUTS])
+@pytest.mark.parametrize("command,text", [row[1:] for row in MALFORMED_INPUTS],
+                         ids=[row[0] for row in MALFORMED_INPUTS])
 def test_malformed_input_exits_2(tmp_path, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import float_weight
 from ultrametrica.errors import (
     DenominatorCapError,
     FloorTooCoarseError,
+    InputValidationError,
     LeadingTermTieError,
 )
 from ultrametrica.series import (
@@ -26,12 +27,15 @@ from ultrametrica.series import (
     one,
     pth_root,
     res_ge,
+    root_pk,
     series_frac_pow,
+    series_int_pow,
     sub,
     term_norm,
     with_floor,
 )
 from ultrametrica.valuegroup import (
+    MAX_DENOM_LOG,
     FreeRadius,
     Ordering,
     compare,
@@ -233,6 +237,103 @@ class TestFrobenius:
         f = S(prof, (1, Fraction(1, 4), 0))
         with pytest.raises(DenominatorCapError):
             pth_root(f)
+
+
+def ref_root(f, k):
+    """Reference p**k-th root: plain Fraction division, rebuilt by make_series."""
+    q = Fraction(1, f.profile.p ** k)
+    terms = {(t * q, tuple(x * q for x in xs)): c for (t, xs), c in f.terms.items()}
+    floor = f.floor
+    if not floor.zero:
+        floor = value(f.profile, floor.a * q, [x * q for x in floor.q])
+    return make_series(f.profile, terms, floor)
+
+
+def looped_root(f, k):
+    for _ in range(k):
+        f = pth_root(f)
+    return f
+
+
+def raised_cap(fn, *args):
+    try:
+        return fn(*args)
+    except DenominatorCapError:
+        return DenominatorCapError
+
+
+@st.composite
+def p_series(draw, max_terms=6, cap=12, max_mult=0):
+    """A series over p in {2, 3}, n in {0, 1, 2}, with a zero or nonzero floor.
+
+    Exponents are u * p**j / p**i with i <= min(2, cap) and j <= max_mult,
+    so integer exponents divisible by p occur when max_mult > 0.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 2))
+    prof = make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=cap)
+    exp = st.builds(lambda u, j, i: Fraction(u * p**j, p**i), st.integers(-8, 16),
+                    st.integers(0, max_mult), st.integers(0, min(2, cap)))
+    key = st.tuples(exp, st.tuples(*[exp] * n))
+    terms = draw(st.dictionaries(key, st.integers(1, p - 1), max_size=max_terms))
+    floor = None
+    if draw(st.booleans()):
+        floor = value(prof, draw(exp) + 12, [draw(exp) for _ in range(n)])
+    return make_series(prof, terms, floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_series(), st.integers(0, 5))
+def test_root_pk_matches_reference_and_loop(f, k):
+    root = root_pk(f, k)
+    assert root == ref_root(f, k)
+    assert root == looped_root(f, k)
+    back = root
+    for _ in range(k):
+        back = frobenius(back)
+    assert back == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(p_series(max_terms=3), st.integers(0, 5), st.integers(0, 4))
+def test_frac_pow_is_one_root_of_the_integer_power(g, u, k):
+    # u divisible by p would reduce u / p**k, and g**p then differs from
+    # frobenius(g) in its floor; the law is stated for u / p**k reduced.
+    assume(u == 0 or u % g.profile.p)
+    e = Fraction(u, g.profile.p ** k)
+    assert series_frac_pow(g, e) == ref_root(series_int_pow(g, u), k)
+
+
+class TestRootPkCap:
+    @pytest.mark.parametrize("terms,crossing", [
+        ([(8, 0)], 6),                   # t**8: 4, 2, 1, 1/2, 1/4, then 1/8
+        ([(Fraction(1, 4), 0)], 1),      # already at the cap
+        ([(8, Fraction(3, 2))], 2),      # x**(3/2) crosses before t**8
+        ([(16, 0), (0, 12)], 5),         # 12 = 4 * 3: 6, 3, 3/2, 3/4, 3/8
+        ([(0, 0)], None),                # exponent 0 never crosses
+    ])
+    def test_one_shot_raises_where_the_loop_does(self, terms, crossing):
+        prof = make_profile(2, [FreeRadius(2)], max_denom_log=2)
+        f = S(prof, *[(1, *exps) for exps in terms])
+        for k in range(9):
+            raises = crossing is not None and k >= crossing
+            assert (raised_cap(looped_root, f, k) is DenominatorCapError) == raises
+            assert (raised_cap(root_pk, f, k) is DenominatorCapError) == raises
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 3), st.integers(0, 7))
+    def test_random_cap_matches_loop(self, data, cap, k):
+        f = data.draw(p_series(cap=cap, max_mult=3))
+        assert raised_cap(root_pk, f, k) == raised_cap(looped_root, f, k)
+
+    def test_negative_order_rejected(self, prof1):
+        with pytest.raises(InputValidationError):
+            root_pk(one(prof1), -1)
+
+    def test_profile_cap_bounded(self):
+        make_profile(2, [FreeRadius(2)], max_denom_log=MAX_DENOM_LOG)
+        with pytest.raises(InputValidationError):
+            make_profile(2, [FreeRadius(2)], max_denom_log=MAX_DENOM_LOG + 1)
 
 
 class TestResGe:

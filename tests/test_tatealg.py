@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ultrametrica.errors import InputValidationError
+from ultrametrica.io import hom_from_json, hom_to_json
 from ultrametrica.series import (
     frobenius,
     gauss_norm,
@@ -11,6 +12,7 @@ from ultrametrica.series import (
     monomial,
     mul,
     one,
+    series_zero,
     sub,
 )
 from ultrametrica.tatealg import (
@@ -84,6 +86,16 @@ class TestHomSpec:
     def test_bounded_images_accepted(self, prof1):
         HomSpec((x_var(prof1), monomial(prof1, 1, 2, (-1,))))
 
+    def test_image_norms_are_derived_and_invisible(self, prof1):
+        images = (x_var(prof1), series_zero(prof1, t_power(prof1, 3)),
+                  monomial(prof1, 1, 2, (-1,)))
+        hom = HomSpec(images)
+        assert hom.image_norms == (gauss_norm(images[0]), None, gauss_norm(images[2]))
+        assert "image_norms" not in repr(hom)
+        back = hom_from_json(hom_to_json(hom), prof1)
+        assert back == hom
+        assert back.image_norms == hom.image_norms
+
 
 class TestEvaluate:
     def test_identity_substitution(self, prof1):
@@ -107,6 +119,36 @@ class TestEvaluate:
         got = evaluate(f, hom, t_power(prof1, 30))
         expected = {(Fraction(k), (Fraction(k),)): 1 for k in range(4)}
         assert got.terms == expected
+
+    def test_image_below_its_floor(self, prof1):
+        # T_2 maps to 0 known only up to |t|**3 (norm None), so its terms
+        # are computed, not bounded; T_3**(1/4) with coefficient t**20 is
+        # skipped.  The expected value was computed by hand.
+        base = prof1.base()
+        g1 = make_series(prof1, {(Fraction(0), (Fraction(1),)): 1,
+                                 (Fraction(1), (Fraction(0),)): 1})
+        g2 = series_zero(prof1, t_power(prof1, 3))
+        g3 = make_series(prof1, {(Fraction(1, 2), (Fraction(1, 2),)): 1},
+                         t_power(prof1, 9))
+        hom = HomSpec((g1, g2, g3))
+        f = make_tate(3, base, {
+            (0, 0, 0): one(base),
+            (Fraction(3, 2), 0, 0): monomial(base, 1, 1),
+            (0, 1, 0): monomial(base, 1, 2),
+            (1, Fraction(1, 2), 2): monomial(base, 1, Fraction(1, 2)),
+            (0, 0, Fraction(1, 4)): monomial(base, 1, 20),
+        })
+        # t * (x + t)**(3/2) = t x^(3/2) + t^(3/2) x + t^2 x^(1/2) + t^(5/2);
+        # t**2 * g2 leaves the floor |t|**5.
+        expected = make_series(prof1, {
+            (Fraction(0), (Fraction(0),)): 1,
+            (Fraction(1), (Fraction(3, 2),)): 1,
+            (Fraction(3, 2), (Fraction(1),)): 1,
+            (Fraction(2), (Fraction(1, 2),)): 1,
+            (Fraction(5, 2), (Fraction(0),)): 1,
+        }, t_power(prof1, 5))
+        for target in (6, 10):
+            assert evaluate(f, hom, t_power(prof1, target)) == expected
 
     def test_ring_homomorphism_up_to_floors(self, prof1):
         rng = random.Random(13)
