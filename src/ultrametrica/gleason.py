@@ -17,7 +17,7 @@ runs exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -232,6 +232,9 @@ class GleasonSchedule:
     construction); mode 'direct' uses beta_m = e_m (bounded one-variable
     preimages).  d(m, i) = eps_m * beta_i for i < m; the head coefficient
     eps_m * beta_m may have norm above 1 and is not one of them.
+
+    _adapted memoizes adapted_expression per step; the schedule is
+    immutable, so it behaves as if absent.
     """
 
     profile: RadiusProfile
@@ -243,6 +246,7 @@ class GleasonSchedule:
     gammas: tuple
     deltas: tuple
     b: tuple
+    _adapted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def W(self, m: int) -> SeriesElement:
         """Lattice monomial prod V_k**h_{m,k} (1-based m)."""
@@ -281,10 +285,13 @@ class GleasonSchedule:
 
     def adapted_expression(self, m: int) -> SeriesElement:
         """(eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m), exact."""
-        if not 1 <= m <= self.depth:
-            raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
-        expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
-        return root_pk(expr, self.b[m - 1])
+        expr = self._adapted.get(m)
+        if expr is None:
+            if not 1 <= m <= self.depth:
+                raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
+            expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
+            expr = self._adapted[m] = root_pk(expr, self.b[m - 1])
+        return expr
 
 
 def _lattice_monomial(profile, V, h) -> SeriesElement:
@@ -530,6 +537,10 @@ class SurjectionSpec:
     hom: HomSpec
     schedule: GleasonSchedule
     G: SeriesElement
+    rule: MinZeroRep = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rule", MinZeroRep(self.n))
 
     @property
     def num_vars(self) -> int:
@@ -539,17 +550,14 @@ class SurjectionSpec:
     def base(self) -> RadiusProfile:
         return self.profile.base()
 
-    def _rule(self):
-        return MinZeroRep(self.n)
-
     def monomial_answer(self, q, h):
         """Exact single-monomial adapted element c**h0 * x**q, when its
         norm clears s."""
         exps = tuple(h) + (Fraction(0),)
         pre = tate_monomial(self.num_vars, one(self.base), exps)
         img = one(self.profile)
-        for hk, vk in zip(h, self.hom.images[: self.n + 1]):
-            img = mul(img, series_frac_pow(vk, hk))
+        for k, hk in enumerate(h):
+            img = mul(img, self.hom.power(k, hk))
         cert = is_adapted(img, q)
         if not cert.passed:
             return None
@@ -557,7 +565,7 @@ class SurjectionSpec:
 
     def schedule_answer(self, q):
         if q not in self.schedule.omegas:
-            well = WellOrder(self.n, self.profile.p, self._rule())
+            well = WellOrder(self.n, self.profile.p, self.rule)
             raise DepthError(
                 f"adapted oracle for {q} needs schedule depth {well.index(q)}, "
                 f"built {self.schedule.depth}"
@@ -588,7 +596,7 @@ class SurjectionSpec:
         q = tuple(Fraction(x) for x in q)
         if len(q) != self.n:
             raise InputValidationError(f"exponent arity {len(q)}, expected {self.n}")
-        h = self._rule().rep(q)
+        h = self.rule.rep(q)
         ans = self.monomial_answer(q, h)
         if ans is not None:
             return ans

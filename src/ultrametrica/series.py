@@ -10,7 +10,8 @@ error propagation is ultrametric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -45,12 +46,24 @@ from .valuegroup import (
 
 # A term key is (t exponent, tuple of x exponents), all Fractions.
 
+_UNSET = object()
+
 
 @dataclass(frozen=True, eq=True)
 class SeriesElement:
+    """Terms above a norm floor; compared by value, never hashed.
+
+    terms belongs to the element and is never mutated after construction,
+    so gauss_norm may store its result in the derived _norm field, which
+    takes no part in ==, repr or the JSON form.
+    """
+
     profile: RadiusProfile
     terms: dict
     floor: Value
+    _norm: object = field(default=_UNSET, init=False, compare=False, repr=False)
+
+    __hash__ = None
 
     def __repr__(self):
         items = sorted(self.terms.items())[:6]
@@ -64,7 +77,7 @@ class SeriesElement:
 
 def term_norm(profile: RadiusProfile, key) -> Value:
     t, xs = key
-    return value(profile, t, xs)
+    return Value._raw(profile, t, xs)
 
 
 def _term_weight(profile: RadiusProfile, key) -> Weight:
@@ -200,13 +213,26 @@ def sub(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     return add(f, neg(g))
 
 
-def _mul_floor(f: SeriesElement, g: SeriesElement) -> Value:
-    nf, ng = gauss_norm(f), gauss_norm(g)
-    cands = [value_mul(f.floor, g.floor)]
-    if ng is not None:
-        cands.append(value_mul(f.floor, ng))
-    if nf is not None:
-        cands.append(value_mul(g.floor, nf))
+def product_floor(f, g, norm_f, norm_g) -> Value:
+    """Floor of the product of two floored elements f and g:
+    max(f.floor * g.floor, f.floor * |g|, g.floor * |f|).
+
+    norm_f(f) and norm_g(g) give the norms (None below the floor).  A
+    zero floor makes its candidates zero, so a norm is taken only when
+    the other factor's floor is non-zero.
+    """
+    ff, fg = f.floor, g.floor
+    if ff.zero and fg.zero:
+        return zero_value(ff.profile)
+    cands = [value_mul(ff, fg)]
+    if not ff.zero:
+        ng = norm_g(g)
+        if ng is not None:
+            cands.append(value_mul(ff, ng))
+    if not fg.zero:
+        nf = norm_f(f)
+        if nf is not None:
+            cands.append(value_mul(fg, nf))
     return value_max(*cands)
 
 
@@ -216,13 +242,13 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     terms = {}
     for (t1, xs1), c1 in f.terms.items():
         for (t2, xs2), c2 in g.terms.items():
-            k = (t1 + t2, tuple(a + b for a, b in zip(xs1, xs2)))
+            k = (t1 + t2, tuple(map(operator.add, xs1, xs2)))
             s = (terms.get(k, 0) + c1 * c2) % p
             if s == 0:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-    return _build(f.profile, terms, _mul_floor(f, g))
+    return _build(f.profile, terms, product_floor(f, g, gauss_norm, gauss_norm))
 
 
 def scale(f: SeriesElement, coeff: int) -> SeriesElement:
@@ -235,15 +261,22 @@ def scale(f: SeriesElement, coeff: int) -> SeriesElement:
 
 
 def gauss_norm(f: SeriesElement):
-    """Max term norm, or None when the element is below its floor."""
-    if not f.terms:
-        return None
-    best_key = best_w = None
-    for k in f.terms:
-        w = _term_weight(f.profile, k)
-        if best_w is None or best_w.sub(w).sign() > 0:
-            best_key, best_w = k, w
-    return term_norm(f.profile, best_key)
+    """Max term norm, or None when the element is below its floor.
+
+    Taken once per element and stored on it (see SeriesElement)."""
+    n = f._norm
+    if n is not _UNSET:
+        return n
+    n = None
+    if f.terms:
+        best_key = best_w = None
+        for k in f.terms:
+            w = _term_weight(f.profile, k)
+            if best_w is None or best_w.sub(w).sign() > 0:
+                best_key, best_w = k, w
+        n = term_norm(f.profile, best_key)
+    object.__setattr__(f, "_norm", n)
+    return n
 
 
 def _leading_keys(f: SeriesElement):

@@ -9,6 +9,7 @@ because p-th roots are unique in characteristic p.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .series import (
     make_series,
     mul,
     one,
+    product_floor,
     pth_root,
     series_frac_pow,
     series_zero,
@@ -43,10 +45,19 @@ from .valuegroup import (
 
 @dataclass(frozen=True, eq=True)
 class TateElement:
+    """Coefficients above a norm floor; compared by value, never hashed.
+
+    terms belongs to the element and is never mutated after
+    construction, and neither are its coefficients (whose Gauss norms
+    are stored on them).
+    """
+
     m: int
     base: RadiusProfile  # n = 0 profile of the coefficients
     terms: dict          # exponent tuple -> SeriesElement over base
     floor: Value         # base-profile Value
+
+    __hash__ = None
 
     def __repr__(self):
         n = len(self.terms)
@@ -85,6 +96,18 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
     return TateElement(m, base, clean, floor)
 
 
+def _build_tate(m: int, base: RadiusProfile, terms: dict, floor: Value) -> TateElement:
+    """Internal constructor: exponents already validated, one coefficient
+    over base per exponent; drops coefficients below the floor."""
+    clean = {}
+    for e, c in terms.items():
+        nc = gauss_norm(c)
+        if nc is None or (not floor.zero and value_lt(nc, floor)):
+            continue
+        clean[e] = c
+    return TateElement(m, base, clean, floor)
+
+
 def tate_zero(m: int, base: RadiusProfile, floor: Value = None) -> TateElement:
     return make_tate(m, base, {}, floor)
 
@@ -109,7 +132,7 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
     terms = dict(f.terms)
     for e, c in g.terms.items():
         terms[e] = add(terms[e], c) if e in terms else c
-    return make_tate(f.m, f.base, terms, value_max(f.floor, g.floor))
+    return _build_tate(f.m, f.base, terms, value_max(f.floor, g.floor))
 
 
 def t_gauss_norm(f: TateElement):
@@ -122,40 +145,24 @@ def t_gauss_norm(f: TateElement):
     return best
 
 
-def _t_mul_floor(f: TateElement, g: TateElement) -> Value:
-    nf, ng = t_gauss_norm(f), t_gauss_norm(g)
-    cands = [value_mul(f.floor, g.floor)]
-    if ng is not None:
-        cands.append(value_mul(f.floor, ng))
-    if nf is not None:
-        cands.append(value_mul(g.floor, nf))
-    return value_max(*cands)
-
-
 def t_mul(f: TateElement, g: TateElement) -> TateElement:
     _require_compatible(f, g)
     terms = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(operator.add, e1, e2))
             c = mul(c1, c2)
             terms[e] = add(terms[e], c) if e in terms else c
-    return make_tate(f.m, f.base, terms, _t_mul_floor(f, g))
+    floor = product_floor(f, g, t_gauss_norm, t_gauss_norm)
+    return _build_tate(f.m, f.base, terms, floor)
 
 
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
     """Multiply by a base-field element, coefficient-wise."""
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
-    nd = gauss_norm(d)
-    nf = t_gauss_norm(f)
-    cands = [value_mul(f.floor, d.floor)]
-    if nd is not None:
-        cands.append(value_mul(f.floor, nd))
-    if nf is not None:
-        cands.append(value_mul(d.floor, nf))
-    floor = value_max(*cands)
-    return make_tate(f.m, f.base, {e: mul(c, d) for e, c in f.terms.items()}, floor)
+    floor = product_floor(f, d, t_gauss_norm, gauss_norm)
+    return _build_tate(f.m, f.base, {e: mul(c, d) for e, c in f.terms.items()}, floor)
 
 
 def t_frobenius(f: TateElement) -> TateElement:
@@ -177,22 +184,25 @@ def t_pth_root(f: TateElement) -> TateElement:
 # ---------------------------------------------------------------------------
 
 
+# Most fractional powers of hom images that one HomSpec keeps.
+_POWER_MEMO_CAP = 512
+
+
 @dataclass(frozen=True)
 class HomSpec:
     """Images of T_1..T_m inside one target series field, all of norm <= 1.
 
-    image_norms is derived: the Gauss norm of each image (None when the
-    image is below its floor).
+    _powers memoizes power(i, e) for up to _POWER_MEMO_CAP pairs (i, e);
+    the images are immutable, so it behaves as if absent.
     """
 
     images: tuple
-    image_norms: tuple = field(init=False, compare=False, repr=False)
+    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.images:
             raise InputValidationError("HomSpec needs at least one image")
         profile = self.images[0].profile
-        norms = []
         for g in self.images:
             if g.profile != profile:
                 raise ProfileMismatchError("hom images live over different profiles")
@@ -202,8 +212,6 @@ class HomSpec:
                 raise InputValidationError("hom image is not power-bounded (norm > 1)")
             if ng is None and not g.floor.zero and not value_le(g.floor, bound):
                 raise InputValidationError("hom image floor exceeds 1")
-            norms.append(ng)
-        object.__setattr__(self, "image_norms", tuple(norms))
 
     @property
     def profile(self) -> RadiusProfile:
@@ -212,6 +220,21 @@ class HomSpec:
     @property
     def m(self) -> int:
         return len(self.images)
+
+    @property
+    def image_norms(self) -> tuple:
+        """Gauss norm of each image (None when it is below its floor)."""
+        return tuple(map(gauss_norm, self.images))
+
+    def power(self, i: int, e) -> SeriesElement:
+        """images[i]**e, exact (series_frac_pow), for e in Z[1/p]_{>=0}."""
+        key = (i, e)
+        g = self._powers.get(key)
+        if g is None:
+            g = series_frac_pow(self.images[i], e)
+            if len(self._powers) < _POWER_MEMO_CAP:
+                self._powers[key] = g
+        return g
 
 
 def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement:
@@ -231,6 +254,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     acc = series_zero(profile)
     floor_acc = zero_value(profile)
     skipped = False
+    image_norms = hom.image_norms
     for e, c in f.terms.items():
         nc = gauss_norm(c)
         if nc is None:
@@ -238,7 +262,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
             continue
         bound = value_lift(nc, profile)
         computable = True
-        for ei, ni in zip(e, hom.image_norms):
+        for ei, ni in zip(e, image_norms):
             if ei == 0:
                 continue
             if ni is None:
@@ -252,7 +276,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         for i, ei in enumerate(e):
             if ei == 0:
                 continue
-            contrib = mul(contrib, series_frac_pow(hom.images[i], ei))
+            contrib = mul(contrib, hom.power(i, ei))
         acc = add(acc, contrib)
         floor_acc = value_max(floor_acc, contrib.floor)
     floor_acc = value_max(floor_acc, value_lift(f.floor, profile))

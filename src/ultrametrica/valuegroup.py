@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -107,12 +108,15 @@ class RadiusProfile:
 
     s = |t|**sigma_s is the threshold used by adaptedness checks;
     max_denom_log caps exponent denominators at p**max_denom_log.
+    The zero and one values of the profile are derived once, here.
     """
 
     p: int
     radii: tuple
     sigma_s: Fraction
     max_denom_log: int = 16
+    _zero: "Value" = field(init=False, compare=False, repr=False)
+    _one: "Value" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.p < MAX_PRIME or not _is_prime(self.p):
@@ -133,6 +137,9 @@ class RadiusProfile:
                 seen.add(r.d)
             elif not isinstance(r, RationalRadius):
                 raise InputValidationError(f"bad radius spec: {r!r}")
+        q0 = (_F0,) * len(self.radii)
+        object.__setattr__(self, "_zero", Value._raw(self, _F0, q0, True))
+        object.__setattr__(self, "_one", Value._raw(self, _F0, q0))
 
     @property
     def n(self) -> int:
@@ -366,6 +373,14 @@ class Value:
                 f"value has {len(self.q)} radius exponents, profile has {self.profile.n}"
             )
 
+    @classmethod
+    def _raw(cls, profile, a, q, zero=False) -> "Value":
+        """Internal constructor: a is a Fraction, q a tuple of Fractions
+        of the profile's arity."""
+        v = cls.__new__(cls)
+        v.__dict__.update(profile=profile, a=a, q=q, zero=zero)
+        return v
+
     def __repr__(self):
         if self.zero:
             return "Value<0>"
@@ -378,11 +393,11 @@ def value(profile: RadiusProfile, a, q=()) -> Value:
 
 
 def zero_value(profile: RadiusProfile) -> Value:
-    return Value(profile, Fraction(0), (Fraction(0),) * profile.n, zero=True)
+    return profile._zero
 
 
 def one_value(profile: RadiusProfile) -> Value:
-    return value(profile, 0, (0,) * profile.n)
+    return profile._one
 
 
 def t_power(profile: RadiusProfile, a) -> Value:
@@ -456,8 +471,8 @@ def value_max(*vs: Value) -> Value:
 def value_mul(u: Value, v: Value) -> Value:
     _require_same_profile(u, v)
     if u.zero or v.zero:
-        return zero_value(u.profile)
-    return Value(u.profile, u.a + v.a, tuple(a + b for a, b in zip(u.q, v.q)))
+        return u.profile._zero
+    return Value._raw(u.profile, u.a + v.a, tuple(map(operator.add, u.q, v.q)))
 
 
 def value_pow(u: Value, e) -> Value:
@@ -466,7 +481,7 @@ def value_pow(u: Value, e) -> Value:
         if e > 0:
             return u
         raise InputValidationError("cannot raise the zero value to a power <= 0")
-    return Value(u.profile, u.a * e, tuple(x * e for x in u.q))
+    return Value._raw(u.profile, u.a * e, tuple(x * e for x in u.q))
 
 
 def value_div(u: Value, v: Value) -> Value:
@@ -491,9 +506,9 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
     if not profile.extends(v.profile):
         raise ProfileMismatchError("value profile is not a prefix of the target")
     if v.zero:
-        return zero_value(profile)
-    pad = (Fraction(0),) * (profile.n - v.profile.n)
-    return Value(profile, v.a, v.q + pad)
+        return profile._zero
+    pad = (_F0,) * (profile.n - v.profile.n)
+    return Value._raw(profile, v.a, v.q + pad)
 
 
 # ---------------------------------------------------------------------------

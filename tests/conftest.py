@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametrica.valuegroup import FreeRadius, RationalRadius, make_profile
+from ultrametrica.valuegroup import (
+    FreeRadius,
+    Ordering,
+    RationalRadius,
+    compare,
+    make_profile,
+    value,
+    value_max,
+    value_mul,
+)
 
 
 @pytest.fixture
@@ -38,3 +47,28 @@ def float_weight(v):
         else:
             w += float(qi) * float(spec.exponent)
     return w
+
+
+def ref_max(values):
+    """The largest of the values under compare, or None when there are none."""
+    best = None
+    for v in values:
+        if best is None or compare(best, v) is Ordering.LESS:
+            best = v
+    return best
+
+
+def ref_gauss_norm(f):
+    """Reference Gauss norm of a series: its largest term norm."""
+    return ref_max(value(f.profile, t, xs) for t, xs in f.terms)
+
+
+def ref_product_floor(ff, fg, nf, ng):
+    """The three-candidate floor of a product of elements with floors
+    ff, fg and norms nf, ng: max(ff*fg, ff*ng, fg*nf)."""
+    cands = [value_mul(ff, fg)]
+    if ng is not None:
+        cands.append(value_mul(ff, ng))
+    if nf is not None:
+        cands.append(value_mul(fg, nf))
+    return value_max(*cands)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_weight
+from ultrametrica import gleason
 from ultrametrica.errors import (
     DepthError,
     InputValidationError,
@@ -332,6 +333,66 @@ class TestStandardSurjection:
         for q in [(Fraction(0),), (Fraction(2),), (Fraction(-2),), (Fraction(4),)]:
             ans = spec21(q)
             assert value_le(t_gauss_norm(ans.preimage), t_power(spec21.base, 0))
+
+
+class TestMemosBehaveAsIfAbsent:
+    """Oracle answers and adapted expressions from a spec or schedule that
+    has served other queries equal those of a fresh one."""
+
+    def queries(self, spec):
+        extra = [(Fraction(k, 2),) for k in range(-6, 9)]
+        return list(spec.schedule.omegas) + extra
+
+    def test_oracle_answers_match_a_fresh_spec(self, spec21, prof):
+        used = spec21
+        qs = self.queries(used)
+        for q in qs:
+            used(q)
+        fresh = standard_surjection(prof, 21)
+        kinds = set()
+        for q in reversed(qs):
+            kinds.add(used.monomial_answer(q, used.rule.rep(q)) is None)
+            assert used(q) == fresh(q)
+        assert kinds == {True, False}  # both monomial and schedule answers
+
+    def test_adapted_expressions_match_a_fresh_schedule(self, spec21):
+        used = spec21.schedule
+        for q in self.queries(spec21):
+            spec21(q)
+        verify_schedule(used, spec21.G)
+        assert len(used._adapted) == used.depth
+        fresh = dataclasses.replace(used)
+        assert not fresh._adapted
+        for m in range(used.depth, 0, -1):
+            assert used.adapted_expression(m) == fresh.adapted_expression(m)
+        for m in (0, used.depth + 1):
+            with pytest.raises(DepthError):
+                used.adapted_expression(m)
+
+    def test_altered_copy_of_a_used_schedule_is_still_rejected(self, prof):
+        sched, G = build_gplus(prof, 5)
+        verify_schedule(sched, G)
+        gammas = list(sched.gammas)
+        gammas[1] += 1
+        bad = dataclasses.replace(sched, gammas=tuple(gammas))
+        with pytest.raises(InvariantViolationError, match="subtractive"):
+            verify_schedule(bad, G)
+
+    def test_rule_is_built_once(self, prof, monkeypatch):
+        shallow = standard_surjection(prof, 4)
+        built = []
+
+        class CountingRule(MinZeroRep):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(gleason, "MinZeroRep", CountingRule)
+        for q in [(Fraction(1),), (Fraction(-1, 2),), (Fraction(0),)]:
+            shallow(q)
+        with pytest.raises(DepthError, match="needs schedule depth 21"):
+            shallow((Fraction(4),))
+        assert built == []
 
 
 class TestDivideStep:

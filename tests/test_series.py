@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight
+from conftest import float_weight, ref_gauss_norm, ref_product_floor
 from ultrametrica.errors import (
     DenominatorCapError,
     FloorTooCoarseError,
     InputValidationError,
     LeadingTermTieError,
 )
+from ultrametrica.io import series_to_json
 from ultrametrica.series import (
     add,
     argnorm,
@@ -262,16 +263,17 @@ def raised_cap(fn, *args):
         return DenominatorCapError
 
 
-@st.composite
-def p_series(draw, max_terms=6, cap=12, max_mult=0):
-    """A series over p in {2, 3}, n in {0, 1, 2}, with a zero or nonzero floor.
+def p_profile(p, n, cap=12):
+    return make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=cap)
+
+
+def draw_series(draw, prof, max_terms=6, cap=12, max_mult=0):
+    """A series over prof with a zero or nonzero floor.
 
     Exponents are u * p**j / p**i with i <= min(2, cap) and j <= max_mult,
     so integer exponents divisible by p occur when max_mult > 0.
     """
-    p = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(0, 2))
-    prof = make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=cap)
+    p, n = prof.p, prof.n
     exp = st.builds(lambda u, j, i: Fraction(u * p**j, p**i), st.integers(-8, 16),
                     st.integers(0, max_mult), st.integers(0, min(2, cap)))
     key = st.tuples(exp, st.tuples(*[exp] * n))
@@ -280,6 +282,20 @@ def p_series(draw, max_terms=6, cap=12, max_mult=0):
     if draw(st.booleans()):
         floor = value(prof, draw(exp) + 12, [draw(exp) for _ in range(n)])
     return make_series(prof, terms, floor)
+
+
+@st.composite
+def p_series(draw, max_terms=6, cap=12, max_mult=0):
+    """A series over p in {2, 3}, n in {0, 1, 2}, with a zero or nonzero floor."""
+    prof = p_profile(draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), cap)
+    return draw_series(draw, prof, max_terms, cap, max_mult)
+
+
+@st.composite
+def p_series_pair(draw, max_terms=6):
+    """Two series over one profile (p in {2, 3}, n in {0, 1, 2})."""
+    prof = p_profile(draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)))
+    return (draw_series(draw, prof, max_terms), draw_series(draw, prof, max_terms))
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,3 +460,41 @@ def test_frac_pow_matches_repeated_mul(tnum, xnum, denlog):
     for _ in range(denlog):
         cubed = pth_root(cubed)
     assert direct == cubed
+
+
+def fresh_copy(f):
+    return make_series(f.profile, dict(f.terms), f.floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_series())
+def test_gauss_norm_matches_reference_before_and_after_storing(f):
+    ref = ref_gauss_norm(f)
+    assert gauss_norm(f) == ref
+    assert gauss_norm(f) == ref
+    assert gauss_norm(fresh_copy(f)) == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_series_pair())
+def test_mul_floor_matches_three_candidate_formula(pair):
+    f, g = pair
+    expected = ref_product_floor(f.floor, g.floor, ref_gauss_norm(f), ref_gauss_norm(g))
+    assert mul(f, g).floor == expected
+    assert mul(fresh_copy(f), fresh_copy(g)).floor == expected
+
+
+class TestElementsAreEqOnly:
+    def test_hash_raises(self, prof1):
+        with pytest.raises(TypeError):
+            hash(S(prof1, (1, 1, 0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p_series())
+    def test_stored_norm_is_invisible(self, f):
+        before = repr(f), series_to_json(f)
+        gauss_norm(f)
+        copy = fresh_copy(f)
+        assert f == copy and copy == f
+        assert repr(f) == repr(copy) == before[0]
+        assert series_to_json(f) == series_to_json(copy) == before[1]

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ref_gauss_norm, ref_max, ref_product_floor
+from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError
 from ultrametrica.io import hom_from_json, hom_to_json
 from ultrametrica.series import (
@@ -12,6 +16,7 @@ from ultrametrica.series import (
     monomial,
     mul,
     one,
+    series_frac_pow,
     series_zero,
     sub,
 )
@@ -21,15 +26,19 @@ from ultrametrica.tatealg import (
     make_tate,
     t_frobenius,
     t_gauss_norm,
+    t_add,
     t_mul,
     t_pth_root,
+    t_scale,
     tate_variable,
 )
 from ultrametrica.valuegroup import (
+    make_profile,
     t_power,
     value,
     value_le,
     value_lift,
+    value_max,
 )
 
 
@@ -185,3 +194,117 @@ class TestEvaluate:
             nev = gauss_norm(evaluate(f, hom, floor))
             if nev is not None:
                 assert value_le(nev, value_lift(nf, prof1))
+
+
+def base_exp(p):
+    return st.builds(lambda u, i: Fraction(u, p**i), st.integers(0, 12), st.integers(0, 2))
+
+
+def draw_coeff(draw, base):
+    """A base-field series with a zero or nonzero floor."""
+    exp = base_exp(base.p)
+    terms = draw(st.dictionaries(st.tuples(exp, st.just(())),
+                                 st.integers(1, base.p - 1), max_size=3))
+    floor = t_power(base, draw(exp) + 4) if draw(st.booleans()) else None
+    return make_series(base, terms, floor)
+
+
+def draw_tate(draw, base, m):
+    """A Tate element with a zero or nonzero floor; its coefficients
+    carry zero and nonzero floors too."""
+    exps = st.tuples(*[base_exp(base.p)] * m)
+    keys = draw(st.lists(exps, max_size=4, unique=True))
+    floor = t_power(base, draw(base_exp(base.p)) + 8) if draw(st.booleans()) else None
+    return make_tate(m, base, {e: draw_coeff(draw, base) for e in keys}, floor)
+
+
+@st.composite
+def tate_operands(draw):
+    """(f, g, d): two Tate elements in m in {1, 2} variables and a scalar,
+    over the base field (n = 0) of p in {2, 3}."""
+    base = make_profile(draw(st.sampled_from([2, 3])), [], max_denom_log=12)
+    m = draw(st.integers(1, 2))
+    return draw_tate(draw, base, m), draw_tate(draw, base, m), draw_coeff(draw, base)
+
+
+def ref_t_norm(f):
+    """Reference Tate Gauss norm: the largest coefficient norm."""
+    return ref_max(n for n in map(ref_gauss_norm, f.terms.values()) if n is not None)
+
+
+class TestProductFloors:
+    @settings(max_examples=150, deadline=None)
+    @given(tate_operands())
+    def test_t_mul_and_t_scale_floors_match_three_candidate_formula(self, ops):
+        f, g, d = ops
+        nf, ng = ref_t_norm(f), ref_t_norm(g)
+        assert t_mul(f, g).floor == ref_product_floor(f.floor, g.floor, nf, ng)
+        assert t_scale(f, d).floor == ref_product_floor(
+            f.floor, d.floor, nf, ref_gauss_norm(d))
+        assert t_gauss_norm(f) == nf
+
+    @settings(max_examples=100, deadline=None)
+    @given(tate_operands())
+    def test_products_and_sums_match_make_tate(self, ops):
+        f, g, d = ops
+        m, base = f.m, f.base
+        nf, ng = ref_t_norm(f), ref_t_norm(g)
+        sums = list(f.terms.items()) + list(g.terms.items())
+        assert t_add(f, g) == make_tate(m, base, sums, value_max(f.floor, g.floor))
+        products = [(tuple(a + b for a, b in zip(e1, e2)), mul(c1, c2))
+                    for e1, c1 in f.terms.items() for e2, c2 in g.terms.items()]
+        assert t_mul(f, g) == make_tate(
+            m, base, products, ref_product_floor(f.floor, g.floor, nf, ng))
+        scaled = [(e, mul(c, d)) for e, c in f.terms.items()]
+        assert t_scale(f, d) == make_tate(
+            m, base, scaled, ref_product_floor(f.floor, d.floor, nf, ref_gauss_norm(d)))
+        acc = f
+        for _ in range(base.p - 1):
+            acc = t_add(acc, f)
+        assert acc.terms == {}
+
+    def test_hash_raises(self, prof1):
+        with pytest.raises(TypeError):
+            hash(tate_variable(1, prof1.base(), 0))
+
+
+class TestPowerMemo:
+    """HomSpec.power memoizes image powers; results must not depend on it."""
+
+    @staticmethod
+    def images(prof):
+        x_plus_t = make_series(prof, {(Fraction(0), (Fraction(1),)): 1,
+                                      (Fraction(1), (Fraction(0),)): 1})
+        return (x_var(prof), monomial(prof, 1, 2, (-1,)), x_plus_t)
+
+    def test_used_hom_evaluates_as_a_fresh_one(self, prof1):
+        rng = random.Random(41)
+        images = self.images(prof1)
+        used = HomSpec(images)
+        floor = t_power(prof1, 30)
+        fs = [rand_tate(prof1.base(), 3, rng) for _ in range(60)]
+        first = [evaluate(f, used, floor) for f in fs]
+        assert used._powers
+        for f, ev in zip(reversed(fs), reversed(first)):
+            assert evaluate(f, used, floor) == ev == evaluate(f, HomSpec(images), floor)
+
+    def test_cap_is_reached_and_respected(self, prof1):
+        hom = HomSpec(self.images(prof1))
+        cap = tatealg._POWER_MEMO_CAP
+        exps = [Fraction(k, 4) for k in range(cap + 20)]
+        for _ in range(2):
+            for e in exps:
+                assert hom.power(0, e) == series_frac_pow(hom.images[0], e)
+            assert len(hom._powers) == cap
+
+    def test_small_cap_leaves_evaluate_unchanged(self, prof1, monkeypatch):
+        rng = random.Random(43)
+        images = self.images(prof1)
+        floor = t_power(prof1, 30)
+        fs = [rand_tate(prof1.base(), 3, rng) for _ in range(40)]
+        expected = [evaluate(f, HomSpec(images), floor) for f in fs]
+        monkeypatch.setattr(tatealg, "_POWER_MEMO_CAP", 3)
+        capped = HomSpec(images)
+        for _ in range(2):
+            assert [evaluate(f, capped, floor) for f in fs] == expected
+            assert len(capped._powers) == 3
