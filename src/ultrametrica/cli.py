@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -21,19 +22,15 @@ from . import io as uio
 from .abhyankar import check_main_theorem_bound, d_K, factor_temkin, is_abhyankar
 from .berkovich import classify
 from .errors import UltrametricaError, InputValidationError
-from .gleason import (
-    MinZeroRep,
-    WellOrder,
-    reconstruct_preimage,
-    rescale_into_window,
-    standard_surjection,
-)
+from .gleason import reconstruct_preimage, rescale_into_window, standard_surjection
 from .sampling import random_series
 from .series import gauss_norm, invert, sub
 from .tatealg import evaluate
 from .valuegroup import (
+    FreeRadius,
     RadiusProfile,
     ceil_weight,
+    make_profile,
     pi_value,
     s_value,
     t_power,
@@ -81,10 +78,7 @@ class Config:
         if self.steps is not None:
             return self.steps
         # Smallest M with |pi|**M * s strictly below the floor.
-        from .valuegroup import Weight, floor_weight
-
-        gap = Weight(self.floor_exponent - self.profile.sigma_s)
-        return max(1, floor_weight(gap) + 1)
+        return max(1, math.floor(self.floor_exponent - self.profile.sigma_s) + 1)
 
 
 def _load_config(path: str) -> Config:
@@ -171,8 +165,7 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     s = s_value(profile)
     pi = pi_value(profile)
     floor_value = t_power(profile, config.floor_exponent)
-    well = WellOrder(profile.n, profile.p, MinZeroRep(profile.n))
-    pool = [well.omega(m) for m in range(1, depth + 1)]
+    pool = list(spec.schedule.omegas)
     rng = random.Random(seed)
     cases = []
     tsv_rows = []
@@ -250,8 +243,6 @@ def cmd_gleason_build(args) -> int:
         profile = config.profile
         c_exponent = config.c_exponent
     else:
-        from .valuegroup import FreeRadius, make_profile
-
         squarefree = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         radii = [FreeRadius(squarefree[i]) for i in range(args.n)]
         profile = make_profile(args.p, radii, max_denom_log=args.max_denom_log)

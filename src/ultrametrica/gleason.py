@@ -62,6 +62,7 @@ from .valuegroup import (
     Weight,
     ceil_weight,
     denom_log,
+    exponent_weight,
     floor_weight,
     is_p_exponent,
     pi_value,
@@ -615,20 +616,21 @@ def standard_surjection(profile: RadiusProfile, depth: int,
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
     n = profile.n
     base = profile.base()
-    sum_alpha = Weight(Fraction(0))
-    for r in profile.radii:
-        sum_alpha = sum_alpha.add_sqrt(r.d, Fraction(1))
+    # |c * prod(x_i**-1)| = |t|**(w_c - sum_alpha) must lie in (s, 1).
+    sum_alpha = exponent_weight(profile, Fraction(0), (Fraction(1),) * n)
+    window_hi = sum_alpha.add_rational(profile.sigma_s)
+
+    def in_window(w_c) -> bool:
+        return (Weight(w_c).sub(sum_alpha).sign() > 0
+                and window_hi.sub(Weight(w_c)).sign() > 0)
+
     if c_exponent is not None:
         w_c = Fraction(c_exponent)
     else:
         w_c = Fraction(floor_weight(sum_alpha) + 1)
-        if Weight(w_c).sub(sum_alpha).sign() <= 0 or \
-                sum_alpha.add_rational(profile.sigma_s).sub(Weight(w_c)).sign() <= 0:
-            w_c = zp_in_open_interval(
-                sum_alpha, sum_alpha.add_rational(profile.sigma_s), profile.p
-            )
-    if Weight(w_c).sub(sum_alpha).sign() <= 0 or \
-            sum_alpha.add_rational(profile.sigma_s).sub(Weight(w_c)).sign() <= 0:
+        if not in_window(w_c):
+            w_c = zp_in_open_interval(sum_alpha, window_hi, profile.p)
+    if not in_window(w_c):
         raise WindowError("c exponent violates s < |c * prod(x_i**-1)| < 1")
     c = monomial(base, 1, w_c)
     minus_ones = (Fraction(-1),) * n

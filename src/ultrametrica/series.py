@@ -25,11 +25,10 @@ from .errors import (
 from .valuegroup import (
     Ordering,
     RadiusProfile,
-    RationalRadius,
     Value,
-    Weight,
     compare,
     denom_log,
+    exponent_weight,
     one_value,
     pi_value,
     s_value,
@@ -80,28 +79,15 @@ def term_norm(profile: RadiusProfile, key) -> Value:
     return Value._raw(profile, t, xs)
 
 
-def _term_weight(profile: RadiusProfile, key) -> Weight:
-    t, xs = key
-    rational = t
-    irr = {}
-    for spec, qi in zip(profile.radii, xs):
-        if qi == 0:
-            continue
-        if isinstance(spec, RationalRadius):
-            rational = rational + qi * spec.exponent
-        else:
-            irr[spec.d] = irr.get(spec.d, 0) + qi
-    return Weight._raw(rational, irr)
-
-
 def _drop_below_floor(profile: RadiusProfile, terms: dict, floor: Value) -> dict:
+    """The terms of norm >= floor: the one drop-below-cut rule for series."""
     if floor.zero or not terms:
         return terms
     wf = weight_of(floor)
     # term norm >= floor  <=>  term weight <= floor weight
     return {
         k: c for k, c in terms.items()
-        if wf.sub(_term_weight(profile, k)).sign() >= 0
+        if wf.sub(exponent_weight(profile, *k)).sign() >= 0
     }
 
 
@@ -262,30 +248,25 @@ def scale(f: SeriesElement, coeff: int) -> SeriesElement:
 
 def gauss_norm(f: SeriesElement):
     """Max term norm, or None when the element is below its floor.
+    Tied terms (possible under rational radii) give the first key's norm.
 
     Taken once per element and stored on it (see SeriesElement)."""
     n = f._norm
     if n is not _UNSET:
         return n
-    n = None
-    if f.terms:
-        best_key = best_w = None
-        for k in f.terms:
-            w = _term_weight(f.profile, k)
-            if best_w is None or best_w.sub(w).sign() > 0:
-                best_key, best_w = k, w
-        n = term_norm(f.profile, best_key)
+    n = term_norm(f.profile, _leading_keys(f)[0]) if f.terms else None
     object.__setattr__(f, "_norm", n)
     return n
 
 
 def _leading_keys(f: SeriesElement):
+    """The keys of maximal norm, in dict order."""
     if not f.terms:
         raise InputValidationError("element has no terms above its floor")
     best_w = None
     keys = []
     for k in f.terms:
-        w = _term_weight(f.profile, k)
+        w = exponent_weight(f.profile, *k)
         if best_w is None:
             best_w, keys = w, [k]
             continue
@@ -406,11 +387,8 @@ def res_ge(f: SeriesElement, cut: Value) -> SeriesElement:
     """The finite sub-sum of terms with norm >= cut (exact)."""
     if value_lt(cut, f.floor):
         raise FloorTooCoarseError("res_ge cut lies below the element's floor")
-    kept = {
-        k: c for k, c in f.terms.items()
-        if not value_lt(term_norm(f.profile, k), cut)
-    }
-    return make_series(f.profile, kept)
+    kept = _drop_below_floor(f.profile, f.terms, cut)
+    return _build(f.profile, kept, zero_value(f.profile))
 
 
 def x_part(key) -> tuple:

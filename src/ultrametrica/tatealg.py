@@ -71,7 +71,7 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
         floor = zero_value(base)
     if floor.profile != base:
         raise ProfileMismatchError("floor profile differs from coefficient profile")
-    clean = {}
+    summed = {}
     for e, c in terms.items() if isinstance(terms, dict) else terms:
         e = tuple(Fraction(x) for x in e)
         if len(e) != m:
@@ -83,22 +83,14 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
                 raise DenominatorCapError(f"Tate exponent {x} exceeds the cap")
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
-        if e in clean:
-            c = add(clean[e], c)
-        nc = gauss_norm(c)
-        if nc is None:
-            clean.pop(e, None)
-            continue
-        if not floor.zero and value_lt(nc, floor):
-            clean.pop(e, None)
-            continue
-        clean[e] = c
-    return TateElement(m, base, clean, floor)
+        summed[e] = add(summed[e], c) if e in summed else c
+    return _build_tate(m, base, summed, floor)
 
 
 def _build_tate(m: int, base: RadiusProfile, terms: dict, floor: Value) -> TateElement:
     """Internal constructor: exponents already validated, one coefficient
-    over base per exponent; drops coefficients below the floor."""
+    over base per exponent; drops coefficients below the floor (the one
+    drop-below-cut rule for Tate elements)."""
     clean = {}
     for e, c in terms.items():
         nc = gauss_norm(c)
@@ -137,12 +129,8 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
 
 def t_gauss_norm(f: TateElement):
     """Sup of coefficient norms (all radii are 1), or None below floor."""
-    best = None
-    for c in f.terms.values():
-        nc = gauss_norm(c)
-        if nc is not None and (best is None or value_lt(best, nc)):
-            best = nc
-    return best
+    norms = [nc for nc in map(gauss_norm, f.terms.values()) if nc is not None]
+    return value_max(*norms) if norms else None
 
 
 def t_mul(f: TateElement, g: TateElement) -> TateElement:

@@ -195,6 +195,23 @@ def _sqrt_bounds(d: int, k: int):
 _F0 = Fraction(0)
 
 
+def _combiner(op):
+    """The one body of Weight.add and Weight.sub: op (operator.add or
+    operator.sub) on the rational parts and on each sqrt(d) coefficient."""
+
+    def combine(self, other: "Weight") -> "Weight":
+        irr = dict(self.irrational)
+        for d, c in other.irrational.items():
+            nc = op(irr.get(d, _F0), c)
+            if nc:
+                irr[d] = nc
+            else:
+                irr.pop(d, None)
+        return Weight._raw(op(self.rational, other.rational), irr)
+
+    return combine
+
+
 class Weight:
     """Exact linear combination c0 + sum over d of c_d * sqrt(d)."""
 
@@ -217,34 +234,11 @@ class Weight:
     def add_rational(self, c) -> "Weight":
         return Weight._raw(self.rational + c, self.irrational)
 
+    add = _combiner(operator.add)
+    sub = _combiner(operator.sub)
+
     def add_sqrt(self, d: int, c: Fraction) -> "Weight":
-        irr = dict(self.irrational)
-        nc = irr.get(d, _F0) + c
-        if nc:
-            irr[d] = nc
-        else:
-            irr.pop(d, None)
-        return Weight._raw(self.rational, irr)
-
-    def add(self, other: "Weight") -> "Weight":
-        irr = dict(self.irrational)
-        for d, c in other.irrational.items():
-            nc = irr.get(d, _F0) + c
-            if nc:
-                irr[d] = nc
-            else:
-                irr.pop(d, None)
-        return Weight._raw(self.rational + other.rational, irr)
-
-    def sub(self, other: "Weight") -> "Weight":
-        irr = dict(self.irrational)
-        for d, c in other.irrational.items():
-            nc = irr.get(d, _F0) - c
-            if nc:
-                irr[d] = nc
-            else:
-                irr.pop(d, None)
-        return Weight._raw(self.rational - other.rational, irr)
+        return self.add(Weight._raw(_F0, {d: c}))
 
     def scaled(self, c) -> "Weight":
         if type(c) is not Fraction:
@@ -272,6 +266,14 @@ class Weight:
                 hi += c * slo
         return lo, hi
 
+    def refine(self):
+        """The enclosures bounds(k) for k = 16, 32, 64, ...: the one
+        refinement loop behind sign, floor_weight and weight_decimal."""
+        k = 16
+        while True:
+            yield self.bounds(k)
+            k *= 2
+
     def sign(self) -> int:
         # Exact zero test first: independence of sqrt(d) over Q.
         if not self.irrational:
@@ -288,14 +290,11 @@ class Weight:
             if r2 == c2d:
                 return 0  # unreachable for squarefree d > 1
             return sr if r2 > c2d else sc
-        k = 16
-        while True:
-            lo, hi = self.bounds(k)
+        for lo, hi in self.refine():
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            k *= 2
 
     def __repr__(self):
         parts = [str(self.rational)]
@@ -308,12 +307,9 @@ def floor_weight(w: Weight) -> int:
     """Largest integer <= w."""
     if w.is_rational():
         return math.floor(w.rational)
-    k = 16
-    while True:
-        lo, hi = w.bounds(k)
+    for lo, hi in w.refine():
         if math.floor(lo) == math.floor(hi):
             return math.floor(lo)
-        k *= 2
 
 
 def ceil_weight(w: Weight) -> int:
@@ -325,10 +321,7 @@ def ceil_weight(w: Weight) -> int:
 
 def largest_int_below(w: Weight) -> int:
     """Largest integer strictly less than w."""
-    if w.is_rational():
-        r = w.rational
-        return int(r) - 1 if r.denominator == 1 else math.floor(r)
-    return floor_weight(w)
+    return ceil_weight(w) - 1
 
 
 def weight_decimal(w: Weight, digits: int = 12) -> str:
@@ -336,14 +329,8 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
     if w.is_rational():
         x = w.rational
     else:
-        k = 16
         target = Fraction(1, 10 ** (digits + 2))
-        while True:
-            lo, hi = w.bounds(k)
-            if hi - lo < target:
-                x = (lo + hi) / 2
-                break
-            k *= 2
+        x = next((lo + hi) / 2 for lo, hi in w.refine() if hi - lo < target)
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = (x.numerator * 10**digits + x.denominator // 2) // x.denominator
@@ -414,19 +401,26 @@ def s_value(profile: RadiusProfile) -> Value:
     return t_power(profile, profile.sigma_s)
 
 
-def weight_of(v: Value) -> Weight:
-    """Exact weight w with |v| = |t|**w.  Rational radii fold into c0."""
-    if v.zero:
-        raise InputValidationError("zero value has no finite weight")
-    w = Weight(v.a)
-    for spec, qi in zip(v.profile.radii, v.q):
+def exponent_weight(profile: RadiusProfile, a: Fraction, q: tuple) -> Weight:
+    """Exact weight of |t|**a * r_1**q_1 * ... * r_n**q_n: rational radii
+    fold into c0, each free radius sqrt(d) gives the coefficient q_i."""
+    rational = a
+    irr = {}
+    for spec, qi in zip(profile.radii, q):
         if qi == 0:
             continue
         if isinstance(spec, RationalRadius):
-            w = w.add_rational(qi * spec.exponent)
+            rational = rational + qi * spec.exponent
         else:
-            w = w.add_sqrt(spec.d, qi)
-    return w
+            irr[spec.d] = qi  # a profile's free radii have distinct d
+    return Weight._raw(rational, irr)
+
+
+def weight_of(v: Value) -> Weight:
+    """Exact weight w with |v| = |t|**w."""
+    if v.zero:
+        raise InputValidationError("zero value has no finite weight")
+    return exponent_weight(v.profile, v.a, v.q)
 
 
 def _require_same_profile(u: Value, v: Value):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from ultrametrica.series import add, make_series
+from ultrametrica.tatealg import TateElement
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
@@ -72,3 +74,27 @@ def ref_product_floor(ff, fg, nf, ng):
     if nf is not None:
         cands.append(value_mul(fg, nf))
     return value_max(*cands)
+
+
+def ref_res_ge(f, cut):
+    """Reference res_ge: the exact sub-sum of the terms whose norm is not
+    below cut under compare."""
+    kept = {k: c for k, c in f.terms.items()
+            if compare(value(f.profile, *k), cut) is not Ordering.LESS}
+    return make_series(f.profile, kept)
+
+
+def ref_make_tate(m, base, pairs, floor):
+    """Reference Tate constructor for valid (exponent, coefficient) pairs:
+    sums the coefficients of a repeated exponent, then keeps a coefficient
+    when it has terms above its own floor and its norm is not below floor."""
+    summed = {}
+    for e, c in pairs:
+        e = tuple(Fraction(x) for x in e)
+        summed[e] = add(summed[e], c) if e in summed else c
+    kept = {}
+    for e, c in summed.items():
+        n = ref_gauss_norm(c)
+        if n is not None and compare(n, floor) is not Ordering.LESS:
+            kept[e] = c
+    return TateElement(m, base, kept, floor)

@@ -266,9 +266,9 @@ def test_criterion_7_end_to_end_surjectivity(surjection_n1):
             terms = {}
             for _ in range(rng.randint(1, 5)):
                 q = rng.choice(pool)
-                from ultrametrica.series import _term_weight
+                from ultrametrica.valuegroup import exponent_weight
 
-                qw = _term_weight(profile, (Fraction(0), q))
+                qw = exponent_weight(profile, Fraction(0), q)
                 t_lo = max(0, ceil_weight(Weight(profile.sigma_s).sub(qw)))
                 t_hi = floor_weight(Weight(Fraction(12)).sub(qw))
                 if t_lo > t_hi:

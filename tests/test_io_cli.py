@@ -315,3 +315,18 @@ def test_huge_radius_rejected_fast(tmp_path, capsys):
     assert str(MAX_SQUAREFREE) in capsys.readouterr().err
     code, elapsed = _norm_timed(tmp_path, 2, MAX_SQUAREFREE - 2)  # 2*17*14033*20959
     assert code == EXIT_OK and elapsed < 1.0
+
+
+def test_berkovich_tour_script_runs():
+    src = os.path.dirname(os.path.dirname(ultrametrica.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "scripts", "berkovich_tour.py")
+    proc = subprocess.run(
+        [sys.executable, script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    cases = [json.loads(line)["case"] for line in proc.stdout.splitlines()]
+    assert cases == ["gauss_point", "rational_radius", "irrational_radius",
+                     "evaluation_point", "nested_prefix", "all_gauss_m3", "mixed_m3"]

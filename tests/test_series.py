@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, ref_gauss_norm, ref_product_floor
+from conftest import float_weight, ref_gauss_norm, ref_product_floor, ref_res_ge
 from ultrametrica.errors import (
     DenominatorCapError,
     FloorTooCoarseError,
@@ -46,6 +46,7 @@ from ultrametrica.valuegroup import (
     value_le,
     value_lt,
     value_mul,
+    zero_value,
 )
 
 
@@ -162,6 +163,13 @@ class TestNormArgnorm:
         assert leading_part(f) == f
         with pytest.raises(LeadingTermTieError):
             argnorm(f)
+
+    def test_gauss_norm_tie_takes_the_first_key(self, prof_rational):
+        # x and t tie at weight 1 under r = |t|; the norm is the first key's
+        x_t = S(prof_rational, (1, 0, 1), (1, 1, 0))
+        t_x = S(prof_rational, (1, 1, 0), (1, 0, 1))
+        assert gauss_norm(x_t) == value(prof_rational, 0, (1,))
+        assert gauss_norm(t_x) == value(prof_rational, 1, (0,))
 
     def test_leading_part_unique_under_free_profile(self, prof1):
         rng = random.Random(17)
@@ -379,6 +387,25 @@ class TestResGe:
             r1 = res_ge(beta, t_power(prof1, 3))
             r2 = res_ge(beta, t_power(prof1, 7))
             assert set(r1.terms) <= set(r2.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_series(), st.data())
+def test_res_ge_matches_reference_filter(f, data):
+    prof = f.profile
+    if f.terms and data.draw(st.booleans()):
+        cut = value(prof, *data.draw(st.sampled_from(list(f.terms))))
+    elif data.draw(st.booleans()):
+        cut = zero_value(prof)
+    else:
+        exp = st.builds(lambda u, i: Fraction(u, prof.p**i),
+                        st.integers(-8, 24), st.integers(0, 2))
+        cut = value(prof, data.draw(exp), [data.draw(exp) for _ in range(prof.n)])
+    if value_lt(cut, f.floor):
+        with pytest.raises(FloorTooCoarseError):
+            res_ge(f, cut)
+    else:
+        assert res_ge(f, cut) == ref_res_ge(f, cut)
 
 
 class TestIsAdapted:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_gauss_norm, ref_max, ref_product_floor
+from conftest import ref_gauss_norm, ref_make_tate, ref_max, ref_product_floor
 from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError
 from ultrametrica.io import hom_from_json, hom_to_json
@@ -262,6 +262,18 @@ class TestProductFloors:
         for _ in range(base.p - 1):
             acc = t_add(acc, f)
         assert acc.terms == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_make_tate_matches_reference_drop_rule(self, data):
+        base = make_profile(data.draw(st.sampled_from([2, 3])), [], max_denom_log=12)
+        m = data.draw(st.integers(1, 2))
+        keys = data.draw(st.lists(st.tuples(*[base_exp(base.p)] * m),
+                                  min_size=1, max_size=3, unique=True))
+        pairs = [(e, draw_coeff(data.draw, base))
+                 for e in data.draw(st.lists(st.sampled_from(keys), max_size=6))]
+        floor = t_power(base, data.draw(base_exp(base.p)) + data.draw(st.integers(0, 8)))
+        assert make_tate(m, base, pairs, floor) == ref_make_tate(m, base, pairs, floor)
 
     def test_hash_raises(self, prof1):
         with pytest.raises(TypeError):

@@ -18,8 +18,12 @@ from ultrametrica.valuegroup import (
     Ordering,
     RationalRadius,
     Weight,
+    ceil_weight,
     compare,
+    exponent_weight,
+    floor_weight,
     in_sqrt_K,
+    largest_int_below,
     make_profile,
     value,
     value_lift,
@@ -249,3 +253,79 @@ class TestWeightTools:
             # weight > 0 means norm < 1
             expected = Ordering.LESS if approx > 0 else Ordering.GREATER
             assert got is expected
+
+
+SQUAREFREE = (2, 3, 5, 6, 7, 10, 11)
+small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=64)
+
+
+@st.composite
+def weight_parts(draw):
+    """(c0, cancel, {d: c_d}) over 0-3 distinct free radii.  When cancel
+    is (k, below), the test replaces c0 by the rational that brings the
+    weight into [0, 2**-k), or into [-2**-k, 0) when below, so the
+    refinement loop has to run past its first rounds."""
+    ds = draw(st.lists(st.sampled_from(SQUAREFREE), max_size=3, unique=True))
+    irr = {d: draw(small_fracs.filter(bool)) for d in ds}
+    cancel = None
+    if irr and draw(st.booleans()):
+        cancel = (draw(st.integers(1, 80)), draw(st.booleans()))
+    return draw(small_fracs), cancel, irr
+
+
+class TestOneWeightPath:
+    @settings(max_examples=150, deadline=None)
+    @given(weight_parts(), st.integers(0, 14))
+    def test_weight_tools_match_sympy(self, parts, digits):
+        sympy = pytest.importorskip("sympy")
+        c0, cancel, irr = parts
+        irr_expr = sum((sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d)
+                        for d, c in irr.items()), sympy.Integer(0))
+        if cancel is not None:
+            k, below = cancel
+            c0 = Fraction(-int(sympy.floor(irr_expr * 2**k)) - below, 2**k)
+        w = Weight(c0, irr)
+        expr = sympy.Rational(c0.numerator, c0.denominator) + irr_expr
+        approx = sympy.N(expr, 100)
+        assert w.sign() == int(sympy.sign(approx))
+        fl, ce = int(sympy.floor(expr)), int(sympy.ceiling(expr))
+        assert floor_weight(w) == fl
+        assert ceil_weight(w) == ce
+        assert largest_int_below(w) == (fl - 1 if expr == fl else fl)
+        # weight_decimal rounds half up; it may be one unit off only when
+        # |w| lies within its enclosure width of a rounding boundary.
+        dec = sympy.Rational(weight_decimal(w, digits))
+        got = abs(dec) * 10**digits
+        scaled = abs(approx) * 10**digits + sympy.Rational(1, 2)
+        want = int(sympy.floor(scaled))
+        if min(scaled - want, want + 1 - scaled) > sympy.Rational(1, 100):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1
+        if got:
+            assert (dec < 0) == (approx < 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exponent_weight_matches_the_add_chain(self, data):
+        """The builder against the Weight(a).add_rational/add_sqrt chain,
+        over profiles mixing rational and free radii."""
+        free = iter(data.draw(st.permutations(SQUAREFREE)))
+        radii = [
+            FreeRadius(next(free)) if data.draw(st.booleans())
+            else RationalRadius(data.draw(st.fractions(0, 5, max_denominator=8)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        prof = make_profile(2, radii)
+        exps = st.one_of(st.just(Fraction(0)), small_fracs)
+        a, q = data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)
+        chain = Weight(a)
+        for spec, qi in zip(radii, q):
+            if qi == 0:
+                continue
+            if isinstance(spec, RationalRadius):
+                chain = chain.add_rational(qi * spec.exponent)
+            else:
+                chain = chain.add_sqrt(spec.d, qi)
+        for w in (exponent_weight(prof, a, q), weight_of(value(prof, a, q))):
+            assert (w.rational, w.irrational) == (chain.rational, chain.irrational)
