@@ -165,6 +165,9 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     s = s_value(profile)
     pi = pi_value(profile)
     floor_value = t_power(profile, config.floor_exponent)
+    max_t_weight = int(ceil_weight(weight_of(floor_value)))
+    bounds = [value_mul(value_pow(pi, m + 1), s) for m in range(steps)]
+    eval_floor = value_mul(value_pow(pi, steps), s)
     pool = list(spec.schedule.omegas)
     rng = random.Random(seed)
     cases = []
@@ -172,10 +175,7 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     for trial in range(trials):
         record = {"trial": trial, "ok": False}
         try:
-            beta = random_series(
-                profile, rng, x_pool=pool,
-                max_t_weight=int(ceil_weight(weight_of(floor_value))),
-            )
+            beta = random_series(profile, rng, x_pool=pool, max_t_weight=max_t_weight)
             beta, shift = rescale_into_window(beta)
             record["rescaled_by"] = shift
             record["beta_digest"] = _beta_digest(beta)
@@ -183,20 +183,18 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
             result = reconstruct_preimage(spec, beta, steps)
             ok = True
             prev = None
-            for m, res_norm in enumerate(result.residuals):
-                bound = value_mul(value_pow(pi, m + 1), s)
-                if res_norm is not None and not value_le(res_norm, bound):
+            for res_norm, bound in zip(result.residuals, bounds):
+                if res_norm is None:
+                    continue
+                if not value_le(res_norm, bound):
                     ok = False
-                if prev is not None and res_norm is not None and \
-                        not value_le(res_norm, prev):
+                if prev is not None and not value_le(res_norm, prev):
                     ok = False
-                if res_norm is not None:
-                    prev = res_norm
-                tsv_rows.append((trial, m + 1, _residual_weight_str(res_norm)))
-            record["residual_weights"] = [
-                _residual_weight_str(r) for r in result.residuals
-            ]
-            ev = evaluate(result.preimage, spec.hom, value_mul(value_pow(pi, steps), s))
+                prev = res_norm
+            weights = [_residual_weight_str(r) for r in result.residuals]
+            tsv_rows += [(trial, m, w) for m, w in enumerate(weights, 1)]
+            record["residual_weights"] = weights
+            ev = evaluate(result.preimage, spec.hom, eval_floor)
             diff = sub(ev, beta)
             nd = gauss_norm(diff)
             agreement = nd is None or not value_le(floor_value, nd)
@@ -229,8 +227,7 @@ def cmd_surject_verify(args) -> int:
     tsv_lines += [f"{t}\t{s}\t{w}" for t, s, w in tsv_rows]
     if args.out:
         uio.dump_json(report, args.out + ".report.json")
-        with open(args.out + ".residuals.tsv", "w") as fh:
-            fh.write("\n".join(tsv_lines) + "\n")
+        uio.write_text("\n".join(tsv_lines) + "\n", args.out + ".residuals.tsv")
     else:
         print(json.dumps(report, sort_keys=True))
         print("\n".join(tsv_lines))

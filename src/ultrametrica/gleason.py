@@ -261,8 +261,7 @@ class GleasonSchedule:
 
     def beta_exp(self, m: int) -> Fraction:
         """t-exponent of beta_m."""
-        scale = 1 if self.mode == "direct" else self.profile.p ** self.b[m - 1]
-        return self.gammas[m - 1] * scale
+        return _beta_exponent(self.mode, self.gammas[m - 1], self.profile.p ** self.b[m - 1])
 
     def beta(self, m: int) -> SeriesElement:
         """Coefficient of W_m**(p**b_m) in the stored element (1-based m)."""
@@ -293,6 +292,11 @@ class GleasonSchedule:
             expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
             expr = self._adapted[m] = root_pk(expr, self.b[m - 1])
         return expr
+
+
+def _beta_exponent(mode: str, gamma: Fraction, pb) -> Fraction:
+    """t-exponent of beta = e**pb (alpha mode) or e (direct), e = t**gamma."""
+    return gamma * pb if mode == "alpha" else gamma
 
 
 def _lattice_monomial(profile, V, h) -> SeriesElement:
@@ -330,9 +334,8 @@ def _pick_e_direct(profile, wV: Weight, wW: Weight, m: int):
     """Paper window s < |e_m| < |V| - epsilon, folding condition (1) in
     when W_m is the empty monomial."""
     lo = wV
-    if wW.sign() == 0:
-        lo_cands = [wV, Weight(Fraction(m))]
-        lo = lo_cands[0] if lo_cands[0].sub(lo_cands[1]).sign() > 0 else lo_cands[1]
+    if wW.sign() == 0 and wV.sub(Weight(Fraction(m))).sign() <= 0:
+        lo = Weight(Fraction(m))
     hi = Weight(profile.sigma_s)
     if hi.sub(lo).sign() <= 0:
         raise WindowError(
@@ -345,10 +348,19 @@ def _pick_e_direct(profile, wV: Weight, wW: Weight, m: int):
 def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
     """Generic schedule builder over monomials V with a well-ordered J.
 
-    Chooses e_m in a deterministic window, eps_m = t**delta_m with the
-    smallest exponent making every |d_{m,i}| <= 1, and the minimal b_m
-    satisfying the convergence, head-window, tail, and distinct-exponent
-    conditions.  All choices are exact, so builds are reproducible.
+    Chooses e_m = t**gamma_m in a deterministic window, eps_m = t**delta_m
+    with the smallest exponent making every |d_{m,i}| <= 1, and the least
+    b_m with (1) w_term > m, (3) 0 < w_head < sigma, (4) w_term / p**b_{m-1}
+    > sigma + 1 when m > 1 and (5) omega(m) p**b_m unlike every earlier
+    omega(i) p**b_i; w_term and w_head are the weights of beta_m
+    W_m**(p**b_m) and (eps_m beta_m)**(1/p**b_m) W_m.  All choices are exact.
+
+    Heights strictly increase, so both modes scan b_m from b_{m-1} + 1.
+    In direct mode that start enforces the growth.  In alpha mode (4)
+    fails for every b <= b_{m-1} anyway: with x = gamma_m + w(W_m),
+    w_term / p**b_{m-1} = p**(b - b_{m-1}) x <= max(0, x) < sigma + 1, as
+    _pick_e_alpha puts x below sigma - 1/2.  Once (1) holds w_term > 0, so
+    the largest earlier height b_{m-1} is the only one whose (4) binds.
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("schedules require a free profile with n >= 1")
@@ -386,38 +398,23 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
 
         # eps_m = t**delta_m, smallest exponent with |eps_m * beta_i| <= 1.
         delta = -beta_min
-        if not is_p_exponent(delta, p):
-            raise InvariantViolationError("delta_m left Z[1/p]")
-
-        # Minimal b_m for (1) convergence, (3) head window, (4) tails,
-        # (5) distinct exponents; strict growth is implied in alpha mode
-        # by (4) and enforced explicitly in direct mode.  Once (1) holds,
-        # w_term > m > 0, so the largest earlier b_i gives the smallest
-        # tail weight w_term / p**b_i and is the only (4) bound that binds.
-        b_floor = bs[-1] + 1 if (mode == "direct" and bs) else 0
-        tail_scale = Fraction(1, p ** max(bs)) if bs else None
-        b_m = None
-        for b_try in range(b_floor, _B_SAFETY):
-            pb = Fraction(p**b_try)
-            beta_exp = gamma * pb if mode == "alpha" else gamma
+        for b_m in range(bs[-1] + 1 if bs else 0, _B_SAFETY):
+            pb = Fraction(p**b_m)
+            beta_exp = _beta_exponent(mode, gamma, pb)
+            exps = tuple(x * pb for x in q)
             w_term = Weight(beta_exp).add(wW.scaled(pb))
             w_head = Weight((delta + beta_exp) / pb).add(wW)
             if (w_term.sub(Weight(Fraction(m))).sign() > 0
                     and w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
-                    and (tail_scale is None or w_term.scaled(tail_scale)
+                    and (not bs or w_term.scaled(Fraction(1, p ** bs[-1]))
                          .sub(sigma.add_rational(1)).sign() > 0)
-                    and tuple(x * pb for x in q) not in exps_taken):
-                b_m = b_try
+                    and exps not in exps_taken):
                 break
-        if b_m is None:
+        else:
             raise DenominatorCapError("no admissible b_m below the safety bound")
 
-        if delta + beta_min < 0:
-            raise InvariantViolationError("|d_{m,i}| > 1; eps_m too large")
-        pb = Fraction(p**b_m)
-        beta_exp = gamma * pb if mode == "alpha" else gamma
         beta_min = min(beta_min, beta_exp)
-        exps_taken.add(tuple(x * pb for x in q))
+        exps_taken.add(exps)
         omegas.append(q)
         h_reps.append(h)
         gammas.append(gamma)
@@ -433,8 +430,9 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
 def verify_schedule(schedule: GleasonSchedule, G: SeriesElement = None):
     """Independent check of every step: rebuild the subtractive form
     (eps_m G - sum_{i<m} d_{m,i} W_i**(p**b_i)) ** (1/p**b_m), require it
-    to equal adapted_expression(m) and to pass is_adapted.  Returns the
-    certificates; raises InvariantViolationError on any failure."""
+    to equal adapted_expression(m) and to pass is_adapted, after checking
+    every |d_{m,i}| <= 1.  Returns the certificates; raises
+    InvariantViolationError on any failure."""
     if G is None:
         G = schedule.element()
     profile = schedule.profile
@@ -445,6 +443,8 @@ def verify_schedule(schedule: GleasonSchedule, G: SeriesElement = None):
     for m in range(1, schedule.depth + 1):
         expr = mul(lift_base(schedule.eps(m), profile), G)
         for i in range(1, m):
+            if schedule.deltas[m - 1] + schedule.beta_exp(i) < 0:
+                raise InvariantViolationError(f"schedule step {m}: |d_{{{m},{i}}}| > 1")
             expr = sub(expr, mul(lift_base(schedule.d(m, i), profile), wpows[i - 1]))
         expr = root_pk(expr, schedule.b[m - 1])
         if expr != schedule.adapted_expression(m):
@@ -530,7 +530,8 @@ class OracleAnswer:
 @dataclass(frozen=True)
 class SurjectionSpec:
     """Images (x_1..x_n, c*x_1**-1...x_n**-1, G) plus the schedule-backed
-    adapted-element oracle with min-zero canonical representations."""
+    adapted-element oracle with min-zero canonical representations; well is
+    the schedule's well-order, grown lazily past the depth by DepthError."""
 
     n: int
     profile: RadiusProfile
@@ -538,10 +539,7 @@ class SurjectionSpec:
     hom: HomSpec
     schedule: GleasonSchedule
     G: SeriesElement
-    rule: MinZeroRep = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rule", MinZeroRep(self.n))
+    well: WellOrder = field(compare=False, repr=False)
 
     @property
     def num_vars(self) -> int:
@@ -566,9 +564,8 @@ class SurjectionSpec:
 
     def schedule_answer(self, q):
         if q not in self.schedule.omegas:
-            well = WellOrder(self.n, self.profile.p, self.rule)
             raise DepthError(
-                f"adapted oracle for {q} needs schedule depth {well.index(q)}, "
+                f"adapted oracle for {q} needs schedule depth {self.well.index(q)}, "
                 f"built {self.schedule.depth}"
             )
         m = self.schedule.omegas.index(q) + 1
@@ -597,7 +594,7 @@ class SurjectionSpec:
         q = tuple(Fraction(x) for x in q)
         if len(q) != self.n:
             raise InputValidationError(f"exponent arity {len(q)}, expected {self.n}")
-        h = self.rule.rep(q)
+        h = self.well.rule.rep(q)
         ans = self.monomial_answer(q, h)
         if ans is not None:
             return ans
@@ -637,12 +634,11 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     v_last = monomial(profile, 1, w_c, minus_ones)
     V = tuple(monomial(profile, 1, 0, tuple(Fraction(int(i == j)) for j in range(n)))
               for i in range(n)) + (v_last,)
-    rule = MinZeroRep(n)
-    well = WellOrder(n, profile.p, rule)
+    well = WellOrder(n, profile.p, MinZeroRep(n))
     schedule = build_schedule(profile, V, well, depth, mode="alpha")
     G = schedule.element()
     images = tuple(V[:n]) + (v_last, G)
-    return SurjectionSpec(n, profile, c, HomSpec(images), schedule, G)
+    return SurjectionSpec(n, profile, c, HomSpec(images), schedule, G, well)
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,13 @@ def load_json(path: str):
         raise InputValidationError(f"{path}: {exc}")
 
 
+def write_text(text: str, path: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputValidationError(f"{path}: {exc}")
+
+
 def dump_json(obj, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)

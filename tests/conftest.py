@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from ultrametrica.series import add, make_series
+from ultrametrica.series import add, gauss_norm, make_series
 from ultrametrica.tatealg import TateElement
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
     RationalRadius,
+    Weight,
     compare,
     make_profile,
     value,
     value_max,
     value_mul,
+    weight_of,
 )
 
 
@@ -98,3 +100,40 @@ def ref_make_tate(m, base, pairs, floor):
         if n is not None and compare(n, floor) is not Ordering.LESS:
             kept[e] = c
     return TateElement(m, base, kept, floor)
+
+
+def ref_heights(schedule):
+    """Reference Frobenius heights: for each step m, the least b >= 0 with
+    (1) w_term > m, (3) 0 < w_head < sigma, (4) w_term / p**B > sigma + 1
+    for B the largest earlier height, and (5) omega(m) p**b unlike every
+    earlier omega(i) p**b_i.  w_term is the weight of beta W_m**(p**b)
+    and w_head that of (eps_m beta)**(1/p**b) W_m, with beta = e_m**(p**b)
+    in alpha mode and e_m in direct mode.  A full scan from 0 for every
+    step, from the schedule's gamma, delta, h and omega alone."""
+    p = schedule.profile.p
+    sigma = Weight(schedule.profile.sigma_s)
+    w_v = [weight_of(gauss_norm(v)) for v in schedule.V]
+    heights, taken = [], set()
+    for m in range(1, schedule.depth + 1):
+        gamma, delta = schedule.gammas[m - 1], schedule.deltas[m - 1]
+        q = schedule.omegas[m - 1]
+        w_w = Weight(Fraction(0))
+        for hk, wk in zip(schedule.h_reps[m - 1], w_v):
+            w_w = w_w.add(wk.scaled(hk))
+        for b in range(1000):
+            pb = Fraction(p**b)
+            beta = gamma * pb if schedule.mode == "alpha" else gamma
+            w_term = Weight(beta).add(w_w.scaled(pb))
+            w_head = Weight((delta + beta) / pb).add(w_w)
+            exps = tuple(x * pb for x in q)
+            if (w_term.sub(Weight(Fraction(m))).sign() > 0
+                    and w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
+                    and (not heights or w_term.scaled(Fraction(1, p ** max(heights)))
+                         .sub(sigma.add_rational(1)).sign() > 0)
+                    and exps not in taken):
+                break
+        else:
+            raise AssertionError(f"no height below 1000 at step {m}")
+        heights.append(b)
+        taken.add(exps)
+    return tuple(heights)

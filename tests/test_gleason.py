@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight
+from conftest import float_weight, ref_heights
 from ultrametrica import gleason
 from ultrametrica.errors import (
     DepthError,
@@ -224,6 +224,37 @@ class TestVerifySchedule:
         with pytest.raises(InvariantViolationError, match="subtractive"):
             verify_schedule(bad, G)
 
+    def test_d_above_one_rejected(self, prof):
+        sched, G = build_gplus(prof, 8)
+        assert len(verify_schedule(sched, G)) == 8
+        deltas = list(sched.deltas)
+        deltas[6] -= Fraction(1, 64)  # d(7, 6) = t**(-1/64), norm above 1
+        bad = dataclasses.replace(sched, deltas=tuple(deltas))
+        with pytest.raises(InvariantViolationError, match="step 7:"):
+            verify_schedule(bad, G)
+
+
+class TestHeights:
+    """Every schedule's heights equal a full scan from 0 (conftest's
+    ref_heights) and strictly increase."""
+
+    def check(self, sched):
+        assert sched.b == ref_heights(sched)
+        assert all(b2 > b1 for b1, b2 in zip(sched.b, sched.b[1:]))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 5, 12, 30])
+    def test_standard_surjection(self, p, n, depth):
+        prof = make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=64)
+        self.check(standard_surjection(prof, depth).schedule)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gplus_and_gminus(self, p):
+        prof = make_profile(p, [FreeRadius(2)], max_denom_log=32)
+        self.check(build_gplus(prof, 20)[0])
+        self.check(build_gminus(prof, monomial(prof.base(), 1, 2), 20)[0])
+
 
 class TestBuildGmultivar:
     def test_single_x_reduces_to_gplus(self, prof):
@@ -351,7 +382,7 @@ class TestMemosBehaveAsIfAbsent:
         fresh = standard_surjection(prof, 21)
         kinds = set()
         for q in reversed(qs):
-            kinds.add(used.monomial_answer(q, used.rule.rep(q)) is None)
+            kinds.add(used.monomial_answer(q, used.well.rule.rep(q)) is None)
             assert used(q) == fresh(q)
         assert kinds == {True, False}  # both monomial and schedule answers
 

@@ -258,8 +258,12 @@ class TestCli:
         assert len(data["images"]) == 3
 
 
-# (test id, command, input file text).  In the last row the file is the
-# --out target: the cap check rejects the profile before anything is written.
+# A valid config, for the rows whose --out goes into a missing directory.
+SMALL_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "3"}'
+MISSING_DIR = "no-such-output-dir"
+
+# (test id, command, input file text).  In the --max-denom-log row the file is
+# the --out target: the cap check rejects the profile before anything is written.
 MALFORMED_INPUTS = [
     ("norm", ["norm"], '{"profile": [2], "terms": []}'),
     ("invert --floor", ["invert", "--floor", "3"],
@@ -272,6 +276,12 @@ MALFORMED_INPUTS = [
     ("gleason build --max-denom-log",
      ["gleason", "build", "--depth", "3", "--max-denom-log", str(MAX_DENOM_LOG + 1),
       "--out"], ""),
+    ("surject-verify --out",
+     ["surject-verify", "--trials", "1", "--out", os.path.join(MISSING_DIR, "n1"),
+      "--config"], SMALL_CONFIG),
+    ("gleason build --out",
+     ["gleason", "build", "--depth", "3", "--out", os.path.join(MISSING_DIR, "spec.json"),
+      "--config"], SMALL_CONFIG),
 ]
 
 
