@@ -74,7 +74,6 @@ class DiskPoint:
 
     center: SeriesElement
     radius: Value
-    unit_ball: bool = True
 
     def __post_init__(self):
         rprof = self.radius.profile
@@ -82,9 +81,8 @@ class DiskPoint:
             raise InputValidationError(
                 "radius profile must extend the center's profile"
             )
-        if self.unit_ball and not self.radius.zero:
-            if not value_le(self.radius, one_value(rprof)):
-                raise InputValidationError("disk radius must be <= 1 inside the ball")
+        if not self.radius.zero and not value_le(self.radius, one_value(rprof)):
+            raise InputValidationError("disk radius must be <= 1 inside the ball")
         if not self.radius.zero and not self.center.floor.zero:
             cf = value_lift(self.center.floor, rprof)
             if not value_lt(cf, self.radius):

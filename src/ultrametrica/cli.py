@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import io as uio
@@ -47,6 +47,28 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
+# Run-size caps, checked where the values enter (Config, which the CLI
+# overrides go through, and the gleason build flags); each bounds one
+# axis of the work.  Timings are from a 2-core x86-64 machine, Python 3.11.
+# The largest depth in use is 81 (the n=2 benchmark); gleason build
+# --depth 1000 takes about 25 s for n = 1 and 2, and its cost grows about
+# quadratically with the depth.
+MAX_DEPTH = 1000
+# A surject-verify trial on either benchmark configuration takes 6-9 ms,
+# so 10**4 trials stay within a few minutes; the largest count in use is 50.
+MAX_TRIALS = 10_000
+# Division steps M, given or derived from floor_exponent; the largest in
+# use is 8.  One trial with M = 10**5 took 14 s, nearly all of it on steps
+# past the floor that have nothing left to clear.
+MAX_STEPS = 1000
+# gleason build --n takes the radii sqrt(d) for the first n of these.
+BUILD_RADII = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _check_range(name: str, value: int, lo: int, hi: int):
+    if not lo <= value <= hi:
+        raise InputValidationError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
 
 @dataclass
 class Config:
@@ -59,6 +81,11 @@ class Config:
     seed: int = 0
     trials: int = 20
     steps: int = None  # division depth M; default derived from the floor
+
+    def __post_init__(self):
+        _check_range("depth", self.depth, 1, MAX_DEPTH)
+        _check_range("trials", self.trials, 1, MAX_TRIALS)
+        _check_range("steps", self.division_steps(), 1, MAX_STEPS)
 
     @classmethod
     @uio.parse_guard
@@ -158,6 +185,7 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     Returns (report dict, tsv rows).  Per-trial oracle failures are
     recorded, not fatal.
     """
+    config = replace(config, trials=trials, depth=depth, seed=seed)  # range checks
     profile = config.profile
     t_start = time.monotonic()
     spec = standard_surjection(profile, depth, c_exponent=config.c_exponent)
@@ -217,12 +245,21 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     return report, tsv_rows
 
 
+def _check_out_dir(path: str):
+    """Reject an output path whose directory is missing, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise InputValidationError(f"{path}: output directory {folder!r} does not exist")
+
+
 def cmd_surject_verify(args) -> int:
-    config = _load_config(args.config)
-    trials = args.trials if args.trials is not None else config.trials
-    depth = args.depth if args.depth is not None else config.depth
-    seed = args.seed if args.seed is not None else config.seed
-    report, tsv_rows = run_surjection_trials(config, trials, depth, seed)
+    if args.out:
+        _check_out_dir(args.out)
+    overrides = {key: value for key in ("trials", "depth", "seed")
+                 if (value := getattr(args, key)) is not None}
+    config = replace(_load_config(args.config), **overrides)
+    report, tsv_rows = run_surjection_trials(config, config.trials, config.depth,
+                                             config.seed)
     tsv_lines = ["trial\tstep\tresidual_weight"]
     tsv_lines += [f"{t}\t{s}\t{w}" for t, s, w in tsv_rows]
     if args.out:
@@ -235,13 +272,16 @@ def cmd_surject_verify(args) -> int:
 
 
 def cmd_gleason_build(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
+    _check_range("depth", args.depth, 1, MAX_DEPTH)
     if args.config:
         config = _load_config(args.config)
         profile = config.profile
         c_exponent = config.c_exponent
     else:
-        squarefree = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        radii = [FreeRadius(squarefree[i]) for i in range(args.n)]
+        _check_range("n", args.n, 1, len(BUILD_RADII))
+        radii = [FreeRadius(d) for d in BUILD_RADII[:args.n]]
         profile = make_profile(args.p, radii, max_denom_log=args.max_denom_log)
         c_exponent = None
     spec = standard_surjection(profile, args.depth, c_exponent=c_exponent)

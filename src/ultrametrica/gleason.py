@@ -51,6 +51,7 @@ from .series import (
 from .tatealg import (
     HomSpec,
     TateElement,
+    evaluate,
     make_tate,
     t_add,
     t_scale,
@@ -75,6 +76,7 @@ from .valuegroup import (
     value_mul,
     value_pow,
     weight_of,
+    zero_value,
     zp_in_open_interval,
 )
 
@@ -283,6 +285,25 @@ class GleasonSchedule:
             acc = add(acc, self.term(i))
         return acc
 
+    def preimage(self, m: int) -> TateElement:
+        """Step m's preimage in len(V) + 1 variables (T_k -> V_k, last -> G):
+        t**(delta_m/p**b_m) T_last**(1/p**b_m) minus, for each i < m,
+        t**((delta_m + beta_i)/p**b_m) prod T_k**(h_{i,k} p**b_i/p**b_m).
+        It maps to adapted_expression(m); the oracle serves it and
+        verify_schedule certifies it."""
+        if not 1 <= m <= self.depth:
+            raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
+        base = self.profile.base()
+        pb = self.profile.p ** self.b[m - 1]
+        delta = self.deltas[m - 1]
+        pairs = [((Fraction(0),) * len(self.V) + (Fraction(1, pb),),
+                  monomial(base, 1, delta / pb))]
+        for i in range(1, m):
+            pbi = self.profile.p ** self.b[i - 1]
+            pairs.append((tuple(hk * pbi / pb for hk in self.h_reps[i - 1]) + (Fraction(0),),
+                          neg(monomial(base, 1, (delta + self.beta_exp(i)) / pb))))
+        return make_tate(len(self.V) + 1, base, pairs)
+
     def adapted_expression(self, m: int) -> SeriesElement:
         """(eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m), exact."""
         expr = self._adapted.get(m)
@@ -427,27 +448,20 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
     )
 
 
-def verify_schedule(schedule: GleasonSchedule, G: SeriesElement = None):
-    """Independent check of every step: rebuild the subtractive form
-    (eps_m G - sum_{i<m} d_{m,i} W_i**(p**b_i)) ** (1/p**b_m), require it
-    to equal adapted_expression(m) and to pass is_adapted, after checking
-    every |d_{m,i}| <= 1.  Returns the certificates; raises
-    InvariantViolationError on any failure."""
-    if G is None:
-        G = schedule.element()
-    profile = schedule.profile
-    p = profile.p
-    wpows = [series_frac_pow(schedule.W(i), p ** schedule.b[i - 1])
-             for i in range(1, schedule.depth + 1)]
+def verify_schedule(schedule: GleasonSchedule, G: SeriesElement):
+    """Check every step against the element G: every |d_{m,i}| <= 1,
+    preimage(m) evaluates under T_k -> V_k, T_last -> G to
+    adapted_expression(m), and that passes is_adapted.  Returns the
+    certificates; raises InvariantViolationError on any failure."""
+    hom = HomSpec(schedule.V + (G,))
+    exact = zero_value(schedule.profile)
     certs = []
     for m in range(1, schedule.depth + 1):
-        expr = mul(lift_base(schedule.eps(m), profile), G)
         for i in range(1, m):
             if schedule.deltas[m - 1] + schedule.beta_exp(i) < 0:
                 raise InvariantViolationError(f"schedule step {m}: |d_{{{m},{i}}}| > 1")
-            expr = sub(expr, mul(lift_base(schedule.d(m, i), profile), wpows[i - 1]))
-        expr = root_pk(expr, schedule.b[m - 1])
-        if expr != schedule.adapted_expression(m):
+        expr = schedule.adapted_expression(m)
+        if evaluate(schedule.preimage(m), hom, exact) != expr:
             raise InvariantViolationError(
                 f"schedule step {m}: the subtractive form differs from the "
                 f"closed-form adapted expression"
@@ -569,26 +583,11 @@ class SurjectionSpec:
                 f"built {self.schedule.depth}"
             )
         m = self.schedule.omegas.index(q) + 1
-        sched = self.schedule
-        p = self.profile.p
-        image = sched.adapted_expression(m)
+        image = self.schedule.adapted_expression(m)
         cert = is_adapted(image, q)
         if not cert.passed:
             raise InvariantViolationError(f"schedule step {m} lost adaptedness")
-        pb = p ** sched.b[m - 1]
-        delta = sched.deltas[m - 1]
-        terms = {}
-        head_exp = (Fraction(0),) * (self.n + 1) + (Fraction(1, pb),)
-        terms[head_exp] = monomial(self.base, 1, delta / pb)
-        for i in range(1, m):
-            h_i = sched.h_reps[i - 1]
-            pbi = p ** sched.b[i - 1]
-            exps = tuple(hk * pbi / pb for hk in h_i) + (Fraction(0),)
-            coeff = neg(monomial(self.base, 1, (delta + sched.beta_exp(i)) / pb))
-            prev = terms.get(exps)
-            terms[exps] = add(prev, coeff) if prev is not None else coeff
-        pre = make_tate(self.num_vars, self.base, terms)
-        return OracleAnswer(pre, image, cert)
+        return OracleAnswer(self.schedule.preimage(m), image, cert)
 
     def __call__(self, q) -> OracleAnswer:
         q = tuple(Fraction(x) for x in q)

@@ -1,7 +1,7 @@
 """Deterministic random element generators for verification suites.
 
-Shared by the CLI verifier and the experiment scripts; every draw is a
-pure function of the supplied random.Random instance, so reports are
+Shared by the CLI verifier and the benchmark; every draw is a pure
+function of the supplied random.Random instance, so reports are
 reproducible from (config, seed).
 """
 
@@ -10,31 +10,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .gleason import MinZeroRep, WellOrder
 from .series import SeriesElement, make_series
-from .valuegroup import RadiusProfile, t_power
+from .valuegroup import RadiusProfile
+
+# Each element has between 2 and 8 terms (fewer when draws collide).
+N_TERMS = (2, 8)
 
 
 def random_series(profile: RadiusProfile, rng: random.Random, *,
-                  x_pool=None, n_terms=(2, 8), max_t_weight=8,
-                  floor_exponent=None) -> SeriesElement:
-    """Sparse random element with x-exponents from the given pool.
-
-    The default pool is the leading well-order segment of Z[1/p]^n, so
-    every exponent is reachable by a matching surjection oracle.
-    """
-    if x_pool is None:
-        well = WellOrder(profile.n, profile.p, MinZeroRep(profile.n))
-        x_pool = [well.omega(m) for m in range(1, 13)]
+                  x_pool, max_t_weight) -> SeriesElement:
+    """Exact sparse random element with x-exponents drawn from x_pool and
+    t-exponents u/p**k in [0, max_t_weight], k <= 2."""
     terms = {}
-    want = rng.randint(*n_terms)
+    want = rng.randint(*N_TERMS)
     for _ in range(want):
         q = rng.choice(x_pool)
         k = rng.randint(0, 2)
         t = Fraction(rng.randint(0, max_t_weight * profile.p**k), profile.p**k)
         c = rng.randint(1, profile.p - 1)
         terms[(t, tuple(q))] = c
-    floor = None
-    if floor_exponent is not None:
-        floor = t_power(profile, floor_exponent)
-    return make_series(profile, terms, floor)
+    return make_series(profile, terms)

@@ -510,24 +510,28 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def zp_in_open_interval(lo: Weight, hi: Weight, p: int, max_k: int = 64) -> Fraction:
+# Largest k for which zp_in_open_interval tries the denominator p**k.
+ZP_SEARCH_MAX_K = 64
+
+
+def zp_in_open_interval(lo: Weight, hi: Weight, p: int) -> Fraction:
     """A rational u / p**k inside the open interval (lo, hi).
 
     Scans denominators p**k from k = 0 upward and takes the largest
     admissible numerator, so the result is deterministic and sits close
     to the upper endpoint.  Raises WindowError when the interval is
-    empty or no denominator up to p**max_k works.
+    empty or no denominator up to p**ZP_SEARCH_MAX_K works.
     """
     if hi.sub(lo).sign() <= 0:
         raise WindowError(f"empty window ({lo}, {hi})")
     scale = 1
-    for k in range(max_k + 1):
+    for k in range(ZP_SEARCH_MAX_K + 1):
         u = largest_int_below(hi.scaled(Fraction(scale)))
         cand = Fraction(u, scale)
         if Weight(cand).sub(lo).sign() > 0:
             return cand
         scale *= p
-    raise WindowError(f"no Z[1/p] point found in ({lo}, {hi}) up to p**{max_k}")
+    raise WindowError(f"no Z[1/p] point found in ({lo}, {hi}) up to p**{ZP_SEARCH_MAX_K}")
 
 
 def denom_log(x: Fraction, p: int) -> int:

@@ -137,3 +137,24 @@ def ref_heights(schedule):
         heights.append(b)
         taken.add(exps)
     return tuple(heights)
+
+
+def ref_evaluate(f, images, p):
+    """Reference evaluate of an exact Tate element under monomial images,
+    each given as raw data (c, a, xs) for c t**a x**xs.  The coefficient
+    term c_e t**b of T**e maps to c_e prod c_i**u_i t**(b + sum e_i a_i)
+    x**(sum e_i xs_i) with e_i = u_i / p**k_i, because c**(1/p) = c in
+    F_p.  Exponents add and coefficients multiply mod p; returns the
+    {(t, xs): c} terms that do not cancel."""
+    n = len(images[0][2])
+    out = {}
+    for e, coeff in f.terms.items():
+        for (b, _), c in coeff.terms.items():
+            t, xs = Fraction(b), [Fraction(0)] * n
+            for ei, (ci, ai, xsi) in zip(e, images):
+                c = c * ci ** ei.numerator % p
+                t += ei * ai
+                xs = [x + ei * xi for x, xi in zip(xs, xsi)]
+            key = (t, tuple(xs))
+            out[key] = (out.get(key, 0) + c) % p
+    return {k: c for k, c in out.items() if c}

@@ -50,6 +50,7 @@ from ultrametrica.valuegroup import (
     value_lt,
     value_mul,
     value_pow,
+    zero_value,
 )
 
 
@@ -207,6 +208,32 @@ class TestVerifySchedule:
     def test_standard_schedule_closed_form_matches(self, spec21):
         certs = verify_schedule(spec21.schedule, spec21.G)
         assert len(certs) == 21 and all(c.passed for c in certs)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_certifies_the_served_preimages(self, p, n):
+        prof = make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=64)
+        spec = standard_surjection(prof, 8)
+        certs = verify_schedule(spec.schedule, spec.G)
+        assert len(certs) == 8 and all(c.passed for c in certs)
+        for m, q in enumerate(spec.schedule.omegas, 1):
+            ans = spec.schedule_answer(q)
+            assert ans.preimage == spec.schedule.preimage(m)
+            assert evaluate(ans.preimage, spec.hom, zero_value(prof)) == ans.image
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gminus_certifies(self, p):
+        prof_p = make_profile(p, [FreeRadius(2)], max_denom_log=32)
+        sched, G, _ = build_gminus(prof_p, monomial(prof_p.base(), 1, 2), 6)
+        assert all(c.passed for c in verify_schedule(sched, G))
+
+    def test_other_element_rejected(self, prof):
+        sched, G = build_gplus(prof, 5)
+        _, deeper = build_gplus(prof, 6)  # G plus one more term
+        with pytest.raises(InvariantViolationError, match="subtractive"):
+            verify_schedule(sched, deeper)
+        with pytest.raises(TypeError):
+            verify_schedule(sched)
 
     def test_altered_delta_rejected(self, prof):
         sched, G = build_gplus(prof, 5)

@@ -11,7 +11,16 @@ import pytest
 import ultrametrica
 from ultrametrica import io as uio
 from ultrametrica.berkovich import DiskPoint, NestedPrefix
-from ultrametrica.cli import EXIT_INPUT, EXIT_OK, main
+from ultrametrica import cli
+from ultrametrica.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    MAX_DEPTH,
+    MAX_STEPS,
+    MAX_TRIALS,
+    Config,
+    main,
+)
 from ultrametrica.errors import InputValidationError
 from ultrametrica.gleason import build_gplus, standard_surjection
 from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
@@ -262,8 +271,11 @@ class TestCli:
 SMALL_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "3"}'
 MISSING_DIR = "no-such-output-dir"
 
-# (test id, command, input file text).  In the --max-denom-log row the file is
-# the --out target: the cap check rejects the profile before anything is written.
+STEPS_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "3", "steps": %d}'
+
+# (test id, command, input file text).  In the rows that end in --out the
+# file is the --out target: the range checks reject the run before anything
+# is written.
 MALFORMED_INPUTS = [
     ("norm", ["norm"], '{"profile": [2], "terms": []}'),
     ("invert --floor", ["invert", "--floor", "3"],
@@ -282,6 +294,20 @@ MALFORMED_INPUTS = [
     ("gleason build --out",
      ["gleason", "build", "--depth", "3", "--out", os.path.join(MISSING_DIR, "spec.json"),
       "--config"], SMALL_CONFIG),
+    ("gleason build --n 11", ["gleason", "build", "--n", "11", "--depth", "1", "--out"], ""),
+    ("gleason build --depth 0", ["gleason", "build", "--depth", "0", "--out"], ""),
+    ("gleason build --depth above cap",
+     ["gleason", "build", "--depth", str(MAX_DEPTH + 1), "--out"], ""),
+    ("surject-verify --depth 0", ["surject-verify", "--depth", "0", "--config"], SMALL_CONFIG),
+    ("surject-verify --depth above cap",
+     ["surject-verify", "--depth", str(MAX_DEPTH + 1), "--config"], SMALL_CONFIG),
+    ("surject-verify --trials -5", ["surject-verify", "--trials", "-5", "--config"],
+     SMALL_CONFIG),
+    ("surject-verify --trials above cap",
+     ["surject-verify", "--trials", str(MAX_TRIALS + 1), "--config"], SMALL_CONFIG),
+    ("config steps 0", ["surject-verify", "--config"], STEPS_CONFIG % 0),
+    ("config steps -1", ["surject-verify", "--config"], STEPS_CONFIG % -1),
+    ("config steps above cap", ["surject-verify", "--config"], STEPS_CONFIG % (MAX_STEPS + 1)),
 ]
 
 
@@ -299,6 +325,51 @@ def test_malformed_input_exits_2(tmp_path, command, text):
     assert proc.returncode == EXIT_INPUT
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Make any start of a surjection run fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(cli, "run_surjection_trials", fail)
+    monkeypatch.setattr(cli, "standard_surjection", fail)
+
+
+def test_caps_rejected_before_the_run(tmp_path, no_run, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_CONFIG)
+    for flag, cap in (("--trials", MAX_TRIALS), ("--depth", MAX_DEPTH)):
+        assert main(["surject-verify", "--config", str(cfg), flag, str(cap + 1)]) == EXIT_INPUT
+    assert main(["gleason", "build", "--depth", str(MAX_DEPTH + 1)]) == EXIT_INPUT
+    cfg.write_text(STEPS_CONFIG % (MAX_STEPS + 1))
+    assert main(["surject-verify", "--config", str(cfg)]) == EXIT_INPUT
+    assert "steps must lie in [1, 1000]" in capsys.readouterr().err
+
+
+def test_direct_run_checks_its_values(prof1, monkeypatch):
+    monkeypatch.setattr(cli, "standard_surjection", None)  # any start fails
+    config = Config(profile=prof1, depth=3)
+    for trials, depth in ((1, 0), (-5, 3), (MAX_TRIALS + 1, 3), (1, MAX_DEPTH + 1)):
+        with pytest.raises(InputValidationError):
+            cli.run_surjection_trials(config, trials, depth, 0)
+
+
+def test_caps_themselves_accepted(prof1):
+    config = Config(profile=prof1, depth=MAX_DEPTH, trials=MAX_TRIALS, steps=MAX_STEPS)
+    assert config.division_steps() == MAX_STEPS
+    with pytest.raises(InputValidationError):
+        Config(profile=prof1, floor_exponent=Fraction(MAX_STEPS + 6))  # derived M > cap
+
+
+def test_missing_output_directory_rejected_before_the_run(tmp_path, no_run):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(SMALL_CONFIG)
+    missing = str(tmp_path / MISSING_DIR / "out")
+    assert main(["surject-verify", "--config", str(cfg), "--out", missing]) == EXIT_INPUT
+    assert main(["gleason", "build", "--depth", "3", "--out", missing]) == EXIT_INPUT
+    assert main(["gleason", "build", "--depth", "3", "--config", str(cfg),
+                 "--out", missing]) == EXIT_INPUT
 
 
 def _norm_timed(tmp_path, p, d):

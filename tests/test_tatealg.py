@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_gauss_norm, ref_make_tate, ref_max, ref_product_floor
+from conftest import (
+    ref_evaluate,
+    ref_gauss_norm,
+    ref_make_tate,
+    ref_max,
+    ref_product_floor,
+)
 from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError
 from ultrametrica.io import hom_from_json, hom_to_json
 from ultrametrica.series import (
+    add,
     frobenius,
     gauss_norm,
     make_series,
@@ -33,12 +40,14 @@ from ultrametrica.tatealg import (
     tate_variable,
 )
 from ultrametrica.valuegroup import (
+    FreeRadius,
     make_profile,
     t_power,
     value,
     value_le,
     value_lift,
     value_max,
+    zero_value,
 )
 
 
@@ -230,6 +239,63 @@ def tate_operands(draw):
 def ref_t_norm(f):
     """Reference Tate Gauss norm: the largest coefficient norm."""
     return ref_max(n for n in map(ref_gauss_norm, f.terms.values()) if n is not None)
+
+
+def draw_image(draw, p, n):
+    """Raw data (c, a, xs) of a monomial c t**a x**xs of norm <= 1 in a
+    profile whose radii sqrt(2), sqrt(3) have weight below 2."""
+    xs = tuple(Fraction(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 1)))
+               for _ in range(n))
+    a = draw(base_exp(p)) + 2 * sum(abs(x) for x in xs)
+    return draw(st.integers(1, p - 1)), a, xs
+
+
+@st.composite
+def exact_evaluations(draw):
+    """(f, g, images, profile): two exact Tate elements in m in {1, 2, 3}
+    variables over p in {2, 3}, and raw monomial images in a free profile
+    with n in {0, 1, 2} radii."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 2))
+    profile = make_profile(p, [FreeRadius(d) for d in (2, 3)[:n]], max_denom_log=12)
+    m = draw(st.integers(1, 3))
+    base = profile.base()
+
+    def tate():
+        keys = draw(st.lists(st.tuples(*[base_exp(p)] * m), max_size=4, unique=True))
+        coeff = st.dictionaries(st.tuples(base_exp(p), st.just(())),
+                                st.integers(1, p - 1), min_size=1, max_size=2)
+        return make_tate(m, base, {e: make_series(base, draw(coeff)) for e in keys})
+
+    images = [draw_image(draw, p, n) for _ in range(m)]
+    return tate(), tate(), images, profile
+
+
+class TestEvaluateLaws:
+    """evaluate against a reference that adds exponents by hand, and as an
+    exact ring homomorphism."""
+
+    @staticmethod
+    def hom(images, profile):
+        return HomSpec(tuple(make_series(profile, {(a, xs): c}) for c, a, xs in images))
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_evaluations())
+    def test_matches_reference_substitution(self, ops):
+        f, _, images, profile = ops
+        got = evaluate(f, self.hom(images, profile), zero_value(profile))
+        assert got.floor.zero
+        assert got.terms == ref_evaluate(f, images, profile.p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_evaluations())
+    def test_additive_and_multiplicative(self, ops):
+        f, g, images, profile = ops
+        hom = self.hom(images, profile)
+        exact = zero_value(profile)
+        ev_f, ev_g = evaluate(f, hom, exact), evaluate(g, hom, exact)
+        assert evaluate(t_add(f, g), hom, exact) == add(ev_f, ev_g)
+        assert evaluate(t_mul(f, g), hom, exact) == mul(ev_f, ev_g)
 
 
 class TestProductFloors:
