@@ -541,11 +541,20 @@ class OracleAnswer:
     certificate: AdaptedCertificate
 
 
+# Most oracle answers that one SurjectionSpec keeps.
+_ANSWER_MEMO_CAP = 512
+
+
 @dataclass(frozen=True)
 class SurjectionSpec:
     """Images (x_1..x_n, c*x_1**-1...x_n**-1, G) plus the schedule-backed
     adapted-element oracle with min-zero canonical representations; well is
-    the schedule's well-order, grown lazily past the depth by DepthError."""
+    the schedule's well-order, grown lazily past the depth by DepthError.
+
+    _answers memoizes the oracle's answer per exponent q for up to
+    _ANSWER_MEMO_CAP exponents (a DepthError is never stored); an answer
+    depends only on q and the immutable spec, so it behaves as if absent.
+    """
 
     n: int
     profile: RadiusProfile
@@ -554,6 +563,7 @@ class SurjectionSpec:
     schedule: GleasonSchedule
     G: SeriesElement
     well: WellOrder = field(compare=False, repr=False)
+    _answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_vars(self) -> int:
@@ -593,11 +603,12 @@ class SurjectionSpec:
         q = tuple(Fraction(x) for x in q)
         if len(q) != self.n:
             raise InputValidationError(f"exponent arity {len(q)}, expected {self.n}")
-        h = self.well.rule.rep(q)
-        ans = self.monomial_answer(q, h)
-        if ans is not None:
-            return ans
-        return self.schedule_answer(q)
+        ans = self._answers.get(q)
+        if ans is None:
+            ans = self.monomial_answer(q, self.well.rule.rep(q)) or self.schedule_answer(q)
+            if len(self._answers) < _ANSWER_MEMO_CAP:
+                self._answers[q] = ans
+        return ans
 
 
 def standard_surjection(profile: RadiusProfile, depth: int,

@@ -163,7 +163,7 @@ def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
     if f.profile.n != 0 or not profile.extends(f.profile):
         raise ProfileMismatchError("can only lift base-field elements into extensions")
     pad = (Fraction(0),) * profile.n
-    return make_series(
+    return _build(
         profile,
         {(t, pad): c for (t, _), c in f.terms.items()},
         value_lift(f.floor, profile),
@@ -285,7 +285,7 @@ def leading_part(f: SeriesElement) -> SeriesElement:
         raise InvariantViolationError(
             "leading-term tie under a free profile (should be impossible)"
         )
-    return make_series(f.profile, {k: f.terms[k] for k in keys})
+    return _build(f.profile, {k: f.terms[k] for k in keys}, zero_value(f.profile))
 
 
 def argnorm(f: SeriesElement):
@@ -402,7 +402,7 @@ def coefficient_at(f: SeriesElement, q) -> SeriesElement:
     terms = {
         (t, ()): c for (t, xs), c in f.terms.items() if xs == q
     }
-    return make_series(base, terms)
+    return _build(base, terms, zero_value(base))
 
 
 def group_by_x(f: SeriesElement):
@@ -411,7 +411,8 @@ def group_by_x(f: SeriesElement):
     groups = {}
     for (t, xs), c in f.terms.items():
         groups.setdefault(xs, {})[(t, ())] = c
-    return {q: make_series(base, terms) for q, terms in groups.items()}
+    zero = zero_value(base)
+    return {q: _build(base, terms, zero) for q, terms in groups.items()}
 
 
 def series_int_pow(g: SeriesElement, u: int) -> SeriesElement:
@@ -497,7 +498,7 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
     tail_terms = {
         k: c for k, c in beta.terms.items() if x_part(k) != q
     }
-    tail = make_series(profile, tail_terms)
+    tail = _build(profile, tail_terms, zero_value(profile))
     tail_norm = gauss_norm(tail)
     check3 = tail_norm is None or value_le(tail_norm, s_pi)
     return AdaptedCertificate(q, s, b_q, tail_norm, (check1, check2, check3))

@@ -16,11 +16,11 @@ from fractions import Fraction
 from .errors import DenominatorCapError, InputValidationError, ProfileMismatchError
 from .series import (
     SeriesElement,
+    _build,
     add,
     frobenius,
     gauss_norm,
     lift_base,
-    make_series,
     mul,
     one,
     product_floor,
@@ -270,4 +270,4 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     floor_acc = value_max(floor_acc, value_lift(f.floor, profile))
     if skipped:
         floor_acc = value_max(floor_acc, target_floor)
-    return make_series(profile, acc.terms, value_max(acc.floor, floor_acc))
+    return _build(profile, acc.terms, value_max(acc.floor, floor_acc))

@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputValidationError, ProfileMismatchError, WindowError
 
@@ -187,11 +187,6 @@ def make_profile(p, radii, sigma_s=None, max_denom_log=16) -> RadiusProfile:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_bounds(d: int, k: int):
-    r = isqrt(d << (2 * k))
-    return Fraction(r, 1 << k), Fraction(r + 1, 1 << k)
-
-
 _F0 = Fraction(0)
 
 
@@ -254,17 +249,21 @@ class Weight:
         return not self.irrational
 
     def bounds(self, k: int):
-        """Rational (lo, hi) with lo <= self <= hi, width shrinking in k."""
-        lo = hi = self.rational
-        for d, c in self.irrational.items():
-            slo, shi = _sqrt_bounds(d, k)
-            if c >= 0:
-                lo += c * slo
-                hi += c * shi
-            else:
-                lo += c * shi
-                hi += c * slo
-        return lo, hi
+        """Integers (lo, hi, den) with lo/den <= self <= hi/den, width
+        shrinking in k.  den = D << k for D the lcm of the coefficient
+        denominators, and each sqrt(d) is enclosed by isqrt(d << 2k) and
+        that plus one, over 2**k."""
+        r, irr = self.rational, self.irrational
+        D = r.denominator
+        for c in irr.values():
+            D = lcm(D, c.denominator)
+        lo = hi = r.numerator * (D // r.denominator) << k
+        for d, c in irr.items():
+            c = c.numerator * (D // c.denominator)
+            s = isqrt(d << (2 * k))
+            lo += c * (s + (c < 0))
+            hi += c * (s + (c > 0))
+        return lo, hi, D << k
 
     def refine(self):
         """The enclosures bounds(k) for k = 16, 32, 64, ...: the one
@@ -280,17 +279,17 @@ class Weight:
             r = self.rational
             return (r > 0) - (r < 0)
         if len(self.irrational) == 1:
-            # r + c*sqrt(d): decide by comparing r**2 with c**2 * d.
+            # r + c*sqrt(d) has the sign of a + b*sqrt(d), a = r * den(c) and
+            # b = c * den(r) integers: compare a**2 with b**2 * d, never equal
+            # for squarefree d > 1.
             ((d, c),) = self.irrational.items()
             r = self.rational
-            sr, sc = (r > 0) - (r < 0), (c > 0) - (c < 0)
-            if sr == sc or sr == 0:
-                return sc
-            r2, c2d = r * r, c * c * d
-            if r2 == c2d:
-                return 0  # unreachable for squarefree d > 1
-            return sr if r2 > c2d else sc
-        for lo, hi in self.refine():
+            a, b = r.numerator * c.denominator, c.numerator * r.denominator
+            sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+            if sa == sb or sa == 0:
+                return sb
+            return sa if a * a > b * b * d else sb
+        for lo, hi, _ in self.refine():
             if lo > 0:
                 return 1
             if hi < 0:
@@ -307,9 +306,9 @@ def floor_weight(w: Weight) -> int:
     """Largest integer <= w."""
     if w.is_rational():
         return math.floor(w.rational)
-    for lo, hi in w.refine():
-        if math.floor(lo) == math.floor(hi):
-            return math.floor(lo)
+    for lo, hi, den in w.refine():
+        if lo // den == hi // den:
+            return lo // den
 
 
 def ceil_weight(w: Weight) -> int:
@@ -329,8 +328,10 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
     if w.is_rational():
         x = w.rational
     else:
-        target = Fraction(1, 10 ** (digits + 2))
-        x = next((lo + hi) / 2 for lo, hi in w.refine() if hi - lo < target)
+        # the midpoint of the first enclosure narrower than 10**-(digits+2)
+        scale = 10 ** (digits + 2)
+        x = next(Fraction(lo + hi, 2 * den) for lo, hi, den in w.refine()
+                 if (hi - lo) * scale < den)
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = (x.numerator * 10**digits + x.denominator // 2) // x.denominator
@@ -437,7 +438,7 @@ def compare(u: Value, v: Value) -> Ordering:
         return Ordering.LESS
     if v.zero:
         return Ordering.GREATER
-    sign = weight_of(u).sub(weight_of(v)).sign()
+    sign = exponent_weight(u.profile, u.a - v.a, tuple(map(operator.sub, u.q, v.q))).sign()
     # Larger weight means smaller norm.
     if sign > 0:
         return Ordering.LESS

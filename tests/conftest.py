@@ -53,6 +53,23 @@ def float_weight(v):
     return w
 
 
+def ref_bounds(w, k):
+    """Reference enclosure (lo, hi) of the weight c0 + sum c_d sqrt(d) at
+    precision k, in Fractions: with r = isqrt(d << 2k), sqrt(d) lies in
+    [r/2**k, (r+1)/2**k], so c_d sqrt(d) lies between c_d r/2**k and
+    c_d (r+1)/2**k; the +1 raises hi when c_d > 0 and lowers lo when c_d < 0."""
+    lo = hi = Fraction(w.rational)
+    for d, c in w.irrational.items():
+        r = math.isqrt(d << (2 * k))
+        if c > 0:
+            lo += Fraction(c * r, 2**k)
+            hi += Fraction(c * (r + 1), 2**k)
+        else:
+            lo += Fraction(c * (r + 1), 2**k)
+            hi += Fraction(c * r, 2**k)
+    return lo, hi
+
+
 def ref_max(values):
     """The largest of the values under compare, or None when there are none."""
     best = None

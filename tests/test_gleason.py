@@ -436,6 +436,34 @@ class TestMemosBehaveAsIfAbsent:
         with pytest.raises(InvariantViolationError, match="subtractive"):
             verify_schedule(bad, G)
 
+    def test_repeated_query_returns_the_stored_answer(self, spec21):
+        kinds = set()
+        for q in self.queries(spec21):
+            ans = spec21(q)
+            kinds.add(spec21.monomial_answer(q, spec21.well.rule.rep(q)) is None)
+            assert spec21(q) is ans
+            assert spec21._answers[q] is ans
+        assert kinds == {True, False}  # both monomial and schedule answers
+
+    def test_depth_error_is_raised_every_time_and_never_stored(self, prof):
+        shallow = standard_surjection(prof, 4)
+        shallow((Fraction(1),))
+        stored = dict(shallow._answers)
+        for _ in range(2):
+            with pytest.raises(DepthError, match="needs schedule depth 21"):
+                shallow((Fraction(4),))
+            assert shallow._answers == stored
+            assert (Fraction(4),) not in shallow._answers
+
+    def test_answer_memo_is_capped(self, prof):
+        spec = standard_surjection(prof, 4)
+        qs = [(Fraction(j, 256),) for j in range(600)]  # |x**q| > s for all of them
+        for q in qs:
+            assert spec(q) == spec.monomial_answer(q, spec.well.rule.rep(q))
+        assert len(spec._answers) == gleason._ANSWER_MEMO_CAP == 512
+        assert qs[-1] not in spec._answers
+        assert spec(qs[-1]) == spec.monomial_answer(qs[-1], spec.well.rule.rep(qs[-1]))
+
     def test_rule_is_built_once(self, prof, monkeypatch):
         shallow = standard_surjection(prof, 4)
         built = []

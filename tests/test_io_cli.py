@@ -272,6 +272,9 @@ SMALL_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "
 MISSING_DIR = "no-such-output-dir"
 
 STEPS_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "3", "steps": %d}'
+# A one-trial config with the run values given in %s; a value that int()
+# would accept is still no JSON integer.
+RUN_VALUES_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "floor_exponent": "3", %s}'
 
 # (test id, command, input file text).  In the rows that end in --out the
 # file is the --out target: the range checks reject the run before anything
@@ -308,6 +311,14 @@ MALFORMED_INPUTS = [
     ("config steps 0", ["surject-verify", "--config"], STEPS_CONFIG % 0),
     ("config steps -1", ["surject-verify", "--config"], STEPS_CONFIG % -1),
     ("config steps above cap", ["surject-verify", "--config"], STEPS_CONFIG % (MAX_STEPS + 1)),
+    ("config depth 3.9", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3.9, "trials": 1'),
+    ("config seed string", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "seed": "7"'),
+    ("config trials true", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": true'),
+    ("config steps 2.0", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "steps": 2.0'),
 ]
 
 

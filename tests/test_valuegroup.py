@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight
+from conftest import float_weight, ref_bounds
 from ultrametrica.errors import (
     InputValidationError,
     ProfileMismatchError,
@@ -329,3 +330,23 @@ class TestOneWeightPath:
                 chain = chain.add_sqrt(spec.d, qi)
         for w in (exponent_weight(prof, a, q), weight_of(value(prof, a, q))):
             assert (w.rational, w.irrational) == (chain.rational, chain.irrational)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from((16, 32, 64, 128)))
+    def test_integer_bounds_match_the_fraction_enclosure(self, data, k):
+        """bounds(k) against conftest.ref_bounds over profiles mixing 0-3
+        free radii with rational radii of denominators 3 and 5, so the
+        coefficient denominators are not all powers of p."""
+        free = [FreeRadius(d) for d in data.draw(
+            st.lists(st.sampled_from(SQUAREFREE), max_size=3, unique=True))]
+        rational = [RationalRadius(Fraction(data.draw(st.integers(1, 14)),
+                                            data.draw(st.sampled_from((3, 5)))))
+                    for _ in range(data.draw(st.integers(0, 2)))]
+        radii = data.draw(st.permutations(free + rational))
+        prof = make_profile(2, radii)
+        exps = st.one_of(st.just(Fraction(0)), small_fracs)
+        w = exponent_weight(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii))
+        lo, hi, den = w.bounds(k)
+        D = math.lcm(w.rational.denominator, *(c.denominator for c in w.irrational.values()))
+        assert den == D << k
+        assert (Fraction(lo, den), Fraction(hi, den)) == ref_bounds(w, k)
