@@ -96,12 +96,7 @@ class Config:
             kwargs["c_exponent"] = uio.frac_from_str(data["c_exponent"])
         for key in ("depth", "seed", "trials", "steps"):
             if data.get(key) is not None:
-                # a JSON integer only: int() would truncate 3.9 and accept
-                # true or "3", and bool is an int subclass
-                if type(data[key]) is not int:
-                    raise InputValidationError(
-                        f"{key} must be a JSON integer, got {json.dumps(data[key])}")
-                kwargs[key] = data[key]
+                kwargs[key] = uio.int_from_json(data[key], key)
         if data.get("floor_exponent") is not None:
             kwargs["floor_exponent"] = uio.frac_from_str(data["floor_exponent"])
         return cls(profile=profile, **kwargs)

@@ -32,7 +32,6 @@ from .errors import (
 from .series import (
     AdaptedCertificate,
     SeriesElement,
-    add,
     divide,
     gauss_norm,
     group_by_x,
@@ -45,7 +44,7 @@ from .series import (
     res_ge,
     root_pk,
     series_frac_pow,
-    series_zero,
+    series_sum,
     sub,
 )
 from .tatealg import (
@@ -53,10 +52,9 @@ from .tatealg import (
     TateElement,
     evaluate,
     make_tate,
-    t_add,
     t_scale,
+    t_sum,
     tate_monomial,
-    tate_zero,
 )
 from .valuegroup import (
     RadiusProfile,
@@ -66,15 +64,12 @@ from .valuegroup import (
     exponent_weight,
     floor_weight,
     is_p_exponent,
-    pi_value,
     row_reduce,
     s_value,
     t_power,
     value_le,
     value_lt,
     value_max,
-    value_mul,
-    value_pow,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -280,10 +275,7 @@ class GleasonSchedule:
     def element(self, start: int = 1) -> SeriesElement:
         """The stored finite Gleason element (exact); from a later start
         step, its tail sum_{i>=start} beta_i W_i**(p**b_i)."""
-        acc = series_zero(self.profile)
-        for i in range(start, self.depth + 1):
-            acc = add(acc, self.term(i))
-        return acc
+        return series_sum(self.profile, map(self.term, range(start, self.depth + 1)))
 
     def preimage(self, m: int) -> TateElement:
         """Step m's preimage in len(V) + 1 variables (T_k -> V_k, last -> G):
@@ -667,9 +659,9 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     """
     profile = beta.profile
     base = profile.base()
-    s = s_value(profile)
-    upper = value_mul(value_pow(pi_value(profile), m), s)
-    cut = value_mul(value_pow(pi_value(profile), m + 1), s)
+    sigma_s = profile.sigma_s
+    upper = t_power(profile, m + sigma_s)
+    cut = t_power(profile, m + 1 + sigma_s)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
@@ -678,23 +670,23 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     cut = value_max(cut, beta.floor)
     restriction = res_ge(beta, cut)
     groups = group_by_x(restriction)
-    f = tate_zero(oracle.num_vars, base)
-    phi_f = series_zero(profile)
     bound_m = t_power(base, m)
+    target = t_power(base, m + 1 + sigma_s)
+    parts, images = [], []
     for q, b_series in sorted(groups.items()):
         try:
             ans = oracle(q)
         except DepthError as exc:
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
         c_series = ans.certificate.b_q
-        target = t_power(base, Fraction(m + 1) + profile.sigma_s)
         d = divide(b_series, c_series, target_floor=target)
         nd = gauss_norm(d)
         if nd is not None and not value_lt(nd, bound_m):
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
-        f = t_add(f, t_scale(ans.preimage, d))
-        phi_f = add(phi_f, mul(lift_base(d, profile), ans.image))
-    residual = sub(beta, phi_f)
+        parts.append(t_scale(ans.preimage, d))
+        images.append(mul(lift_base(d, profile), ans.image))
+    f = t_sum(oracle.num_vars, base, parts)
+    residual = sub(beta, series_sum(profile, images))
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):
         raise InvariantViolationError("residual did not drop below |pi|**(m+1) s")
@@ -738,11 +730,10 @@ def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageRes
         raise FloorTooCoarseError(
             "floor exhaustion: beta is unknown already at |pi| * s"
         )
-    f = tate_zero(oracle.num_vars, profile.base())
     res = beta
-    residuals = []
+    parts, residuals = [], []
     for m in range(depth):
         g, res = divide_step(oracle, res, m)
-        f = t_add(f, g)
+        parts.append(g)
         residuals.append(gauss_norm(res))
-    return PreimageResult(f, tuple(residuals))
+    return PreimageResult(t_sum(oracle.num_vars, profile.base(), parts), tuple(residuals))

@@ -40,6 +40,14 @@ def frac_from_str(s) -> Fraction:
         raise InputValidationError(f"bad rational {s!r}: {exc}")
 
 
+def int_from_json(x, what: str) -> int:
+    """A JSON integer: int() would truncate 2.9 and accept true or "3",
+    and bool is an int subclass."""
+    if type(x) is not int:
+        raise InputValidationError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
 def parse_guard(fn):
     """Report malformed JSON structure (a missing key, a list where an
     object belongs, a non-numeric string) as InputValidationError."""
@@ -79,16 +87,16 @@ def profile_from_json(data: dict) -> RadiusProfile:
     radii = []
     for spec in data.get("radii", []):
         if "sqrt" in spec:
-            radii.append(FreeRadius(int(spec["sqrt"])))
+            radii.append(FreeRadius(int_from_json(spec["sqrt"], "sqrt")))
         elif "exp" in spec:
             radii.append(RationalRadius(frac_from_str(spec["exp"])))
         else:
             raise InputValidationError(f"radius spec needs 'sqrt' or 'exp': {spec}")
     return make_profile(
-        int(data["p"]),
+        int_from_json(data["p"], "p"),
         radii,
         sigma_s=frac_from_str(data["sigma_s"]) if "sigma_s" in data else None,
-        max_denom_log=int(data.get("max_denom_log", 16)),
+        max_denom_log=int_from_json(data.get("max_denom_log", 16), "max_denom_log"),
     )
 
 
@@ -143,7 +151,7 @@ def series_from_json(data: dict, profile: RadiusProfile = None) -> SeriesElement
     terms = {}
     for item in data["terms"]:
         key = (frac_from_str(item["t"]), tuple(frac_from_str(e) for e in item.get("x", [])))
-        terms[key] = terms.get(key, 0) + int(item["c"])
+        terms[key] = terms.get(key, 0) + int_from_json(item["c"], "c")
     return make_series(profile, terms, value_from_json(data.get("floor", _ZERO), profile))
 
 
@@ -169,7 +177,7 @@ def tate_to_json(f: TateElement) -> dict:
 def tate_from_json(data: dict, base: RadiusProfile = None) -> TateElement:
     if base is None:
         base = profile_from_json(data["profile"])
-    m = int(data["m"])
+    m = int_from_json(data["m"], "m")
     terms = {}
     for item in data.get("terms", []):
         e = tuple(frac_from_str(x) for x in item["e"])
@@ -284,7 +292,7 @@ def schedule_from_json(data: dict) -> GleasonSchedule:
     each step's conditions; the stored W, e, eps, d and conditions must
     equal the values derived from those."""
     profile = profile_from_json(data["profile"])
-    depth = int(data["depth"])
+    depth = int_from_json(data["depth"], "depth")
     conditions = data["conditions"]
     if data["mode"] not in ("alpha", "direct"):
         raise InputValidationError(f"schedule mode {data['mode']!r}")
@@ -299,7 +307,7 @@ def schedule_from_json(data: dict) -> GleasonSchedule:
         h_reps=tuple(tuple(frac_from_str(x) for x in h) for h in data["h"]),
         gammas=tuple(frac_from_str(c["gamma"]) for c in conditions),
         deltas=tuple(frac_from_str(c["delta"]) for c in conditions),
-        b=tuple(int(b) for b in data["b"]),
+        b=tuple(int_from_json(b, "b") for b in data["b"]),
     )
     derived = schedule_to_json(schedule)
     for key in ("W", "e", "eps", "d", "conditions"):

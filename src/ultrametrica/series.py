@@ -170,22 +170,41 @@ def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
     )
 
 
-def _require_same_profile(f: SeriesElement, g: SeriesElement):
-    if f.profile != g.profile:
+def _require_profile(f: SeriesElement, profile: RadiusProfile):
+    if f.profile != profile:
         raise ProfileMismatchError("series elements live over different profiles")
 
 
+def series_sum(profile: RadiusProfile, fs) -> SeriesElement:
+    """The sum of the elements fs over profile, in one pass: their terms
+    merge into one dict and the drop rule runs once, at the max of the
+    floors (the empty sum is exact zero).
+
+    This equals the left fold of add, term for term, in dict order and
+    floor.  A fold drops a term whose norm is below the floor so far;
+    floors only grow, so that term is below the final floor too and is
+    dropped here.  A kept term was never dropped by the fold, so both
+    merge, cancel and re-insert it in the same steps and keep the same
+    order.  Ties between floors keep the first, as value_max does."""
+    p = profile.p
+    terms, floor = None, profile._zero
+    for f in fs:
+        _require_profile(f, profile)
+        if terms is None:
+            terms, floor = dict(f.terms), f.floor
+            continue
+        for k, c in f.terms.items():
+            s = (terms.get(k, 0) + c) % p
+            if s == 0:
+                terms.pop(k, None)
+            else:
+                terms[k] = s
+        floor = value_max(floor, f.floor)
+    return _build(profile, terms or {}, floor)
+
+
 def add(f: SeriesElement, g: SeriesElement) -> SeriesElement:
-    _require_same_profile(f, g)
-    p = f.profile.p
-    terms = dict(f.terms)
-    for k, c in g.terms.items():
-        s = (terms.get(k, 0) + c) % p
-        if s == 0:
-            terms.pop(k, None)
-        else:
-            terms[k] = s
-    return _build(f.profile, terms, value_max(f.floor, g.floor))
+    return series_sum(f.profile, (f, g))
 
 
 def neg(f: SeriesElement) -> SeriesElement:
@@ -223,8 +242,29 @@ def product_floor(f, g, norm_f, norm_g) -> Value:
 
 
 def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
-    _require_same_profile(f, g)
-    p = f.profile.p
+    """f * g.  By a one-term factor every key of the other factor shifts by
+    the same key, so no two products collide, and a product of two units
+    of F_p is a unit: the result is built in one pass, in the other
+    factor's order.  The shift keeps every weight difference, so the
+    result's leading key is the shifted leading key of the other factor,
+    and a norm stored on that factor gives the result's.  That key is
+    never below the product floor: each factor's norm is at least its
+    floor, so |f| |g| is at least each of the three candidates."""
+    _require_profile(g, f.profile)
+    profile = f.profile
+    p = profile.p
+    floor = product_floor(f, g, gauss_norm, gauss_norm)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        one_term, other = (f, g) if len(f.terms) == 1 else (g, f)
+        ((t1, xs1), c1), = one_term.terms.items()
+        h = _build(profile, {
+            (t1 + t, tuple(map(operator.add, xs1, xs))): c1 * c % p
+            for (t, xs), c in other.terms.items()
+        }, floor)
+        n = other._norm
+        if n is not _UNSET and n is not None:
+            object.__setattr__(h, "_norm", value_mul(term_norm(profile, (t1, xs1)), n))
+        return h
     terms = {}
     for (t1, xs1), c1 in f.terms.items():
         for (t2, xs2), c2 in g.terms.items():
@@ -234,7 +274,7 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-    return _build(f.profile, terms, product_floor(f, g, gauss_norm, gauss_norm))
+    return _build(profile, terms, floor)
 
 
 def scale(f: SeriesElement, coeff: int) -> SeriesElement:

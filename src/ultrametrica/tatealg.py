@@ -26,7 +26,7 @@ from .series import (
     product_floor,
     pth_root,
     series_frac_pow,
-    series_zero,
+    series_sum,
 )
 from .valuegroup import (
     RadiusProfile,
@@ -37,7 +37,6 @@ from .valuegroup import (
     value_lift,
     value_lt,
     value_max,
-    value_mul,
     value_pow,
     zero_value,
 )
@@ -87,21 +86,17 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
     return _build_tate(m, base, summed, floor)
 
 
+def _kept(c: SeriesElement, floor: Value) -> bool:
+    """Whether a coefficient survives the floor: the one drop-below-cut
+    rule for Tate elements."""
+    nc = gauss_norm(c)
+    return nc is not None and (floor.zero or not value_lt(nc, floor))
+
+
 def _build_tate(m: int, base: RadiusProfile, terms: dict, floor: Value) -> TateElement:
     """Internal constructor: exponents already validated, one coefficient
-    over base per exponent; drops coefficients below the floor (the one
-    drop-below-cut rule for Tate elements)."""
-    clean = {}
-    for e, c in terms.items():
-        nc = gauss_norm(c)
-        if nc is None or (not floor.zero and value_lt(nc, floor)):
-            continue
-        clean[e] = c
-    return TateElement(m, base, clean, floor)
-
-
-def tate_zero(m: int, base: RadiusProfile, floor: Value = None) -> TateElement:
-    return make_tate(m, base, {}, floor)
+    over base per exponent; drops coefficients below the floor."""
+    return TateElement(m, base, {e: c for e, c in terms.items() if _kept(c, floor)}, floor)
 
 
 def tate_monomial(m: int, coeff: SeriesElement, exps) -> TateElement:
@@ -114,17 +109,47 @@ def tate_variable(m: int, base: RadiusProfile, i: int, power=1) -> TateElement:
     return tate_monomial(m, one(base), exps)
 
 
-def _require_compatible(f: TateElement, g: TateElement):
-    if f.m != g.m or f.base != g.base:
+def _require_compatible(f: TateElement, m: int, base: RadiusProfile):
+    if f.m != m or f.base != base:
         raise ProfileMismatchError("Tate elements are not compatible")
 
 
+def t_sum(m: int, base: RadiusProfile, fs) -> TateElement:
+    """The sum of the Tate elements fs (m variables over base) in one pass:
+    their coefficients merge into one dict and the drop rule runs once, at
+    the max of the floors (the empty sum is exact zero).
+
+    This equals the left fold of t_add, coefficient for coefficient, in
+    dict order and floor.  Floors only grow, so a coefficient the fold
+    drops stays below the final floor unless a later element adds to its
+    exponent; but the drop rule judges a whole coefficient, and a sum of
+    coefficients can climb back above the floor.  So where an exponent
+    repeats, its coefficient so far is checked against the floor so far,
+    as the fold would have checked it, and a dropped one is replaced (and
+    moves to the end) instead of added to.  The first element's own
+    coefficients are not checked before the second merges, as in t_add."""
+    terms, floor, checked = None, zero_value(base), False
+    for f in fs:
+        _require_compatible(f, m, base)
+        if terms is None:
+            terms, floor = dict(f.terms), f.floor
+            continue
+        for e, c in f.terms.items():
+            prev = terms.get(e)
+            if prev is None:
+                terms[e] = c
+            elif checked and not _kept(prev, floor):
+                del terms[e]
+                terms[e] = c
+            else:
+                terms[e] = add(prev, c)
+        floor = value_max(floor, f.floor)
+        checked = True
+    return _build_tate(m, base, terms or {}, floor)
+
+
 def t_add(f: TateElement, g: TateElement) -> TateElement:
-    _require_compatible(f, g)
-    terms = dict(f.terms)
-    for e, c in g.terms.items():
-        terms[e] = add(terms[e], c) if e in terms else c
-    return _build_tate(f.m, f.base, terms, value_max(f.floor, g.floor))
+    return t_sum(f.m, f.base, (f, g))
 
 
 def t_gauss_norm(f: TateElement):
@@ -134,7 +159,7 @@ def t_gauss_norm(f: TateElement):
 
 
 def t_mul(f: TateElement, g: TateElement) -> TateElement:
-    _require_compatible(f, g)
+    _require_compatible(g, f.m, f.base)
     terms = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
@@ -239,8 +264,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    acc = series_zero(profile)
-    floor_acc = zero_value(profile)
+    contribs = []
     skipped = False
     image_norms = hom.image_norms
     for e, c in f.terms.items():
@@ -248,26 +272,28 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         if nc is None:
             skipped = True
             continue
-        bound = value_lift(nc, profile)
-        computable = True
+        # The bound as one Value: exponents e_i * |g_i| summed onto |c|; an
+        # image below its floor leaves the term unbounded, so it is kept.
+        a, q = nc.a, profile._one.q
         for ei, ni in zip(e, image_norms):
             if ei == 0:
                 continue
             if ni is None:
-                computable = False
                 break
-            bound = value_mul(bound, value_pow(ni, ei))
-        if computable and value_lt(bound, target_floor):
-            skipped = True
-            continue
+            a += ni.a * ei
+            q = tuple(x + y * ei for x, y in zip(q, ni.q))
+        else:
+            if value_lt(Value._raw(profile, a, q), target_floor):
+                skipped = True
+                continue
         contrib = lift_base(c, profile)
         for i, ei in enumerate(e):
             if ei == 0:
                 continue
             contrib = mul(contrib, hom.power(i, ei))
-        acc = add(acc, contrib)
-        floor_acc = value_max(floor_acc, contrib.floor)
-    floor_acc = value_max(floor_acc, value_lift(f.floor, profile))
+        contribs.append(contrib)
+    acc = series_sum(profile, contribs)
+    floor = value_lift(f.floor, profile)
     if skipped:
-        floor_acc = value_max(floor_acc, target_floor)
-    return _build(profile, acc.terms, value_max(acc.floor, floor_acc))
+        floor = value_max(floor, target_floor)
+    return _build(profile, acc.terms, value_max(acc.floor, floor))

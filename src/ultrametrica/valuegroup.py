@@ -108,7 +108,8 @@ class RadiusProfile:
 
     s = |t|**sigma_s is the threshold used by adaptedness checks;
     max_denom_log caps exponent denominators at p**max_denom_log.
-    The zero and one values of the profile are derived once, here.
+    The zero and one values of the profile and its n = 0 base profile
+    are derived once, here.
     """
 
     p: int
@@ -117,6 +118,7 @@ class RadiusProfile:
     max_denom_log: int = 16
     _zero: "Value" = field(init=False, compare=False, repr=False)
     _one: "Value" = field(init=False, compare=False, repr=False)
+    _base: "RadiusProfile" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.p < MAX_PRIME or not _is_prime(self.p):
@@ -140,6 +142,17 @@ class RadiusProfile:
         q0 = (_F0,) * len(self.radii)
         object.__setattr__(self, "_zero", Value._raw(self, _F0, q0, True))
         object.__setattr__(self, "_one", Value._raw(self, _F0, q0))
+        object.__setattr__(self, "_base", RadiusProfile(
+            self.p, (), self.sigma_s, self.max_denom_log) if self.radii else self)
+
+    def __eq__(self, other):
+        """Field equality; the same object is settled without reading a field."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.radii, self.sigma_s, self.max_denom_log) == (
+            other.p, other.radii, other.sigma_s, other.max_denom_log)
 
     @property
     def n(self) -> int:
@@ -151,10 +164,8 @@ class RadiusProfile:
         return all(isinstance(r, FreeRadius) for r in self.radii)
 
     def base(self) -> "RadiusProfile":
-        """The n = 0 profile of the coefficient field K."""
-        if not self.radii:
-            return self
-        return RadiusProfile(self.p, (), self.sigma_s, self.max_denom_log)
+        """The n = 0 profile of the coefficient field K (one object per profile)."""
+        return self._base
 
     def extends(self, other: "RadiusProfile") -> bool:
         """True when other's radii are a prefix of ours (same p)."""
@@ -390,7 +401,7 @@ def one_value(profile: RadiusProfile) -> Value:
 
 def t_power(profile: RadiusProfile, a) -> Value:
     """|t|**a, i.e. |varpi|**a with varpi = t."""
-    return value(profile, a, (0,) * profile.n)
+    return Value._raw(profile, a if type(a) is Fraction else Fraction(a), profile._one.q)
 
 
 def pi_value(profile: RadiusProfile) -> Value:

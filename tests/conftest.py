@@ -70,6 +70,18 @@ def ref_bounds(w, k):
     return lo, hi
 
 
+def ref_mul(f, g, p):
+    """Reference product terms of two term dicts {(t, xs): c} over F_p:
+    every pair of terms, exponents added and coefficients multiplied by
+    hand, repeated keys summed; keys whose sum is 0 are left out."""
+    out = {}
+    for (t1, xs1), c1 in f.items():
+        for (t2, xs2), c2 in g.items():
+            key = (t1 + t2, tuple(a + b for a, b in zip(xs1, xs2)))
+            out[key] = (out.get(key, 0) + c1 * c2) % p
+    return {k: c for k, c in out.items() if c}
+
+
 def ref_max(values):
     """The largest of the values under compare, or None when there are none."""
     best = None

@@ -113,6 +113,19 @@ class TestSerialization:
         blob = json.dumps(payload, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    def test_json_integers_required(self, prof1_cap24):
+        """A Tate element's m and a schedule's depth and b are JSON integers."""
+        base = prof1_cap24.base()
+        tate = uio.tate_to_json(make_tate(1, base, {(Fraction(1),): one(base)}))
+        schedule = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        edits = [(tate, "m", 1.0), (schedule, "depth", "4"), (schedule, "depth", 4.0)]
+        edits += [(schedule, "b", schedule["b"][:-1] + [float(schedule["b"][-1])])]
+        for data, key, bad in edits:
+            load = uio.tate_from_json if data is tate else uio.schedule_from_json
+            assert load(data) is not None
+            with pytest.raises(InputValidationError, match="JSON integer"):
+                load(dict(data, **{key: bad}))
+
     def test_bad_rational_rejected(self):
         with pytest.raises(InputValidationError):
             uio.frac_from_str("3/0")
@@ -275,6 +288,10 @@ STEPS_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "
 # A one-trial config with the run values given in %s; a value that int()
 # would accept is still no JSON integer.
 RUN_VALUES_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "floor_exponent": "3", %s}'
+# The same with the profile values given in %s.
+PROFILE_VALUES_CONFIG = '{"depth": 3, "trials": 1, "floor_exponent": "3", %s}'
+# A one-term n = 0 series whose coefficient is given in %s.
+TERM_C_SERIES = '{"profile": {"p": 3, "radii": []}, "terms": [{"t": "1", "x": [], "c": %s}]}'
 
 # (test id, command, input file text).  In the rows that end in --out the
 # file is the --out target: the range checks reject the run before anything
@@ -319,6 +336,18 @@ MALFORMED_INPUTS = [
      RUN_VALUES_CONFIG % '"depth": 3, "trials": true'),
     ("config steps 2.0", ["surject-verify", "--config"],
      RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "steps": 2.0'),
+    ("config p 2.9", ["surject-verify", "--config"],
+     PROFILE_VALUES_CONFIG % '"p": 2.9, "radii": [{"sqrt": 2}]'),
+    ("config p string", ["surject-verify", "--config"],
+     PROFILE_VALUES_CONFIG % '"p": "2", "radii": [{"sqrt": 2}]'),
+    ("config sqrt 2.7", ["surject-verify", "--config"],
+     PROFILE_VALUES_CONFIG % '"p": 2, "radii": [{"sqrt": 2.7}]'),
+    ("config max_denom_log 32.5", ["surject-verify", "--config"],
+     PROFILE_VALUES_CONFIG % '"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 32.5'),
+    ("gleason build --config sqrt string", ["gleason", "build", "--depth", "1", "--config"],
+     '{"p": 2, "radii": [{"sqrt": "3"}]}'),
+    ("norm term c 1.5", ["norm"], TERM_C_SERIES % "1.5"),
+    ("norm term c true", ["norm"], TERM_C_SERIES % "true"),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, ref_gauss_norm, ref_product_floor, ref_res_ge
+from conftest import float_weight, ref_gauss_norm, ref_mul, ref_product_floor, ref_res_ge
 from ultrametrica.errors import (
     DenominatorCapError,
     FloorTooCoarseError,
     InputValidationError,
     LeadingTermTieError,
 )
+from ultrametrica import series
 from ultrametrica.io import series_to_json
 from ultrametrica.series import (
     add,
@@ -31,6 +33,7 @@ from ultrametrica.series import (
     root_pk,
     series_frac_pow,
     series_int_pow,
+    series_sum,
     sub,
     term_norm,
     with_floor,
@@ -39,6 +42,7 @@ from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
     FreeRadius,
     Ordering,
+    RationalRadius,
     compare,
     make_profile,
     t_power,
@@ -170,6 +174,13 @@ class TestNormArgnorm:
         t_x = S(prof_rational, (1, 1, 0), (1, 0, 1))
         assert gauss_norm(x_t) == value(prof_rational, 0, (1,))
         assert gauss_norm(t_x) == value(prof_rational, 1, (0,))
+
+    def test_product_floor_tie_keeps_the_first_argument(self, prof_rational):
+        # floor(f) * |g| = |t|**5 * |t| and floor(g) * |f| = |t|**5 * r tie
+        floor = t_power(prof_rational, 5)
+        x, t = S(prof_rational, (1, 0, 1), floor=floor), S(prof_rational, (1, 1, 0), floor=floor)
+        assert mul(x, t).floor == value(prof_rational, 6, (0,))
+        assert mul(t, x).floor == value(prof_rational, 5, (1,))
 
     def test_leading_part_unique_under_free_profile(self, prof1):
         rng = random.Random(17)
@@ -525,3 +536,70 @@ class TestElementsAreEqOnly:
         assert f == copy and copy == f
         assert repr(f) == repr(copy) == before[0]
         assert series_to_json(f) == series_to_json(copy) == before[1]
+
+
+# Radii of the law profiles: none, free, rational (whose norms can tie:
+# |t| = r under r = |t|), and free beside rational.
+LAW_RADII = ((), (FreeRadius(2),), (FreeRadius(2), FreeRadius(3)),
+             (RationalRadius(Fraction(1)),), (FreeRadius(2), RationalRadius(Fraction(1, 2))))
+
+
+def law_floors(prof):
+    """None or one of a few floors that tie under rational radii and sit
+    among the term norms of series_families, so some terms fall below."""
+    return st.none() | st.builds(lambda a, q: value(prof, a, q), st.integers(6, 9),
+                                 st.tuples(*[st.integers(0, 2)] * prof.n))
+
+
+@st.composite
+def series_families(draw, max_size=5):
+    """(profile, series list) over p in {2, 3} and one of LAW_RADII, with
+    floors from law_floors.  Term keys come from one small pool, so keys
+    repeat and cancel across the list."""
+    p = draw(st.sampled_from([2, 3]))
+    prof = make_profile(p, LAW_RADII[draw(st.integers(0, len(LAW_RADII) - 1))],
+                        max_denom_log=12)
+    exp = st.builds(lambda u, i: Fraction(u, p**i), st.integers(-4, 12), st.integers(0, 1))
+    keys = draw(st.lists(st.tuples(exp, st.tuples(*[exp] * prof.n)),
+                         min_size=1, max_size=6, unique=True))
+    fs = []
+    for _ in range(draw(st.integers(0, max_size))):
+        terms = draw(st.dictionaries(st.sampled_from(keys), st.integers(1, p - 1)))
+        fs.append(make_series(prof, terms, draw(law_floors(prof))))
+    return prof, fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_families())
+def test_series_sum_is_the_fold_of_add(family):
+    prof, fs = family
+    got = series_sum(prof, fs)
+    if not fs:
+        assert got.terms == {} and got.floor == zero_value(prof)
+        return
+    want = functools.reduce(add, fs)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.floor == want.floor
+    assert add(fs[0], fs[-1]) == series_sum(prof, (fs[0], fs[-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_families(max_size=1), st.data())
+def test_one_term_mul_matches_the_double_loop(family, data):
+    prof, fs = family
+    f = fs[0] if fs else make_series(prof, {})
+    key = data.draw(st.sampled_from(list(f.terms) or [(Fraction(1), (Fraction(0),) * prof.n)]))
+    g = make_series(prof, {key: data.draw(st.integers(1, prof.p - 1))},
+                    data.draw(law_floors(prof)))
+    for a, b in ((f, g), (g, f)):
+        if data.draw(st.booleans()):
+            gauss_norm(a), gauss_norm(b)  # stored before the product
+        floor = ref_product_floor(a.floor, b.floor, ref_gauss_norm(a), ref_gauss_norm(b))
+        h = mul(a, b)
+        assert h.floor == floor
+        kept = {k: c for k, c in ref_mul(a.terms, b.terms, prof.p).items()
+                if compare(value(prof, *k), floor) is not Ordering.LESS}
+        assert list(h.terms.items()) == list(kept.items())
+        if h._norm is not series._UNSET:
+            assert h._norm == ref_gauss_norm(h)
+        assert gauss_norm(h) == ref_gauss_norm(h)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -37,10 +38,13 @@ from ultrametrica.tatealg import (
     t_mul,
     t_pth_root,
     t_scale,
+    t_sum,
     tate_variable,
 )
 from ultrametrica.valuegroup import (
     FreeRadius,
+    Ordering,
+    compare,
     make_profile,
     t_power,
     value,
@@ -287,6 +291,30 @@ class TestEvaluateLaws:
         assert got.floor.zero
         assert got.terms == ref_evaluate(f, images, profile.p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(exact_evaluations(), st.integers(0, 24))
+    def test_skip_rule_matches_reference_bound(self, ops, target_exp):
+        """Above a target floor |t|**a, a term T**e with coefficient c is
+        skipped when |c| prod |g_i|**e_i, summed here by hand, lies below
+        it; a skip puts the target into the result floor."""
+        f, _, images, profile = ops
+        target = t_power(profile, Fraction(target_exp, 2))
+        kept = {}
+        for e, coeff in f.terms.items():
+            a = min(t for t, _ in coeff.terms)
+            xs = [Fraction(0)] * profile.n
+            for ei, (_, ai, xsi) in zip(e, images):
+                a += ei * ai
+                xs = [x + ei * xi for x, xi in zip(xs, xsi)]
+            if compare(value(profile, a, xs), target) is not Ordering.LESS:
+                kept[e] = coeff
+        floor = target if len(kept) < len(f.terms) else zero_value(profile)
+        terms = ref_evaluate(make_tate(f.m, f.base, kept), images, profile.p)
+        got = evaluate(f, self.hom(images, profile), target)
+        assert got.floor == floor
+        assert got.terms == {k: c for k, c in terms.items()
+                             if compare(value(profile, *k), floor) is not Ordering.LESS}
+
     @settings(max_examples=100, deadline=None)
     @given(exact_evaluations())
     def test_additive_and_multiplicative(self, ops):
@@ -344,6 +372,47 @@ class TestProductFloors:
     def test_hash_raises(self, prof1):
         with pytest.raises(TypeError):
             hash(tate_variable(1, prof1.base(), 0))
+
+
+@st.composite
+def tate_families(draw):
+    """(m, base, list of Tate elements) over p in {2, 3}, m in {1, 2}.
+    Exponents and coefficient keys come from small pools, so exponents
+    repeat and coefficients cancel across the list; coefficient and Tate
+    floors sit among the coefficient norms, so a coefficient can fall
+    below the floor so far and climb back above it with a later addend."""
+    p = draw(st.sampled_from([2, 3]))
+    base = make_profile(p, [], max_denom_log=12)
+    m = draw(st.integers(1, 2))
+    exps = draw(st.lists(st.tuples(*[base_exp(p)] * m), min_size=1, max_size=3, unique=True))
+    ts = draw(st.lists(base_exp(p), min_size=1, max_size=4, unique=True))
+    floor = st.builds(lambda a: t_power(base, a), st.integers(2, 6))
+
+    def coeff():
+        terms = draw(st.dictionaries(st.sampled_from(ts), st.integers(1, p - 1), min_size=1))
+        return make_series(base, {(t, ()): c for t, c in terms.items()},
+                           draw(st.none() | floor))
+
+    fs = [make_tate(m, base, {e: coeff() for e in draw(st.sets(st.sampled_from(exps)))},
+                    draw(st.none() | floor))
+          for _ in range(draw(st.integers(0, 5)))]
+    return m, base, fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(tate_families())
+def test_t_sum_is_the_fold_of_t_add(family):
+    m, base, fs = family
+    got = t_sum(m, base, fs)
+    if not fs:
+        assert got.terms == {} and got.floor == zero_value(base)
+        return
+    want = functools.reduce(t_add, fs)
+    assert list(got.terms) == list(want.terms)
+    for e, c in want.terms.items():
+        assert list(got.terms[e].terms.items()) == list(c.terms.items())
+        assert got.terms[e].floor == c.floor
+    assert got.floor == want.floor
 
 
 class TestPowerMemo:

@@ -17,6 +17,7 @@ from ultrametrica.valuegroup import (
     MAX_SQUAREFREE,
     FreeRadius,
     Ordering,
+    RadiusProfile,
     RationalRadius,
     Weight,
     ceil_weight,
@@ -215,6 +216,21 @@ class TestProfiles:
         # ceil(2 * (1 + sqrt 2)) = 5, ceil(2 * (1 + sqrt2 + sqrt3)) = 9
         assert prof1.sigma_s == 5
         assert prof2.sigma_s == 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 2))
+    def test_base_is_built_once(self, p, kind, cap):
+        radii = [[], [FreeRadius(2)], [FreeRadius(2), FreeRadius(3)],
+                 [RationalRadius(Fraction(1))], [FreeRadius(3), RationalRadius(Fraction(1, 2))]]
+        prof = make_profile(p, radii[kind], max_denom_log=8 + cap)
+        base = prof.base()
+        assert base is prof.base() and base.base() is base
+        assert (base is prof) == (prof.n == 0)
+        fresh = RadiusProfile(p, (), prof.sigma_s, prof.max_denom_log)
+        assert base == fresh and fresh == base and hash(base) == hash(fresh)
+        assert repr(base) == repr(fresh)
+        assert prof == make_profile(p, radii[kind], max_denom_log=8 + cap)
+        assert (prof != fresh) == (prof.n > 0)
 
     def test_lift(self, prof1):
         base = prof1.base()
