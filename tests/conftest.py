@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -187,3 +188,64 @@ def ref_evaluate(f, images, p):
             key = (t, tuple(xs))
             out[key] = (out.get(key, 0) + c) % p
     return {k: c for k, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# References for the laws in test_laws.py.  They read elements only through
+# their Fraction views (terms, Value.a and Value.q) and call no library
+# function: weights are summed here and signed by decimal arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def ref_sign(rational, irr):
+    """Sign of rational + sum c_d sqrt(d) over distinct squarefree d: zero
+    exactly when every coefficient is zero (the square roots are linearly
+    independent over Q), else the sign of a 100-digit decimal sum, far
+    finer than any gap between the small weights the laws draw."""
+    if rational == 0 and not any(irr.values()):
+        return 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        total = decimal.Decimal(rational.numerator) / rational.denominator
+        for d, c in irr.items():
+            total += decimal.Decimal(c.numerator) / c.denominator * decimal.Decimal(d).sqrt()
+    return (total > 0) - (total < 0)
+
+
+def ref_weight(ds, a, xs):
+    """Weight of |t|**a x**xs over free radii sqrt(d), d in ds: (a, {d: x})."""
+    return Fraction(a), {d: Fraction(x) for d, x in zip(ds, xs)}
+
+
+def ref_weight_cmp(ds, u, v):
+    """Sign of weight(u) - weight(v) for exponent pairs u = (a, xs), v."""
+    (ru, iu), (rv, iv) = ref_weight(ds, *u), ref_weight(ds, *v)
+    return ref_sign(ru - rv, {d: iu[d] - iv[d] for d in ds})
+
+
+def ref_leading_key(ds, keys):
+    """The key (a, xs) of smallest weight, i.e. of largest norm; under free
+    radii it is unique."""
+    best = None
+    for k in keys:
+        if best is None or ref_weight_cmp(ds, k, best) < 0:
+            best = k
+    return best
+
+
+def ref_tate_scaled(f, scale):
+    """Raw data of the Tate element f with every exponent multiplied by
+    scale: ({e: (coefficient terms, coefficient floor exponent)}, floor
+    exponent), a floor exponent being None for the zero floor."""
+    def floor_exp(v):
+        return None if v.zero else v.a * scale
+
+    terms = {tuple(x * scale for x in e): (
+        {(t * scale, ()): c for (t, _), c in coeff.terms.items()}, floor_exp(coeff.floor))
+        for e, coeff in f.terms.items()}
+    return terms, floor_exp(f.floor)
+
+
+def ref_tate_raw(f):
+    """The same raw data of f, unscaled."""
+    return ref_tate_scaled(f, 1)
