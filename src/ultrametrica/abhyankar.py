@@ -105,9 +105,9 @@ def factor_temkin(pt: TowerPoint) -> TemkinFactorization:
 
 
 def _free_class(v: Value):
-    """Class of |v| in R_{>0} / sqrt(|K^x|): the free-radius exponent vector."""
-    w = weight_of(v)
-    return dict(w.irrational)
+    """Class of |v| in R_{>0} / sqrt(|K^x|): the free-radius exponent vector
+    (integers over the weight's denominator, which scales no rank)."""
+    return dict(weight_of(v).irr)
 
 
 def _rank(vectors) -> int:

@@ -126,7 +126,7 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        live = [d for d, c in self.coeffs.items() if c.terms or not c.floor.zero]
+        live = [d for d, c in self.coeffs.items() if c._terms or not c.floor.zero]
         return max(live, default=-1)
 
 

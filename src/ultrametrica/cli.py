@@ -207,7 +207,7 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
             beta, shift = rescale_into_window(beta)
             record["rescaled_by"] = shift
             record["beta_digest"] = _beta_digest(beta)
-            record["beta_terms"] = len(beta.terms)
+            record["beta_terms"] = len(beta._terms)
             result = reconstruct_preimage(spec, beta, steps)
             ok = True
             prev = None

@@ -32,6 +32,8 @@ from .errors import (
 from .series import (
     AdaptedCertificate,
     SeriesElement,
+    _monomial,
+    _numerator,
     divide,
     gauss_norm,
     group_by_x,
@@ -57,6 +59,7 @@ from .tatealg import (
     tate_monomial,
 )
 from .valuegroup import (
+    ExponentKeys,
     RadiusProfile,
     Weight,
     ceil_weight,
@@ -70,6 +73,7 @@ from .valuegroup import (
     value_le,
     value_lt,
     value_max,
+    value_mul,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -328,7 +332,7 @@ def _series_weight(f: SeriesElement) -> Weight:
 
 def _check_monomials(V):
     for v in V:
-        if len(v.terms) != 1 or not v.floor.zero:
+        if len(v._terms) != 1 or not v.floor.zero:
             raise InputValidationError("V entries must be exact monomials")
         if _series_weight(v).sign() <= 0:
             raise WindowError("every |V_k| must be < 1")
@@ -394,7 +398,7 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
         if h is None:
             raise InvariantViolationError("well-order emitted a non-member")
         W = _lattice_monomial(profile, V, h)
-        wW = _series_weight(W) if W.terms else Weight(Fraction(0))
+        wW = _series_weight(W) if W._terms else Weight(0)
         if mode == "alpha":
             gamma = _pick_e_alpha(profile, wW)
         else:
@@ -486,7 +490,9 @@ def build_gmultivar(profile: RadiusProfile, V, depth: int, rule=None):
     """Gleason element for the lattice spanned by the monomials V."""
     _check_monomials(V)
     if rule is None:
-        rule = IndependentRep([xs for v in V for (_, xs) in v.terms], profile.p)
+        D = profile.den
+        rule = IndependentRep([tuple(Fraction(x, D) for x in xs)
+                               for v in V for (_, xs) in v._terms], profile.p)
     well = WellOrder(profile.n, profile.p, rule)
     schedule = build_schedule(profile, tuple(V), well, depth, mode="alpha")
     return schedule, schedule.element()
@@ -502,7 +508,7 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
     """
     if profile.n != 1 or not profile.is_free:
         raise InputValidationError("build_gminus needs one free radius")
-    if c.profile != profile.base() or len(c.terms) != 1:
+    if c.profile != profile.base() or len(c._terms) != 1:
         raise InputValidationError("c must be a base-field monomial")
     cx_inv = mul(lift_base(c, profile), monomial(profile, 1, 0, (-1,)))
     w = _series_weight(cx_inv)
@@ -543,9 +549,11 @@ class SurjectionSpec:
     adapted-element oracle with min-zero canonical representations; well is
     the schedule's well-order, grown lazily past the depth by DepthError.
 
-    _answers memoizes the oracle's answer per exponent q for up to
-    _ANSWER_MEMO_CAP exponents (a DepthError is never stored); an answer
-    depends only on q and the immutable spec, so it behaves as if absent.
+    _memo keeps the oracle's answer per exponent q, keyed by q's
+    numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
+    exponents (a DepthError is never stored); an answer depends only on q
+    and the immutable spec, so it behaves as if absent.  _answers reads
+    the memo with Fraction exponents.
     """
 
     n: int
@@ -555,7 +563,11 @@ class SurjectionSpec:
     schedule: GleasonSchedule
     G: SeriesElement
     well: WellOrder = field(compare=False, repr=False)
-    _answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def _answers(self) -> ExponentKeys:
+        return ExponentKeys(self._memo, self.profile.den)
 
     @property
     def num_vars(self) -> int:
@@ -592,14 +604,20 @@ class SurjectionSpec:
         return OracleAnswer(self.schedule.preimage(m), image, cert)
 
     def __call__(self, q) -> OracleAnswer:
+        """The answer for the rational exponent q."""
         q = tuple(Fraction(x) for x in q)
         if len(q) != self.n:
             raise InputValidationError(f"exponent arity {len(q)}, expected {self.n}")
-        ans = self._answers.get(q)
+        return self.answer(tuple(_numerator(self.profile, x) for x in q))
+
+    def answer(self, qn) -> OracleAnswer:
+        """The answer for the exponent with numerators qn over D."""
+        ans = self._memo.get(qn)
         if ans is None:
+            q = tuple(Fraction(x, self.profile.den) for x in qn)
             ans = self.monomial_answer(q, self.well.rule.rep(q)) or self.schedule_answer(q)
-            if len(self._answers) < _ANSWER_MEMO_CAP:
-                self._answers[q] = ans
+            if len(self._memo) < _ANSWER_MEMO_CAP:
+                self._memo[qn] = ans
         return ans
 
 
@@ -649,7 +667,8 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 
 
 def divide_step(oracle, beta: SeriesElement, m: int):
-    """One division pass: clear every term of beta with norm >= |pi|**(m+1) s.
+    """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
+    asking oracle.answer(qn) for each x exponent (numerators qn over D).
 
     Returns (f, residual) with residual = beta - phi(f),
     |residual| <= |pi|**(m+1) s and |f| <= |pi|**m.  When beta carries a
@@ -659,9 +678,9 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     """
     profile = beta.profile
     base = profile.base()
-    sigma_s = profile.sigma_s
-    upper = t_power(profile, m + sigma_s)
-    cut = t_power(profile, m + 1 + sigma_s)
+    s = s_value(profile)
+    upper = value_mul(t_power(profile, m), s)
+    cut = value_mul(t_power(profile, m + 1), s)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
@@ -671,12 +690,13 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     restriction = res_ge(beta, cut)
     groups = group_by_x(restriction)
     bound_m = t_power(base, m)
-    target = t_power(base, m + 1 + sigma_s)
+    target = value_mul(t_power(base, m + 1), s_value(base))
     parts, images = [], []
-    for q, b_series in sorted(groups.items()):
+    for qn, b_series in sorted(groups.items()):
         try:
-            ans = oracle(q)
+            ans = oracle.answer(qn)
         except DepthError as exc:
+            q = tuple(Fraction(x, profile.den) for x in qn)
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
         c_series = ans.certificate.b_q
         d = divide(b_series, c_series, target_floor=target)
@@ -702,14 +722,15 @@ class PreimageResult:
 def rescale_into_window(beta: SeriesElement):
     """Multiply by an integer power of pi so that |beta| <= s; returns
     (rescaled, k) with rescaled = t**k * beta."""
+    profile = beta.profile
     nb = gauss_norm(beta)
     if nb is None:
         return beta, 0
-    gap = Weight(beta.profile.sigma_s).sub(weight_of(nb))
+    gap = weight_of(s_value(profile)).sub(weight_of(nb))
     k = max(0, ceil_weight(gap))
     if k == 0:
         return beta, 0
-    return mul(monomial(beta.profile, 1, k), beta), k
+    return mul(_monomial(profile, 1, k * profile.den, profile._one.qn), beta), k
 
 
 def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageResult:

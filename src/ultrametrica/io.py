@@ -1,9 +1,11 @@
 """JSON serialization for all wire formats.
 
 Fractions render as "num/den" strings (p-power denominators where the
-format requires them); exponent vectors as string lists.  Parsing
-validates against the profile invariants and raises
-InputValidationError with the offending path.
+format requires them); exponent vectors as string lists.  Exponents
+stored as integer numerators over a denominator render the same way,
+and their keys sort as their Fractions do.  Parsing validates against
+the profile invariants and raises InputValidationError with the
+offending path.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from math import gcd
 
 from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
@@ -31,6 +34,13 @@ from .valuegroup import (
 
 def frac_to_str(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def ratio_to_str(num: int, den: int) -> str:
+    """num / den (den > 0) as frac_to_str writes it, in lowest terms."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def frac_from_str(s) -> Fraction:
@@ -109,7 +119,7 @@ _ZERO = {"zero": True}
 def value_to_json(v: Value) -> dict:
     if v.zero:
         return {"zero": True}
-    return {"a": frac_to_str(v.a), "q": [frac_to_str(x) for x in v.q]}
+    return {"a": ratio_to_str(v.an, v.den), "q": [ratio_to_str(x, v.den) for x in v.qn]}
 
 
 @parse_guard
@@ -128,11 +138,12 @@ def value_from_json(data: dict, profile: RadiusProfile) -> Value:
 
 
 def series_to_json(f: SeriesElement, include_profile: bool = True) -> dict:
+    D = f.profile.den
     out = {
         "floor": value_to_json(f.floor),
         "terms": [
-            {"t": frac_to_str(t), "x": [frac_to_str(e) for e in xs], "c": c}
-            for (t, xs), c in sorted(f.terms.items())
+            {"t": ratio_to_str(t, D), "x": [ratio_to_str(e, D) for e in xs], "c": c}
+            for (t, xs), c in sorted(f._terms.items())
         ],
     }
     if include_profile:
@@ -159,16 +170,17 @@ def series_from_json(data: dict, profile: RadiusProfile = None) -> SeriesElement
 
 
 def tate_to_json(f: TateElement) -> dict:
+    D = f.base.den
     return {
         "m": f.m,
         "profile": profile_to_json(f.base),
         "floor": value_to_json(f.floor),
         "terms": [
             {
-                "e": [frac_to_str(x) for x in e],
+                "e": [ratio_to_str(x, D) for x in e],
                 "coeff": series_to_json(c, include_profile=False),
             }
-            for e, c in sorted(f.terms.items())
+            for e, c in sorted(f._terms.items())
         ],
     }
 
@@ -222,21 +234,6 @@ def point_from_json(data: dict):
 
 
 # -- towers -----------------------------------------------------------------
-
-
-def tower_to_json(pt: TowerPoint) -> list:
-    out = []
-    for c in pt.coords:
-        if isinstance(c, GaussCoordinate):
-            out.append(
-                {
-                    "gauss": value_to_json(c.radius),
-                    "radius_profile": profile_to_json(c.radius.profile),
-                }
-            )
-        else:
-            out.append({"type_iv": point_to_json(c.prefix)})
-    return out
 
 
 @parse_guard

@@ -25,10 +25,13 @@ from .errors import (
 from .valuegroup import (
     Ordering,
     RadiusProfile,
+    TermKeys,
     Value,
+    _value_pow,
+    _weight,
     compare,
     denom_log,
-    exponent_weight,
+    exponent_numerator,
     one_value,
     pi_value,
     s_value,
@@ -39,11 +42,11 @@ from .valuegroup import (
     value_max,
     value_mul,
     value_pow,
-    weight_of,
     zero_value,
 )
 
-# A term key is (t exponent, tuple of x exponents), all Fractions.
+# A term key is (t, xs): the t exponent and the tuple of x exponents, each
+# an integer numerator over the profile denominator D = profile.den.
 
 _UNSET = object()
 
@@ -52,42 +55,62 @@ _UNSET = object()
 class SeriesElement:
     """Terms above a norm floor; compared by value, never hashed.
 
-    terms belongs to the element and is never mutated after construction,
-    so gauss_norm may store its result in the derived _norm field, which
+    _terms maps each key (integer numerators over D) to its coefficient;
+    the terms property reads it with Fraction exponents.  _terms belongs
+    to the element and is never mutated after construction, so
+    gauss_norm may store its result in the derived _norm field, which
     takes no part in ==, repr or the JSON form.
     """
 
     profile: RadiusProfile
-    terms: dict
+    _terms: dict
     floor: Value
     _norm: object = field(default=_UNSET, init=False, compare=False, repr=False)
 
     __hash__ = None
 
+    @property
+    def terms(self) -> TermKeys:
+        return TermKeys(self._terms, self.profile.den)
+
     def __repr__(self):
-        items = sorted(self.terms.items())[:6]
+        items = self.terms.items()
         body = " + ".join(
             f"{c}*t^{t}" + "".join(f"*x{i+1}^{e}" for i, e in enumerate(xs) if e != 0)
-            for (t, xs), c in items
+            for (t, xs), c in sorted(items)[:6]
         )
-        more = "" if len(self.terms) <= 6 else f" (+{len(self.terms) - 6} terms)"
+        more = "" if len(items) <= 6 else f" (+{len(items) - 6} terms)"
         return f"Series[{body or '0'}{more}; floor={self.floor}]"
 
 
-def term_norm(profile: RadiusProfile, key) -> Value:
+def _key_norm(profile: RadiusProfile, key) -> Value:
     t, xs = key
-    return Value._raw(profile, t, xs)
+    return Value._raw(profile, t, xs, profile.den)
+
+
+def term_norm(profile: RadiusProfile, key) -> Value:
+    """The norm of a term with rational exponents key = (t, xs)."""
+    t, xs = key
+    return value(profile, t, xs)
 
 
 def _drop_below_floor(profile: RadiusProfile, terms: dict, floor: Value) -> dict:
     """The terms of norm >= floor: the one drop-below-cut rule for series."""
     if floor.zero or not terms:
         return terms
-    wf = weight_of(floor)
+    fa, fq, den = floor.an, floor.qn, floor.den
+    sub = operator.sub
     # term norm >= floor  <=>  term weight <= floor weight
+    s = den // profile.den
+    if s == 1:
+        return {
+            k: c for k, c in terms.items()
+            if _weight(profile, fa - k[0], map(sub, fq, k[1]), den).sign() >= 0
+        }
     return {
         k: c for k, c in terms.items()
-        if wf.sub(exponent_weight(profile, *k)).sign() >= 0
+        if _weight(profile, fa - k[0] * s, [y - x * s for y, x in zip(fq, k[1])],
+                   den).sign() >= 0
     }
 
 
@@ -96,19 +119,28 @@ def _build(profile: RadiusProfile, terms: dict, floor: Value) -> SeriesElement:
     return SeriesElement(profile, _drop_below_floor(profile, terms, floor), floor)
 
 
-def _cap_error(profile: RadiusProfile, e: Fraction) -> DenominatorCapError:
+def _cap_error(profile: RadiusProfile, e: Fraction, what: str = "exponent"):
+    """The DenominatorCapError for e; it names e's denominator as a power
+    of p, since at the largest caps e has more digits than str() writes."""
     return DenominatorCapError(
-        f"exponent {e} exceeds denominator cap p**{profile.max_denom_log}"
+        f"{what} with denominator p**{denom_log(e, profile.p)} exceeds the cap"
+        f" p**{profile.max_denom_log}"
     )
 
 
-def _check_exponent(profile: RadiusProfile, e: Fraction):
-    if denom_log(e, profile.p) > profile.max_denom_log:
+def _numerator(profile: RadiusProfile, e: Fraction) -> int:
+    """The exponent e as its numerator over D.  A denominator that is no
+    power of p is an input error; a power of p above the cap raises
+    DenominatorCapError."""
+    n = exponent_numerator(profile.den, e)
+    if n is None:
         raise _cap_error(profile, e)
+    return n
 
 
 def make_series(profile: RadiusProfile, terms, floor: Value = None) -> SeriesElement:
-    """Canonical constructor: normalizes coefficients, enforces the floor."""
+    """Canonical constructor from rational exponents: normalizes
+    coefficients, enforces the cap and the floor."""
     if floor is None:
         floor = zero_value(profile)
     if floor.profile != profile:
@@ -121,13 +153,10 @@ def make_series(profile: RadiusProfile, terms, floor: Value = None) -> SeriesEle
             raise InputValidationError(
                 f"term has {len(xs)} x-exponents, profile has n={profile.n}"
             )
-        _check_exponent(profile, t)
-        for x in xs:
-            _check_exponent(profile, x)
+        k = (_numerator(profile, t), tuple(_numerator(profile, x) for x in xs))
         c = c % profile.p
         if c == 0:
             continue
-        k = (t, xs)
         c0 = clean.get(k, 0)
         c = (c0 + c) % profile.p
         if c == 0:
@@ -147,13 +176,19 @@ def monomial(profile: RadiusProfile, coeff: int, t_exp, x_exps=None) -> SeriesEl
     return make_series(profile, {(Fraction(t_exp), tuple(x_exps)): coeff})
 
 
+def _monomial(profile: RadiusProfile, coeff: int, t: int, xs: tuple) -> SeriesElement:
+    """Exact coeff * t**(t/D) * x**(xs/D) from numerators over D."""
+    c = coeff % profile.p
+    return SeriesElement(profile, {(t, xs): c} if c else {}, profile._zero)
+
+
 def one(profile: RadiusProfile) -> SeriesElement:
-    return monomial(profile, 1, 0)
+    return _monomial(profile, 1, 0, profile._one.qn)
 
 
 def with_floor(f: SeriesElement, floor: Value) -> SeriesElement:
     """Coarsen f's floor to max(old, new), dropping buried terms."""
-    return _build(f.profile, dict(f.terms), value_max(f.floor, floor))
+    return _build(f.profile, dict(f._terms), value_max(f.floor, floor))
 
 
 def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
@@ -162,12 +197,13 @@ def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
         return f
     if f.profile.n != 0 or not profile.extends(f.profile):
         raise ProfileMismatchError("can only lift base-field elements into extensions")
-    pad = (Fraction(0),) * profile.n
-    return _build(
-        profile,
-        {(t, pad): c for (t, _), c in f.terms.items()},
-        value_lift(f.floor, profile),
-    )
+    pad, D = profile._one.qn, f.profile.den
+    if profile.den == D:
+        terms = {(t, pad): c for (t, _), c in f._terms.items()}
+    else:  # a profile with another cap: re-express each exponent over its D
+        terms = {(_numerator(profile, Fraction(t, D)), pad): c
+                 for (t, _), c in f._terms.items()}
+    return _build(profile, terms, value_lift(f.floor, profile))
 
 
 def _require_profile(f: SeriesElement, profile: RadiusProfile):
@@ -191,9 +227,9 @@ def series_sum(profile: RadiusProfile, fs) -> SeriesElement:
     for f in fs:
         _require_profile(f, profile)
         if terms is None:
-            terms, floor = dict(f.terms), f.floor
+            terms, floor = dict(f._terms), f.floor
             continue
-        for k, c in f.terms.items():
+        for k, c in f._terms.items():
             s = (terms.get(k, 0) + c) % p
             if s == 0:
                 terms.pop(k, None)
@@ -210,7 +246,7 @@ def add(f: SeriesElement, g: SeriesElement) -> SeriesElement:
 def neg(f: SeriesElement) -> SeriesElement:
     p = f.profile.p
     return SeriesElement(
-        f.profile, {k: (p - c) % p for k, c in f.terms.items()}, f.floor
+        f.profile, {k: (p - c) % p for k, c in f._terms.items()}, f.floor
     )
 
 
@@ -253,22 +289,23 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     _require_profile(g, f.profile)
     profile = f.profile
     p = profile.p
+    add = operator.add
     floor = product_floor(f, g, gauss_norm, gauss_norm)
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        one_term, other = (f, g) if len(f.terms) == 1 else (g, f)
-        ((t1, xs1), c1), = one_term.terms.items()
+    if len(f._terms) == 1 or len(g._terms) == 1:
+        one_term, other = (f, g) if len(f._terms) == 1 else (g, f)
+        ((t1, xs1), c1), = one_term._terms.items()
         h = _build(profile, {
-            (t1 + t, tuple(map(operator.add, xs1, xs))): c1 * c % p
-            for (t, xs), c in other.terms.items()
+            (t1 + t, tuple(map(add, xs1, xs))): c1 * c % p
+            for (t, xs), c in other._terms.items()
         }, floor)
         n = other._norm
         if n is not _UNSET and n is not None:
-            object.__setattr__(h, "_norm", value_mul(term_norm(profile, (t1, xs1)), n))
+            object.__setattr__(h, "_norm", value_mul(_key_norm(profile, (t1, xs1)), n))
         return h
     terms = {}
-    for (t1, xs1), c1 in f.terms.items():
-        for (t2, xs2), c2 in g.terms.items():
-            k = (t1 + t2, tuple(map(operator.add, xs1, xs2)))
+    for (t1, xs1), c1 in f._terms.items():
+        for (t2, xs2), c2 in g._terms.items():
+            k = (t1 + t2, tuple(map(add, xs1, xs2)))
             s = (terms.get(k, 0) + c1 * c2) % p
             if s == 0:
                 terms.pop(k, None)
@@ -282,37 +319,38 @@ def scale(f: SeriesElement, coeff: int) -> SeriesElement:
     if coeff == 0:
         return series_zero(f.profile, f.floor)
     return SeriesElement(
-        f.profile, {k: (c * coeff) % f.profile.p for k, c in f.terms.items()}, f.floor
+        f.profile, {k: (c * coeff) % f.profile.p for k, c in f._terms.items()}, f.floor
     )
 
 
 def gauss_norm(f: SeriesElement):
     """Max term norm, or None when the element is below its floor.
-    Tied terms (possible under rational radii) give the first key's norm.
+    Tied terms (possible under rational radii) give the first key's norm;
+    as a term's norm, its exponents lie over D.
 
     Taken once per element and stored on it (see SeriesElement)."""
     n = f._norm
     if n is not _UNSET:
         return n
-    n = term_norm(f.profile, _leading_keys(f)[0]) if f.terms else None
+    n = _key_norm(f.profile, _leading_keys(f)[0]) if f._terms else None
     object.__setattr__(f, "_norm", n)
     return n
 
 
 def _leading_keys(f: SeriesElement):
     """The keys of maximal norm, in dict order."""
-    if not f.terms:
+    if not f._terms:
         raise InputValidationError("element has no terms above its floor")
-    best_w = None
+    profile, den, sub = f.profile, f.profile.den, operator.sub
+    best = None
     keys = []
-    for k in f.terms:
-        w = exponent_weight(f.profile, *k)
-        if best_w is None:
-            best_w, keys = w, [k]
+    for k in f._terms:
+        if best is None:
+            best, keys = k, [k]
             continue
-        s = best_w.sub(w).sign()
+        s = _weight(profile, best[0] - k[0], map(sub, best[1], k[1]), den).sign()
         if s > 0:  # smaller weight: larger norm
-            best_w, keys = w, [k]
+            best, keys = k, [k]
         elif s == 0:
             keys.append(k)
     return keys
@@ -325,11 +363,11 @@ def leading_part(f: SeriesElement) -> SeriesElement:
         raise InvariantViolationError(
             "leading-term tie under a free profile (should be impossible)"
         )
-    return _build(f.profile, {k: f.terms[k] for k in keys}, zero_value(f.profile))
+    return _build(f.profile, {k: f._terms[k] for k in keys}, zero_value(f.profile))
 
 
-def argnorm(f: SeriesElement):
-    """Exponent key (t, xs) of the unique maximal-norm term."""
+def _argnorm(f: SeriesElement):
+    """Key (numerators over D) of the unique maximal-norm term."""
     keys = _leading_keys(f)
     if len(keys) > 1:
         if f.profile.is_free:
@@ -338,6 +376,13 @@ def argnorm(f: SeriesElement):
             )
         raise LeadingTermTieError(f"{len(keys)} terms tie for the maximal norm")
     return keys[0]
+
+
+def argnorm(f: SeriesElement):
+    """Exponent key (t, xs) of the unique maximal-norm term, in Fractions."""
+    t, xs = _argnorm(f)
+    D = f.profile.den
+    return Fraction(t, D), tuple(Fraction(x, D) for x in xs)
 
 
 def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
@@ -353,10 +398,10 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
     nf = gauss_norm(f)
     if nf is None:
         raise FloorTooCoarseError("cannot invert an element below its floor")
-    (t0, xs0) = argnorm(f)
-    c0 = f.terms[(t0, xs0)]
+    (t0, xs0) = _argnorm(f)
+    c0 = f._terms[(t0, xs0)]
     cinv = pow(c0, p - 2, p) if p > 2 else 1
-    m_inv = monomial(profile, cinv, -t0, tuple(-x for x in xs0))
+    m_inv = _monomial(profile, cinv, -t0, tuple(-x for x in xs0))
     h = sub(one(profile), mul(m_inv, f))
     nh = gauss_norm(h)
     inv_nf = value_pow(nf, -1)
@@ -379,7 +424,7 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
     acc = one(profile)
     h_pow = h
     covered = 1
-    while covered < n_steps + 1 and h_pow.terms:
+    while covered < n_steps + 1 and h_pow._terms:
         acc = add(acc, mul(acc, h_pow))
         h_pow = mul(h_pow, h_pow)
         covered *= 2
@@ -389,7 +434,7 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
 def frobenius(f: SeriesElement) -> SeriesElement:
     """x -> x**p on exponents; F_p coefficients are fixed."""
     p = f.profile.p
-    terms = {(t * p, tuple(x * p for x in xs)): c for (t, xs), c in f.terms.items()}
+    terms = {(t * p, tuple(x * p for x in xs)): c for (t, xs), c in f._terms.items()}
     floor = f.floor if f.floor.zero else value_pow(f.floor, p)
     return _build(f.profile, terms, floor)
 
@@ -397,24 +442,23 @@ def frobenius(f: SeriesElement) -> SeriesElement:
 def root_pk(f: SeriesElement, k: int) -> SeriesElement:
     """Exact p**k-th root in one pass: exponents and floor divide by p**k.
 
-    Raises DenominatorCapError exactly when k successive pth_root calls
-    would.  Exponent denominators are p-powers and their p-log never
-    decreases under a further root, so the final exponents decide every
-    intermediate step.
+    An exponent stays within the cap exactly when p**k divides its
+    numerator over D, so this raises DenominatorCapError exactly when k
+    successive pth_root calls would: exponent denominators are p-powers
+    and their p-log never decreases under a further root, so the final
+    exponents decide every intermediate step.
     """
     if k < 0:
         raise InputValidationError(f"root order p**{k} needs k >= 0")
     profile = f.profile
     pk = profile.p ** k
-    cap = profile.p ** profile.max_denom_log
     terms = {}
-    for (t, xs), c in f.terms.items():
-        key = (t / pk, tuple(x / pk for x in xs))
-        for e in (key[0], *key[1]):
-            if e.denominator > cap:
-                raise _cap_error(profile, e)
-        terms[key] = c
-    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, pk))
+    for (t, xs), c in f._terms.items():
+        for e in (t, *xs):
+            if e % pk:
+                raise _cap_error(profile, Fraction(e, profile.den * pk))
+        terms[(t // pk, tuple(x // pk for x in xs))] = c
+    floor = f.floor if f.floor.zero else _value_pow(f.floor, 1, pk)
     return _build(profile, terms, floor)
 
 
@@ -427,29 +471,33 @@ def res_ge(f: SeriesElement, cut: Value) -> SeriesElement:
     """The finite sub-sum of terms with norm >= cut (exact)."""
     if value_lt(cut, f.floor):
         raise FloorTooCoarseError("res_ge cut lies below the element's floor")
-    kept = _drop_below_floor(f.profile, f.terms, cut)
+    kept = _drop_below_floor(f.profile, f._terms, cut)
     return _build(f.profile, kept, zero_value(f.profile))
 
 
-def x_part(key) -> tuple:
-    return key[1]
+def _x_numerators(profile: RadiusProfile, q: tuple):
+    """The rational x exponents q as numerators over D, or None when one
+    lies outside D**-1 * Z (then no term has them)."""
+    nums = tuple(exponent_numerator(profile.den, x) for x in q)
+    return None if None in nums else nums
 
 
 def coefficient_at(f: SeriesElement, q) -> SeriesElement:
-    """The base-field coefficient of x**q (terms with x-part q)."""
-    q = tuple(Fraction(x) for x in q)
+    """The base-field coefficient of x**q (terms with rational x-part q)."""
+    qn = _x_numerators(f.profile, tuple(Fraction(x) for x in q))
     base = f.profile.base()
     terms = {
-        (t, ()): c for (t, xs), c in f.terms.items() if xs == q
+        (t, ()): c for (t, xs), c in f._terms.items() if xs == qn
     }
     return _build(base, terms, zero_value(base))
 
 
 def group_by_x(f: SeriesElement):
-    """Map x-exponent vector -> base-field coefficient series (exact)."""
+    """Map x-exponent numerators over D -> base-field coefficient series
+    (exact)."""
     base = f.profile.base()
     groups = {}
-    for (t, xs), c in f.terms.items():
+    for (t, xs), c in f._terms.items():
         groups.setdefault(xs, {})[(t, ())] = c
     zero = zero_value(base)
     return {q: _build(base, terms, zero) for q, terms in groups.items()}
@@ -475,14 +523,31 @@ def series_frac_pow(g: SeriesElement, e) -> SeriesElement:
         raise InputValidationError("fractional powers only for e >= 0 here")
     if e == 0:
         return one(g.profile)
-    p = g.profile.p
-    k = denom_log(e, p)
-    u = int(e * p**k)
-    if len(g.terms) == 1 and g.floor.zero:
+    return _root_pow(g, e.numerator, denom_log(e, g.profile.p))
+
+
+def _root_pow(g: SeriesElement, u: int, k: int) -> SeriesElement:
+    """g**(u / p**k) for u > 0 and u / p**k in lowest terms."""
+    profile = g.profile
+    p = profile.p
+    if len(g._terms) == 1 and g.floor.zero:
         # Monomial fast path: c**(u/p**k) = c**u since c**p = c in F_p.
-        ((t, xs), c), = g.terms.items()
-        return monomial(g.profile, pow(c, u, p), t * e, tuple(x * e for x in xs))
+        ((t, xs), c), = g._terms.items()
+        pk = p**k
+        for e in (t, *xs):
+            if e * u % pk:
+                raise _cap_error(profile, Fraction(e * u, profile.den * pk))
+        return _monomial(profile, pow(c, u, p), t * u // pk, tuple(x * u // pk for x in xs))
     return root_pk(series_int_pow(g, u), k)
+
+
+def _pow_num(g: SeriesElement, en: int) -> SeriesElement:
+    """g**(en / D) for a numerator en > 0 over the profile denominator D."""
+    p, k = g.profile.p, g.profile.max_denom_log
+    while k and en % p == 0:
+        en //= p
+        k -= 1
+    return _root_pow(g, en, k)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +600,9 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
     else:
         nbq_lifted = value_mul(value_lift(nbq, profile), value(profile, 0, q))
         check2 = compare(nbq_lifted, nb) is Ordering.EQUAL
+    qn = _x_numerators(profile, q)
     tail_terms = {
-        k: c for k, c in beta.terms.items() if x_part(k) != q
+        k: c for k, c in beta._terms.items() if k[1] != qn
     }
     tail = _build(profile, tail_terms, zero_value(profile))
     tail_norm = gauss_norm(tail)
@@ -551,17 +617,17 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
 
 def div_exact_monomial(b: SeriesElement, c: SeriesElement) -> SeriesElement:
     """b / c for a single-term divisor c, exactly."""
-    if len(c.terms) != 1:
+    if len(c._terms) != 1:
         raise InputValidationError("divisor is not a monomial")
     p = b.profile.p
-    ((t0, xs0), c0), = c.terms.items()
+    ((t0, xs0), c0), = c._terms.items()
     cinv = pow(c0, p - 2, p) if p > 2 else 1
-    return mul(b, monomial(b.profile, cinv, -t0, tuple(-x for x in xs0)))
+    return mul(b, _monomial(b.profile, cinv, -t0, tuple(-x for x in xs0)))
 
 
 def divide(b: SeriesElement, c: SeriesElement, target_floor: Value = None) -> SeriesElement:
     """b / c; exact when c is a monomial, else via invert at target_floor."""
-    if len(c.terms) == 1 and c.floor.zero:
+    if len(c._terms) == 1 and c.floor.zero:
         return div_exact_monomial(b, c)
     if target_floor is None:
         raise InputValidationError("non-monomial division requires a target floor")

@@ -13,10 +13,12 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DenominatorCapError, InputValidationError, ProfileMismatchError
+from .errors import InputValidationError, ProfileMismatchError
 from .series import (
     SeriesElement,
     _build,
+    _cap_error,
+    _pow_num,
     add,
     frobenius,
     gauss_norm,
@@ -25,13 +27,15 @@ from .series import (
     one,
     product_floor,
     pth_root,
-    series_frac_pow,
     series_sum,
 )
 from .valuegroup import (
+    ExponentKeys,
     RadiusProfile,
     Value,
-    denom_log,
+    _value,
+    _value_pow,
+    exponent_numerator,
     one_value,
     value_le,
     value_lift,
@@ -46,20 +50,26 @@ from .valuegroup import (
 class TateElement:
     """Coefficients above a norm floor; compared by value, never hashed.
 
-    terms belongs to the element and is never mutated after
-    construction, and neither are its coefficients (whose Gauss norms
-    are stored on them).
+    _terms maps each exponent tuple (integer numerators over the base
+    denominator D) to its coefficient; the terms property reads it with
+    Fraction exponents.  _terms belongs to the element and is never
+    mutated after construction, and neither are its coefficients (whose
+    Gauss norms are stored on them).
     """
 
     m: int
     base: RadiusProfile  # n = 0 profile of the coefficients
-    terms: dict          # exponent tuple -> SeriesElement over base
+    _terms: dict         # exponent numerators -> SeriesElement over base
     floor: Value         # base-profile Value
 
     __hash__ = None
 
+    @property
+    def terms(self) -> ExponentKeys:
+        return ExponentKeys(self._terms, self.base.den)
+
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self._terms)
         return f"Tate[{self.m} vars, {n} terms; floor={self.floor}]"
 
 
@@ -75,11 +85,15 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
         e = tuple(Fraction(x) for x in e)
         if len(e) != m:
             raise InputValidationError(f"exponent tuple has arity {len(e)}, want {m}")
+        nums = []
         for x in e:
             if x < 0:
                 raise InputValidationError("Tate exponents must be >= 0")
-            if denom_log(x, base.p) > base.max_denom_log:
-                raise DenominatorCapError(f"Tate exponent {x} exceeds the cap")
+            n = exponent_numerator(base.den, x)
+            if n is None:
+                raise _cap_error(base, x, "Tate exponent")
+            nums.append(n)
+        e = tuple(nums)
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
         summed[e] = add(summed[e], c) if e in summed else c
@@ -132,9 +146,9 @@ def t_sum(m: int, base: RadiusProfile, fs) -> TateElement:
     for f in fs:
         _require_compatible(f, m, base)
         if terms is None:
-            terms, floor = dict(f.terms), f.floor
+            terms, floor = dict(f._terms), f.floor
             continue
-        for e, c in f.terms.items():
+        for e, c in f._terms.items():
             prev = terms.get(e)
             if prev is None:
                 terms[e] = c
@@ -154,15 +168,15 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
 
 def t_gauss_norm(f: TateElement):
     """Sup of coefficient norms (all radii are 1), or None below floor."""
-    norms = [nc for nc in map(gauss_norm, f.terms.values()) if nc is not None]
+    norms = [nc for nc in map(gauss_norm, f._terms.values()) if nc is not None]
     return value_max(*norms) if norms else None
 
 
 def t_mul(f: TateElement, g: TateElement) -> TateElement:
     _require_compatible(g, f.m, f.base)
     terms = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f._terms.items():
+        for e2, c2 in g._terms.items():
             e = tuple(map(operator.add, e1, e2))
             c = mul(c1, c2)
             terms[e] = add(terms[e], c) if e in terms else c
@@ -175,21 +189,30 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
     floor = product_floor(f, d, t_gauss_norm, gauss_norm)
-    return _build_tate(f.m, f.base, {e: mul(c, d) for e, c in f.terms.items()}, floor)
+    return _build_tate(f.m, f.base, {e: mul(c, d) for e, c in f._terms.items()}, floor)
 
 
 def t_frobenius(f: TateElement) -> TateElement:
     p = f.base.p
-    terms = {tuple(x * p for x in e): frobenius(c) for e, c in f.terms.items()}
+    terms = {tuple(x * p for x in e): frobenius(c) for e, c in f._terms.items()}
     floor = f.floor if f.floor.zero else value_pow(f.floor, p)
-    return make_tate(f.m, f.base, terms, floor)
+    return _build_tate(f.m, f.base, terms, floor)
 
 
 def t_pth_root(f: TateElement) -> TateElement:
+    """Exponents and floor divide by p.  Every coefficient's root is taken
+    before the Tate exponents are checked, so a coefficient exponent
+    leaving the cap is reported first."""
     p = f.base.p
-    terms = {tuple(x / p for x in e): pth_root(c) for e, c in f.terms.items()}
-    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, p))
-    return make_tate(f.m, f.base, terms, floor)
+    roots = [(e, pth_root(c)) for e, c in f._terms.items()]
+    terms = {}
+    for e, c in roots:
+        for x in e:
+            if x % p:
+                raise _cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
+        terms[tuple(x // p for x in e)] = c
+    floor = f.floor if f.floor.zero else _value_pow(f.floor, 1, p)
+    return _build_tate(f.m, f.base, terms, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +228,10 @@ _POWER_MEMO_CAP = 512
 class HomSpec:
     """Images of T_1..T_m inside one target series field, all of norm <= 1.
 
-    _powers memoizes power(i, e) for up to _POWER_MEMO_CAP pairs (i, e);
-    the images are immutable, so it behaves as if absent.
+    _powers memoizes images[i]**(en / D) per pair (i, en), en the
+    exponent's numerator over the profile denominator D, for up to
+    _POWER_MEMO_CAP pairs; the images are immutable, so it behaves as if
+    absent.
     """
 
     images: tuple
@@ -240,11 +265,21 @@ class HomSpec:
         return tuple(map(gauss_norm, self.images))
 
     def power(self, i: int, e) -> SeriesElement:
-        """images[i]**e, exact (series_frac_pow), for e in Z[1/p]_{>=0}."""
-        key = (i, e)
+        """images[i]**e, exact, for e in Z[1/p]_{>=0} within the cap."""
+        e = Fraction(e)
+        if e < 0:
+            raise InputValidationError("fractional powers only for e >= 0 here")
+        en = exponent_numerator(self.profile.den, e)
+        if en is None:
+            raise _cap_error(self.profile, e)
+        return self._power(i, en) if en else one(self.profile)
+
+    def _power(self, i: int, en: int) -> SeriesElement:
+        """images[i]**(en / D) for a numerator en > 0 over D."""
+        key = (i, en)
         g = self._powers.get(key)
         if g is None:
-            g = series_frac_pow(self.images[i], e)
+            g = _pow_num(self.images[i], en)
             if len(self._powers) < _POWER_MEMO_CAP:
                 self._powers[key] = g
         return g
@@ -266,34 +301,36 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("target floor lives over the wrong profile")
     contribs = []
     skipped = False
+    D = profile.den
     image_norms = hom.image_norms
-    for e, c in f.terms.items():
+    for e, c in f._terms.items():
         nc = gauss_norm(c)
         if nc is None:
             skipped = True
             continue
-        # The bound as one Value: exponents e_i * |g_i| summed onto |c|; an
+        # The bound as one Value: |c| * prod |g_i|**(e_i / D), its exponents
+        # summed over D * D (a Gauss norm is a term's norm, over D); an
         # image below its floor leaves the term unbounded, so it is kept.
-        a, q = nc.a, profile._one.q
+        a, q = nc.an * D, profile._one.qn
         for ei, ni in zip(e, image_norms):
             if ei == 0:
                 continue
             if ni is None:
                 break
-            a += ni.a * ei
-            q = tuple(x + y * ei for x, y in zip(q, ni.q))
+            a += ei * ni.an
+            q = tuple(x + ei * y for x, y in zip(q, ni.qn))
         else:
-            if value_lt(Value._raw(profile, a, q), target_floor):
+            if value_lt(_value(profile, a, q, D * D), target_floor):
                 skipped = True
                 continue
         contrib = lift_base(c, profile)
         for i, ei in enumerate(e):
             if ei == 0:
                 continue
-            contrib = mul(contrib, hom.power(i, ei))
+            contrib = mul(contrib, hom._power(i, ei))
         contribs.append(contrib)
     acc = series_sum(profile, contribs)
     floor = value_lift(f.floor, profile)
     if skipped:
         floor = value_max(floor, target_floor)
-    return _build(profile, acc.terms, value_max(acc.floor, floor))
+    return _build(profile, acc._terms, value_max(acc.floor, floor))

@@ -16,16 +16,23 @@ independent over Q, which gives an exact zero test.  Nonzero signs are
 decided by interval refinement, doubling precision until the enclosing
 interval excludes zero; termination is guaranteed because the exact
 zero test runs first.
+
+Every exponent is an integer over one denominator.  Term exponents lie
+in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys,
+Values and Weights add, hash and compare as ints; a Value whose exponent
+needs a finer denominator carries lcm(D, its own).  Rationals enter
+through the public constructors and leave through read-only Fraction
+views.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InputValidationError, ProfileMismatchError, WindowError
 
@@ -108,16 +115,25 @@ class RadiusProfile:
 
     s = |t|**sigma_s is the threshold used by adaptedness checks;
     max_denom_log caps exponent denominators at p**max_denom_log.
-    The zero and one values of the profile and its n = 0 base profile
-    are derived once, here.
+    Derived once, here: the profile denominator den = p**max_denom_log,
+    over which every term exponent is an integer numerator; per radius,
+    its d (None for a rational radius) and, when some radius is rational,
+    lcm * exponent (0 for a free radius) for lcm the lcm of the rational
+    exponents' denominators; the zero, one and s values; and the n = 0
+    base profile.
     """
 
     p: int
     radii: tuple
     sigma_s: Fraction
     max_denom_log: int = 16
+    den: int = field(init=False, compare=False, repr=False)
+    _ds: tuple = field(init=False, compare=False, repr=False)
+    _rat: tuple = field(init=False, compare=False, repr=False)
+    _lcm: int = field(init=False, compare=False, repr=False)
     _zero: "Value" = field(init=False, compare=False, repr=False)
     _one: "Value" = field(init=False, compare=False, repr=False)
+    _s: "Value" = field(init=False, compare=False, repr=False)
     _base: "RadiusProfile" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -139,9 +155,20 @@ class RadiusProfile:
                 seen.add(r.d)
             elif not isinstance(r, RationalRadius):
                 raise InputValidationError(f"bad radius spec: {r!r}")
-        q0 = (_F0,) * len(self.radii)
-        object.__setattr__(self, "_zero", Value._raw(self, _F0, q0, True))
-        object.__setattr__(self, "_one", Value._raw(self, _F0, q0))
+        free = [isinstance(r, FreeRadius) for r in self.radii]
+        L = lcm(*(r.exponent.denominator for r, f in zip(self.radii, free) if not f))
+        D = self.p ** self.max_denom_log
+        q0 = (0,) * len(self.radii)
+        object.__setattr__(self, "den", D)
+        object.__setattr__(self, "_ds", tuple(
+            r.d if f else None for r, f in zip(self.radii, free)))
+        object.__setattr__(self, "_rat", () if all(free) else tuple(
+            0 if f else r.exponent.numerator * (L // r.exponent.denominator)
+            for r, f in zip(self.radii, free)))
+        object.__setattr__(self, "_lcm", L)
+        object.__setattr__(self, "_zero", Value._raw(self, 0, q0, D, True))
+        object.__setattr__(self, "_one", Value._raw(self, 0, q0, D))
+        object.__setattr__(self, "_s", t_power(self, self.sigma_s))
         object.__setattr__(self, "_base", RadiusProfile(
             self.p, (), self.sigma_s, self.max_denom_log) if self.radii else self)
 
@@ -177,13 +204,13 @@ class RadiusProfile:
 
 def default_sigma_s(p: int, radii) -> Fraction:
     """Smallest integer >= 2 * (1 + sum of radius weights)."""
-    w = Weight(Fraction(1))
+    w = Weight(1)
     for r in radii:
         if isinstance(r, RationalRadius):
             w = w.add_rational(r.exponent)
         else:
-            w = w.add_sqrt(r.d, Fraction(1))
-    return Fraction(ceil_weight(w.scaled(Fraction(2))))
+            w = w.add_sqrt(r.d, 1)
+    return Fraction(ceil_weight(w.scaled(2)))
 
 
 def make_profile(p, radii, sigma_s=None, max_denom_log=16) -> RadiusProfile:
@@ -194,87 +221,167 @@ def make_profile(p, radii, sigma_s=None, max_denom_log=16) -> RadiusProfile:
 
 
 # ---------------------------------------------------------------------------
+# Exponents: integer numerators over the profile denominator D.
+# ---------------------------------------------------------------------------
+
+
+def exponent_numerator(den: int, e):
+    """The rational e (an int or a Fraction) as its integer numerator over
+    den, or None when e does not lie in den**-1 * Z."""
+    q, r = divmod(den, e.denominator)
+    return None if r else e.numerator * q
+
+
+class ExponentKeys(Mapping):
+    """Read-only view of a dict keyed by tuples of integer exponent
+    numerators over den (a Tate element's terms, the oracle's answers),
+    with each exponent read as a Fraction.  A key looks up through its
+    numerators; one outside den**-1 * Z is absent."""
+
+    __slots__ = ("_dict", "_den")
+
+    def __init__(self, d: dict, den: int):
+        self._dict = d
+        self._den = den
+
+    def _out(self, key):
+        return tuple(Fraction(x, self._den) for x in key)
+
+    def _in(self, key):
+        nums = tuple(exponent_numerator(self._den, Fraction(x)) for x in key)
+        if None in nums:
+            raise KeyError(key)
+        return nums
+
+    def __getitem__(self, key):
+        try:
+            nums = self._in(key)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise KeyError(key) from None
+        return self._dict[nums]
+
+    def __iter__(self):
+        return map(self._out, self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+    def items(self):
+        return [(self._out(k), v) for k, v in self._dict.items()]
+
+    def values(self):
+        return self._dict.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class TermKeys(ExponentKeys):
+    """The same view for series terms, keyed by (t exponent, x exponents)."""
+
+    def _out(self, key):
+        return Fraction(key[0], self._den), super()._out(key[1])
+
+    def _in(self, key):
+        t, xs = key
+        return super()._in((t,))[0], super()._in(xs)
+
+
+# ---------------------------------------------------------------------------
 # Weights: c0 + sum(c_d * sqrt(d)), exact over Q.
 # ---------------------------------------------------------------------------
 
 
-_F0 = Fraction(0)
-
-
 def _combiner(op):
     """The one body of Weight.add and Weight.sub: op (operator.add or
-    operator.sub) on the rational parts and on each sqrt(d) coefficient."""
+    operator.sub) on the rational parts and on each sqrt(d) coefficient,
+    over the lcm of the two denominators."""
 
     def combine(self, other: "Weight") -> "Weight":
-        irr = dict(self.irrational)
-        for d, c in other.irrational.items():
-            nc = op(irr.get(d, _F0), c)
+        den = self.den
+        a = b = 1
+        if other.den != den:
+            den = lcm(den, other.den)
+            a, b = den // self.den, den // other.den
+        irr = {d: c * a for d, c in self.irr.items()}
+        for d, c in other.irr.items():
+            nc = op(irr.get(d, 0), c * b)
             if nc:
                 irr[d] = nc
             else:
                 irr.pop(d, None)
-        return Weight._raw(op(self.rational, other.rational), irr)
+        return Weight._raw(op(self.c0 * a, other.c0 * b), irr, den)
 
     return combine
 
 
 class Weight:
-    """Exact linear combination c0 + sum over d of c_d * sqrt(d)."""
+    """Exact linear combination (c0 + sum over d of c_d * sqrt(d)) / den:
+    integers c0 and c_d (none of them zero) over one denominator den > 0.
 
-    __slots__ = ("rational", "irrational")
+    Weight(rational, irrational) takes rational coefficients; the
+    rational and irrational properties read them back as Fractions."""
 
-    def __init__(self, rational=_F0, irrational=None):
-        self.rational = rational if type(rational) is Fraction else Fraction(rational)
-        self.irrational = dict(irrational or {})
-        for d in list(self.irrational):
-            if self.irrational[d] == 0:
-                del self.irrational[d]
+    __slots__ = ("c0", "irr", "den")
+
+    def __init__(self, rational=0, irrational=None):
+        rational = Fraction(rational)
+        irrational = {d: Fraction(c) for d, c in (irrational or {}).items() if c}
+        den = lcm(rational.denominator, *(c.denominator for c in irrational.values()))
+        self.c0 = rational.numerator * (den // rational.denominator)
+        self.irr = {d: c.numerator * (den // c.denominator) for d, c in irrational.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, rational, irrational) -> "Weight":
+    def _raw(cls, c0, irr, den) -> "Weight":
         w = cls.__new__(cls)
-        w.rational = rational
-        w.irrational = irrational
+        w.c0 = c0
+        w.irr = irr
+        w.den = den
         return w
 
+    @property
+    def rational(self) -> Fraction:
+        return Fraction(self.c0, self.den)
+
+    @property
+    def irrational(self) -> dict:
+        return {d: Fraction(c, self.den) for d, c in self.irr.items()}
+
     def add_rational(self, c) -> "Weight":
-        return Weight._raw(self.rational + c, self.irrational)
+        return self.add(Weight(c))
 
     add = _combiner(operator.add)
     sub = _combiner(operator.sub)
 
-    def add_sqrt(self, d: int, c: Fraction) -> "Weight":
-        return self.add(Weight._raw(_F0, {d: c}))
+    def add_sqrt(self, d: int, c) -> "Weight":
+        return self.add(Weight(0, {d: c}))
 
     def scaled(self, c) -> "Weight":
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c == 0:
-            return Weight._raw(_F0, {})
-        return Weight._raw(
-            self.rational * c,
-            {d: cd * c for d, cd in self.irrational.items()},
-        )
+        """self * c for a rational c (an int or a Fraction)."""
+        num = c.numerator
+        if num == 0:
+            return Weight._raw(0, {}, 1)
+        return Weight._raw(self.c0 * num, {d: x * num for d, x in self.irr.items()},
+                           self.den * c.denominator)
 
     def is_rational(self) -> bool:
-        return not self.irrational
+        return not self.irr
 
     def bounds(self, k: int):
         """Integers (lo, hi, den) with lo/den <= self <= hi/den, width
         shrinking in k.  den = D << k for D the lcm of the coefficient
-        denominators, and each sqrt(d) is enclosed by isqrt(d << 2k) and
-        that plus one, over 2**k."""
-        r, irr = self.rational, self.irrational
-        D = r.denominator
-        for c in irr.values():
-            D = lcm(D, c.denominator)
-        lo = hi = r.numerator * (D // r.denominator) << k
+        denominators in lowest terms, and each sqrt(d) is enclosed by
+        isqrt(d << 2k) and that plus one, over 2**k."""
+        c0, irr, D = self.c0, self.irr, self.den
+        g = gcd(D, c0, *irr.values())
+        lo = hi = c0 // g << k
         for d, c in irr.items():
-            c = c.numerator * (D // c.denominator)
+            c //= g
             s = isqrt(d << (2 * k))
             lo += c * (s + (c < 0))
             hi += c * (s + (c > 0))
-        return lo, hi, D << k
+        return lo, hi, D // g << k
 
     def refine(self):
         """The enclosures bounds(k) for k = 16, 32, 64, ...: the one
@@ -286,20 +393,19 @@ class Weight:
 
     def sign(self) -> int:
         # Exact zero test first: independence of sqrt(d) over Q.
-        if not self.irrational:
-            r = self.rational
-            return (r > 0) - (r < 0)
-        if len(self.irrational) == 1:
-            # r + c*sqrt(d) has the sign of a + b*sqrt(d), a = r * den(c) and
-            # b = c * den(r) integers: compare a**2 with b**2 * d, never equal
-            # for squarefree d > 1.
-            ((d, c),) = self.irrational.items()
-            r = self.rational
-            a, b = r.numerator * c.denominator, c.numerator * r.denominator
-            sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-            if sa == sb or sa == 0:
+        irr = self.irr
+        if not irr:
+            a = self.c0
+            return (a > 0) - (a < 0)
+        if len(irr) == 1:
+            # a + b*sqrt(d) over den > 0, b != 0: compare a**2 with b**2 * d,
+            # never equal for squarefree d > 1.
+            ((d, b),) = irr.items()
+            a = self.c0
+            sb = 1 if b > 0 else -1
+            if a == 0 or (a > 0) == (b > 0):
                 return sb
-            return sa if a * a > b * b * d else sb
+            return -sb if a * a > b * b * d else sb
         for lo, hi, _ in self.refine():
             if lo > 0:
                 return 1
@@ -315,8 +421,8 @@ class Weight:
 
 def floor_weight(w: Weight) -> int:
     """Largest integer <= w."""
-    if w.is_rational():
-        return math.floor(w.rational)
+    if not w.irr:
+        return w.c0 // w.den
     for lo, hi, den in w.refine():
         if lo // den == hi // den:
             return lo // den
@@ -324,8 +430,8 @@ def floor_weight(w: Weight) -> int:
 
 def ceil_weight(w: Weight) -> int:
     """Smallest integer >= w."""
-    if w.is_rational():
-        return math.ceil(w.rational)
+    if not w.irr:
+        return -(-w.c0 // w.den)
     return floor_weight(w) + 1  # irrational, never an integer
 
 
@@ -335,17 +441,18 @@ def largest_int_below(w: Weight) -> int:
 
 
 def weight_decimal(w: Weight, digits: int = 12) -> str:
-    """Decimal rendering of a weight with the given digits after the point."""
-    if w.is_rational():
-        x = w.rational
+    """Decimal rendering of a weight with the given digits after the point,
+    rounded half up from num / den (a ratio that need not be in lowest
+    terms: no exact half lies between the two roundings)."""
+    if not w.irr:
+        num, den = w.c0, w.den
     else:
         # the midpoint of the first enclosure narrower than 10**-(digits+2)
         scale = 10 ** (digits + 2)
-        x = next(Fraction(lo + hi, 2 * den) for lo, hi, den in w.refine()
-                 if (hi - lo) * scale < den)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = (x.numerator * 10**digits + x.denominator // 2) // x.denominator
+        num, den = next((lo + hi, 2 * den) for lo, hi, den in w.refine()
+                        if (hi - lo) * scale < den)
+    sign = "-" if num < 0 else ""
+    scaled = (abs(num) * 10**digits + den // 2) // den
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
 
@@ -357,28 +464,37 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
 
 @dataclass(frozen=True)
 class Value:
-    """A formal norm |t|**a * r_1**q_1 * ... * r_n**q_n, or zero."""
+    """A formal norm |t|**a * r_1**q_1 * ... * r_n**q_n, or zero.
+
+    The exponents are integers over one denominator: a = an / den and
+    q_i = qn[i] / den, where den = lcm(D, the exponents' own denominators)
+    for the profile denominator D.  That den is canonical, so == compares
+    exponents; it is D itself unless an exponent lies outside D**-1 * Z
+    (a floor after root_pk, say).  value(profile, a, q) builds a Value
+    from rationals; the a and q properties read them back as Fractions.
+    """
 
     profile: RadiusProfile
-    a: Fraction
-    q: tuple
+    an: int
+    qn: tuple
+    den: int
     zero: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
-        if len(self.q) != self.profile.n:
-            raise InputValidationError(
-                f"value has {len(self.q)} radius exponents, profile has {self.profile.n}"
-            )
-
     @classmethod
-    def _raw(cls, profile, a, q, zero=False) -> "Value":
-        """Internal constructor: a is a Fraction, q a tuple of Fractions
-        of the profile's arity."""
+    def _raw(cls, profile, an, qn, den, zero=False) -> "Value":
+        """Internal constructor: den is canonical for (an, qn), and qn has
+        the profile's arity."""
         v = cls.__new__(cls)
-        v.__dict__.update(profile=profile, a=a, q=q, zero=zero)
+        v.__dict__.update(profile=profile, an=an, qn=qn, den=den, zero=zero)
         return v
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.den)
+
+    @property
+    def q(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.qn)
 
     def __repr__(self):
         if self.zero:
@@ -387,8 +503,29 @@ class Value:
         return f"Value<{self.a};{qs}>"
 
 
+def _value(profile: RadiusProfile, an: int, qn: tuple, den: int) -> Value:
+    """The Value of exponents (an, qn) / den, over its canonical denominator."""
+    D = profile.den
+    if den != D:
+        g = gcd(den, an, *qn)
+        own = den // g
+        c = lcm(D, own)
+        s = c // own
+        an, qn, den = an // g * s, tuple(x // g * s for x in qn), c
+    return Value._raw(profile, an, qn, den)
+
+
 def value(profile: RadiusProfile, a, q=()) -> Value:
-    return Value(profile, Fraction(a), tuple(Fraction(x) for x in q))
+    """|t|**a * r_1**q_1 * ... * r_n**q_n for rational exponents a and q."""
+    a = Fraction(a)
+    q = tuple(Fraction(x) for x in q)
+    if len(q) != profile.n:
+        raise InputValidationError(
+            f"value has {len(q)} radius exponents, profile has {profile.n}"
+        )
+    den = lcm(profile.den, a.denominator, *(x.denominator for x in q))
+    return Value._raw(profile, a.numerator * (den // a.denominator),
+                      tuple(x.numerator * (den // x.denominator) for x in q), den)
 
 
 def zero_value(profile: RadiusProfile) -> Value:
@@ -401,7 +538,9 @@ def one_value(profile: RadiusProfile) -> Value:
 
 def t_power(profile: RadiusProfile, a) -> Value:
     """|t|**a, i.e. |varpi|**a with varpi = t."""
-    return Value._raw(profile, a if type(a) is Fraction else Fraction(a), profile._one.q)
+    if type(a) is int:
+        return Value._raw(profile, a * profile.den, profile._one.qn, profile.den)
+    return value(profile, a, profile._one.qn)
 
 
 def pi_value(profile: RadiusProfile) -> Value:
@@ -410,34 +549,55 @@ def pi_value(profile: RadiusProfile) -> Value:
 
 def s_value(profile: RadiusProfile) -> Value:
     """s = |t|**sigma_s."""
-    return t_power(profile, profile.sigma_s)
+    return profile._s
 
 
-def exponent_weight(profile: RadiusProfile, a: Fraction, q: tuple) -> Weight:
-    """Exact weight of |t|**a * r_1**q_1 * ... * r_n**q_n: rational radii
-    fold into c0, each free radius sqrt(d) gives the coefficient q_i."""
-    rational = a
+def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
+    """Exact weight of the exponents (a, q) / den, q any iterable: a free
+    radius sqrt(d) gives the coefficient q_i of sqrt(d); a rational radius
+    folds q_i * exponent into c0, all over den * lcm."""
     irr = {}
-    for spec, qi in zip(profile.radii, q):
-        if qi == 0:
+    if not profile._rat:  # every radius is free
+        for d, x in zip(profile._ds, q):
+            if x:
+                irr[d] = x
+        return Weight._raw(a, irr, den)
+    L = profile._lcm
+    c0 = a * L
+    for d, e, x in zip(profile._ds, profile._rat, q):
+        if not x:
             continue
-        if isinstance(spec, RationalRadius):
-            rational = rational + qi * spec.exponent
+        if d is None:
+            c0 += e * x
         else:
-            irr[spec.d] = qi  # a profile's free radii have distinct d
-    return Weight._raw(rational, irr)
+            irr[d] = x * L
+    return Weight._raw(c0, irr, den * L)
+
+
+def exponent_weight(profile: RadiusProfile, a, q: tuple) -> Weight:
+    """Exact weight of |t|**a * r_1**q_1 * ... * r_n**q_n for rational
+    exponents a and q."""
+    return weight_of(value(profile, a, q))
 
 
 def weight_of(v: Value) -> Weight:
     """Exact weight w with |v| = |t|**w."""
     if v.zero:
         raise InputValidationError("zero value has no finite weight")
-    return exponent_weight(v.profile, v.a, v.q)
+    return _weight(v.profile, v.an, v.qn, v.den)
 
 
 def _require_same_profile(u: Value, v: Value):
-    if u.profile != v.profile:
+    if u.profile is not v.profile and u.profile != v.profile:
         raise ProfileMismatchError(f"profiles differ: {u.profile} vs {v.profile}")
+
+
+def _over_one_den(u: Value, v: Value):
+    """(u.an, u.qn, v.an, v.qn, den) rescaled to den = lcm(u.den, v.den)."""
+    den = lcm(u.den, v.den)
+    su, sv = den // u.den, den // v.den
+    return (u.an * su, tuple(x * su for x in u.qn),
+            v.an * sv, tuple(x * sv for x in v.qn), den)
 
 
 def compare(u: Value, v: Value) -> Ordering:
@@ -449,7 +609,11 @@ def compare(u: Value, v: Value) -> Ordering:
         return Ordering.LESS
     if v.zero:
         return Ordering.GREATER
-    sign = exponent_weight(u.profile, u.a - v.a, tuple(map(operator.sub, u.q, v.q))).sign()
+    if u.den == v.den:
+        ua, uq, va, vq, den = u.an, u.qn, v.an, v.qn, u.den
+    else:
+        ua, uq, va, vq, den = _over_one_den(u, v)
+    sign = _weight(u.profile, ua - va, map(operator.sub, uq, vq), den).sign()
     # Larger weight means smaller norm.
     if sign > 0:
         return Ordering.LESS
@@ -478,16 +642,27 @@ def value_mul(u: Value, v: Value) -> Value:
     _require_same_profile(u, v)
     if u.zero or v.zero:
         return u.profile._zero
-    return Value._raw(u.profile, u.a + v.a, tuple(map(operator.add, u.q, v.q)))
+    if u.den == v.den:
+        ua, uq, va, vq, den = u.an, u.qn, v.an, v.qn, u.den
+    else:
+        ua, uq, va, vq, den = _over_one_den(u, v)
+    return _value(u.profile, ua + va, tuple(map(operator.add, uq, vq)), den)
 
 
 def value_pow(u: Value, e) -> Value:
-    e = Fraction(e)
+    """|u|**e for a rational e."""
+    if type(e) is not int:
+        e = Fraction(e)
+    return _value_pow(u, e.numerator, e.denominator)
+
+
+def _value_pow(u: Value, num: int, den: int) -> Value:
+    """|u|**(num / den) for integers num and den > 0."""
     if u.zero:
-        if e > 0:
+        if num > 0:
             return u
         raise InputValidationError("cannot raise the zero value to a power <= 0")
-    return Value._raw(u.profile, u.a * e, tuple(x * e for x in u.q))
+    return _value(u.profile, u.an * num, tuple(x * num for x in u.qn), u.den * den)
 
 
 def value_div(u: Value, v: Value) -> Value:
@@ -513,8 +688,8 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
         raise ProfileMismatchError("value profile is not a prefix of the target")
     if v.zero:
         return profile._zero
-    pad = (_F0,) * (profile.n - v.profile.n)
-    return Value._raw(profile, v.a, v.q + pad)
+    pad = (0,) * (profile.n - v.profile.n)
+    return _value(profile, v.an, v.qn + pad, v.den)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +713,9 @@ def zp_in_open_interval(lo: Weight, hi: Weight, p: int) -> Fraction:
         raise WindowError(f"empty window ({lo}, {hi})")
     scale = 1
     for k in range(ZP_SEARCH_MAX_K + 1):
-        u = largest_int_below(hi.scaled(Fraction(scale)))
-        cand = Fraction(u, scale)
-        if Weight(cand).sub(lo).sign() > 0:
-            return cand
+        u = largest_int_below(hi.scaled(scale))
+        if Weight._raw(u, {}, scale).sub(lo).sign() > 0:
+            return Fraction(u, scale)
         scale *= p
     raise WindowError(f"no Z[1/p] point found in ({lo}, {hi}) up to p**{ZP_SEARCH_MAX_K}")
 

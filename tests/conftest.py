@@ -128,7 +128,8 @@ def ref_make_tate(m, base, pairs, floor):
     for e, c in summed.items():
         n = ref_gauss_norm(c)
         if n is not None and compare(n, floor) is not Ordering.LESS:
-            kept[e] = c
+            # TateElement keys its terms by exponent numerators over base.den
+            kept[tuple(x.numerator * (base.den // x.denominator) for x in e)] = c
     return TateElement(m, base, kept, floor)
 
 
