@@ -394,18 +394,23 @@ class Weight:
     def sign(self) -> int:
         # Exact zero test first: independence of sqrt(d) over Q.
         irr = self.irr
+        if len(irr) == 1:
+            ((d, b),) = irr.items()
+            return _sign_sqrt(self.c0, b, d)
+        if len(irr) == 2:
+            # x + y with x = a + b*sqrt(d1) and y = c*sqrt(d2), both nonzero:
+            # when their signs differ, the larger square x**2 - y**2 =
+            # (a**2 + d1*b**2 - d2*c**2) + 2ab*sqrt(d1) decides; it is never
+            # zero for distinct squarefree d1, d2 > 1.
+            (d1, b), (d2, c) = irr.items()
+            a = self.c0
+            sx, sy = _sign_sqrt(a, b, d1), 1 if c > 0 else -1
+            if sx == sy or _sign_sqrt(a * a + d1 * b * b - d2 * c * c, 2 * a * b, d1) > 0:
+                return sx
+            return sy
         if not irr:
             a = self.c0
             return (a > 0) - (a < 0)
-        if len(irr) == 1:
-            # a + b*sqrt(d) over den > 0, b != 0: compare a**2 with b**2 * d,
-            # never equal for squarefree d > 1.
-            ((d, b),) = irr.items()
-            a = self.c0
-            sb = 1 if b > 0 else -1
-            if a == 0 or (a > 0) == (b > 0):
-                return sb
-            return -sb if a * a > b * b * d else sb
         for lo, hi, _ in self.refine():
             if lo > 0:
                 return 1
@@ -417,6 +422,17 @@ class Weight:
         for d, c in sorted(self.irrational.items()):
             parts.append(f"{c}*sqrt({d})")
         return " + ".join(parts)
+
+
+def _sign_sqrt(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for squarefree d > 1: with b != 0 and a of the
+    other sign, compare a**2 with b**2 * d, never equal."""
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or a == 0:
+        return sb or (a > 0) - (a < 0)
+    if (a > 0) == (b > 0):
+        return sb
+    return -sb if a * a > b * b * d else sb
 
 
 def floor_weight(w: Weight) -> int:
