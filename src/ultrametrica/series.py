@@ -99,13 +99,12 @@ def _drop_below_floor(profile: RadiusProfile, terms: dict, floor: Value) -> dict
     if floor.zero or not terms:
         return terms
     fa, fq, den = floor.an, floor.qn, floor.den
-    sub = operator.sub
     # term norm >= floor  <=>  term weight <= floor weight
     s = den // profile.den
     if s == 1:
         return {
             k: c for k, c in terms.items()
-            if _weight(profile, fa - k[0], map(sub, fq, k[1]), den).sign() >= 0
+            if _weight(profile, fa - k[0], map(operator.sub, fq, k[1]), den).sign() >= 0
         }
     return {
         k: c for k, c in terms.items()
@@ -289,13 +288,12 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     _require_profile(g, f.profile)
     profile = f.profile
     p = profile.p
-    add = operator.add
     floor = product_floor(f, g, gauss_norm, gauss_norm)
     if len(f._terms) == 1 or len(g._terms) == 1:
         one_term, other = (f, g) if len(f._terms) == 1 else (g, f)
         ((t1, xs1), c1), = one_term._terms.items()
         h = _build(profile, {
-            (t1 + t, tuple(map(add, xs1, xs))): c1 * c % p
+            (t1 + t, tuple(map(operator.add, xs1, xs))): c1 * c % p
             for (t, xs), c in other._terms.items()
         }, floor)
         n = other._norm
@@ -305,7 +303,7 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     terms = {}
     for (t1, xs1), c1 in f._terms.items():
         for (t2, xs2), c2 in g._terms.items():
-            k = (t1 + t2, tuple(map(add, xs1, xs2)))
+            k = (t1 + t2, tuple(map(operator.add, xs1, xs2)))
             s = (terms.get(k, 0) + c1 * c2) % p
             if s == 0:
                 terms.pop(k, None)
@@ -341,14 +339,14 @@ def _leading_keys(f: SeriesElement):
     """The keys of maximal norm, in dict order."""
     if not f._terms:
         raise InputValidationError("element has no terms above its floor")
-    profile, den, sub = f.profile, f.profile.den, operator.sub
+    profile, den = f.profile, f.profile.den
     best = None
     keys = []
     for k in f._terms:
         if best is None:
             best, keys = k, [k]
             continue
-        s = _weight(profile, best[0] - k[0], map(sub, best[1], k[1]), den).sign()
+        s = _weight(profile, best[0] - k[0], map(operator.sub, best[1], k[1]), den).sign()
         if s > 0:  # smaller weight: larger norm
             best, keys = k, [k]
         elif s == 0:

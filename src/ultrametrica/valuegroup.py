@@ -12,10 +12,11 @@ with each radius pinned to either |t|**e (e rational) or |t|**sqrt(d)
 and comparing norms reduces to comparing weights (larger weight means
 smaller norm).  Weights are linear combinations c0 + sum(c_d * sqrt(d))
 over Q; square roots of distinct squarefree integers are linearly
-independent over Q, which gives an exact zero test.  Nonzero signs are
-decided by interval refinement, doubling precision until the enclosing
-interval excludes zero; termination is guaranteed because the exact
-zero test runs first.
+independent over Q, which gives an exact zero test.  With one or two
+free radii a nonzero sign follows from squaring integers; with more it
+is decided by interval refinement, doubling precision until the
+enclosing interval excludes zero; termination is guaranteed because the
+exact zero test runs first.
 
 Every exponent is an integer over one denominator.  Term exponents lie
 in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys,
@@ -278,6 +279,8 @@ class ExponentKeys(Mapping):
 
 class TermKeys(ExponentKeys):
     """The same view for series terms, keyed by (t exponent, x exponents)."""
+
+    __slots__ = ()
 
     def _out(self, key):
         return Fraction(key[0], self._den), super()._out(key[1])
