@@ -1,10 +1,20 @@
 import decimal
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from ultrametrica.series import add, gauss_norm, make_series
+from ultrametrica.series import (
+    add,
+    gauss_norm,
+    lift_base,
+    make_series,
+    mul,
+    series_frac_pow,
+    series_zero,
+    with_floor,
+)
 from ultrametrica.tatealg import TateElement
 from ultrametrica.valuegroup import (
     FreeRadius,
@@ -14,8 +24,10 @@ from ultrametrica.valuegroup import (
     compare,
     make_profile,
     value,
+    value_lift,
     value_max,
     value_mul,
+    value_pow,
     weight_of,
 )
 
@@ -189,6 +201,46 @@ def ref_evaluate(f, images, p):
             key = (t, tuple(xs))
             out[key] = (out.get(key, 0) + c) % p
     return {k: c for k, c in out.items() if c}
+
+
+def ref_evaluate_by_factors(f, images, target):
+    """Reference evaluate of a floored Tate element f under floored images
+    (series over one profile) above the target floor, one factor at a time.
+
+    A coefficient below its own floor is skipped.  So is a term whose bound
+    |c| prod |g_i|**e_i lies below target, unless an image with e_i != 0
+    is below its floor (then the term has no bound and is kept).  A kept
+    term contributes lift_base(c) times images[i]**e_i for i ascending, one
+    mul per factor; the contributions add left to right.  The result floor
+    is the largest of f's floor, the sum's floor and, after a skip, target."""
+    profile = images[0].profile
+    contribs, skipped = [], False
+    for e, c in f.terms.items():
+        nc = gauss_norm(c)
+        if nc is None:
+            skipped = True
+            continue
+        bound = value_lift(nc, profile)
+        for ei, g in zip(e, images):
+            if ei:
+                ng = gauss_norm(g)
+                if ng is None:
+                    bound = None
+                    break
+                bound = value_mul(bound, value_pow(ng, ei))
+        if bound is not None and compare(bound, target) is Ordering.LESS:
+            skipped = True
+            continue
+        contrib = lift_base(c, profile)
+        for ei, g in zip(e, images):
+            if ei:
+                contrib = mul(contrib, series_frac_pow(g, ei))
+        contribs.append(contrib)
+    acc = functools.reduce(add, contribs) if contribs else series_zero(profile)
+    floor = value_lift(f.floor, profile)
+    if skipped:
+        floor = value_max(floor, target)
+    return with_floor(acc, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Laws that must hold whatever the exponent representation: the Gauss
 norm is multiplicative under free radii, invert meets its residual bound
-with a floor that certifies it, and t_frobenius and t_pth_root undo each
-other.  Each runs over p in {2, 3} and n in {0, 1, 2} (free radii, or Tate
-variables) against a conftest reference that calls no library code."""
+with a floor that certifies it, t_frobenius and t_pth_root undo each
+other, and evaluate above a nonzero floor does not depend on how each
+term's product is grouped.  Each runs over p in {2, 3} and n in {0, 1, 2}
+(radii, or Tate variables) against a conftest reference; the first three
+references call no library code."""
 
 import operator
 from fractions import Fraction
@@ -11,11 +13,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_leading_key, ref_mul, ref_tate_raw, ref_tate_scaled, ref_weight_cmp
+from conftest import (
+    ref_evaluate_by_factors,
+    ref_leading_key,
+    ref_mul,
+    ref_tate_raw,
+    ref_tate_scaled,
+    ref_weight_cmp,
+)
 from ultrametrica.errors import DenominatorCapError
-from ultrametrica.series import gauss_norm, invert, make_series, mul, one, sub
-from ultrametrica.tatealg import make_tate, t_frobenius, t_pth_root
-from ultrametrica.valuegroup import FreeRadius, make_profile, t_power, value, value_mul
+from ultrametrica.series import gauss_norm, invert, make_series, mul, one, series_zero, sub
+from ultrametrica.tatealg import HomSpec, evaluate, make_tate, t_frobenius, t_pth_root
+from ultrametrica.valuegroup import (
+    FreeRadius,
+    RationalRadius,
+    make_profile,
+    t_power,
+    value,
+    value_mul,
+    zero_value,
+)
 
 FREE = (2, 3)
 
@@ -133,3 +150,58 @@ def test_frobenius_and_pth_root_undo_each_other(f):
     down = t_pth_root(f)
     assert ref_tate_raw(down) == ref_tate_scaled(f, Fraction(1, p))
     assert t_frobenius(down) == f
+
+
+@st.composite
+def floored_evaluations(draw):
+    """(f, images, target): a Tate element in m in {1, 2, 3} variables with a
+    zero or nonzero floor and floored coefficients; images of up to three
+    terms, each with a zero or nonzero floor, one of them below its floor,
+    over p in {2, 3} and n in {0, 1, 2} radii, each free or rational; and a
+    zero or nonzero target floor."""
+    p, n, m = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1), RationalRadius(Fraction(1, 2))]))
+             for d in FREE[:n]]
+    prof = make_profile(p, radii, max_denom_log=12)
+    base = prof.base()
+    exp = exps(p, 0, 8)
+
+    def floor(profile, lo):
+        return t_power(profile, draw(exp) + lo) if draw(st.booleans()) else None
+
+    def image():
+        # every radius has weight at most 2, so t**a x**xs has norm <= 1
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            xs = tuple(draw(exps(p, -4, 4)) for _ in range(n))
+            terms[(draw(exp) + 2 * sum(map(abs, xs)), xs)] = draw(st.integers(1, p - 1))
+        return make_series(prof, terms, floor(prof, 2))
+
+    below = draw(st.integers(0, m - 1))
+    images = [series_zero(prof, t_power(prof, draw(exp))) if i == below else image()
+              for i in range(m)]
+
+    def coeff():
+        terms = draw(st.dictionaries(st.tuples(exp, st.just(())), st.integers(1, p - 1),
+                                     max_size=3))
+        return make_series(base, terms, floor(base, 4))
+
+    # zero exponents are frequent, so that many terms miss the image below its floor
+    tate_exp = st.one_of(st.just(Fraction(0)), exps(p, 0, 4))
+    keys = draw(st.lists(st.tuples(*[tate_exp] * m), max_size=4, unique=True))
+    f = make_tate(m, base, {e: coeff() for e in keys}, floor(base, 8))
+    target = t_power(prof, Fraction(draw(st.integers(0, 24)), 2)) if draw(st.booleans()) \
+        else zero_value(prof)
+    return f, images, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(floored_evaluations())
+def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
+    """evaluate equals the term-by-term product taken one image power at a
+    time, terms and floor alike: == on the floors compares their exponent
+    numerators and denominators, not only the norms they stand for."""
+    f, images, target = ops
+    got = evaluate(f, HomSpec(tuple(images)), target)
+    want = ref_evaluate_by_factors(f, images, target)
+    assert got == want
