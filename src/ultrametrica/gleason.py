@@ -62,6 +62,7 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Weight,
+    _value,
     ceil_weight,
     denom_log,
     exponent_weight,
@@ -69,11 +70,9 @@ from .valuegroup import (
     is_p_exponent,
     row_reduce,
     s_value,
-    t_power,
     value_le,
     value_lt,
     value_max,
-    value_mul,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -582,9 +581,10 @@ class SurjectionSpec:
         norm clears s."""
         exps = tuple(h) + (Fraction(0),)
         pre = tate_monomial(self.num_vars, one(self.base), exps)
-        img = one(self.profile)
-        for k, hk in enumerate(h):
-            img = mul(img, self.hom.power(k, hk))
+        # the hom's entry for pre's one exponent tuple, which evaluate reads too
+        img, _ = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
+        if img is None:
+            img = one(self.profile)
         cert = is_adapted(img, q)
         if not cert.passed:
             return None
@@ -666,6 +666,18 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 # ---------------------------------------------------------------------------
 
 
+def _step_values(profile: RadiusProfile, m: int):
+    """Step m's window values from integer exponents: (upper, cut, bound_m,
+    target) = (|pi|**m s, |pi|**(m+1) s over profile, |pi|**m and
+    |pi|**(m+1) s over the base), each over its canonical denominator."""
+    base = profile.base()
+    s = profile._s  # sigma_s * den over den, with den = lcm(D, sigma_s's own)
+    return (_value(profile, s.an + m * s.den, s.qn, s.den),
+            _value(profile, s.an + (m + 1) * s.den, s.qn, s.den),
+            _value(base, m * base.den, (), base.den),
+            _value(base, s.an + (m + 1) * s.den, (), s.den))
+
+
 def divide_step(oracle, beta: SeriesElement, m: int):
     """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
     asking oracle.answer(qn) for each x exponent (numerators qn over D).
@@ -674,23 +686,22 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     |residual| <= |pi|**(m+1) s and |f| <= |pi|**m.  When beta carries a
     floor coarser than the cut, the cut clamps at the floor: stored
     terms are still cleared and the residual bound degrades to the
-    floor, which is all a truncated input can certify.
+    floor, which is all a truncated input can certify.  A window that
+    clears nothing (|beta| below the clamped cut, or no stored terms)
+    returns the empty exact Tate element and beta itself.
     """
     profile = beta.profile
     base = profile.base()
-    s = s_value(profile)
-    upper = value_mul(t_power(profile, m), s)
-    cut = value_mul(t_power(profile, m + 1), s)
+    upper, cut, bound_m, target = _step_values(profile, m)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
             f"beta norm exceeds the step-{m} window |pi|**{m} * s"
         )
     cut = value_max(cut, beta.floor)
-    restriction = res_ge(beta, cut)
-    groups = group_by_x(restriction)
-    bound_m = t_power(base, m)
-    target = value_mul(t_power(base, m + 1), s_value(base))
+    if nb is None or value_lt(nb, cut):
+        return t_sum(oracle.num_vars, base, ()), beta
+    groups = group_by_x(res_ge(beta, cut))
     parts, images = [], []
     for qn, b_series in sorted(groups.items()):
         try:

@@ -220,18 +220,21 @@ def t_pth_root(f: TateElement) -> TateElement:
 # ---------------------------------------------------------------------------
 
 
-# Most fractional powers of hom images that one HomSpec keeps.
-_POWER_MEMO_CAP = 512
+# Most Tate monomials whose images one HomSpec keeps.  One pass of the
+# surject-n2 benchmark ops (oracle answers and evaluate) reads 450 distinct
+# exponent tuples for seeds 1 and 23 and 521 or 522 for seeds 2 and 7;
+# surject-n1 reads 40.
+_POWER_MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
 class HomSpec:
     """Images of T_1..T_m inside one target series field, all of norm <= 1.
 
-    _powers memoizes images[i]**(en / D) per pair (i, en), en the
-    exponent's numerator over the profile denominator D, for up to
-    _POWER_MEMO_CAP pairs; the images are immutable, so it behaves as if
-    absent.
+    _powers memoizes, per Tate exponent tuple en (numerators over the
+    profile denominator D), the image of the monomial T**(en / D) and its
+    skip bound (see _monomial), for up to _POWER_MEMO_CAP tuples; the
+    images are immutable, so it behaves as if absent.
     """
 
     images: tuple
@@ -272,17 +275,34 @@ class HomSpec:
         en = exponent_numerator(self.profile.den, e)
         if en is None:
             raise _cap_error(self.profile, e)
-        return self._power(i, en) if en else one(self.profile)
+        if not en:
+            return one(self.profile)
+        return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))[0]
 
-    def _power(self, i: int, en: int) -> SeriesElement:
-        """images[i]**(en / D) for a numerator en > 0 over D."""
-        key = (i, en)
-        g = self._powers.get(key)
-        if g is None:
-            g = _pow_num(self.images[i], en)
+    def _monomial(self, en: tuple):
+        """(image, bound) for the Tate monomial T**(en / D), en a tuple of
+        numerators over D.  image = prod images[i]**(en_i / D), multiplied
+        for i ascending, or None when every en_i is 0.  bound = (a, q), the
+        exponents of prod |g_i|**(en_i / D) over D * D, or None when an image
+        with en_i != 0 is below its floor (the term then has no bound)."""
+        entry = self._powers.get(en)
+        if entry is None:
+            profile = self.profile
+            image, a, q = None, 0, profile._one.qn
+            for g, ng, ei in zip(self.images, self.image_norms, en):
+                if not ei:
+                    continue
+                gp = _pow_num(g, ei)
+                image = gp if image is None else mul(image, gp)
+                if ng is None:
+                    q = None
+                elif q is not None:
+                    a += ei * ng.an
+                    q = tuple(x + ei * y for x, y in zip(q, ng.qn))
+            entry = image, None if q is None else (a, q)
             if len(self._powers) < _POWER_MEMO_CAP:
-                self._powers[key] = g
-        return g
+                self._powers[en] = entry
+        return entry
 
 
 def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement:
@@ -291,6 +311,10 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     Terms whose contribution bound |c| * prod |g_i|**e_i falls below
     target_floor are skipped, and the skip is recorded in the result
     floor; with exact inputs and nothing skipped the result is exact.
+    Each term's contribution is c times its monomial's image: truncation
+    at a product floor is term by term, so this equals multiplying c by
+    one image power at a time, in terms and floor (under a rational radius
+    the floor may carry another exponent representation of the same norm).
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -302,33 +326,20 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     contribs = []
     skipped = False
     D = profile.den
-    image_norms = hom.image_norms
     for e, c in f._terms.items():
         nc = gauss_norm(c)
         if nc is None:
             skipped = True
             continue
-        # The bound as one Value: |c| * prod |g_i|**(e_i / D), its exponents
-        # summed over D * D (a Gauss norm is a term's norm, over D); an
-        # image below its floor leaves the term unbounded, so it is kept.
-        a, q = nc.an * D, profile._one.qn
-        for ei, ni in zip(e, image_norms):
-            if ei == 0:
-                continue
-            if ni is None:
-                break
-            a += ei * ni.an
-            q = tuple(x + ei * y for x, y in zip(q, ni.qn))
-        else:
-            if value_lt(_value(profile, a, q, D * D), target_floor):
-                skipped = True
-                continue
+        image, bound = hom._monomial(e)
+        # |c| * bound as one Value over D * D (a Gauss norm is a term's
+        # norm, over D); an unbounded term is kept.
+        if bound is not None and value_lt(
+                _value(profile, nc.an * D + bound[0], bound[1], D * D), target_floor):
+            skipped = True
+            continue
         contrib = lift_base(c, profile)
-        for i, ei in enumerate(e):
-            if ei == 0:
-                continue
-            contrib = mul(contrib, hom._power(i, ei))
-        contribs.append(contrib)
+        contribs.append(contrib if image is None else mul(contrib, image))
     acc = series_sum(profile, contribs)
     floor = value_lift(f.floor, profile)
     if skipped:

@@ -388,7 +388,8 @@ class Weight:
 
     def refine(self):
         """The enclosures bounds(k) for k = 16, 32, 64, ...: the one
-        refinement loop behind sign, floor_weight and weight_decimal."""
+        refinement loop behind sign and floor_weight (weight_decimal picks
+        its k from the same sequence without building the enclosures)."""
         k = 16
         while True:
             yield self.bounds(k)
@@ -466,10 +467,17 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
     if not w.irr:
         num, den = w.c0, w.den
     else:
-        # the midpoint of the first enclosure narrower than 10**-(digits+2)
-        scale = 10 ** (digits + 2)
-        num, den = next((lo + hi, 2 * den) for lo, hi, den in w.refine()
-                        if (hi - lo) * scale < den)
+        # The midpoint of the first enclosure of refine() narrower than
+        # 10**-(digits+2).  Every bounds(k) has hi - lo = sum|c_d| / g over
+        # den = (w.den / g) << k, g the gcd bounds() reduces by, so that k
+        # is found from integers alone and bounds() runs once.
+        g = gcd(w.den, w.c0, *w.irr.values())
+        width = sum(map(abs, w.irr.values())) // g * 10 ** (digits + 2)
+        k = 16
+        while width >= w.den // g << k:
+            k *= 2
+        lo, hi, den = w.bounds(k)
+        num, den = lo + hi, 2 * den
     sign = "-" if num < 0 else ""
     scaled = (abs(num) * 10**digits + den // 2) // den
     whole, frac = divmod(scaled, 10**digits)

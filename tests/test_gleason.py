@@ -36,9 +36,10 @@ from ultrametrica.series import (
     monomial,
     mul,
     series_frac_pow,
+    series_zero,
     sub,
 )
-from ultrametrica.tatealg import HomSpec, evaluate, t_gauss_norm
+from ultrametrica.tatealg import HomSpec, evaluate, t_gauss_norm, t_sum
 from ultrametrica.valuegroup import (
     FreeRadius,
     make_profile,
@@ -464,6 +465,24 @@ class TestMemosBehaveAsIfAbsent:
         assert qs[-1] not in spec._answers
         assert spec(qs[-1]) == spec.monomial_answer(qs[-1], spec.well.rule.rep(qs[-1]))
 
+    def test_used_hom_evaluates_as_a_fresh_one(self, spec21, prof):
+        beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1,
+                                  (Fraction(7), (Fraction(0),)): 1,
+                                  (Fraction(9), (Fraction(-1, 2),)): 1})
+        preimage = reconstruct_preimage(spec21, beta, 8).preimage
+        fresh = HomSpec(spec21.hom.images)
+        floor = t_power(prof, 40)
+        for _ in range(2):
+            assert spec21.hom._powers
+            assert evaluate(preimage, spec21.hom, floor) == evaluate(preimage, fresh, floor)
+
+    def test_monomial_answer_image_is_the_entry_evaluate_reads(self, spec21, prof):
+        for q in [(Fraction(1),), (Fraction(-1, 2),), (Fraction(3, 4),)]:
+            ans = spec21(q)
+            (e,) = ans.preimage._terms  # one exponent tuple, numerators over D
+            assert spec21.hom._powers[e][0] is ans.image
+            assert evaluate(ans.preimage, spec21.hom, zero_value(prof)) == ans.image
+
     def test_rule_is_built_once(self, prof, monkeypatch):
         shallow = standard_surjection(prof, 4)
         built = []
@@ -510,6 +529,46 @@ class TestDivideStep:
     def test_window_violation_raises(self, spec21, prof):
         beta = make_series(prof, {(Fraction(0), (Fraction(1),)): 1})  # norm > s
         with pytest.raises(InputValidationError):
+            divide_step(spec21, beta, 2)
+
+    @pytest.mark.parametrize("sigma_s", [None, Fraction(16, 3)])
+    def test_step_values_match_the_value_arithmetic(self, sigma_s):
+        """upper, cut, bound_m and target against t_power and value_mul,
+        also for a sigma_s outside D**-1 Z, whose values carry lcm(D, 3)."""
+        profile = make_profile(2, [FreeRadius(2)], sigma_s, max_denom_log=8)
+        base = profile.base()
+        s, s_base = s_value(profile), s_value(base)
+        for m in range(6):
+            assert gleason._step_values(profile, m) == (
+                value_mul(t_power(profile, m), s),
+                value_mul(t_power(profile, m + 1), s),
+                t_power(base, m),
+                value_mul(t_power(base, m + 1), s_base),
+            )
+
+    def test_term_exactly_at_the_cut_is_cleared(self, spec21, prof):
+        # |t**(m+1+sigma_s)| is the cut itself: the window holds it
+        beta = make_series(prof, {(3 + prof.sigma_s, (Fraction(0),)): 1})
+        f, residual = divide_step(spec21, beta, 2)
+        assert residual.terms == {}
+        assert len(f.terms) == 1
+
+    def test_below_cut_returns_beta_itself(self, spec21, prof):
+        beta = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
+        f, residual = divide_step(spec21, beta, 2)
+        assert residual is beta
+        assert f == t_sum(spec21.num_vars, spec21.base, ())
+
+    def test_floored_beta_without_terms_comes_back_as_itself(self, spec21, prof):
+        beta = series_zero(prof, t_power(prof, 6))
+        f, residual = divide_step(spec21, beta, 2)
+        assert residual is beta
+        assert f == t_sum(spec21.num_vars, spec21.base, ())
+
+    def test_over_window_floored_beta_raises(self, spec21, prof):
+        # norm above |pi|**2 s, with a floor above the step's cut
+        beta = make_series(prof, {(Fraction(6), (Fraction(0),)): 1}, t_power(prof, 7))
+        with pytest.raises(InputValidationError, match="window"):
             divide_step(spec21, beta, 2)
 
 

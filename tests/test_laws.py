@@ -26,7 +26,9 @@ from ultrametrica.series import gauss_norm, invert, make_series, mul, one, serie
 from ultrametrica.tatealg import HomSpec, evaluate, make_tate, t_frobenius, t_pth_root
 from ultrametrica.valuegroup import (
     FreeRadius,
+    Ordering,
     RationalRadius,
+    compare,
     make_profile,
     t_power,
     value,
@@ -199,9 +201,18 @@ def floored_evaluations(draw):
 @given(floored_evaluations())
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
-    time, terms and floor alike: == on the floors compares their exponent
-    numerators and denominators, not only the norms they stand for."""
+    time, terms and floor alike.  Under free radii == on the floors compares
+    their exponents, the one representation of a norm.  Under a rational
+    radius a norm has many, and which one a product floor carries depends
+    on the grouping (as it depends on the order of mul's arguments), so
+    there the floors are compared as norms; test_tatealg's
+    test_floor_representation_follows_the_grouping_under_a_rational_radius
+    shows such a pair."""
     f, images, target = ops
     got = evaluate(f, HomSpec(tuple(images)), target)
     want = ref_evaluate_by_factors(f, images, target)
-    assert got == want
+    if got.profile.is_free:
+        assert got == want
+    else:
+        assert got.terms == want.terms
+        assert compare(got.floor, want.floor) is Ordering.EQUAL

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ref_evaluate,
+    ref_evaluate_by_factors,
     ref_gauss_norm,
     ref_make_tate,
     ref_max,
@@ -44,6 +45,7 @@ from ultrametrica.tatealg import (
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
+    RationalRadius,
     compare,
     make_profile,
     t_power,
@@ -171,6 +173,23 @@ class TestEvaluate:
         }, t_power(prof1, 5))
         for target in (6, 10):
             assert evaluate(f, hom, t_power(prof1, target)) == expected
+
+    def test_floor_representation_follows_the_grouping_under_a_rational_radius(self):
+        # Under r = |t| (p = 2), x and t tie; (x + t)(t + x) = x**2 + t**2
+        # has the first key x**2, while one factor at a time the floor
+        # |t|**0 * |x + t| * |t + x| is written x * t.  The norms agree.
+        prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
+        base = prof.base()
+        x, t = (Fraction(0), (Fraction(1),)), (Fraction(1), (Fraction(0),))
+        images = [make_series(prof, {x: 1, t: 1}), make_series(prof, {t: 1, x: 1})]
+        c = make_series(base, {(Fraction(0), ()): 1}, t_power(base, 0))
+        f = make_tate(2, base, {(1, 1): c})
+        got = evaluate(f, HomSpec(tuple(images)), zero_value(prof))
+        want = ref_evaluate_by_factors(f, images, zero_value(prof))
+        assert got.terms == want.terms
+        assert got.floor == value(prof, 0, (2,))
+        assert want.floor == value(prof, 1, (1,))
+        assert compare(got.floor, want.floor) is Ordering.EQUAL
 
     def test_ring_homomorphism_up_to_floors(self, prof1):
         rng = random.Random(13)

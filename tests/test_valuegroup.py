@@ -290,6 +290,16 @@ def weight_parts(draw):
     return draw(small_fracs), cancel, irr
 
 
+class RecordingWeight(Weight):
+    """A Weight that records the precision k of every bounds(k) call."""
+
+    __slots__ = ("ks",)
+
+    def bounds(self, k):
+        self.ks.append(k)
+        return super().bounds(k)
+
+
 class TestOneWeightPath:
     @settings(max_examples=150, deadline=None)
     @given(weight_parts(), st.integers(0, 14))
@@ -366,3 +376,36 @@ class TestOneWeightPath:
         D = math.lcm(w.rational.denominator, *(c.denominator for c in w.irrational.values()))
         assert den == D << k
         assert (Fraction(lo, den), Fraction(hi, den)) == ref_bounds(w, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 30))
+    def test_weight_decimal_takes_the_first_narrow_enclosure(self, data, digits):
+        """weight_decimal against the midpoint of the first enclosure of
+        refine() narrower than 10**-(digits+2), rounded half up, over
+        profiles mixing 0-3 free radii with rational radii."""
+        free = [FreeRadius(d) for d in data.draw(
+            st.lists(st.sampled_from(SQUAREFREE), max_size=3, unique=True))]
+        rational = [RationalRadius(Fraction(data.draw(st.integers(1, 14)),
+                                            data.draw(st.sampled_from((1, 3, 5)))))
+                    for _ in range(data.draw(st.integers(0, 2)))]
+        radii = data.draw(st.permutations(free + rational))
+        prof = make_profile(2, radii)
+        exps = st.one_of(st.just(Fraction(0)), small_fracs)
+        w = exponent_weight(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii))
+        ks = []
+        if w.irr:
+            scale = 10 ** (digits + 2)
+            i, (num, den) = next((i, (lo + hi, 2 * den))
+                                 for i, (lo, hi, den) in enumerate(w.refine())
+                                 if (hi - lo) * scale < den)
+            ks.append(16 << i)  # refine() runs k = 16, 32, 64, ...
+        else:
+            num, den = w.c0, w.den
+        scaled = (abs(num) * 10**digits + den // 2) // den
+        whole, frac = divmod(scaled, 10**digits)
+        sign = "-" if num < 0 else ""
+        recorded = RecordingWeight._raw(w.c0, w.irr, w.den)
+        recorded.ks = []
+        assert weight_decimal(recorded, digits) == \
+            f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
+        assert recorded.ks == ks  # one enclosure, the reference's
