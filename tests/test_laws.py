@@ -162,7 +162,8 @@ def floored_evaluations(draw):
     over p in {2, 3} and n in {0, 1, 2} radii, each free or rational; and a
     zero or nonzero target floor."""
     p, n, m = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), draw(st.integers(1, 3))
-    radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1), RationalRadius(Fraction(1, 2))]))
+    radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1),
+                                   RationalRadius(Fraction(1, 2))]))
              for d in FREE[:n]]
     prof = make_profile(p, radii, max_denom_log=12)
     base = prof.base()
