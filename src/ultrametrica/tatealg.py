@@ -19,7 +19,6 @@ from .series import (
     _build,
     _cap_error,
     _pow_num,
-    add,
     frobenius,
     gauss_norm,
     lift_base,
@@ -28,6 +27,7 @@ from .series import (
     product_floor,
     pth_root,
     series_sum,
+    with_floor,
 )
 from .valuegroup import (
     ExponentKeys,
@@ -54,7 +54,8 @@ class TateElement:
     denominator D) to its coefficient; the terms property reads it with
     Fraction exponents.  _terms belongs to the element and is never
     mutated after construction, and neither are its coefficients (whose
-    Gauss norms are stored on them).
+    Gauss norms are stored on them).  A coefficient has terms, or none
+    and a floor above the Tate floor (see _build_tate).
     """
 
     m: int
@@ -80,7 +81,7 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
         floor = zero_value(base)
     if floor.profile != base:
         raise ProfileMismatchError("floor profile differs from coefficient profile")
-    summed = {}
+    pairs = []
     for e, c in terms.items() if isinstance(terms, dict) else terms:
         e = tuple(Fraction(x) for x in e)
         if len(e) != m:
@@ -93,24 +94,31 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
             if n is None:
                 raise _cap_error(base, x, "Tate exponent")
             nums.append(n)
-        e = tuple(nums)
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
-        summed[e] = add(summed[e], c) if e in summed else c
-    return _build_tate(m, base, summed, floor)
+        pairs.append((tuple(nums), c))
+    return _build_tate(m, base, pairs, floor)
 
 
-def _kept(c: SeriesElement, floor: Value) -> bool:
-    """Whether a coefficient survives the floor: the one drop-below-cut
-    rule for Tate elements."""
-    nc = gauss_norm(c)
-    return nc is not None and (floor.zero or not value_lt(nc, floor))
-
-
-def _build_tate(m: int, base: RadiusProfile, terms: dict, floor: Value) -> TateElement:
-    """Internal constructor: exponents already validated, one coefficient
-    over base per exponent; drops coefficients below the floor."""
-    return TateElement(m, base, {e: c for e, c in terms.items() if _kept(c, floor)}, floor)
+def _build_tate(m: int, base: RadiusProfile, pairs, floor: Value) -> TateElement:
+    """Internal constructor from (exponent, coefficient) pairs, exponents
+    already validated as numerators over base.den: the one drop rule for
+    Tate elements.  The coefficients of a repeated exponent are summed by
+    one series_sum; each coefficient is cut at max(its floor, floor), term
+    by term; and it is dropped only when no term is left and its own floor
+    is not above floor, so a cancelled floored coefficient stays as
+    0 + O(its floor)."""
+    groups = {}
+    for e, c in pairs:
+        groups.setdefault(e, []).append(c)
+    terms = {}
+    for e, cs in groups.items():
+        c = cs[0] if len(cs) == 1 else series_sum(base, cs)
+        if not floor.zero:
+            c = with_floor(c, floor)
+        if c._terms or value_lt(floor, c.floor):
+            terms[e] = c
+    return TateElement(m, base, terms, floor)
 
 
 def tate_monomial(m: int, coeff: SeriesElement, exps) -> TateElement:
@@ -130,36 +138,15 @@ def _require_compatible(f: TateElement, m: int, base: RadiusProfile):
 
 def t_sum(m: int, base: RadiusProfile, fs) -> TateElement:
     """The sum of the Tate elements fs (m variables over base) in one pass:
-    their coefficients merge into one dict and the drop rule runs once, at
-    the max of the floors (the empty sum is exact zero).
-
-    This equals the left fold of t_add, coefficient for coefficient, in
-    dict order and floor.  Floors only grow, so a coefficient the fold
-    drops stays below the final floor unless a later element adds to its
-    exponent; but the drop rule judges a whole coefficient, and a sum of
-    coefficients can climb back above the floor.  So where an exponent
-    repeats, its coefficient so far is checked against the floor so far,
-    as the fold would have checked it, and a dropped one is replaced (and
-    moves to the end) instead of added to.  The first element's own
-    coefficients are not checked before the second merges, as in t_add."""
-    terms, floor, checked = None, zero_value(base), False
+    their coefficients merge and the drop rule runs once, at the max of
+    the floors (the empty sum is exact zero), as in series_sum."""
+    pairs, floor = [], base._zero
     for f in fs:
         _require_compatible(f, m, base)
-        if terms is None:
-            terms, floor = dict(f._terms), f.floor
-            continue
-        for e, c in f._terms.items():
-            prev = terms.get(e)
-            if prev is None:
-                terms[e] = c
-            elif checked and not _kept(prev, floor):
-                del terms[e]
-                terms[e] = c
-            else:
-                terms[e] = add(prev, c)
-        floor = value_max(floor, f.floor)
-        checked = True
-    return _build_tate(m, base, terms or {}, floor)
+        pairs.extend(f._terms.items())
+        if not f.floor.zero:
+            floor = f.floor if floor.zero else value_max(floor, f.floor)
+    return _build_tate(m, base, pairs, floor)
 
 
 def t_add(f: TateElement, g: TateElement) -> TateElement:
@@ -167,21 +154,20 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
 
 
 def t_gauss_norm(f: TateElement):
-    """Sup of coefficient norms (all radii are 1), or None below floor."""
+    """Sup of the norms of the coefficients that have terms (all radii
+    are 1), or None when none has.  A coefficient without terms, kept for
+    its floor, does not count: products and evaluate track the floors
+    per coefficient."""
     norms = [nc for nc in map(gauss_norm, f._terms.values()) if nc is not None]
     return value_max(*norms) if norms else None
 
 
 def t_mul(f: TateElement, g: TateElement) -> TateElement:
     _require_compatible(g, f.m, f.base)
-    terms = {}
-    for e1, c1 in f._terms.items():
-        for e2, c2 in g._terms.items():
-            e = tuple(map(operator.add, e1, e2))
-            c = mul(c1, c2)
-            terms[e] = add(terms[e], c) if e in terms else c
+    pairs = [(tuple(map(operator.add, e1, e2)), mul(c1, c2))
+             for e1, c1 in f._terms.items() for e2, c2 in g._terms.items()]
     floor = product_floor(f, g, t_gauss_norm, t_gauss_norm)
-    return _build_tate(f.m, f.base, terms, floor)
+    return _build_tate(f.m, f.base, pairs, floor)
 
 
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
@@ -189,14 +175,14 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
     floor = product_floor(f, d, t_gauss_norm, gauss_norm)
-    return _build_tate(f.m, f.base, {e: mul(c, d) for e, c in f._terms.items()}, floor)
+    return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()], floor)
 
 
 def t_frobenius(f: TateElement) -> TateElement:
     p = f.base.p
-    terms = {tuple(x * p for x in e): frobenius(c) for e, c in f._terms.items()}
+    pairs = [(tuple(x * p for x in e), frobenius(c)) for e, c in f._terms.items()]
     floor = f.floor if f.floor.zero else value_pow(f.floor, p)
-    return _build_tate(f.m, f.base, terms, floor)
+    return _build_tate(f.m, f.base, pairs, floor)
 
 
 def t_pth_root(f: TateElement) -> TateElement:
@@ -205,14 +191,14 @@ def t_pth_root(f: TateElement) -> TateElement:
     leaving the cap is reported first."""
     p = f.base.p
     roots = [(e, pth_root(c)) for e, c in f._terms.items()]
-    terms = {}
+    pairs = []
     for e, c in roots:
         for x in e:
             if x % p:
                 raise _cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
-        terms[tuple(x // p for x in e)] = c
+        pairs.append((tuple(x // p for x in e), c))
     floor = f.floor if f.floor.zero else _value_pow(f.floor, 1, p)
-    return _build_tate(f.m, f.base, terms, floor)
+    return _build_tate(f.m, f.base, pairs, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +296,8 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
 
     Terms whose contribution bound |c| * prod |g_i|**e_i falls below
     target_floor are skipped, and the skip is recorded in the result
-    floor; with exact inputs and nothing skipped the result is exact.
+    floor; |c| is the coefficient's Gauss norm, or its floor when it has
+    no terms.  With exact inputs and nothing skipped the result is exact.
     Each term's contribution is c times its monomial's image: truncation
     at a product floor is term by term, so this equals multiplying c by
     one image power at a time, in terms and floor (under a rational radius
@@ -329,15 +316,17 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     for e, c in f._terms.items():
         nc = gauss_norm(c)
         if nc is None:
-            skipped = True
-            continue
+            nc = c.floor
         image, bound = hom._monomial(e)
-        # |c| * bound as one Value over D * D (a Gauss norm is a term's
-        # norm, over D); an unbounded term is kept.
-        if bound is not None and value_lt(
-                _value(profile, nc.an * D + bound[0], bound[1], D * D), target_floor):
-            skipped = True
-            continue
+        # |c| * bound as one Value over nc.den * D (a Gauss norm lies over
+        # D, a floor over a multiple s of D); an unbounded term is kept.
+        if bound is not None:
+            s = nc.den // D
+            q = bound[1] if s == 1 else tuple(x * s for x in bound[1])
+            if value_lt(_value(profile, nc.an * D + bound[0] * s, q, nc.den * D),
+                        target_floor):
+                skipped = True
+                continue
         contrib = lift_base(c, profile)
         contribs.append(contrib if image is None else mul(contrib, image))
     acc = series_sum(profile, contribs)

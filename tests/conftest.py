@@ -130,18 +130,24 @@ def ref_res_ge(f, cut):
 
 def ref_make_tate(m, base, pairs, floor):
     """Reference Tate constructor for valid (exponent, coefficient) pairs:
-    sums the coefficients of a repeated exponent, then keeps a coefficient
-    when it has terms above its own floor and its norm is not below floor."""
+    sums the coefficients of a repeated exponent; each sum keeps the terms
+    whose norm is not below cut = max(its floor, floor), with cut as its
+    floor, and is kept when a term is left or its own floor lies above
+    floor."""
     summed = {}
     for e, c in pairs:
         e = tuple(Fraction(x) for x in e)
         summed[e] = add(summed[e], c) if e in summed else c
     kept = {}
     for e, c in summed.items():
-        n = ref_gauss_norm(c)
-        if n is not None and compare(n, floor) is not Ordering.LESS:
+        above = compare(floor, c.floor) is Ordering.LESS
+        cut = c.floor if above else floor
+        terms = {k: a for k, a in c.terms.items()
+                 if compare(value(base, *k), cut) is not Ordering.LESS}
+        if terms or above:
             # TateElement keys its terms by exponent numerators over base.den
-            kept[tuple(x.numerator * (base.den // x.denominator) for x in e)] = c
+            e = tuple(x.numerator * (base.den // x.denominator) for x in e)
+            kept[e] = make_series(base, terms, cut)
     return TateElement(m, base, kept, floor)
 
 
@@ -207,20 +213,18 @@ def ref_evaluate_by_factors(f, images, target):
     """Reference evaluate of a floored Tate element f under floored images
     (series over one profile) above the target floor, one factor at a time.
 
-    A coefficient below its own floor is skipped.  So is a term whose bound
-    |c| prod |g_i|**e_i lies below target, unless an image with e_i != 0
-    is below its floor (then the term has no bound and is kept).  A kept
-    term contributes lift_base(c) times images[i]**e_i for i ascending, one
-    mul per factor; the contributions add left to right.  The result floor
-    is the largest of f's floor, the sum's floor and, after a skip, target."""
+    A term is skipped when its bound |c| prod |g_i|**e_i lies below target,
+    |c| being the coefficient's Gauss norm or, when it has no terms, its
+    floor; unless an image with e_i != 0 is below its floor (then the term
+    has no bound and is kept).  A kept term contributes lift_base(c) times
+    images[i]**e_i for i ascending, one mul per factor; the contributions
+    add left to right.  The result floor is the largest of f's floor, the
+    sum's floor and, after a skip, target."""
     profile = images[0].profile
     contribs, skipped = [], False
     for e, c in f.terms.items():
         nc = gauss_norm(c)
-        if nc is None:
-            skipped = True
-            continue
-        bound = value_lift(nc, profile)
+        bound = value_lift(c.floor if nc is None else nc, profile)
         for ei, g in zip(e, images):
             if ei:
                 ng = gauss_norm(g)

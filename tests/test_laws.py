@@ -1,11 +1,13 @@
 """Laws that must hold whatever the exponent representation: the Gauss
 norm is multiplicative under free radii, invert meets its residual bound
 with a floor that certifies it, t_frobenius and t_pth_root undo each
-other, and evaluate above a nonzero floor does not depend on how each
-term's product is grouped.  Each runs over p in {2, 3} and n in {0, 1, 2}
-(radii, or Tate variables) against a conftest reference; the first three
-references call no library code."""
+other, evaluate above a nonzero floor does not depend on how each term's
+product is grouped, and neither does a sum of Tate elements.  Each runs
+over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
+conftest reference, the last over m in {1, 2} Tate variables against
+itself; the first three references call no library code."""
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -23,7 +25,16 @@ from conftest import (
 )
 from ultrametrica.errors import DenominatorCapError
 from ultrametrica.series import gauss_norm, invert, make_series, mul, one, series_zero, sub
-from ultrametrica.tatealg import HomSpec, evaluate, make_tate, t_frobenius, t_pth_root
+from test_tatealg import tate_families
+from ultrametrica.tatealg import (
+    HomSpec,
+    evaluate,
+    make_tate,
+    t_add,
+    t_frobenius,
+    t_pth_root,
+    t_sum,
+)
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
@@ -217,3 +228,20 @@ def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     else:
         assert got.terms == want.terms
         assert compare(got.floor, want.floor) is Ordering.EQUAL
+
+
+@settings(max_examples=300, deadline=None)
+@given(tate_families())
+def test_tate_sums_do_not_depend_on_grouping(family):
+    """t_sum, the left and the right fold of t_add, and both groupings of
+    three elements are ==: each coefficient is cut term by term and keeps
+    its floor when no term is left, so no grouping loses what another
+    keeps."""
+    m, base, fs = family
+    total = t_sum(m, base, fs)
+    if fs:
+        assert functools.reduce(t_add, fs) == total
+        assert functools.reduce(lambda acc, f: t_add(f, acc), reversed(fs)) == total
+    if len(fs) >= 3:
+        a, b, c = fs[:3]
+        assert t_add(t_add(a, b), c) == t_add(a, t_add(b, c))

@@ -191,6 +191,29 @@ class TestEvaluate:
         assert want.floor == value(prof, 1, (1,))
         assert compare(got.floor, want.floor) is Ordering.EQUAL
 
+    def test_cancelled_floored_coefficient_keeps_its_floor(self, prof1):
+        # Over p = 2, T + T (1 + O(|t|**2)) = O(|t|**2) T, not exact zero,
+        # and its image under T -> x is O(|t|**2 r).
+        base = prof1.base()
+        b = make_tate(1, base, {(1,): one(base)})
+        c = make_tate(1, base, {(1,): make_series(base, {(0, ()): 1}, t_power(base, 2))})
+        got = t_add(b, c)
+        assert got == make_tate(1, base, {(1,): series_zero(base, t_power(base, 2))})
+        image = evaluate(got, HomSpec((x_var(prof1),)), zero_value(prof1))
+        assert image == series_zero(prof1, value(prof1, 2, (1,)))
+
+    def test_skip_bound_reads_a_floor_over_its_own_denominator(self):
+        # D = 2**12, and the coefficient floor |t|**(1/2**13) lies over 2 D.
+        # Its bound |t|**(1/2**13) r is above the target |t|**(3/2**14) r, so
+        # the term is kept and its bound is the result floor; read over D,
+        # the floor would pass for |t|**(1/2**12) and the term be skipped.
+        prof = make_profile(2, [FreeRadius(2)], max_denom_log=12)
+        base = prof.base()
+        f = make_tate(1, base, {(1,): series_zero(base, value(base, Fraction(1, 2**13)))})
+        target = value(prof, Fraction(3, 2**14), (1,))
+        got = evaluate(f, HomSpec((x_var(prof),)), target)
+        assert got == series_zero(prof, value(prof, Fraction(1, 2**13), (1,)))
+
     def test_ring_homomorphism_up_to_floors(self, prof1):
         rng = random.Random(13)
         base = prof1.base()
@@ -371,10 +394,14 @@ class TestProductFloors:
         scaled = [(e, mul(c, d)) for e, c in f.terms.items()]
         assert t_scale(f, d) == make_tate(
             m, base, scaled, ref_product_floor(f.floor, d.floor, nf, ref_gauss_norm(d)))
+        # p * f cancels every term; what is left are the coefficient
+        # floors of f that lie above f.floor, each over no terms.
         acc = f
         for _ in range(base.p - 1):
             acc = t_add(acc, f)
-        assert acc.terms == {}
+        assert acc == tatealg.TateElement(m, base, {
+            e: series_zero(base, c.floor) for e, c in f._terms.items()
+            if compare(f.floor, c.floor) is Ordering.LESS}, f.floor)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -427,9 +454,9 @@ def test_t_sum_is_the_fold_of_t_add(family):
         assert got.terms == {} and got.floor == zero_value(base)
         return
     want = functools.reduce(t_add, fs)
-    assert list(got.terms) == list(want.terms)
+    assert set(got.terms) == set(want.terms)
     for e, c in want.terms.items():
-        assert list(got.terms[e].terms.items()) == list(c.terms.items())
+        assert got.terms[e].terms == c.terms
         assert got.terms[e].floor == c.floor
     assert got.floor == want.floor
 
