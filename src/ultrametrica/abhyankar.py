@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .berkovich import NestedPrefix, PointInvariants
+from .berkovich import NestedPrefix
 from .errors import InputValidationError
 from .valuegroup import (
     RadiusProfile,
@@ -71,8 +71,6 @@ def is_abhyankar(pt: TowerPoint) -> bool:
 class TemkinFactorization:
     B: tuple                 # 1-based indices of the Gauss coordinates
     polyradius: tuple        # their radii
-    remainder: tuple         # PointInvariants per type-IV coordinate
-    kernel_height: int       # always 0 for tower-representable points
 
     @property
     def l(self) -> int:
@@ -83,20 +81,16 @@ def factor_temkin(pt: TowerPoint) -> TemkinFactorization:
     """Maximal Gauss subset B with semi-immediate remainder.
 
     |B| = d_K(pt), and |B| = m iff the point is Abhyankar.  Every
-    type-IV coordinate certifies (0, 0, semi-immediate).  The kernel
-    height is 0 in this representable class, so ht + d_K = dim holds
-    on all-Gauss towers.
+    type-IV coordinate is a semi-immediate step, so the remainder carries
+    no data.
     """
     B = []
     radii = []
-    remainder = []
     for i, c in enumerate(pt.coords, start=1):
         if isinstance(c, GaussCoordinate):
             B.append(i)
             radii.append(c.radius)
-        else:
-            remainder.append(PointInvariants(0, 0, True))
-    return TemkinFactorization(tuple(B), tuple(radii), tuple(remainder), 0)
+    return TemkinFactorization(tuple(B), tuple(radii))
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,6 @@ def cmd_abhyankar(args) -> int:
         "is_abhyankar": is_abhyankar(tower),
         "B": list(fac.B),
         "polyradius": [uio.value_to_json(r) for r in fac.polyradius],
-        "kernel_height": fac.kernel_height,
     }
     if args.n_vars is not None:
         out["main_theorem_bound_ok"] = check_main_theorem_bound(args.n_vars, fac.l)

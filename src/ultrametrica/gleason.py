@@ -233,9 +233,6 @@ class GleasonSchedule:
     construction); mode 'direct' uses beta_m = e_m (bounded one-variable
     preimages).  d(m, i) = eps_m * beta_i for i < m; the head coefficient
     eps_m * beta_m may have norm above 1 and is not one of them.
-
-    _adapted memoizes adapted_expression per step; the schedule is
-    immutable, so it behaves as if absent.
     """
 
     profile: RadiusProfile
@@ -247,7 +244,6 @@ class GleasonSchedule:
     gammas: tuple
     deltas: tuple
     b: tuple
-    _adapted: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def W(self, m: int) -> SeriesElement:
         """Lattice monomial prod V_k**h_{m,k} (1-based m)."""
@@ -301,13 +297,10 @@ class GleasonSchedule:
 
     def adapted_expression(self, m: int) -> SeriesElement:
         """(eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m), exact."""
-        expr = self._adapted.get(m)
-        if expr is None:
-            if not 1 <= m <= self.depth:
-                raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
-            expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
-            expr = self._adapted[m] = root_pk(expr, self.b[m - 1])
-        return expr
+        if not 1 <= m <= self.depth:
+            raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
+        expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
+        return root_pk(expr, self.b[m - 1])
 
 
 def _beta_exponent(mode: str, gamma: Fraction, pb) -> Fraction:
@@ -546,7 +539,7 @@ _ANSWER_MEMO_CAP = 512
 class SurjectionSpec:
     """Images (x_1..x_n, c*x_1**-1...x_n**-1, G) plus the schedule-backed
     adapted-element oracle with min-zero canonical representations; well is
-    the schedule's well-order, grown lazily past the depth by DepthError.
+    the schedule's well-order, which grows only while the schedule is built.
 
     _memo keeps the oracle's answer per exponent q, keyed by q's
     numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
@@ -593,8 +586,8 @@ class SurjectionSpec:
     def schedule_answer(self, q):
         if q not in self.schedule.omegas:
             raise DepthError(
-                f"adapted oracle for {q} needs schedule depth {self.well.index(q)}, "
-                f"built {self.schedule.depth}"
+                f"adapted oracle for {q}: it lies beyond the schedule's depth "
+                f"{self.schedule.depth}"
             )
         m = self.schedule.omegas.index(q) + 1
         image = self.schedule.adapted_expression(m)

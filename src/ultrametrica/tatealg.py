@@ -153,13 +153,17 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
     return t_sum(f.m, f.base, (f, g))
 
 
+def _coefficient_norm(c: SeriesElement) -> Value:
+    """The size of a Tate coefficient: its Gauss norm, or its floor when
+    it has no terms (such a coefficient is kept only for that floor)."""
+    nc = gauss_norm(c)
+    return c.floor if nc is None else nc
+
+
 def t_gauss_norm(f: TateElement):
-    """Sup of the norms of the coefficients that have terms (all radii
-    are 1), or None when none has.  A coefficient without terms, kept for
-    its floor, does not count: products and evaluate track the floors
-    per coefficient."""
-    norms = [nc for nc in map(gauss_norm, f._terms.values()) if nc is not None]
-    return value_max(*norms) if norms else None
+    """Sup of the coefficient sizes (all radii are 1), or None when f has
+    no coefficients."""
+    return value_max(*map(_coefficient_norm, f._terms.values())) if f._terms else None
 
 
 def t_mul(f: TateElement, g: TateElement) -> TateElement:
@@ -314,9 +318,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     skipped = False
     D = profile.den
     for e, c in f._terms.items():
-        nc = gauss_norm(c)
-        if nc is None:
-            nc = c.floor
+        nc = _coefficient_norm(c)
         image, bound = hom._monomial(e)
         # |c| * bound as one Value over nc.den * D (a Gauss norm lies over
         # D, a floor over a multiple s of D); an unbounded term is kept.

@@ -74,8 +74,6 @@ class TestFactorTemkin:
         fac = factor_temkin(pt)
         assert fac.B == (1, 3)
         assert fac.polyradius == (gauss1.radius, gauss_irr.radius)
-        assert len(fac.remainder) == 1
-        assert tuple(fac.remainder[0]) == (0, 0, True)
         assert fac.l == d_K(pt) == 2
         assert not is_abhyankar(pt)
 
@@ -89,8 +87,6 @@ class TestFactorTemkin:
         fac = factor_temkin(pt)
         assert fac.l == pt.m
         assert is_abhyankar(pt)
-        # kernel height 0 on the representable class: ht + d_K = dim
-        assert fac.kernel_height + d_K(pt) == pt.m
 
     def test_B_always_equals_dK(self, gauss1, gauss_irr, type_iv):
         rng = random.Random(4)

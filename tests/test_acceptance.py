@@ -12,6 +12,8 @@ from ultrametrica.abhyankar import (
     GaussCoordinate,
     TowerPoint,
     TypeIVCoordinate,
+    _free_class,
+    _rank,
     check_main_theorem_bound,
     d_K,
     factor_temkin,
@@ -322,8 +324,17 @@ def test_criterion_9_abhyankar_bookkeeping(prof):
     mixed = TowerPoint((gauss(1), iv, gauss(3)))
     fac = factor_temkin(mixed)
     ok = ok and d_K(mixed) == 2 and not is_abhyankar(mixed) and fac.l == 2
-    ok = ok and all(check_main_theorem_bound(l + 2, l) for l in (1, 2, 3))
-    report(9, "abhyankar bookkeeping on m=3 towers", ok, time.monotonic() - t0)
+    # The realized field's radius count l is the rank of the free classes
+    # of the image norms: l = n free radii in N = n + 2 variables.  A
+    # record that claims l = N must fail the bound.
+    for radii in ((2,), (2, 3)):
+        spec = standard_surjection(
+            make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=32), 5)
+        l = _rank([_free_class(v) for v in spec.hom.image_norms])
+        ok = ok and l == spec.profile.n and check_main_theorem_bound(spec.num_vars, l)
+        ok = ok and not check_main_theorem_bound(spec.num_vars, spec.num_vars)
+    report(9, "abhyankar bookkeeping on m=3 towers and realized radius counts", ok,
+           time.monotonic() - t0)
 
 
 def test_criterion_10_semi_immediate(prof):

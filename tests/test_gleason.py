@@ -419,9 +419,7 @@ class TestMemosBehaveAsIfAbsent:
         for q in self.queries(spec21):
             spec21(q)
         verify_schedule(used, spec21.G)
-        assert len(used._adapted) == used.depth
         fresh = dataclasses.replace(used)
-        assert not fresh._adapted
         for m in range(used.depth, 0, -1):
             assert used.adapted_expression(m) == fresh.adapted_expression(m)
         for m in (0, used.depth + 1):
@@ -451,10 +449,18 @@ class TestMemosBehaveAsIfAbsent:
         shallow((Fraction(1),))
         stored = dict(shallow._answers)
         for _ in range(2):
-            with pytest.raises(DepthError, match="needs schedule depth 21"):
+            with pytest.raises(DepthError, match="beyond the schedule's depth 4"):
                 shallow((Fraction(4),))
             assert shallow._answers == stored
             assert (Fraction(4),) not in shallow._answers
+
+    def test_depth_error_leaves_the_well_order_as_built(self, prof):
+        shallow = standard_surjection(prof, 4)
+        built = len(shallow.well._order)
+        for q in [(Fraction(4),), (Fraction(45),), (Fraction(45, 8),)]:
+            with pytest.raises(DepthError):
+                shallow(q)
+            assert len(shallow.well._order) == built
 
     def test_answer_memo_is_capped(self, prof):
         spec = standard_surjection(prof, 4)
@@ -495,7 +501,7 @@ class TestMemosBehaveAsIfAbsent:
         monkeypatch.setattr(gleason, "MinZeroRep", CountingRule)
         for q in [(Fraction(1),), (Fraction(-1, 2),), (Fraction(0),)]:
             shallow(q)
-        with pytest.raises(DepthError, match="needs schedule depth 21"):
+        with pytest.raises(DepthError, match="beyond the schedule's depth 4"):
             shallow((Fraction(4),))
         assert built == []
 

@@ -186,6 +186,15 @@ class TestCli:
         assert out["B"] == [1]
         assert out["main_theorem_bound_ok"] is True
 
+    def test_abhyankar_prints_only_decided_keys(self, tmp_path, prof1, capsys):
+        tower = [{"gauss": {"a": "1", "q": []},
+                  "radius_profile": uio.profile_to_json(prof1.base())}]
+        path = tmp_path / "tower.json"
+        uio.dump_json(tower, str(path))
+        assert main(["abhyankar", str(path), "--n-vars", "4"]) == EXIT_OK
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "m", "d_K", "is_abhyankar", "B", "polyradius", "main_theorem_bound_ok"}
+
     def test_missing_file_is_input_error(self, capsys):
         assert main(["norm", "/nonexistent/f.json"]) == EXIT_INPUT
 

@@ -283,8 +283,9 @@ def tate_operands(draw):
 
 
 def ref_t_norm(f):
-    """Reference Tate Gauss norm: the largest coefficient norm."""
-    return ref_max(n for n in map(ref_gauss_norm, f.terms.values()) if n is not None)
+    """Reference Tate Gauss norm: the largest coefficient size, where a
+    coefficient without terms counts by its floor."""
+    return ref_max(c.floor if not c.terms else ref_gauss_norm(c) for c in f.terms.values())
 
 
 def draw_image(draw, p, n):
@@ -369,6 +370,15 @@ class TestEvaluateLaws:
 
 
 class TestProductFloors:
+    def test_t_mul_counts_a_coefficient_without_terms_by_its_floor(self, prof1):
+        # Over p = 2, O(|t|) times O(1) T is O(|t|), not the exact zero:
+        # g's one coefficient has no terms, so its size is its floor |t|**0.
+        base = prof1.base()
+        f = make_tate(1, base, {}, t_power(base, 1))
+        g = make_tate(1, base, {(1,): series_zero(base, t_power(base, 0))})
+        assert t_gauss_norm(g) == t_power(base, 0)
+        assert t_mul(f, g) == make_tate(1, base, {}, t_power(base, 1))
+
     @settings(max_examples=150, deadline=None)
     @given(tate_operands())
     def test_t_mul_and_t_scale_floors_match_three_candidate_formula(self, ops):
