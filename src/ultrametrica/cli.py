@@ -22,7 +22,7 @@ from . import io as uio
 from .abhyankar import check_main_theorem_bound, d_K, factor_temkin, is_abhyankar
 from .berkovich import classify
 from .errors import UltrametricaError, InputValidationError
-from .gleason import reconstruct_preimage, rescale_into_window, standard_surjection
+from .gleason import MAX_STEPS, reconstruct_preimage, rescale_into_window, standard_surjection
 from .sampling import random_series
 from .series import gauss_norm, invert, sub
 from .tatealg import evaluate
@@ -57,10 +57,7 @@ MAX_DEPTH = 1000
 # A surject-verify trial on either benchmark configuration takes 6-9 ms,
 # so 10**4 trials stay within a few minutes; the largest count in use is 50.
 MAX_TRIALS = 10_000
-# Division steps M, given or derived from floor_exponent; the largest in
-# use is 8.  One trial with M = 10**5 took 14 s, nearly all of it on steps
-# past the floor that have nothing left to clear.
-MAX_STEPS = 1000
+# Division steps M are capped at gleason.MAX_STEPS.
 # gleason build --n takes the radii sqrt(d) for the first n of these.
 BUILD_RADII = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 

@@ -32,7 +32,9 @@ from .errors import (
 from .series import (
     AdaptedCertificate,
     SeriesElement,
+    _build,
     _monomial,
+    _mul_lifted_into,
     _numerator,
     divide,
     gauss_norm,
@@ -47,7 +49,6 @@ from .series import (
     root_pk,
     series_frac_pow,
     series_sum,
-    sub,
 )
 from .tatealg import (
     HomSpec,
@@ -79,6 +80,18 @@ from .valuegroup import (
 )
 
 _B_SAFETY = 100_000
+
+# Division steps M, given or derived from floor_exponent; the largest in
+# use is 8.  One trial with M = 10**5 took 14 s, nearly all of it on steps
+# past the floor that have nothing left to clear.  A SurjectionSpec keeps
+# the window values of at most this many steps.
+MAX_STEPS = 1000
+
+
+def _exponent_str(q) -> str:
+    """The rational exponent tuple q as the wire format writes each entry:
+    (45, 0) or (1/2, 3)."""
+    return "(" + ", ".join(map(str, q)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +558,10 @@ class SurjectionSpec:
     numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
     exponents (a DepthError is never stored); an answer depends only on q
     and the immutable spec, so it behaves as if absent.  _answers reads
-    the memo with Fraction exponents.
+    the memo with Fraction exponents.  _steps keeps divide_step's window
+    values per step m (see step_values), for up to MAX_STEPS steps, and
+    _empty is the one empty exact Tate part that a step which clears
+    nothing returns.
     """
 
     n: int
@@ -556,6 +572,11 @@ class SurjectionSpec:
     G: SeriesElement
     well: WellOrder = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _empty: TateElement = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_empty", t_sum(self.num_vars, self.base, ()))
 
     @property
     def _answers(self) -> ExponentKeys:
@@ -586,8 +607,8 @@ class SurjectionSpec:
     def schedule_answer(self, q):
         if q not in self.schedule.omegas:
             raise DepthError(
-                f"adapted oracle for {q}: it lies beyond the schedule's depth "
-                f"{self.schedule.depth}"
+                f"adapted oracle for {_exponent_str(q)}: it lies beyond the "
+                f"schedule's depth {self.schedule.depth}"
             )
         m = self.schedule.omegas.index(q) + 1
         image = self.schedule.adapted_expression(m)
@@ -612,6 +633,15 @@ class SurjectionSpec:
             if len(self._memo) < _ANSWER_MEMO_CAP:
                 self._memo[qn] = ans
         return ans
+
+    def step_values(self, m: int):
+        """divide_step's window values for step m, _step_values(profile, m)."""
+        values = self._steps.get(m)
+        if values is None:
+            values = _step_values(self.profile, m)
+            if len(self._steps) < MAX_STEPS:
+                self._steps[m] = values
+        return values
 
 
 def standard_surjection(profile: RadiusProfile, depth: int,
@@ -681,11 +711,15 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     terms are still cleared and the residual bound degrades to the
     floor, which is all a truncated input can certify.  A window that
     clears nothing (|beta| below the clamped cut, or no stored terms)
-    returns the empty exact Tate element and beta itself.
+    returns the oracle's one empty exact Tate element and beta itself.
+
+    The residual is beta's terms minus each lift(d) * image, accumulated
+    in one dict and cut once at the max of beta's floor and the product
+    floors, in that order: the terms and floor of sub(beta, the
+    series_sum of the products).
     """
     profile = beta.profile
-    base = profile.base()
-    upper, cut, bound_m, target = _step_values(profile, m)
+    upper, cut, bound_m, target = oracle.step_values(m)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
@@ -693,14 +727,15 @@ def divide_step(oracle, beta: SeriesElement, m: int):
         )
     cut = value_max(cut, beta.floor)
     if nb is None or value_lt(nb, cut):
-        return t_sum(oracle.num_vars, base, ()), beta
+        return oracle._empty, beta
     groups = group_by_x(res_ge(beta, cut))
-    parts, images = [], []
+    parts = []
+    terms, floor = dict(beta._terms), beta.floor
     for qn, b_series in sorted(groups.items()):
         try:
             ans = oracle.answer(qn)
         except DepthError as exc:
-            q = tuple(Fraction(x, profile.den) for x in qn)
+            q = _exponent_str(Fraction(x, profile.den) for x in qn)
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
         c_series = ans.certificate.b_q
         d = divide(b_series, c_series, target_floor=target)
@@ -708,9 +743,9 @@ def divide_step(oracle, beta: SeriesElement, m: int):
         if nd is not None and not value_lt(nd, bound_m):
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
         parts.append(t_scale(ans.preimage, d))
-        images.append(mul(lift_base(d, profile), ans.image))
-    f = t_sum(oracle.num_vars, base, parts)
-    residual = sub(beta, series_sum(profile, images))
+        floor = value_max(floor, _mul_lifted_into(terms, d, ans.image, -1))
+    f = t_sum(oracle.num_vars, profile.base(), parts)
+    residual = _build(profile, terms, floor)
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):
         raise InvariantViolationError("residual did not drop below |pi|**(m+1) s")

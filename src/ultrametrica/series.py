@@ -28,7 +28,6 @@ from .valuegroup import (
     TermKeys,
     Value,
     _value_pow,
-    _weight,
     compare,
     denom_log,
     exponent_numerator,
@@ -69,6 +68,13 @@ class SeriesElement:
 
     __hash__ = None
 
+    @classmethod
+    def _raw(cls, profile, terms, floor) -> "SeriesElement":
+        """Internal constructor: terms are normalized and lie above floor."""
+        f = cls.__new__(cls)
+        f.__dict__.update(profile=profile, _terms=terms, floor=floor, _norm=_UNSET)
+        return f
+
     @property
     def terms(self) -> TermKeys:
         return TermKeys(self._terms, self.profile.den)
@@ -98,24 +104,23 @@ def _drop_below_floor(profile: RadiusProfile, terms: dict, floor: Value) -> dict
     """The terms of norm >= floor: the one drop-below-cut rule for series."""
     if floor.zero or not terms:
         return terms
-    fa, fq, den = floor.an, floor.qn, floor.den
+    fa, fq, sign = floor.an, floor.qn, profile._sign
     # term norm >= floor  <=>  term weight <= floor weight
-    s = den // profile.den
+    s = floor.den // profile.den
     if s == 1:
         return {
             k: c for k, c in terms.items()
-            if _weight(profile, fa - k[0], map(operator.sub, fq, k[1]), den).sign() >= 0
+            if sign(fa - k[0], tuple(map(operator.sub, fq, k[1]))) >= 0
         }
     return {
         k: c for k, c in terms.items()
-        if _weight(profile, fa - k[0] * s, [y - x * s for y, x in zip(fq, k[1])],
-                   den).sign() >= 0
+        if sign(fa - k[0] * s, tuple(y - x * s for y, x in zip(fq, k[1]))) >= 0
     }
 
 
 def _build(profile: RadiusProfile, terms: dict, floor: Value) -> SeriesElement:
     """Internal constructor: terms already normalized and validated."""
-    return SeriesElement(profile, _drop_below_floor(profile, terms, floor), floor)
+    return SeriesElement._raw(profile, _drop_below_floor(profile, terms, floor), floor)
 
 
 def _cap_error(profile: RadiusProfile, e: Fraction, what: str = "exponent"):
@@ -178,7 +183,7 @@ def monomial(profile: RadiusProfile, coeff: int, t_exp, x_exps=None) -> SeriesEl
 def _monomial(profile: RadiusProfile, coeff: int, t: int, xs: tuple) -> SeriesElement:
     """Exact coeff * t**(t/D) * x**(xs/D) from numerators over D."""
     c = coeff % profile.p
-    return SeriesElement(profile, {(t, xs): c} if c else {}, profile._zero)
+    return SeriesElement._raw(profile, {(t, xs): c} if c else {}, profile._zero)
 
 
 def one(profile: RadiusProfile) -> SeriesElement:
@@ -244,9 +249,7 @@ def add(f: SeriesElement, g: SeriesElement) -> SeriesElement:
 
 def neg(f: SeriesElement) -> SeriesElement:
     p = f.profile.p
-    return SeriesElement(
-        f.profile, {k: (p - c) % p for k, c in f._terms.items()}, f.floor
-    )
+    return SeriesElement._raw(f.profile, {k: (p - c) % p for k, c in f._terms.items()}, f.floor)
 
 
 def sub(f: SeriesElement, g: SeriesElement) -> SeriesElement:
@@ -301,22 +304,47 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
             object.__setattr__(h, "_norm", value_mul(_key_norm(profile, (t1, xs1)), n))
         return h
     terms = {}
-    for (t1, xs1), c1 in f._terms.items():
-        for (t2, xs2), c2 in g._terms.items():
+    _mul_into(terms, f._terms.items(), g._terms, p)
+    return _build(profile, terms, floor)
+
+
+def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
+    """Add sign * f * g into terms, product by product (f's terms outer, in
+    order), for f_items the (key, coefficient) pairs of f and g_terms the
+    term dict of g: the one multiply-accumulate loop.  A key whose sum
+    vanishes mod p leaves terms; nothing is cut at a floor, so a caller
+    that accumulates several products cuts once, at the max of their
+    floors (a key fixes its norm, as in series_sum)."""
+    g_items = g_terms.items()
+    for (t1, xs1), c1 in f_items:
+        c1 *= sign
+        for (t2, xs2), c2 in g_items:
             k = (t1 + t2, tuple(map(operator.add, xs1, xs2)))
             s = (terms.get(k, 0) + c1 * c2) % p
             if s == 0:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-    return _build(profile, terms, floor)
+
+
+def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int) -> Value:
+    """Add sign * lift_base(c) * g into terms, for c over g's base profile
+    (with g's cap), and return that product's floor as mul gives it.  The
+    lift is built only when a nonzero floor makes product_floor need it."""
+    profile = g.profile
+    pad = profile._one.qn
+    _mul_into(terms, [((t, pad), x) for (t, _), x in c._terms.items()], g._terms,
+              profile.p, sign)
+    if c.floor.zero and g.floor.zero:
+        return profile._zero
+    return product_floor(lift_base(c, profile), g, gauss_norm, gauss_norm)
 
 
 def scale(f: SeriesElement, coeff: int) -> SeriesElement:
     coeff = coeff % f.profile.p
     if coeff == 0:
         return series_zero(f.profile, f.floor)
-    return SeriesElement(
+    return SeriesElement._raw(
         f.profile, {k: (c * coeff) % f.profile.p for k, c in f._terms.items()}, f.floor
     )
 
@@ -339,14 +367,14 @@ def _leading_keys(f: SeriesElement):
     """The keys of maximal norm, in dict order."""
     if not f._terms:
         raise InputValidationError("element has no terms above its floor")
-    profile, den = f.profile, f.profile.den
+    sign = f.profile._sign
     best = None
     keys = []
     for k in f._terms:
         if best is None:
             best, keys = k, [k]
             continue
-        s = _weight(profile, best[0] - k[0], map(operator.sub, best[1], k[1]), den).sign()
+        s = sign(best[0] - k[0], tuple(map(operator.sub, best[1], k[1])))
         if s > 0:  # smaller weight: larger norm
             best, keys = k, [k]
         elif s == 0:

@@ -18,10 +18,10 @@ from .series import (
     SeriesElement,
     _build,
     _cap_error,
+    _mul_lifted_into,
     _pow_num,
     frobenius,
     gauss_norm,
-    lift_base,
     mul,
     one,
     product_floor,
@@ -306,6 +306,9 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     at a product floor is term by term, so this equals multiplying c by
     one image power at a time, in terms and floor (under a rational radius
     the floor may carry another exponent representation of the same norm).
+    The contributions accumulate in one dict, cut once at the max of their
+    product floors, taken in term order, and f's floor: a key fixes its
+    norm, so a key cut by one product's floor is cut by the max as well.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -314,7 +317,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    contribs = []
+    terms, acc_floor = {}, None
     skipped = False
     D = profile.den
     for e, c in f._terms.items():
@@ -329,10 +332,11 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
                         target_floor):
                 skipped = True
                 continue
-        contrib = lift_base(c, profile)
-        contribs.append(contrib if image is None else mul(contrib, image))
-    acc = series_sum(profile, contribs)
+        pf = _mul_lifted_into(terms, c, one(profile) if image is None else image, 1)
+        acc_floor = pf if acc_floor is None else value_max(acc_floor, pf)
     floor = value_lift(f.floor, profile)
     if skipped:
         floor = value_max(floor, target_floor)
-    return _build(profile, acc._terms, value_max(acc.floor, floor))
+    if acc_floor is None:
+        acc_floor = profile._zero
+    return _build(profile, terms, value_max(acc_floor, floor))

@@ -120,8 +120,9 @@ class RadiusProfile:
     over which every term exponent is an integer numerator; per radius,
     its d (None for a rational radius) and, when some radius is rational,
     lcm * exponent (0 for a free radius) for lcm the lcm of the rational
-    exponents' denominators; the zero, one and s values; and the n = 0
-    base profile.
+    exponents' denominators; the sign kernel _sign(a, q), the sign of the
+    weight of the integer exponent numerators (a, q) over any positive
+    denominator; the zero, one and s values; and the n = 0 base profile.
     """
 
     p: int
@@ -132,6 +133,7 @@ class RadiusProfile:
     _ds: tuple = field(init=False, compare=False, repr=False)
     _rat: tuple = field(init=False, compare=False, repr=False)
     _lcm: int = field(init=False, compare=False, repr=False)
+    _sign: object = field(init=False, compare=False, repr=False)
     _zero: "Value" = field(init=False, compare=False, repr=False)
     _one: "Value" = field(init=False, compare=False, repr=False)
     _s: "Value" = field(init=False, compare=False, repr=False)
@@ -167,6 +169,7 @@ class RadiusProfile:
             0 if f else r.exponent.numerator * (L // r.exponent.denominator)
             for r, f in zip(self.radii, free)))
         object.__setattr__(self, "_lcm", L)
+        object.__setattr__(self, "_sign", _sign_kernel(self))
         object.__setattr__(self, "_zero", Value._raw(self, 0, q0, D, True))
         object.__setattr__(self, "_one", Value._raw(self, 0, q0, D))
         object.__setattr__(self, "_s", t_power(self, self.sigma_s))
@@ -402,16 +405,8 @@ class Weight:
             ((d, b),) = irr.items()
             return _sign_sqrt(self.c0, b, d)
         if len(irr) == 2:
-            # x + y with x = a + b*sqrt(d1) and y = c*sqrt(d2), both nonzero:
-            # when their signs differ, the larger square x**2 - y**2 =
-            # (a**2 + d1*b**2 - d2*c**2) + 2ab*sqrt(d1) decides; it is never
-            # zero for distinct squarefree d1, d2 > 1.
             (d1, b), (d2, c) = irr.items()
-            a = self.c0
-            sx, sy = _sign_sqrt(a, b, d1), 1 if c > 0 else -1
-            if sx == sy or _sign_sqrt(a * a + d1 * b * b - d2 * c * c, 2 * a * b, d1) > 0:
-                return sx
-            return sy
+            return _sign_two(self.c0, b, d1, c, d2)
         if not irr:
             a = self.c0
             return (a > 0) - (a < 0)
@@ -437,6 +432,21 @@ def _sign_sqrt(a: int, b: int, d: int) -> int:
     if (a > 0) == (b > 0):
         return sb
     return -sb if a * a > b * b * d else sb
+
+
+def _sign_two(a: int, b: int, d1: int, c: int, d2: int) -> int:
+    """Sign of a + b*sqrt(d1) + c*sqrt(d2) for distinct squarefree d1, d2 > 1.
+    With x = a + b*sqrt(d1) and y = c*sqrt(d2): y = 0 leaves the sign of x;
+    otherwise, when the signs differ, the larger square x**2 - y**2 =
+    (a**2 + d1*b**2 - d2*c**2) + 2ab*sqrt(d1) decides, and it is never zero
+    for y != 0."""
+    sx = _sign_sqrt(a, b, d1)
+    if not c:
+        return sx
+    sy = 1 if c > 0 else -1
+    if sx == sy or _sign_sqrt(a * a + d1 * b * b - d2 * c * c, 2 * a * b, d1) > 0:
+        return sx
+    return sy
 
 
 def floor_weight(w: Weight) -> int:
@@ -601,6 +611,24 @@ def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
     return Weight._raw(c0, irr, den * L)
 
 
+def _sign_kernel(profile: RadiusProfile):
+    """The function (a, q) -> sign of the weight of the integer exponent
+    numerators (a, q), q a sequence; the positive denominator does not
+    change a sign.  With no radius it is the sign of a, with one or two
+    free radii the rule of Weight.sign for that many square roots, and
+    otherwise Weight.sign itself."""
+    if not profile.radii:
+        return lambda a, q: (a > 0) - (a < 0)
+    if not profile._rat:  # every radius is free
+        if profile.n == 1:
+            (d,) = profile._ds
+            return lambda a, q: _sign_sqrt(a, q[0], d)
+        if profile.n == 2:
+            d1, d2 = profile._ds
+            return lambda a, q: _sign_two(a, q[0], d1, q[1], d2)
+    return lambda a, q: _weight(profile, a, q, 1).sign()
+
+
 def exponent_weight(profile: RadiusProfile, a, q: tuple) -> Weight:
     """Exact weight of |t|**a * r_1**q_1 * ... * r_n**q_n for rational
     exponents a and q."""
@@ -637,10 +665,10 @@ def compare(u: Value, v: Value) -> Ordering:
     if v.zero:
         return Ordering.GREATER
     if u.den == v.den:
-        ua, uq, va, vq, den = u.an, u.qn, v.an, v.qn, u.den
+        ua, uq, va, vq = u.an, u.qn, v.an, v.qn
     else:
-        ua, uq, va, vq, den = _over_one_den(u, v)
-    sign = _weight(u.profile, ua - va, map(operator.sub, uq, vq), den).sign()
+        ua, uq, va, vq, _ = _over_one_den(u, v)
+    sign = u.profile._sign(ua - va, tuple(map(operator.sub, uq, vq)))
     # Larger weight means smaller norm.
     if sign > 0:
         return Ordering.LESS

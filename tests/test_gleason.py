@@ -12,12 +12,14 @@ from ultrametrica.errors import (
     DepthError,
     InputValidationError,
     InvariantViolationError,
+    OracleError,
     WindowError,
 )
 from ultrametrica.gleason import (
     AxisNonneg,
     IndependentRep,
     MinZeroRep,
+    OracleAnswer,
     WellOrder,
     build_gminus,
     build_gmultivar,
@@ -31,6 +33,7 @@ from ultrametrica.gleason import (
 from ultrametrica.series import (
     argnorm,
     gauss_norm,
+    is_adapted,
     lift_base,
     make_series,
     monomial,
@@ -38,10 +41,13 @@ from ultrametrica.series import (
     series_frac_pow,
     series_zero,
     sub,
+    with_floor,
 )
 from ultrametrica.tatealg import HomSpec, evaluate, t_gauss_norm, t_sum
 from ultrametrica.valuegroup import (
     FreeRadius,
+    Ordering,
+    compare,
     make_profile,
     pi_value,
     s_value,
@@ -462,6 +468,23 @@ class TestMemosBehaveAsIfAbsent:
                 shallow(q)
             assert len(shallow.well._order) == built
 
+    def test_depth_errors_write_exponents_as_the_wire_format_does(self, prof):
+        """(45), not (Fraction(45, 1),), in the oracle's DepthError and in
+        the OracleError divide_step raises for an exponent it needs."""
+        shallow = standard_surjection(prof, 4)
+        with pytest.raises(DepthError) as depth:
+            shallow((Fraction(45),))
+        # x**45 has weight 45 sqrt(2) = 63.6..., inside the step-58 window [63, 64]
+        beta = make_series(prof, {(Fraction(0), (Fraction(45),)): 1})
+        with pytest.raises(OracleError) as oracle:
+            divide_step(shallow, beta, 58)
+        for exc in (depth, oracle):
+            message = str(exc.value)
+            assert "(45)" in message and "Fraction(" not in message
+        assert str(oracle.value).startswith("oracle failed for required exponent (45): ")
+        with pytest.raises(DepthError, match=r"adapted oracle for \(45/8\): "):
+            shallow((Fraction(45, 8),))
+
     def test_answer_memo_is_capped(self, prof):
         spec = standard_surjection(prof, 4)
         qs = [(Fraction(j, 256),) for j in range(600)]  # |x**q| > s for all of them
@@ -551,6 +574,37 @@ class TestDivideStep:
                 t_power(base, m),
                 value_mul(t_power(base, m + 1), s_base),
             )
+
+    def test_step_values_are_kept_for_at_most_max_steps(self, prof):
+        spec = standard_surjection(prof, 4)
+        for m in range(gleason.MAX_STEPS + 3):
+            assert spec.step_values(m) == gleason._step_values(prof, m)
+        assert len(spec._steps) == gleason.MAX_STEPS
+        assert spec.step_values(5) is spec.step_values(5)
+
+    def test_empty_windows_share_one_tate_part(self, spec21, prof):
+        below = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
+        assert divide_step(spec21, below, 2)[0] is divide_step(spec21, below, 3)[0]
+
+    def test_residual_keeps_the_floor_of_a_floored_oracle_image(self, spec21, prof):
+        """An oracle whose images carry the floor |t|**30: clearing
+        beta = t**6 x leaves no term and the product floor |d| |t|**30 =
+        |t|**36 of lift(d) * image."""
+        floor = t_power(prof, 30)
+
+        class FlooredImages:
+            def __getattr__(self, name):
+                return getattr(spec21, name)
+
+            def answer(self, qn):
+                ans = spec21.answer(qn)
+                image = with_floor(ans.image, floor)
+                return OracleAnswer(ans.preimage, image, is_adapted(image, ans.certificate.q))
+
+        beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
+        f, residual = divide_step(FlooredImages(), beta, 2)
+        assert residual.terms == {} and len(f.terms) == 1
+        assert compare(residual.floor, t_power(prof, 36)) is Ordering.EQUAL
 
     def test_term_exactly_at_the_cut_is_cleared(self, spec21, prof):
         # |t**(m+1+sigma_s)| is the cut itself: the window holds it

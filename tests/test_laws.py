@@ -5,12 +5,17 @@ other, evaluate above a nonzero floor does not depend on how each term's
 product is grouped, and neither does a sum of Tate elements.  Each runs
 over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
 conftest reference, the last over m in {1, 2} Tate variables against
-itself; the first three references call no library code."""
+itself; the first three references call no library code.  Two more: a
+profile's integer sign kernel agrees with mpmath, and a division step's
+residual is beta minus the evaluation of its Tate part."""
 
 import functools
+import math
 import operator
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,7 +29,18 @@ from conftest import (
     ref_weight_cmp,
 )
 from ultrametrica.errors import DenominatorCapError
-from ultrametrica.series import gauss_norm, invert, make_series, mul, one, series_zero, sub
+from ultrametrica.gleason import divide_step, rescale_into_window, standard_surjection
+from ultrametrica.sampling import random_series
+from ultrametrica.series import (
+    gauss_norm,
+    invert,
+    make_series,
+    mul,
+    one,
+    series_zero,
+    sub,
+    with_floor,
+)
 from test_tatealg import tate_families
 from ultrametrica.tatealg import (
     HomSpec,
@@ -39,6 +55,7 @@ from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
     RationalRadius,
+    _weight,
     compare,
     make_profile,
     t_power,
@@ -245,3 +262,157 @@ def test_tate_sums_do_not_depend_on_grouping(family):
     if len(fs) >= 3:
         a, b, c = fs[:3]
         assert t_add(t_add(a, b), c) == t_add(a, t_add(b, c))
+
+
+# ---------------------------------------------------------------------------
+# The integer sign kernel against mpmath.
+# ---------------------------------------------------------------------------
+
+# Profiles with 0, 1, 2 and 3 free radii, and a mix with a rational radius.
+SIGN_PROFILES = [
+    make_profile(2, []),
+    make_profile(2, [FreeRadius(2)]),
+    make_profile(2, [FreeRadius(2), FreeRadius(3)]),
+    make_profile(3, [FreeRadius(2), FreeRadius(3), FreeRadius(5)]),
+    make_profile(2, [FreeRadius(2), RationalRadius(Fraction(1, 3)), FreeRadius(3)]),
+]
+
+COEFF_LIMIT = 2**64
+
+
+def mp_sign(profile, a, q):
+    """Sign of a + sum q_i alpha_i (alpha_i = sqrt(d_i), or e_i for a
+    rational radius) times the lcm L of the e_i's denominators, from a
+    300-digit mpmath sum.  That sum is an integer combination A of 1 and
+    square roots of k <= 3 distinct squarefree d <= 5 with coefficients
+    below 4 * 2**64 in absolute value.  When A != 0, the product of its 2**k
+    conjugates (every choice of signs on the square roots) is a nonzero
+    integer, so |A| >= 1 / M**(2**k - 1) for M >= each conjugate's size:
+    M < 4 * 2**64 * (1 + sqrt2 + sqrt3 + sqrt5) < 2**70, so |A| > 2**-490 >
+    10**-148.  mpmath's error at 300 digits is below M * 10**-298, so a
+    magnitude below 10**-200 is an exact zero and the sign of any larger
+    one is right."""
+    mpmath.mp.dps = 300
+    L = math.lcm(*(r.exponent.denominator for r in profile.radii
+                   if isinstance(r, RationalRadius)))
+    total = mpmath.mpf(a * L)
+    for r, x in zip(profile.radii, q):
+        if isinstance(r, RationalRadius):
+            total += x * r.exponent.numerator * (L // r.exponent.denominator)
+        else:
+            total += x * L * mpmath.sqrt(r.d)
+    if abs(total) < mpmath.mpf(10) ** -200:
+        return 0
+    return 1 if total > 0 else -1
+
+
+def pell(d, x1, y1):
+    """The solutions (x, y) of x**2 - d*y**2 = 1 with x below COEFF_LIMIT,
+    powers of the fundamental one: x - y*sqrt(d) = 1 / (x + y*sqrt(d))."""
+    out, x, y = [], x1, y1
+    while x < COEFF_LIMIT:
+        out.append((x, y))
+        x, y = x * x1 + d * y * y1, x * y1 + y * x1
+    return out
+
+
+PELL2 = pell(2, 3, 2)  # 3 - 2*sqrt(2), 17 - 12*sqrt(2), 99 - 70*sqrt(2), ...
+PELL3 = pell(3, 2, 1)  # 2 - sqrt(3), 7 - 4*sqrt(3), ..., 1351 - 780*sqrt(3), ...
+
+
+def near_cancelling(profile):
+    """(a, q) pairs whose weights lie within about 2**-64 of zero: each
+    Pell pair x - y*sqrt(d) in a slot with radius sqrt(d), and the sum and
+    difference of a sqrt(2) and a sqrt(3) pair, both signs; a rational
+    slot adds (k, -3k), which cancels under e = 1/3."""
+    slots = {r.d: i for i, r in enumerate(profile.radii) if isinstance(r, FreeRadius)}
+    rational = [i for i, r in enumerate(profile.radii) if isinstance(r, RationalRadius)]
+    zero = [0] * profile.n
+
+    def pair(a, parts):
+        q = list(zero)
+        for d, y in parts:
+            q[slots[d]] += y
+        return a, tuple(q)
+
+    cases = []
+    for d, sols in ((2, PELL2), (3, PELL3)):
+        if d in slots:
+            cases += [pair(s * x, [(d, -s * y)]) for x, y in sols for s in (1, -1)]
+    if 2 in slots and 3 in slots:
+        for (x1, y1) in PELL2:
+            for (x2, y2) in PELL3:
+                for s1 in (1, -1):
+                    for s2 in (1, -1):
+                        cases.append(pair(s1 * x1 + s2 * x2, [(2, -s1 * y1), (3, -s2 * y2)]))
+    for i in rational:
+        shifted = []
+        for a, q in cases[::7]:
+            q = list(q)
+            q[i] -= 3 * 5
+            shifted.append((a + 5, tuple(q)))
+        cases += shifted
+    return cases + [(0, tuple(zero))]
+
+
+def kernel_signs(profile, a, q):
+    """The kernel's sign and Weight.sign's on the same weight."""
+    return profile._sign(a, q), _weight(profile, a, q, 1).sign()
+
+
+@pytest.mark.parametrize("profile", SIGN_PROFILES,
+                         ids=["free0", "free1", "free2", "free3", "mixed"])
+def test_sign_kernel_on_near_cancelling_pell_pairs(profile):
+    """Pell pairs such as 99 - 70*sqrt(2) and 1351 - 780*sqrt(3), up to
+    coefficients of 2**64, and their two-radius sums and differences:
+    every branch of the two-radius rule meets opposite-sign parts here,
+    and the all-zero input needs its zero coefficients to fall through."""
+    for a, q in near_cancelling(profile):
+        want = mp_sign(profile, a, q)
+        assert kernel_signs(profile, a, q) == (want, want), (a, q)
+
+
+coefficients = st.one_of(st.just(0), st.integers(-COEFF_LIMIT + 1, COEFF_LIMIT - 1),
+                         st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SIGN_PROFILES), st.data())
+def test_sign_kernel_matches_mpmath(profile, data):
+    """Integer coefficients below 2**64, zero often: the kernel and
+    Weight.sign give mpmath's sign."""
+    a = data.draw(coefficients)
+    q = tuple(data.draw(coefficients) for _ in range(profile.n))
+    want = mp_sign(profile, a, q)
+    assert kernel_signs(profile, a, q) == (want, want)
+
+
+# ---------------------------------------------------------------------------
+# A division step's residual is beta minus the image of its Tate part.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("radii, depth, steps", [((2,), 8, 8), ((2, 3), 12, 4)])
+def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, steps):
+    """For betas drawn as surject-verify draws them, exact and floored at
+    |t|**12, every step's residual has the terms of sub(beta, evaluate(f))
+    at the zero target floor, and a floor of the same norm."""
+    profile = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=32)
+    spec = standard_surjection(profile, depth)
+    exact = zero_value(profile)
+    pool = list(spec.schedule.omegas)
+    rng = random.Random(5)
+    cleared = 0
+    for trial in range(30):
+        beta = random_series(profile, rng, x_pool=pool, max_t_weight=12)
+        if trial % 2:
+            beta = with_floor(beta, t_power(profile, 12))
+        beta, _ = rescale_into_window(beta)
+        for m in range(steps):
+            f, residual = divide_step(spec, beta, m)
+            want = sub(beta, evaluate(f, spec.hom, exact))
+            assert residual.terms == want.terms
+            assert compare(residual.floor, want.floor) is Ordering.EQUAL
+            cleared += bool(f.terms)
+            beta = residual
+    assert cleared >= 40  # steps that cleared terms, not only empty windows

@@ -191,6 +191,19 @@ class TestEvaluate:
         assert want.floor == value(prof, 1, (1,))
         assert compare(got.floor, want.floor) is Ordering.EQUAL
 
+    def test_tied_product_floors_keep_the_first_term_under_a_rational_radius(self):
+        # Under r = |t| (p = 2), c T1 and c T2 with |c| floored at |t|**5 and
+        # T1 -> x, T2 -> t have the tied product floors x * t**5 and t**6;
+        # the result floor is the first in term order, as series_sum keeps it.
+        prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
+        base = prof.base()
+        hom = HomSpec((make_series(prof, {(0, (1,)): 1}), make_series(prof, {(1, (0,)): 1})))
+        c = series_zero(base, t_power(base, 5))
+        for order, floor in (([(1, 0), (0, 1)], value(prof, 5, (1,))),
+                             ([(0, 1), (1, 0)], value(prof, 6, (0,)))):
+            f = make_tate(2, base, [(e, c) for e in order])
+            assert evaluate(f, hom, zero_value(prof)).floor == floor
+
     def test_cancelled_floored_coefficient_keeps_its_floor(self, prof1):
         # Over p = 2, T + T (1 + O(|t|**2)) = O(|t|**2) T, not exact zero,
         # and its image under T -> x is O(|t|**2 r).
