@@ -703,7 +703,9 @@ def _step_values(profile: RadiusProfile, m: int):
 
 def divide_step(oracle, beta: SeriesElement, m: int):
     """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
-    asking oracle.answer(qn) for each x exponent (numerators qn over D).
+    asking oracle.answer(qn) for each x exponent (numerators qn over D);
+    the oracle (a SurjectionSpec) also gives the step's window values and
+    its empty Tate part.
 
     Returns (f, residual) with residual = beta - phi(f),
     |residual| <= |pi|**(m+1) s and |f| <= |pi|**m.  When beta carries a
