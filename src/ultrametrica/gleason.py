@@ -597,8 +597,6 @@ class SurjectionSpec:
         pre = tate_monomial(self.num_vars, one(self.base), exps)
         # the hom's entry for pre's one exponent tuple, which evaluate reads too
         img, _ = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
-        if img is None:
-            img = one(self.profile)
         cert = is_adapted(img, q)
         if not cert.passed:
             return None

@@ -265,14 +265,12 @@ class HomSpec:
         en = exponent_numerator(self.profile.den, e)
         if en is None:
             raise _cap_error(self.profile, e)
-        if not en:
-            return one(self.profile)
         return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))[0]
 
     def _monomial(self, en: tuple):
         """(image, bound) for the Tate monomial T**(en / D), en a tuple of
         numerators over D.  image = prod images[i]**(en_i / D), multiplied
-        for i ascending, or None when every en_i is 0.  bound = (a, q), the
+        for i ascending, or one when every en_i is 0.  bound = (a, q), the
         exponents of prod |g_i|**(en_i / D) over D * D, or None when an image
         with en_i != 0 is below its floor (the term then has no bound)."""
         entry = self._powers.get(en)
@@ -289,7 +287,8 @@ class HomSpec:
                 elif q is not None:
                     a += ei * ng.an
                     q = tuple(x + ei * y for x, y in zip(q, ng.qn))
-            entry = image, None if q is None else (a, q)
+            entry = (one(profile) if image is None else image,
+                     None if q is None else (a, q))
             if len(self._powers) < _POWER_MEMO_CAP:
                 self._powers[en] = entry
         return entry
@@ -332,7 +331,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
                         target_floor):
                 skipped = True
                 continue
-        pf = _mul_lifted_into(terms, c, one(profile) if image is None else image, 1)
+        pf = _mul_lifted_into(terms, c, image, 1)
         acc_floor = pf if acc_floor is None else value_max(acc_floor, pf)
     floor = value_lift(f.floor, profile)
     if skipped:
