@@ -48,6 +48,7 @@ from .valuegroup import (
 # an integer numerator over the profile denominator D = profile.den.
 
 _UNSET = object()
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True, eq=True)
@@ -70,9 +71,15 @@ class SeriesElement:
 
     @classmethod
     def _raw(cls, profile, terms, floor) -> "SeriesElement":
-        """Internal constructor: terms are normalized and lie above floor."""
+        """Internal constructor: terms are normalized and lie above floor.
+        It sets the fields one by one, as __init__ does, so the instance
+        keeps its compact attribute layout (reading __dict__ would build a
+        dict per instance)."""
         f = cls.__new__(cls)
-        f.__dict__.update(profile=profile, _terms=terms, floor=floor, _norm=_UNSET)
+        _setattr(f, "profile", profile)
+        _setattr(f, "_terms", terms)
+        _setattr(f, "floor", floor)
+        _setattr(f, "_norm", _UNSET)
         return f
 
     @property

@@ -498,6 +498,8 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
 # Values: points of the norm monoid.
 # ---------------------------------------------------------------------------
 
+_setattr = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Value:
@@ -520,9 +522,15 @@ class Value:
     @classmethod
     def _raw(cls, profile, an, qn, den, zero=False) -> "Value":
         """Internal constructor: den is canonical for (an, qn), and qn has
-        the profile's arity."""
+        the profile's arity.  It sets the fields one by one, as __init__
+        does, so the instance keeps its compact attribute layout (reading
+        __dict__ would build a dict per instance)."""
         v = cls.__new__(cls)
-        v.__dict__.update(profile=profile, an=an, qn=qn, den=den, zero=zero)
+        _setattr(v, "profile", profile)
+        _setattr(v, "an", an)
+        _setattr(v, "qn", qn)
+        _setattr(v, "den", den)
+        _setattr(v, "zero", zero)
         return v
 
     @property

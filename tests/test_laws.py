@@ -285,25 +285,25 @@ def mp_sign(profile, a, q):
     rational radius) times the lcm L of the e_i's denominators, from a
     300-digit mpmath sum.  That sum is an integer combination A of 1 and
     square roots of k <= 3 distinct squarefree d <= 5 with coefficients
-    below 4 * 2**64 in absolute value.  When A != 0, the product of its 2**k
-    conjugates (every choice of signs on the square roots) is a nonzero
-    integer, so |A| >= 1 / M**(2**k - 1) for M >= each conjugate's size:
-    M < 4 * 2**64 * (1 + sqrt2 + sqrt3 + sqrt5) < 2**70, so |A| > 2**-490 >
-    10**-148.  mpmath's error at 300 digits is below M * 10**-298, so a
-    magnitude below 10**-200 is an exact zero and the sign of any larger
-    one is right."""
-    mpmath.mp.dps = 300
+    below 2**67 in absolute value (inputs below 2**65, L <= 3).  When
+    A != 0, the product of its 2**k conjugates (every choice of signs on
+    the square roots) is a nonzero integer, so |A| >= 1 / M**(2**k - 1) for
+    M >= each conjugate's size: M < 2**67 * (1 + sqrt2 + sqrt3 + sqrt5) <
+    2**70, so |A| > 2**-490 > 10**-148.  mpmath's error at 300 digits is
+    below M * 10**-298, so a magnitude below 10**-200 is an exact zero and
+    the sign of any larger one is right."""
     L = math.lcm(*(r.exponent.denominator for r in profile.radii
                    if isinstance(r, RationalRadius)))
-    total = mpmath.mpf(a * L)
-    for r, x in zip(profile.radii, q):
-        if isinstance(r, RationalRadius):
-            total += x * r.exponent.numerator * (L // r.exponent.denominator)
-        else:
-            total += x * L * mpmath.sqrt(r.d)
-    if abs(total) < mpmath.mpf(10) ** -200:
-        return 0
-    return 1 if total > 0 else -1
+    with mpmath.workdps(300):
+        total = mpmath.mpf(a * L)
+        for r, x in zip(profile.radii, q):
+            if isinstance(r, RationalRadius):
+                total += x * r.exponent.numerator * (L // r.exponent.denominator)
+            else:
+                total += x * L * mpmath.sqrt(r.d)
+        if abs(total) < mpmath.mpf(10) ** -200:
+            return 0
+        return 1 if total > 0 else -1
 
 
 def pell(d, x1, y1):
