@@ -82,6 +82,9 @@ class Config:
     def __post_init__(self):
         _check_range("depth", self.depth, 1, MAX_DEPTH)
         _check_range("trials", self.trials, 1, MAX_TRIALS)
+        if self.floor_exponent < 0:
+            raise InputValidationError(
+                f"floor_exponent must be >= 0, got {self.floor_exponent}")
         _check_range("steps", self.division_steps(), 1, MAX_STEPS)
 
     @classmethod

@@ -65,7 +65,6 @@ from .valuegroup import (
     Weight,
     _value,
     ceil_weight,
-    denom_log,
     exponent_weight,
     floor_weight,
     is_p_exponent,
@@ -170,8 +169,7 @@ class WellOrder:
     """Order type omega on J: rank by (D, k, R, lex) with D = max(k, R).
 
     k is the max denominator exponent, R the bounding-box radius of the
-    scaled integer vector; the diagonal D makes every shell finite.  The
-    cost of index(q) is Theta(index(q)).
+    scaled integer vector; the diagonal D makes every shell finite.
     """
 
     def __init__(self, n: int, p: int, rule):
@@ -179,7 +177,6 @@ class WellOrder:
         self.p = p
         self.rule = rule
         self._order = []
-        self._index = {}
         self._next_shell = 0
 
     def _shell_members(self, D):
@@ -201,18 +198,8 @@ class WellOrder:
         return out
 
     def _grow(self):
-        members = self._shell_members(self._next_shell)
-        for q in members:
-            self._order.append(q)
-            self._index[q] = len(self._order)
+        self._order.extend(self._shell_members(self._next_shell))
         self._next_shell += 1
-
-    def _rank_key(self, q):
-        ks = [denom_log(x, self.p) for x in q]
-        k = max(ks, default=0)
-        v = [int(x * self.p**k) for x in q]
-        R = max((abs(x) for x in v), default=0)
-        return max(k, R)
 
     def omega(self, m: int):
         """The m-th exponent, 1-based."""
@@ -221,15 +208,6 @@ class WellOrder:
         while len(self._order) < m:
             self._grow()
         return self._order[m - 1]
-
-    def index(self, q) -> int:
-        q = tuple(Fraction(x) for x in q)
-        if self.rule.rep(q) is None:
-            raise InputValidationError(f"{q} is not in the exponent set J")
-        D = self._rank_key(q)
-        while self._next_shell <= D:
-            self._grow()
-        return self._index[q]
 
 
 # ---------------------------------------------------------------------------

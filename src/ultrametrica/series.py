@@ -23,12 +23,12 @@ from .errors import (
     ProfileMismatchError,
 )
 from .valuegroup import (
-    Ordering,
     RadiusProfile,
     TermKeys,
     Value,
+    _fold,
+    _value,
     _value_pow,
-    compare,
     denom_log,
     exponent_numerator,
     one_value,
@@ -97,14 +97,12 @@ class SeriesElement:
 
 
 def _key_norm(profile: RadiusProfile, key) -> Value:
+    """The norm of the term with key (t, xs), numerators over D."""
     t, xs = key
+    if profile._rat:
+        t, xs = _fold(profile, t, xs)
+        return _value(profile, t, xs, profile.den * profile._lcm)
     return Value._raw(profile, t, xs, profile.den)
-
-
-def term_norm(profile: RadiusProfile, key) -> Value:
-    """The norm of a term with rational exponents key = (t, xs)."""
-    t, xs = key
-    return value(profile, t, xs)
 
 
 def _drop_below_floor(profile: RadiusProfile, terms: dict, floor: Value) -> dict:
@@ -232,7 +230,7 @@ def series_sum(profile: RadiusProfile, fs) -> SeriesElement:
     floors only grow, so that term is below the final floor too and is
     dropped here.  A kept term was never dropped by the fold, so both
     merge, cancel and re-insert it in the same steps and keep the same
-    order.  Ties between floors keep the first, as value_max does."""
+    order."""
     p = profile.p
     terms, floor = None, profile._zero
     for f in fs:
@@ -358,8 +356,6 @@ def scale(f: SeriesElement, coeff: int) -> SeriesElement:
 
 def gauss_norm(f: SeriesElement):
     """Max term norm, or None when the element is below its floor.
-    Tied terms (possible under rational radii) give the first key's norm;
-    as a term's norm, its exponents lie over D.
 
     Taken once per element and stored on it (see SeriesElement)."""
     n = f._norm
@@ -632,7 +628,7 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
         check2 = False
     else:
         nbq_lifted = value_mul(value_lift(nbq, profile), value(profile, 0, q))
-        check2 = compare(nbq_lifted, nb) is Ordering.EQUAL
+        check2 = nbq_lifted == nb
     qn = _x_numerators(profile, q)
     tail_terms = {
         k: c for k, c in beta._terms.items() if k[1] != qn

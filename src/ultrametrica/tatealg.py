@@ -125,12 +125,6 @@ def tate_monomial(m: int, coeff: SeriesElement, exps) -> TateElement:
     return make_tate(m, coeff.profile, {tuple(Fraction(x) for x in exps): coeff})
 
 
-def tate_variable(m: int, base: RadiusProfile, i: int, power=1) -> TateElement:
-    exps = [Fraction(0)] * m
-    exps[i] = Fraction(power)
-    return tate_monomial(m, one(base), exps)
-
-
 def _require_compatible(f: TateElement, m: int, base: RadiusProfile):
     if f.m != m or f.base != base:
         raise ProfileMismatchError("Tate elements are not compatible")
@@ -303,11 +297,10 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     no terms.  With exact inputs and nothing skipped the result is exact.
     Each term's contribution is c times its monomial's image: truncation
     at a product floor is term by term, so this equals multiplying c by
-    one image power at a time, in terms and floor (under a rational radius
-    the floor may carry another exponent representation of the same norm).
-    The contributions accumulate in one dict, cut once at the max of their
-    product floors, taken in term order, and f's floor: a key fixes its
-    norm, so a key cut by one product's floor is cut by the max as well.
+    one image power at a time, in terms and floor.  The contributions
+    accumulate in one dict, cut once at the max of their product floors
+    and f's floor: a key fixes its norm, so a key cut by one product's
+    floor is cut by the max as well.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")

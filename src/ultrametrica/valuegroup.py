@@ -371,9 +371,6 @@ class Weight:
         return Weight._raw(self.c0 * num, {d: x * num for d, x in self.irr.items()},
                            self.den * c.denominator)
 
-    def is_rational(self) -> bool:
-        return not self.irr
-
     def bounds(self, k: int):
         """Integers (lo, hi, den) with lo/den <= self <= hi/den, width
         shrinking in k.  den = D << k for D the lcm of the coefficient
@@ -507,10 +504,12 @@ class Value:
 
     The exponents are integers over one denominator: a = an / den and
     q_i = qn[i] / den, where den = lcm(D, the exponents' own denominators)
-    for the profile denominator D.  That den is canonical, so == compares
-    exponents; it is D itself unless an exponent lies outside D**-1 * Z
-    (a floor after root_pk, say).  value(profile, a, q) builds a Value
-    from rationals; the a and q properties read them back as Fractions.
+    for the profile denominator D.  That den is canonical; it is D itself
+    unless an exponent lies outside D**-1 * Z (a floor after root_pk, or a
+    folded rational radius, say).  Every rational radius is folded into a
+    (see _fold), so its q_i is 0; each norm then has one Value, and ==
+    means equal norms.  value(profile, a, q) builds a Value from
+    rationals; the a and q properties read them back as Fractions.
     """
 
     profile: RadiusProfile
@@ -569,8 +568,12 @@ def value(profile: RadiusProfile, a, q=()) -> Value:
             f"value has {len(q)} radius exponents, profile has {profile.n}"
         )
     den = lcm(profile.den, a.denominator, *(x.denominator for x in q))
-    return Value._raw(profile, a.numerator * (den // a.denominator),
-                      tuple(x.numerator * (den // x.denominator) for x in q), den)
+    an = a.numerator * (den // a.denominator)
+    qn = tuple(x.numerator * (den // x.denominator) for x in q)
+    if profile._rat:
+        an, qn = _fold(profile, an, qn)
+        return _value(profile, an, qn, den * profile._lcm)
+    return Value._raw(profile, an, qn, den)
 
 
 def zero_value(profile: RadiusProfile) -> Value:
@@ -597,26 +600,36 @@ def s_value(profile: RadiusProfile) -> Value:
     return profile._s
 
 
-def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
-    """Exact weight of the exponents (a, q) / den, q any iterable: a free
-    radius sqrt(d) gives the coefficient q_i of sqrt(d); a rational radius
-    folds q_i * exponent into c0, all over den * lcm."""
-    irr = {}
-    if not profile._rat:  # every radius is free
-        for d, x in zip(profile._ds, q):
-            if x:
-                irr[d] = x
-        return Weight._raw(a, irr, den)
+def _fold(profile: RadiusProfile, a: int, q) -> tuple:
+    """The exponent numerators (a, q) over den, q any iterable, as
+    numerators (a', q') over den * lcm with every rational radius folded
+    into the |t| exponent: its q_i * exponent joins a' and its q_i becomes
+    0.  Free radii keep their q_i, and 1 and the sqrt(d) are independent
+    over Q, so two folded exponent vectors are equal exactly when their
+    norms are."""
     L = profile._lcm
-    c0 = a * L
+    c0, qf = a * L, []
     for d, e, x in zip(profile._ds, profile._rat, q):
-        if not x:
-            continue
         if d is None:
             c0 += e * x
+            qf.append(0)
         else:
-            irr[d] = x * L
-    return Weight._raw(c0, irr, den * L)
+            qf.append(x * L)
+    return c0, tuple(qf)
+
+
+def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
+    """Exact weight of the exponents (a, q) / den, q any iterable: a free
+    radius sqrt(d) gives the coefficient q_i of sqrt(d), and a rational
+    radius folds into c0 (see _fold)."""
+    if profile._rat:
+        a, q = _fold(profile, a, q)
+        den *= profile._lcm
+    irr = {}
+    for d, x in zip(profile._ds, q):
+        if x:
+            irr[d] = x
+    return Weight._raw(a, irr, den)
 
 
 def _sign_kernel(profile: RadiusProfile):
@@ -728,19 +741,13 @@ def _value_pow(u: Value, num: int, den: int) -> Value:
     return _value(u.profile, u.an * num, tuple(x * num for x in u.qn), u.den * den)
 
 
-def value_div(u: Value, v: Value) -> Value:
-    return value_mul(u, value_pow(v, -1))
-
-
 def in_sqrt_K(v: Value) -> bool:
-    """Whether |v| lies in sqrt(|K^x|) = |t|**Q.
-
-    Rational radii fold into the |t| exponent; the test is that the
-    residual free components vanish.
-    """
+    """Whether |v| lies in sqrt(|K^x|) = |t|**Q: rational radii are
+    folded into the |t| exponent, so the test is that no free radius has
+    a nonzero exponent."""
     if v.zero:
         raise InputValidationError("in_sqrt_K is undefined for the zero value")
-    return weight_of(v).is_rational()
+    return not any(v.qn)
 
 
 def value_lift(v: Value, profile: RadiusProfile) -> Value:

@@ -29,6 +29,7 @@ from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
     MAX_SQUAREFREE,
     FreeRadius,
+    RationalRadius,
     make_profile,
     t_power,
     value,
@@ -145,6 +146,21 @@ class TestCli:
         uio.dump_json(uio.series_to_json(one(prof1)), str(path))
         main(["norm", str(path)])
         assert json.loads(capsys.readouterr().out) == {"a": "0", "q": ["0"]}
+
+    def test_rational_radius_norms_are_written_folded(self, tmp_path, capsys):
+        # r = |t|**(1/3), p = 2: x has norm r = |t|**(1/3), written with q = 0
+        prof = make_profile(2, [RationalRadius(Fraction(1, 3))])
+        x = make_series(prof, {(Fraction(0), (Fraction(1),)): 1}, t_power(prof, 5))
+        path = tmp_path / "x.json"
+        uio.dump_json(uio.series_to_json(x), str(path))
+        assert main(["norm", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == '{"a": "1/3", "q": ["0"]}\n'
+        # floor max(|t|**4 / r, |t|**5 / r**2) = |t|**(11/3)
+        assert main(["invert", str(path), "--floor", "4"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["floor"] == {"a": "11/3", "q": ["0"]}
+        # the unfolded form still reads, into the same Value
+        assert uio.value_from_json({"a": "0", "q": ["1"]}, prof) == value(prof, Fraction(1, 3), (0,))
+        assert uio.value_from_json({"a": "0", "q": ["1"]}, prof) == gauss_norm(x)
 
     def test_classify_command(self, tmp_path, prof1, capsys):
         base = prof1.base()
@@ -337,6 +353,8 @@ MALFORMED_INPUTS = [
     ("config steps 0", ["surject-verify", "--config"], STEPS_CONFIG % 0),
     ("config steps -1", ["surject-verify", "--config"], STEPS_CONFIG % -1),
     ("config steps above cap", ["surject-verify", "--config"], STEPS_CONFIG % (MAX_STEPS + 1)),
+    ("config floor_exponent -100", ["surject-verify", "--config"],
+     '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "-100"}'),
     ("config depth 3.9", ["surject-verify", "--config"],
      RUN_VALUES_CONFIG % '"depth": 3.9, "trials": 1'),
     ("config seed string", ["surject-verify", "--config"],

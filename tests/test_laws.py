@@ -7,7 +7,9 @@ over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
 conftest reference, the last over m in {1, 2} Tate variables against
 itself; the first three references call no library code.  Two more: a
 profile's integer sign kernel agrees with mpmath, and a division step's
-residual is beta minus the evaluation of its Tate part."""
+residual is beta minus the evaluation of its Tate part.  Last, under
+profiles that mix rational and free radii, two norms built along
+different paths compare equal exactly when they are == Values."""
 
 import functools
 import math
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -60,7 +62,9 @@ from ultrametrica.valuegroup import (
     make_profile,
     t_power,
     value,
+    value_lift,
     value_mul,
+    value_pow,
     zero_value,
 )
 
@@ -230,21 +234,12 @@ def floored_evaluations(draw):
 @given(floored_evaluations())
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
-    time, terms and floor alike.  Under free radii == on the floors compares
-    their exponents, the one representation of a norm.  Under a rational
-    radius a norm has many, and which one a product floor carries depends
-    on the grouping (as it depends on the order of mul's arguments), so
-    there the floors are compared as norms; test_tatealg's
-    test_floor_representation_follows_the_grouping_under_a_rational_radius
-    shows such a pair."""
+    time, terms and floor alike, under rational radii too: a norm has one
+    Value, so the floors are == whatever the grouping (test_tatealg's
+    test_floor_is_one_value_whatever_the_grouping pins such a pair)."""
     f, images, target = ops
     got = evaluate(f, HomSpec(tuple(images)), target)
-    want = ref_evaluate_by_factors(f, images, target)
-    if got.profile.is_free:
-        assert got == want
-    else:
-        assert got.terms == want.terms
-        assert compare(got.floor, want.floor) is Ordering.EQUAL
+    assert got == ref_evaluate_by_factors(f, images, target)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,7 +391,7 @@ def test_sign_kernel_matches_mpmath(profile, data):
 def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, steps):
     """For betas drawn as surject-verify draws them, exact and floored at
     |t|**12, every step's residual has the terms of sub(beta, evaluate(f))
-    at the zero target floor, and a floor of the same norm."""
+    at the zero target floor, and the same floor."""
     profile = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=32)
     spec = standard_surjection(profile, depth)
     exact = zero_value(profile)
@@ -410,9 +405,116 @@ def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, ste
         beta, _ = rescale_into_window(beta)
         for m in range(steps):
             f, residual = divide_step(spec, beta, m)
-            want = sub(beta, evaluate(f, spec.hom, exact))
-            assert residual.terms == want.terms
-            assert compare(residual.floor, want.floor) is Ordering.EQUAL
+            assert residual == sub(beta, evaluate(f, spec.hom, exact))
             cleared += bool(f.terms)
             beta = residual
     assert cleared >= 40  # steps that cleared terms, not only empty windows
+
+
+# ---------------------------------------------------------------------------
+# One Value per norm.
+# ---------------------------------------------------------------------------
+
+RATIONAL = (RationalRadius(1), RationalRadius(Fraction(1, 3)), RationalRadius(Fraction(1, 2)))
+
+
+@st.composite
+def mixed_profiles(draw):
+    """A profile over p in {2, 3} with one or two rational radii (e in
+    {1, 1/3, 1/2}) and up to two free ones, in any order."""
+    rational = draw(st.lists(st.sampled_from(RATIONAL), min_size=1, max_size=2, unique=True))
+    free = [FreeRadius(d) for d in draw(st.lists(st.sampled_from(FREE), max_size=2,
+                                                 unique=True))]
+    radii = draw(st.permutations(rational + free))
+    return make_profile(draw(st.sampled_from([2, 3])), radii, max_denom_log=12)
+
+
+@st.composite
+def exponent_draws(draw, profile):
+    """(a, q): rational exponents over Z[1/p] for the profile."""
+    p = profile.p
+    return draw(exps(p)), tuple(draw(exps(p, -4, 4)) for _ in range(profile.n))
+
+
+@st.composite
+def other_exponents(draw, profile, a, q):
+    """Exponents of the same norm as (a, q): each rational radius
+    r = |t|**(n/d) trades d*j factors r for n*j factors |t|."""
+    q = list(q)
+    for i, r in enumerate(profile.radii):
+        if isinstance(r, RationalRadius):
+            j = draw(st.integers(-3, 3))
+            q[i] += r.exponent.denominator * j
+            a -= r.exponent.numerator * j
+    return a, tuple(q)
+
+
+@st.composite
+def built_norms(draw, profile, a, q):
+    """A Value of the norm |t|**a * r**q, from exponents of that norm
+    (those given, or others), along one of the library's paths."""
+    p, n = profile.p, profile.n
+    if draw(st.booleans()):
+        a, q = draw(other_exponents(profile, a, q))
+    path = draw(st.sampled_from(["value", "gauss_norm", "mul", "pow", "lift", "floor"]))
+
+    def split():
+        a1, q1 = draw(exponent_draws(profile))
+        return (a1, q1), (a - a1, tuple(map(operator.sub, q, q1)))
+
+    if path == "value":
+        return value(profile, a, q)
+    if path == "gauss_norm":
+        return gauss_norm(make_series(profile, {(a, q): 1, (a + 1, q): 1}))
+    if path == "mul":
+        (a1, q1), (a2, q2) = split()
+        return value_mul(value(profile, a1, q1), value(profile, a2, q2))
+    if path == "pow":
+        if draw(st.booleans()):
+            return value_pow(value(profile, 2 * a, tuple(2 * x for x in q)), Fraction(1, 2))
+        return value_pow(value(profile, a / 2, tuple(x / 2 for x in q)), 2)
+    if path == "lift":
+        k = draw(st.integers(0, n))
+        prefix = make_profile(p, profile.radii[:k], max_denom_log=12)
+        return value_mul(value_lift(value(prefix, a, q[:k]), profile),
+                         value(profile, 0, (0,) * k + q[k:]))
+    # x and y with floors |t| |x| and |t| |y|, x's from other exponents:
+    # the product floor |t| |x| |y| ties two candidates.
+    (ax, qx), (ay, qy) = split()
+    x = make_series(profile, {(ax, qx): 1},
+                    value(profile, *draw(other_exponents(profile, ax + 1, qx))))
+    y = make_series(profile, {(ay - 1, qy): 1}, value(profile, ay, qy))
+    return (mul(x, y) if draw(st.booleans()) else mul(y, x)).floor
+
+
+@st.composite
+def norm_pairs(draw):
+    """(u, v): two Values over one mixed profile, of one norm along two
+    paths, or of two independently drawn norms."""
+    profile = draw(mixed_profiles())
+    a, q = draw(exponent_draws(profile))
+    u = draw(built_norms(profile, a, q))
+    if draw(st.booleans()):
+        a, q = draw(exponent_draws(profile))
+    return u, draw(built_norms(profile, a, q))
+
+
+def pinned_product_floors():
+    """mul(x, t).floor and mul(t, x).floor under r = |t|, floors |t|**5."""
+    profile = make_profile(2, [RationalRadius(1)], max_denom_log=8)
+    floor = t_power(profile, 5)
+    x = make_series(profile, {(0, (1,)): 1}, floor)
+    t = make_series(profile, {(1, (0,)): 1}, floor)
+    return mul(x, t).floor, mul(t, x).floor
+
+
+@settings(max_examples=400, deadline=None)
+@given(norm_pairs())
+@example(pinned_product_floors())
+def test_equal_norms_are_equal_values(pair):
+    """compare says EQUAL exactly when the Values are ==, and == Values
+    hash alike: each norm has one Value, whatever path built it."""
+    u, v = pair
+    assert (compare(u, v) is Ordering.EQUAL) == (u == v)
+    if u == v:
+        assert hash(u) == hash(v)

@@ -40,7 +40,7 @@ from ultrametrica.tatealg import (
     t_pth_root,
     t_scale,
     t_sum,
-    tate_variable,
+    tate_monomial,
 )
 from ultrametrica.valuegroup import (
     FreeRadius,
@@ -55,6 +55,11 @@ from ultrametrica.valuegroup import (
     value_max,
     zero_value,
 )
+
+
+def t_var(base):
+    """The Tate variable T1 of a one-variable algebra over base."""
+    return tate_monomial(1, one(base), (1,))
 
 
 def x_var(profile, i=0, e=1):
@@ -74,11 +79,11 @@ def rand_tate(base, m, rng, nterms=4):
 
 class TestArithmetic:
     def test_variable_has_unit_norm(self, prof1):
-        T1 = tate_variable(1, prof1.base(), 0)
+        T1 = t_var(prof1.base())
         assert t_gauss_norm(T1) == value(prof1.base(), 0, ())
 
     def test_pth_root_of_variable(self, prof1):
-        T1 = tate_variable(1, prof1.base(), 0)
+        T1 = t_var(prof1.base())
         assert list(t_pth_root(T1).terms) == [(Fraction(1, 2),)]
 
     def test_sup_norm(self, prof1):
@@ -123,7 +128,7 @@ class TestHomSpec:
 
 class TestEvaluate:
     def test_identity_substitution(self, prof1):
-        T1 = tate_variable(1, prof1.base(), 0)
+        T1 = t_var(prof1.base())
         hom = HomSpec((x_var(prof1),))
         got = evaluate(T1, hom, t_power(prof1, 30))
         assert got == x_var(prof1)
@@ -174,10 +179,10 @@ class TestEvaluate:
         for target in (6, 10):
             assert evaluate(f, hom, t_power(prof1, target)) == expected
 
-    def test_floor_representation_follows_the_grouping_under_a_rational_radius(self):
+    def test_floor_is_one_value_whatever_the_grouping(self):
         # Under r = |t| (p = 2), x and t tie; (x + t)(t + x) = x**2 + t**2
-        # has the first key x**2, while one factor at a time the floor
-        # |t|**0 * |x + t| * |t + x| is written x * t.  The norms agree.
+        # taken at once and |t|**0 * |x + t| * |t + x| taken one factor at
+        # a time give the same floor |t|**2 = r**2 = |t| r, as one Value.
         prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
         base = prof.base()
         x, t = (Fraction(0), (Fraction(1),)), (Fraction(1), (Fraction(0),))
@@ -187,22 +192,20 @@ class TestEvaluate:
         got = evaluate(f, HomSpec(tuple(images)), zero_value(prof))
         want = ref_evaluate_by_factors(f, images, zero_value(prof))
         assert got.terms == want.terms
-        assert got.floor == value(prof, 0, (2,))
-        assert want.floor == value(prof, 1, (1,))
-        assert compare(got.floor, want.floor) is Ordering.EQUAL
+        assert got.floor == want.floor == value(prof, 0, (2,)) == value(prof, 1, (1,))
 
-    def test_tied_product_floors_keep_the_first_term_under_a_rational_radius(self):
+    def test_tied_product_floors_agree_in_either_term_order(self):
         # Under r = |t| (p = 2), c T1 and c T2 with |c| floored at |t|**5 and
-        # T1 -> x, T2 -> t have the tied product floors x * t**5 and t**6;
-        # the result floor is the first in term order, as series_sum keeps it.
+        # T1 -> x, T2 -> t have the tied product floors |t|**5 r and |t|**6,
+        # one Value, so the result floor does not depend on the term order.
         prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
         base = prof.base()
         hom = HomSpec((make_series(prof, {(0, (1,)): 1}), make_series(prof, {(1, (0,)): 1})))
         c = series_zero(base, t_power(base, 5))
-        for order, floor in (([(1, 0), (0, 1)], value(prof, 5, (1,))),
-                             ([(0, 1), (1, 0)], value(prof, 6, (0,)))):
-            f = make_tate(2, base, [(e, c) for e in order])
-            assert evaluate(f, hom, zero_value(prof)).floor == floor
+        floors = [evaluate(make_tate(2, base, [(e, c) for e in order]), hom,
+                           zero_value(prof)).floor
+                  for order in ([(1, 0), (0, 1)], [(0, 1), (1, 0)])]
+        assert floors[0] == floors[1] == value(prof, 5, (1,)) == value(prof, 6, (0,))
 
     def test_cancelled_floored_coefficient_keeps_its_floor(self, prof1):
         # Over p = 2, T + T (1 + O(|t|**2)) = O(|t|**2) T, not exact zero,
@@ -440,7 +443,7 @@ class TestProductFloors:
 
     def test_hash_raises(self, prof1):
         with pytest.raises(TypeError):
-            hash(tate_variable(1, prof1.base(), 0))
+            hash(t_var(prof1.base()))
 
 
 @st.composite

@@ -125,11 +125,9 @@ class TestMulPow:
             assert value_mul(value_mul(u, v), w) == value_mul(u, value_mul(v, w))
 
     def test_div_cancels(self, prof1):
-        from ultrametrica.valuegroup import value_div
-
         u = value(prof1, Fraction(7, 4), (Fraction(-3),))
         v = value(prof1, 1, (1,))
-        assert value_mul(value_div(u, v), v) == u
+        assert value_mul(value_mul(u, value_pow(v, -1)), v) == u
 
 
 class TestInSqrtK:
