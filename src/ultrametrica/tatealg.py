@@ -265,11 +265,14 @@ class HomSpec:
         """(image, bound) for the Tate monomial T**(en / D), en a tuple of
         numerators over D.  image = prod images[i]**(en_i / D), multiplied
         for i ascending, or one when every en_i is 0.  bound = (a, q), the
-        exponents of prod |g_i|**(en_i / D) over D * D, or None when an image
-        with en_i != 0 is below its floor (the term then has no bound)."""
+        exponents of prod |g_i|**(en_i / D) over D * D * L, or None when an
+        image with en_i != 0 is below its floor (the term then has no bound).
+        L is the profile's _lcm: a Gauss norm lies over a divisor of D * L
+        (over D itself when every radius is free, and L is 1)."""
         entry = self._powers.get(en)
         if entry is None:
             profile = self.profile
+            DL = profile.den * profile._lcm
             image, a, q = None, 0, profile._one.qn
             for g, ng, ei in zip(self.images, self.image_norms, en):
                 if not ei:
@@ -279,8 +282,9 @@ class HomSpec:
                 if ng is None:
                     q = None
                 elif q is not None:
-                    a += ei * ng.an
-                    q = tuple(x + ei * y for x, y in zip(q, ng.qn))
+                    k = ei * (DL // ng.den)
+                    a += k * ng.an
+                    q = tuple(x + k * y for x, y in zip(q, ng.qn))
             entry = (one(profile) if image is None else image,
                      None if q is None else (a, q))
             if len(self._powers) < _POWER_MEMO_CAP:
@@ -312,15 +316,16 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     terms, acc_floor = {}, None
     skipped = False
     D = profile.den
+    DL = D * profile._lcm
     for e, c in f._terms.items():
         nc = _coefficient_norm(c)
         image, bound = hom._monomial(e)
-        # |c| * bound as one Value over nc.den * D (a Gauss norm lies over
-        # D, a floor over a multiple s of D); an unbounded term is kept.
+        # |c| * bound as one Value over nc.den * D * L (the bound lies over
+        # D * D * L, |c| over a multiple s of D); an unbounded term is kept.
         if bound is not None:
             s = nc.den // D
             q = bound[1] if s == 1 else tuple(x * s for x in bound[1])
-            if value_lt(_value(profile, nc.an * D + bound[0] * s, q, nc.den * D),
+            if value_lt(_value(profile, nc.an * DL + bound[0] * s, q, nc.den * DL),
                         target_floor):
                 skipped = True
                 continue

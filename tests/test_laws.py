@@ -195,7 +195,8 @@ def floored_evaluations(draw):
     zero or nonzero target floor."""
     p, n, m = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), draw(st.integers(1, 3))
     radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1),
-                                   RationalRadius(Fraction(1, 2))]))
+                                   RationalRadius(Fraction(1, 2)),
+                                   RationalRadius(Fraction(1, 3))]))
              for d in FREE[:n]]
     prof = make_profile(p, radii, max_denom_log=12)
     base = prof.base()
@@ -230,8 +231,21 @@ def floored_evaluations(draw):
     return f, images, target
 
 
+def radius_image_evaluation(p, e):
+    """(f, images, target) for f = T_1, images (x, 0 + O(|t|)) under the one
+    radius |t|**e and the target |t|**(1/2): x has norm |t|**e, over a
+    denominator finer than the profile's when e's is not a power of p."""
+    prof = make_profile(p, [RationalRadius(e)], max_denom_log=12)
+    base = prof.base()
+    images = [make_series(prof, {(0, (1,)): 1}), series_zero(prof, t_power(prof, 1))]
+    f = make_tate(2, base, {(1, 0): one(base)})
+    return f, images, t_power(prof, Fraction(1, 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(floored_evaluations())
+@example(radius_image_evaluation(2, Fraction(1, 3)))
+@example(radius_image_evaluation(3, Fraction(1, 2)))
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
     time, terms and floor alike, under rational radii too: a norm has one
