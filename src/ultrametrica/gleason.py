@@ -63,16 +63,17 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Weight,
-    _value,
     ceil_weight,
     exponent_weight,
     floor_weight,
     is_p_exponent,
     row_reduce,
     s_value,
+    t_power,
     value_le,
     value_lt,
     value_max,
+    value_mul,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -574,7 +575,7 @@ class SurjectionSpec:
         exps = tuple(h) + (Fraction(0),)
         pre = tate_monomial(self.num_vars, one(self.base), exps)
         # the hom's entry for pre's one exponent tuple, which evaluate reads too
-        img, _ = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
+        img = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
         cert = is_adapted(img, q)
         if not cert.passed:
             return None
@@ -666,15 +667,14 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 
 
 def _step_values(profile: RadiusProfile, m: int):
-    """Step m's window values from integer exponents: (upper, cut, bound_m,
-    target) = (|pi|**m s, |pi|**(m+1) s over profile, |pi|**m and
-    |pi|**(m+1) s over the base), each over its canonical denominator."""
+    """Step m's window values (upper, cut, bound_m, target) = (|pi|**m s,
+    |pi|**(m+1) s over profile, |pi|**m and |pi|**(m+1) s over the base)."""
     base = profile.base()
-    s = profile._s  # sigma_s * den over den, with den = lcm(D, sigma_s's own)
-    return (_value(profile, s.an + m * s.den, s.qn, s.den),
-            _value(profile, s.an + (m + 1) * s.den, s.qn, s.den),
-            _value(base, m * base.den, (), base.den),
-            _value(base, s.an + (m + 1) * s.den, (), s.den))
+    s, s_base = s_value(profile), s_value(base)
+    return (value_mul(t_power(profile, m), s),
+            value_mul(t_power(profile, m + 1), s),
+            t_power(base, m),
+            value_mul(t_power(base, m + 1), s_base))
 
 
 def divide_step(oracle, beta: SeriesElement, m: int):

@@ -33,14 +33,13 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Value,
-    _value,
-    _value_pow,
     exponent_numerator,
     one_value,
     value_le,
     value_lift,
     value_lt,
     value_max,
+    value_mul,
     value_pow,
     zero_value,
 )
@@ -195,7 +194,7 @@ def t_pth_root(f: TateElement) -> TateElement:
             if x % p:
                 raise _cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
         pairs.append((tuple(x // p for x in e), c))
-    floor = f.floor if f.floor.zero else _value_pow(f.floor, 1, p)
+    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, p))
     return _build_tate(f.m, f.base, pairs, floor)
 
 
@@ -216,9 +215,10 @@ class HomSpec:
     """Images of T_1..T_m inside one target series field, all of norm <= 1.
 
     _powers memoizes, per Tate exponent tuple en (numerators over the
-    profile denominator D), the image of the monomial T**(en / D) and its
-    skip bound (see _monomial), for up to _POWER_MEMO_CAP tuples; the
-    images are immutable, so it behaves as if absent.
+    profile denominator D), the image of the monomial T**(en / D) alone
+    (see _monomial), for up to _POWER_MEMO_CAP tuples; the images are
+    immutable, so it behaves as if absent.  evaluate's skip bound reads
+    the Gauss norm that gauss_norm stores on each image.
     """
 
     images: tuple
@@ -259,46 +259,36 @@ class HomSpec:
         en = exponent_numerator(self.profile.den, e)
         if en is None:
             raise _cap_error(self.profile, e)
-        return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))[0]
+        return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))
 
-    def _monomial(self, en: tuple):
-        """(image, bound) for the Tate monomial T**(en / D), en a tuple of
-        numerators over D.  image = prod images[i]**(en_i / D), multiplied
-        for i ascending, or one when every en_i is 0.  bound = (a, q), the
-        exponents of prod |g_i|**(en_i / D) over D * D * L, or None when an
-        image with en_i != 0 is below its floor (the term then has no bound).
-        L is the profile's _lcm: a Gauss norm lies over a divisor of D * L
-        (over D itself when every radius is free, and L is 1)."""
-        entry = self._powers.get(en)
-        if entry is None:
-            profile = self.profile
-            DL = profile.den * profile._lcm
-            image, a, q = None, 0, profile._one.qn
-            for g, ng, ei in zip(self.images, self.image_norms, en):
-                if not ei:
-                    continue
-                gp = _pow_num(g, ei)
-                image = gp if image is None else mul(image, gp)
-                if ng is None:
-                    q = None
-                elif q is not None:
-                    k = ei * (DL // ng.den)
-                    a += k * ng.an
-                    q = tuple(x + k * y for x, y in zip(q, ng.qn))
-            entry = (one(profile) if image is None else image,
-                     None if q is None else (a, q))
+    def _monomial(self, en: tuple) -> SeriesElement:
+        """The image prod images[i]**(en_i / D) of the Tate monomial
+        T**(en / D), en a tuple of numerators over D, multiplied for i
+        ascending, or one when every en_i is 0."""
+        image = self._powers.get(en)
+        if image is None:
+            for g, ei in zip(self.images, en):
+                if ei:
+                    gp = _pow_num(g, ei)
+                    image = gp if image is None else mul(image, gp)
+            if image is None:
+                image = one(self.profile)
             if len(self._powers) < _POWER_MEMO_CAP:
-                self._powers[en] = entry
-        return entry
+                self._powers[en] = image
+        return image
 
 
 def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement:
     """Substitute hom images into f, sound to target_floor.
 
-    Terms whose contribution bound |c| * prod |g_i|**e_i falls below
-    target_floor are skipped, and the skip is recorded in the result
-    floor; |c| is the coefficient's Gauss norm, or its floor when it has
-    no terms.  With exact inputs and nothing skipped the result is exact.
+    Terms whose contribution bound |c| * |image| falls below target_floor
+    are skipped, and the skip is recorded in the result floor; |c| is the
+    coefficient's Gauss norm, or its floor when it has no terms, and
+    |image| is the Gauss norm stored on the term's monomial image.  That
+    is prod |g_i|**e_i, as the Gauss norm is multiplicative and a
+    product's leading term lies above its floor.  An image with no terms
+    (some g_i with e_i != 0 has none) gives no bound, and its term is
+    kept.  With exact inputs and nothing skipped the result is exact.
     Each term's contribution is c times its monomial's image: truncation
     at a product floor is term by term, so this equals multiplying c by
     one image power at a time, in terms and floor.  The contributions
@@ -315,20 +305,13 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("target floor lives over the wrong profile")
     terms, acc_floor = {}, None
     skipped = False
-    D = profile.den
-    DL = D * profile._lcm
     for e, c in f._terms.items():
-        nc = _coefficient_norm(c)
-        image, bound = hom._monomial(e)
-        # |c| * bound as one Value over nc.den * D * L (the bound lies over
-        # D * D * L, |c| over a multiple s of D); an unbounded term is kept.
-        if bound is not None:
-            s = nc.den // D
-            q = bound[1] if s == 1 else tuple(x * s for x in bound[1])
-            if value_lt(_value(profile, nc.an * DL + bound[0] * s, q, nc.den * DL),
-                        target_floor):
-                skipped = True
-                continue
+        image = hom._monomial(e)
+        ni = gauss_norm(image)
+        if ni is not None and value_lt(
+                value_mul(value_lift(_coefficient_norm(c), profile), ni), target_floor):
+            skipped = True
+            continue
         pf = _mul_lifted_into(terms, c, image, 1)
         acc_floor = pf if acc_floor is None else value_max(acc_floor, pf)
     floor = value_lift(f.floor, profile)

@@ -568,8 +568,14 @@ def value(profile: RadiusProfile, a, q=()) -> Value:
             f"value has {len(q)} radius exponents, profile has {profile.n}"
         )
     den = lcm(profile.den, a.denominator, *(x.denominator for x in q))
-    an = a.numerator * (den // a.denominator)
-    qn = tuple(x.numerator * (den // x.denominator) for x in q)
+    return _key_norm(profile, a.numerator * (den // a.denominator),
+                     tuple(x.numerator * (den // x.denominator) for x in q), den)
+
+
+def _key_norm(profile: RadiusProfile, an: int, qn: tuple, den: int) -> Value:
+    """The norm of the exponent numerators (an, qn) over den, for den =
+    lcm(D, their own denominator) (D itself for a series term key): one
+    Value, with every rational radius folded in (see _fold)."""
     if profile._rat:
         an, qn = _fold(profile, an, qn)
         return _value(profile, an, qn, den * profile._lcm)
@@ -729,16 +735,12 @@ def value_pow(u: Value, e) -> Value:
     """|u|**e for a rational e."""
     if type(e) is not int:
         e = Fraction(e)
-    return _value_pow(u, e.numerator, e.denominator)
-
-
-def _value_pow(u: Value, num: int, den: int) -> Value:
-    """|u|**(num / den) for integers num and den > 0."""
+    num = e.numerator
     if u.zero:
         if num > 0:
             return u
         raise InputValidationError("cannot raise the zero value to a power <= 0")
-    return _value(u.profile, u.an * num, tuple(x * num for x in u.qn), u.den * den)
+    return _value(u.profile, u.an * num, tuple(x * num for x in u.qn), u.den * e.denominator)
 
 
 def in_sqrt_K(v: Value) -> bool:

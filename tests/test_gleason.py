@@ -521,7 +521,7 @@ class TestMemosBehaveAsIfAbsent:
         for q in [(Fraction(1),), (Fraction(-1, 2),), (Fraction(3, 4),)]:
             ans = spec21(q)
             (e,) = ans.preimage._terms  # one exponent tuple, numerators over D
-            assert spec21.hom._powers[e][0] is ans.image
+            assert spec21.hom._powers[e] is ans.image
             assert evaluate(ans.preimage, spec21.hom, zero_value(prof)) == ans.image
 
     def test_rule_is_built_once(self, prof, monkeypatch):

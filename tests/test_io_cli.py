@@ -317,6 +317,14 @@ RUN_VALUES_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "floor_exponent": "3", %s}
 PROFILE_VALUES_CONFIG = '{"depth": 3, "trials": 1, "floor_exponent": "3", %s}'
 # A one-term n = 0 series whose coefficient is given in %s.
 TERM_C_SERIES = '{"profile": {"p": 3, "radii": []}, "terms": [{"t": "1", "x": [], "c": %s}]}'
+# x + t over p = 2, sqrt(2), cap 8: invert writes it as t (1 + h) with
+# |h| = |t|**(sqrt(2) - 1), so a floor |t|**F needs about 2.4 F terms.
+X_PLUS_T_SERIES = ('{"profile": {"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 8},'
+                   ' "terms": [{"t": "0", "x": ["1"], "c": 1}, {"t": "1", "x": ["0"], "c": 1}]}')
+# 1 + t**(1/2**256) at cap 256: |h| = |t|**(1/2**256), so the floor |t|
+# needs 2**256 terms.
+NEAR_ONE_SERIES = ('{"profile": {"p": 2, "radii": [], "max_denom_log": 256},'
+                   ' "terms": [{"t": "0", "c": 1}, {"t": "1/%d", "c": 1}]}' % 2**256)
 
 # (test id, command, input file text).  In the rows that end in --out the
 # file is the --out target: the range checks reject the run before anything
@@ -375,6 +383,9 @@ MALFORMED_INPUTS = [
      '{"p": 2, "radii": [{"sqrt": "3"}]}'),
     ("norm term c 1.5", ["norm"], TERM_C_SERIES % "1.5"),
     ("norm term c true", ["norm"], TERM_C_SERIES % "true"),
+    ("invert --floor 1e11", ["invert", "--floor", "100000000000"], X_PLUS_T_SERIES),
+    ("invert --floor 1e400", ["invert", "--floor", "1e400"], X_PLUS_T_SERIES),
+    ("invert h near 1", ["invert", "--floor", "1"], NEAR_ONE_SERIES),
 ]
 
 

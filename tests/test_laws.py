@@ -1,15 +1,17 @@
 """Laws that must hold whatever the exponent representation: the Gauss
-norm is multiplicative under free radii, invert meets its residual bound
-with a floor that certifies it, t_frobenius and t_pth_root undo each
-other, evaluate above a nonzero floor does not depend on how each term's
-product is grouped, and neither does a sum of Tate elements.  Each runs
-over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
-conftest reference, the last over m in {1, 2} Tate variables against
-itself; the first three references call no library code.  Two more: a
-profile's integer sign kernel agrees with mpmath, and a division step's
-residual is beta minus the evaluation of its Tate part.  Last, under
-profiles that mix rational and free radii, two norms built along
-different paths compare equal exactly when they are == Values."""
+norm is multiplicative, on products and fractional powers, under free
+and rational radii (against a reference leading key under free radii
+alone), invert meets its residual bound with a floor that certifies it,
+t_frobenius and t_pth_root undo each other, evaluate above a nonzero
+floor does not depend on how each term's product is grouped, and neither
+does a sum of Tate elements.  Each runs over p in {2, 3} and n in
+{0, 1, 2} (radii, or Tate variables) against a conftest reference, the
+last over m in {1, 2} Tate variables against itself; the first three
+references call no library code.  Two more: a profile's integer sign
+kernel agrees with mpmath, and a division step's residual is beta minus
+the evaluation of its Tate part.  Last, under profiles that mix rational
+and free radii, two norms built along different paths compare equal
+exactly when they are == Values."""
 
 import functools
 import math
@@ -39,6 +41,7 @@ from ultrametrica.series import (
     make_series,
     mul,
     one,
+    series_frac_pow,
     series_zero,
     sub,
     with_floor,
@@ -80,11 +83,16 @@ def exps(p, lo=-8, hi=16):
 
 
 @st.composite
-def free_series_pairs(draw):
-    """(profile, f, g): two series over a free profile with p in {2, 3} and
-    n in {0, 1, 2}, each with a zero or nonzero floor."""
+def series_pairs(draw):
+    """(profile, f, g, e): two series over p in {2, 3} and n in {0, 1, 2}
+    radii, each free or rational (of exponent 1, 1/2 or 1/3), each series
+    with a zero or nonzero floor, and an exponent e in Z[1/p]_{>=0}."""
     p, n = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2))
-    prof = free_profile(p, n)
+    radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1),
+                                   RationalRadius(Fraction(1, 2)),
+                                   RationalRadius(Fraction(1, 3))]))
+             for d in FREE[:n]]
+    prof = make_profile(p, radii, max_denom_log=12)
     key = st.tuples(exps(p), st.tuples(*[exps(p)] * n))
 
     def series():
@@ -94,21 +102,28 @@ def free_series_pairs(draw):
             floor = value(prof, draw(exps(p)) + 24, [draw(exps(p)) for _ in range(n)])
         return make_series(prof, terms, floor)
 
-    return prof, series(), series()
+    e = Fraction(draw(st.integers(0, 4)), p ** draw(st.integers(0, 2)))
+    return prof, series(), series(), e
 
 
 @settings(max_examples=200, deadline=None)
-@given(free_series_pairs())
-def test_gauss_norm_is_multiplicative_under_free_radii(ops):
-    prof, f, g = ops
+@given(series_pairs())
+def test_gauss_norm_is_multiplicative(ops):
+    """|f g| = |f| |g| and |g**e| = |g|**e under every profile, floors
+    included; under free radii the product's leading key is also the sum
+    of the factors' leading keys, by a reference that calls no library
+    code."""
+    prof, f, g, e = ops
     assume(f.terms and g.terms)
-    ds = FREE[:prof.n]
-    lead_f, lead_g = ref_leading_key(ds, f.terms), ref_leading_key(ds, g.terms)
-    lead = (lead_f[0] + lead_g[0], tuple(map(operator.add, lead_f[1], lead_g[1])))
-    assert ref_leading_key(ds, ref_mul(f.terms, g.terms, prof.p)) == lead
     nh = gauss_norm(mul(f, g))
-    assert (nh.a, nh.q) == lead
     assert nh == value_mul(gauss_norm(f), gauss_norm(g))
+    assert gauss_norm(series_frac_pow(g, e)) == value_pow(gauss_norm(g), e)
+    if prof.is_free:
+        ds = FREE[:prof.n]
+        lead_f, lead_g = ref_leading_key(ds, f.terms), ref_leading_key(ds, g.terms)
+        lead = (lead_f[0] + lead_g[0], tuple(map(operator.add, lead_f[1], lead_g[1])))
+        assert ref_leading_key(ds, ref_mul(f.terms, g.terms, prof.p)) == lead
+        assert (nh.a, nh.q) == lead
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_weight, ref_bounds
+from ultrametrica import gleason, series, tatealg
 from ultrametrica.errors import (
     InputValidationError,
     ProfileMismatchError,
@@ -407,3 +409,20 @@ class TestOneWeightPath:
         assert weight_decimal(recorded, digits) == \
             f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
         assert recorded.ks == ks  # one enclosure, the reference's
+
+
+# The names through which a module would do arithmetic on a Value's
+# numerators and canonical denominator itself.
+VALUE_LAYOUT_NAMES = {"_value", "_value_pow", "_fold", "_lcm"}
+
+
+@pytest.mark.parametrize("module", [series, tatealg, gleason], ids=lambda m: m.__name__)
+def test_only_valuegroup_knows_the_value_layout(module):
+    """No other arithmetic module imports valuegroup's numerator-level
+    constructors (_value, _value_pow, _fold) or reads a profile's _lcm."""
+    with open(module.__file__) as src:
+        tree = ast.parse(src.read())
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & VALUE_LAYOUT_NAMES
