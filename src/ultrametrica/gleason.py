@@ -62,18 +62,20 @@ from .tatealg import (
 from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
-    Weight,
     ceil_weight,
-    exponent_weight,
     floor_weight,
     is_p_exponent,
+    one_value,
+    pi_value,
     row_reduce,
     s_value,
     t_power,
+    value,
     value_le,
     value_lt,
     value_max,
     value_mul,
+    value_pow,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -307,38 +309,33 @@ def _lattice_monomial(profile, V, h) -> SeriesElement:
     return W
 
 
-def _series_weight(f: SeriesElement) -> Weight:
-    n = gauss_norm(f)
-    if n is None:
-        raise InputValidationError("element below floor has no weight")
-    return weight_of(n)
-
-
 def _check_monomials(V):
     for v in V:
         if len(v._terms) != 1 or not v.floor.zero:
             raise InputValidationError("V entries must be exact monomials")
-        if _series_weight(v).sign() <= 0:
+        if not value_lt(gauss_norm(v), one_value(v.profile)):
             raise WindowError("every |V_k| must be < 1")
 
 
-def _pick_e_alpha(profile, wW: Weight):
-    """Exponent for e_m putting |alpha_m| in the band (s, s**(...)) with
-    weight in (sigma_s - 1, sigma_s - 1/2)."""
-    sigma = Weight(profile.sigma_s)
-    lo = sigma.add_rational(Fraction(-1)).sub(wW)
-    hi = sigma.add_rational(Fraction(-1, 2)).sub(wW)
-    return zp_in_open_interval(lo, hi, profile.p)
+def _pick_e_alpha(profile, nW):
+    """Exponent gamma for e_m = t**gamma with s |t|**(-1/2) < |e_m W_m| <
+    s |t|**-1: |t|**gamma lies between hi = s |t|**(-1/2) / |W_m| and
+    lo = s |t|**-1 / |W_m|."""
+    s_over_w = value_mul(s_value(profile), value_pow(nW, -1))
+    return zp_in_open_interval(value_mul(s_over_w, t_power(profile, -1)),
+                               value_mul(s_over_w, t_power(profile, Fraction(-1, 2))),
+                               profile.p)
 
 
-def _pick_e_direct(profile, wV: Weight, wW: Weight, m: int):
+def _pick_e_direct(profile, nV, nW, m: int):
     """Paper window s < |e_m| < |V| - epsilon, folding condition (1) in
     when W_m is the empty monomial."""
-    lo = wV
-    if wW.sign() == 0 and wV.sub(Weight(Fraction(m))).sign() <= 0:
-        lo = Weight(Fraction(m))
-    hi = Weight(profile.sigma_s)
-    if hi.sub(lo).sign() <= 0:
+    lo = nV
+    bound = t_power(profile, m)
+    if nW == one_value(profile) and value_le(bound, nV):
+        lo = bound
+    hi = s_value(profile)
+    if not value_lt(hi, lo):
         raise WindowError(
             f"direct-mode window empty at step {m}: cannot satisfy "
             f"s < |e_m| < |V| with the convergence requirement"
@@ -351,26 +348,29 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
 
     Chooses e_m = t**gamma_m in a deterministic window, eps_m = t**delta_m
     with the smallest exponent making every |d_{m,i}| <= 1, and the least
-    b_m with (1) w_term > m, (3) 0 < w_head < sigma, (4) w_term / p**b_{m-1}
-    > sigma + 1 when m > 1 and (5) omega(m) p**b_m unlike every earlier
-    omega(i) p**b_i; w_term and w_head are the weights of beta_m
-    W_m**(p**b_m) and (eps_m beta_m)**(1/p**b_m) W_m.  All choices are exact.
+    b_m with (1) |term| < |t|**m, (3) s < |head| < 1, (4) |term|**(1/p**b_{m-1})
+    < s |pi| when m > 1 and (5) omega(m) p**b_m unlike every earlier
+    omega(i) p**b_i, for the norms term = beta_m W_m**(p**b_m) and
+    head = (eps_m beta_m)**(1/p**b_m) W_m.  Each window is one comparison
+    of Values, so every choice is exact.
 
     Heights strictly increase, so both modes scan b_m from b_{m-1} + 1.
     In direct mode that start enforces the growth.  In alpha mode (4)
-    fails for every b <= b_{m-1} anyway: with x = gamma_m + w(W_m),
-    w_term / p**b_{m-1} = p**(b - b_{m-1}) x <= max(0, x) < sigma + 1, as
-    _pick_e_alpha puts x below sigma - 1/2.  Once (1) holds w_term > 0, so
-    the largest earlier height b_{m-1} is the only one whose (4) binds.
+    fails for every b <= b_{m-1} anyway: with |t|**x = |e_m W_m|,
+    |term|**(1/p**b_{m-1}) = |t|**(p**(b - b_{m-1}) x) >= min(1, |t|**x)
+    > s |pi|, as _pick_e_alpha puts |t|**x above s |t|**(-1/2).  Once (1)
+    holds |term| < 1, so the largest earlier height b_{m-1} is the only
+    one whose (4) binds.
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("schedules require a free profile with n >= 1")
     if depth < 0:
         raise InputValidationError(f"schedule depth must be >= 0, got {depth}")
     p = profile.p
-    sigma = Weight(profile.sigma_s)
+    one_norm, s = one_value(profile), s_value(profile)
+    s_pi = value_mul(s, pi_value(profile))
     _check_monomials(V)
-    wV0 = _series_weight(V[0]) if V else Weight(Fraction(0))
+    nV0 = gauss_norm(V[0]) if V else one_norm
 
     omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
     beta_min = Fraction(0)  # min(0, t-exponents of the beta_i so far)
@@ -382,33 +382,32 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
         if h is None:
             raise InvariantViolationError("well-order emitted a non-member")
         W = _lattice_monomial(profile, V, h)
-        wW = _series_weight(W) if W._terms else Weight(0)
+        nW = gauss_norm(W) if W._terms else one_norm
         if mode == "alpha":
-            gamma = _pick_e_alpha(profile, wW)
+            gamma = _pick_e_alpha(profile, nW)
         else:
-            if sigma.sub(wW).sign() <= 0:
+            if value_le(nW, s):
                 raise WindowError(
                     f"step {m}: |W_m| <= s, head window unreachable "
                     f"(|omega(m)| beyond the adaptedness reach for this V)"
                 )
-            if wW.sign() == 0 and m > 1:
+            if nW == one_norm and m > 1:
                 raise WindowError(
                     f"step {m}: constant monomial after step 1 deadlocks the tails"
                 )
-            gamma = _pick_e_direct(profile, wV0, wW, m)
+            gamma = _pick_e_direct(profile, nV0, nW, m)
 
         # eps_m = t**delta_m, smallest exponent with |eps_m * beta_i| <= 1.
         delta = -beta_min
         for b_m in range(bs[-1] + 1 if bs else 0, _B_SAFETY):
-            pb = Fraction(p**b_m)
+            pb = p**b_m
             beta_exp = _beta_exponent(mode, gamma, pb)
             exps = tuple(x * pb for x in q)
-            w_term = Weight(beta_exp).add(wW.scaled(pb))
-            w_head = Weight((delta + beta_exp) / pb).add(wW)
-            if (w_term.sub(Weight(Fraction(m))).sign() > 0
-                    and w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
-                    and (not bs or w_term.scaled(Fraction(1, p ** bs[-1]))
-                         .sub(sigma.add_rational(1)).sign() > 0)
+            term = value_mul(t_power(profile, beta_exp), value_pow(nW, pb))
+            head = value_mul(t_power(profile, (delta + beta_exp) / pb), nW)
+            if (value_lt(term, t_power(profile, m))
+                    and value_lt(head, one_norm) and value_lt(s, head)
+                    and (not bs or value_lt(value_pow(term, Fraction(1, p ** bs[-1])), s_pi))
                     and exps not in exps_taken):
                 break
         else:
@@ -495,8 +494,8 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
     if c.profile != profile.base() or len(c._terms) != 1:
         raise InputValidationError("c must be a base-field monomial")
     cx_inv = mul(lift_base(c, profile), monomial(profile, 1, 0, (-1,)))
-    w = _series_weight(cx_inv)
-    if w.sign() <= 0 or Weight(profile.sigma_s).sub(w).sign() <= 0:
+    n_cx = gauss_norm(cx_inv)
+    if not (value_lt(n_cx, one_value(profile)) and value_lt(s_value(profile), n_cx)):
         raise WindowError("bad c: need s < |c x**-1| < 1")
     well = WellOrder(1, profile.p, AxisNonpos())
     schedule = build_schedule(profile, (cx_inv,), well, depth, mode="direct")
@@ -633,24 +632,23 @@ def standard_surjection(profile: RadiusProfile, depth: int,
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
     n = profile.n
     base = profile.base()
-    # |c * prod(x_i**-1)| = |t|**(w_c - sum_alpha) must lie in (s, 1).
-    sum_alpha = exponent_weight(profile, Fraction(0), (Fraction(1),) * n)
-    window_hi = sum_alpha.add_rational(profile.sigma_s)
+    # |c * prod(x_i**-1)| = |t|**w_c / prod(r_i) must lie in (s, 1).
+    minus_ones = (Fraction(-1),) * n
+    s, prod_r = s_value(profile), value(profile, 0, (1,) * n)
 
     def in_window(w_c) -> bool:
-        return (Weight(w_c).sub(sum_alpha).sign() > 0
-                and window_hi.sub(Weight(w_c)).sign() > 0)
+        norm = value(profile, w_c, minus_ones)
+        return value_lt(s, norm) and value_lt(norm, one_value(profile))
 
     if c_exponent is not None:
         w_c = Fraction(c_exponent)
     else:
-        w_c = Fraction(floor_weight(sum_alpha) + 1)
+        w_c = Fraction(floor_weight(weight_of(prod_r)) + 1)
         if not in_window(w_c):
-            w_c = zp_in_open_interval(sum_alpha, window_hi, profile.p)
+            w_c = zp_in_open_interval(prod_r, value_mul(prod_r, s), profile.p)
     if not in_window(w_c):
         raise WindowError("c exponent violates s < |c * prod(x_i**-1)| < 1")
     c = monomial(base, 1, w_c)
-    minus_ones = (Fraction(-1),) * n
     v_last = monomial(profile, 1, w_c, minus_ones)
     V = tuple(monomial(profile, 1, 0, tuple(Fraction(int(i == j)) for j in range(n)))
               for i in range(n)) + (v_last,)
@@ -743,8 +741,7 @@ def rescale_into_window(beta: SeriesElement):
     nb = gauss_norm(beta)
     if nb is None:
         return beta, 0
-    gap = weight_of(s_value(profile)).sub(weight_of(nb))
-    k = max(0, ceil_weight(gap))
+    k = max(0, ceil_weight(weight_of(value_mul(s_value(profile), value_pow(nb, -1)))))
     if k == 0:
         return beta, 0
     return mul(_monomial(profile, 1, k * profile.den, profile._one.qn), beta), k

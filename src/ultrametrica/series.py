@@ -411,6 +411,16 @@ def argnorm(f: SeriesElement):
 # takes 0.5 s (2-core machine, Python 3.11).
 MAX_INVERT_LENGTH = 10_000
 
+# Most term pairs one product of invert's telescoping loop may form.  The
+# length cap alone does not bound the work: when h has two or more terms
+# its powers keep growing, and 1 + x + t (p = 3, sqrt(2)) needs products
+# of 126 080 pairs at the floor |t|**400 and 1 935 495 (3.5 s) at |t|**800.
+# Under this cap `invert --floor 9000` on it exits 2 in 0.8 s (2-core
+# machine, Python 3.11).  The largest product in use is 3 163 pairs, in
+# the invert benchmark workload (seeds 1, 2 and 303; criterion 3 draws
+# seed 303's first units).
+MAX_INVERT_PRODUCTS = 1_000_000
+
 
 def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
     """g with |f*g - 1| < target_floor, via the geometric series.
@@ -419,7 +429,8 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
     f = M*(1 - h) with |h| < 1 and returns M**-1 * sum(h**k, k <= N)
     with N minimal so that both |h|**(N+1) / |f| and |h|**(N+1) fall
     below the target.  Raises InputValidationError when N would exceed
-    MAX_INVERT_LENGTH.
+    MAX_INVERT_LENGTH, or a product of the sum would form more than
+    MAX_INVERT_PRODUCTS term pairs.
     """
     profile = f.profile
     p = profile.p
@@ -457,6 +468,12 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
     h_pow = h
     covered = 1
     while covered < n_steps + 1 and h_pow._terms:
+        # the larger of the pass's two products, acc * h_pow and h_pow**2
+        n_h = len(h_pow._terms)
+        if max(len(acc._terms), n_h) * n_h > MAX_INVERT_PRODUCTS:
+            raise InputValidationError(
+                f"invert needs a product of more than {MAX_INVERT_PRODUCTS} term pairs"
+                " to reach the target floor")
         acc = add(acc, mul(acc, h_pow))
         h_pow = mul(h_pow, h_pow)
         covered *= 2

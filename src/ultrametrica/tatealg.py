@@ -246,11 +246,6 @@ class HomSpec:
     def m(self) -> int:
         return len(self.images)
 
-    @property
-    def image_norms(self) -> tuple:
-        """Gauss norm of each image (None when it is below its floor)."""
-        return tuple(map(gauss_norm, self.images))
-
     def power(self, i: int, e) -> SeriesElement:
         """images[i]**e, exact, for e in Z[1/p]_{>=0} within the cap."""
         e = Fraction(e)

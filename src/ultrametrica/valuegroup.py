@@ -10,20 +10,20 @@ with each radius pinned to either |t|**e (e rational) or |t|**sqrt(d)
     w = a + sum(q_i * alpha_i),   alpha_i in {e_i, sqrt(d_i)},
 
 and comparing norms reduces to comparing weights (larger weight means
-smaller norm).  Weights are linear combinations c0 + sum(c_d * sqrt(d))
-over Q; square roots of distinct squarefree integers are linearly
-independent over Q, which gives an exact zero test.  With one or two
-free radii a nonzero sign follows from squaring integers; with more it
-is decided by interval refinement, doubling precision until the
-enclosing interval excludes zero; termination is guaranteed because the
-exact zero test runs first.
+smaller norm).  Norms are combined and ordered as Values only; a Weight
+is the real number behind one, read for rounding and printing.  Weights
+are linear combinations c0 + sum(c_d * sqrt(d)) over Q; square roots of
+distinct squarefree integers are linearly independent over Q, which
+gives an exact zero test.  With one or two free radii a nonzero sign
+follows from squaring integers; with more it is decided by interval
+refinement, doubling precision until the enclosing interval excludes
+zero; termination is guaranteed because the exact zero test runs first.
 
 Every exponent is an integer over one denominator.  Term exponents lie
-in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys,
-Values and Weights add, hash and compare as ints; a Value whose exponent
-needs a finer denominator carries lcm(D, its own).  Rationals enter
-through the public constructors and leave through read-only Fraction
-views.
+in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys
+and Values add, hash and compare as ints; a Value whose exponent needs
+a finer denominator carries lcm(D, its own).  Rationals enter through
+the public constructors and leave through read-only Fraction views.
 """
 
 from __future__ import annotations
@@ -208,13 +208,9 @@ class RadiusProfile:
 
 def default_sigma_s(p: int, radii) -> Fraction:
     """Smallest integer >= 2 * (1 + sum of radius weights)."""
-    w = Weight(1)
-    for r in radii:
-        if isinstance(r, RationalRadius):
-            w = w.add_rational(r.exponent)
-        else:
-            w = w.add_sqrt(r.d, 1)
-    return Fraction(ceil_weight(w.scaled(2)))
+    rational = 2 + 2 * sum(r.exponent for r in radii if isinstance(r, RationalRadius))
+    return Fraction(ceil_weight(Weight(rational, {
+        r.d: 2 for r in radii if isinstance(r, FreeRadius)})))
 
 
 def make_profile(p, radii, sigma_s=None, max_denom_log=16) -> RadiusProfile:
@@ -298,35 +294,16 @@ class TermKeys(ExponentKeys):
 # ---------------------------------------------------------------------------
 
 
-def _combiner(op):
-    """The one body of Weight.add and Weight.sub: op (operator.add or
-    operator.sub) on the rational parts and on each sqrt(d) coefficient,
-    over the lcm of the two denominators."""
-
-    def combine(self, other: "Weight") -> "Weight":
-        den = self.den
-        a = b = 1
-        if other.den != den:
-            den = lcm(den, other.den)
-            a, b = den // self.den, den // other.den
-        irr = {d: c * a for d, c in self.irr.items()}
-        for d, c in other.irr.items():
-            nc = op(irr.get(d, 0), c * b)
-            if nc:
-                irr[d] = nc
-            else:
-                irr.pop(d, None)
-        return Weight._raw(op(self.c0 * a, other.c0 * b), irr, den)
-
-    return combine
-
-
 class Weight:
     """Exact linear combination (c0 + sum over d of c_d * sqrt(d)) / den:
     integers c0 and c_d (none of them zero) over one denominator den > 0.
 
     Weight(rational, irrational) takes rational coefficients; the
-    rational and irrational properties read them back as Fractions."""
+    rational and irrational properties read them back as Fractions.
+
+    A Weight is the real number a Value's exponent denotes (weight_of),
+    read for integer rounding, for printing and by the sign kernel with
+    three or more radii; norms are combined and ordered as Values."""
 
     __slots__ = ("c0", "irr", "den")
 
@@ -353,23 +330,6 @@ class Weight:
     @property
     def irrational(self) -> dict:
         return {d: Fraction(c, self.den) for d, c in self.irr.items()}
-
-    def add_rational(self, c) -> "Weight":
-        return self.add(Weight(c))
-
-    add = _combiner(operator.add)
-    sub = _combiner(operator.sub)
-
-    def add_sqrt(self, d: int, c) -> "Weight":
-        return self.add(Weight(0, {d: c}))
-
-    def scaled(self, c) -> "Weight":
-        """self * c for a rational c (an int or a Fraction)."""
-        num = c.numerator
-        if num == 0:
-            return Weight._raw(0, {}, 1)
-        return Weight._raw(self.c0 * num, {d: x * num for d, x in self.irr.items()},
-                           self.den * c.denominator)
 
     def bounds(self, k: int):
         """Integers (lo, hi, den) with lo/den <= self <= hi/den, width
@@ -594,7 +554,9 @@ def t_power(profile: RadiusProfile, a) -> Value:
     """|t|**a, i.e. |varpi|**a with varpi = t."""
     if type(a) is int:
         return Value._raw(profile, a * profile.den, profile._one.qn, profile.den)
-    return value(profile, a, profile._one.qn)
+    a = Fraction(a)
+    den = lcm(profile.den, a.denominator)
+    return _key_norm(profile, a.numerator * (den // a.denominator), profile._one.qn, den)
 
 
 def pi_value(profile: RadiusProfile) -> Value:
@@ -654,12 +616,6 @@ def _sign_kernel(profile: RadiusProfile):
             d1, d2 = profile._ds
             return lambda a, q: _sign_two(a, q[0], d1, q[1], d2)
     return lambda a, q: _weight(profile, a, q, 1).sign()
-
-
-def exponent_weight(profile: RadiusProfile, a, q: tuple) -> Weight:
-    """Exact weight of |t|**a * r_1**q_1 * ... * r_n**q_n for rational
-    exponents a and q."""
-    return weight_of(value(profile, a, q))
 
 
 def weight_of(v: Value) -> Weight:
@@ -773,23 +729,23 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
 ZP_SEARCH_MAX_K = 64
 
 
-def zp_in_open_interval(lo: Weight, hi: Weight, p: int) -> Fraction:
-    """A rational u / p**k inside the open interval (lo, hi).
+def zp_in_open_interval(lo: Value, hi: Value, p: int) -> Fraction:
+    """A rational x = u / p**k with |hi| < |t|**x < |lo|.
 
     Scans denominators p**k from k = 0 upward and takes the largest
-    admissible numerator, so the result is deterministic and sits close
-    to the upper endpoint.  Raises WindowError when the interval is
-    empty or no denominator up to p**ZP_SEARCH_MAX_K works.
+    numerator u with |t|**(u / p**k) > |hi|, so the result is
+    deterministic and sits close to |hi|.  Raises WindowError when
+    |hi| >= |lo| or no denominator up to p**ZP_SEARCH_MAX_K works.
     """
-    if hi.sub(lo).sign() <= 0:
-        raise WindowError(f"empty window ({lo}, {hi})")
+    if not value_lt(hi, lo):
+        raise WindowError(f"empty window ({hi}, {lo})")
     scale = 1
     for k in range(ZP_SEARCH_MAX_K + 1):
-        u = largest_int_below(hi.scaled(scale))
-        if Weight._raw(u, {}, scale).sub(lo).sign() > 0:
-            return Fraction(u, scale)
+        x = Fraction(largest_int_below(weight_of(value_pow(hi, scale))), scale)
+        if value_lt(t_power(lo.profile, x), lo):
+            return x
         scale *= p
-    raise WindowError(f"no Z[1/p] point found in ({lo}, {hi}) up to p**{ZP_SEARCH_MAX_K}")
+    raise WindowError(f"no Z[1/p] point found in ({hi}, {lo}) up to p**{ZP_SEARCH_MAX_K}")
 
 
 def denom_log(x: Fraction, p: int) -> int:

@@ -20,7 +20,6 @@ from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
     RationalRadius,
-    Weight,
     compare,
     make_profile,
     value,
@@ -28,7 +27,6 @@ from ultrametrica.valuegroup import (
     value_max,
     value_mul,
     value_pow,
-    weight_of,
 )
 
 
@@ -158,27 +156,31 @@ def ref_heights(schedule):
     earlier omega(i) p**b_i.  w_term is the weight of beta W_m**(p**b)
     and w_head that of (eps_m beta)**(1/p**b) W_m, with beta = e_m**(p**b)
     in alpha mode and e_m in direct mode.  A full scan from 0 for every
-    step, from the schedule's gamma, delta, h and omega alone."""
-    p = schedule.profile.p
-    sigma = Weight(schedule.profile.sigma_s)
-    w_v = [weight_of(gauss_norm(v)) for v in schedule.V]
+    step, from the schedule's gamma, delta, h, omega and the terms of its
+    monomials V alone: weights are (Fraction, {d: Fraction}) pairs summed
+    here and signed by ref_sign."""
+    p, sigma = schedule.profile.p, schedule.profile.sigma_s
+    ds = [r.d for r in schedule.profile.radii]
+    w_v = []
+    for v in schedule.V:
+        ((t, xs),) = v.terms
+        w_v.append((t, dict(zip(ds, xs))))
     heights, taken = [], set()
     for m in range(1, schedule.depth + 1):
         gamma, delta = schedule.gammas[m - 1], schedule.deltas[m - 1]
         q = schedule.omegas[m - 1]
-        w_w = Weight(Fraction(0))
-        for hk, wk in zip(schedule.h_reps[m - 1], w_v):
-            w_w = w_w.add(wk.scaled(hk))
+        w_w = ref_weight_sum(*zip(schedule.h_reps[m - 1], w_v))
         for b in range(1000):
-            pb = Fraction(p**b)
+            pb = p**b
             beta = gamma * pb if schedule.mode == "alpha" else gamma
-            w_term = Weight(beta).add(w_w.scaled(pb))
-            w_head = Weight((delta + beta) / pb).add(w_w)
+            w_term = ref_weight_sum((1, (beta, {})), (pb, w_w))
+            w_head = ref_weight_sum((1, ((delta + beta) / pb, {})), (1, w_w))
             exps = tuple(x * pb for x in q)
-            if (w_term.sub(Weight(Fraction(m))).sign() > 0
-                    and w_head.sign() > 0 and sigma.sub(w_head).sign() > 0
-                    and (not heights or w_term.scaled(Fraction(1, p ** max(heights)))
-                         .sub(sigma.add_rational(1)).sign() > 0)
+            if (ref_sign(*ref_weight_sum((1, w_term), (-1, (m, {})))) > 0
+                    and ref_sign(*w_head) > 0
+                    and ref_sign(*ref_weight_sum((1, (sigma, {})), (-1, w_head))) > 0
+                    and (not heights or ref_sign(*ref_weight_sum(
+                        (Fraction(1, p ** max(heights)), w_term), (-1, (sigma + 1, {})))) > 0)
                     and exps not in taken):
                 break
         else:
@@ -261,12 +263,29 @@ def ref_sign(rational, irr):
     finer than any gap between the small weights the laws draw."""
     if rational == 0 and not any(irr.values()):
         return 0
+    total = ref_decimal(rational, irr)
+    return (total > 0) - (total < 0)
+
+
+def ref_decimal(rational, irr):
+    """rational + sum c_d sqrt(d) as a 100-digit decimal."""
     with decimal.localcontext() as ctx:
         ctx.prec = 100
         total = decimal.Decimal(rational.numerator) / rational.denominator
         for d, c in irr.items():
             total += decimal.Decimal(c.numerator) / c.denominator * decimal.Decimal(d).sqrt()
-    return (total > 0) - (total < 0)
+    return total
+
+
+def ref_weight_sum(*terms):
+    """The weight sum(c * w) over (c, w) pairs, each weight w a pair
+    (rational, {d: c_d}) standing for rational + sum c_d sqrt(d)."""
+    rational, irr = Fraction(0), {}
+    for c, (r, i) in terms:
+        rational += c * r
+        for d, x in i.items():
+            irr[d] = irr.get(d, 0) + c * x
+    return rational, irr
 
 
 def ref_weight(ds, a, xs):

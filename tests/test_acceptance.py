@@ -256,7 +256,7 @@ def test_criterion_7_end_to_end_surjectivity(surjection_n1):
         ), 4),
     ]
     rng = random.Random(707)
-    from ultrametrica.valuegroup import Weight, ceil_weight, floor_weight
+    from ultrametrica.valuegroup import ceil_weight, floor_weight, weight_of
 
     for spec, steps in configs:
         profile = spec.profile
@@ -268,11 +268,9 @@ def test_criterion_7_end_to_end_surjectivity(surjection_n1):
             terms = {}
             for _ in range(rng.randint(1, 5)):
                 q = rng.choice(pool)
-                from ultrametrica.valuegroup import exponent_weight
-
-                qw = exponent_weight(profile, Fraction(0), q)
-                t_lo = max(0, ceil_weight(Weight(profile.sigma_s).sub(qw)))
-                t_hi = floor_weight(Weight(Fraction(12)).sub(qw))
+                minus_q = tuple(-x for x in q)
+                t_lo = max(0, ceil_weight(weight_of(value(profile, profile.sigma_s, minus_q))))
+                t_hi = floor_weight(weight_of(value(profile, 12, minus_q)))
                 if t_lo > t_hi:
                     continue
                 t = Fraction(rng.randint(t_lo * 4, t_hi * 4), 4)
@@ -330,7 +328,7 @@ def test_criterion_9_abhyankar_bookkeeping(prof):
     for radii in ((2,), (2, 3)):
         spec = standard_surjection(
             make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=32), 5)
-        l = _rank([_free_class(v) for v in spec.hom.image_norms])
+        l = _rank([_free_class(v) for v in map(gauss_norm, spec.hom.images)])
         ok = ok and l == spec.profile.n and check_main_theorem_bound(spec.num_vars, l)
         ok = ok and not check_main_theorem_bound(spec.num_vars, spec.num_vars)
     report(9, "abhyankar bookkeeping on m=3 towers and realized radius counts", ok,

@@ -321,6 +321,10 @@ TERM_C_SERIES = '{"profile": {"p": 3, "radii": []}, "terms": [{"t": "1", "x": []
 # |h| = |t|**(sqrt(2) - 1), so a floor |t|**F needs about 2.4 F terms.
 X_PLUS_T_SERIES = ('{"profile": {"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 8},'
                    ' "terms": [{"t": "0", "x": ["1"], "c": 1}, {"t": "1", "x": ["0"], "c": 1}]}')
+# 1 + x + t over p = 3: |h| = |t| with two terms, so its powers grow and
+# the floor |t|**9000 needs products far past MAX_INVERT_PRODUCTS.
+ONE_X_T_SERIES = ('{"profile": {"p": 3, "radii": [{"sqrt": 2}]}, "terms": [{"t": "0", "x": ["0"],'
+                  ' "c": 1}, {"t": "0", "x": ["1"], "c": 1}, {"t": "1", "x": ["0"], "c": 1}]}')
 # 1 + t**(1/2**256) at cap 256: |h| = |t|**(1/2**256), so the floor |t|
 # needs 2**256 terms.
 NEAR_ONE_SERIES = ('{"profile": {"p": 2, "radii": [], "max_denom_log": 256},'
@@ -386,6 +390,7 @@ MALFORMED_INPUTS = [
     ("invert --floor 1e11", ["invert", "--floor", "100000000000"], X_PLUS_T_SERIES),
     ("invert --floor 1e400", ["invert", "--floor", "1e400"], X_PLUS_T_SERIES),
     ("invert h near 1", ["invert", "--floor", "1"], NEAR_ONE_SERIES),
+    ("invert --floor 9000 with growing powers", ["invert", "--floor", "9000"], ONE_X_T_SERIES),
 ]
 
 

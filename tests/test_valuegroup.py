@@ -1,5 +1,8 @@
 import ast
+import decimal
 import math
+import operator
+import os
 import random
 from fractions import Fraction
 
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, ref_bounds
+import ultrametrica
+from conftest import float_weight, ref_bounds, ref_decimal, ref_sign, ref_weight_sum
 from ultrametrica import gleason, series, tatealg
 from ultrametrica.errors import (
     InputValidationError,
@@ -17,6 +21,7 @@ from ultrametrica.errors import (
 from ultrametrica.valuegroup import (
     MAX_PRIME,
     MAX_SQUAREFREE,
+    ZP_SEARCH_MAX_K,
     FreeRadius,
     Ordering,
     RadiusProfile,
@@ -24,7 +29,6 @@ from ultrametrica.valuegroup import (
     Weight,
     ceil_weight,
     compare,
-    exponent_weight,
     floor_weight,
     in_sqrt_K,
     largest_int_below,
@@ -212,6 +216,13 @@ class TestProfiles:
         with pytest.raises(InputValidationError):
             make_profile(2, [FreeRadius(2), FreeRadius(2)])
 
+    def test_malformed_radius_rejected(self):
+        """A radius that is neither kind is an input error, also when
+        make_profile derives the default sigma_s from the radii."""
+        for sigma_s in (None, 4):
+            with pytest.raises(InputValidationError, match="bad radius spec"):
+                make_profile(2, [FreeRadius(2), "sqrt(3)"], sigma_s)
+
     def test_default_sigma_s(self, prof1, prof2):
         # ceil(2 * (1 + sqrt 2)) = 5, ceil(2 * (1 + sqrt2 + sqrt3)) = 9
         assert prof1.sigma_s == 5
@@ -241,18 +252,63 @@ class TestProfiles:
 
 
 class TestWeightTools:
-    def test_zp_pick_lands_inside(self):
-        lo = Weight(Fraction(0)).add_sqrt(2, Fraction(1))       # sqrt 2
-        hi = Weight(Fraction(0)).add_sqrt(2, Fraction(1)).add_rational(Fraction(1, 3))
+    def test_zp_pick_lands_inside(self, prof1):
+        lo = value(prof1, 0, (1,))                   # weight sqrt 2
+        hi = value(prof1, Fraction(1, 3), (1,))      # weight sqrt 2 + 1/3
         x = zp_in_open_interval(lo, hi, 2)
-        assert Weight(x).sub(lo).sign() > 0
-        assert hi.sub(Weight(x)).sign() > 0
+        assert ref_sign(x, {2: Fraction(-1)}) > 0
+        assert ref_sign(Fraction(1, 3) - x, {2: Fraction(1)}) > 0
         assert x.denominator & (x.denominator - 1) == 0  # power of 2
 
-    def test_zp_pick_empty_window(self):
-        w = Weight(Fraction(1))
+    def test_zp_pick_empty_window(self, prof1):
+        v = value(prof1, 1, (0,))
         with pytest.raises(WindowError):
-            zp_in_open_interval(w, w, 2)
+            zp_in_open_interval(v, v, 2)
+        with pytest.raises(WindowError):
+            zp_in_open_interval(v, value(prof1, 0, (0,)), 2)  # |hi| > |lo|
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_zp_pick_is_the_largest_numerator_at_the_least_denominator(self, data):
+        """Over profiles with 0-2 free radii and Value endpoints: with
+        |hi| < |lo|, x is the largest u / p**k with |hi| < |t|**x < |lo| at
+        the least k that has one, found here by scanning k with weights
+        summed by hand and signed by ref_sign; otherwise WindowError."""
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        ds = data.draw(st.lists(st.sampled_from(SQUAREFREE), max_size=2, unique=True))
+        prof = make_profile(p, [FreeRadius(d) for d in ds])
+        # hi's exponents are lo's plus a small step, so the window is
+        # often narrow (1 - 2 sqrt(2) / 3 is about 0.057) or empty
+        step = st.fractions(-3, 3, max_denominator=16)
+        a, q = data.draw(small_fracs), tuple(data.draw(small_fracs) for _ in ds)
+        da, dq = data.draw(step), tuple(data.draw(step) for _ in ds)
+        ends = [(a, q), (a + da, tuple(map(operator.add, q, dq)))]
+        lo, hi = (value(prof, a, q) for a, q in ends)
+        w_lo, w_hi = ((a, dict(zip(ds, q))) for a, q in ends)
+
+        def sign(w, x):
+            """The sign of the weight w minus the rational x."""
+            return ref_sign(*ref_weight_sum((1, w), (-1, (x, {}))))
+
+        if ref_sign(*ref_weight_sum((1, w_hi), (-1, w_lo))) <= 0:
+            with pytest.raises(WindowError):
+                zp_in_open_interval(lo, hi, p)
+            return
+        for k in range(ZP_SEARCH_MAX_K + 1):
+            scale = p**k
+            r, irr = ref_weight_sum((scale, w_hi))
+            u = int(ref_decimal(r, irr).to_integral_value(decimal.ROUND_FLOOR)) + 1
+            while sign(w_hi, Fraction(u, scale)) <= 0:
+                u -= 1
+            want = Fraction(u, scale)
+            if sign(w_lo, want) < 0:
+                break
+        else:
+            with pytest.raises(WindowError):
+                zp_in_open_interval(lo, hi, p)
+            return
+        assert zp_in_open_interval(lo, hi, p) == want
+        assert want.denominator == scale
 
     def test_weight_decimal(self, prof1):
         s = weight_decimal(weight_of(value(prof1, 0, (1,))), 12)
@@ -334,9 +390,10 @@ class TestOneWeightPath:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_exponent_weight_matches_the_add_chain(self, data):
-        """The builder against the Weight(a).add_rational/add_sqrt chain,
-        over profiles mixing rational and free radii."""
+    def test_weight_of_matches_the_direct_formula(self, data):
+        """weight_of(value(prof, a, q)) against a + sum(q_i e_i) over the
+        rational radii r_i = |t|**e_i and {d_i: q_i} over the free radii
+        sqrt(d_i), over profiles mixing both."""
         free = iter(data.draw(st.permutations(SQUAREFREE)))
         radii = [
             FreeRadius(next(free)) if data.draw(st.booleans())
@@ -346,16 +403,12 @@ class TestOneWeightPath:
         prof = make_profile(2, radii)
         exps = st.one_of(st.just(Fraction(0)), small_fracs)
         a, q = data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)
-        chain = Weight(a)
-        for spec, qi in zip(radii, q):
-            if qi == 0:
-                continue
-            if isinstance(spec, RationalRadius):
-                chain = chain.add_rational(qi * spec.exponent)
-            else:
-                chain = chain.add_sqrt(spec.d, qi)
-        for w in (exponent_weight(prof, a, q), weight_of(value(prof, a, q))):
-            assert (w.rational, w.irrational) == (chain.rational, chain.irrational)
+        rational = a + sum(qi * spec.exponent for spec, qi in zip(radii, q)
+                           if isinstance(spec, RationalRadius))
+        irrational = {spec.d: qi for spec, qi in zip(radii, q)
+                      if isinstance(spec, FreeRadius) and qi}
+        w = weight_of(value(prof, a, q))
+        assert (w.rational, w.irrational) == (rational, irrational)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.sampled_from((16, 32, 64, 128)))
@@ -371,7 +424,7 @@ class TestOneWeightPath:
         radii = data.draw(st.permutations(free + rational))
         prof = make_profile(2, radii)
         exps = st.one_of(st.just(Fraction(0)), small_fracs)
-        w = exponent_weight(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii))
+        w = weight_of(value(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)))
         lo, hi, den = w.bounds(k)
         D = math.lcm(w.rational.denominator, *(c.denominator for c in w.irrational.values()))
         assert den == D << k
@@ -391,7 +444,7 @@ class TestOneWeightPath:
         radii = data.draw(st.permutations(free + rational))
         prof = make_profile(2, radii)
         exps = st.one_of(st.just(Fraction(0)), small_fracs)
-        w = exponent_weight(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii))
+        w = weight_of(value(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)))
         ks = []
         if w.irr:
             scale = 10 ** (digits + 2)
@@ -411,6 +464,27 @@ class TestOneWeightPath:
         assert recorded.ks == ks  # one enclosure, the reference's
 
 
+def imported_or_read_names(path):
+    """The names a module imports from another and the attribute names it
+    reads, from its source at path."""
+    with open(path) as src:
+        tree = ast.parse(src.read())
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    return used | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_only_valuegroup_imports_weight():
+    """Norms are combined and ordered as Values: no module of the package
+    but valuegroup imports Weight or reads it off a module; the others
+    reach a weight only through weight_of and the rounding helpers."""
+    package = os.path.dirname(ultrametrica.__file__)
+    offenders = [name for name in sorted(os.listdir(package))
+                 if name.endswith(".py") and name != "valuegroup.py"
+                 and "Weight" in imported_or_read_names(os.path.join(package, name))]
+    assert offenders == []
+
+
 # The names through which a module would do arithmetic on a Value's
 # numerators and canonical denominator itself.
 VALUE_LAYOUT_NAMES = {"_value", "_value_pow", "_fold", "_lcm"}
@@ -420,9 +494,4 @@ VALUE_LAYOUT_NAMES = {"_value", "_value_pow", "_fold", "_lcm"}
 def test_only_valuegroup_knows_the_value_layout(module):
     """No other arithmetic module imports valuegroup's numerator-level
     constructors (_value, _value_pow, _fold) or reads a profile's _lcm."""
-    with open(module.__file__) as src:
-        tree = ast.parse(src.read())
-    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-            for alias in node.names}
-    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not used & VALUE_LAYOUT_NAMES
+    assert not imported_or_read_names(module.__file__) & VALUE_LAYOUT_NAMES
