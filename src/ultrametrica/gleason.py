@@ -101,24 +101,6 @@ def _exponent_str(q) -> str:
 # ---------------------------------------------------------------------------
 
 
-class AxisNonneg:
-    """J = Z[1/p]_{>=0} on one variable."""
-
-    ell = 1
-
-    def rep(self, q):
-        return (q[0],) if q[0] >= 0 else None
-
-
-class AxisNonpos:
-    """J = Z[1/p]_{<=0} on one variable, generated by -1."""
-
-    ell = 1
-
-    def rep(self, q):
-        return (-q[0],) if q[0] <= 0 else None
-
-
 class IndependentRep:
     """J = nonnegative Z[1/p]-span of linearly independent exponents."""
 
@@ -161,10 +143,9 @@ class MinZeroRep:
 
     def __init__(self, n):
         self.n = n
-        self.ell = n + 1
 
     def rep(self, q):
-        h0 = max(Fraction(0), -min(q)) if q else Fraction(0)
+        h0 = max(Fraction(0), -min(q))
         return tuple(Fraction(x) + h0 for x in q) + (h0,)
 
 
@@ -189,9 +170,7 @@ class WellOrder:
             scale = self.p**k
             for R in radii:
                 for v in itertools.product(range(-R, R + 1), repeat=self.n):
-                    if self.n and max(abs(x) for x in v) != R:
-                        continue
-                    if not self.n and R > 0:
+                    if max(abs(x) for x in v) != R:
                         continue
                     if k > 0 and all(x % self.p == 0 for x in v):
                         continue
@@ -343,8 +322,9 @@ def _pick_e_direct(profile, nV, nW, m: int):
     return zp_in_open_interval(lo, hi, profile.p)
 
 
-def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
-    """Generic schedule builder over monomials V with a well-ordered J.
+def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
+    """Generic schedule builder over monomials V, stepping through the
+    well-order of the exponent set J whose members rule.rep represents.
 
     Chooses e_m = t**gamma_m in a deterministic window, eps_m = t**delta_m
     with the smallest exponent making every |d_{m,i}| <= 1, and the least
@@ -361,16 +341,30 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
     > s |pi|, as _pick_e_alpha puts |t|**x above s |t|**(-1/2).  Once (1)
     holds |term| < 1, so the largest earlier height b_{m-1} is the only
     one whose (4) binds.
+
+    Alpha mode needs s <= |pi|, that is sigma_s >= 1.  Below 1, step 1
+    (omega(1) = 0, W_1 = 1) picks gamma_1 in (sigma_s - 1, sigma_s - 1/2):
+    the picker's first try, 0, lies in that window when sigma_s > 1/2, and
+    otherwise the whole window is negative.  So gamma_1 <= 0, and
+    |term| = |e_1|**(p**b) >= 1 fails (1) at every height.  At or above 1
+    every |e_m W_m| < s |t|**-1 <= 1, so |term| and the tail norm fall and
+    |head| tends to |e_m W_m| in (s, 1) as b grows: the scan ends.
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("schedules require a free profile with n >= 1")
     if depth < 0:
         raise InputValidationError(f"schedule depth must be >= 0, got {depth}")
     p = profile.p
-    one_norm, s = one_value(profile), s_value(profile)
-    s_pi = value_mul(s, pi_value(profile))
+    one_norm, s, pi = one_value(profile), s_value(profile), pi_value(profile)
+    if mode == "alpha" and value_lt(pi, s):
+        raise InputValidationError(
+            f"sigma_s = {profile.sigma_s} is below 1: no Frobenius height meets "
+            f"|term| < |t| at step 1"
+        )
+    s_pi = value_mul(s, pi)
     _check_monomials(V)
     nV0 = gauss_norm(V[0]) if V else one_norm
+    well = WellOrder(profile.n, p, rule)
 
     omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
     beta_min = Fraction(0)  # min(0, t-exponents of the beta_i so far)
@@ -378,9 +372,7 @@ def build_schedule(profile, V, well, depth, mode="alpha") -> GleasonSchedule:
 
     for m in range(1, depth + 1):
         q = well.omega(m)
-        h = well.rule.rep(q)
-        if h is None:
-            raise InvariantViolationError("well-order emitted a non-member")
+        h = rule.rep(q)
         W = _lattice_monomial(profile, V, h)
         nW = gauss_norm(W) if W._terms else one_norm
         if mode == "alpha":
@@ -459,25 +451,26 @@ def verify_schedule(schedule: GleasonSchedule, G: SeriesElement):
 # ---------------------------------------------------------------------------
 
 
+def _lattice_rule(profile: RadiusProfile, V) -> IndependentRep:
+    """J spanned by the x exponents of the monomials V."""
+    D = profile.den
+    return IndependentRep([tuple(Fraction(x, D) for x in xs)
+                           for v in V for (_, xs) in v._terms], profile.p)
+
+
 def build_gplus(profile: RadiusProfile, depth: int):
     """Gleason element for J = Z[1/p]_{>=0} with monomials x**omega(m)."""
     if profile.n != 1 or not profile.is_free:
         raise InputValidationError("build_gplus needs one free radius")
-    x = monomial(profile, 1, 0, (1,))
-    well = WellOrder(1, profile.p, AxisNonneg())
-    schedule = build_schedule(profile, (x,), well, depth, mode="alpha")
-    return schedule, schedule.element()
+    return build_gmultivar(profile, (monomial(profile, 1, 0, (1,)),), depth)
 
 
 def build_gmultivar(profile: RadiusProfile, V, depth: int, rule=None):
-    """Gleason element for the lattice spanned by the monomials V."""
+    """Gleason element for the lattice spanned by the monomials V, or for
+    the exponent set of an explicit rule."""
     _check_monomials(V)
-    if rule is None:
-        D = profile.den
-        rule = IndependentRep([tuple(Fraction(x, D) for x in xs)
-                               for v in V for (_, xs) in v._terms], profile.p)
-    well = WellOrder(profile.n, profile.p, rule)
-    schedule = build_schedule(profile, tuple(V), well, depth, mode="alpha")
+    schedule = build_schedule(profile, tuple(V), rule or _lattice_rule(profile, V),
+                              depth, mode="alpha")
     return schedule, schedule.element()
 
 
@@ -497,8 +490,8 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
     n_cx = gauss_norm(cx_inv)
     if not (value_lt(n_cx, one_value(profile)) and value_lt(s_value(profile), n_cx)):
         raise WindowError("bad c: need s < |c x**-1| < 1")
-    well = WellOrder(1, profile.p, AxisNonpos())
-    schedule = build_schedule(profile, (cx_inv,), well, depth, mode="direct")
+    schedule = build_schedule(profile, (cx_inv,), _lattice_rule(profile, (cx_inv,)),
+                              depth, mode="direct")
     g_minus = schedule.element()
     base = profile.base()
     terms = {}
@@ -529,8 +522,8 @@ _ANSWER_MEMO_CAP = 512
 @dataclass(frozen=True)
 class SurjectionSpec:
     """Images (x_1..x_n, c*x_1**-1...x_n**-1, G) plus the schedule-backed
-    adapted-element oracle with min-zero canonical representations; well is
-    the schedule's well-order, which grows only while the schedule is built.
+    adapted-element oracle with min-zero canonical representations; rule
+    is the schedule's representation rule, which the monomial oracle reads.
 
     _memo keeps the oracle's answer per exponent q, keyed by q's
     numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
@@ -547,8 +540,7 @@ class SurjectionSpec:
     c: SeriesElement
     hom: HomSpec
     schedule: GleasonSchedule
-    G: SeriesElement
-    well: WellOrder = field(compare=False, repr=False)
+    rule: MinZeroRep = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _empty: TateElement = field(init=False, compare=False, repr=False)
@@ -561,6 +553,10 @@ class SurjectionSpec:
         return ExponentKeys(self._memo, self.profile.den)
 
     @property
+    def G(self) -> SeriesElement:
+        return self.hom.images[-1]
+
+    @property
     def num_vars(self) -> int:
         return self.n + 2
 
@@ -568,10 +564,10 @@ class SurjectionSpec:
     def base(self) -> RadiusProfile:
         return self.profile.base()
 
-    def monomial_answer(self, q, h):
+    def monomial_answer(self, q):
         """Exact single-monomial adapted element c**h0 * x**q, when its
         norm clears s."""
-        exps = tuple(h) + (Fraction(0),)
+        exps = self.rule.rep(q) + (Fraction(0),)
         pre = tate_monomial(self.num_vars, one(self.base), exps)
         # the hom's entry for pre's one exponent tuple, which evaluate reads too
         img = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
@@ -605,7 +601,7 @@ class SurjectionSpec:
         ans = self._memo.get(qn)
         if ans is None:
             q = tuple(Fraction(x, self.profile.den) for x in qn)
-            ans = self.monomial_answer(q, self.well.rule.rep(q)) or self.schedule_answer(q)
+            ans = self.monomial_answer(q) or self.schedule_answer(q)
             if len(self._memo) < _ANSWER_MEMO_CAP:
                 self._memo[qn] = ans
         return ans
@@ -626,7 +622,7 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     T_{n+2} -> G for the min-zero lattice Gleason element G.
 
     c defaults to the smallest t-power with s < |c * prod(x_i**-1)| < 1;
-    a caller-supplied c_exponent is validated against the same window.
+    a caller-supplied c_exponent outside that window is an input error.
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
@@ -642,21 +638,19 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 
     if c_exponent is not None:
         w_c = Fraction(c_exponent)
+        if not in_window(w_c):
+            raise InputValidationError("c_exponent violates s < |c * prod(x_i**-1)| < 1")
     else:
         w_c = Fraction(floor_weight(weight_of(prod_r)) + 1)
         if not in_window(w_c):
             w_c = zp_in_open_interval(prod_r, value_mul(prod_r, s), profile.p)
-    if not in_window(w_c):
-        raise WindowError("c exponent violates s < |c * prod(x_i**-1)| < 1")
     c = monomial(base, 1, w_c)
     v_last = monomial(profile, 1, w_c, minus_ones)
     V = tuple(monomial(profile, 1, 0, tuple(Fraction(int(i == j)) for j in range(n)))
               for i in range(n)) + (v_last,)
-    well = WellOrder(n, profile.p, MinZeroRep(n))
-    schedule = build_schedule(profile, V, well, depth, mode="alpha")
-    G = schedule.element()
-    images = tuple(V[:n]) + (v_last, G)
-    return SurjectionSpec(n, profile, c, HomSpec(images), schedule, G, well)
+    rule = MinZeroRep(n)
+    schedule, G = build_gmultivar(profile, V, depth, rule=rule)
+    return SurjectionSpec(n, profile, c, HomSpec(V + (G,)), schedule, rule)
 
 
 # ---------------------------------------------------------------------------

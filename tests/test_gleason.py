@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_weight, ref_heights
+import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
     DepthError,
@@ -16,7 +19,6 @@ from ultrametrica.errors import (
     WindowError,
 )
 from ultrametrica.gleason import (
-    AxisNonneg,
     IndependentRep,
     MinZeroRep,
     OracleAnswer,
@@ -109,7 +111,7 @@ class TestWellOrder:
         check_omega_prefix(WellOrder(1, 2, MinZeroRep(1)), 60)
 
     def test_nonneg_axis_prefix(self):
-        w = WellOrder(1, 2, AxisNonneg())
+        w = WellOrder(1, 2, IndependentRep([(1,)], 2))
         got = [w.omega(m)[0] for m in range(1, 6)]
         assert got == [0, 1, Fraction(1, 2), 2, Fraction(1, 4)]
 
@@ -221,6 +223,23 @@ class TestBuildGplus:
         prof3 = make_profile(3, [FreeRadius(2)], max_denom_log=24)
         sched, G = build_gplus(prof3, 6)
         assert all(c.passed for c in verify_schedule(sched, G))
+
+
+class TestThresholdBelowPi:
+    """Alpha mode needs sigma_s >= 1 (s <= |pi|): below it step 1's height
+    scan never ends, so the build refuses before step 1."""
+
+    @pytest.mark.parametrize("sigma_s", ["1/2", "99/100", "1/1000"])
+    def test_below_one_is_an_input_error(self, sigma_s):
+        prof = make_profile(2, [FreeRadius(2)], sigma_s=Fraction(sigma_s), max_denom_log=32)
+        for build in (build_gplus, standard_surjection):
+            with pytest.raises(InputValidationError, match="below 1"):
+                build(prof, 3)
+
+    def test_one_still_builds(self):
+        prof = make_profile(2, [FreeRadius(2)], sigma_s=1, max_denom_log=32)
+        spec = standard_surjection(prof, 3)
+        assert all(c.passed for c in verify_schedule(spec.schedule, spec.G))
 
 
 class TestVerifySchedule:
@@ -406,6 +425,11 @@ class TestStandardSurjection:
         with pytest.raises(DepthError):
             shallow((Fraction(4),))
 
+    def test_c_exponent_outside_the_window_is_an_input_error(self, prof):
+        for w_c in (100, 1):  # |c x**-1| below s, and above 1
+            with pytest.raises(InputValidationError, match="c_exponent"):
+                standard_surjection(prof, 3, c_exponent=w_c)
+
     def test_preimages_power_bounded(self, spec21):
         for q in [(Fraction(0),), (Fraction(2),), (Fraction(-2),), (Fraction(4),)]:
             ans = spec21(q)
@@ -428,7 +452,7 @@ class TestMemosBehaveAsIfAbsent:
         fresh = standard_surjection(prof, 21)
         kinds = set()
         for q in reversed(qs):
-            kinds.add(used.monomial_answer(q, used.well.rule.rep(q)) is None)
+            kinds.add(used.monomial_answer(q) is None)
             assert used(q) == fresh(q)
         assert kinds == {True, False}  # both monomial and schedule answers
 
@@ -457,7 +481,7 @@ class TestMemosBehaveAsIfAbsent:
         kinds = set()
         for q in self.queries(spec21):
             ans = spec21(q)
-            kinds.add(spec21.monomial_answer(q, spec21.well.rule.rep(q)) is None)
+            kinds.add(spec21.monomial_answer(q) is None)
             assert spec21(q) is ans
             assert spec21._answers[q] is ans
         assert kinds == {True, False}  # both monomial and schedule answers
@@ -472,13 +496,18 @@ class TestMemosBehaveAsIfAbsent:
             assert shallow._answers == stored
             assert (Fraction(4),) not in shallow._answers
 
-    def test_depth_error_leaves_the_well_order_as_built(self, prof):
+    def test_depth_error_leaves_the_well_order_as_built(self, prof, monkeypatch):
+        """An exponent past the schedule is refused from the schedule's
+        omegas alone: no well-order is enumerated."""
         shallow = standard_surjection(prof, 4)
-        built = len(shallow.well._order)
+
+        def no_growth(self):
+            raise AssertionError("a well-order was enumerated")
+
+        monkeypatch.setattr(WellOrder, "_grow", no_growth)
         for q in [(Fraction(4),), (Fraction(45),), (Fraction(45, 8),)]:
             with pytest.raises(DepthError):
                 shallow(q)
-            assert len(shallow.well._order) == built
 
     def test_depth_errors_write_exponents_as_the_wire_format_does(self, prof):
         """(45), not (Fraction(45, 1),), in the oracle's DepthError and in
@@ -501,10 +530,10 @@ class TestMemosBehaveAsIfAbsent:
         spec = standard_surjection(prof, 4)
         qs = [(Fraction(j, 256),) for j in range(600)]  # |x**q| > s for all of them
         for q in qs:
-            assert spec(q) == spec.monomial_answer(q, spec.well.rule.rep(q))
+            assert spec(q) == spec.monomial_answer(q)
         assert len(spec._answers) == gleason._ANSWER_MEMO_CAP == 512
         assert qs[-1] not in spec._answers
-        assert spec(qs[-1]) == spec.monomial_answer(qs[-1], spec.well.rule.rep(qs[-1]))
+        assert spec(qs[-1]) == spec.monomial_answer(qs[-1])
 
     def test_used_hom_evaluates_as_a_fresh_one(self, spec21, prof):
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1,
@@ -766,13 +795,33 @@ class TestP3Surjection:
 
 class TestWellOrderP3:
     def test_nonneg_axis_enumeration(self):
-        w = WellOrder(1, 3, AxisNonneg())
+        w = WellOrder(1, 3, IndependentRep([(1,)], 3))
         got = [w.omega(m)[0] for m in range(1, 9)]
         assert got == [0, 1, Fraction(1, 3), 2, Fraction(2, 3),
                        Fraction(1, 9), Fraction(2, 9), 3]
 
     def test_index_inverse(self):
-        check_omega_prefix(WellOrder(1, 3, AxisNonneg()), 40)
+        check_omega_prefix(WellOrder(1, 3, IndependentRep([(1,)], 3)), 40)
+
+
+def well_order_callers(path):
+    """The functions in the module at path that call WellOrder(...)."""
+    with open(path) as src:
+        tree = ast.parse(src.read())
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and "WellOrder" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))}
+
+
+def test_only_build_schedule_builds_a_well_order():
+    """Callers pass a representation rule and build_schedule owns the
+    well-order: no other function of the package calls WellOrder(...)."""
+    package = os.path.dirname(ultrametrica.__file__)
+    callers = {f"{name[:-3]}.{fn}" for name in sorted(os.listdir(package))
+               if name.endswith(".py")
+               for fn in well_order_callers(os.path.join(package, name))}
+    assert callers == {"gleason.build_schedule"}
 
 
 @settings(max_examples=25, deadline=None)

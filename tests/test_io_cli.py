@@ -365,6 +365,14 @@ MALFORMED_INPUTS = [
     ("config steps 0", ["surject-verify", "--config"], STEPS_CONFIG % 0),
     ("config steps -1", ["surject-verify", "--config"], STEPS_CONFIG % -1),
     ("config steps above cap", ["surject-verify", "--config"], STEPS_CONFIG % (MAX_STEPS + 1)),
+    ("config sigma_s 1/2", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "sigma_s": "1/2"'),
+    ("config sigma_s 99/100", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "sigma_s": "99/100"'),
+    ("gleason build --config sigma_s 1/2", ["gleason", "build", "--depth", "3", "--config"],
+     RUN_VALUES_CONFIG % '"sigma_s": "1/2"'),
+    ("config c_exponent 100", ["surject-verify", "--config"],
+     RUN_VALUES_CONFIG % '"depth": 3, "trials": 1, "c_exponent": "100"'),
     ("config floor_exponent -100", ["surject-verify", "--config"],
      '{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "floor_exponent": "-100"}'),
     ("config depth 3.9", ["surject-verify", "--config"],
