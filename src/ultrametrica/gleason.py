@@ -645,9 +645,8 @@ def standard_surjection(profile: RadiusProfile, depth: int,
         if not in_window(w_c):
             w_c = zp_in_open_interval(prod_r, value_mul(prod_r, s), profile.p)
     c = monomial(base, 1, w_c)
-    v_last = monomial(profile, 1, w_c, minus_ones)
     V = tuple(monomial(profile, 1, 0, tuple(Fraction(int(i == j)) for j in range(n)))
-              for i in range(n)) + (v_last,)
+              for i in range(n)) + (monomial(profile, 1, w_c, minus_ones),)
     rule = MinZeroRep(n)
     schedule, G = build_gmultivar(profile, V, depth, rule=rule)
     return SurjectionSpec(n, profile, c, HomSpec(V + (G,)), schedule, rule)
