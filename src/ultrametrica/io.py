@@ -19,7 +19,7 @@ from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
 from .errors import InputValidationError
 from .gleason import GleasonSchedule, SurjectionSpec
-from .series import SeriesElement, make_series
+from .series import SeriesElement, _monomial, _numerator, make_series
 from .tatealg import HomSpec, TateElement, make_tate
 from .valuegroup import (
     FreeRadius,
@@ -266,15 +266,26 @@ def schedule_to_json(s: GleasonSchedule) -> dict:
         "e": [series_to_json(s.e(m), include_profile=False) for m in steps],
         "eps": [series_to_json(s.eps(m), include_profile=False) for m in steps],
         "b": list(s.b),
-        "d": [
-            [series_to_json(s.d(m, i), include_profile=False) for i in range(1, m)]
-            for m in steps
-        ],
+        "d": _d_to_json(s),
         "conditions": [
             dict(_CONDITION_FLAGS, b=b, delta=frac_to_str(delta), gamma=frac_to_str(gamma))
             for b, delta, gamma in zip(s.b, s.deltas, s.gammas)
         ],
     }
+
+
+def _d_to_json(s: GleasonSchedule) -> list:
+    """The rows of s.d(m, i) = t**(delta_m + beta_i), i < m, built from the
+    numerators over D of the deltas and the beta exponents, each taken
+    once; _numerator raises DenominatorCapError for one past the cap."""
+    base = s.profile.base()
+    dn = [_numerator(base, x) for x in s.deltas]
+    bn = [_numerator(base, s.beta_exp(i)) for i in range(1, s.depth + 1)]
+    return [
+        [series_to_json(_monomial(base, 1, dm + bi, ()), include_profile=False)
+         for bi in bn[:m]]
+        for m, dm in enumerate(dn)
+    ]
 
 
 _CONDITION_FLAGS = dict.fromkeys(

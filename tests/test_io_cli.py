@@ -21,7 +21,7 @@ from ultrametrica.cli import (
     Config,
     main,
 )
-from ultrametrica.errors import InputValidationError
+from ultrametrica.errors import DenominatorCapError, InputValidationError
 from ultrametrica.gleason import build_gplus, standard_surjection
 from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
 from ultrametrica.tatealg import make_tate
@@ -91,15 +91,35 @@ class TestSerialization:
         text = json.dumps(uio.schedule_to_json(sched), sort_keys=True)
         assert uio.schedule_from_json(json.loads(text)) == sched
 
-    @pytest.mark.parametrize("key,path", [("d", (3, 1)), ("eps", (2,))])
-    def test_schedule_edited_derived_field_rejected(self, prof1_cap24, key, path):
-        sched, _ = build_gplus(prof1_cap24, 4)
+    # The ids are the ones pytest gave the first two cases when they were
+    # the only ones; "surject-n2" is the benchmark's depth-81 schedule.
+    @pytest.mark.parametrize("key,path,schedule", [
+        pytest.param("d", (3, 1), "gplus", id="d-path0"),
+        pytest.param("eps", (2,), "gplus", id="eps-path1"),
+        pytest.param("d", (80, 79), "surject-n2", id="d-path2"),
+        pytest.param("e", (2,), "gplus", id="e-path3"),
+    ])
+    def test_schedule_edited_derived_field_rejected(self, prof1_cap24, key, path, schedule):
+        if schedule == "gplus":
+            sched, _ = build_gplus(prof1_cap24, 4)
+        else:
+            prof = make_profile(2, [FreeRadius(2), FreeRadius(3)], max_denom_log=110)
+            sched = standard_surjection(prof, 81).schedule
         data = uio.schedule_to_json(sched)
         entry = data[key]
         for k in path:
             entry = entry[k]
         entry["terms"][0]["t"] = str(Fraction(entry["terms"][0]["t"]) + 1)
         with pytest.raises(InputValidationError, match=repr(key)):
+            uio.schedule_from_json(data)
+
+    @pytest.mark.parametrize("key", ["delta", "gamma"])
+    def test_schedule_exponent_past_the_cap_raises_cap_error(self, key):
+        prof = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+        data = uio.schedule_to_json(build_gplus(prof, 4)[0])
+        data["conditions"][1][key] = str(Fraction(1, 2**40))
+        with pytest.raises(DenominatorCapError,
+                           match=r"exponent with denominator p\*\*40 exceeds the cap p\*\*32"):
             uio.schedule_from_json(data)
 
     @pytest.mark.parametrize("radii,cap,depth,digest", [

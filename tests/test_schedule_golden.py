@@ -66,3 +66,17 @@ def schedule_hash(schedule) -> str:
 @pytest.mark.parametrize("kind,p", sorted(GOLDEN), ids=lambda x: str(x))
 def test_schedule_json_matches_the_recorded_hash(kind, p):
     assert schedule_hash(build(kind, p)) == GOLDEN[kind, p]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["gplus", "gminus", "gmultivar"])
+def test_written_d_is_the_reference_d(kind, p):
+    """Every written d[m-1][i-1] is GleasonSchedule.d(m, i) as series JSON,
+    in alpha mode (beta_i = e_i**(p**b_i)) and direct mode (beta_i = e_i)."""
+    s = build(kind, p)
+    assert s.mode == ("direct" if kind == "gminus" else "alpha")
+    d = uio.schedule_to_json(s)["d"]
+    assert [len(row) for row in d] == list(range(s.depth))
+    for m in range(1, s.depth + 1):
+        for i in range(1, m):
+            assert d[m - 1][i - 1] == uio.series_to_json(s.d(m, i), include_profile=False)
