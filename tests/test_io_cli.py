@@ -91,8 +91,8 @@ class TestSerialization:
         text = json.dumps(uio.schedule_to_json(sched), sort_keys=True)
         assert uio.schedule_from_json(json.loads(text)) == sched
 
-    # The ids are the ones pytest gave the first two cases when they were
-    # the only ones; "surject-n2" is the benchmark's depth-81 schedule.
+    # Explicit ids keep the first two cases' names; "surject-n2" is the
+    # benchmark's depth-81 schedule.
     @pytest.mark.parametrize("key,path,schedule", [
         pytest.param("d", (3, 1), "gplus", id="d-path0"),
         pytest.param("eps", (2,), "gplus", id="eps-path1"),
