@@ -39,7 +39,7 @@ from .valuegroup import (
     value_lift,
     value_lt,
     value_max,
-    value_mul,
+    value_mul_lt,
     value_pow,
     zero_value,
 )
@@ -168,9 +168,25 @@ def t_mul(f: TateElement, g: TateElement) -> TateElement:
 
 
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
-    """Multiply by a base-field element, coefficient-wise."""
+    """Multiply by a base-field element, coefficient-wise.
+
+    By one exact term d = c t**a, with f, its floor and every coefficient's
+    floor exact, each coefficient's keys shift by a and its coefficients
+    scale by c, in the coefficient's own order, as mul's one-term branch
+    gives them; every floor stays zero, no two Tate exponents collide and
+    each coefficient keeps its terms, so nothing is cut, merged or dropped.
+    Every other shape multiplies each coefficient by mul and rebuilds
+    through _build_tate."""
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
+    if len(d._terms) == 1 and d.floor.zero and f.floor.zero and all(
+            c.floor.zero for c in f._terms.values()):
+        ((a, _), cd), = d._terms.items()
+        p, zero = f.base.p, f.base._zero
+        return TateElement(f.m, f.base, {
+            e: SeriesElement._raw(f.base, {(t + a, xs): x * cd % p
+                                           for (t, xs), x in c._terms.items()}, zero)
+            for e, c in f._terms.items()}, zero)
     floor = product_floor(f, d, t_gauss_norm, gauss_norm)
     return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()], floor)
 
@@ -283,13 +299,16 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     is prod |g_i|**e_i, as the Gauss norm is multiplicative and a
     product's leading term lies above its floor.  An image with no terms
     (some g_i with e_i != 0 has none) gives no bound, and its term is
-    kept.  With exact inputs and nothing skipped the result is exact.
+    kept.  value_mul_lt decides the skip on the sign of the integer
+    exponents of |c|, |image| and target_floor, with no Value built.  With
+    exact inputs and nothing skipped the result is exact.
     Each term's contribution is c times its monomial's image: truncation
     at a product floor is term by term, so this equals multiplying c by
     one image power at a time, in terms and floor.  The contributions
     accumulate in one dict, cut once at the max of their product floors
     and f's floor: a key fixes its norm, so a key cut by one product's
-    floor is cut by the max as well.
+    floor is cut by the max as well, and a zero product floor, which
+    cannot raise that max, is not compared.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -298,20 +317,18 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    terms, acc_floor = {}, None
+    terms, acc_floor = {}, profile._zero
     skipped = False
     for e, c in f._terms.items():
         image = hom._monomial(e)
         ni = gauss_norm(image)
-        if ni is not None and value_lt(
-                value_mul(value_lift(_coefficient_norm(c), profile), ni), target_floor):
+        if ni is not None and value_mul_lt(_coefficient_norm(c), ni, target_floor):
             skipped = True
             continue
         pf = _mul_lifted_into(terms, c, image, 1)
-        acc_floor = pf if acc_floor is None else value_max(acc_floor, pf)
+        if not pf.zero:
+            acc_floor = pf if acc_floor.zero else value_max(acc_floor, pf)
     floor = value_lift(f.floor, profile)
     if skipped:
         floor = value_max(floor, target_floor)
-    if acc_floor is None:
-        acc_floor = profile._zero
     return _build(profile, terms, value_max(acc_floor, floor))

@@ -720,6 +720,34 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
     return _value(profile, v.an, v.qn + pad, v.den)
 
 
+def value_mul_lt(u: Value, v: Value, w: Value) -> bool:
+    """value_lt(value_mul(value_lift(u, P), v), w) for P = v.profile, with
+    no Value built: zeros are settled first, then the three exponents are
+    put over the lcm of their denominators (no rescaling when the three
+    share one, as Values over D do), u's (over a prefix of P) is
+    padded with zeros, and P's sign kernel decides once.  A u over no
+    prefix of P raises ProfileMismatchError, as value_lift does."""
+    profile = v.profile
+    up = u.profile
+    if up is not profile._base and up is not profile and not profile.extends(up):
+        raise ProfileMismatchError("value profile is not a prefix of the target")
+    if w.profile is not profile:
+        _require_same_profile(v, w)
+    if u.zero or v.zero:
+        return not w.zero
+    if w.zero:
+        return False
+    su = sv = sw = 1
+    if not u.den == v.den == w.den:
+        den = lcm(u.den, v.den, w.den)
+        su, sv, sw = den // u.den, den // v.den, den // w.den
+    q = [y * sv - z * sw for y, z in zip(v.qn, w.qn)]
+    for i, x in enumerate(u.qn):
+        q[i] += x * su
+    # The product's norm lies below w exactly when its weight is larger.
+    return profile._sign(u.an * su + v.an * sv - w.an * sw, q) > 0
+
+
 # ---------------------------------------------------------------------------
 # Picking Z[1/p] exponents inside open real windows.
 # ---------------------------------------------------------------------------

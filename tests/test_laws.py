@@ -257,10 +257,25 @@ def radius_image_evaluation(p, e):
     return f, images, t_power(prof, Fraction(1, 2))
 
 
+def fine_target_evaluation(p, e):
+    """(f, images, target) for f = T_1 + T_2 under T_1 -> x, T_2 -> 1 with
+    the one radius sqrt(2), and the target |t|**e for an e of weight in
+    (0, sqrt(2)) whose denominator is no power of p within the cap, so the
+    target's Value is not over D: the bound |x| lies below the target, and
+    T_1 is skipped, while 1 lies above it."""
+    prof = make_profile(p, [FreeRadius(2)], max_denom_log=12)
+    base = prof.base()
+    images = [make_series(prof, {(0, (1,)): 1}), one(prof)]
+    f = make_tate(2, base, {(1, 0): one(base), (0, 1): one(base)})
+    return f, images, value_pow(t_power(prof, 1), e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(floored_evaluations())
 @example(radius_image_evaluation(2, Fraction(1, 3)))
 @example(radius_image_evaluation(3, Fraction(1, 2)))
+@example(fine_target_evaluation(2, Fraction(4, 3)))
+@example(fine_target_evaluation(3, Fraction(1, 3**13)))
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
     time, terms and floor alike, under rational radii too: a norm has one

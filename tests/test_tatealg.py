@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -440,6 +441,63 @@ class TestProductFloors:
     def test_hash_raises(self, prof1):
         with pytest.raises(TypeError):
             hash(t_var(prof1.base()))
+
+
+# The shapes of (f, d) that scale_operands draws: the key shift's, and the
+# ones that must keep the per-coefficient mul.
+KEY_SHIFT = "exact monomial d over exact f"
+MUL_SHAPES = ("floored d", "multi-term d", "floored coefficient under a zero floor",
+              "floored f")
+
+
+@st.composite
+def scale_operands(draw):
+    """(shape, f, d): a Tate element f in m in {1, 2} variables and a scalar
+    d over the base field of p in {2, 3, 5}, drawn in one of the shapes
+    above.  Only the named part is floored or has several terms, so each
+    shape sits next to the key shift's."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    base = make_profile(p, [], max_denom_log=12)
+    m = draw(st.integers(1, 2))
+    shape = draw(st.sampled_from((KEY_SHIFT,) + MUL_SHAPES))
+    exp = base_exp(p)
+
+    def series(min_size, max_size, floored):
+        terms = draw(st.dictionaries(st.tuples(exp, st.just(())), st.integers(1, p - 1),
+                                     min_size=min_size, max_size=max_size))
+        return make_series(base, terms, t_power(base, draw(exp) + 4) if floored else None)
+
+    keys = draw(st.lists(st.tuples(*[exp] * m), max_size=5, unique=True))
+    floored = draw(st.integers(0, len(keys) - 1)) if keys and shape == MUL_SHAPES[2] else None
+    f = make_tate(m, base, {e: series(1, 4, i == floored) for i, e in enumerate(keys)},
+                  t_power(base, draw(exp) + 8) if shape == MUL_SHAPES[3] else None)
+    multi = shape == MUL_SHAPES[1]
+    d = series(2 if multi else 1, 3 if multi else 1, shape == MUL_SHAPES[0])
+    return shape, f, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_operands())
+def test_t_scale_is_coefficientwise_mul_in_order(ops):
+    """t_scale equals make_tate of the coefficient-wise products at the
+    three-candidate floor, with the Tate exponents and every coefficient's
+    terms in the same order.  The key shift builds no product by mul and
+    does not regroup through _build_tate."""
+    shape, f, d = ops
+    want = make_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f.terms.items()],
+                     ref_product_floor(f.floor, d.floor, ref_t_norm(f), ref_gauss_norm(d)))
+    if shape == KEY_SHIFT:
+        with mock.patch.object(tatealg, "mul", side_effect=AssertionError("mul")), \
+                mock.patch.object(tatealg, "_build_tate",
+                                  side_effect=AssertionError("_build_tate")):
+            got = t_scale(f, d)
+    else:
+        got = t_scale(f, d)
+    assert got.floor == want.floor
+    assert list(got._terms.items()) == list(want._terms.items())
+    for c, w in zip(got._terms.values(), want._terms.values()):
+        assert list(c._terms.items()) == list(w._terms.items())
+        assert c.floor == w.floor
 
 
 @st.composite
