@@ -83,7 +83,7 @@ def parse_run(stdout: str, seed: int) -> dict:
 
 
 def run_pairs(dirs: dict, workload: str, seed: int, n_pairs: int, seconds: float,
-              names, log=print):
+              names):
     """n_pairs alternating pairs at one seed: (pair records, digests of
     every run, whether every run was correct)."""
     pairs, digests, correct = [], [], True
@@ -97,7 +97,7 @@ def run_pairs(dirs: dict, workload: str, seed: int, n_pairs: int, seconds: float
             record[f"{side}_failed"] = run["failed"]
             digests.append(run["digests"])
             correct = correct and run["correct"]
-        log(f"seed {seed} pair {k}: " + ", ".join(
+        print(f"seed {seed} pair {k}: " + ", ".join(
             f"{side} op_p98_ms={record[side].get('op_p98_ms', float('nan')):.3f}"
             for side in SIDES))
         pairs.append(record)

@@ -446,8 +446,8 @@ class TestProductFloors:
 # The shapes of (f, d) that scale_operands draws: the key shift's, and the
 # ones that must keep the per-coefficient mul.
 KEY_SHIFT = "exact monomial d over exact f"
-MUL_SHAPES = ("floored d", "multi-term d", "floored coefficient under a zero floor",
-              "floored f")
+MUL_SHAPES = FLOORED_D, MULTI_TERM_D, FLOORED_COEFFICIENT, FLOORED_F = (
+    "floored d", "multi-term d", "floored coefficient under a zero floor", "floored f")
 
 
 @st.composite
@@ -467,12 +467,13 @@ def scale_operands(draw):
                                      min_size=min_size, max_size=max_size))
         return make_series(base, terms, t_power(base, draw(exp) + 4) if floored else None)
 
-    keys = draw(st.lists(st.tuples(*[exp] * m), max_size=5, unique=True))
-    floored = draw(st.integers(0, len(keys) - 1)) if keys and shape == MUL_SHAPES[2] else None
+    keys = draw(st.lists(st.tuples(*[exp] * m), min_size=int(shape == FLOORED_COEFFICIENT),
+                         max_size=5, unique=True))
+    floored = draw(st.integers(0, len(keys) - 1)) if shape == FLOORED_COEFFICIENT else None
     f = make_tate(m, base, {e: series(1, 4, i == floored) for i, e in enumerate(keys)},
-                  t_power(base, draw(exp) + 8) if shape == MUL_SHAPES[3] else None)
-    multi = shape == MUL_SHAPES[1]
-    d = series(2 if multi else 1, 3 if multi else 1, shape == MUL_SHAPES[0])
+                  t_power(base, draw(exp) + 8) if shape == FLOORED_F else None)
+    multi = shape == MULTI_TERM_D
+    d = series(2 if multi else 1, 3 if multi else 1, shape == FLOORED_D)
     return shape, f, d
 
 
