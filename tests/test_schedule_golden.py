@@ -1,12 +1,16 @@
 """Golden schedules: a change that alters any byte of the schedule JSON of
-the named constructions fails here.
+the named constructions fails here, and so does a change to the scalars
+that define a schedule, whatever the wire format.
 
-The hashes are sha256 of ``io.schedule_to_json`` (sorted keys, compact
-separators) for build_gplus and build_gminus (c = t**2) over one radius
-sqrt(2), and build_gmultivar over the monomials (x, y) with radii
-sqrt(2), sqrt(3), each at depth 12 and cap p**32; and the schedule of
-standard_surjection over sqrt(2) at depth 30 and cap p**16, whose steps
-from 16 on have preimages past the cap but are written all the same.
+The hashes are sha256 (sorted keys, compact separators) of
+``io.schedule_to_json`` (GOLDEN) and of the defining scalars read off the
+GleasonSchedule object (SCALARS): its profile, mode, depth, V, omega, h,
+b, gamma and delta.  The schedules are build_gplus and build_gminus
+(c = t**2) over one radius sqrt(2), and build_gmultivar over the
+monomials (x, y) with radii sqrt(2), sqrt(3), each at depth 12 and cap
+p**32; and the schedule of standard_surjection over sqrt(2) at depth 30
+and cap p**16, whose steps from 16 on have preimages past the cap but
+are written all the same.
 """
 
 import hashlib
@@ -43,6 +47,26 @@ GOLDEN = {
 }
 
 
+SCALARS = {
+    ("gplus", 2):
+        "43883b4d4769c1f8554396785845977b4a4bac0f7295dc14a459e403f8abeb8e",
+    ("gplus", 3):
+        "cf72ec1137817515d638f79b13d8a9d65b1e69aaa2eb8d8d12c8b48811de5b06",
+    ("gplus", 5):
+        "7249a002ca493f7de747a2210586e191d7bee4c75eb88010ae63248041e01866",
+    ("gminus", 2):
+        "4bd7d3eae6cf530aa8e8828abb46dcfd6f798758409915756d8f9b535e849f2a",
+    ("gminus", 3):
+        "2a1fde12306689e897ac7ee44614cb9c4f9338f613e7fe8c4a32f3a29874b053",
+    ("gmultivar", 2):
+        "c2433069abdeb0aa87b09d4f2724e9e08a1610f8a2d7fc71aaa7fb8ce70fb62b",
+    ("gmultivar", 3):
+        "df5796966987f56b0125d23ab0a0d3c759774e722197b44ca8db8e63a4c8fc5a",
+    ("standard-cap16-depth30", 2):
+        "da68cb39d520eca3922a10409ba66e64c2a3db10fa447368cd61e82fcea1ecff",
+}
+
+
 def build(kind, p):
     if kind == "standard-cap16-depth30":
         prof = make_profile(p, [FreeRadius(2)], max_denom_log=16)
@@ -57,15 +81,39 @@ def build(kind, p):
     return build_gminus(prof, monomial(prof.base(), 1, 2), DEPTH)[0]
 
 
-def schedule_hash(schedule) -> str:
-    blob = json.dumps(uio.schedule_to_json(schedule), sort_keys=True,
-                      separators=(",", ":"))
+def _sha256(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def schedule_hash(schedule) -> str:
+    return _sha256(uio.schedule_to_json(schedule))
+
+
+def scalars_hash(s) -> str:
+    """The defining scalars, taken from the object, not from a document."""
+    fracs = uio.frac_to_str
+    return _sha256({
+        "profile": uio.profile_to_json(s.profile),
+        "mode": s.mode,
+        "depth": s.depth,
+        "V": [uio.series_to_json(v, include_profile=False) for v in s.V],
+        "omega": [[fracs(x) for x in q] for q in s.omegas],
+        "h": [[fracs(x) for x in h] for h in s.h_reps],
+        "b": list(s.b),
+        "gamma": [fracs(x) for x in s.gammas],
+        "delta": [fracs(x) for x in s.deltas],
+    })
 
 
 @pytest.mark.parametrize("kind,p", sorted(GOLDEN), ids=lambda x: str(x))
 def test_schedule_json_matches_the_recorded_hash(kind, p):
     assert schedule_hash(build(kind, p)) == GOLDEN[kind, p]
+
+
+@pytest.mark.parametrize("kind,p", sorted(SCALARS), ids=lambda x: str(x))
+def test_defining_scalars_match_the_recorded_hash(kind, p):
+    assert scalars_hash(build(kind, p)) == SCALARS[kind, p]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
