@@ -18,6 +18,8 @@ the relative worsening of the median, the median per-pair gain and
 whether the gap between the medians exceeds the parent's interquartile
 range.  With ``--digest-seeds`` both sides also run each of those seeds
 for 0.1 s, and the result and spec digests are recorded and compared.
+Result digests and spec hashes are compared apart, so a declared change
+of the spec's wire format does not read as a change of the outputs.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ def end_to_end_metrics(path: Path = ROOT / "BENCHMARK.json"):
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One perfbench run in checkout: its metric values, attempted and
-    failed ops, and the digests of its whole pass and its spec, labelled as
-    perfbench/out/digests.json labels them."""
+    failed ops, the digest of its whole pass (``result_digest``) and the
+    hash of its spec (``spec_sha256``), each labelled as
+    perfbench/out/digests.json labels it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -71,22 +74,22 @@ def parse_run(stdout: str, seed: int) -> dict:
         if m := _SPEC_LINE.match(line):
             specs.append(m[2])
     n, name, digest = max(passes)  # the digest of a whole pass
-    digests = {f"{name} seed={seed} ops={n}": digest,
-               f"{name} seed={seed} ops={n} spec": specs[0]}
+    label = f"{name} seed={seed} ops={n}"
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "attempted": result["attempted"],
         "failed": result["failed"],
         "correct": result["correct"],
-        "digests": digests,
+        "result_digest": {label: digest},
+        "spec_sha256": {f"{label} spec": specs[0]},
     }
 
 
 def run_pairs(dirs: dict, workload: str, seed: int, n_pairs: int, seconds: float,
               names):
-    """n_pairs alternating pairs at one seed: (pair records, digests of
-    every run, whether every run was correct)."""
-    pairs, digests, correct = [], [], True
+    """n_pairs alternating pairs at one seed: (pair records, every run's
+    record, whether every run was correct)."""
+    pairs, runs, correct = [], [], True
     for k in range(n_pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         record = {"pair": k, "first": order[0], "attempted": {}}
@@ -95,13 +98,13 @@ def run_pairs(dirs: dict, workload: str, seed: int, n_pairs: int, seconds: float
             record["attempted"][side] = run["attempted"]
             record[side] = {name: run["metrics"][name] for name in names}
             record[f"{side}_failed"] = run["failed"]
-            digests.append(run["digests"])
+            runs.append(run)
             correct = correct and run["correct"]
         print(f"seed {seed} pair {k}: " + ", ".join(
             f"{side} op_p98_ms={record[side].get('op_p98_ms', float('nan')):.3f}"
             for side in SIDES))
         pairs.append(record)
-    return pairs, digests, correct
+    return pairs, runs, correct
 
 
 def quartiles(values):
@@ -145,28 +148,41 @@ def fail_frac(pairs) -> dict:
             / sum(p["attempted"][side] for p in pairs) for side in SIDES}
 
 
-def seed_block(pairs, digests, correct, metrics) -> dict:
+def _all_equal(runs, key: str) -> bool:
+    return all(run[key] == runs[0][key] for run in runs)
+
+
+def seed_block(pairs, runs, correct, metrics) -> dict:
     return {
         "pairs": pairs,
         "summary": summarize(pairs, metrics),
-        "result_digest_and_spec_sha256_equal_across_all_runs":
-            correct and all(d == digests[0] for d in digests),
+        "result_digest_equal_across_all_runs": correct and _all_equal(runs, "result_digest"),
+        "spec_sha256_equal_across_all_runs": _all_equal(runs, "spec_sha256"),
         "fail_frac": fail_frac(pairs),
     }
 
 
 def digest_block(dirs: dict, workload: str, seeds) -> dict:
-    """Both sides' digests for each seed, from one short run each."""
-    values = {side: {} for side in SIDES}
+    """Both sides' result digests and spec hashes for each seed, from one
+    short run each; the values are the change's, and the parent's spec
+    hashes are added when they differ."""
+    values = {side: {"result_digest": {}, "spec_sha256": {}} for side in SIDES}
     for seed in seeds:
         for side in SIDES:
-            values[side].update(run_side(dirs[side], workload, seed, DIGEST_SECONDS)["digests"])
-    return {
-        "equal": values["parent"] == values["change"],
+            run = run_side(dirs[side], workload, seed, DIGEST_SECONDS)
+            for key, got in values[side].items():
+                got.update(run[key])
+    parent, change = values["parent"], values["change"]
+    block = {
+        "result_digest_equal": parent["result_digest"] == change["result_digest"],
+        "spec_sha256_equal": parent["spec_sha256"] == change["spec_sha256"],
         "command": f"python3 perfbench/run.py --workload {workload} --seed SEED"
                    f" --seconds {DIGEST_SECONDS}",
-        "values": dict(sorted(values["change"].items())),
+        "values": dict(sorted({**change["result_digest"], **change["spec_sha256"]}.items())),
     }
+    if not block["spec_sha256_equal"]:
+        block["parent_spec_sha256"] = dict(sorted(parent["spec_sha256"].items()))
+    return block
 
 
 def traced_block(dirs: dict, workload: str, seed: int, names) -> dict:
@@ -218,10 +234,10 @@ def main(argv=None) -> int:
         "claim": args.claim,
     }
     for i, (seed, n_pairs) in enumerate(zip(args.seeds, counts)):
-        pairs, digests, correct = run_pairs(dirs, args.workload, seed, n_pairs,
-                                            args.seconds, names)
+        pairs, runs, correct = run_pairs(dirs, args.workload, seed, n_pairs,
+                                         args.seconds, names)
         key = f"seed_{seed}" if i == 0 else f"held_out_seed_{seed}"
-        record[key] = seed_block(pairs, digests, correct, metrics)
+        record[key] = seed_block(pairs, runs, correct, metrics)
     if args.digest_seeds:
         key = "digests_seeds_" + "_".join(map(str, args.digest_seeds))
         record[key] = digest_block(dirs, args.workload, args.digest_seeds)

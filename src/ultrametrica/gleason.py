@@ -712,7 +712,9 @@ def divide_step(oracle, beta: SeriesElement, m: int):
         if nd is not None and not value_lt(nd, bound_m):
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
         parts.append(t_scale(ans.preimage, d))
-        floor = value_max(floor, _mul_lifted_into(terms, d, ans.image, -1))
+        pf = _mul_lifted_into(terms, d, ans.image, -1)
+        if not pf.zero:
+            floor = value_max(floor, pf)
     f = t_sum(oracle.num_vars, profile.base(), parts)
     residual = _build(profile, terms, floor)
     nres = gauss_norm(residual)

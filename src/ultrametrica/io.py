@@ -19,7 +19,7 @@ from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
 from .errors import InputValidationError
 from .gleason import GleasonSchedule, SurjectionSpec
-from .series import SeriesElement, _monomial, _numerator, make_series
+from .series import SeriesElement, _numerator, make_series
 from .tatealg import HomSpec, TateElement, make_tate
 from .valuegroup import (
     FreeRadius,
@@ -253,78 +253,74 @@ def tower_from_json(data: list) -> TowerPoint:
 # -- Gleason schedules ------------------------------------------------------
 
 
+SCHEDULE_VERSION = 2
+
+
+def _exponent_to_str(profile: RadiusProfile, x: Fraction) -> str:
+    """x as frac_to_str writes it; DenominatorCapError past the cap."""
+    return ratio_to_str(_numerator(profile, x), profile.den)
+
+
+def _exponent_from_str(profile: RadiusProfile, s) -> Fraction:
+    x = frac_from_str(s)
+    _numerator(profile, x)
+    return x
+
+
 def schedule_to_json(s: GleasonSchedule) -> dict:
-    steps = range(1, s.depth + 1)
+    """The scalars that define s; W, e, eps, beta and d are derived from
+    them.  An omega, h, gamma or delta past the cap raises
+    DenominatorCapError."""
+    exponent = functools.partial(_exponent_to_str, s.profile)
     return {
+        "version": SCHEDULE_VERSION,
         "profile": profile_to_json(s.profile),
         "mode": s.mode,
         "depth": s.depth,
         "V": [series_to_json(v, include_profile=False) for v in s.V],
-        "omega": [[frac_to_str(x) for x in q] for q in s.omegas],
-        "h": [[frac_to_str(x) for x in h] for h in s.h_reps],
-        "W": [series_to_json(s.W(m), include_profile=False) for m in steps],
-        "e": [series_to_json(s.e(m), include_profile=False) for m in steps],
-        "eps": [series_to_json(s.eps(m), include_profile=False) for m in steps],
+        "omega": [list(map(exponent, q)) for q in s.omegas],
+        "h": [list(map(exponent, h)) for h in s.h_reps],
         "b": list(s.b),
-        "d": _d_to_json(s),
-        "conditions": [
-            dict(_CONDITION_FLAGS, b=b, delta=frac_to_str(delta), gamma=frac_to_str(gamma))
-            for b, delta, gamma in zip(s.b, s.deltas, s.gammas)
-        ],
+        "gamma": list(map(exponent, s.gammas)),
+        "delta": list(map(exponent, s.deltas)),
     }
-
-
-def _d_to_json(s: GleasonSchedule) -> list:
-    """The rows of s.d(m, i) = t**(delta_m + beta_i), i < m, built from the
-    numerators over D of the deltas and the beta exponents, each taken
-    once; _numerator raises DenominatorCapError for one past the cap."""
-    base = s.profile.base()
-    dn = [_numerator(base, x) for x in s.deltas]
-    bn = [_numerator(base, s.beta_exp(i)) for i in range(1, s.depth + 1)]
-    return [
-        [series_to_json(_monomial(base, 1, dm + bi, ()), include_profile=False)
-         for bi in bn[:m]]
-        for m, dm in enumerate(dn)
-    ]
-
-
-_CONDITION_FLAGS = dict.fromkeys(
-    ("convergence", "eps_bound", "head_window", "tail_window", "distinct_exponents"),
-    True,
-)
 
 
 @parse_guard
 def schedule_from_json(data: dict) -> GleasonSchedule:
-    """Rebuild a schedule from omega, h, b, V and the gamma and delta of
-    each step's conditions; the stored W, e, eps, d and conditions must
-    equal the values derived from those."""
+    """The schedule whose scalars schedule_to_json wrote.  Only version 2
+    reads; an exponent past the cap raises DenominatorCapError."""
+    version = data.get("version")
+    if type(version) is not int or version != SCHEDULE_VERSION:
+        raise InputValidationError(
+            f"schedule JSON version {json.dumps(version)} is not {SCHEDULE_VERSION}:"
+            f" rebuild the schedule with `ultrametrica gleason build`"
+        )
     profile = profile_from_json(data["profile"])
     depth = int_from_json(data["depth"], "depth")
-    conditions = data["conditions"]
     if data["mode"] not in ("alpha", "direct"):
         raise InputValidationError(f"schedule mode {data['mode']!r}")
-    if {len(data[key]) for key in ("omega", "h", "b", "conditions")} != {depth}:
+    if {len(data[key]) for key in ("omega", "h", "b", "gamma", "delta")} != {depth}:
         raise InputValidationError(f"schedule step lists do not all have depth {depth}")
-    schedule = GleasonSchedule(
+    V = tuple(series_from_json(v, profile) for v in data["V"])
+    exponent = functools.partial(_exponent_from_str, profile)
+    omegas = tuple(tuple(map(exponent, q)) for q in data["omega"])
+    h_reps = tuple(tuple(map(exponent, h)) for h in data["h"])
+    if any(len(q) != profile.n for q in omegas) or any(len(h) != len(V) for h in h_reps):
+        raise InputValidationError(
+            f"each schedule omega needs {profile.n} entries and each h {len(V)}"
+        )
+    return GleasonSchedule(
         profile=profile,
         mode=data["mode"],
         depth=depth,
-        V=tuple(series_from_json(v, profile) for v in data["V"]),
-        omegas=tuple(tuple(frac_from_str(x) for x in q) for q in data["omega"]),
-        h_reps=tuple(tuple(frac_from_str(x) for x in h) for h in data["h"]),
-        gammas=tuple(frac_from_str(c["gamma"]) for c in conditions),
-        deltas=tuple(frac_from_str(c["delta"]) for c in conditions),
+        V=V,
+        omegas=omegas,
+        h_reps=h_reps,
+        gammas=tuple(map(exponent, data["gamma"])),
+        deltas=tuple(map(exponent, data["delta"])),
         b=tuple(int_from_json(b, "b") for b in data["b"]),
     )
-    derived = schedule_to_json(schedule)
-    for key in ("W", "e", "eps", "d", "conditions"):
-        if data[key] != derived[key]:
-            raise InputValidationError(
-                f"schedule {key!r} differs from the value derived from "
-                f"omega, h, gamma, delta and b"
-            )
-    return schedule
 
 
 def surjection_to_json(spec: SurjectionSpec) -> dict:

@@ -57,17 +57,48 @@ def test_a_gap_wider_than_the_parent_iqr_is_flagged():
         "median_gain_exceeds_parent_iqr"] is True
 
 
+def _run(result, spec):
+    return {"result_digest": {"w seed=1 ops=600": result},
+            "spec_sha256": {"w seed=1 ops=600 spec": spec}}
+
+
 def test_seed_block_counts_failures_and_compares_digests():
     pairs = canned_pairs()
-    same = [{"w seed=1 ops=600": "aa", "w seed=1 ops=600 spec": "bb"}] * 8
+    same = [_run("aa", "bb")] * 8
     block = bench_pairs.seed_block(pairs, same, True, METRICS)
     assert block["fail_frac"] == {"parent": 0.0, "change": 3 / 2400}
-    assert block["result_digest_and_spec_sha256_equal_across_all_runs"] is True
-    moved = same[:7] + [{"w seed=1 ops=600": "ab", "w seed=1 ops=600 spec": "bb"}]
-    assert not bench_pairs.seed_block(pairs, moved, True, METRICS)[
-        "result_digest_and_spec_sha256_equal_across_all_runs"]
+    assert block["result_digest_equal_across_all_runs"] is True
+    assert block["spec_sha256_equal_across_all_runs"] is True
+    moved = bench_pairs.seed_block(pairs, same[:7] + [_run("ab", "bb")], True, METRICS)
+    assert (moved["result_digest_equal_across_all_runs"],
+            moved["spec_sha256_equal_across_all_runs"]) == (False, True)
     assert not bench_pairs.seed_block(pairs, same, False, METRICS)[
-        "result_digest_and_spec_sha256_equal_across_all_runs"]
+        "result_digest_equal_across_all_runs"]
+
+
+def test_a_changed_spec_does_not_read_as_changed_outputs():
+    """A declared change of the spec's wire format moves spec_sha256 and
+    leaves the result digest, and the block says so field by field."""
+    runs = [_run("aa", "bb"), _run("aa", "cc")] * 4
+    block = bench_pairs.seed_block(canned_pairs(), runs, True, METRICS)
+    assert block["result_digest_equal_across_all_runs"] is True
+    assert block["spec_sha256_equal_across_all_runs"] is False
+
+
+def test_digest_block_compares_results_and_specs_apart(monkeypatch):
+    def fake_run_side(checkout, workload, seed, seconds):
+        spec = "bb" if checkout == "parent-dir" else "cc"
+        return {"result_digest": {f"w seed={seed} ops=600": f"r{seed}"},
+                "spec_sha256": {f"w seed={seed} ops=600 spec": spec}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    dirs = {"parent": "parent-dir", "change": "change-dir"}
+    block = bench_pairs.digest_block(dirs, "w", [1, 2])
+    assert (block["result_digest_equal"], block["spec_sha256_equal"]) == (True, False)
+    assert block["values"] == {"w seed=1 ops=600": "r1", "w seed=1 ops=600 spec": "cc",
+                               "w seed=2 ops=600": "r2", "w seed=2 ops=600 spec": "cc"}
+    assert block["parent_spec_sha256"] == {"w seed=1 ops=600 spec": "bb",
+                                           "w seed=2 ops=600 spec": "bb"}
 
 
 def test_parse_run_reads_the_metrics_and_the_whole_pass_digest():
@@ -82,8 +113,8 @@ def test_parse_run_reads_the_metrics_and_the_whole_pass_digest():
     got = bench_pairs.parse_run(stdout, 7)
     assert got == {
         "metrics": {"op_p98_ms": 2.1}, "attempted": 1200, "failed": 0, "correct": True,
-        "digests": {"surject-n2 seed=7 ops=600": "2" * 64,
-                    "surject-n2 seed=7 ops=600 spec": "3" * 64},
+        "result_digest": {"surject-n2 seed=7 ops=600": "2" * 64},
+        "spec_sha256": {"surject-n2 seed=7 ops=600 spec": "3" * 64},
     }
 
 

@@ -20,12 +20,12 @@ N2 = {"p": 2, "radii": [{"sqrt": 2}, {"sqrt": 3}], "max_denom_log": 110, "depth"
 
 GOLDEN = {
     "n1": (N1, {
-        "build": "c163374d6747fde82e55f8f359a5903ad8c73904bbb34df258194b70f421f918",
+        "build": "cd29ced518b24aeccd4e8bca317c98021ae04add5481a623a734b27337067cf6",
         "report": "43bff88f8d3dda0e1220394ee57dce2a03c0647a3debbb60b6f18aecfbc2e5f6",
         "tsv": "70b458ff9bac8214142f3ec57e843af1675ca25a727b6979d10f634fe33af1f5",
     }),
     "n2": (N2, {
-        "build": "c1ef840ff06d7595bc63869463f23ea4b028cf88f3e46d6772345396b634323b",
+        "build": "fc5cca4fe84f07b878cde7a2ec8f7e3cd4b2f6a196a1f6d236ce021cf6d3855d",
         "report": "38dcffd20e1cf763f18958516079fe4905a96694e17a015ce71d5f887cb99f22",
         "tsv": "e123ad64d752e49fb5a5afbd5166915d9e5d47181ddb514d082334373c9f5858",
     }),

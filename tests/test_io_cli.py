@@ -21,8 +21,10 @@ from ultrametrica.cli import (
     Config,
     main,
 )
-from ultrametrica.errors import DenominatorCapError, InputValidationError
-from ultrametrica.gleason import build_gplus, standard_surjection
+from ultrametrica.errors import (
+    DenominatorCapError, InputValidationError, InvariantViolationError,
+)
+from ultrametrica.gleason import build_gplus, standard_surjection, verify_schedule
 from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
 from ultrametrica.tatealg import make_tate
 from ultrametrica.valuegroup import (
@@ -91,42 +93,60 @@ class TestSerialization:
         text = json.dumps(uio.schedule_to_json(sched), sort_keys=True)
         assert uio.schedule_from_json(json.loads(text)) == sched
 
-    # Explicit ids keep the first two cases' names; "surject-n2" is the
-    # benchmark's depth-81 schedule.
-    @pytest.mark.parametrize("key,path,schedule", [
-        pytest.param("d", (3, 1), "gplus", id="d-path0"),
-        pytest.param("eps", (2,), "gplus", id="eps-path1"),
-        pytest.param("d", (80, 79), "surject-n2", id="d-path2"),
-        pytest.param("e", (2,), "gplus", id="e-path3"),
-    ])
-    def test_schedule_edited_derived_field_rejected(self, prof1_cap24, key, path, schedule):
-        if schedule == "gplus":
-            sched, _ = build_gplus(prof1_cap24, 4)
-        else:
-            prof = make_profile(2, [FreeRadius(2), FreeRadius(3)], max_denom_log=110)
-            sched = standard_surjection(prof, 81).schedule
-        data = uio.schedule_to_json(sched)
-        entry = data[key]
-        for k in path:
-            entry = entry[k]
-        entry["terms"][0]["t"] = str(Fraction(entry["terms"][0]["t"]) + 1)
-        with pytest.raises(InputValidationError, match=repr(key)):
-            uio.schedule_from_json(data)
+    def test_schedule_without_version_2_rejected(self, prof1_cap24):
+        """A version-1 document (it carried W, e, eps, d and conditions and
+        no version) is refused with one message that says to rebuild it."""
+        data = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        for version in (None, 1, 2.0, "2"):
+            edited = dict(data, version=version)
+            if version is None:
+                del edited["version"]
+            with pytest.raises(InputValidationError,
+                               match="is not 2: rebuild the schedule with"
+                                     " `ultrametrica gleason build`"):
+                uio.schedule_from_json(edited)
 
-    @pytest.mark.parametrize("key", ["delta", "gamma"])
+    @pytest.mark.parametrize("key", ["delta", "gamma", "omega", "h"])
     def test_schedule_exponent_past_the_cap_raises_cap_error(self, key):
         prof = make_profile(2, [FreeRadius(2)], max_denom_log=32)
         data = uio.schedule_to_json(build_gplus(prof, 4)[0])
-        data["conditions"][1][key] = str(Fraction(1, 2**40))
+        past = str(Fraction(1, 2**40))
+        data[key][1] = [past] * len(data[key][1]) if key in ("omega", "h") else past
         with pytest.raises(DenominatorCapError,
                            match=r"exponent with denominator p\*\*40 exceeds the cap p\*\*32"):
             uio.schedule_from_json(data)
 
+    @pytest.mark.parametrize("key", ["omega", "h"])
+    def test_schedule_step_vector_of_wrong_arity_rejected(self, prof1_cap24, key):
+        """omega has one entry per radius, h one per monomial in V."""
+        data = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        for bad in (data[key][2] + ["0"], data[key][2][:-1]):
+            edited = dict(data, **{key: data[key][:2] + [bad] + data[key][3:]})
+            with pytest.raises(InputValidationError, match="each schedule omega needs"):
+                uio.schedule_from_json(edited)
+
+    @pytest.mark.parametrize("key", ["gamma", "b"])
+    def test_schedule_edited_scalar_loads_and_fails_verification(self, key):
+        """The reader checks types, lengths and the cap, not the Gleason
+        windows: an edited gamma or b loads, and verify_schedule against
+        the spec's G refuses it."""
+        prof = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+        spec = standard_surjection(prof, 4)
+        data = uio.schedule_to_json(spec.schedule)
+        data[key][1] = data[key][1] + 1 if key == "b" else str(Fraction(data[key][1]) + 1)
+        edited = uio.schedule_from_json(data)
+        assert edited != spec.schedule
+        with pytest.raises(InvariantViolationError, match="schedule step 1"):
+            verify_schedule(edited, spec.G)
+
+    # The benchmark's two specs, as perfbench's set-up writes them.
     @pytest.mark.parametrize("radii,cap,depth,digest", [
-        ((2,), 32, 21,
-         "dd274fe1b2484eec27332d5116a21977cd9245d40937bcda68b04a436e1eae3b"),
-        ((2, 3), 110, 81,
-         "888c75495316d732ecb08a2c80a98236b827af40303c7b825480de537a55520b"),
+        pytest.param((2,), 32, 21,
+                     "08f615df06966a15ef8b7961841e930b534ad748dc6ad08072b147f0bf601c00",
+                     id="n1"),
+        pytest.param((2, 3), 110, 81,
+                     "0448ba32279bb4534f943dbdbddc9b14b37a5b58ff3b34d927063b625f27e6da",
+                     id="n2"),
     ])
     def test_surjection_spec_golden(self, radii, cap, depth, digest):
         prof = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=cap)
@@ -436,6 +456,25 @@ def test_malformed_input_exits_2(tmp_path, command, text):
     assert proc.returncode == EXIT_INPUT
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gleason_build_at_the_depth_cap_finishes(tmp_path, n):
+    """The document holds only the scalars that define the schedule, one
+    entry per step in each list, so at MAX_DEPTH it is about 1 MB, and it
+    reads back."""
+    out = tmp_path / "spec.json"
+    src = os.path.dirname(os.path.dirname(ultrametrica.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrametrica", "gleason", "build", "--n", str(n),
+         "--depth", str(MAX_DEPTH), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    assert out.stat().st_size < 2_000_000
+    schedule = uio.schedule_from_json(json.loads(out.read_text())["schedule"])
+    assert schedule.depth == MAX_DEPTH and len(schedule.V) == n + 1
 
 
 @pytest.fixture
