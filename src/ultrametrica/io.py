@@ -256,13 +256,8 @@ def tower_from_json(data: list) -> TowerPoint:
 SCHEDULE_VERSION = 2
 
 
-def _exponent_to_str(profile: RadiusProfile, x: Fraction) -> str:
-    """x as frac_to_str writes it; DenominatorCapError past the cap."""
-    return ratio_to_str(_numerator(profile, x), profile.den)
-
-
-def _exponent_from_str(profile: RadiusProfile, s) -> Fraction:
-    x = frac_from_str(s)
+def _within_cap(profile: RadiusProfile, x: Fraction) -> Fraction:
+    """x itself; DenominatorCapError when its denominator is past the cap."""
     _numerator(profile, x)
     return x
 
@@ -271,7 +266,9 @@ def schedule_to_json(s: GleasonSchedule) -> dict:
     """The scalars that define s; W, e, eps, beta and d are derived from
     them.  An omega, h, gamma or delta past the cap raises
     DenominatorCapError."""
-    exponent = functools.partial(_exponent_to_str, s.profile)
+    def exponent(x):
+        return frac_to_str(_within_cap(s.profile, x))
+
     return {
         "version": SCHEDULE_VERSION,
         "profile": profile_to_json(s.profile),
@@ -297,13 +294,16 @@ def schedule_from_json(data: dict) -> GleasonSchedule:
             f" rebuild the schedule with `ultrametrica gleason build`"
         )
     profile = profile_from_json(data["profile"])
+
+    def exponent(text):
+        return _within_cap(profile, frac_from_str(text))
+
     depth = int_from_json(data["depth"], "depth")
     if data["mode"] not in ("alpha", "direct"):
         raise InputValidationError(f"schedule mode {data['mode']!r}")
     if {len(data[key]) for key in ("omega", "h", "b", "gamma", "delta")} != {depth}:
         raise InputValidationError(f"schedule step lists do not all have depth {depth}")
     V = tuple(series_from_json(v, profile) for v in data["V"])
-    exponent = functools.partial(_exponent_from_str, profile)
     omegas = tuple(tuple(map(exponent, q)) for q in data["omega"])
     h_reps = tuple(tuple(map(exponent, h)) for h in data["h"])
     if any(len(q) != profile.n for q in omegas) or any(len(h) != len(V) for h in h_reps):
