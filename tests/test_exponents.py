@@ -1,16 +1,31 @@
 """Exponents as integers over the profile denominator D = p**max_denom_log:
-results at the largest p and cap, and an op path that builds no Fraction."""
+results at the largest p and cap, an op path that builds no Fraction, and
+the errors of every entry point that admits an exponent."""
 
+import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import ref_mul
 from ultrametrica import cli, gleason, sampling, valuegroup
-from ultrametrica.errors import DenominatorCapError
-from ultrametrica.series import frobenius, make_series, mul, pth_root, root_pk
-from ultrametrica.tatealg import evaluate, make_tate
+from ultrametrica import io as uio
+from ultrametrica.errors import DenominatorCapError, InputValidationError
+from ultrametrica.series import (
+    add,
+    frobenius,
+    lift_base,
+    make_series,
+    monomial,
+    mul,
+    one,
+    pth_root,
+    root_pk,
+    series_frac_pow,
+)
+from ultrametrica.tatealg import HomSpec, evaluate, make_tate, t_pth_root, tate_monomial
 from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
     MAX_PRIME,
@@ -106,3 +121,95 @@ def test_op_path_builds_no_fraction(monkeypatch):
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
     run()
     assert created == []
+
+
+# The admission table: every entry point that takes an exponent into a
+# profile, with the error and the exact message it gives.  P2 is p = 2,
+# sqrt(2), cap 32.
+P2 = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+BASE = P2.base()
+X = monomial(P2, 1, 0, (1,))
+PAST, THIRD = Fraction(1, 2**40), Fraction(1, 3)
+NOT_P = "1/3 does not have a p-power denominator (p=2)"
+
+
+@functools.cache
+def _spec():
+    return gleason.standard_surjection(P2, 4)
+
+
+def _schedule_read(e):
+    data = uio.schedule_to_json(_spec().schedule)
+    data["delta"][0] = uio.frac_to_str(e)
+    return uio.schedule_from_json(data)
+
+
+def _schedule_write(e):
+    schedule = _spec().schedule
+    return uio.schedule_to_json(replace(schedule, deltas=(e,) + schedule.deltas[1:]))
+
+
+# entry point -> (admit the rational exponent e, the name its message gives e)
+RATIONAL_ADMISSIONS = {
+    "make_series t": (lambda e: make_series(P2, {(e, (0,)): 1}), "exponent"),
+    "make_series x": (lambda e: make_series(P2, {(0, (e,)): 1}), "exponent"),
+    "monomial": (lambda e: monomial(P2, 1, e), "exponent"),
+    "make_tate": (lambda e: make_tate(1, BASE, {(e,): one(BASE)}), "Tate exponent"),
+    "tate_monomial": (lambda e: tate_monomial(1, one(BASE), (e,)), "Tate exponent"),
+    "HomSpec.power": (lambda e: HomSpec((X,)).power(0, e), "exponent"),
+    "series_frac_pow monomial": (lambda e: series_frac_pow(X, e), "exponent"),
+    "series_frac_pow two terms": (lambda e: series_frac_pow(add(one(P2), X), e),
+                                  "exponent"),
+    "schedule_to_json": (_schedule_write, "exponent"),
+    "schedule_from_json": (_schedule_read, "exponent"),
+    "SurjectionSpec.__call__": (lambda e: _spec()((e,)), "exponent"),
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_ADMISSIONS)
+def test_rational_exponent_refusals(name):
+    """One exponent past the cap and one whose denominator is no power of p."""
+    admit, what = RATIONAL_ADMISSIONS[name]
+    with pytest.raises(DenominatorCapError) as past:
+        admit(PAST)
+    assert past.type is DenominatorCapError
+    assert str(past.value) == f"{what} with denominator p**40 exceeds the cap p**32"
+    with pytest.raises(InputValidationError) as not_p:
+        admit(THIRD)
+    assert not_p.type is InputValidationError
+    assert str(not_p.value) == NOT_P
+
+
+# Admissions of exponents derived from admitted ones: a root divides them
+# by a power of p and a lift re-expresses them over a smaller cap, so their
+# denominators are powers of p and only the cap can refuse them.  The last
+# rows pin the order of the checks.
+DERIVED_ADMISSIONS = {
+    "root_pk": (lambda: root_pk(X, 40), DenominatorCapError,
+                "exponent with denominator p**40 exceeds the cap p**32"),
+    "lift_base into a smaller cap":
+        (lambda: lift_base(monomial(make_profile(2, [], max_denom_log=48), 1, PAST), P2),
+         DenominatorCapError, "exponent with denominator p**40 exceeds the cap p**32"),
+    "t_pth_root": (lambda: t_pth_root(tate_monomial(1, one(BASE), (Fraction(1, 2**32),))),
+                   DenominatorCapError,
+                   "Tate exponent with denominator p**33 exceeds the cap p**32"),
+    "t_pth_root coefficient first":
+        (lambda: t_pth_root(tate_monomial(1, monomial(BASE, 1, Fraction(1, 2**32)),
+                                          (Fraction(1, 2**32),))),
+         DenominatorCapError, "exponent with denominator p**33 exceeds the cap p**32"),
+    "make_tate cap before a later sign":
+        (lambda: make_tate(2, BASE, {(PAST, Fraction(-1)): one(BASE)}),
+         DenominatorCapError, "Tate exponent with denominator p**40 exceeds the cap p**32"),
+    "make_tate sign before a later cap":
+        (lambda: make_tate(2, BASE, {(Fraction(-1), PAST): one(BASE)}),
+         InputValidationError, "Tate exponents must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_ADMISSIONS)
+def test_derived_exponent_refusals(name):
+    admit, error, message = DERIVED_ADMISSIONS[name]
+    with pytest.raises(error) as refused:
+        admit()
+    assert refused.type is error
+    assert str(refused.value) == message
