@@ -141,7 +141,7 @@ def _lucas_binom(n: int, k: int, p: int) -> int:
         for i in range(ki):
             num = num * (ni - i) % p
             den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p if p > 2 else result * num % p
+        result = result * num * pow(den, -1, p) % p
         n //= p
         k //= p
     return result

@@ -31,12 +31,8 @@ from .valuegroup import (
     RadiusProfile,
     ceil_weight,
     make_profile,
-    pi_value,
-    s_value,
     t_power,
     value_le,
-    value_mul,
-    value_pow,
     weight_decimal,
     weight_of,
 )
@@ -62,6 +58,12 @@ MAX_TRIALS = 10_000
 # Division steps M are capped at gleason.MAX_STEPS.
 # gleason build --n takes the radii sqrt(d) for the first n of these.
 BUILD_RADII = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+# A config holds the profile's keys and these run keys, each with the reader
+# of its value (in reading order).  Any other key is an input error, so a
+# misspelt run key cannot leave its value at the default.
+RUN_READERS = {"c_exponent": lambda x, key: uio.frac_from_str(x),
+               **dict.fromkeys(("depth", "seed", "trials", "steps"), uio.int_from_json),
+               "floor_exponent": lambda x, key: uio.frac_from_str(x)}
 
 
 def _check_range(name: str, value: int, lo: int, hi: int):
@@ -92,16 +94,15 @@ class Config:
     @classmethod
     @uio.parse_guard
     def from_json(cls, data: dict) -> "Config":
+        keys = ("p", "radii", "sigma_s", "max_denom_log", *RUN_READERS)
+        unknown = sorted(data.keys() - set(keys))
+        if unknown:
+            raise InputValidationError(f"unknown config key {', '.join(map(repr, unknown))};"
+                                       f" a config holds only {', '.join(keys)}")
         profile = uio.profile_from_json(data)
-        kwargs = {}
-        if data.get("c_exponent") is not None:
-            kwargs["c_exponent"] = uio.frac_from_str(data["c_exponent"])
-        for key in ("depth", "seed", "trials", "steps"):
-            if data.get(key) is not None:
-                kwargs[key] = uio.int_from_json(data[key], key)
-        if data.get("floor_exponent") is not None:
-            kwargs["floor_exponent"] = uio.frac_from_str(data["floor_exponent"])
-        return cls(profile=profile, **kwargs)
+        return cls(profile=profile, **{key: read(data[key], key)
+                                       for key, read in RUN_READERS.items()
+                                       if data.get(key) is not None})
 
     def division_steps(self) -> int:
         if self.steps is not None:
@@ -191,12 +192,10 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     t_start = time.monotonic()
     spec = standard_surjection(profile, depth, c_exponent=config.c_exponent)
     steps = config.division_steps()
-    s = s_value(profile)
-    pi = pi_value(profile)
     floor_value = t_power(profile, config.floor_exponent)
     max_t_weight = int(ceil_weight(weight_of(floor_value)))
-    bounds = [value_mul(value_pow(pi, m + 1), s) for m in range(steps)]
-    eval_floor = value_mul(value_pow(pi, steps), s)
+    bounds = [spec.step_values(m)[1] for m in range(steps)]
+    eval_floor = spec.step_values(steps - 1)[1]
     pool = list(spec.schedule.omegas)
     rng = random.Random(seed)
     cases = []
@@ -277,13 +276,20 @@ def cmd_gleason_build(args) -> int:
         _check_out_dir(args.out)
     _check_range("depth", args.depth, 1, MAX_DEPTH)
     if args.config:
+        flags = {"--n": args.n, "--p": args.p, "--max-denom-log": args.max_denom_log}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise InputValidationError(
+                f"{', '.join(given)} cannot be given with --config, which sets the profile")
         config = _load_config(args.config)
-        profile = config.profile
-        c_exponent = config.c_exponent
+        profile, c_exponent = config.profile, config.c_exponent
     else:
-        _check_range("n", args.n, 1, len(BUILD_RADII))
-        radii = [FreeRadius(d) for d in BUILD_RADII[:args.n]]
-        profile = make_profile(args.p, radii, max_denom_log=args.max_denom_log)
+        n = 1 if args.n is None else args.n
+        _check_range("n", n, 1, len(BUILD_RADII))
+        radii = [FreeRadius(d) for d in BUILD_RADII[:n]]
+        profile = make_profile(2 if args.p is None else args.p, radii,
+                               max_denom_log=64 if args.max_denom_log is None
+                               else args.max_denom_log)
         c_exponent = None
     spec = standard_surjection(profile, args.depth, c_exponent=c_exponent)
     payload = uio.surjection_to_json(spec)
@@ -340,11 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gle = subs.add_parser("gleason", help="schedule construction")
     gle_subs = p_gle.add_subparsers(dest="gleason_command", required=True)
     p_build = gle_subs.add_parser("build", help="build a standard surjection")
-    p_build.add_argument("--n", type=int, default=1, help="number of radii")
+    p_build.add_argument("--n", type=int, help="number of radii (default 1)")
     p_build.add_argument("--depth", type=int, required=True)
-    p_build.add_argument("--p", type=int, default=2)
-    p_build.add_argument("--max-denom-log", type=int, default=64)
-    p_build.add_argument("--config", help="optional config JSON for the profile")
+    p_build.add_argument("--p", type=int, help="the prime (default 2)")
+    p_build.add_argument("--max-denom-log", type=int, help="the exponent cap (default 64)")
+    p_build.add_argument("--config", help="config JSON for the profile, not with --n, --p"
+                                          " or --max-denom-log")
     p_build.add_argument("--out", help="write the surjection spec JSON here")
     p_build.set_defaults(func=cmd_gleason_build)
 

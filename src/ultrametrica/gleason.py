@@ -35,7 +35,6 @@ from .series import (
     _build,
     _monomial,
     _mul_lifted_into,
-    _numerator,
     divide,
     gauss_norm,
     group_by_x,
@@ -65,6 +64,7 @@ from .valuegroup import (
     ceil_weight,
     floor_weight,
     is_p_exponent,
+    numerator,
     one_value,
     pi_value,
     row_reduce,
@@ -569,8 +569,8 @@ class SurjectionSpec:
         norm clears s."""
         exps = self.rule.rep(q) + (Fraction(0),)
         pre = tate_monomial(self.num_vars, one(self.base), exps)
-        # the hom's entry for pre's one exponent tuple, which evaluate reads too
-        img = self.hom._monomial(tuple(_numerator(self.profile, x) for x in exps))
+        (en,) = pre._terms  # its one exponent tuple, the hom key evaluate reads too
+        img = self.hom._monomial(en)
         cert = is_adapted(img, q)
         if not cert.passed:
             return None
@@ -594,7 +594,7 @@ class SurjectionSpec:
         q = tuple(Fraction(x) for x in q)
         if len(q) != self.n:
             raise InputValidationError(f"exponent arity {len(q)}, expected {self.n}")
-        return self.answer(tuple(_numerator(self.profile, x) for x in q))
+        return self.answer(tuple(numerator(self.profile, x) for x in q))
 
     def answer(self, qn) -> OracleAnswer:
         """The answer for the exponent with numerators qn over D."""

@@ -19,14 +19,15 @@ from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
 from .errors import InputValidationError
 from .gleason import GleasonSchedule, SurjectionSpec
-from .series import SeriesElement, _numerator, make_series
-from .tatealg import HomSpec, TateElement, make_tate
+from .series import SeriesElement, make_series
+from .tatealg import HomSpec
 from .valuegroup import (
     FreeRadius,
     RadiusProfile,
     RationalRadius,
     Value,
     make_profile,
+    numerator,
     value,
     zero_value,
 )
@@ -166,37 +167,6 @@ def series_from_json(data: dict, profile: RadiusProfile = None) -> SeriesElement
     return make_series(profile, terms, value_from_json(data.get("floor", _ZERO), profile))
 
 
-# -- Tate elements ----------------------------------------------------------
-
-
-def tate_to_json(f: TateElement) -> dict:
-    D = f.base.den
-    return {
-        "m": f.m,
-        "profile": profile_to_json(f.base),
-        "floor": value_to_json(f.floor),
-        "terms": [
-            {
-                "e": [ratio_to_str(x, D) for x in e],
-                "coeff": series_to_json(c, include_profile=False),
-            }
-            for e, c in sorted(f._terms.items())
-        ],
-    }
-
-
-@parse_guard
-def tate_from_json(data: dict, base: RadiusProfile = None) -> TateElement:
-    if base is None:
-        base = profile_from_json(data["profile"])
-    m = int_from_json(data["m"], "m")
-    terms = {}
-    for item in data.get("terms", []):
-        e = tuple(frac_from_str(x) for x in item["e"])
-        terms[e] = series_from_json(item["coeff"], base)
-    return make_tate(m, base, terms, value_from_json(data.get("floor", _ZERO), base))
-
-
 def hom_to_json(hom: HomSpec) -> list:
     return [series_to_json(g, include_profile=False) for g in hom.images]
 
@@ -256,18 +226,13 @@ def tower_from_json(data: list) -> TowerPoint:
 SCHEDULE_VERSION = 2
 
 
-def _within_cap(profile: RadiusProfile, x: Fraction) -> Fraction:
-    """x itself; DenominatorCapError when its denominator is past the cap."""
-    _numerator(profile, x)
-    return x
-
-
 def schedule_to_json(s: GleasonSchedule) -> dict:
     """The scalars that define s; W, e, eps, beta and d are derived from
     them.  An omega, h, gamma or delta past the cap raises
     DenominatorCapError."""
     def exponent(x):
-        return frac_to_str(_within_cap(s.profile, x))
+        numerator(s.profile, x)
+        return frac_to_str(x)
 
     return {
         "version": SCHEDULE_VERSION,
@@ -296,7 +261,9 @@ def schedule_from_json(data: dict) -> GleasonSchedule:
     profile = profile_from_json(data["profile"])
 
     def exponent(text):
-        return _within_cap(profile, frac_from_str(text))
+        x = frac_from_str(text)
+        numerator(profile, x)
+        return x
 
     depth = int_from_json(data["depth"], "depth")
     if data["mode"] not in ("alpha", "direct"):

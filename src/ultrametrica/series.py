@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    DenominatorCapError,
     FloorTooCoarseError,
     InputValidationError,
     InvariantViolationError,
@@ -27,8 +26,10 @@ from .valuegroup import (
     TermKeys,
     Value,
     _key_norm,
+    cap_error,
     denom_log,
-    exponent_numerator,
+    exponent_numerators,
+    numerator,
     one_value,
     pi_value,
     s_value,
@@ -117,25 +118,6 @@ def _build(profile: RadiusProfile, terms: dict, floor: Value) -> SeriesElement:
     return SeriesElement._raw(profile, _drop_below_floor(profile, terms, floor), floor)
 
 
-def _cap_error(profile: RadiusProfile, e: Fraction, what: str = "exponent"):
-    """The DenominatorCapError for e; it names e's denominator as a power
-    of p, since at the largest caps e has more digits than str() writes."""
-    return DenominatorCapError(
-        f"{what} with denominator p**{denom_log(e, profile.p)} exceeds the cap"
-        f" p**{profile.max_denom_log}"
-    )
-
-
-def _numerator(profile: RadiusProfile, e: Fraction) -> int:
-    """The exponent e as its numerator over D.  A denominator that is no
-    power of p is an input error; a power of p above the cap raises
-    DenominatorCapError."""
-    n = exponent_numerator(profile.den, e)
-    if n is None:
-        raise _cap_error(profile, e)
-    return n
-
-
 def make_series(profile: RadiusProfile, terms, floor: Value = None) -> SeriesElement:
     """Canonical constructor from rational exponents: normalizes
     coefficients, enforces the cap and the floor."""
@@ -151,7 +133,7 @@ def make_series(profile: RadiusProfile, terms, floor: Value = None) -> SeriesEle
             raise InputValidationError(
                 f"term has {len(xs)} x-exponents, profile has n={profile.n}"
             )
-        k = (_numerator(profile, t), tuple(_numerator(profile, x) for x in xs))
+        k = (numerator(profile, t), tuple(numerator(profile, x) for x in xs))
         c = c % profile.p
         if c == 0:
             continue
@@ -199,7 +181,7 @@ def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
     if profile.den == D:
         terms = {(t, pad): c for (t, _), c in f._terms.items()}
     else:  # a profile with another cap: re-express each exponent over its D
-        terms = {(_numerator(profile, Fraction(t, D)), pad): c
+        terms = {(numerator(profile, Fraction(t, D)), pad): c
                  for (t, _), c in f._terms.items()}
     return _build(profile, terms, value_lift(f.floor, profile))
 
@@ -439,8 +421,7 @@ def invert(f: SeriesElement, target_floor: Value) -> SeriesElement:
         raise FloorTooCoarseError("cannot invert an element below its floor")
     (t0, xs0) = _argnorm(f)
     c0 = f._terms[(t0, xs0)]
-    cinv = pow(c0, p - 2, p) if p > 2 else 1
-    m_inv = _monomial(profile, cinv, -t0, tuple(-x for x in xs0))
+    m_inv = _monomial(profile, pow(c0, -1, p), -t0, tuple(-x for x in xs0))
     h = sub(one(profile), mul(m_inv, f))
     nh = gauss_norm(h)
     inv_nf = value_pow(nf, -1)
@@ -505,7 +486,7 @@ def root_pk(f: SeriesElement, k: int) -> SeriesElement:
     for (t, xs), c in f._terms.items():
         for e in (t, *xs):
             if e % pk:
-                raise _cap_error(profile, Fraction(e, profile.den * pk))
+                raise cap_error(profile, Fraction(e, profile.den * pk))
         terms[(t // pk, tuple(x // pk for x in xs))] = c
     floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, pk))
     return _build(profile, terms, floor)
@@ -524,16 +505,9 @@ def res_ge(f: SeriesElement, cut: Value) -> SeriesElement:
     return _build(f.profile, kept, zero_value(f.profile))
 
 
-def _x_numerators(profile: RadiusProfile, q: tuple):
-    """The rational x exponents q as numerators over D, or None when one
-    lies outside D**-1 * Z (then no term has them)."""
-    nums = tuple(exponent_numerator(profile.den, x) for x in q)
-    return None if None in nums else nums
-
-
 def coefficient_at(f: SeriesElement, q) -> SeriesElement:
     """The base-field coefficient of x**q (terms with rational x-part q)."""
-    qn = _x_numerators(f.profile, tuple(Fraction(x) for x in q))
+    qn = exponent_numerators(f.profile.den, tuple(Fraction(x) for x in q))
     base = f.profile.base()
     terms = {
         (t, ()): c for (t, xs), c in f._terms.items() if xs == qn
@@ -585,7 +559,7 @@ def _root_pow(g: SeriesElement, u: int, k: int) -> SeriesElement:
         pk = p**k
         for e in (t, *xs):
             if e * u % pk:
-                raise _cap_error(profile, Fraction(e * u, profile.den * pk))
+                raise cap_error(profile, Fraction(e * u, profile.den * pk))
         return _monomial(profile, pow(c, u, p), t * u // pk, tuple(x * u // pk for x in xs))
     return root_pk(series_int_pow(g, u), k)
 
@@ -649,7 +623,7 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
     else:
         nbq_lifted = value_mul(value_lift(nbq, profile), value(profile, 0, q))
         check2 = nbq_lifted == nb
-    qn = _x_numerators(profile, q)
+    qn = exponent_numerators(profile.den, q)
     tail_terms = {
         k: c for k, c in beta._terms.items() if k[1] != qn
     }
@@ -668,10 +642,8 @@ def div_exact_monomial(b: SeriesElement, c: SeriesElement) -> SeriesElement:
     """b / c for a single-term divisor c, exactly."""
     if len(c._terms) != 1:
         raise InputValidationError("divisor is not a monomial")
-    p = b.profile.p
     ((t0, xs0), c0), = c._terms.items()
-    cinv = pow(c0, p - 2, p) if p > 2 else 1
-    return mul(b, _monomial(b.profile, cinv, -t0, tuple(-x for x in xs0)))
+    return mul(b, _monomial(b.profile, pow(c0, -1, b.profile.p), -t0, tuple(-x for x in xs0)))
 
 
 def divide(b: SeriesElement, c: SeriesElement, target_floor: Value = None) -> SeriesElement:

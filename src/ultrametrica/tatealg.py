@@ -17,7 +17,6 @@ from .errors import InputValidationError, ProfileMismatchError
 from .series import (
     SeriesElement,
     _build,
-    _cap_error,
     _mul_lifted_into,
     _pow_num,
     frobenius,
@@ -33,7 +32,8 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Value,
-    exponent_numerator,
+    cap_error,
+    numerator,
     one_value,
     value_le,
     value_lift,
@@ -89,10 +89,7 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
         for x in e:
             if x < 0:
                 raise InputValidationError("Tate exponents must be >= 0")
-            n = exponent_numerator(base.den, x)
-            if n is None:
-                raise _cap_error(base, x, "Tate exponent")
-            nums.append(n)
+            nums.append(numerator(base, x, "Tate exponent"))
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
         pairs.append((tuple(nums), c))
@@ -208,7 +205,7 @@ def t_pth_root(f: TateElement) -> TateElement:
     for e, c in roots:
         for x in e:
             if x % p:
-                raise _cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
+                raise cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
         pairs.append((tuple(x // p for x in e), c))
     floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, p))
     return _build_tate(f.m, f.base, pairs, floor)
@@ -267,9 +264,7 @@ class HomSpec:
         e = Fraction(e)
         if e < 0:
             raise InputValidationError("fractional powers only for e >= 0 here")
-        en = exponent_numerator(self.profile.den, e)
-        if en is None:
-            raise _cap_error(self.profile, e)
+        en = numerator(self.profile, e)
         return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))
 
     def _monomial(self, en: tuple) -> SeriesElement:

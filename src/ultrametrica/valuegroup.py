@@ -35,7 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import InputValidationError, ProfileMismatchError, WindowError
+from .errors import (
+    DenominatorCapError,
+    InputValidationError,
+    ProfileMismatchError,
+    WindowError,
+)
 
 
 class Ordering(enum.Enum):
@@ -232,6 +237,29 @@ def exponent_numerator(den: int, e):
     return None if r else e.numerator * q
 
 
+def exponent_numerators(den: int, xs):
+    """The rationals xs as numerators over den, or None if one is outside den**-1 * Z."""
+    nums = tuple(exponent_numerator(den, x) for x in xs)
+    return None if None in nums else nums
+
+
+def cap_error(profile: "RadiusProfile", e: Fraction, what: str = "exponent"):
+    """The DenominatorCapError for e, naming its denominator as a power of p
+    (at the largest caps e has more digits than str() writes); a denominator
+    that is no power of p raises InputValidationError."""
+    return DenominatorCapError(f"{what} with denominator p**{denom_log(e, profile.p)}"
+                               f" exceeds the cap p**{profile.max_denom_log}")
+
+
+def numerator(profile: "RadiusProfile", e: Fraction, what: str = "exponent") -> int:
+    """The exponent e as its numerator over D = profile.den, the one admission
+    gate for exponents; an e outside D**-1 * Z raises cap_error(profile, e, what)."""
+    n = exponent_numerator(profile.den, e)
+    if n is None:
+        raise cap_error(profile, e, what)
+    return n
+
+
 class ExponentKeys(Mapping):
     """Read-only view of a dict keyed by tuples of integer exponent
     numerators over den (a Tate element's terms, the oracle's answers),
@@ -248,8 +276,8 @@ class ExponentKeys(Mapping):
         return tuple(Fraction(x, self._den) for x in key)
 
     def _in(self, key):
-        nums = tuple(exponent_numerator(self._den, Fraction(x)) for x in key)
-        if None in nums:
+        nums = exponent_numerators(self._den, tuple(map(Fraction, key)))
+        if nums is None:
             raise KeyError(key)
         return nums
 

@@ -25,8 +25,7 @@ from ultrametrica.errors import (
     DenominatorCapError, InputValidationError, InvariantViolationError,
 )
 from ultrametrica.gleason import build_gplus, standard_surjection, verify_schedule
-from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
-from ultrametrica.tatealg import make_tate
+from ultrametrica.series import gauss_norm, make_series, mul, one, series_zero, sub
 from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
     MAX_SQUAREFREE,
@@ -66,14 +65,6 @@ class TestSerialization:
     def test_series_roundtrip(self, sample_series):
         data = uio.series_to_json(sample_series)
         assert uio.series_from_json(data) == sample_series
-
-    def test_tate_roundtrip(self, prof1):
-        base = prof1.base()
-        f = make_tate(2, base, {
-            (Fraction(1, 2), Fraction(0)): monomial(base, 1, 3),
-            (Fraction(0), Fraction(2)): one(base),
-        })
-        assert uio.tate_from_json(uio.tate_to_json(f)) == f
 
     def test_point_roundtrip(self, prof1):
         base = prof1.base()
@@ -155,17 +146,14 @@ class TestSerialization:
         assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_json_integers_required(self, prof1_cap24):
-        """A Tate element's m and a schedule's depth and b are JSON integers."""
-        base = prof1_cap24.base()
-        tate = uio.tate_to_json(make_tate(1, base, {(Fraction(1),): one(base)}))
+        """A schedule's depth and b are JSON integers."""
         schedule = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
-        edits = [(tate, "m", 1.0), (schedule, "depth", "4"), (schedule, "depth", 4.0)]
-        edits += [(schedule, "b", schedule["b"][:-1] + [float(schedule["b"][-1])])]
-        for data, key, bad in edits:
-            load = uio.tate_from_json if data is tate else uio.schedule_from_json
-            assert load(data) is not None
+        assert uio.schedule_from_json(schedule) is not None
+        edits = [("depth", "4"), ("depth", 4.0)]
+        edits += [("b", schedule["b"][:-1] + [float(schedule["b"][-1])])]
+        for key, bad in edits:
             with pytest.raises(InputValidationError, match="JSON integer"):
-                load(dict(data, **{key: bad}))
+                uio.schedule_from_json(dict(schedule, **{key: bad}))
 
     def test_bad_rational_rejected(self):
         with pytest.raises(InputValidationError):
@@ -439,6 +427,16 @@ MALFORMED_INPUTS = [
     ("invert --floor 1e400", ["invert", "--floor", "1e400"], X_PLUS_T_SERIES),
     ("invert h near 1", ["invert", "--floor", "1"], NEAR_ONE_SERIES),
     ("invert --floor 9000 with growing powers", ["invert", "--floor", "9000"], ONE_X_T_SERIES),
+    ("config unknown key", ["surject-verify", "--config"],
+     '{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 32, "depht": 3, "trials": 1}'),
+    ("gleason build --config unknown key", ["gleason", "build", "--depth", "1", "--config"],
+     '{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 16, "cap": 32}'),
+    ("gleason build --n with --config",
+     ["gleason", "build", "--depth", "1", "--n", "1", "--config"], SMALL_CONFIG),
+    ("gleason build --p with --config",
+     ["gleason", "build", "--depth", "1", "--p", "2", "--config"], SMALL_CONFIG),
+    ("gleason build --max-denom-log with --config",
+     ["gleason", "build", "--depth", "1", "--max-denom-log", "16", "--config"], SMALL_CONFIG),
 ]
 
 
@@ -495,6 +493,34 @@ def test_caps_rejected_before_the_run(tmp_path, no_run, capsys):
     cfg.write_text(STEPS_CONFIG % (MAX_STEPS + 1))
     assert main(["surject-verify", "--config", str(cfg)]) == EXIT_INPUT
     assert "steps must lie in [1, 1000]" in capsys.readouterr().err
+
+
+def test_unknown_config_key_and_profile_flags_named(tmp_path, no_run, capsys):
+    """A config key outside the profile and run keys is refused by name, as
+    are gleason build's profile flags given with --config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p": 2, "radii": [{"sqrt": 2}], "depht": 3, "Seed": 1}')
+    assert main(["surject-verify", "--config", str(cfg)]) == EXIT_INPUT
+    assert "unknown config key 'Seed', 'depht';" in capsys.readouterr().err
+    cfg.write_text(SMALL_CONFIG)
+    assert main(["gleason", "build", "--depth", "3", "--config", str(cfg),
+                 "--p", "3", "--max-denom-log", "16"]) == EXIT_INPUT
+    assert capsys.readouterr().err == ("input error: --p, --max-denom-log cannot be given"
+                                       " with --config, which sets the profile\n")
+
+
+def test_gleason_build_flag_defaults(tmp_path):
+    """Without --config the profile is p = 2, sqrt(2) and cap 64, unless
+    the flags say otherwise."""
+    out = tmp_path / "spec.json"
+    assert main(["gleason", "build", "--depth", "2", "--out", str(out)]) == EXIT_OK
+    profile = json.loads(out.read_text())["profile"]
+    assert (profile["p"], profile["radii"], profile["max_denom_log"]) == (2, [{"sqrt": 2}], 64)
+    assert main(["gleason", "build", "--depth", "2", "--n", "2", "--p", "3",
+                 "--max-denom-log", "20", "--out", str(out)]) == EXIT_OK
+    profile = json.loads(out.read_text())["profile"]
+    assert (profile["p"], profile["radii"], profile["max_denom_log"]) == \
+        (3, [{"sqrt": 2}, {"sqrt": 3}], 20)
 
 
 def test_direct_run_checks_its_values(prof1, monkeypatch):

@@ -549,6 +549,21 @@ def test_only_valuegroup_imports_weight():
     assert offenders == []
 
 
+def test_only_valuegroup_admits_exponents():
+    """The exponent cap has one owner: no module of the package but
+    valuegroup imports exponent_numerator or reads it off a module, and
+    only valuegroup.py writes the cap message."""
+    package = os.path.dirname(ultrametrica.__file__)
+    paths = {name: os.path.join(package, name)
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    callers = [name for name, path in paths.items() if name != "valuegroup.py"
+               and "exponent_numerator" in imported_or_read_names(path)]
+    assert callers == []
+    writers = [name for name, path in paths.items()
+               if "exceeds the cap" in open(path).read()]
+    assert writers == ["valuegroup.py"]
+
+
 # The names through which a module would do arithmetic on a Value's
 # numerators and canonical denominator itself.
 VALUE_LAYOUT_NAMES = {"_value", "_value_pow", "_fold", "_lcm"}
