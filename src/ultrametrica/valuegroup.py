@@ -243,7 +243,7 @@ def exponent_numerators(den: int, xs):
     return None if None in nums else nums
 
 
-def cap_error(profile: "RadiusProfile", e: Fraction, what: str = "exponent"):
+def cap_error(profile: RadiusProfile, e: Fraction, what: str = "exponent"):
     """The DenominatorCapError for e, naming its denominator as a power of p
     (at the largest caps e has more digits than str() writes); a denominator
     that is no power of p raises InputValidationError."""
@@ -251,7 +251,7 @@ def cap_error(profile: "RadiusProfile", e: Fraction, what: str = "exponent"):
                                f" exceeds the cap p**{profile.max_denom_log}")
 
 
-def numerator(profile: "RadiusProfile", e: Fraction, what: str = "exponent") -> int:
+def numerator(profile: RadiusProfile, e: Fraction, what: str = "exponent") -> int:
     """The exponent e as its numerator over D = profile.den, the one admission
     gate for exponents; an e outside D**-1 * Z raises cap_error(profile, e, what)."""
     n = exponent_numerator(profile.den, e)
@@ -276,7 +276,7 @@ class ExponentKeys(Mapping):
         return tuple(Fraction(x, self._den) for x in key)
 
     def _in(self, key):
-        nums = exponent_numerators(self._den, tuple(map(Fraction, key)))
+        nums = exponent_numerators(self._den, map(Fraction, key))
         if nums is None:
             raise KeyError(key)
         return nums
