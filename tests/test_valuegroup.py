@@ -559,8 +559,11 @@ def test_only_valuegroup_admits_exponents():
     callers = [name for name, path in paths.items() if name != "valuegroup.py"
                and "exponent_numerator" in imported_or_read_names(path)]
     assert callers == []
-    writers = [name for name, path in paths.items()
-               if "exceeds the cap" in open(path).read()]
+    writers = []
+    for name, path in paths.items():
+        with open(path) as src:
+            if "exceeds the cap" in src.read():
+                writers.append(name)
     assert writers == ["valuegroup.py"]
 
 
