@@ -20,12 +20,10 @@ from .valuegroup import (
 from .series import (
     SeriesElement,
     add,
-    argnorm,
     frobenius,
     gauss_norm,
     invert,
     is_adapted,
-    leading_part,
     make_series,
     monomial,
     mul,
@@ -33,16 +31,12 @@ from .series import (
     res_ge,
     sub,
 )
-from .tatealg import HomSpec, TateElement, evaluate, make_tate, t_add, t_mul
+from .tatealg import HomSpec, TateElement, evaluate, make_tate, t_add
 from .berkovich import (
     DiskPoint,
     NestedPrefix,
     PointType,
-    Polynomial,
     classify,
-    eval_disk,
-    eval_prefix,
-    is_topologically_simple,
     point_invariants,
 )
 from .abhyankar import (
@@ -61,7 +55,6 @@ from .gleason import (
     SurjectionSpec,
     build_gminus,
     build_gmultivar,
-    build_gplus,
     divide_step,
     reconstruct_preimage,
     standard_surjection,

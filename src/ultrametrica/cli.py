@@ -94,12 +94,13 @@ class Config:
     @classmethod
     @uio.parse_guard
     def from_json(cls, data: dict) -> "Config":
-        keys = ("p", "radii", "sigma_s", "max_denom_log", *RUN_READERS)
+        keys = (*uio.PROFILE_KEYS, *RUN_READERS)
         unknown = sorted(data.keys() - set(keys))
         if unknown:
             raise InputValidationError(f"unknown config key {', '.join(map(repr, unknown))};"
                                        f" a config holds only {', '.join(keys)}")
-        profile = uio.profile_from_json(data)
+        profile = uio.profile_from_json({key: data[key] for key in uio.PROFILE_KEYS
+                                         if key in data})
         return cls(profile=profile, **{key: read(data[key], key)
                                        for key, read in RUN_READERS.items()
                                        if data.get(key) is not None})

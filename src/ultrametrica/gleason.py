@@ -458,13 +458,6 @@ def _lattice_rule(profile: RadiusProfile, V) -> IndependentRep:
                            for v in V for (_, xs) in v._terms], profile.p)
 
 
-def build_gplus(profile: RadiusProfile, depth: int):
-    """Gleason element for J = Z[1/p]_{>=0} with monomials x**omega(m)."""
-    if profile.n != 1 or not profile.is_free:
-        raise InputValidationError("build_gplus needs one free radius")
-    return build_gmultivar(profile, (monomial(profile, 1, 0, (1,)),), depth)
-
-
 def build_gmultivar(profile: RadiusProfile, V, depth: int, rule=None):
     """Gleason element for the lattice spanned by the monomials V, or for
     the exponent set of an explicit rule."""

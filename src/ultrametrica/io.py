@@ -17,7 +17,7 @@ from math import gcd
 
 from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
-from .errors import InputValidationError
+from .errors import DenominatorCapError, InputValidationError
 from .gleason import GleasonSchedule, SurjectionSpec
 from .series import SeriesElement, make_series
 from .tatealg import HomSpec
@@ -61,12 +61,15 @@ def int_from_json(x, what: str) -> int:
 
 def parse_guard(fn):
     """Report malformed JSON structure (a missing key, a list where an
-    object belongs, a non-numeric string) as InputValidationError."""
+    object belongs, a non-numeric string) as InputValidationError, and an
+    exponent past the cap as InputValidationError with its message."""
 
     @functools.wraps(fn)
     def wrapper(data, *args, **kwargs):
         try:
             return fn(data, *args, **kwargs)
+        except DenominatorCapError as exc:
+            raise InputValidationError(str(exc)) from exc
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise InputValidationError(
                 f"{fn.__name__}: malformed input ({type(exc).__name__}: {exc})"
@@ -93,8 +96,17 @@ def profile_to_json(profile: RadiusProfile) -> dict:
     }
 
 
+# The keys of a profile object; any other key is an input error, so a
+# misspelt key cannot leave its value at the default.
+PROFILE_KEYS = ("p", "radii", "sigma_s", "max_denom_log")
+
+
 @parse_guard
 def profile_from_json(data: dict) -> RadiusProfile:
+    unknown = sorted(data.keys() - set(PROFILE_KEYS))
+    if unknown:
+        raise InputValidationError(f"unknown profile key {', '.join(map(repr, unknown))};"
+                                   f" a profile holds only {', '.join(PROFILE_KEYS)}")
     radii = []
     for spec in data.get("radii", []):
         if "sqrt" in spec:
@@ -171,22 +183,7 @@ def hom_to_json(hom: HomSpec) -> list:
     return [series_to_json(g, include_profile=False) for g in hom.images]
 
 
-@parse_guard
-def hom_from_json(data: list, profile: RadiusProfile) -> HomSpec:
-    return HomSpec(tuple(series_from_json(g, profile) for g in data))
-
-
 # -- Berkovich points -------------------------------------------------------
-
-
-def point_to_json(pt) -> dict:
-    if isinstance(pt, NestedPrefix):
-        return {"disks": [point_to_json(d) for d in pt.disks]}
-    return {
-        "center": series_to_json(pt.center),
-        "radius": value_to_json(pt.radius),
-        "radius_profile": profile_to_json(pt.radius.profile),
-    }
 
 
 @parse_guard
@@ -251,7 +248,7 @@ def schedule_to_json(s: GleasonSchedule) -> dict:
 @parse_guard
 def schedule_from_json(data: dict) -> GleasonSchedule:
     """The schedule whose scalars schedule_to_json wrote.  Only version 2
-    reads; an exponent past the cap raises DenominatorCapError."""
+    reads; an exponent past the cap is an input error (see parse_guard)."""
     version = data.get("version")
     if type(version) is not int or version != SCHEDULE_VERSION:
         raise InputValidationError(

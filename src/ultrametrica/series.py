@@ -357,16 +357,6 @@ def _leading_keys(f: SeriesElement):
     return keys
 
 
-def leading_part(f: SeriesElement) -> SeriesElement:
-    """Sub-sum of terms of maximal norm (exact)."""
-    keys = _leading_keys(f)
-    if len(keys) > 1 and f.profile.is_free:
-        raise InvariantViolationError(
-            "leading-term tie under a free profile (should be impossible)"
-        )
-    return _build(f.profile, {k: f._terms[k] for k in keys}, zero_value(f.profile))
-
-
 def _argnorm(f: SeriesElement):
     """Key (numerators over D) of the unique maximal-norm term."""
     keys = _leading_keys(f)
@@ -377,13 +367,6 @@ def _argnorm(f: SeriesElement):
             )
         raise LeadingTermTieError(f"{len(keys)} terms tie for the maximal norm")
     return keys[0]
-
-
-def argnorm(f: SeriesElement):
-    """Exponent key (t, xs) of the unique maximal-norm term, in Fractions."""
-    t, xs = _argnorm(f)
-    D = f.profile.den
-    return Fraction(t, D), tuple(Fraction(x, D) for x in xs)
 
 
 # Most terms N that invert's geometric series may need; a target that needs

@@ -9,7 +9,6 @@ because p-th roots are unique in characteristic p.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,12 +18,10 @@ from .series import (
     _build,
     _mul_lifted_into,
     _pow_num,
-    frobenius,
     gauss_norm,
     mul,
     one,
     product_floor,
-    pth_root,
     series_sum,
     with_floor,
 )
@@ -32,7 +29,6 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Value,
-    cap_error,
     numerator,
     one_value,
     value_le,
@@ -40,7 +36,6 @@ from .valuegroup import (
     value_lt,
     value_max,
     value_mul_lt,
-    value_pow,
     zero_value,
 )
 
@@ -156,14 +151,6 @@ def t_gauss_norm(f: TateElement):
     return value_max(*map(_coefficient_norm, f._terms.values())) if f._terms else None
 
 
-def t_mul(f: TateElement, g: TateElement) -> TateElement:
-    _require_compatible(g, f.m, f.base)
-    pairs = [(tuple(map(operator.add, e1, e2)), mul(c1, c2))
-             for e1, c1 in f._terms.items() for e2, c2 in g._terms.items()]
-    floor = product_floor(f, g, t_gauss_norm, t_gauss_norm)
-    return _build_tate(f.m, f.base, pairs, floor)
-
-
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
     """Multiply by a base-field element, coefficient-wise.
 
@@ -186,29 +173,6 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
             for e, c in f._terms.items()}, zero)
     floor = product_floor(f, d, t_gauss_norm, gauss_norm)
     return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()], floor)
-
-
-def t_frobenius(f: TateElement) -> TateElement:
-    p = f.base.p
-    pairs = [(tuple(x * p for x in e), frobenius(c)) for e, c in f._terms.items()]
-    floor = f.floor if f.floor.zero else value_pow(f.floor, p)
-    return _build_tate(f.m, f.base, pairs, floor)
-
-
-def t_pth_root(f: TateElement) -> TateElement:
-    """Exponents and floor divide by p.  Every coefficient's root is taken
-    before the Tate exponents are checked, so a coefficient exponent
-    leaving the cap is reported first."""
-    p = f.base.p
-    roots = [(e, pth_root(c)) for e, c in f._terms.items()]
-    pairs = []
-    for e, c in roots:
-        for x in e:
-            if x % p:
-                raise cap_error(f.base, Fraction(x, f.base.den * p), "Tate exponent")
-        pairs.append((tuple(x // p for x in e), c))
-    floor = f.floor if f.floor.zero else value_pow(f.floor, Fraction(1, p))
-    return _build_tate(f.m, f.base, pairs, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +222,6 @@ class HomSpec:
     @property
     def m(self) -> int:
         return len(self.images)
-
-    def power(self, i: int, e) -> SeriesElement:
-        """images[i]**e, exact, for e in Z[1/p]_{>=0} within the cap."""
-        e = Fraction(e)
-        if e < 0:
-            raise InputValidationError("fractional powers only for e >= 0 here")
-        en = numerator(self.profile, e)
-        return self._monomial(tuple(en if j == i else 0 for j in range(self.m)))
 
     def _monomial(self, en: tuple) -> SeriesElement:
         """The image prod images[i]**(en_i / D) of the Tate monomial

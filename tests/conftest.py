@@ -10,6 +10,7 @@ from ultrametrica.series import (
     gauss_norm,
     lift_base,
     make_series,
+    monomial,
     mul,
     series_frac_pow,
     series_zero,
@@ -51,6 +52,12 @@ def prof2():
 def prof_rational():
     """p = 2, one rational radius r = |t|."""
     return make_profile(2, [RationalRadius(Fraction(1))])
+
+
+def only_x(profile):
+    """The one monomial x of a one-radius profile: build_gmultivar over it
+    builds the Gleason element for J = Z[1/p]_{>=0}."""
+    return (monomial(profile, 1, 0, (1,)),)
 
 
 def float_weight(v):
@@ -307,21 +314,3 @@ def ref_leading_key(ds, keys):
         if best is None or ref_weight_cmp(ds, k, best) < 0:
             best = k
     return best
-
-
-def ref_tate_scaled(f, scale):
-    """Raw data of the Tate element f with every exponent multiplied by
-    scale: ({e: (coefficient terms, coefficient floor exponent)}, floor
-    exponent), a floor exponent being None for the zero floor."""
-    def floor_exp(v):
-        return None if v.zero else v.a * scale
-
-    terms = {tuple(x * scale for x in e): (
-        {(t * scale, ()): c for (t, _), c in coeff.terms.items()}, floor_exp(coeff.floor))
-        for e, coeff in f.terms.items()}
-    return terms, floor_exp(f.floor)
-
-
-def ref_tate_raw(f):
-    """The same raw data of f, unscaled."""
-    return ref_tate_scaled(f, 1)

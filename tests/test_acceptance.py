@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import only_x
 from ultrametrica.abhyankar import (
     FieldDescriptor,
     GaussCoordinate,
@@ -27,7 +28,7 @@ from ultrametrica.berkovich import (
     classify,
 )
 from ultrametrica.gleason import (
-    build_gplus,
+    build_gmultivar,
     reconstruct_preimage,
     rescale_into_window,
     standard_surjection,
@@ -37,11 +38,11 @@ from ultrametrica.series import (
     frobenius,
     gauss_norm,
     invert,
-    leading_part,
     make_series,
     mul,
     one,
     pth_root,
+    res_ge,
     series_zero,
     sub,
 )
@@ -123,7 +124,7 @@ def test_criterion_2_leading_term_uniqueness(prof):
     failures = 0
     for _ in range(500):
         f = sample_nonzero(prof, rng, n_terms=8, t_span=6, x_span=4, floor_exp=24)
-        if len(leading_part(f).terms) != 1:
+        if len(res_ge(f, gauss_norm(f)).terms) != 1:
             failures += 1
     elapsed = time.monotonic() - t0
     report(2, "leading-term uniqueness on 500 random elements", failures == 0,
@@ -178,7 +179,7 @@ def test_criterion_5_gleason_adaptedness():
     for p in (2, 3):
         t0 = time.monotonic()
         prof = make_profile(p, [FreeRadius(2)], max_denom_log=24)
-        schedule, G = build_gplus(prof, 12)
+        schedule, G = build_gmultivar(prof, only_x(prof), 12)
         certs = verify_schedule(schedule, G)
         elapsed = time.monotonic() - t0
         total += elapsed
@@ -207,7 +208,7 @@ def test_criterion_5_gleason_adaptedness():
             ok = False  # (5)
         if elapsed >= 10.0:
             ok = False
-    report(5, "build_gplus depth 12 adapted for p=2 and p=3", ok, total)
+    report(5, "G+ depth 12 adapted for p=2 and p=3", ok, total)
 
 
 def test_criterion_6_division_convergence(prof, surjection_n1):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,26 +6,12 @@ from ultrametrica.berkovich import (
     DiskPoint,
     NestedPrefix,
     PointType,
-    Polynomial,
-    TopSimpleStatus,
     classify,
-    eval_disk,
-    eval_prefix,
-    is_topologically_simple,
     point_invariants,
-    recenter,
 )
 from ultrametrica.errors import InputValidationError
-from ultrametrica.series import add, monomial, one, series_zero
-from ultrametrica.valuegroup import (
-    Ordering,
-    compare,
-    one_value,
-    t_power,
-    value,
-    value_le,
-    zero_value,
-)
+from ultrametrica.series import add, monomial, series_zero
+from ultrametrica.valuegroup import t_power, value, zero_value
 
 
 def base_mono(prof, c, t):
@@ -87,86 +72,6 @@ class TestInvariants:
         iv = point_invariants(shrinking_prefix)
         assert tuple(iv) == (0, 0, True)
 
-    def test_topologically_simple(self, base, shrinking_prefix):
-        gauss = DiskPoint(series_zero(base), one_value(base))
-        assert is_topologically_simple(gauss) is TopSimpleStatus.NO
-        type_i = DiskPoint(series_zero(base), zero_value(base))
-        assert is_topologically_simple(type_i) is TopSimpleStatus.NO
-        assert is_topologically_simple(shrinking_prefix) is TopSimpleStatus.IV_CANDIDATE
-
-
-class TestEvalDisk:
-    def test_identity_poly(self, base):
-        f = Polynomial({1: one(base)})
-        pt = DiskPoint(series_zero(base), t_power(base, 1))
-        assert eval_disk(f, pt) == t_power(base, 1)
-
-    def test_max_oracle(self, base):
-        # T^2 + tT on radius |t|: both terms weigh |t|^2
-        f = Polynomial({2: one(base), 1: base_mono_profile(base, 1)})
-        pt = DiskPoint(series_zero(base), t_power(base, 1))
-        assert eval_disk(f, pt) == t_power(base, 2)
-
-    def test_type_i_evaluation(self, base):
-        f = Polynomial({1: one(base)})
-        pt = DiskPoint(base_mono_profile(base, 1), zero_value(base))
-        assert eval_disk(f, pt) == t_power(base, 1)
-
-    def test_recentering_char2(self, base):
-        # (T + a)^2 = T^2 + a^2 in characteristic 2
-        f = Polynomial({2: one(base)})
-        g = recenter(f, base_mono_profile(base, 1))
-        assert set(g.coeffs) == {0, 2}
-        assert g.coeffs[0] == base_mono_profile(base, 2)
-
-    def test_multiplicativity(self, base):
-        rng = random.Random(3)
-        pt = DiskPoint(series_zero(base), t_power(base, 1))
-        for _ in range(200):
-            f = Polynomial({
-                d: base_mono_profile(base, rng.randint(0, 4))
-                for d in rng.sample(range(4), rng.randint(1, 3))
-            })
-            g = Polynomial({
-                d: base_mono_profile(base, rng.randint(0, 4))
-                for d in rng.sample(range(4), rng.randint(1, 3))
-            })
-            fg = poly_mul(f, g, base)
-            lhs = eval_disk(fg, pt)
-            from ultrametrica.valuegroup import value_mul
-
-            rhs = value_mul(eval_disk(f, pt), eval_disk(g, pt))
-            assert compare(lhs, rhs) is Ordering.EQUAL
-
-    def test_monotone_in_radius(self, base):
-        f = Polynomial({2: one(base), 0: base_mono_profile(base, 3)})
-        small = eval_disk(f, DiskPoint(series_zero(base), t_power(base, 4)))
-        big = eval_disk(f, DiskPoint(series_zero(base), t_power(base, 1)))
-        assert value_le(small, big)
-
-    def test_domination_by_containing_disk(self, base):
-        rng = random.Random(19)
-        outer = DiskPoint(series_zero(base), t_power(base, 1))
-        inner = DiskPoint(base_mono_profile(base, 2), t_power(base, 3))
-        for _ in range(100):
-            f = Polynomial({
-                d: base_mono_profile(base, rng.randint(0, 3))
-                for d in rng.sample(range(4), rng.randint(1, 4))
-            })
-            assert value_le(eval_disk(f, inner), eval_disk(f, outer))
-
-
-def poly_mul(f, g, base):
-    out = {}
-    from ultrametrica.series import mul as smul
-
-    for d1, c1 in f.coeffs.items():
-        for d2, c2 in g.coeffs.items():
-            d = d1 + d2
-            piece = smul(c1, c2)
-            out[d] = add(out[d], piece) if d in out else piece
-    return Polynomial(out)
-
 
 class TestPrefix:
     def test_radii_must_strictly_decrease(self, base):
@@ -181,26 +86,6 @@ class TestPrefix:
         with pytest.raises(InputValidationError):
             NestedPrefix((d1, d2))
 
-    def test_eval_prefix_shrinks_to_last(self, base):
-        # disks (0, r_k) with shrinking radii: |T| drops to r_last
-        prefix = NestedPrefix(tuple(
-            DiskPoint(series_zero(base), t_power(base, k)) for k in (1, 2, 3)
-        ))
-        f = Polynomial({1: one(base)})
-        assert eval_prefix(f, prefix) == t_power(base, 3)
-
-    def test_units_are_constant(self, base, shrinking_prefix):
-        f = Polynomial({0: one(base)})
-        assert eval_prefix(f, shrinking_prefix) == t_power(base, 0)
-
-    def test_recentering_oracle_on_prefix(self, base):
-        # f = T - a_2 on (a_1, r_1), (a_2, r_2) evaluates to r_2
-        d1 = DiskPoint(series_zero(base), t_power(base, 1))
-        a2 = base_mono_profile(base, 1)
-        d2 = DiskPoint(a2, t_power(base, 2))
-        f = Polynomial({1: one(base), 0: a2})  # T + a2 = T - a2 in char 2
-        assert eval_prefix(f, NestedPrefix((d1, d2))) == t_power(base, 2)
-
     def test_center_floor_must_beat_radius(self, base):
         from ultrametrica.series import with_floor
 
@@ -208,23 +93,3 @@ class TestPrefix:
         with pytest.raises(InputValidationError):
             DiskPoint(coarse, t_power(base, 2))
 
-
-class TestEvalDiskFloors:
-    def test_dominating_unknown_coefficient_raises(self, base):
-        from ultrametrica.errors import FloorTooCoarseError
-        from ultrametrica.series import with_floor
-
-        # c_1 is below a floor that could dominate c_0 * r**0
-        unknown = with_floor(series_zero(base), t_power(base, 2))
-        f = Polynomial({0: base_mono_profile(base, 8), 1: unknown})
-        pt = DiskPoint(series_zero(base), t_power(base, 1))
-        with pytest.raises(FloorTooCoarseError):
-            eval_disk(f, pt)
-
-    def test_buried_unknown_coefficient_is_fine(self, base):
-        from ultrametrica.series import with_floor
-
-        unknown = with_floor(series_zero(base), t_power(base, 20))
-        f = Polynomial({0: base_mono_profile(base, 1), 1: unknown})
-        pt = DiskPoint(series_zero(base), t_power(base, 1))
-        assert eval_disk(f, pt) == t_power(base, 1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, ref_heights
+from conftest import float_weight, only_x, ref_heights
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
@@ -25,7 +25,6 @@ from ultrametrica.gleason import (
     WellOrder,
     build_gminus,
     build_gmultivar,
-    build_gplus,
     divide_step,
     reconstruct_preimage,
     rescale_into_window,
@@ -33,13 +32,13 @@ from ultrametrica.gleason import (
     verify_schedule,
 )
 from ultrametrica.series import (
-    argnorm,
     gauss_norm,
     is_adapted,
     lift_base,
     make_series,
     monomial,
     mul,
+    res_ge,
     series_frac_pow,
     series_zero,
     sub,
@@ -156,7 +155,7 @@ class TestRepresentationRules:
 
 class TestBuildGplus:
     def test_depth_one_minimal_b(self, prof):
-        sched, G = build_gplus(prof, 1)
+        sched, G = build_gmultivar(prof, only_x(prof), 1)
         # independent checker: smallest b with 2**b * w(alpha_1) > 1 and
         # the head window already holds at b = 0 because delta_1 = 0
         w_alpha = float_weight(gauss_norm(sched.term(1))) / 2 ** sched.b[0]
@@ -165,21 +164,21 @@ class TestBuildGplus:
         assert len(G.terms) == 1
 
     def test_depth_five_all_adapted(self, prof):
-        sched, G = build_gplus(prof, 5)
+        sched, G = build_gmultivar(prof, only_x(prof), 5)
         certs = verify_schedule(sched, G)
         assert len(certs) == 5 and all(c.passed for c in certs)
 
     def test_exponent_distinctness(self, prof):
-        sched, _ = build_gplus(prof, 10)
+        sched, _ = build_gmultivar(prof, only_x(prof), 10)
         exps = [q[0] * 2 ** b for q, b in zip(sched.omegas, sched.b)]
         assert len(set(exps)) == len(exps)
 
     def test_b_monotone(self, prof):
-        sched, _ = build_gplus(prof, 10)
+        sched, _ = build_gmultivar(prof, only_x(prof), 10)
         assert all(b2 > b1 for b1, b2 in zip(sched.b, sched.b[1:]))
 
     def test_d_coefficients_bounded(self, prof):
-        sched, _ = build_gplus(prof, 8)
+        sched, _ = build_gmultivar(prof, only_x(prof), 8)
         for m in range(1, 9):
             for i in range(1, m):
                 nd = gauss_norm(sched.d(m, i))
@@ -187,26 +186,26 @@ class TestBuildGplus:
 
     def test_epsilon_property(self, prof):
         # s <= |eps_m ** (1/p**b_m)| for every m
-        sched, _ = build_gplus(prof, 8)
+        sched, _ = build_gmultivar(prof, only_x(prof), 8)
         for m in range(1, 9):
             delta = next(iter(sched.eps(m).terms))[0]
             assert delta / 2 ** sched.b[m - 1] <= prof.sigma_s
 
     def test_argnorm_property(self, prof):
         # eps_m G - sum_{i<m} d_{m,i} W_i**(p**b_i) peaks at W_m**(p**b_m)
-        sched, G = build_gplus(prof, 6)
+        sched, G = build_gmultivar(prof, only_x(prof), 6)
         p = prof.p
         for m in range(1, 7):
             expr = mul(lift_base(sched.eps(m), prof), G)
             for i in range(1, m):
                 wpow = series_frac_pow(sched.W(i), p ** sched.b[i - 1])
                 expr = sub(expr, mul(lift_base(sched.d(m, i), prof), wpow))
-            t_exp, xs = argnorm(expr)
+            (_, xs), = res_ge(expr, gauss_norm(expr)).terms
             assert xs == (sched.omegas[m - 1][0] * p ** sched.b[m - 1],)
 
     def test_structure_decomposition(self, prof):
         # G = sum beta_i W_i**(p**b_i) rebuilt from raw schedule fields
-        sched, G = build_gplus(prof, 6)
+        sched, G = build_gmultivar(prof, only_x(prof), 6)
         rebuilt = {}
         for m in range(1, 7):
             gamma = next(iter(sched.e(m).terms))[0]
@@ -216,12 +215,12 @@ class TestBuildGplus:
         assert G.terms == rebuilt
 
     def test_norm_below_pi(self, prof):
-        _, G = build_gplus(prof, 6)
+        _, G = build_gmultivar(prof, only_x(prof), 6)
         assert value_lt(gauss_norm(G), pi_value(prof))
 
     def test_p3_build(self):
         prof3 = make_profile(3, [FreeRadius(2)], max_denom_log=24)
-        sched, G = build_gplus(prof3, 6)
+        sched, G = build_gmultivar(prof3, only_x(prof3), 6)
         assert all(c.passed for c in verify_schedule(sched, G))
 
 
@@ -232,9 +231,10 @@ class TestThresholdBelowPi:
     @pytest.mark.parametrize("sigma_s", ["1/2", "99/100", "1/1000"])
     def test_below_one_is_an_input_error(self, sigma_s):
         prof = make_profile(2, [FreeRadius(2)], sigma_s=Fraction(sigma_s), max_denom_log=32)
-        for build in (build_gplus, standard_surjection):
-            with pytest.raises(InputValidationError, match="below 1"):
-                build(prof, 3)
+        with pytest.raises(InputValidationError, match="below 1"):
+            build_gmultivar(prof, only_x(prof), 3)
+        with pytest.raises(InputValidationError, match="below 1"):
+            standard_surjection(prof, 3)
 
     def test_one_still_builds(self):
         prof = make_profile(2, [FreeRadius(2)], sigma_s=1, max_denom_log=32)
@@ -266,15 +266,15 @@ class TestVerifySchedule:
         assert all(c.passed for c in verify_schedule(sched, G))
 
     def test_other_element_rejected(self, prof):
-        sched, G = build_gplus(prof, 5)
-        _, deeper = build_gplus(prof, 6)  # G plus one more term
+        sched, G = build_gmultivar(prof, only_x(prof), 5)
+        _, deeper = build_gmultivar(prof, only_x(prof), 6)  # G plus one more term
         with pytest.raises(InvariantViolationError, match="subtractive"):
             verify_schedule(sched, deeper)
         with pytest.raises(TypeError):
             verify_schedule(sched)
 
     def test_altered_delta_rejected(self, prof):
-        sched, G = build_gplus(prof, 5)
+        sched, G = build_gmultivar(prof, only_x(prof), 5)
         deltas = list(sched.deltas)
         deltas[2] += 64 * 2 ** sched.b[2]  # head weight +64: |expr| drops below s
         bad = dataclasses.replace(sched, deltas=tuple(deltas))
@@ -282,7 +282,7 @@ class TestVerifySchedule:
             verify_schedule(bad, G)
 
     def test_altered_gamma_breaks_subtractive_form(self, prof):
-        sched, G = build_gplus(prof, 5)
+        sched, G = build_gmultivar(prof, only_x(prof), 5)
         gammas = list(sched.gammas)
         gammas[1] += 1
         bad = dataclasses.replace(sched, gammas=tuple(gammas))
@@ -290,7 +290,7 @@ class TestVerifySchedule:
             verify_schedule(bad, G)
 
     def test_d_above_one_rejected(self, prof):
-        sched, G = build_gplus(prof, 8)
+        sched, G = build_gmultivar(prof, only_x(prof), 8)
         assert len(verify_schedule(sched, G)) == 8
         deltas = list(sched.deltas)
         deltas[6] -= Fraction(1, 64)  # d(7, 6) = t**(-1/64), norm above 1
@@ -317,18 +317,11 @@ class TestHeights:
     @pytest.mark.parametrize("p", [2, 3])
     def test_gplus_and_gminus(self, p):
         prof = make_profile(p, [FreeRadius(2)], max_denom_log=32)
-        self.check(build_gplus(prof, 20)[0])
+        self.check(build_gmultivar(prof, only_x(prof), 20)[0])
         self.check(build_gminus(prof, monomial(prof.base(), 1, 2), 20)[0])
 
 
 class TestBuildGmultivar:
-    def test_single_x_reduces_to_gplus(self, prof):
-        x = monomial(prof, 1, 0, (1,))
-        sched_m, G_m = build_gmultivar(prof, (x,), 5)
-        sched_p, G_p = build_gplus(prof, 5)
-        assert G_m == G_p
-        assert sched_m.b == sched_p.b
-
     def test_minus_lattice_coverage(self, prof):
         # V = (x, c x**-1) with the min-zero rule covers Z[1/p]
         c = monomial(prof.base(), 1, 2)
@@ -469,7 +462,7 @@ class TestMemosBehaveAsIfAbsent:
                 used.adapted_expression(m)
 
     def test_altered_copy_of_a_used_schedule_is_still_rejected(self, prof):
-        sched, G = build_gplus(prof, 5)
+        sched, G = build_gmultivar(prof, only_x(prof), 5)
         verify_schedule(sched, G)
         gammas = list(sched.gammas)
         gammas[1] += 1

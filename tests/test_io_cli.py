@@ -9,22 +9,22 @@ from fractions import Fraction
 import pytest
 
 import ultrametrica
+from conftest import only_x
 from ultrametrica import io as uio
-from ultrametrica.berkovich import DiskPoint, NestedPrefix
+from ultrametrica.berkovich import NestedPrefix
 from ultrametrica import cli
 from ultrametrica.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_VERIFICATION,
     MAX_DEPTH,
     MAX_STEPS,
     MAX_TRIALS,
     Config,
     main,
 )
-from ultrametrica.errors import (
-    DenominatorCapError, InputValidationError, InvariantViolationError,
-)
-from ultrametrica.gleason import build_gplus, standard_surjection, verify_schedule
+from ultrametrica.errors import InputValidationError, InvariantViolationError
+from ultrametrica.gleason import build_gmultivar, standard_surjection, verify_schedule
 from ultrametrica.series import gauss_norm, make_series, mul, one, series_zero, sub
 from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
@@ -37,6 +37,14 @@ from ultrametrica.valuegroup import (
     value_lt,
     zero_value,
 )
+
+
+# The zero series over the base field of p = 2, as a disk center; disks
+# centred on it with t-power radii, and with the radius |x| under sqrt(2).
+ZERO_CENTER = {"profile": {"p": 2, "radii": []}, "terms": []}
+PREFIX_DISKS = [{"center": ZERO_CENTER, "radius": {"a": str(k), "q": []}} for k in (1, 2)]
+X_RADIUS_DISK = {"center": ZERO_CENTER, "radius": {"a": "0", "q": ["1"]},
+                 "radius_profile": {"p": 2, "radii": [{"sqrt": 2}]}}
 
 
 @pytest.fixture
@@ -66,19 +74,17 @@ class TestSerialization:
         data = uio.series_to_json(sample_series)
         assert uio.series_from_json(data) == sample_series
 
-    def test_point_roundtrip(self, prof1):
-        base = prof1.base()
-        pt = DiskPoint(series_zero(base), value(prof1, 0, (1,)))
-        back = uio.point_from_json(uio.point_to_json(pt))
-        assert back.radius == pt.radius and back.center == pt.center
-        prefix = NestedPrefix(tuple(
-            DiskPoint(series_zero(base), t_power(base, k)) for k in (1, 2)
-        ))
-        back2 = uio.point_from_json(uio.point_to_json(prefix))
-        assert len(back2.disks) == 2
+    def test_point_reads_a_disk_and_a_prefix(self, prof1):
+        base = make_profile(2, [])
+        pt = uio.point_from_json(X_RADIUS_DISK)
+        assert pt.radius == value(prof1, 0, (1,)) and pt.center == series_zero(base)
+        prefix = uio.point_from_json({"disks": PREFIX_DISKS})
+        assert isinstance(prefix, NestedPrefix)
+        assert [(d.center, d.radius) for d in prefix.disks] == \
+            [(series_zero(base), t_power(base, k)) for k in (1, 2)]
 
     def test_schedule_roundtrip(self, prof1_cap24):
-        sched, _ = build_gplus(prof1_cap24, 4)
+        sched, _ = build_gmultivar(prof1_cap24, only_x(prof1_cap24), 4)
         back = uio.schedule_from_json(uio.schedule_to_json(sched))
         assert back == sched
         text = json.dumps(uio.schedule_to_json(sched), sort_keys=True)
@@ -87,7 +93,7 @@ class TestSerialization:
     def test_schedule_without_version_2_rejected(self, prof1_cap24):
         """A version-1 document (it carried W, e, eps, d and conditions and
         no version) is refused with one message that says to rebuild it."""
-        data = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        data = uio.schedule_to_json(build_gmultivar(prof1_cap24, only_x(prof1_cap24), 4)[0])
         for version in (None, 1, 2.0, "2"):
             edited = dict(data, version=version)
             if version is None:
@@ -99,18 +105,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key", ["delta", "gamma", "omega", "h"])
     def test_schedule_exponent_past_the_cap_raises_cap_error(self, key):
+        """The reader reports the cap's error as an input error."""
         prof = make_profile(2, [FreeRadius(2)], max_denom_log=32)
-        data = uio.schedule_to_json(build_gplus(prof, 4)[0])
+        data = uio.schedule_to_json(build_gmultivar(prof, only_x(prof), 4)[0])
         past = str(Fraction(1, 2**40))
         data[key][1] = [past] * len(data[key][1]) if key in ("omega", "h") else past
-        with pytest.raises(DenominatorCapError,
-                           match=r"exponent with denominator p\*\*40 exceeds the cap p\*\*32"):
+        with pytest.raises(InputValidationError,
+                           match=r"^exponent with denominator p\*\*40 exceeds the cap p\*\*32$"):
             uio.schedule_from_json(data)
 
     @pytest.mark.parametrize("key", ["omega", "h"])
     def test_schedule_step_vector_of_wrong_arity_rejected(self, prof1_cap24, key):
         """omega has one entry per radius, h one per monomial in V."""
-        data = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        data = uio.schedule_to_json(build_gmultivar(prof1_cap24, only_x(prof1_cap24), 4)[0])
         for bad in (data[key][2] + ["0"], data[key][2][:-1]):
             edited = dict(data, **{key: data[key][:2] + [bad] + data[key][3:]})
             with pytest.raises(InputValidationError, match="each schedule omega needs"):
@@ -147,7 +154,7 @@ class TestSerialization:
 
     def test_json_integers_required(self, prof1_cap24):
         """A schedule's depth and b are JSON integers."""
-        schedule = uio.schedule_to_json(build_gplus(prof1_cap24, 4)[0])
+        schedule = uio.schedule_to_json(build_gmultivar(prof1_cap24, only_x(prof1_cap24), 4)[0])
         assert uio.schedule_from_json(schedule) is not None
         edits = [("depth", "4"), ("depth", 4.0)]
         edits += [("b", schedule["b"][:-1] + [float(schedule["b"][-1])])]
@@ -190,11 +197,9 @@ class TestCli:
         assert uio.value_from_json({"a": "0", "q": ["1"]}, prof) == value(prof, Fraction(1, 3), (0,))
         assert uio.value_from_json({"a": "0", "q": ["1"]}, prof) == gauss_norm(x)
 
-    def test_classify_command(self, tmp_path, prof1, capsys):
-        base = prof1.base()
-        pt = DiskPoint(series_zero(base), value(prof1, 0, (1,)))
+    def test_classify_command(self, tmp_path, capsys):
         path = tmp_path / "pt.json"
-        uio.dump_json(uio.point_to_json(pt), str(path))
+        uio.dump_json(X_RADIUS_DISK, str(path))
         assert main(["classify", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "III"
 
@@ -217,9 +222,7 @@ class TestCli:
         tower = [
             {"gauss": {"a": "1", "q": []},
              "radius_profile": uio.profile_to_json(base)},
-            {"type_iv": uio.point_to_json(NestedPrefix(tuple(
-                DiskPoint(series_zero(base), t_power(base, k)) for k in (1, 2)
-            )))},
+            {"type_iv": {"disks": PREFIX_DISKS}},
         ]
         path = tmp_path / "tower.json"
         uio.dump_json(tower, str(path))
@@ -243,7 +246,6 @@ class TestCli:
         assert main(["norm", "/nonexistent/f.json"]) == EXIT_INPUT
 
     def test_invert_below_floor_is_verification_error(self, tmp_path, prof1, capsys):
-        from ultrametrica.cli import EXIT_VERIFICATION
         from ultrametrica.series import series_zero, with_floor
 
         f = with_floor(series_zero(prof1), t_power(prof1, 4))
@@ -345,6 +347,8 @@ RUN_VALUES_CONFIG = '{"p": 2, "radii": [{"sqrt": 2}], "floor_exponent": "3", %s}
 PROFILE_VALUES_CONFIG = '{"depth": 3, "trials": 1, "floor_exponent": "3", %s}'
 # A one-term n = 0 series whose coefficient is given in %s.
 TERM_C_SERIES = '{"profile": {"p": 3, "radii": []}, "terms": [{"t": "1", "x": [], "c": %s}]}'
+# A one-term n = 0 series over p = 2 whose profile entries are given in %s.
+PROFILE_SERIES = '{"profile": {"p": 2, "radii": [], %s}, "terms": [{"t": "1/131072", "c": 1}]}'
 # x + t over p = 2, sqrt(2), cap 8: invert writes it as t (1 + h) with
 # |h| = |t|**(sqrt(2) - 1), so a floor |t|**F needs about 2.4 F terms.
 X_PLUS_T_SERIES = ('{"profile": {"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 8},'
@@ -423,6 +427,9 @@ MALFORMED_INPUTS = [
      '{"p": 2, "radii": [{"sqrt": "3"}]}'),
     ("norm term c 1.5", ["norm"], TERM_C_SERIES % "1.5"),
     ("norm term c true", ["norm"], TERM_C_SERIES % "true"),
+    ("norm term past the cap", ["norm"], PROFILE_SERIES % '"max_denom_log": 16'),
+    ("norm profile key sigma", ["norm"], PROFILE_SERIES % '"max_denom_log": 17, "sigma": "9"'),
+    ("norm profile key max_denom_lg", ["norm"], PROFILE_SERIES % '"max_denom_lg": 32'),
     ("invert --floor 1e11", ["invert", "--floor", "100000000000"], X_PLUS_T_SERIES),
     ("invert --floor 1e400", ["invert", "--floor", "1e400"], X_PLUS_T_SERIES),
     ("invert h near 1", ["invert", "--floor", "1"], NEAR_ONE_SERIES),
@@ -454,6 +461,7 @@ def test_malformed_input_exits_2(tmp_path, command, text):
     assert proc.returncode == EXIT_INPUT
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -521,6 +529,16 @@ def test_gleason_build_flag_defaults(tmp_path):
     profile = json.loads(out.read_text())["profile"]
     assert (profile["p"], profile["radii"], profile["max_denom_log"]) == \
         (3, [{"sqrt": 2}, {"sqrt": 3}], 20)
+
+
+def test_cap_error_past_the_readers_is_a_verification_failure(tmp_path, capsys):
+    """Only a reader turns a DenominatorCapError into an input error: a
+    build whose schedule leaves the cap still exits 1."""
+    out = tmp_path / "spec.json"
+    assert main(["gleason", "build", "--depth", "400", "--max-denom-log", "16",
+                 "--out", str(out)]) == EXIT_VERIFICATION
+    assert capsys.readouterr().err == ("verification error: exponent with denominator"
+                                       " p**17 exceeds the cap p**16\n")
 
 
 def test_direct_run_checks_its_values(prof1, monkeypatch):

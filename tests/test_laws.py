@@ -2,12 +2,11 @@
 norm is multiplicative, on products and fractional powers, under free
 and rational radii (against a reference leading key under free radii
 alone), invert meets its residual bound with a floor that certifies it,
-t_frobenius and t_pth_root undo each other, evaluate above a nonzero
-floor does not depend on how each term's product is grouped, and neither
-does a sum of Tate elements.  Each runs over p in {2, 3} and n in
-{0, 1, 2} (radii, or Tate variables) against a conftest reference, the
-last over m in {1, 2} Tate variables against itself; the first three
-references call no library code.  Two more: a profile's integer sign
+evaluate above a nonzero floor does not depend on how each term's
+product is grouped, and neither does a sum of Tate elements.  Each runs
+over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
+conftest reference, the last over m in {1, 2} Tate variables against
+itself; the first two references call no library code.  Two more: a profile's integer sign
 kernel agrees with mpmath, and a division step's residual is beta minus
 the evaluation of its Tate part.  Last, under profiles that mix rational
 and free radii, two norms built along different paths compare equal
@@ -28,11 +27,8 @@ from conftest import (
     ref_evaluate_by_factors,
     ref_leading_key,
     ref_mul,
-    ref_tate_raw,
-    ref_tate_scaled,
     ref_weight_cmp,
 )
-from ultrametrica.errors import DenominatorCapError
 from ultrametrica.gleason import divide_step, rescale_into_window, standard_surjection
 from ultrametrica.sampling import random_series
 from ultrametrica.series import (
@@ -52,8 +48,6 @@ from ultrametrica.tatealg import (
     evaluate,
     make_tate,
     t_add,
-    t_frobenius,
-    t_pth_root,
     t_sum,
 )
 from ultrametrica.valuegroup import (
@@ -160,45 +154,6 @@ def test_invert_meets_its_residual_bound(ops):
     r = sub(mul(f, g), one(prof))
     assert r.floor.zero or ref_weight_cmp(ds, (r.floor.a, r.floor.q), eta_key) >= 0
     assert all(ref_weight_cmp(ds, key, eta_key) > 0 for key in r.terms)
-
-
-@st.composite
-def tate_elements(draw):
-    """A Tate element in m in {0, 1, 2} variables over p in {2, 3}, with a
-    cap of 2 or 12 and zero or nonzero floors on it and its coefficients."""
-    p, m = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2))
-    base = make_profile(p, [], max_denom_log=draw(st.sampled_from([2, 12])))
-    exp = exps(p, 0, 12)
-
-    def coeff():
-        terms = draw(st.dictionaries(st.tuples(exp, st.just(())), st.integers(1, p - 1),
-                                     max_size=3))
-        floor = t_power(base, draw(exp) + 4) if draw(st.booleans()) else None
-        return make_series(base, terms, floor)
-
-    keys = draw(st.lists(st.tuples(*[exp] * m), max_size=4, unique=True))
-    floor = t_power(base, draw(exp) + 8) if draw(st.booleans()) else None
-    return make_tate(m, base, {e: coeff() for e in keys}, floor)
-
-
-@settings(max_examples=200, deadline=None)
-@given(tate_elements())
-def test_frobenius_and_pth_root_undo_each_other(f):
-    """Both orders, each step against the reference's scaled exponents;
-    t_pth_root raises DenominatorCapError exactly when a Tate exponent or
-    a coefficient exponent over p leaves the cap."""
-    p, cap = f.base.p, f.base.max_denom_log
-    up = t_frobenius(f)
-    assert ref_tate_raw(up) == ref_tate_scaled(f, p)
-    assert t_pth_root(up) == f
-    exponents = [x for e, c in f.terms.items() for x in e + tuple(t for t, _ in c.terms)]
-    if any((x / p).denominator > p**cap for x in exponents):
-        with pytest.raises(DenominatorCapError):
-            t_pth_root(f)
-        return
-    down = t_pth_root(f)
-    assert ref_tate_raw(down) == ref_tate_scaled(f, Fraction(1, p))
-    assert t_frobenius(down) == f
 
 
 @st.composite

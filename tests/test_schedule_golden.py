@@ -5,9 +5,10 @@ that define a schedule, whatever the wire format.
 The hashes are sha256 (sorted keys, compact separators) of
 ``io.schedule_to_json`` (GOLDEN) and of the defining scalars read off the
 GleasonSchedule object (SCALARS): its profile, mode, depth, V, omega, h,
-b, gamma and delta.  The schedules are build_gplus and build_gminus
-(c = t**2) over one radius sqrt(2), and build_gmultivar over the
-monomials (x, y) with radii sqrt(2), sqrt(3), each at depth 12 and cap
+b, gamma and delta.  The schedules are build_gmultivar over the one
+monomial x (gplus) and build_gminus (c = t**2) over one radius sqrt(2),
+and build_gmultivar over the monomials (x, y) with radii sqrt(2),
+sqrt(3), each at depth 12 and cap
 p**32; and the schedule of standard_surjection over sqrt(2) at depth 30
 and cap p**16, whose steps from 16 on have preimages past the cap but
 are written all the same.
@@ -19,9 +20,7 @@ import json
 import pytest
 
 from ultrametrica import io as uio
-from ultrametrica.gleason import (
-    build_gminus, build_gmultivar, build_gplus, standard_surjection,
-)
+from ultrametrica.gleason import build_gminus, build_gmultivar, standard_surjection
 from ultrametrica.series import monomial
 from ultrametrica.valuegroup import FreeRadius, make_profile
 
@@ -77,7 +76,7 @@ def build(kind, p):
         return build_gmultivar(prof, V, DEPTH)[0]
     prof = make_profile(p, [FreeRadius(2)], max_denom_log=32)
     if kind == "gplus":
-        return build_gplus(prof, DEPTH)[0]
+        return build_gmultivar(prof, (monomial(prof, 1, 0, (1,)),), DEPTH)[0]
     return build_gminus(prof, monomial(prof.base(), 1, 2), DEPTH)[0]
 
 

@@ -17,13 +17,11 @@ from ultrametrica import series
 from ultrametrica.io import series_to_json
 from ultrametrica.series import (
     add,
-    argnorm,
     coefficient_at,
     frobenius,
     gauss_norm,
     invert,
     is_adapted,
-    leading_part,
     make_series,
     monomial,
     mul,
@@ -142,7 +140,7 @@ class TestNormArgnorm:
     def test_weight_comparison(self, prof1):
         f = S(prof1, (1, 1, 1), (1, 2, 0))  # t x + t^2: weights 2.414 vs 2
         assert gauss_norm(f) == value(prof1, 2, (0,))
-        assert argnorm(f) == (Fraction(2), (Fraction(0),))
+        assert res_ge(f, gauss_norm(f)) == S(prof1, (1, 2, 0))
 
     def test_norm_of_one(self, prof1):
         assert gauss_norm(one(prof1)) == value(prof1, 0, (0,))
@@ -151,21 +149,17 @@ class TestNormArgnorm:
         f = make_series(prof1, {}, t_power(prof1, 4))
         assert gauss_norm(f) is None
 
-    def test_single_monomial_argnorm(self, prof1):
-        f = S(prof1, (1, 3, Fraction(5, 4)))
-        assert argnorm(f) == (Fraction(3), (Fraction(5, 4),))
-
     def test_rational_radius_no_tie(self, prof_rational):
         # x vs t*x: weights 1 vs 2 under r = |t|
         f = S(prof_rational, (1, 0, 1), (1, 1, 1))
-        assert leading_part(f) == S(prof_rational, (1, 0, 1))
+        assert res_ge(f, gauss_norm(f)) == S(prof_rational, (1, 0, 1))
 
     def test_rational_radius_tie(self, prof_rational):
         # x and t tie at weight 1 under r = |t|
         f = S(prof_rational, (1, 0, 1), (1, 1, 0))
-        assert leading_part(f) == f
+        assert res_ge(f, gauss_norm(f)) == f
         with pytest.raises(LeadingTermTieError):
-            argnorm(f)
+            invert(f, t_power(prof_rational, 4))
 
     def test_gauss_norm_tie_is_one_value_in_either_key_order(self, prof_rational):
         # x and t tie at weight 1 under r = |t|; |t| = r is one Value
@@ -185,7 +179,7 @@ class TestNormArgnorm:
         rng = random.Random(17)
         for _ in range(300):
             f = rand_series(prof1, rng)
-            assert len(leading_part(f).terms) == 1
+            assert len(res_ge(f, gauss_norm(f)).terms) == 1
 
 
 class TestInvert:
@@ -379,7 +373,7 @@ class TestResGe:
 
     def test_cut_at_norm_gives_leading_part(self, prof1):
         beta = S(prof1, (1, 0, 1), (1, 5, 0))
-        assert res_ge(beta, gauss_norm(beta)) == leading_part(beta)
+        assert res_ge(beta, gauss_norm(beta)) == S(prof1, (1, 0, 1))
 
     def test_cut_above_norm_gives_zero(self, prof1):
         beta = S(prof1, (1, 2, 0))

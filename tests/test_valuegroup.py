@@ -577,3 +577,86 @@ def test_only_valuegroup_knows_the_value_layout(module):
     """No other arithmetic module imports valuegroup's numerator-level
     constructors (_value, _value_pow, _fold) or reads a profile's _lcm."""
     assert not imported_or_read_names(module.__file__) & VALUE_LAYOUT_NAMES
+
+
+# Public names that nothing outside the tests reaches yet, each kept for the
+# open ROADMAP item that is to give it a caller.
+KEPT_FOR_ROADMAP = {
+    "verify_schedule": 1,     # `gleason verify`
+    "schedule_from_json": 1,  # `gleason verify` reads the schedule
+    "FieldDescriptor": 3,     # the theorem record
+    "is_semi_immediate": 3,   # the theorem record
+    "build_gminus": 7,        # height 0
+}
+# Public names that only the acceptance suite reaches, each with the number
+# of the criterion that checks it.
+KEPT_FOR_ACCEPTANCE = {
+    "frobenius": 4,  # pth_root undoes it, exactly
+}
+
+
+def read_names(node):
+    """The names node reads as a Name or an Attribute; a docstring or an
+    import reads none."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def traced_names(path):
+    """The top-level library names in the span TARGETS of perfbench/spans.py,
+    which its tracer looks up by attribute path."""
+    with open(path) as src:
+        tree = ast.parse(src.read())
+    targets, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"])
+    return {row.elts[1].value.split(".")[0] for row in targets.elts}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def reach(statements, roots):
+    """The names read from roots on by statements, a list of (top-level
+    statement, the names it reads): a statement that defines a name reads
+    only once that name is reached, and any other runs at import."""
+    reached, grew = set(roots), True
+    while grew:
+        grew = False
+        for node, names in statements:
+            if (not isinstance(node, DEFINITIONS) or node.name in reached) \
+                    and not names <= reached:
+                reached |= names
+                grew = True
+    return reached
+
+
+def test_every_public_name_is_reached():
+    """Every public top-level function and class of the package is read, as
+    a name or an attribute, by cli, a perfbench module that is no test or a
+    script, or by library code that they reach in turn; a read from its own
+    body or an __init__ export does not count.  The exceptions are
+    KEPT_FOR_ROADMAP and KEPT_FOR_ACCEPTANCE, each still defined and still
+    unreached, and what they read is reached through them."""
+    package = os.path.dirname(ultrametrica.__file__)
+    root = os.path.dirname(os.path.dirname(package))
+    outside = set()
+    for folder in ("perfbench", "scripts"):
+        for name in sorted(os.listdir(os.path.join(root, folder))):
+            if name.endswith(".py") and not name.startswith("test_"):
+                with open(os.path.join(root, folder, name)) as src:
+                    outside |= read_names(ast.parse(src.read()))
+    outside |= traced_names(os.path.join(root, "perfbench", "spans.py"))
+    statements, public = [], {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name)) as src:
+                for node in ast.parse(src.read()).body:
+                    statements.append((node, read_names(node)))
+                    if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                        public[node.name] = f"{name[:-3]}.{node.name}"
+    kept = {**KEPT_FOR_ROADMAP, **KEPT_FOR_ACCEPTANCE}
+    reached = reach(statements, outside | set(kept))
+    stray = sorted(path for name, path in public.items() if name not in reached)
+    assert not stray, f"no caller reaches {', '.join(stray)}"
+    reached = reach(statements, outside)
+    assert sorted(name for name in public if name not in reached) == sorted(kept)
