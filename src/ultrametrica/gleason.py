@@ -35,7 +35,7 @@ from .series import (
     _build,
     _monomial,
     _mul_lifted_into,
-    divide,
+    div_exact_monomial,
     gauss_norm,
     group_by_x,
     is_adapted,
@@ -59,7 +59,6 @@ from .tatealg import (
     tate_monomial,
 )
 from .valuegroup import (
-    ExponentKeys,
     RadiusProfile,
     ceil_weight,
     floor_weight,
@@ -521,11 +520,10 @@ class SurjectionSpec:
     _memo keeps the oracle's answer per exponent q, keyed by q's
     numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
     exponents (a DepthError is never stored); an answer depends only on q
-    and the immutable spec, so it behaves as if absent.  _answers reads
-    the memo with Fraction exponents.  _steps keeps divide_step's window
-    values per step m (see step_values), for up to MAX_STEPS steps, and
-    _empty is the one empty exact Tate part that a step which clears
-    nothing returns.
+    and the immutable spec, so it behaves as if absent.  _steps keeps
+    divide_step's window values per step m (see step_values), for up to
+    MAX_STEPS steps, and _empty is the one empty exact Tate part that a
+    step which clears nothing returns.
     """
 
     n: int
@@ -540,10 +538,6 @@ class SurjectionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "_empty", t_sum(self.num_vars, self.base, ()))
-
-    @property
-    def _answers(self) -> ExponentKeys:
-        return ExponentKeys(self._memo, self.profile.den)
 
     @property
     def G(self) -> SeriesElement:
@@ -651,14 +645,12 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 
 
 def _step_values(profile: RadiusProfile, m: int):
-    """Step m's window values (upper, cut, bound_m, target) = (|pi|**m s,
-    |pi|**(m+1) s over profile, |pi|**m and |pi|**(m+1) s over the base)."""
-    base = profile.base()
-    s, s_base = s_value(profile), s_value(base)
+    """Step m's window values (upper, cut, bound_m) = (|pi|**m s and
+    |pi|**(m+1) s over profile, |pi|**m over the base)."""
+    s = s_value(profile)
     return (value_mul(t_power(profile, m), s),
             value_mul(t_power(profile, m + 1), s),
-            t_power(base, m),
-            value_mul(t_power(base, m + 1), s_base))
+            t_power(profile.base(), m))
 
 
 def divide_step(oracle, beta: SeriesElement, m: int):
@@ -675,13 +667,15 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     clears nothing (|beta| below the clamped cut, or no stored terms)
     returns the oracle's one empty exact Tate element and beta itself.
 
-    The residual is beta's terms minus each lift(d) * image, accumulated
-    in one dict and cut once at the max of beta's floor and the product
-    floors, in that order: the terms and floor of sub(beta, the
-    series_sum of the products).
+    Each division coefficient is b / b_q for the certificate's b_q, a
+    monomial (see AdaptedCertificate); one that is not breaks an
+    invariant.  The oracle's images are exact, so the residual is beta's
+    terms minus each lift(d) * image, accumulated in one dict and cut
+    once at beta's floor: the terms and floor of sub(beta, the series_sum
+    of the products).
     """
     profile = beta.profile
-    upper, cut, bound_m, target = oracle.step_values(m)
+    upper, cut, bound_m = oracle.step_values(m)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
@@ -692,7 +686,7 @@ def divide_step(oracle, beta: SeriesElement, m: int):
         return oracle._empty, beta
     groups = group_by_x(res_ge(beta, cut))
     parts = []
-    terms, floor = dict(beta._terms), beta.floor
+    terms = dict(beta._terms)
     for qn, b_series in sorted(groups.items()):
         try:
             ans = oracle.answer(qn)
@@ -700,16 +694,16 @@ def divide_step(oracle, beta: SeriesElement, m: int):
             q = _exponent_str(Fraction(x, profile.den) for x in qn)
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
         c_series = ans.certificate.b_q
-        d = divide(b_series, c_series, target_floor=target)
-        nd = gauss_norm(d)
-        if nd is not None and not value_lt(nd, bound_m):
+        if len(c_series._terms) != 1:
+            q = _exponent_str(Fraction(x, profile.den) for x in qn)
+            raise InvariantViolationError(f"the coefficient b_q of x**{q} is not a monomial")
+        d = div_exact_monomial(b_series, c_series)
+        if not value_lt(gauss_norm(d), bound_m):
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
         parts.append(t_scale(ans.preimage, d))
-        pf = _mul_lifted_into(terms, d, ans.image, -1)
-        if not pf.zero:
-            floor = value_max(floor, pf)
+        _mul_lifted_into(terms, d, ans.image, -1)
     f = t_sum(oracle.num_vars, profile.base(), parts)
-    residual = _build(profile, terms, floor)
+    residual = _build(profile, terms, beta.floor)
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):
         raise InvariantViolationError("residual did not drop below |pi|**(m+1) s")

@@ -232,24 +232,23 @@ def sub(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     return add(f, neg(g))
 
 
-def product_floor(f, g, norm_f, norm_g) -> Value:
+def product_floor(f: SeriesElement, g: SeriesElement) -> Value:
     """Floor of the product of two floored elements f and g:
     max(f.floor * g.floor, f.floor * |g|, g.floor * |f|).
 
-    norm_f(f) and norm_g(g) give the norms (None below the floor).  A
-    zero floor makes its candidates zero, so a norm is taken only when
-    the other factor's floor is non-zero.
+    A zero floor makes its candidates zero, so a Gauss norm is taken only
+    when the other factor's floor is non-zero.
     """
     ff, fg = f.floor, g.floor
     if ff.zero and fg.zero:
         return zero_value(ff.profile)
     cands = [value_mul(ff, fg)]
     if not ff.zero:
-        ng = norm_g(g)
+        ng = gauss_norm(g)
         if ng is not None:
             cands.append(value_mul(ff, ng))
     if not fg.zero:
-        nf = norm_f(f)
+        nf = gauss_norm(f)
         if nf is not None:
             cands.append(value_mul(fg, nf))
     return value_max(*cands)
@@ -267,7 +266,7 @@ def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     _require_profile(g, f.profile)
     profile = f.profile
     p = profile.p
-    floor = product_floor(f, g, gauss_norm, gauss_norm)
+    floor = product_floor(f, g)
     if len(f._terms) == 1 or len(g._terms) == 1:
         one_term, other = (f, g) if len(f._terms) == 1 else (g, f)
         ((t1, xs1), c1), = one_term._terms.items()
@@ -304,26 +303,13 @@ def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
                 terms[k] = s
 
 
-def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int) -> Value:
+def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int):
     """Add sign * lift_base(c) * g into terms, for c over g's base profile
-    (with g's cap), and return that product's floor as mul gives it.  The
-    lift is built only when a nonzero floor makes product_floor need it."""
+    (with g's cap), without building the lift."""
     profile = g.profile
     pad = profile._one.qn
     _mul_into(terms, [((t, pad), x) for (t, _), x in c._terms.items()], g._terms,
               profile.p, sign)
-    if c.floor.zero and g.floor.zero:
-        return profile._zero
-    return product_floor(lift_base(c, profile), g, gauss_norm, gauss_norm)
-
-
-def scale(f: SeriesElement, coeff: int) -> SeriesElement:
-    coeff = coeff % f.profile.p
-    if coeff == 0:
-        return series_zero(f.profile, f.floor)
-    return SeriesElement._raw(
-        f.profile, {k: (c * coeff) % f.profile.p for k, c in f._terms.items()}, f.floor
-    )
 
 
 def gauss_norm(f: SeriesElement):
@@ -565,9 +551,11 @@ def _pow_num(g: SeriesElement, en: int) -> SeriesElement:
 class AdaptedCertificate:
     """Outcome of the three (q, s)-adaptedness checks.
 
-    b_q is the full base-field coefficient of x**q (a monomial in all
-    scheduled constructions); tail_norm is the norm of beta - b_q*x**q,
-    or None when the tail is empty.
+    b_q is the full base-field coefficient of x**q; divide_step relies on
+    it being a monomial, which a monomial oracle answer is and condition
+    (5) of build_schedule makes every scheduled one (no two steps share
+    an x exponent).  tail_norm is the norm of beta - b_q*x**q, or None
+    when the tail is empty.
     """
 
     q: tuple
@@ -623,20 +611,6 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
 
 def div_exact_monomial(b: SeriesElement, c: SeriesElement) -> SeriesElement:
     """b / c for a single-term divisor c, exactly."""
-    if len(c._terms) != 1:
-        raise InputValidationError("divisor is not a monomial")
     ((t0, xs0), c0), = c._terms.items()
     return mul(b, _monomial(b.profile, pow(c0, -1, b.profile.p), -t0, tuple(-x for x in xs0)))
 
-
-def divide(b: SeriesElement, c: SeriesElement, target_floor: Value = None) -> SeriesElement:
-    """b / c; exact when c is a monomial, else via invert at target_floor."""
-    if len(c._terms) == 1 and c.floor.zero:
-        return div_exact_monomial(b, c)
-    if target_floor is None:
-        raise InputValidationError("non-monomial division requires a target floor")
-    nb = gauss_norm(b)
-    if nb is None:
-        return series_zero(b.profile, target_floor)
-    inv_floor = value_mul(target_floor, value_pow(nb, -1))
-    return mul(b, invert(c, inv_floor))

@@ -1,10 +1,11 @@
-"""Truncated elements of the perfectoid Tate algebra and evaluation maps.
+"""Exact elements of the perfectoid Tate algebra and evaluation maps.
 
 A TateElement is a finite sum of monomials T_1**e_1 ... T_m**e_m with
-exponents in Z[1/p]_{>=0} and base-field coefficients (n = 0 series).
-The Gauss norm is the sup of coefficient norms.  Evaluation substitutes
-power-bounded images for the variables; fractional powers exist exactly
-because p-th roots are unique in characteristic p.
+exponents in Z[1/p]_{>=0} and exact base-field coefficients (n = 0
+series with the zero floor).  Evaluation substitutes exact power-bounded
+images for the variables; fractional powers exist exactly because p-th
+roots are unique in characteristic p.  The one truncation of the layer
+is evaluate's skip above a target floor.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .series import (
     gauss_norm,
     mul,
     one,
-    product_floor,
     series_sum,
-    with_floor,
 )
 from .valuegroup import (
     ExponentKeys,
@@ -32,30 +31,24 @@ from .valuegroup import (
     numerator,
     one_value,
     value_le,
-    value_lift,
-    value_lt,
-    value_max,
     value_mul_lt,
-    zero_value,
 )
 
 
 @dataclass(frozen=True, eq=True)
 class TateElement:
-    """Coefficients above a norm floor; compared by value, never hashed.
+    """Exact coefficients; compared by value, never hashed.
 
     _terms maps each exponent tuple (integer numerators over the base
-    denominator D) to its coefficient; the terms property reads it with
-    Fraction exponents.  _terms belongs to the element and is never
-    mutated after construction, and neither are its coefficients (whose
-    Gauss norms are stored on them).  A coefficient has terms, or none
-    and a floor above the Tate floor (see _build_tate).
+    denominator D) to its coefficient, an exact series with terms; the
+    terms property reads it with Fraction exponents.  _terms belongs to
+    the element and is never mutated after construction, and neither are
+    its coefficients (whose Gauss norms are stored on them).
     """
 
     m: int
     base: RadiusProfile  # n = 0 profile of the coefficients
     _terms: dict         # exponent numerators -> SeriesElement over base
-    floor: Value         # base-profile Value
 
     __hash__ = None
 
@@ -65,16 +58,12 @@ class TateElement:
 
     def __repr__(self):
         n = len(self._terms)
-        return f"Tate[{self.m} vars, {n} terms; floor={self.floor}]"
+        return f"Tate[{self.m} vars, {n} terms]"
 
 
-def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateElement:
+def make_tate(m: int, base: RadiusProfile, terms) -> TateElement:
     if base.n != 0:
         raise InputValidationError("Tate coefficients must live over the base field")
-    if floor is None:
-        floor = zero_value(base)
-    if floor.profile != base:
-        raise ProfileMismatchError("floor profile differs from coefficient profile")
     pairs = []
     for e, c in terms.items() if isinstance(terms, dict) else terms:
         e = tuple(Fraction(x) for x in e)
@@ -87,29 +76,26 @@ def make_tate(m: int, base: RadiusProfile, terms, floor: Value = None) -> TateEl
             nums.append(numerator(base, x, "Tate exponent"))
         if c.profile != base:
             raise ProfileMismatchError("coefficient profile differs from base")
+        if not c.floor.zero:
+            raise InputValidationError("Tate coefficients must be exact (zero floor)")
         pairs.append((tuple(nums), c))
-    return _build_tate(m, base, pairs, floor)
+    return _build_tate(m, base, pairs)
 
 
-def _build_tate(m: int, base: RadiusProfile, pairs, floor: Value) -> TateElement:
-    """Internal constructor from (exponent, coefficient) pairs, exponents
-    already validated as numerators over base.den: the one drop rule for
-    Tate elements.  The coefficients of a repeated exponent are summed by
-    one series_sum; each coefficient is cut at max(its floor, floor), term
-    by term; and it is dropped only when no term is left and its own floor
-    is not above floor, so a cancelled floored coefficient stays as
-    0 + O(its floor)."""
+def _build_tate(m: int, base: RadiusProfile, pairs) -> TateElement:
+    """Internal constructor from (exponent, exact coefficient) pairs,
+    exponents already validated as numerators over base.den: the
+    coefficients of a repeated exponent are summed by one series_sum, and
+    a coefficient with no terms is dropped."""
     groups = {}
     for e, c in pairs:
         groups.setdefault(e, []).append(c)
     terms = {}
     for e, cs in groups.items():
         c = cs[0] if len(cs) == 1 else series_sum(base, cs)
-        if not floor.zero:
-            c = with_floor(c, floor)
-        if c._terms or value_lt(floor, c.floor):
+        if c._terms:
             terms[e] = c
-    return TateElement(m, base, terms, floor)
+    return TateElement(m, base, terms)
 
 
 def tate_monomial(m: int, coeff: SeriesElement, exps) -> TateElement:
@@ -123,56 +109,40 @@ def _require_compatible(f: TateElement, m: int, base: RadiusProfile):
 
 def t_sum(m: int, base: RadiusProfile, fs) -> TateElement:
     """The sum of the Tate elements fs (m variables over base) in one pass:
-    their coefficients merge and the drop rule runs once, at the max of
-    the floors (the empty sum is exact zero), as in series_sum."""
-    pairs, floor = [], base._zero
+    their coefficients merge and cancelled ones drop once (the empty sum
+    is zero), as in series_sum."""
+    pairs = []
     for f in fs:
         _require_compatible(f, m, base)
         pairs.extend(f._terms.items())
-        if not f.floor.zero:
-            floor = f.floor if floor.zero else value_max(floor, f.floor)
-    return _build_tate(m, base, pairs, floor)
+    return _build_tate(m, base, pairs)
 
 
 def t_add(f: TateElement, g: TateElement) -> TateElement:
     return t_sum(f.m, f.base, (f, g))
 
 
-def _coefficient_norm(c: SeriesElement) -> Value:
-    """The size of a Tate coefficient: its Gauss norm, or its floor when
-    it has no terms (such a coefficient is kept only for that floor)."""
-    nc = gauss_norm(c)
-    return c.floor if nc is None else nc
-
-
-def t_gauss_norm(f: TateElement):
-    """Sup of the coefficient sizes (all radii are 1), or None when f has
-    no coefficients."""
-    return value_max(*map(_coefficient_norm, f._terms.values())) if f._terms else None
-
-
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
-    """Multiply by a base-field element, coefficient-wise.
+    """Multiply by an exact base-field element, coefficient-wise.
 
-    By one exact term d = c t**a, with f, its floor and every coefficient's
-    floor exact, each coefficient's keys shift by a and its coefficients
-    scale by c, in the coefficient's own order, as mul's one-term branch
-    gives them; every floor stays zero, no two Tate exponents collide and
-    each coefficient keeps its terms, so nothing is cut, merged or dropped.
-    Every other shape multiplies each coefficient by mul and rebuilds
-    through _build_tate."""
+    By one term d = c t**a, each coefficient's keys shift by a and its
+    coefficients scale by c, in the coefficient's own order, as mul's
+    one-term branch gives them; no two Tate exponents collide and each
+    coefficient keeps its terms, so nothing is merged or dropped.  Every
+    other d multiplies each coefficient by mul and rebuilds through
+    _build_tate."""
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
-    if len(d._terms) == 1 and d.floor.zero and f.floor.zero and all(
-            c.floor.zero for c in f._terms.values()):
+    if not d.floor.zero:
+        raise InputValidationError("Tate scalars must be exact (zero floor)")
+    if len(d._terms) == 1:
         ((a, _), cd), = d._terms.items()
         p, zero = f.base.p, f.base._zero
         return TateElement(f.m, f.base, {
             e: SeriesElement._raw(f.base, {(t + a, xs): x * cd % p
                                            for (t, xs), x in c._terms.items()}, zero)
-            for e, c in f._terms.items()}, zero)
-    floor = product_floor(f, d, t_gauss_norm, gauss_norm)
-    return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()], floor)
+            for e, c in f._terms.items()})
+    return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +159,8 @@ _POWER_MEMO_CAP = 1024
 
 @dataclass(frozen=True)
 class HomSpec:
-    """Images of T_1..T_m inside one target series field, all of norm <= 1.
+    """Exact images of T_1..T_m inside one target series field, all of
+    norm <= 1 (the zero image among them).
 
     _powers memoizes, per Tate exponent tuple en (numerators over the
     profile denominator D), the image of the monomial T**(en / D) alone
@@ -208,12 +179,11 @@ class HomSpec:
         for g in self.images:
             if g.profile != profile:
                 raise ProfileMismatchError("hom images live over different profiles")
+            if not g.floor.zero:
+                raise InputValidationError("hom images must be exact (zero floor)")
             ng = gauss_norm(g)
-            bound = one_value(profile)
-            if ng is not None and not value_le(ng, bound):
+            if ng is not None and not value_le(ng, one_value(profile)):
                 raise InputValidationError("hom image is not power-bounded (norm > 1)")
-            if ng is None and not g.floor.zero and not value_le(g.floor, bound):
-                raise InputValidationError("hom image floor exceeds 1")
 
     @property
     def profile(self) -> RadiusProfile:
@@ -244,22 +214,15 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
     """Substitute hom images into f, sound to target_floor.
 
     Terms whose contribution bound |c| * |image| falls below target_floor
-    are skipped, and the skip is recorded in the result floor; |c| is the
-    coefficient's Gauss norm, or its floor when it has no terms, and
-    |image| is the Gauss norm stored on the term's monomial image.  That
-    is prod |g_i|**e_i, as the Gauss norm is multiplicative and a
-    product's leading term lies above its floor.  An image with no terms
-    (some g_i with e_i != 0 has none) gives no bound, and its term is
-    kept.  value_mul_lt decides the skip on the sign of the integer
-    exponents of |c|, |image| and target_floor, with no Value built.  With
-    exact inputs and nothing skipped the result is exact.
-    Each term's contribution is c times its monomial's image: truncation
-    at a product floor is term by term, so this equals multiplying c by
-    one image power at a time, in terms and floor.  The contributions
-    accumulate in one dict, cut once at the max of their product floors
-    and f's floor: a key fixes its norm, so a key cut by one product's
-    floor is cut by the max as well, and a zero product floor, which
-    cannot raise that max, is not compared.
+    are skipped, and a skip makes target_floor the result floor; |c| is
+    the coefficient's Gauss norm and |image| the Gauss norm stored on the
+    term's monomial image.  That is prod |g_i|**e_i, as the Gauss norm is
+    multiplicative.  An image with no terms (the zero image) gives no
+    bound, and its term is kept.  value_mul_lt decides the skip on the
+    sign of the integer exponents of |c|, |image| and target_floor, with
+    no Value built.  With nothing skipped the result is exact.
+    Each term's contribution is c times its monomial's image, and the
+    contributions accumulate in one dict.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -268,18 +231,12 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    terms, acc_floor = {}, profile._zero
-    skipped = False
+    terms, floor = {}, profile._zero
     for e, c in f._terms.items():
         image = hom._monomial(e)
         ni = gauss_norm(image)
-        if ni is not None and value_mul_lt(_coefficient_norm(c), ni, target_floor):
-            skipped = True
+        if ni is not None and value_mul_lt(gauss_norm(c), ni, target_floor):
+            floor = target_floor
             continue
-        pf = _mul_lifted_into(terms, c, image, 1)
-        if not pf.zero:
-            acc_floor = pf if acc_floor.zero else value_max(acc_floor, pf)
-    floor = value_lift(f.floor, profile)
-    if skipped:
-        floor = value_max(floor, target_floor)
-    return _build(profile, terms, value_max(acc_floor, floor))
+        _mul_lifted_into(terms, c, image, 1)
+    return _build(profile, terms, floor)

@@ -133,27 +133,24 @@ def ref_res_ge(f, cut):
     return make_series(f.profile, kept)
 
 
-def ref_make_tate(m, base, pairs, floor):
-    """Reference Tate constructor for valid (exponent, coefficient) pairs:
-    sums the coefficients of a repeated exponent; each sum keeps the terms
-    whose norm is not below cut = max(its floor, floor), with cut as its
-    floor, and is kept when a term is left or its own floor lies above
-    floor."""
+def ref_make_tate(m, base, pairs):
+    """Reference Tate constructor for valid (exponent, exact coefficient)
+    pairs: sums the coefficients of a repeated exponent and keeps each sum
+    that has a term left."""
     summed = {}
     for e, c in pairs:
         e = tuple(Fraction(x) for x in e)
         summed[e] = add(summed[e], c) if e in summed else c
-    kept = {}
-    for e, c in summed.items():
-        above = compare(floor, c.floor) is Ordering.LESS
-        cut = c.floor if above else floor
-        terms = {k: a for k, a in c.terms.items()
-                 if compare(value(base, *k), cut) is not Ordering.LESS}
-        if terms or above:
-            # TateElement keys its terms by exponent numerators over base.den
-            e = tuple(x.numerator * (base.den // x.denominator) for x in e)
-            kept[e] = make_series(base, terms, cut)
-    return TateElement(m, base, kept, floor)
+    # TateElement keys its terms by exponent numerators over base.den
+    return TateElement(m, base, {
+        tuple(x.numerator * (base.den // x.denominator) for x in e): c
+        for e, c in summed.items() if c.terms})
+
+
+def ref_tate_norm(f):
+    """Reference Gauss norm of a Tate element: its largest coefficient
+    norm (all radii are 1), or None when it has no coefficients."""
+    return ref_max(ref_gauss_norm(c) for c in f.terms.values())
 
 
 def ref_heights(schedule):
@@ -219,21 +216,18 @@ def ref_evaluate(f, images, p):
 
 
 def ref_evaluate_by_factors(f, images, target):
-    """Reference evaluate of a floored Tate element f under floored images
-    (series over one profile) above the target floor, one factor at a time.
+    """Reference evaluate of a Tate element f under exact images (series
+    over one profile) above the target floor, one factor at a time.
 
     A term is skipped when its bound |c| prod |g_i|**e_i lies below target,
-    |c| being the coefficient's Gauss norm or, when it has no terms, its
-    floor; unless an image with e_i != 0 is below its floor (then the term
-    has no bound and is kept).  A kept term contributes lift_base(c) times
-    images[i]**e_i for i ascending, one mul per factor; the contributions
-    add left to right.  The result floor is the largest of f's floor, the
-    sum's floor and, after a skip, target."""
+    unless an image with e_i != 0 is zero (then the term has no bound and
+    is kept).  A kept term contributes lift_base(c) times images[i]**e_i
+    for i ascending, one mul per factor; the contributions add left to
+    right.  The result floor is target after a skip, and zero otherwise."""
     profile = images[0].profile
     contribs, skipped = [], False
     for e, c in f.terms.items():
-        nc = gauss_norm(c)
-        bound = value_lift(c.floor if nc is None else nc, profile)
+        bound = value_lift(gauss_norm(c), profile)
         for ei, g in zip(e, images):
             if ei:
                 ng = gauss_norm(g)
@@ -250,10 +244,7 @@ def ref_evaluate_by_factors(f, images, target):
                 contrib = mul(contrib, series_frac_pow(g, ei))
         contribs.append(contrib)
     acc = functools.reduce(add, contribs) if contribs else series_zero(profile)
-    floor = value_lift(f.floor, profile)
-    if skipped:
-        floor = value_max(floor, target)
-    return with_floor(acc, floor)
+    return with_floor(acc, target) if skipped else acc
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_criterion_2_leading_term_uniqueness(prof):
         if len(res_ge(f, gauss_norm(f)).terms) != 1:
             failures += 1
     elapsed = time.monotonic() - t0
-    report(2, "leading-term uniqueness on 500 random elements", failures == 0,
-           elapsed)
+    report(2, "leading-term uniqueness on 500 random elements",
+           failures == 0 and elapsed < 5.0, elapsed)
 
 
 def test_criterion_3_inversion(prof):

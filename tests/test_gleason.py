@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, only_x, ref_heights
+from conftest import float_weight, only_x, ref_heights, ref_tate_norm
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
@@ -33,7 +33,6 @@ from ultrametrica.gleason import (
 )
 from ultrametrica.series import (
     gauss_norm,
-    is_adapted,
     lift_base,
     make_series,
     monomial,
@@ -44,11 +43,9 @@ from ultrametrica.series import (
     sub,
     with_floor,
 )
-from ultrametrica.tatealg import HomSpec, evaluate, t_gauss_norm, t_sum
+from ultrametrica.tatealg import HomSpec, evaluate, t_sum
 from ultrametrica.valuegroup import (
     FreeRadius,
-    Ordering,
-    compare,
     make_profile,
     pi_value,
     s_value,
@@ -374,7 +371,7 @@ class TestBuildGminus:
     def test_norm_bounded(self, prof, cm):
         _, G, pre = build_gminus(prof, cm, 6)
         assert value_le(gauss_norm(G), t_power(prof, 0))
-        assert value_le(t_gauss_norm(pre), t_power(prof.base(), 0))
+        assert value_le(ref_tate_norm(pre), t_power(prof.base(), 0))
 
     def test_adapted_within_reach(self, prof, cm):
         sched, G, _ = build_gminus(prof, cm, 6)
@@ -426,7 +423,13 @@ class TestStandardSurjection:
     def test_preimages_power_bounded(self, spec21):
         for q in [(Fraction(0),), (Fraction(2),), (Fraction(-2),), (Fraction(4),)]:
             ans = spec21(q)
-            assert value_le(t_gauss_norm(ans.preimage), t_power(spec21.base, 0))
+            assert value_le(ref_tate_norm(ans.preimage), t_power(spec21.base, 0))
+
+
+def numerators(spec, q):
+    """The key of the rational exponent q in spec's answer memo: its
+    numerators over the profile denominator D."""
+    return tuple(x.numerator * (spec.profile.den // x.denominator) for x in q)
 
 
 class TestMemosBehaveAsIfAbsent:
@@ -476,18 +479,18 @@ class TestMemosBehaveAsIfAbsent:
             ans = spec21(q)
             kinds.add(spec21.monomial_answer(q) is None)
             assert spec21(q) is ans
-            assert spec21._answers[q] is ans
+            assert spec21._memo[numerators(spec21, q)] is ans
         assert kinds == {True, False}  # both monomial and schedule answers
 
     def test_depth_error_is_raised_every_time_and_never_stored(self, prof):
         shallow = standard_surjection(prof, 4)
         shallow((Fraction(1),))
-        stored = dict(shallow._answers)
+        stored = dict(shallow._memo)
         for _ in range(2):
             with pytest.raises(DepthError, match="beyond the schedule's depth 4"):
                 shallow((Fraction(4),))
-            assert shallow._answers == stored
-            assert (Fraction(4),) not in shallow._answers
+            assert shallow._memo == stored
+            assert numerators(shallow, (Fraction(4),)) not in shallow._memo
 
     def test_depth_error_leaves_the_well_order_as_built(self, prof, monkeypatch):
         """An exponent past the schedule is refused from the schedule's
@@ -524,8 +527,8 @@ class TestMemosBehaveAsIfAbsent:
         qs = [(Fraction(j, 256),) for j in range(600)]  # |x**q| > s for all of them
         for q in qs:
             assert spec(q) == spec.monomial_answer(q)
-        assert len(spec._answers) == gleason._ANSWER_MEMO_CAP == 512
-        assert qs[-1] not in spec._answers
+        assert len(spec._memo) == gleason._ANSWER_MEMO_CAP == 512
+        assert numerators(spec, qs[-1]) not in spec._memo
         assert spec(qs[-1]) == spec.monomial_answer(qs[-1])
 
     def test_used_hom_evaluates_as_a_fresh_one(self, spec21, prof):
@@ -580,7 +583,7 @@ class TestDivideStep:
         cut = value_mul(value_pow(pi_value(prof), 3), s_value(prof))
         nr = gauss_norm(residual)
         assert nr is None or value_le(nr, cut)
-        nf = t_gauss_norm(f)
+        nf = ref_tate_norm(f)
         assert value_le(nf, t_power(prof.base(), 2))
 
     def test_below_cut_untouched(self, spec21, prof):
@@ -596,17 +599,15 @@ class TestDivideStep:
 
     @pytest.mark.parametrize("sigma_s", [None, Fraction(16, 3)])
     def test_step_values_match_the_value_arithmetic(self, sigma_s):
-        """upper, cut, bound_m and target against t_power and value_mul,
-        also for a sigma_s outside D**-1 Z, whose values carry lcm(D, 3)."""
+        """upper, cut and bound_m against t_power and value_mul, also for
+        a sigma_s outside D**-1 Z, whose values carry lcm(D, 3)."""
         profile = make_profile(2, [FreeRadius(2)], sigma_s, max_denom_log=8)
-        base = profile.base()
-        s, s_base = s_value(profile), s_value(base)
+        s = s_value(profile)
         for m in range(6):
             assert gleason._step_values(profile, m) == (
                 value_mul(t_power(profile, m), s),
                 value_mul(t_power(profile, m + 1), s),
-                t_power(base, m),
-                value_mul(t_power(base, m + 1), s_base),
+                t_power(profile.base(), m),
             )
 
     def test_step_values_are_kept_for_at_most_max_steps(self, prof):
@@ -620,25 +621,26 @@ class TestDivideStep:
         below = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
         assert divide_step(spec21, below, 2)[0] is divide_step(spec21, below, 3)[0]
 
-    def test_residual_keeps_the_floor_of_a_floored_oracle_image(self, spec21, prof):
-        """An oracle whose images carry the floor |t|**30: clearing
-        beta = t**6 x leaves no term and the product floor |d| |t|**30 =
-        |t|**36 of lift(d) * image."""
-        floor = t_power(prof, 30)
+    def test_non_monomial_coefficient_is_an_invariant_break(self, spec21, prof):
+        """An oracle whose certificate for x**1 gives b_q = 1 + t: the
+        division coefficient of beta = t**6 x would need an inverse that no
+        exact finite preimage has, so the step refuses it by name."""
+        base = prof.base()
+        two_terms = make_series(base, {(0, ()): 1, (1, ()): 1})
 
-        class FlooredImages:
+        class TwoTermCoefficient:
             def __getattr__(self, name):
                 return getattr(spec21, name)
 
             def answer(self, qn):
                 ans = spec21.answer(qn)
-                image = with_floor(ans.image, floor)
-                return OracleAnswer(ans.preimage, image, is_adapted(image, ans.certificate.q))
+                cert = dataclasses.replace(ans.certificate, b_q=two_terms)
+                return OracleAnswer(ans.preimage, ans.image, cert)
 
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
-        f, residual = divide_step(FlooredImages(), beta, 2)
-        assert residual.terms == {} and len(f.terms) == 1
-        assert compare(residual.floor, t_power(prof, 36)) is Ordering.EQUAL
+        with pytest.raises(InvariantViolationError) as exc:
+            divide_step(TwoTermCoefficient(), beta, 2)
+        assert str(exc.value) == "the coefficient b_q of x**(1) is not a monomial"
 
     def test_term_exactly_at_the_cut_is_cleared(self, spec21, prof):
         # |t**(m+1+sigma_s)| is the cut itself: the window holds it

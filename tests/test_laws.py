@@ -157,12 +157,11 @@ def test_invert_meets_its_residual_bound(ops):
 
 
 @st.composite
-def floored_evaluations(draw):
-    """(f, images, target): a Tate element in m in {1, 2, 3} variables with a
-    zero or nonzero floor and floored coefficients; images of up to three
-    terms, each with a zero or nonzero floor, one of them below its floor,
-    over p in {2, 3} and n in {0, 1, 2} radii, each free or rational; and a
-    zero or nonzero target floor."""
+def exact_evaluations(draw):
+    """(f, images, target): a Tate element in m in {1, 2, 3} variables with
+    exact coefficients; exact images of up to three terms, one of them
+    zero, over p in {2, 3} and n in {0, 1, 2} radii, each free or
+    rational; and a zero or nonzero target floor."""
     p, n, m = draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)), draw(st.integers(1, 3))
     radii = [draw(st.sampled_from([FreeRadius(d), RationalRadius(1),
                                    RationalRadius(Fraction(1, 2)),
@@ -172,42 +171,38 @@ def floored_evaluations(draw):
     base = prof.base()
     exp = exps(p, 0, 8)
 
-    def floor(profile, lo):
-        return t_power(profile, draw(exp) + lo) if draw(st.booleans()) else None
-
     def image():
         # every radius has weight at most 2, so t**a x**xs has norm <= 1
         terms = {}
         for _ in range(draw(st.integers(1, 3))):
             xs = tuple(draw(exps(p, -4, 4)) for _ in range(n))
             terms[(draw(exp) + 2 * sum(map(abs, xs)), xs)] = draw(st.integers(1, p - 1))
-        return make_series(prof, terms, floor(prof, 2))
+        return make_series(prof, terms)
 
-    below = draw(st.integers(0, m - 1))
-    images = [series_zero(prof, t_power(prof, draw(exp))) if i == below else image()
-              for i in range(m)]
+    zero = draw(st.integers(0, m - 1))
+    images = [series_zero(prof) if i == zero else image() for i in range(m)]
 
     def coeff():
         terms = draw(st.dictionaries(st.tuples(exp, st.just(())), st.integers(1, p - 1),
                                      max_size=3))
-        return make_series(base, terms, floor(base, 4))
+        return make_series(base, terms)
 
-    # zero exponents are frequent, so that many terms miss the image below its floor
+    # zero exponents are frequent, so that many terms miss the zero image
     tate_exp = st.one_of(st.just(Fraction(0)), exps(p, 0, 4))
     keys = draw(st.lists(st.tuples(*[tate_exp] * m), max_size=4, unique=True))
-    f = make_tate(m, base, {e: coeff() for e in keys}, floor(base, 8))
+    f = make_tate(m, base, {e: coeff() for e in keys})
     target = t_power(prof, Fraction(draw(st.integers(0, 24)), 2)) if draw(st.booleans()) \
         else zero_value(prof)
     return f, images, target
 
 
 def radius_image_evaluation(p, e):
-    """(f, images, target) for f = T_1, images (x, 0 + O(|t|)) under the one
-    radius |t|**e and the target |t|**(1/2): x has norm |t|**e, over a
-    denominator finer than the profile's when e's is not a power of p."""
+    """(f, images, target) for f = T_1, images (x, 0) under the one radius
+    |t|**e and the target |t|**(1/2): x has norm |t|**e, over a denominator
+    finer than the profile's when e's is not a power of p."""
     prof = make_profile(p, [RationalRadius(e)], max_denom_log=12)
     base = prof.base()
-    images = [make_series(prof, {(0, (1,)): 1}), series_zero(prof, t_power(prof, 1))]
+    images = [make_series(prof, {(0, (1,)): 1}), series_zero(prof)]
     f = make_tate(2, base, {(1, 0): one(base)})
     return f, images, t_power(prof, Fraction(1, 2))
 
@@ -226,16 +221,16 @@ def fine_target_evaluation(p, e):
 
 
 @settings(max_examples=200, deadline=None)
-@given(floored_evaluations())
+@given(exact_evaluations())
 @example(radius_image_evaluation(2, Fraction(1, 3)))
 @example(radius_image_evaluation(3, Fraction(1, 2)))
 @example(fine_target_evaluation(2, Fraction(4, 3)))
 @example(fine_target_evaluation(3, Fraction(1, 3**13)))
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
-    time, terms and floor alike, under rational radii too: a norm has one
-    Value, so the floors are == whatever the grouping (test_tatealg's
-    test_floor_is_one_value_whatever_the_grouping pins such a pair)."""
+    time, terms and floor alike, under rational radii too: a term is
+    skipped exactly when its bound lies below the target, and a skip makes
+    the target the result floor."""
     f, images, target = ops
     got = evaluate(f, HomSpec(tuple(images)), target)
     assert got == ref_evaluate_by_factors(f, images, target)

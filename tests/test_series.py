@@ -452,32 +452,12 @@ class TestIsAdapted:
 
 class TestDivide:
     def test_monomial_division_exact(self, prof1):
-        from ultrametrica.series import divide
+        from ultrametrica.series import div_exact_monomial
 
         b = S(prof1.base(), (1, 3), (1, 5))
         c = S(prof1.base(), (1, 1))
-        d = divide(b, c)
+        d = div_exact_monomial(b, c)
         assert d == S(prof1.base(), (1, 2), (1, 4))
-
-    def test_general_division_via_inversion(self, prof1):
-        from ultrametrica.series import divide
-
-        base = prof1.base()
-        b = S(base, (1, 4))
-        c = S(base, (1, 1), (1, 2))  # t + t^2
-        target = t_power(base, 20)
-        d = divide(b, c, target_floor=target)
-        r = sub(mul(d, c), b)
-        nr = gauss_norm(r)
-        assert nr is None or value_lt(nr, target)
-
-    def test_general_division_requires_target(self, prof1):
-        from ultrametrica.errors import InputValidationError
-        from ultrametrica.series import divide
-
-        base = prof1.base()
-        with pytest.raises(InputValidationError):
-            divide(S(base, (1, 4)), S(base, (1, 1), (1, 2)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    ref_evaluate,
-    ref_evaluate_by_factors,
-    ref_gauss_norm,
-    ref_make_tate,
-    ref_max,
-    ref_product_floor,
-)
+from conftest import ref_evaluate, ref_make_tate, ref_tate_norm
 from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError
 from ultrametrica.series import (
@@ -33,7 +26,6 @@ from ultrametrica.tatealg import (
     HomSpec,
     evaluate,
     make_tate,
-    t_gauss_norm,
     t_add,
     t_scale,
     t_sum,
@@ -42,14 +34,12 @@ from ultrametrica.tatealg import (
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
-    RationalRadius,
     compare,
     make_profile,
     t_power,
     value,
     value_le,
     value_lift,
-    value_max,
     zero_value,
 )
 
@@ -85,7 +75,7 @@ def tate_product(f, g):
 class TestArithmetic:
     def test_variable_has_unit_norm(self, prof1):
         T1 = t_var(prof1.base())
-        assert t_gauss_norm(T1) == value(prof1.base(), 0, ())
+        assert ref_tate_norm(T1) == value(prof1.base(), 0, ())
 
     def test_sup_norm(self, prof1):
         base = prof1.base()
@@ -93,11 +83,24 @@ class TestArithmetic:
             (Fraction(1), Fraction(0)): monomial(base, 1, 1),   # t * T1
             (Fraction(0), Fraction(1)): one(base),               # T2
         })
-        assert t_gauss_norm(f) == value(base, 0, ())
+        assert ref_tate_norm(f) == value(base, 0, ())
 
     def test_negative_exponent_rejected(self, prof1):
         with pytest.raises(InputValidationError):
             make_tate(1, prof1.base(), {(Fraction(-1),): one(prof1.base())})
+
+    def test_floored_coefficient_rejected(self, prof1):
+        base = prof1.base()
+        floored = make_series(base, {(0, ()): 1}, t_power(base, 4))
+        with pytest.raises(InputValidationError) as exc:
+            make_tate(1, base, {(1,): floored})
+        assert str(exc.value) == "Tate coefficients must be exact (zero floor)"
+
+    def test_floored_scalar_rejected(self, prof1):
+        base = prof1.base()
+        with pytest.raises(InputValidationError) as exc:
+            t_scale(t_var(base), series_zero(base, t_power(base, 4)))
+        assert str(exc.value) == "Tate scalars must be exact (zero floor)"
 
 
 class TestHomSpec:
@@ -107,7 +110,13 @@ class TestHomSpec:
             HomSpec((bad,))
 
     def test_bounded_images_accepted(self, prof1):
-        HomSpec((x_var(prof1), monomial(prof1, 1, 2, (-1,))))
+        HomSpec((x_var(prof1), monomial(prof1, 1, 2, (-1,)), series_zero(prof1)))
+
+    def test_floored_image_rejected(self, prof1):
+        for floor in (t_power(prof1, 3), t_power(prof1, -1)):
+            with pytest.raises(InputValidationError) as exc:
+                HomSpec((x_var(prof1), series_zero(prof1, floor)))
+            assert str(exc.value) == "hom images must be exact (zero floor)"
 
 
 class TestEvaluate:
@@ -134,16 +143,15 @@ class TestEvaluate:
         assert got.terms == expected
 
     def test_image_below_its_floor(self, prof1):
-        # T_2 maps to 0 known only up to |t|**3 (norm None), so its terms
-        # are computed, not bounded; T_3**(1/4) with coefficient t**20 is
-        # skipped.  The expected value was computed by hand.
+        # T_2 maps to the zero image (norm None), so its terms are
+        # computed, not bounded, and add nothing; T_3**(1/4) with
+        # coefficient t**20 is skipped, which puts the target into the
+        # result floor.  The expected value was computed by hand.
         base = prof1.base()
         g1 = make_series(prof1, {(Fraction(0), (Fraction(1),)): 1,
                                  (Fraction(1), (Fraction(0),)): 1})
-        g2 = series_zero(prof1, t_power(prof1, 3))
-        g3 = make_series(prof1, {(Fraction(1, 2), (Fraction(1, 2),)): 1},
-                         t_power(prof1, 9))
-        hom = HomSpec((g1, g2, g3))
+        g3 = make_series(prof1, {(Fraction(1, 2), (Fraction(1, 2),)): 1})
+        hom = HomSpec((g1, series_zero(prof1), g3))
         f = make_tate(3, base, {
             (0, 0, 0): one(base),
             (Fraction(3, 2), 0, 0): monomial(base, 1, 1),
@@ -151,68 +159,29 @@ class TestEvaluate:
             (1, Fraction(1, 2), 2): monomial(base, 1, Fraction(1, 2)),
             (0, 0, Fraction(1, 4)): monomial(base, 1, 20),
         })
-        # t * (x + t)**(3/2) = t x^(3/2) + t^(3/2) x + t^2 x^(1/2) + t^(5/2);
-        # t**2 * g2 leaves the floor |t|**5.
-        expected = make_series(prof1, {
+        # t * (x + t)**(3/2) = t x^(3/2) + t^(3/2) x + t^2 x^(1/2) + t^(5/2)
+        terms = {
             (Fraction(0), (Fraction(0),)): 1,
             (Fraction(1), (Fraction(3, 2),)): 1,
             (Fraction(3, 2), (Fraction(1),)): 1,
             (Fraction(2), (Fraction(1, 2),)): 1,
             (Fraction(5, 2), (Fraction(0),)): 1,
-        }, t_power(prof1, 5))
+        }
         for target in (6, 10):
-            assert evaluate(f, hom, t_power(prof1, target)) == expected
-
-    def test_floor_is_one_value_whatever_the_grouping(self):
-        # Under r = |t| (p = 2), x and t tie; (x + t)(t + x) = x**2 + t**2
-        # taken at once and |t|**0 * |x + t| * |t + x| taken one factor at
-        # a time give the same floor |t|**2 = r**2 = |t| r, as one Value.
-        prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
-        base = prof.base()
-        x, t = (Fraction(0), (Fraction(1),)), (Fraction(1), (Fraction(0),))
-        images = [make_series(prof, {x: 1, t: 1}), make_series(prof, {t: 1, x: 1})]
-        c = make_series(base, {(Fraction(0), ()): 1}, t_power(base, 0))
-        f = make_tate(2, base, {(1, 1): c})
-        got = evaluate(f, HomSpec(tuple(images)), zero_value(prof))
-        want = ref_evaluate_by_factors(f, images, zero_value(prof))
-        assert got.terms == want.terms
-        assert got.floor == want.floor == value(prof, 0, (2,)) == value(prof, 1, (1,))
-
-    def test_tied_product_floors_agree_in_either_term_order(self):
-        # Under r = |t| (p = 2), c T1 and c T2 with |c| floored at |t|**5 and
-        # T1 -> x, T2 -> t have the tied product floors |t|**5 r and |t|**6,
-        # one Value, so the result floor does not depend on the term order.
-        prof = make_profile(2, [RationalRadius(1)], max_denom_log=8)
-        base = prof.base()
-        hom = HomSpec((make_series(prof, {(0, (1,)): 1}), make_series(prof, {(1, (0,)): 1})))
-        c = series_zero(base, t_power(base, 5))
-        floors = [evaluate(make_tate(2, base, [(e, c) for e in order]), hom,
-                           zero_value(prof)).floor
-                  for order in ([(1, 0), (0, 1)], [(0, 1), (1, 0)])]
-        assert floors[0] == floors[1] == value(prof, 5, (1,)) == value(prof, 6, (0,))
-
-    def test_cancelled_floored_coefficient_keeps_its_floor(self, prof1):
-        # Over p = 2, T + T (1 + O(|t|**2)) = O(|t|**2) T, not exact zero,
-        # and its image under T -> x is O(|t|**2 r).
-        base = prof1.base()
-        b = make_tate(1, base, {(1,): one(base)})
-        c = make_tate(1, base, {(1,): make_series(base, {(0, ()): 1}, t_power(base, 2))})
-        got = t_add(b, c)
-        assert got == make_tate(1, base, {(1,): series_zero(base, t_power(base, 2))})
-        image = evaluate(got, HomSpec((x_var(prof1),)), zero_value(prof1))
-        assert image == series_zero(prof1, value(prof1, 2, (1,)))
+            floor = t_power(prof1, target)
+            assert evaluate(f, hom, floor) == make_series(prof1, terms, floor)
 
     def test_skip_bound_reads_a_floor_over_its_own_denominator(self):
-        # D = 2**12, and the coefficient floor |t|**(1/2**13) lies over 2 D.
-        # Its bound |t|**(1/2**13) r is above the target |t|**(3/2**14) r, so
-        # the term is kept and its bound is the result floor; read over D,
-        # the floor would pass for |t|**(1/2**12) and the term be skipped.
+        # D = 2**12, and the target |t|**(1/2**13) r lies over 2 D.  The
+        # bound |t|**(1/2**12) r of t**(1/2**12) T -> t**(1/2**12) x is
+        # below it, so the term is skipped; read over D, the target would
+        # pass for |t|**(1/2**12) r, tie with the bound and keep the term.
         prof = make_profile(2, [FreeRadius(2)], max_denom_log=12)
         base = prof.base()
-        f = make_tate(1, base, {(1,): series_zero(base, value(base, Fraction(1, 2**13)))})
-        target = value(prof, Fraction(3, 2**14), (1,))
+        f = make_tate(1, base, {(1,): monomial(base, 1, Fraction(1, 2**12))})
+        target = value(prof, Fraction(1, 2**13), (1,))
         got = evaluate(f, HomSpec((x_var(prof),)), target)
-        assert got == series_zero(prof, value(prof, Fraction(1, 2**13), (1,)))
+        assert got == series_zero(prof, target)
 
     def test_ring_homomorphism_up_to_floors(self, prof1):
         rng = random.Random(13)
@@ -247,7 +216,7 @@ class TestEvaluate:
         floor = t_power(prof1, 30)
         for _ in range(100):
             f = rand_tate(base, 2, rng)
-            nf = t_gauss_norm(f)
+            nf = ref_tate_norm(f)
             nev = gauss_norm(evaluate(f, hom, floor))
             if nev is not None:
                 assert value_le(nev, value_lift(nf, prof1))
@@ -258,36 +227,26 @@ def base_exp(p):
 
 
 def draw_coeff(draw, base):
-    """A base-field series with a zero or nonzero floor."""
-    exp = base_exp(base.p)
-    terms = draw(st.dictionaries(st.tuples(exp, st.just(())),
+    """An exact base-field series of up to three terms."""
+    terms = draw(st.dictionaries(st.tuples(base_exp(base.p), st.just(())),
                                  st.integers(1, base.p - 1), max_size=3))
-    floor = t_power(base, draw(exp) + 4) if draw(st.booleans()) else None
-    return make_series(base, terms, floor)
+    return make_series(base, terms)
 
 
 def draw_tate(draw, base, m):
-    """A Tate element with a zero or nonzero floor; its coefficients
-    carry zero and nonzero floors too."""
+    """A Tate element with up to four exact coefficients."""
     exps = st.tuples(*[base_exp(base.p)] * m)
     keys = draw(st.lists(exps, max_size=4, unique=True))
-    floor = t_power(base, draw(base_exp(base.p)) + 8) if draw(st.booleans()) else None
-    return make_tate(m, base, {e: draw_coeff(draw, base) for e in keys}, floor)
+    return make_tate(m, base, {e: draw_coeff(draw, base) for e in keys})
 
 
 @st.composite
 def tate_operands(draw):
-    """(f, g, d): two Tate elements in m in {1, 2} variables and a scalar,
-    over the base field (n = 0) of p in {2, 3}."""
+    """(f, g, d): two exact Tate elements in m in {1, 2} variables and an
+    exact scalar, over the base field (n = 0) of p in {2, 3}."""
     base = make_profile(draw(st.sampled_from([2, 3])), [], max_denom_log=12)
     m = draw(st.integers(1, 2))
     return draw_tate(draw, base, m), draw_tate(draw, base, m), draw_coeff(draw, base)
-
-
-def ref_t_norm(f):
-    """Reference Tate Gauss norm: the largest coefficient size, where a
-    coefficient without terms counts by its floor."""
-    return ref_max(c.floor if not c.terms else ref_gauss_norm(c) for c in f.terms.values())
 
 
 def draw_image(draw, p, n):
@@ -372,34 +331,18 @@ class TestEvaluateLaws:
 
 
 class TestProductFloors:
-    @settings(max_examples=150, deadline=None)
-    @given(tate_operands())
-    def test_t_scale_floor_matches_three_candidate_formula(self, ops):
-        f, _, d = ops
-        nf = ref_t_norm(f)
-        assert t_scale(f, d).floor == ref_product_floor(
-            f.floor, d.floor, nf, ref_gauss_norm(d))
-        assert t_gauss_norm(f) == nf
-
     @settings(max_examples=100, deadline=None)
     @given(tate_operands())
     def test_products_and_sums_match_make_tate(self, ops):
         f, g, d = ops
         m, base = f.m, f.base
-        nf = ref_t_norm(f)
-        sums = list(f.terms.items()) + list(g.terms.items())
-        assert t_add(f, g) == make_tate(m, base, sums, value_max(f.floor, g.floor))
-        scaled = [(e, mul(c, d)) for e, c in f.terms.items()]
-        assert t_scale(f, d) == make_tate(
-            m, base, scaled, ref_product_floor(f.floor, d.floor, nf, ref_gauss_norm(d)))
-        # p * f cancels every term; what is left are the coefficient
-        # floors of f that lie above f.floor, each over no terms.
+        assert t_add(f, g) == make_tate(m, base, list(f.terms.items()) + list(g.terms.items()))
+        assert t_scale(f, d) == make_tate(m, base, [(e, mul(c, d)) for e, c in f.terms.items()])
+        # p * f cancels every term
         acc = f
         for _ in range(base.p - 1):
             acc = t_add(acc, f)
-        assert acc == tatealg.TateElement(m, base, {
-            e: series_zero(base, c.floor) for e, c in f._terms.items()
-            if compare(f.floor, c.floor) is Ordering.LESS}, f.floor)
+        assert acc == tatealg.TateElement(m, base, {})
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -410,58 +353,49 @@ class TestProductFloors:
                                   min_size=1, max_size=3, unique=True))
         pairs = [(e, draw_coeff(data.draw, base))
                  for e in data.draw(st.lists(st.sampled_from(keys), max_size=6))]
-        floor = t_power(base, data.draw(base_exp(base.p)) + data.draw(st.integers(0, 8)))
-        assert make_tate(m, base, pairs, floor) == ref_make_tate(m, base, pairs, floor)
+        assert make_tate(m, base, pairs) == ref_make_tate(m, base, pairs)
 
     def test_hash_raises(self, prof1):
         with pytest.raises(TypeError):
             hash(t_var(prof1.base()))
 
 
-# The shapes of (f, d) that scale_operands draws: the key shift's, and the
-# ones that must keep the per-coefficient mul.
-KEY_SHIFT = "exact monomial d over exact f"
-MUL_SHAPES = FLOORED_D, MULTI_TERM_D, FLOORED_COEFFICIENT, FLOORED_F = (
-    "floored d", "multi-term d", "floored coefficient under a zero floor", "floored f")
+# The shapes of d that scale_operands draws: the key shift's, and the one
+# that must keep the per-coefficient mul.
+KEY_SHIFT, MULTI_TERM_D = "monomial d", "multi-term d"
 
 
 @st.composite
 def scale_operands(draw):
-    """(shape, f, d): a Tate element f in m in {1, 2} variables and a scalar
-    d over the base field of p in {2, 3, 5}, drawn in one of the shapes
-    above.  Only the named part is floored or has several terms, so each
-    shape sits next to the key shift's."""
+    """(shape, f, d): a Tate element f in m in {1, 2} variables and a
+    scalar d over the base field of p in {2, 3, 5}, d drawn in one of the
+    shapes above."""
     p = draw(st.sampled_from([2, 3, 5]))
     base = make_profile(p, [], max_denom_log=12)
     m = draw(st.integers(1, 2))
-    shape = draw(st.sampled_from((KEY_SHIFT,) + MUL_SHAPES))
+    shape = draw(st.sampled_from((KEY_SHIFT, MULTI_TERM_D)))
     exp = base_exp(p)
 
-    def series(min_size, max_size, floored):
-        terms = draw(st.dictionaries(st.tuples(exp, st.just(())), st.integers(1, p - 1),
-                                     min_size=min_size, max_size=max_size))
-        return make_series(base, terms, t_power(base, draw(exp) + 4) if floored else None)
+    def series(min_size, max_size):
+        return make_series(base, draw(st.dictionaries(
+            st.tuples(exp, st.just(())), st.integers(1, p - 1),
+            min_size=min_size, max_size=max_size)))
 
-    keys = draw(st.lists(st.tuples(*[exp] * m), min_size=int(shape == FLOORED_COEFFICIENT),
-                         max_size=5, unique=True))
-    floored = draw(st.integers(0, len(keys) - 1)) if shape == FLOORED_COEFFICIENT else None
-    f = make_tate(m, base, {e: series(1, 4, i == floored) for i, e in enumerate(keys)},
-                  t_power(base, draw(exp) + 8) if shape == FLOORED_F else None)
+    keys = draw(st.lists(st.tuples(*[exp] * m), max_size=5, unique=True))
+    f = make_tate(m, base, {e: series(1, 4) for e in keys})
     multi = shape == MULTI_TERM_D
-    d = series(2 if multi else 1, 3 if multi else 1, shape == FLOORED_D)
-    return shape, f, d
+    return shape, f, series(2 if multi else 1, 3 if multi else 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(scale_operands())
 def test_t_scale_is_coefficientwise_mul_in_order(ops):
-    """t_scale equals make_tate of the coefficient-wise products at the
-    three-candidate floor, with the Tate exponents and every coefficient's
-    terms in the same order.  The key shift builds no product by mul and
-    does not regroup through _build_tate."""
+    """t_scale equals make_tate of the coefficient-wise products, with the
+    Tate exponents and every coefficient's terms in the same order.  The
+    key shift builds no product by mul and does not regroup through
+    _build_tate."""
     shape, f, d = ops
-    want = make_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f.terms.items()],
-                     ref_product_floor(f.floor, d.floor, ref_t_norm(f), ref_gauss_norm(d)))
+    want = make_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f.terms.items()])
     if shape == KEY_SHIFT:
         with mock.patch.object(tatealg, "mul", side_effect=AssertionError("mul")), \
                 mock.patch.object(tatealg, "_build_tate",
@@ -469,34 +403,28 @@ def test_t_scale_is_coefficientwise_mul_in_order(ops):
             got = t_scale(f, d)
     else:
         got = t_scale(f, d)
-    assert got.floor == want.floor
     assert list(got._terms.items()) == list(want._terms.items())
     for c, w in zip(got._terms.values(), want._terms.values()):
         assert list(c._terms.items()) == list(w._terms.items())
-        assert c.floor == w.floor
+        assert c.floor.zero
 
 
 @st.composite
 def tate_families(draw):
     """(m, base, list of Tate elements) over p in {2, 3}, m in {1, 2}.
     Exponents and coefficient keys come from small pools, so exponents
-    repeat and coefficients cancel across the list; coefficient and Tate
-    floors sit among the coefficient norms, so a coefficient can fall
-    below the floor so far and climb back above it with a later addend."""
+    repeat and coefficients cancel across the list."""
     p = draw(st.sampled_from([2, 3]))
     base = make_profile(p, [], max_denom_log=12)
     m = draw(st.integers(1, 2))
     exps = draw(st.lists(st.tuples(*[base_exp(p)] * m), min_size=1, max_size=3, unique=True))
     ts = draw(st.lists(base_exp(p), min_size=1, max_size=4, unique=True))
-    floor = st.builds(lambda a: t_power(base, a), st.integers(2, 6))
 
     def coeff():
         terms = draw(st.dictionaries(st.sampled_from(ts), st.integers(1, p - 1), min_size=1))
-        return make_series(base, {(t, ()): c for t, c in terms.items()},
-                           draw(st.none() | floor))
+        return make_series(base, {(t, ()): c for t, c in terms.items()})
 
-    fs = [make_tate(m, base, {e: coeff() for e in draw(st.sets(st.sampled_from(exps)))},
-                    draw(st.none() | floor))
+    fs = [make_tate(m, base, {e: coeff() for e in draw(st.sets(st.sampled_from(exps)))})
           for _ in range(draw(st.integers(0, 5)))]
     return m, base, fs
 
@@ -507,14 +435,12 @@ def test_t_sum_is_the_fold_of_t_add(family):
     m, base, fs = family
     got = t_sum(m, base, fs)
     if not fs:
-        assert got.terms == {} and got.floor == zero_value(base)
+        assert got.terms == {}
         return
     want = functools.reduce(t_add, fs)
     assert set(got.terms) == set(want.terms)
     for e, c in want.terms.items():
-        assert got.terms[e].terms == c.terms
-        assert got.terms[e].floor == c.floor
-    assert got.floor == want.floor
+        assert got.terms[e] == c
 
 
 class TestPowerMemo:

@@ -595,11 +595,39 @@ KEPT_FOR_ACCEPTANCE = {
 }
 
 
-def read_names(node):
-    """The names node reads as a Name or an Attribute; a docstring or an
-    import reads none."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_names(fn):
+    """The names the function fn binds itself: its parameters and the
+    targets of its assignments, loops and comprehensions, outside the
+    functions nested in it."""
+    bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def read_names(node, bound=frozenset()):
+    """The names node reads as a Name or an Attribute, less the names that
+    the reading function binds itself (a local named like a library
+    function reads nothing of it); a docstring or an import reads none."""
+    if isinstance(node, FUNCTIONS):
+        bound = bound | bound_names(node)
+    if isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names = set() if node.id in bound else {node.id}
+    else:
+        names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= read_names(child, bound)
+    return names
 
 
 def traced_names(path):
