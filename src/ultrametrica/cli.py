@@ -27,10 +27,8 @@ from .sampling import random_series
 from .series import gauss_norm, invert, sub
 from .tatealg import evaluate
 from .valuegroup import (
-    FreeRadius,
     RadiusProfile,
     ceil_weight,
-    make_profile,
     t_power,
     value_le,
     weight_decimal,
@@ -44,10 +42,10 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 
 # Run-size caps, checked where the values enter (Config, which the CLI
-# overrides go through, and the gleason build flags); each bounds one
-# axis of the work.  Timings are from a 2-core x86-64 machine, Python 3.11.
-# The largest depth in use is 81 (the n=2 benchmark); gleason build
-# --depth 1000 takes under 1 s for n = 1 and 2 and peaks below 30 MB.  The
+# overrides go through); each bounds one axis of the work.  Timings are
+# from a 2-core x86-64 machine, Python 3.11.  The largest depth in use is
+# 81 (the n=2 benchmark); gleason build --depth 1000 from a config of
+# sqrt(2) (and sqrt(3)) at cap 64 takes under 1 s and peaks below 30 MB.  The
 # schedule document holds only the defining scalars, one entry per step in
 # each list: 0.76 MB (n = 1) and 1.0 MB (n = 2) at depth 1000, most of it
 # the digits of the integer delta_m, which grow with the heights b_m.
@@ -56,8 +54,6 @@ MAX_DEPTH = 1000
 # so 10**4 trials stay within a few minutes; the largest count in use is 50.
 MAX_TRIALS = 10_000
 # Division steps M are capped at gleason.MAX_STEPS.
-# gleason build --n takes the radii sqrt(d) for the first n of these.
-BUILD_RADII = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 # A config holds the profile's keys and these run keys, each with the reader
 # of its value (in reading order).  Any other key is an input error, so a
 # misspelt run key cannot leave its value at the default.
@@ -73,7 +69,8 @@ def _check_range(name: str, value: int, lo: int, hi: int):
 
 @dataclass
 class Config:
-    """Verification-run configuration (JSON file or ULTRAMETRICA_CONFIG)."""
+    """Run configuration of surject-verify and gleason build (JSON file or
+    ULTRAMETRICA_CONFIG)."""
 
     profile: RadiusProfile
     c_exponent: Fraction = None
@@ -112,14 +109,15 @@ class Config:
         return max(1, math.floor(self.floor_exponent - self.profile.sigma_s) + 1)
 
 
-def _load_config(path: str) -> Config:
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
+def _load_config(args) -> Config:
+    """The config from --config or else ULTRAMETRICA_CONFIG, with whichever
+    of --trials, --depth and --seed the command has and was given."""
+    path = args.config if args.config is not None else os.environ.get(ENV_CONFIG)
     if not path:
-        raise InputValidationError(
-            f"no config given (use --config or {ENV_CONFIG})"
-        )
-    return Config.from_json(uio.load_json(path))
+        raise InputValidationError(f"no config given (use --config or {ENV_CONFIG})")
+    overrides = {key: value for key in ("trials", "depth", "seed")
+                 if (value := getattr(args, key, None)) is not None}
+    return replace(Config.from_json(uio.load_json(path)), **overrides)  # range checks
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +135,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     f = uio.series_from_json(uio.load_json(args.element))
     floor = t_power(f.profile, uio.frac_from_str(args.floor))
     g = invert(f, floor)
@@ -256,9 +256,7 @@ def _check_out_dir(path: str):
 def cmd_surject_verify(args) -> int:
     if args.out:
         _check_out_dir(args.out)
-    overrides = {key: value for key in ("trials", "depth", "seed")
-                 if (value := getattr(args, key)) is not None}
-    config = replace(_load_config(args.config), **overrides)
+    config = _load_config(args)
     report, tsv_rows = run_surjection_trials(config, config.trials, config.depth,
                                              config.seed)
     tsv_lines = ["trial\tstep\tresidual_weight"]
@@ -275,24 +273,8 @@ def cmd_surject_verify(args) -> int:
 def cmd_gleason_build(args) -> int:
     if args.out:
         _check_out_dir(args.out)
-    _check_range("depth", args.depth, 1, MAX_DEPTH)
-    if args.config:
-        flags = {"--n": args.n, "--p": args.p, "--max-denom-log": args.max_denom_log}
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            raise InputValidationError(
-                f"{', '.join(given)} cannot be given with --config, which sets the profile")
-        config = _load_config(args.config)
-        profile, c_exponent = config.profile, config.c_exponent
-    else:
-        n = 1 if args.n is None else args.n
-        _check_range("n", n, 1, len(BUILD_RADII))
-        radii = [FreeRadius(d) for d in BUILD_RADII[:n]]
-        profile = make_profile(2 if args.p is None else args.p, radii,
-                               max_denom_log=64 if args.max_denom_log is None
-                               else args.max_denom_log)
-        c_exponent = None
-    spec = standard_surjection(profile, args.depth, c_exponent=c_exponent)
+    config = _load_config(args)
+    spec = standard_surjection(config.profile, config.depth, c_exponent=config.c_exponent)
     payload = uio.surjection_to_json(spec)
     if args.out:
         uio.dump_json(payload, args.out)
@@ -306,8 +288,15 @@ def cmd_gleason_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one line and exit 2, from main."""
+
+    def error(self, message):
+        raise InputValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ultrametrica",
         description="Exact norms, Berkovich classification, and verified "
                     "perfectoid surjections at desk scale.",
@@ -347,12 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gle = subs.add_parser("gleason", help="schedule construction")
     gle_subs = p_gle.add_subparsers(dest="gleason_command", required=True)
     p_build = gle_subs.add_parser("build", help="build a standard surjection")
-    p_build.add_argument("--n", type=int, help="number of radii (default 1)")
-    p_build.add_argument("--depth", type=int, required=True)
-    p_build.add_argument("--p", type=int, help="the prime (default 2)")
-    p_build.add_argument("--max-denom-log", type=int, help="the exponent cap (default 64)")
-    p_build.add_argument("--config", help="config JSON for the profile, not with --n, --p"
-                                          " or --max-denom-log")
+    p_build.add_argument("--config", help=f"config JSON (default ${ENV_CONFIG})")
+    p_build.add_argument("--depth", type=int, default=None)
     p_build.add_argument("--out", help="write the surjection spec JSON here")
     p_build.set_defaults(func=cmd_gleason_build)
 
@@ -360,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)

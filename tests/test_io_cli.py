@@ -47,6 +47,12 @@ X_RADIUS_DISK = {"center": ZERO_CENTER, "radius": {"a": "0", "q": ["1"]},
                  "radius_profile": {"p": 2, "radii": [{"sqrt": 2}]}}
 
 
+def cap64_config(n: int) -> str:
+    """A config of p = 2 and the first n of sqrt(2), sqrt(3), at cap 64."""
+    return json.dumps({"p": 2, "radii": [{"sqrt": d} for d in (2, 3)[:n]],
+                       "max_denom_log": 64})
+
+
 @pytest.fixture
 def sample_series(prof1):
     return make_series(
@@ -325,9 +331,11 @@ class TestCli:
         assert open(a + ".residuals.tsv").read() == open(b + ".residuals.tsv").read()
 
     def test_gleason_build_command(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(cap64_config(1))
         out = tmp_path / "sched.json"
         code = main([
-            "gleason", "build", "--n", "1", "--depth", "6", "--out", str(out),
+            "gleason", "build", "--config", str(cfg), "--depth", "6", "--out", str(out),
         ])
         assert code == EXIT_OK
         data = json.load(open(out))
@@ -362,11 +370,13 @@ ONE_X_T_SERIES = ('{"profile": {"p": 3, "radii": [{"sqrt": 2}]}, "terms": [{"t":
 NEAR_ONE_SERIES = ('{"profile": {"p": 2, "radii": [], "max_denom_log": 256},'
                    ' "terms": [{"t": "0", "c": 1}, {"t": "1/%d", "c": 1}]}' % 2**256)
 
-# (test id, command, input file text).  In the rows that end in --out the
-# file is the --out target: the range checks reject the run before anything
-# is written.
+# (test id, command, input file text); the input file is the command's last
+# argument, and a row whose text is None gives no file.
 MALFORMED_INPUTS = [
     ("norm", ["norm"], '{"profile": [2], "terms": []}'),
+    ("norm without a file", ["norm"], None),
+    ("gleason build unknown flag", ["gleason", "build", "--depth", "3", "--bogus", "1",
+                                    "--config"], SMALL_CONFIG),
     ("invert --floor", ["invert", "--floor", "3"],
      '{"profile": {"p": "two", "radii": []}, "terms": []}'),
     ("classify", ["classify"], '{"radius": {"a": "1", "q": []}}'),
@@ -374,19 +384,20 @@ MALFORMED_INPUTS = [
     ("surject-verify --config", ["surject-verify", "--config"],
      '{"p": 2, "radii": [{"sqrt": 2}], "depth": "deep"}'),
     ("gleason build", ["gleason", "build", "--depth", "3", "--config"], '["p", 2]'),
-    ("gleason build --max-denom-log",
-     ["gleason", "build", "--depth", "3", "--max-denom-log", str(MAX_DENOM_LOG + 1),
-      "--out"], ""),
+    ("gleason build --config max_denom_log above cap", ["gleason", "build", "--depth", "3",
+                                                        "--config"],
+     '{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": %d}' % (MAX_DENOM_LOG + 1)),
     ("surject-verify --out",
      ["surject-verify", "--trials", "1", "--out", os.path.join(MISSING_DIR, "n1"),
       "--config"], SMALL_CONFIG),
     ("gleason build --out",
      ["gleason", "build", "--depth", "3", "--out", os.path.join(MISSING_DIR, "spec.json"),
       "--config"], SMALL_CONFIG),
-    ("gleason build --n 11", ["gleason", "build", "--n", "11", "--depth", "1", "--out"], ""),
-    ("gleason build --depth 0", ["gleason", "build", "--depth", "0", "--out"], ""),
+    ("gleason build --n 11 is a usage error",
+     ["gleason", "build", "--n", "11", "--depth", "1", "--config"], SMALL_CONFIG),
+    ("gleason build --depth 0", ["gleason", "build", "--depth", "0", "--config"], SMALL_CONFIG),
     ("gleason build --depth above cap",
-     ["gleason", "build", "--depth", str(MAX_DEPTH + 1), "--out"], ""),
+     ["gleason", "build", "--depth", str(MAX_DEPTH + 1), "--config"], SMALL_CONFIG),
     ("surject-verify --depth 0", ["surject-verify", "--depth", "0", "--config"], SMALL_CONFIG),
     ("surject-verify --depth above cap",
      ["surject-verify", "--depth", str(MAX_DEPTH + 1), "--config"], SMALL_CONFIG),
@@ -438,11 +449,11 @@ MALFORMED_INPUTS = [
      '{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 32, "depht": 3, "trials": 1}'),
     ("gleason build --config unknown key", ["gleason", "build", "--depth", "1", "--config"],
      '{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 16, "cap": 32}'),
-    ("gleason build --n with --config",
+    ("gleason build --n with --config is a usage error",
      ["gleason", "build", "--depth", "1", "--n", "1", "--config"], SMALL_CONFIG),
-    ("gleason build --p with --config",
+    ("gleason build --p with --config is a usage error",
      ["gleason", "build", "--depth", "1", "--p", "2", "--config"], SMALL_CONFIG),
-    ("gleason build --max-denom-log with --config",
+    ("gleason build --max-denom-log with --config is a usage error",
      ["gleason", "build", "--depth", "1", "--max-denom-log", "16", "--config"], SMALL_CONFIG),
 ]
 
@@ -450,12 +461,14 @@ MALFORMED_INPUTS = [
 @pytest.mark.parametrize("command,text", [row[1:] for row in MALFORMED_INPUTS],
                          ids=[row[0] for row in MALFORMED_INPUTS])
 def test_malformed_input_exits_2(tmp_path, command, text):
-    path = tmp_path / "input.json"
-    path.write_text(text)
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        command = [*command, str(path)]
     src = os.path.dirname(os.path.dirname(ultrametrica.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "ultrametrica", *command, str(path)],
+        [sys.executable, "-m", "ultrametrica", *command],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == EXIT_INPUT
@@ -469,10 +482,12 @@ def test_gleason_build_at_the_depth_cap_finishes(tmp_path, n):
     """The document holds only the scalars that define the schedule, one
     entry per step in each list, so at MAX_DEPTH it is about 1 MB, and it
     reads back."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(cap64_config(n))
     out = tmp_path / "spec.json"
     src = os.path.dirname(os.path.dirname(ultrametrica.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "ultrametrica", "gleason", "build", "--n", str(n),
+        [sys.executable, "-m", "ultrametrica", "gleason", "build", "--config", str(cfg),
          "--depth", str(MAX_DEPTH), "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
@@ -485,11 +500,12 @@ def test_gleason_build_at_the_depth_cap_finishes(tmp_path, n):
 
 @pytest.fixture
 def no_run(monkeypatch):
-    """Make any start of a surjection run fail the test."""
+    """Make any start of a surjection run or an inversion fail the test."""
     def fail(*args, **kwargs):
         raise AssertionError("the run started")
     monkeypatch.setattr(cli, "run_surjection_trials", fail)
     monkeypatch.setattr(cli, "standard_surjection", fail)
+    monkeypatch.setattr(cli, "invert", fail)
 
 
 def test_caps_rejected_before_the_run(tmp_path, no_run, capsys):
@@ -497,7 +513,8 @@ def test_caps_rejected_before_the_run(tmp_path, no_run, capsys):
     cfg.write_text(SMALL_CONFIG)
     for flag, cap in (("--trials", MAX_TRIALS), ("--depth", MAX_DEPTH)):
         assert main(["surject-verify", "--config", str(cfg), flag, str(cap + 1)]) == EXIT_INPUT
-    assert main(["gleason", "build", "--depth", str(MAX_DEPTH + 1)]) == EXIT_INPUT
+    assert main(["gleason", "build", "--config", str(cfg),
+                 "--depth", str(MAX_DEPTH + 1)]) == EXIT_INPUT
     cfg.write_text(STEPS_CONFIG % (MAX_STEPS + 1))
     assert main(["surject-verify", "--config", str(cfg)]) == EXIT_INPUT
     assert "steps must lie in [1, 1000]" in capsys.readouterr().err
@@ -505,7 +522,8 @@ def test_caps_rejected_before_the_run(tmp_path, no_run, capsys):
 
 def test_unknown_config_key_and_profile_flags_named(tmp_path, no_run, capsys):
     """A config key outside the profile and run keys is refused by name, as
-    are gleason build's profile flags given with --config."""
+    are profile flags given to gleason build, which takes its profile only
+    from the config."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"p": 2, "radii": [{"sqrt": 2}], "depht": 3, "Seed": 1}')
     assert main(["surject-verify", "--config", str(cfg)]) == EXIT_INPUT
@@ -513,29 +531,52 @@ def test_unknown_config_key_and_profile_flags_named(tmp_path, no_run, capsys):
     cfg.write_text(SMALL_CONFIG)
     assert main(["gleason", "build", "--depth", "3", "--config", str(cfg),
                  "--p", "3", "--max-denom-log", "16"]) == EXIT_INPUT
-    assert capsys.readouterr().err == ("input error: --p, --max-denom-log cannot be given"
-                                       " with --config, which sets the profile\n")
+    assert capsys.readouterr().err == ("input error: unrecognized arguments:"
+                                       " --p 3 --max-denom-log 16\n")
 
 
-def test_gleason_build_flag_defaults(tmp_path):
-    """Without --config the profile is p = 2, sqrt(2) and cap 64, unless
-    the flags say otherwise."""
+def test_usage_error_is_one_input_error_line(capsys):
+    """main returns 2 for bad arguments, with one line, and raises no
+    SystemExit."""
+    assert main(["norm"]) == EXIT_INPUT
+    assert capsys.readouterr().err == ("input error: the following arguments are"
+                                       " required: element\n")
+    assert main(["gleason", "build", "--n", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: unrecognized arguments: --n 1\n"
+
+
+# A depth-5 config over p = 3, sqrt(2) and cap 20, unlike every default.
+RUN_CONFIG = '{"p": 3, "radii": [{"sqrt": 2}], "max_denom_log": 20, "depth": 5}'
+
+
+@pytest.mark.parametrize("via_env,depth_flag,depth", [
+    pytest.param(False, [], 5, id="--config depth"),
+    pytest.param(True, [], 5, id="env config"),
+    pytest.param(True, ["--depth", "3"], 3, id="--depth override"),
+])
+def test_gleason_build_loads_its_run_as_surject_verify_does(tmp_path, monkeypatch, via_env,
+                                                            depth_flag, depth):
+    """The profile and depth come from --config or else ULTRAMETRICA_CONFIG;
+    --depth overrides the config's depth."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(RUN_CONFIG)
+    if via_env:
+        monkeypatch.setenv("ULTRAMETRICA_CONFIG", str(cfg))
     out = tmp_path / "spec.json"
-    assert main(["gleason", "build", "--depth", "2", "--out", str(out)]) == EXIT_OK
-    profile = json.loads(out.read_text())["profile"]
-    assert (profile["p"], profile["radii"], profile["max_denom_log"]) == (2, [{"sqrt": 2}], 64)
-    assert main(["gleason", "build", "--depth", "2", "--n", "2", "--p", "3",
-                 "--max-denom-log", "20", "--out", str(out)]) == EXIT_OK
-    profile = json.loads(out.read_text())["profile"]
-    assert (profile["p"], profile["radii"], profile["max_denom_log"]) == \
-        (3, [{"sqrt": 2}, {"sqrt": 3}], 20)
+    config_flag = [] if via_env else ["--config", str(cfg)]
+    assert main(["gleason", "build", *config_flag, *depth_flag, "--out", str(out)]) == EXIT_OK
+    spec = json.loads(out.read_text())
+    assert spec["profile"] == uio.profile_to_json(Config.from_json(json.loads(RUN_CONFIG)).profile)
+    assert spec["schedule"]["depth"] == depth
 
 
 def test_cap_error_past_the_readers_is_a_verification_failure(tmp_path, capsys):
     """Only a reader turns a DenominatorCapError into an input error: a
     build whose schedule leaves the cap still exits 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 16, "depth": 400}')
     out = tmp_path / "spec.json"
-    assert main(["gleason", "build", "--depth", "400", "--max-denom-log", "16",
+    assert main(["gleason", "build", "--config", str(cfg),
                  "--out", str(out)]) == EXIT_VERIFICATION
     assert capsys.readouterr().err == ("verification error: exponent with denominator"
                                        " p**17 exceeds the cap p**16\n")
@@ -560,6 +601,9 @@ def test_missing_output_directory_rejected_before_the_run(tmp_path, no_run):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(SMALL_CONFIG)
     missing = str(tmp_path / MISSING_DIR / "out")
+    series = tmp_path / "f.json"
+    series.write_text(ONE_X_T_SERIES)
+    assert main(["invert", str(series), "--floor", "500", "--out", missing]) == EXIT_INPUT
     assert main(["surject-verify", "--config", str(cfg), "--out", missing]) == EXIT_INPUT
     assert main(["gleason", "build", "--depth", "3", "--out", missing]) == EXIT_INPUT
     assert main(["gleason", "build", "--depth", "3", "--config", str(cfg),
