@@ -7,7 +7,8 @@
 
 Each checkout is a directory holding the files of one commit (a fresh
 ``git archive`` export, say); ``perfbench/run.py`` runs in it, against its
-own ``src/``.  For each seed in turn, pair k runs both sides once with
+own ``src/``.  A checkout that already holds ``perfbench/out/digests.json``
+is refused (exit 2, naming the file).  For each seed in turn, pair k runs both sides once with
 ``--seconds``: even pairs run the parent first, odd pairs the change
 first.  The first seed is the claimed one (``seed_<s>`` in the output);
 every later seed is held out (``held_out_seed_<s>``).  ``--pairs`` gives
@@ -40,6 +41,11 @@ METHOD = ("alternating pairs (even pairs run the parent first, odd pairs the cha
           " first), each side from a fresh export of its commit; quartiles are"
           " statistics.quantiles(n=4, method='inclusive')")
 DIGEST_SECONDS = 0.1
+# perfbench/run.py's record of earlier runs' digests in a checkout.  It keys
+# a spec hash by workload, seed and op count alone, so a checkout that keeps
+# one from before a declared spec change reads "correct": false on right
+# outputs; the pairs run only in checkouts without one.
+DIGEST_HISTORY = Path("perfbench/out/digests.json")
 _DIGEST_LINE = re.compile(r"^(\S+)\s+result_digest (\w+) \(first (\d+) ops\)$")
 _SPEC_LINE = re.compile(r"^(\S+)\s+spec_sha256\s+(\w+)$")
 
@@ -222,6 +228,12 @@ def main(argv=None) -> int:
     metrics = end_to_end_metrics()
     names = [name for name, _, _ in metrics]
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    stale = [str(d / DIGEST_HISTORY) for d in dirs.values() if (d / DIGEST_HISTORY).exists()]
+    if stale:
+        print(f"bench_pairs.py: {', '.join(stale)} holds earlier runs' digests, which can"
+              " read as \"correct\": false; run on a fresh export of each commit",
+              file=sys.stderr)
+        return 2
     record = {
         "workload": args.workload,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED"

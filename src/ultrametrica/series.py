@@ -305,11 +305,20 @@ def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
 
 def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int):
     """Add sign * lift_base(c) * g into terms, for c over g's base profile
-    (with g's cap), without building the lift."""
-    profile = g.profile
-    pad = profile._one.qn
-    _mul_into(terms, [((t, pad), x) for (t, _), x in c._terms.items()], g._terms,
-              profile.p, sign)
+    (with g's cap), without building the lift: _mul_into's loop, where a
+    lifted term has zero x exponents, so each product keeps the x tuple
+    of its g key and only the t numerators add."""
+    p = g.profile.p
+    g_items = g._terms.items()
+    for (t1, _), c1 in c._terms.items():
+        c1 *= sign
+        for (t2, xs2), c2 in g_items:
+            k = (t1 + t2, xs2)
+            s = (terms.get(k, 0) + c1 * c2) % p
+            if s == 0:
+                terms.pop(k, None)
+            else:
+                terms[k] = s
 
 
 def gauss_norm(f: SeriesElement):

@@ -28,10 +28,13 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Value,
+    floor_weight,
     numerator,
     one_value,
     value_le,
-    value_mul_lt,
+    value_mul,
+    value_pow,
+    weight_of,
 )
 
 
@@ -150,11 +153,14 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
 # ---------------------------------------------------------------------------
 
 
-# Most Tate monomials whose images one HomSpec keeps.  One pass of the
-# surject-n2 benchmark ops (oracle answers and evaluate) reads 450 distinct
-# exponent tuples for seeds 1 and 23 and 521 or 522 for seeds 2 and 7;
+# Most entries in each memo of one HomSpec: the Tate monomials whose
+# images it keeps, and the (target, monomial) pairs whose keep bounds it
+# keeps.  One pass of the surject-n2 benchmark ops (oracle answers and
+# evaluate, which reads one target) reads 450 distinct exponent tuples for seeds 1 and 23 and 521 or 522 for seeds 2 and 7;
 # surject-n1 reads 40.
 _POWER_MEMO_CAP = 1024
+
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,15 @@ class HomSpec:
 
     _powers memoizes, per Tate exponent tuple en (numerators over the
     profile denominator D), the image of the monomial T**(en / D) alone
-    (see _monomial), for up to _POWER_MEMO_CAP tuples; the images are
-    immutable, so it behaves as if absent.  evaluate's skip bound reads
-    the Gauss norm that gauss_norm stores on each image.
+    (see _monomial); _bounds memoizes, per nonzero target and en,
+    evaluate's integer keep bound for that monomial (see _keep_bound).
+    Each holds up to _POWER_MEMO_CAP entries; both values are immutable
+    and fixed by their key, so the memos behave as if absent.
     """
 
     images: tuple
     _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _bounds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.images:
@@ -209,20 +217,41 @@ class HomSpec:
                 self._powers[en] = image
         return image
 
+    def _keep_bound(self, target: Value, en: tuple):
+        """The largest t numerator a (over D) for which a coefficient of
+        norm |t|**(a / D) times the image of T**(en / D) is not below
+        target: a term is kept exactly when |c| * |image| >= target, that
+        is when a / D <= w(target / |image|), and a is an integer, so the
+        bound is floor(D * w(target / |image|)).  None, keep every
+        coefficient, for the zero target or the zero image.  A target's
+        Value is canonical, so (an, qn, den) keys its norm."""
+        if target.zero:
+            return None
+        key = (target.an, target.qn, target.den, en)
+        bound = self._bounds.get(key, _MISSING)
+        if bound is _MISSING:
+            ni = gauss_norm(self._monomial(en))
+            bound = None if ni is None else floor_weight(weight_of(
+                value_pow(value_mul(target, value_pow(ni, -1)), target.profile.den)))
+            if len(self._bounds) < _POWER_MEMO_CAP:
+                self._bounds[key] = bound
+        return bound
+
 
 def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement:
     """Substitute hom images into f, sound to target_floor.
 
-    Terms whose contribution bound |c| * |image| falls below target_floor
-    are skipped, and a skip makes target_floor the result floor; |c| is
-    the coefficient's Gauss norm and |image| the Gauss norm stored on the
-    term's monomial image.  That is prod |g_i|**e_i, as the Gauss norm is
-    multiplicative.  An image with no terms (the zero image) gives no
-    bound, and its term is kept.  value_mul_lt decides the skip on the
-    sign of the integer exponents of |c|, |image| and target_floor, with
-    no Value built.  With nothing skipped the result is exact.
-    Each term's contribution is c times its monomial's image, and the
-    contributions accumulate in one dict.
+    A term c * T**(e / D) is skipped when its contribution bound
+    |c| * |image| falls below target_floor, and a skip makes target_floor
+    the result floor; |image| = prod |g_i|**(e_i / D), as the Gauss norm
+    is multiplicative.  c lives over the base profile, so |c| =
+    |t|**(a / D) for a the smallest t numerator of c, and the skip is the
+    one integer comparison a > hom._keep_bound(target_floor, e): no Value
+    is built and no Gauss norm taken per term.  The zero image and the
+    zero target give no bound, and such a term is kept.  With nothing
+    skipped the result is exact.  Each kept term's contribution is c
+    times its monomial's image, and the contributions accumulate in one
+    dict.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -233,10 +262,10 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("target floor lives over the wrong profile")
     terms, floor = {}, profile._zero
     for e, c in f._terms.items():
-        image = hom._monomial(e)
-        ni = gauss_norm(image)
-        if ni is not None and value_mul_lt(gauss_norm(c), ni, target_floor):
+        bound = hom._keep_bound(target_floor, e)
+        # Base keys are (t, ()), so the least key holds the least t.
+        if bound is not None and min(c._terms)[0] > bound:
             floor = target_floor
             continue
-        _mul_lifted_into(terms, c, image, 1)
+        _mul_lifted_into(terms, c, hom._monomial(e), 1)
     return _build(profile, terms, floor)

@@ -121,3 +121,23 @@ def test_parse_run_reads_the_metrics_and_the_whole_pass_digest():
 def test_metrics_come_from_benchmark_json():
     names = [name for name, _, _ in bench_pairs.end_to_end_metrics()]
     assert {"setup_s", "op_p98_ms", "ops_per_s", "peak_rss_mb"} <= set(names)
+
+
+def test_a_checkout_with_digest_history_is_refused(tmp_path, monkeypatch, capsys):
+    """A checkout that keeps perfbench/out/digests.json from earlier runs is
+    refused with exit 2, naming the file, before anything runs."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the benchmark")
+
+    monkeypatch.setattr(bench_pairs, "run_side", no_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "perfbench" / "out").mkdir(parents=True)
+    change.mkdir()
+    stale = parent / "perfbench" / "out" / "digests.json"
+    stale.write_text("{}")
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w",
+            "--seeds", "1", "--pairs", "1", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    assert str(stale) in capsys.readouterr().err
+    assert not out.exists()

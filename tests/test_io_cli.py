@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,8 @@ from ultrametrica.cli import (
 )
 from ultrametrica.errors import InputValidationError, InvariantViolationError
 from ultrametrica.gleason import build_gmultivar, standard_surjection, verify_schedule
-from ultrametrica.series import gauss_norm, make_series, mul, one, series_zero, sub
+from ultrametrica.series import gauss_norm, make_series, monomial, mul, one, series_zero, sub
+from ultrametrica.tatealg import TateElement
 from ultrametrica.valuegroup import (
     MAX_DENOM_LOG,
     MAX_SQUAREFREE,
@@ -34,7 +37,10 @@ from ultrametrica.valuegroup import (
     make_profile,
     t_power,
     value,
+    value_le,
+    value_lift,
     value_lt,
+    value_mul,
     zero_value,
 )
 
@@ -283,6 +289,40 @@ class TestCli:
         assert code == EXIT_OK
         report = json.loads(captured.splitlines()[0])
         assert report["failures"] == 0
+
+    def test_a_changed_preimage_coefficient_fails_the_trial(self, tmp_path, monkeypatch,
+                                                           capsys):
+        """The final evaluate checks the element reconstruct_preimage
+        returns: with the coefficient c of the term whose bound |c| * |image|
+        is largest replaced by c * t**-1, every trial records
+        agrees_above_floor false, and surject-verify exits 1."""
+        cfg = {"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 32, "depth": 6,
+               "floor_exponent": "10", "trials": 3, "seed": 1}
+        path = tmp_path / "cfg.json"
+        uio.dump_json(cfg, str(path))
+        real = cli.reconstruct_preimage
+        changed = []
+
+        def reconstruct_then_change(spec, beta, steps):
+            result = real(spec, beta, steps)
+            f, profile = result.preimage, spec.profile
+            bounds = {e: value_mul(value_lift(gauss_norm(c), profile),
+                                   gauss_norm(spec.hom._monomial(e)))
+                      for e, c in f._terms.items()}
+            e = functools.reduce(lambda e, k: k if value_lt(bounds[e], bounds[k]) else e, bounds)
+            # the change (t**-1 - 1) c * image has norm |t|**-1 |c| |image|,
+            # not below the floor |t|**10
+            assert value_le(t_power(profile, 11), bounds[e])
+            terms = dict(f._terms)
+            terms[e] = mul(terms[e], monomial(f.base, 1, -1))
+            changed.append(e)
+            return replace(result, preimage=TateElement(f.m, f.base, terms))
+
+        monkeypatch.setattr(cli, "reconstruct_preimage", reconstruct_then_change)
+        assert main(["surject-verify", "--config", str(path)]) == EXIT_VERIFICATION
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert len(changed) == report["failures"] == 3
+        assert [c["agrees_above_floor"] for c in report["cases"]] == [False] * 3
 
     def test_surject_verify_writes_report_and_tsv(self, tmp_path, capsys):
         cfg = {

@@ -32,12 +32,17 @@ from conftest import (
 from ultrametrica.gleason import divide_step, rescale_into_window, standard_surjection
 from ultrametrica.sampling import random_series
 from ultrametrica.series import (
+    _mul_into,
+    _mul_lifted_into,
     gauss_norm,
     invert,
+    lift_base,
     make_series,
     mul,
+    neg,
     one,
     series_frac_pow,
+    series_sum,
     series_zero,
     sub,
     with_floor,
@@ -45,6 +50,7 @@ from ultrametrica.series import (
 from test_tatealg import tate_families
 from ultrametrica.tatealg import (
     HomSpec,
+    TateElement,
     evaluate,
     make_tate,
     t_add,
@@ -54,12 +60,14 @@ from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
     RationalRadius,
+    TermKeys,
     _weight,
     compare,
     make_profile,
     t_power,
     value,
     value_lift,
+    value_lt,
     value_mul,
     value_pow,
     zero_value,
@@ -234,6 +242,163 @@ def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     f, images, target = ops
     got = evaluate(f, HomSpec(tuple(images)), target)
     assert got == ref_evaluate_by_factors(f, images, target)
+
+
+@st.composite
+def keep_decisions(draw):
+    """(f, images, target) for the keep-decision law: p in {2, 3}, 0-3
+    free radii, with a rational radius |t|**(1/3) or without, and the cap
+    p**4; m in {1, 2} images, each zero or up to two terms of norm <= 1;
+    f with up to three terms, whose coefficient may be zero (and is then
+    absent, as make_tate drops it); and a target that is zero, any norm,
+    possibly raised to 1/p**k past the cap so that its Value is not over
+    D, or the bound |c| * |image| of a term of f itself, alone or times
+    |t|**(+-1/p**j) for j up to 6, past the cap."""
+    p, cap = draw(st.sampled_from([2, 3])), 4
+    radii = [FreeRadius(d) for d in (2, 3, 5)[:draw(st.integers(0, 3))]]
+    if draw(st.booleans()):
+        radii.insert(draw(st.integers(0, len(radii))), RationalRadius(Fraction(1, 3)))
+    prof = make_profile(p, radii, max_denom_log=cap)
+    base, m = prof.base(), draw(st.integers(1, 2))
+    small = st.builds(lambda u, i: Fraction(u, p**i), st.integers(0, 6), st.integers(0, 2))
+
+    def image():
+        # every radius has a positive weight, so t**a x**xs has norm <= 1
+        terms = {(draw(small), tuple(draw(small) for _ in radii)): draw(st.integers(1, p - 1))
+                 for _ in range(draw(st.integers(0, 2)))}
+        return make_series(prof, terms)
+
+    images = [image() for _ in range(m)]
+    coeff = st.dictionaries(st.tuples(exps(p, -8, 16), st.just(())), st.integers(1, p - 1),
+                            max_size=3)
+    keys = draw(st.lists(st.tuples(*[small] * m), max_size=3, unique=True))
+    f = make_tate(m, base, {e: make_series(base, draw(coeff)) for e in keys})
+    kind = draw(st.sampled_from(["zero", "any", "bound"]))
+    if kind == "zero":
+        return f, images, zero_value(prof)
+    bounds = [b for b in (term_bound(prof, images, e, c) for e, c in f._terms.items())
+              if b is not None]
+    if kind == "any" or not bounds:
+        target = value(prof, Fraction(draw(st.integers(-24, 48)), p ** draw(st.integers(0, 2))),
+                       [Fraction(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 1)))
+                        for _ in radii])
+        past = draw(st.integers(0, 3))
+        return f, images, value_pow(target, Fraction(1, p ** (cap + past))) if past else target
+    target = draw(st.sampled_from(bounds))
+    j = draw(st.integers(-1, 6))
+    if j >= 0:
+        target = value_mul(target, t_power(prof, Fraction(draw(st.sampled_from([-1, 1])), p**j)))
+    return f, images, target
+
+
+def term_image(prof, images, e):
+    """The image of T**e, e numerators over D, one factor at a time."""
+    image = one(prof)
+    for ei, g in zip(e, images):
+        if ei:
+            image = mul(image, series_frac_pow(g, Fraction(ei, prof.den)))
+    return image
+
+
+def term_bound(prof, images, e, c):
+    """|c| * |image of T**e| over prof, or None for the zero image."""
+    ni = gauss_norm(term_image(prof, images, e))
+    return None if ni is None else value_mul(value_lift(gauss_norm(c), prof), ni)
+
+
+def near_bound_evaluation(p, j):
+    """(f, images, target) for f = T_1 under T_1 -> x with the one radius
+    sqrt(2) and the cap p**4, and the target |x| itself (j None) or
+    |x| * |t|**(-1/p**j): for j past the cap, D * w(target / |x|) lies
+    strictly between -1 and 0, so T_1 (a = 0) is skipped by the floor of
+    that bound and would be kept by its ceiling."""
+    prof = make_profile(p, [FreeRadius(2)], max_denom_log=4)
+    base = prof.base()
+    x = make_series(prof, {(0, (1,)): 1})
+    target = gauss_norm(x)
+    if j is not None:
+        target = value_mul(target, t_power(prof, Fraction(-1, p**j)))
+    return make_tate(1, base, {(1,): one(base)}), [x], target
+
+
+@settings(max_examples=400, deadline=None)
+@given(keep_decisions())
+@example(near_bound_evaluation(2, None))
+@example(near_bound_evaluation(3, 5))
+@example(fine_target_evaluation(2, Fraction(4, 3)))
+@example(fine_target_evaluation(3, Fraction(1, 3**13)))
+@example(radius_image_evaluation(2, Fraction(1, 3)))
+def test_evaluate_skips_a_term_exactly_when_its_bound_is_below_the_target(ops):
+    """Term by term, evaluate skips c * T**e exactly when
+    value_lt(value_mul(value_lift(|c|, P), |image|), target) holds, the
+    image of the zero image having no bound: a skipped term leaves no
+    terms and the target as the floor, and a kept one gives
+    lift_base(c) * image exactly."""
+    f, images, target = ops
+    prof = images[0].profile
+    hom = HomSpec(tuple(images))
+    for e, c in f._terms.items():
+        got = evaluate(TateElement(f.m, f.base, {e: c}), hom, target)
+        bound = term_bound(prof, images, e, c)
+        if bound is not None and value_lt(bound, target):
+            assert got == series_zero(prof, target)
+        else:
+            assert got == mul(lift_base(c, prof), term_image(prof, images, e))
+
+
+@st.composite
+def lifted_products(draw):
+    """(terms, products) for the lifted-product law: a start dict of terms
+    over a profile of p in {2, 3} with 0-3 radii, one of them rational or
+    none, and up to three (c, g, sign) with c over the base profile, g over
+    the profile and sign +-1.  Exponents come from a few values each, so
+    products collide and cancel mod p, with each other and with the
+    start."""
+    p = draw(st.sampled_from([2, 3]))
+    radii = [FreeRadius(d) for d in (2, 3)[:draw(st.integers(0, 2))]]
+    if draw(st.booleans()):
+        radii.insert(draw(st.integers(0, len(radii))), RationalRadius(Fraction(1, 3)))
+    prof = make_profile(p, radii, max_denom_log=4)
+    base = prof.base()
+    t = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, p), Fraction(2)])
+    x = st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, p)])
+    unit = st.integers(1, p - 1)
+
+    def series(profile, n):
+        return make_series(profile, draw(st.dictionaries(
+            st.tuples(t, st.tuples(*[x] * n)), unit, max_size=4)))
+
+    start = dict(series(prof, len(radii))._terms)
+    products = [(series(base, 0), series(prof, len(radii)), draw(st.sampled_from([1, -1])))
+                for _ in range(draw(st.integers(1, 3)))]
+    return start, products
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifted_products())
+def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
+    """_mul_lifted_into(terms, c, g, sign) adds sign * lift_base(c) * g into
+    terms as the multiply-accumulate loop does with the lift's terms,
+    term for term and in dict order; the sum is that of the start and the
+    products sign * mul(lift_base(c), g), and one product into an empty
+    dict is that product's terms, in its order."""
+    start, products = ops
+    prof = products[0][1].profile
+    got, want = dict(start), dict(start)
+    for c, g, sign in products:
+        _mul_lifted_into(got, c, g, sign)
+        _mul_into(want, lift_base(c, prof)._terms.items(), g._terms, prof.p, sign)
+    assert list(got.items()) == list(want.items())
+    summands = [make_series(prof, TermKeys(start, prof.den).items())]
+    for c, g, sign in products:
+        h = mul(lift_base(c, prof), g)
+        summands.append(h if sign == 1 else neg(h))
+    assert got == series_sum(prof, summands)._terms
+    c, g, sign = products[0]
+    alone = {}
+    _mul_lifted_into(alone, c, g, sign)
+    h = mul(lift_base(c, prof), g)
+    assert list(alone.items()) == list((h if sign == 1 else neg(h))._terms.items())
 
 
 @settings(max_examples=300, deadline=None)

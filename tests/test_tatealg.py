@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_evaluate, ref_make_tate, ref_tate_norm
+from conftest import ref_evaluate, ref_evaluate_by_factors, ref_make_tate, ref_tate_norm
 from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError
 from ultrametrica.series import (
@@ -36,10 +36,13 @@ from ultrametrica.valuegroup import (
     Ordering,
     compare,
     make_profile,
+    one_value,
     t_power,
     value,
     value_le,
     value_lift,
+    value_mul,
+    value_pow,
     zero_value,
 )
 
@@ -485,3 +488,65 @@ class TestPowerMemo:
         for _ in range(2):
             assert [evaluate(f, capped, floor) for f in fs] == expected
             assert len(capped._powers) == 3
+
+
+class TestKeepBoundMemo:
+    """HomSpec._keep_bound memoizes evaluate's integer keep bound per
+    target and Tate exponent tuple; results must not depend on it."""
+
+    images = staticmethod(TestPowerMemo.images)
+
+    def test_cap_is_reached_and_respected(self, prof1):
+        hom = HomSpec(self.images(prof1))
+        cap = tatealg._POWER_MEMO_CAP
+        target = t_power(prof1, 30)
+        fs = [make_tate(3, prof1.base(), {(Fraction(k, 4), 0, 0): one(prof1.base())})
+              for k in range(cap + 20)]
+        for _ in range(2):
+            for f in fs:
+                assert evaluate(f, hom, target) == ref_evaluate_by_factors(f, hom.images, target)
+                assert len(hom._bounds) <= cap
+            assert len(hom._bounds) == cap
+
+    def test_full_memo_still_decides(self, prof1, monkeypatch):
+        """With the memo full of one target's bounds, other targets and
+        other tuples are decided afresh, as by a hom with no memo."""
+        rng = random.Random(47)
+        images = self.images(prof1)
+        monkeypatch.setattr(tatealg, "_POWER_MEMO_CAP", 4)
+        full = HomSpec(images)
+        fs = [rand_tate(prof1.base(), 3, rng) for _ in range(40)]
+        for f in fs:
+            evaluate(f, full, t_power(prof1, 3))
+        assert len(full._bounds) == 4
+        for k in (0, 1, 3, Fraction(9, 2), 30):
+            target = t_power(prof1, k)
+            for f in fs:
+                want = ref_evaluate_by_factors(f, images, target)
+                assert evaluate(f, full, target) == want == evaluate(f, HomSpec(images), target)
+            assert len(full._bounds) == 4
+
+    def test_two_targets_never_share_a_bound(self, prof1):
+        """Targets one step apart around a term's bound |x| (one keeps it,
+        one skips it), the zero target and the one target (whose Value
+        has the zero target's exponents), and |t|**2 over D and over a
+        finer denominator, each read in turn on one hom, evaluate as on a
+        fresh hom."""
+        base = prof1.base()
+        images = self.images(prof1)
+        f = make_tate(3, base, {(1, 0, 0): one(base), (0, 0, 0): one(base)})
+        x = value(prof1, 0, (1,))
+        step = t_power(prof1, Fraction(1, prof1.den))
+        targets = [x, value_mul(x, value_pow(step, -1)), zero_value(prof1), one_value(prof1),
+                   t_power(prof1, 2), value_pow(t_power(prof1, 2 * 3), Fraction(1, 3)),
+                   value_pow(t_power(prof1, 6), Fraction(1, 3 * prof1.den))]
+        assert targets[4] == targets[5]
+        hom = HomSpec(images)
+        for _ in range(2):
+            for target in targets + targets[::-1]:
+                got = evaluate(f, hom, target)
+                assert got == evaluate(f, HomSpec(images), target)
+                assert got == ref_evaluate_by_factors(f, images, target)
+        # |T_1| = |x| is not below the first target and lies below the second
+        assert evaluate(f, hom, targets[0]).floor.zero
+        assert evaluate(f, hom, targets[1]).floor == targets[1]

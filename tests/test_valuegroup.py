@@ -35,9 +35,7 @@ from ultrametrica.valuegroup import (
     make_profile,
     value,
     value_lift,
-    value_lt,
     value_mul,
-    value_mul_lt,
     value_pow,
     weight_decimal,
     weight_of,
@@ -136,68 +134,6 @@ class TestMulPow:
         u = value(prof1, Fraction(7, 4), (Fraction(-3),))
         v = value(prof1, 1, (1,))
         assert value_mul(value_mul(u, value_pow(v, -1)), v) == u
-
-
-@st.composite
-def mul_lt_operands(draw):
-    """(u, v, w) for value_mul_lt: v and w over a profile P of p in {2, 3}
-    with 0-3 free radii, and a rational radius |t|**(1/3) or not; u over a
-    prefix of P, from the base profile to P itself.  Any one slot may be
-    zero.  Each nonzero Value may be raised to 1/p**k past the cap, so its
-    denominator is not D; w may be the product u * v itself, or that
-    times |t|**(+-1/p**j), so the comparison is close."""
-    p = draw(st.sampled_from([2, 3]))
-    cap = 4
-    radii = [FreeRadius(d) for d in (2, 3, 5)[:draw(st.integers(0, 3))]]
-    if draw(st.booleans()):
-        radii.insert(draw(st.integers(0, len(radii))), RationalRadius(Fraction(1, 3)))
-    prof = make_profile(p, radii, max_denom_log=cap)
-    k = draw(st.integers(0, len(radii)))
-    u_prof = prof if k == len(radii) and draw(st.booleans()) else make_profile(
-        p, radii[:k], prof.sigma_s, cap)
-    zero_slot = draw(st.sampled_from([None, 0, 1, 2]))
-
-    def val(profile, slot):
-        if slot == zero_slot:
-            return zero_value(profile)
-        x = value(profile, Fraction(draw(st.integers(-24, 24)), p ** draw(st.integers(0, 2))),
-                  [Fraction(draw(st.integers(-4, 4)), p ** draw(st.integers(0, 1)))
-                   for _ in range(profile.n)])
-        past = draw(st.integers(0, 3))
-        return value_pow(x, Fraction(1, p ** (cap + past))) if past else x
-
-    u, v = val(u_prof, 0), val(prof, 1)
-    w = val(prof, 2)
-    if not w.zero and not u.zero and not v.zero and draw(st.booleans()):
-        w = value_mul(value_lift(u, prof), v)
-        j = draw(st.integers(-1, 6))
-        if j >= 0:
-            step = value(prof, Fraction(draw(st.sampled_from([-1, 1])), p**j), [0] * prof.n)
-            w = value_mul(w, step)
-    return u, v, w
-
-
-class TestValueMulLt:
-    @settings(max_examples=400, deadline=None)
-    @given(mul_lt_operands())
-    def test_matches_lift_mul_then_lt(self, ops):
-        u, v, w = ops
-        want = value_lt(value_mul(value_lift(u, v.profile), v), w)
-        assert value_mul_lt(u, v, w) is want
-
-    @pytest.mark.parametrize("zero", [False, True])
-    def test_non_prefix_u_raises(self, prof2, zero):
-        other = make_profile(2, [FreeRadius(3)])
-        u = zero_value(other) if zero else value(other, 1, (1,))
-        v, w = value(prof2, 1, (0, 1)), value(prof2, 3, (0, 0))
-        with pytest.raises(ProfileMismatchError):
-            value_lift(u, prof2)
-        with pytest.raises(ProfileMismatchError):
-            value_mul_lt(u, v, w)
-
-    def test_w_over_another_profile_raises(self, prof1, prof2):
-        with pytest.raises(ProfileMismatchError):
-            value_mul_lt(value(prof1.base(), 1), value(prof2, 1, (0, 1)), value(prof1, 3, (0,)))
 
 
 class TestInSqrtK:
