@@ -8,9 +8,9 @@
 Each checkout is a directory holding the files of one commit (a fresh
 ``git archive`` export, say); ``perfbench/run.py`` runs in it, against its
 own ``src/``.  A checkout that already holds ``perfbench/out/digests.json``
-is refused (exit 2, naming the file).  For each seed in turn, pair k runs both sides once with
-``--seconds``: even pairs run the parent first, odd pairs the change
-first.  The first seed is the claimed one (``seed_<s>`` in the output);
+is refused (exit 2, naming the file).  For each seed in turn, pair k runs
+both sides once with ``--seconds``: even pairs run the parent first, odd
+pairs the change first.  The first seed is the claimed one (``seed_<s>`` in the output);
 every later seed is held out (``held_out_seed_<s>``).  ``--pairs`` gives
 one pair count per seed, or one for all.  Each seed's summary gives, per
 end-to-end metric of BENCHMARK.json, both sides' quartiles

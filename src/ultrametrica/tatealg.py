@@ -156,8 +156,8 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
 # Most entries in each memo of one HomSpec: the Tate monomials whose
 # images it keeps, and the (target, monomial) pairs whose keep bounds it
 # keeps.  One pass of the surject-n2 benchmark ops (oracle answers and
-# evaluate, which reads one target) reads 450 distinct exponent tuples for seeds 1 and 23 and 521 or 522 for seeds 2 and 7;
-# surject-n1 reads 40.
+# evaluate, which reads one target) reads 450 distinct exponent tuples
+# for seeds 1 and 23 and 521 or 522 for seeds 2 and 7; surject-n1 reads 40.
 _POWER_MEMO_CAP = 1024
 
 _MISSING = object()

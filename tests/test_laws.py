@@ -8,7 +8,10 @@ over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
 conftest reference, the last over m in {1, 2} Tate variables against
 itself; the first two references call no library code.  Two more: a profile's integer sign
 kernel agrees with mpmath, and a division step's residual is beta minus
-the evaluation of its Tate part.  Last, under profiles that mix rational
+the evaluation of its Tate part.  evaluate skips a term exactly when its
+bound |c| * |image| lies below the target, and a lifted product
+accumulates as the product of the lift does, under free radii with a
+rational one or without.  Last, under profiles that mix rational
 and free radii, two norms built along different paths compare equal
 exactly when they are == Values."""
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ref_evaluate, ref_evaluate_by_factors, ref_make_tate, ref_tate_norm
 from ultrametrica import tatealg
-from ultrametrica.errors import InputValidationError
+from ultrametrica.errors import InputValidationError, ProfileMismatchError
 from ultrametrica.series import (
     add,
     frobenius,
@@ -128,6 +128,11 @@ class TestEvaluate:
         hom = HomSpec((x_var(prof1),))
         got = evaluate(T1, hom, t_power(prof1, 30))
         assert got == x_var(prof1)
+
+    def test_target_over_another_profile_raises(self, prof1, prof2):
+        hom = HomSpec((x_var(prof1),))
+        with pytest.raises(ProfileMismatchError):
+            evaluate(t_var(prof1.base()), hom, value(prof2, 3, (0, 0)))
 
     def test_telescoping_constant(self, prof1):
         base = prof1.base()

@@ -250,6 +250,13 @@ class TestProfiles:
         assert lifted.q == (Fraction(0),)
         assert lifted.a == Fraction(3, 2)
 
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_lift_from_a_non_prefix_raises(self, prof2, zero):
+        other = make_profile(2, [FreeRadius(3)])
+        u = zero_value(other) if zero else value(other, 1, (1,))
+        with pytest.raises(ProfileMismatchError):
+            value_lift(u, prof2)
+
 
 class TestWeightTools:
     def test_zp_pick_lands_inside(self, prof1):
