@@ -8,7 +8,9 @@
 Each checkout is a directory holding the files of one commit (a fresh
 ``git archive`` export, say); ``perfbench/run.py`` runs in it, against its
 own ``src/``.  A checkout that already holds ``perfbench/out/digests.json``
-is refused (exit 2, naming the file).  For each seed in turn, pair k runs
+is refused (exit 2, naming the file); the runs write that file, and it is
+removed again when the invocation ends, so one pair of exports serves
+every workload.  For each seed in turn, pair k runs
 both sides once with ``--seconds``: even pairs run the parent first, odd
 pairs the change first.  The first seed is the claimed one (``seed_<s>`` in the output);
 every later seed is held out (``held_out_seed_<s>``).  ``--pairs`` gives
@@ -44,7 +46,8 @@ DIGEST_SECONDS = 0.1
 # perfbench/run.py's record of earlier runs' digests in a checkout.  It keys
 # a spec hash by workload, seed and op count alone, so a checkout that keeps
 # one from before a declared spec change reads "correct": false on right
-# outputs; the pairs run only in checkouts without one.
+# outputs; the pairs run only in checkouts without one, and the one their
+# runs write is removed when the invocation ends.
 DIGEST_HISTORY = Path("perfbench/out/digests.json")
 _DIGEST_LINE = re.compile(r"^(\S+)\s+result_digest (\w+) \(first (\d+) ops\)$")
 _SPEC_LINE = re.compile(r"^(\S+)\s+spec_sha256\s+(\w+)$")
@@ -245,22 +248,28 @@ def main(argv=None) -> int:
         "method": METHOD,
         "claim": args.claim,
     }
-    for i, (seed, n_pairs) in enumerate(zip(args.seeds, counts)):
-        pairs, runs, correct = run_pairs(dirs, args.workload, seed, n_pairs,
-                                         args.seconds, names)
-        key = f"seed_{seed}" if i == 0 else f"held_out_seed_{seed}"
-        record[key] = seed_block(pairs, runs, correct, metrics)
-    if args.digest_seeds:
-        key = "digests_seeds_" + "_".join(map(str, args.digest_seeds))
-        record[key] = digest_block(dirs, args.workload, args.digest_seeds)
-    if args.trace_metrics:
-        record["information_only"] = {
-            "note": "not claimed; one traced run per side (perfbench/test_perfbench.py"
-                    " checks that traced counts repeat exactly; self times are single"
-                    " readings)",
-            f"traced_seed_{args.seeds[0]}": traced_block(
-                dirs, args.workload, args.seeds[0], args.trace_metrics),
-        }
+    try:
+        for i, (seed, n_pairs) in enumerate(zip(args.seeds, counts)):
+            pairs, runs, correct = run_pairs(dirs, args.workload, seed, n_pairs,
+                                             args.seconds, names)
+            key = f"seed_{seed}" if i == 0 else f"held_out_seed_{seed}"
+            record[key] = seed_block(pairs, runs, correct, metrics)
+        if args.digest_seeds:
+            key = "digests_seeds_" + "_".join(map(str, args.digest_seeds))
+            record[key] = digest_block(dirs, args.workload, args.digest_seeds)
+        if args.trace_metrics:
+            record["information_only"] = {
+                "note": "not claimed; one traced run per side (perfbench/test_perfbench.py"
+                        " checks that traced counts repeat exactly; self times are single"
+                        " readings)",
+                f"traced_seed_{args.seeds[0]}": traced_block(
+                    dirs, args.workload, args.seeds[0], args.trace_metrics),
+            }
+    finally:
+        # No checkout held a history before the runs, so this invocation
+        # wrote every one that is there now.
+        for d in dirs.values():
+            (d / DIGEST_HISTORY).unlink(missing_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

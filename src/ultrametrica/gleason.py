@@ -35,9 +35,7 @@ from .series import (
     _build,
     _monomial,
     _mul_lifted_into,
-    div_exact_monomial,
     gauss_norm,
-    group_by_x,
     is_adapted,
     lift_base,
     monomial,
@@ -594,7 +592,8 @@ class SurjectionSpec:
         return ans
 
     def step_values(self, m: int):
-        """divide_step's window values for step m, _step_values(profile, m)."""
+        """divide_step's window values for step m, (upper, cut) =
+        (|pi|**m s, |pi|**(m+1) s) over the profile: _step_values(profile, m)."""
         values = self._steps.get(m)
         if values is None:
             values = _step_values(self.profile, m)
@@ -645,12 +644,9 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 
 
 def _step_values(profile: RadiusProfile, m: int):
-    """Step m's window values (upper, cut, bound_m) = (|pi|**m s and
-    |pi|**(m+1) s over profile, |pi|**m over the base)."""
+    """Step m's window values (upper, cut) = (|pi|**m s, |pi|**(m+1) s)."""
     s = s_value(profile)
-    return (value_mul(t_power(profile, m), s),
-            value_mul(t_power(profile, m + 1), s),
-            t_power(profile.base(), m))
+    return value_mul(t_power(profile, m), s), value_mul(t_power(profile, m + 1), s)
 
 
 def divide_step(oracle, beta: SeriesElement, m: int):
@@ -667,15 +663,21 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     clears nothing (|beta| below the clamped cut, or no stored terms)
     returns the oracle's one empty exact Tate element and beta itself.
 
-    Each division coefficient is b / b_q for the certificate's b_q, a
-    monomial (see AdaptedCertificate); one that is not breaks an
-    invariant.  The oracle's images are exact, so the residual is beta's
-    terms minus each lift(d) * image, accumulated in one dict and cut
-    once at beta's floor: the terms and floor of sub(beta, the series_sum
-    of the products).
+    The window runs on integer term keys.  One pass over res_ge(beta, cut)
+    groups the cleared terms by x exponent into base-field keys (t, ()).
+    The certificate's b_q must be one term c0 t**(t0 / D), a monomial (see
+    AdaptedCertificate); one that is not breaks an invariant.  So each
+    division coefficient b / b_q is a key shift, d = sum c c0**-1
+    t**((t - t0) / D), and |d| = |t|**(a / D) for a its least t numerator:
+    |d| < |pi|**m = |t|**m is the one comparison a > m D (the base and
+    the profile share D).  f is the one t_scale part when one x exponent
+    clears, and the t_sum of the parts otherwise.  The oracle's images
+    are exact, so the residual is beta's terms minus each lift(d) * image,
+    accumulated in one dict and cut once at beta's floor: the terms and
+    floor of sub(beta, the series_sum of the products).
     """
     profile = beta.profile
-    upper, cut, bound_m = oracle.step_values(m)
+    upper, cut = oracle.step_values(m)
     nb = gauss_norm(beta)
     if nb is not None and value_lt(upper, nb):
         raise InputValidationError(
@@ -684,25 +686,31 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     cut = value_max(cut, beta.floor)
     if nb is None or value_lt(nb, cut):
         return oracle._empty, beta
-    groups = group_by_x(res_ge(beta, cut))
+    groups = {}
+    for (t, xs), c in res_ge(beta, cut)._terms.items():
+        groups.setdefault(xs, {})[t] = c
+    base = profile.base()
+    p, zero, bound = profile.p, base._zero, m * profile.den
     parts = []
     terms = dict(beta._terms)
-    for qn, b_series in sorted(groups.items()):
+    for qn, b_terms in sorted(groups.items()):
         try:
             ans = oracle.answer(qn)
         except DepthError as exc:
             q = _exponent_str(Fraction(x, profile.den) for x in qn)
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
-        c_series = ans.certificate.b_q
-        if len(c_series._terms) != 1:
+        if len(ans.certificate.b_q._terms) != 1:
             q = _exponent_str(Fraction(x, profile.den) for x in qn)
             raise InvariantViolationError(f"the coefficient b_q of x**{q} is not a monomial")
-        d = div_exact_monomial(b_series, c_series)
-        if not value_lt(gauss_norm(d), bound_m):
+        ((t0, _), c0), = ans.certificate.b_q._terms.items()
+        if min(b_terms) - t0 <= bound:
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
+        inv = pow(c0, -1, p)
+        d = SeriesElement._raw(base, {(t - t0, ()): c * inv % p
+                                      for t, c in b_terms.items()}, zero)
         parts.append(t_scale(ans.preimage, d))
         _mul_lifted_into(terms, d, ans.image, -1)
-    f = t_sum(oracle.num_vars, profile.base(), parts)
+    f = parts[0] if len(parts) == 1 else t_sum(oracle.num_vars, base, parts)
     residual = _build(profile, terms, beta.floor)
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):

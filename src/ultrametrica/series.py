@@ -493,17 +493,6 @@ def coefficient_at(f: SeriesElement, q) -> SeriesElement:
     return _build(base, terms, zero_value(base))
 
 
-def group_by_x(f: SeriesElement):
-    """Map x-exponent numerators over D -> base-field coefficient series
-    (exact)."""
-    base = f.profile.base()
-    groups = {}
-    for (t, xs), c in f._terms.items():
-        groups.setdefault(xs, {})[(t, ())] = c
-    zero = zero_value(base)
-    return {q: _build(base, terms, zero) for q, terms in groups.items()}
-
-
 def series_int_pow(g: SeriesElement, u: int) -> SeriesElement:
     """g**u for u >= 0 by repeated squaring."""
     result = one(g.profile)
@@ -611,15 +600,3 @@ def is_adapted(beta: SeriesElement, q) -> AdaptedCertificate:
     tail_norm = gauss_norm(tail)
     check3 = tail_norm is None or value_le(tail_norm, s_pi)
     return AdaptedCertificate(q, s, b_q, tail_norm, (check1, check2, check3))
-
-
-# ---------------------------------------------------------------------------
-# Base-field division helpers (used by the division algorithm).
-# ---------------------------------------------------------------------------
-
-
-def div_exact_monomial(b: SeriesElement, c: SeriesElement) -> SeriesElement:
-    """b / c for a single-term divisor c, exactly."""
-    ((t0, xs0), c0), = c._terms.items()
-    return mul(b, _monomial(b.profile, pow(c0, -1, b.profile.p), -t0, tuple(-x for x in xs0)))
-

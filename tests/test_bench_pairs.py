@@ -141,3 +141,46 @@ def test_a_checkout_with_digest_history_is_refused(tmp_path, monkeypatch, capsys
     assert bench_pairs.main(argv) == 2
     assert str(stale) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_digest_history_the_runs_write_is_removed(tmp_path, monkeypatch):
+    """Each run writes perfbench/out/digests.json in its checkout, as
+    perfbench/run.py does; the invocation removes both files when it ends,
+    after a failed run too, so the same checkouts serve the next workload.
+    A history that was there before the invocation is refused and kept."""
+    names = [name for name, _, _ in bench_pairs.end_to_end_metrics()]
+
+    def writing_run(checkout, workload, seed, seconds, trace=0):
+        (checkout / "perfbench" / "out").mkdir(parents=True, exist_ok=True)
+        (checkout / bench_pairs.DIGEST_HISTORY).write_text("{}")
+        return {"metrics": {name: 1.0 + seed for name in names},
+                "attempted": 600, "failed": 0, "correct": True,
+                **_run("aa", "bb")}
+
+    monkeypatch.setattr(bench_pairs, "run_side", writing_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w",
+            "--seeds", "1", "--pairs", "2", "--seconds", "1", "--digest-seeds", "1",
+            "--out", str(out)]
+    for _ in range(2):  # the second invocation finds no history to refuse
+        assert bench_pairs.main(argv) == 0
+        assert not (parent / bench_pairs.DIGEST_HISTORY).exists()
+        assert not (change / bench_pairs.DIGEST_HISTORY).exists()
+        assert out.exists()
+
+    def failing_run(checkout, *args, **kwargs):
+        writing_run(checkout, "w", 1, 1)
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(bench_pairs, "run_side", failing_run)
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(argv)
+    assert not (parent / bench_pairs.DIGEST_HISTORY).exists()
+    assert not (change / bench_pairs.DIGEST_HISTORY).exists()
+
+    (parent / bench_pairs.DIGEST_HISTORY).write_text("{}")  # from another invocation
+    assert bench_pairs.main(argv) == 2
+    assert (parent / bench_pairs.DIGEST_HISTORY).exists()

@@ -43,7 +43,7 @@ from ultrametrica.series import (
     sub,
     with_floor,
 )
-from ultrametrica.tatealg import HomSpec, evaluate, t_sum
+from ultrametrica.tatealg import HomSpec, evaluate, t_scale, t_sum
 from ultrametrica.valuegroup import (
     FreeRadius,
     make_profile,
@@ -566,6 +566,27 @@ class TestMemosBehaveAsIfAbsent:
         assert built == []
 
 
+class ScaledAnswers:
+    """An oracle that answers as spec does, with the preimage, the image and
+    the certificate's b_q of each answer scaled by the base-field monomial
+    u, or only the image when image_only: scaled together they still map
+    onto each other, and divide_step must divide the scale back out."""
+
+    def __init__(self, spec, u, image_only=False):
+        self.spec, self.u, self.image_only = spec, u, image_only
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def answer(self, qn):
+        ans = self.spec.answer(qn)
+        image = mul(lift_base(self.u, self.spec.profile), ans.image)
+        if self.image_only:
+            return OracleAnswer(ans.preimage, image, ans.certificate)
+        cert = dataclasses.replace(ans.certificate, b_q=mul(ans.certificate.b_q, self.u))
+        return OracleAnswer(t_scale(ans.preimage, self.u), image, cert)
+
+
 class TestDivideStep:
     def test_single_monomial_zero_residual(self, spec21, prof):
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
@@ -599,15 +620,14 @@ class TestDivideStep:
 
     @pytest.mark.parametrize("sigma_s", [None, Fraction(16, 3)])
     def test_step_values_match_the_value_arithmetic(self, sigma_s):
-        """upper, cut and bound_m against t_power and value_mul, also for
-        a sigma_s outside D**-1 Z, whose values carry lcm(D, 3)."""
+        """upper and cut against t_power and value_mul, also for a sigma_s
+        outside D**-1 Z, whose values carry lcm(D, 3)."""
         profile = make_profile(2, [FreeRadius(2)], sigma_s, max_denom_log=8)
         s = s_value(profile)
         for m in range(6):
             assert gleason._step_values(profile, m) == (
                 value_mul(t_power(profile, m), s),
                 value_mul(t_power(profile, m + 1), s),
-                t_power(profile.base(), m),
             )
 
     def test_step_values_are_kept_for_at_most_max_steps(self, prof):
@@ -641,6 +661,58 @@ class TestDivideStep:
         with pytest.raises(InvariantViolationError) as exc:
             divide_step(TwoTermCoefficient(), beta, 2)
         assert str(exc.value) == "the coefficient b_q of x**(1) is not a monomial"
+
+    @pytest.mark.parametrize("extra, breaks", [(0, True), (1, False)])
+    def test_coefficient_at_the_bound_is_an_invariant_break(self, spec21, prof,
+                                                             extra, breaks):
+        """beta = t**6 x at m = 2 over an oracle whose x**1 answer is scaled
+        by u = t**(4 - extra / D): b_q = u puts the division coefficient
+        t**(2 + extra / D) at least t numerator m D + extra.  m D itself is
+        |d| = |pi|**m, which the step refuses; one numerator more passes,
+        and the scaled image still clears beta, with the same f."""
+        u = make_series(prof.base(), {(Fraction(4 * prof.den - extra, prof.den), ()): 1})
+        beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
+        if breaks:
+            with pytest.raises(InvariantViolationError) as exc:
+                divide_step(ScaledAnswers(spec21, u), beta, 2)
+            assert str(exc.value) == "division coefficient |d| >= |pi|**m"
+            return
+        f, residual = divide_step(ScaledAnswers(spec21, u), beta, 2)
+        assert residual.terms == {}
+        assert f == divide_step(spec21, beta, 2)[0]
+
+    def test_an_image_that_misses_beta_is_an_invariant_break(self, spec21, prof):
+        """An oracle whose x**1 image is t times the certified one: the
+        division coefficient passes its bound, but beta's term stays in the
+        residual, above the cut."""
+        t = make_series(prof.base(), {(Fraction(1), ()): 1})
+        beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
+        with pytest.raises(InvariantViolationError) as exc:
+            divide_step(ScaledAnswers(spec21, t, image_only=True), beta, 2)
+        assert str(exc.value) == "residual did not drop below |pi|**(m+1) s"
+
+    def test_a_non_unit_coefficient_is_divided_by_its_inverse(self):
+        """Over p = 3 an oracle that scales each answer's preimage, image and
+        b_q by 2: every division coefficient carries 2**-1 = 2, and each
+        step's residual is still beta minus the image of its part."""
+        profile = make_profile(3, [FreeRadius(2)], max_denom_log=20)
+        spec = standard_surjection(profile, 6)
+        two = make_series(profile.base(), {(Fraction(0), ()): 2})
+        oracle = ScaledAnswers(spec, two)
+        beta = make_series(profile, {
+            (Fraction(4), (Fraction(1),)): 1,
+            (Fraction(5), (Fraction(0),)): 2,
+            (Fraction(6), (Fraction(-1),)): 1,
+        })
+        beta, _ = rescale_into_window(beta)
+        exact = zero_value(profile)
+        cleared = 0
+        for m in range(4):
+            f, residual = divide_step(oracle, beta, m)
+            assert residual == sub(beta, evaluate(f, spec.hom, exact))
+            cleared += len(f.terms)
+            beta = residual
+        assert cleared and beta.terms == {}
 
     def test_term_exactly_at_the_cut_is_cleared(self, spec21, prof):
         # |t**(m+1+sigma_s)| is the cut itself: the window holds it

@@ -549,12 +549,16 @@ def test_sign_kernel_matches_mpmath(profile, data):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("radii, depth, steps", [((2,), 8, 8), ((2, 3), 12, 4)])
-def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, steps):
+@pytest.mark.parametrize("radii, depth, steps, p, cap", [
+    ((2,), 8, 8, 2, 32), ((2, 3), 12, 4, 2, 32), ((2,), 8, 8, 3, 20),
+], ids=["radii0-8-8", "radii1-12-4", "p3-radii0-8-8"])
+def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, steps, p,
+                                                                cap):
     """For betas drawn as surject-verify draws them, exact and floored at
     |t|**12, every step's residual has the terms of sub(beta, evaluate(f))
-    at the zero target floor, and the same floor."""
-    profile = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=32)
+    at the zero target floor, and the same floor; over p = 3 the cleared
+    coefficients run through 1 and 2 mod p."""
+    profile = make_profile(p, [FreeRadius(d) for d in radii], max_denom_log=cap)
     spec = standard_surjection(profile, depth)
     exact = zero_value(profile)
     pool = list(spec.schedule.omegas)

@@ -450,16 +450,6 @@ class TestIsAdapted:
         assert bq.terms == {(Fraction(0), ()): 1, (Fraction(2), ()): 1}
 
 
-class TestDivide:
-    def test_monomial_division_exact(self, prof1):
-        from ultrametrica.series import div_exact_monomial
-
-        b = S(prof1.base(), (1, 3), (1, 5))
-        c = S(prof1.base(), (1, 1))
-        d = div_exact_monomial(b, c)
-        assert d == S(prof1.base(), (1, 2), (1, 4))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 3))
 def test_frac_pow_matches_repeated_mul(tnum, xnum, denlog):
