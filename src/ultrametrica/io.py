@@ -22,6 +22,7 @@ from .gleason import GleasonSchedule, SurjectionSpec
 from .series import SeriesElement, make_series
 from .tatealg import HomSpec
 from .valuegroup import (
+    DEFAULT_DENOM_LOG,
     FreeRadius,
     RadiusProfile,
     RationalRadius,
@@ -119,7 +120,8 @@ def profile_from_json(data: dict) -> RadiusProfile:
         int_from_json(data["p"], "p"),
         radii,
         sigma_s=frac_from_str(data["sigma_s"]) if "sigma_s" in data else None,
-        max_denom_log=int_from_json(data.get("max_denom_log", 16), "max_denom_log"),
+        max_denom_log=int_from_json(data.get("max_denom_log", DEFAULT_DENOM_LOG),
+                                    "max_denom_log"),
     )
 
 

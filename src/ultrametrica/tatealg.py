@@ -4,8 +4,8 @@ A TateElement is a finite sum of monomials T_1**e_1 ... T_m**e_m with
 exponents in Z[1/p]_{>=0} and exact base-field coefficients (n = 0
 series with the zero floor).  Evaluation substitutes exact power-bounded
 images for the variables; fractional powers exist exactly because p-th
-roots are unique in characteristic p.  The one truncation of the layer
-is evaluate's skip above a target floor.
+roots are unique in characteristic p.  Nothing in the layer truncates:
+evaluate is exact whatever target floor it is given.
 """
 
 from __future__ import annotations
@@ -28,13 +28,9 @@ from .valuegroup import (
     ExponentKeys,
     RadiusProfile,
     Value,
-    floor_weight,
     numerator,
     one_value,
     value_le,
-    value_mul,
-    value_pow,
-    weight_of,
 )
 
 
@@ -153,14 +149,11 @@ def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
 # ---------------------------------------------------------------------------
 
 
-# Most entries in each memo of one HomSpec: the Tate monomials whose
-# images it keeps, and the (target, monomial) pairs whose keep bounds it
-# keeps.  One pass of the surject-n2 benchmark ops (oracle answers and
-# evaluate, which reads one target) reads 450 distinct exponent tuples
-# for seeds 1 and 23 and 521 or 522 for seeds 2 and 7; surject-n1 reads 40.
+# Most entries in the power memo of one HomSpec, the Tate monomials whose
+# images it keeps.  One pass of the surject-n2 benchmark ops (oracle
+# answers and evaluate) reads 450 distinct exponent tuples for seeds 1 and
+# 23 and 521 or 522 for seeds 2 and 7; surject-n1 reads 40.
 _POWER_MEMO_CAP = 1024
-
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -170,15 +163,12 @@ class HomSpec:
 
     _powers memoizes, per Tate exponent tuple en (numerators over the
     profile denominator D), the image of the monomial T**(en / D) alone
-    (see _monomial); _bounds memoizes, per nonzero target and en,
-    evaluate's integer keep bound for that monomial (see _keep_bound).
-    Each holds up to _POWER_MEMO_CAP entries; both values are immutable
-    and fixed by their key, so the memos behave as if absent.
+    (see _monomial), for up to _POWER_MEMO_CAP tuples; an image is
+    immutable and fixed by its key, so the memo behaves as if absent.
     """
 
     images: tuple
     _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _bounds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.images:
@@ -217,41 +207,14 @@ class HomSpec:
                 self._powers[en] = image
         return image
 
-    def _keep_bound(self, target: Value, en: tuple):
-        """The largest t numerator a (over D) for which a coefficient of
-        norm |t|**(a / D) times the image of T**(en / D) is not below
-        target: a term is kept exactly when |c| * |image| >= target, that
-        is when a / D <= w(target / |image|), and a is an integer, so the
-        bound is floor(D * w(target / |image|)).  None, keep every
-        coefficient, for the zero target or the zero image.  A target's
-        Value is canonical, so (an, qn, den) keys its norm."""
-        if target.zero:
-            return None
-        key = (target.an, target.qn, target.den, en)
-        bound = self._bounds.get(key, _MISSING)
-        if bound is _MISSING:
-            ni = gauss_norm(self._monomial(en))
-            bound = None if ni is None else floor_weight(weight_of(
-                value_pow(value_mul(target, value_pow(ni, -1)), target.profile.den)))
-            if len(self._bounds) < _POWER_MEMO_CAP:
-                self._bounds[key] = bound
-        return bound
-
 
 def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement:
-    """Substitute hom images into f, sound to target_floor.
+    """Substitute hom images into f, exactly.
 
-    A term c * T**(e / D) is skipped when its contribution bound
-    |c| * |image| falls below target_floor, and a skip makes target_floor
-    the result floor; |image| = prod |g_i|**(e_i / D), as the Gauss norm
-    is multiplicative.  c lives over the base profile, so |c| =
-    |t|**(a / D) for a the smallest t numerator of c, and the skip is the
-    one integer comparison a > hom._keep_bound(target_floor, e): no Value
-    is built and no Gauss norm taken per term.  The zero image and the
-    zero target give no bound, and such a term is kept.  With nothing
-    skipped the result is exact.  Each kept term's contribution is c
-    times its monomial's image, and the contributions accumulate in one
-    dict.
+    Each term c * T**(e / D) contributes c times the image of its monomial
+    (see HomSpec._monomial), and the contributions accumulate in one dict.
+    The result has the zero floor, so it is sound to every target floor:
+    target_floor is only checked to live over the hom's profile.
     """
     if f.m != hom.m:
         raise InputValidationError("variable count mismatch between element and hom")
@@ -260,12 +223,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    terms, floor = {}, profile._zero
+    terms = {}
     for e, c in f._terms.items():
-        bound = hom._keep_bound(target_floor, e)
-        # Base keys are (t, ()), so the least key holds the least t.
-        if bound is not None and min(c._terms)[0] > bound:
-            floor = target_floor
-            continue
         _mul_lifted_into(terms, c, hom._monomial(e), 1)
-    return _build(profile, terms, floor)
+    return _build(profile, terms, profile._zero)

@@ -58,6 +58,10 @@ MAX_SQUAREFREE = 10**10
 MAX_DENOM_LOG = 256
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The max_denom_log of a profile that names none (RadiusProfile,
+# make_profile and a profile document without the key).
+DEFAULT_DENOM_LOG = 16
+
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin for 2 <= p < MAX_PRIME."""
@@ -133,7 +137,7 @@ class RadiusProfile:
     p: int
     radii: tuple
     sigma_s: Fraction
-    max_denom_log: int = 16
+    max_denom_log: int = DEFAULT_DENOM_LOG
     den: int = field(init=False, compare=False, repr=False)
     _ds: tuple = field(init=False, compare=False, repr=False)
     _rat: tuple = field(init=False, compare=False, repr=False)
@@ -218,7 +222,7 @@ def default_sigma_s(p: int, radii) -> Fraction:
         r.d: 2 for r in radii if isinstance(r, FreeRadius)})))
 
 
-def make_profile(p, radii, sigma_s=None, max_denom_log=16) -> RadiusProfile:
+def make_profile(p, radii, sigma_s=None, max_denom_log=DEFAULT_DENOM_LOG) -> RadiusProfile:
     radii = tuple(radii)
     if sigma_s is None:
         sigma_s = default_sigma_s(p, radii)

@@ -7,14 +7,12 @@ import pytest
 
 from ultrametrica.series import (
     add,
-    gauss_norm,
     lift_base,
     make_series,
     monomial,
     mul,
     series_frac_pow,
     series_zero,
-    with_floor,
 )
 from ultrametrica.tatealg import TateElement
 from ultrametrica.valuegroup import (
@@ -24,10 +22,8 @@ from ultrametrica.valuegroup import (
     compare,
     make_profile,
     value,
-    value_lift,
     value_max,
     value_mul,
-    value_pow,
 )
 
 
@@ -215,36 +211,20 @@ def ref_evaluate(f, images, p):
     return {k: c for k, c in out.items() if c}
 
 
-def ref_evaluate_by_factors(f, images, target):
+def ref_evaluate_by_factors(f, images):
     """Reference evaluate of a Tate element f under exact images (series
-    over one profile) above the target floor, one factor at a time.
-
-    A term is skipped when its bound |c| prod |g_i|**e_i lies below target,
-    unless an image with e_i != 0 is zero (then the term has no bound and
-    is kept).  A kept term contributes lift_base(c) times images[i]**e_i
-    for i ascending, one mul per factor; the contributions add left to
-    right.  The result floor is target after a skip, and zero otherwise."""
+    over one profile), one factor at a time: each term contributes
+    lift_base(c) times images[i]**e_i for i ascending, one mul per factor,
+    and the contributions add left to right.  The result is exact."""
     profile = images[0].profile
-    contribs, skipped = [], False
+    contribs = []
     for e, c in f.terms.items():
-        bound = value_lift(gauss_norm(c), profile)
-        for ei, g in zip(e, images):
-            if ei:
-                ng = gauss_norm(g)
-                if ng is None:
-                    bound = None
-                    break
-                bound = value_mul(bound, value_pow(ng, ei))
-        if bound is not None and compare(bound, target) is Ordering.LESS:
-            skipped = True
-            continue
         contrib = lift_base(c, profile)
         for ei, g in zip(e, images):
             if ei:
                 contrib = mul(contrib, series_frac_pow(g, ei))
         contribs.append(contrib)
-    acc = functools.reduce(add, contribs) if contribs else series_zero(profile)
-    return with_floor(acc, target) if skipped else acc
+    return functools.reduce(add, contribs) if contribs else series_zero(profile)
 
 
 # ---------------------------------------------------------------------------

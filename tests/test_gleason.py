@@ -796,7 +796,7 @@ class TestReconstruct:
 
     def test_norm_above_s_rejected(self, spec21, prof):
         beta = make_series(prof, {(Fraction(0), (Fraction(1),)): 1})
-        with pytest.raises(InputValidationError):
+        with pytest.raises(InputValidationError, match=r"requires \|beta\| <= s"):
             reconstruct_preimage(spec21, beta, 4)
 
     def test_unknown_beta_is_floor_exhaustion(self, spec21, prof):

@@ -324,6 +324,41 @@ class TestCli:
         assert len(changed) == report["failures"] == 3
         assert [c["agrees_above_floor"] for c in report["cases"]] == [False] * 3
 
+    @pytest.mark.parametrize("change, code", [
+        ("none", EXIT_OK),
+        ("first above its bound", EXIT_VERIFICATION),
+        ("last rises under its bound", EXIT_VERIFICATION),
+    ])
+    def test_the_trial_checks_each_residual(self, tmp_path, monkeypatch, capsys,
+                                            change, code):
+        """Each step's residual norm is replaced by that step's bound, which
+        passes; then one more change.  A first residual above its bound,
+        the sequence still nonincreasing, fails the trial; so does a last
+        residual that rises over the one before it (lowered below the last
+        bound) but stays under its own bound.  The preimage is unchanged,
+        so every trial still agrees above the floor."""
+        cfg = {"p": 2, "radii": [{"sqrt": 2}], "max_denom_log": 32, "depth": 6,
+               "floor_exponent": "10", "trials": 3, "seed": 1}
+        path = tmp_path / "cfg.json"
+        uio.dump_json(cfg, str(path))
+        real = cli.reconstruct_preimage
+
+        def reconstruct_then_change(spec, beta, steps):
+            result = real(spec, beta, steps)
+            norms = [spec.step_values(m)[1] for m in range(steps)]
+            if change == "first above its bound":
+                norms[0] = value_mul(norms[0], t_power(spec.profile, -1))
+            elif change == "last rises under its bound":
+                norms[-2] = value_mul(norms[-1], t_power(spec.profile, 1))
+                assert value_lt(norms[-2], norms[-1])
+            return replace(result, residuals=tuple(norms))
+
+        monkeypatch.setattr(cli, "reconstruct_preimage", reconstruct_then_change)
+        assert main(["surject-verify", "--config", str(path)]) == code
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert [c["ok"] for c in report["cases"]] == [code == EXIT_OK] * 3
+        assert [c["agrees_above_floor"] for c in report["cases"]] == [True] * 3
+
     def test_surject_verify_writes_report_and_tsv(self, tmp_path, capsys):
         cfg = {
             "p": 2,

@@ -8,10 +8,10 @@ over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
 conftest reference, the last over m in {1, 2} Tate variables against
 itself; the first two references call no library code.  Two more: a profile's integer sign
 kernel agrees with mpmath, and a division step's residual is beta minus
-the evaluation of its Tate part.  evaluate skips a term exactly when its
-bound |c| * |image| lies below the target, and a lifted product
-accumulates as the product of the lift does, under free radii with a
-rational one or without.  Last, under profiles that mix rational
+the evaluation of its Tate part.  evaluate keeps every term whatever the
+target, even where the bound |c| * |image| lies below it, and a lifted
+product accumulates as the product of the lift does, under free radii
+with a rational one or without.  Last, under profiles that mix rational
 and free radii, two norms built along different paths compare equal
 exactly when they are == Values."""
 
@@ -70,7 +70,6 @@ from ultrametrica.valuegroup import (
     t_power,
     value,
     value_lift,
-    value_lt,
     value_mul,
     value_pow,
     zero_value,
@@ -222,8 +221,8 @@ def fine_target_evaluation(p, e):
     """(f, images, target) for f = T_1 + T_2 under T_1 -> x, T_2 -> 1 with
     the one radius sqrt(2), and the target |t|**e for an e of weight in
     (0, sqrt(2)) whose denominator is no power of p within the cap, so the
-    target's Value is not over D: the bound |x| lies below the target, and
-    T_1 is skipped, while 1 lies above it."""
+    target's Value is not over D: the bound |x| lies below the target,
+    while 1 lies above it."""
     prof = make_profile(p, [FreeRadius(2)], max_denom_log=12)
     base = prof.base()
     images = [make_series(prof, {(0, (1,)): 1}), one(prof)]
@@ -239,17 +238,16 @@ def fine_target_evaluation(p, e):
 @example(fine_target_evaluation(3, Fraction(1, 3**13)))
 def test_evaluate_above_a_nonzero_floor_multiplies_factor_by_factor(ops):
     """evaluate equals the term-by-term product taken one image power at a
-    time, terms and floor alike, under rational radii too: a term is
-    skipped exactly when its bound lies below the target, and a skip makes
-    the target the result floor."""
+    time, terms and floor alike, under rational radii too, whatever the
+    target."""
     f, images, target = ops
     got = evaluate(f, HomSpec(tuple(images)), target)
-    assert got == ref_evaluate_by_factors(f, images, target)
+    assert got == ref_evaluate_by_factors(f, images)
 
 
 @st.composite
 def keep_decisions(draw):
-    """(f, images, target) for the keep-decision law: p in {2, 3}, 0-3
+    """(f, images, target) for the every-target law: p in {2, 3}, 0-3
     free radii, with a rational radius |t|**(1/3) or without, and the cap
     p**4; m in {1, 2} images, each zero or up to two terms of norm <= 1;
     f with up to three terms, whose coefficient may be zero (and is then
@@ -313,8 +311,8 @@ def near_bound_evaluation(p, j):
     """(f, images, target) for f = T_1 under T_1 -> x with the one radius
     sqrt(2) and the cap p**4, and the target |x| itself (j None) or
     |x| * |t|**(-1/p**j): for j past the cap, D * w(target / |x|) lies
-    strictly between -1 and 0, so T_1 (a = 0) is skipped by the floor of
-    that bound and would be kept by its ceiling."""
+    strictly between -1 and 0, so the bound of T_1 (a = 0) lies just below
+    the target."""
     prof = make_profile(p, [FreeRadius(2)], max_denom_log=4)
     base = prof.base()
     x = make_series(prof, {(0, (1,)): 1})
@@ -331,22 +329,17 @@ def near_bound_evaluation(p, j):
 @example(fine_target_evaluation(2, Fraction(4, 3)))
 @example(fine_target_evaluation(3, Fraction(1, 3**13)))
 @example(radius_image_evaluation(2, Fraction(1, 3)))
-def test_evaluate_skips_a_term_exactly_when_its_bound_is_below_the_target(ops):
-    """Term by term, evaluate skips c * T**e exactly when
-    value_lt(value_mul(value_lift(|c|, P), |image|), target) holds, the
-    image of the zero image having no bound: a skipped term leaves no
-    terms and the target as the floor, and a kept one gives
-    lift_base(c) * image exactly."""
+def test_evaluate_keeps_every_term_whatever_the_target(ops):
+    """evaluate at the target equals evaluate at the zero target, and term
+    by term it gives lift_base(c) * image exactly, also where the bound
+    |c| * |image| lies below the target."""
     f, images, target = ops
     prof = images[0].profile
     hom = HomSpec(tuple(images))
+    assert evaluate(f, hom, target) == evaluate(f, hom, zero_value(prof))
     for e, c in f._terms.items():
         got = evaluate(TateElement(f.m, f.base, {e: c}), hom, target)
-        bound = term_bound(prof, images, e, c)
-        if bound is not None and value_lt(bound, target):
-            assert got == series_zero(prof, target)
-        else:
-            assert got == mul(lift_base(c, prof), term_image(prof, images, e))
+        assert got == mul(lift_base(c, prof), term_image(prof, images, e))
 
 
 @st.composite

@@ -438,6 +438,13 @@ class TestIsAdapted:
         cert = is_adapted(S(prof_s2, (1, 3, 0)), (0,))  # |t^3| < s
         assert not cert.checks[0]
 
+    def test_norm_above_one_fails_condition_1(self, prof_s2):
+        # t^-2 x has weight sqrt2 - 2 < 0, so its norm is above 1, while
+        # its one term is the x^1 term and there is no tail
+        cert = is_adapted(S(prof_s2, (1, -2, 1)), (1,))
+        assert cert.checks == (False, True, True)
+        assert not cert.passed
+
     def test_coarse_floor_raises(self, prof_s2):
         # s*|pi| has weight 3; a floor at weight 2 cannot decide the tail
         beta = S(prof_s2, (1, 0, 1), floor=t_power(prof_s2, 2))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_evaluate, ref_evaluate_by_factors, ref_make_tate, ref_tate_norm
+from conftest import ref_evaluate, ref_make_tate, ref_tate_norm
 from ultrametrica import tatealg
 from ultrametrica.errors import InputValidationError, ProfileMismatchError
 from ultrametrica.series import (
@@ -33,16 +33,11 @@ from ultrametrica.tatealg import (
 )
 from ultrametrica.valuegroup import (
     FreeRadius,
-    Ordering,
-    compare,
     make_profile,
-    one_value,
     t_power,
     value,
     value_le,
     value_lift,
-    value_mul,
-    value_pow,
     zero_value,
 )
 
@@ -151,10 +146,10 @@ class TestEvaluate:
         assert got.terms == expected
 
     def test_image_below_its_floor(self, prof1):
-        # T_2 maps to the zero image (norm None), so its terms are
-        # computed, not bounded, and add nothing; T_3**(1/4) with
-        # coefficient t**20 is skipped, which puts the target into the
-        # result floor.  The expected value was computed by hand.
+        # T_2 maps to the zero image (norm None), so its terms add
+        # nothing; T_3**(1/4) with coefficient t**20 lies far below both
+        # targets and is still evaluated, and the result is exact.  The
+        # expected value was computed by hand.
         base = prof1.base()
         g1 = make_series(prof1, {(Fraction(0), (Fraction(1),)): 1,
                                  (Fraction(1), (Fraction(0),)): 1})
@@ -167,29 +162,18 @@ class TestEvaluate:
             (1, Fraction(1, 2), 2): monomial(base, 1, Fraction(1, 2)),
             (0, 0, Fraction(1, 4)): monomial(base, 1, 20),
         })
-        # t * (x + t)**(3/2) = t x^(3/2) + t^(3/2) x + t^2 x^(1/2) + t^(5/2)
+        # t * (x + t)**(3/2) = t x^(3/2) + t^(3/2) x + t^2 x^(1/2) + t^(5/2),
+        # and t**20 * (t^(1/2) x^(1/2))**(1/4) = t^(161/8) x^(1/8)
         terms = {
             (Fraction(0), (Fraction(0),)): 1,
             (Fraction(1), (Fraction(3, 2),)): 1,
             (Fraction(3, 2), (Fraction(1),)): 1,
             (Fraction(2), (Fraction(1, 2),)): 1,
             (Fraction(5, 2), (Fraction(0),)): 1,
+            (Fraction(161, 8), (Fraction(1, 8),)): 1,
         }
         for target in (6, 10):
-            floor = t_power(prof1, target)
-            assert evaluate(f, hom, floor) == make_series(prof1, terms, floor)
-
-    def test_skip_bound_reads_a_floor_over_its_own_denominator(self):
-        # D = 2**12, and the target |t|**(1/2**13) r lies over 2 D.  The
-        # bound |t|**(1/2**12) r of t**(1/2**12) T -> t**(1/2**12) x is
-        # below it, so the term is skipped; read over D, the target would
-        # pass for |t|**(1/2**12) r, tie with the bound and keep the term.
-        prof = make_profile(2, [FreeRadius(2)], max_denom_log=12)
-        base = prof.base()
-        f = make_tate(1, base, {(1,): monomial(base, 1, Fraction(1, 2**12))})
-        target = value(prof, Fraction(1, 2**13), (1,))
-        got = evaluate(f, HomSpec((x_var(prof),)), target)
-        assert got == series_zero(prof, target)
+            assert evaluate(f, hom, t_power(prof1, target)) == make_series(prof1, terms)
 
     def test_ring_homomorphism_up_to_floors(self, prof1):
         rng = random.Random(13)
@@ -295,37 +279,18 @@ class TestEvaluateLaws:
     def hom(images, profile):
         return HomSpec(tuple(make_series(profile, {(a, xs): c}) for c, a, xs in images))
 
-    @settings(max_examples=150, deadline=None)
-    @given(exact_evaluations())
-    def test_matches_reference_substitution(self, ops):
+    @settings(max_examples=200, deadline=None)
+    @given(exact_evaluations(), st.integers(-1, 24))
+    def test_matches_reference_substitution(self, ops, target_exp):
+        """Whatever the target floor, the zero one (-1) or |t|**a, evaluate
+        keeps every term and returns the exact substitution with the zero
+        floor."""
         f, _, images, profile = ops
-        got = evaluate(f, self.hom(images, profile), zero_value(profile))
+        target = zero_value(profile) if target_exp < 0 else \
+            t_power(profile, Fraction(target_exp, 2))
+        got = evaluate(f, self.hom(images, profile), target)
         assert got.floor.zero
         assert got.terms == ref_evaluate(f, images, profile.p)
-
-    @settings(max_examples=200, deadline=None)
-    @given(exact_evaluations(), st.integers(0, 24))
-    def test_skip_rule_matches_reference_bound(self, ops, target_exp):
-        """Above a target floor |t|**a, a term T**e with coefficient c is
-        skipped when |c| prod |g_i|**e_i, summed here by hand, lies below
-        it; a skip puts the target into the result floor."""
-        f, _, images, profile = ops
-        target = t_power(profile, Fraction(target_exp, 2))
-        kept = {}
-        for e, coeff in f.terms.items():
-            a = min(t for t, _ in coeff.terms)
-            xs = [Fraction(0)] * profile.n
-            for ei, (_, ai, xsi) in zip(e, images):
-                a += ei * ai
-                xs = [x + ei * xi for x, xi in zip(xs, xsi)]
-            if compare(value(profile, a, xs), target) is not Ordering.LESS:
-                kept[e] = coeff
-        floor = target if len(kept) < len(f.terms) else zero_value(profile)
-        terms = ref_evaluate(make_tate(f.m, f.base, kept), images, profile.p)
-        got = evaluate(f, self.hom(images, profile), target)
-        assert got.floor == floor
-        assert got.terms == {k: c for k, c in terms.items()
-                             if compare(value(profile, *k), floor) is not Ordering.LESS}
 
     @settings(max_examples=100, deadline=None)
     @given(exact_evaluations())
@@ -493,65 +458,3 @@ class TestPowerMemo:
         for _ in range(2):
             assert [evaluate(f, capped, floor) for f in fs] == expected
             assert len(capped._powers) == 3
-
-
-class TestKeepBoundMemo:
-    """HomSpec._keep_bound memoizes evaluate's integer keep bound per
-    target and Tate exponent tuple; results must not depend on it."""
-
-    images = staticmethod(TestPowerMemo.images)
-
-    def test_cap_is_reached_and_respected(self, prof1):
-        hom = HomSpec(self.images(prof1))
-        cap = tatealg._POWER_MEMO_CAP
-        target = t_power(prof1, 30)
-        fs = [make_tate(3, prof1.base(), {(Fraction(k, 4), 0, 0): one(prof1.base())})
-              for k in range(cap + 20)]
-        for _ in range(2):
-            for f in fs:
-                assert evaluate(f, hom, target) == ref_evaluate_by_factors(f, hom.images, target)
-                assert len(hom._bounds) <= cap
-            assert len(hom._bounds) == cap
-
-    def test_full_memo_still_decides(self, prof1, monkeypatch):
-        """With the memo full of one target's bounds, other targets and
-        other tuples are decided afresh, as by a hom with no memo."""
-        rng = random.Random(47)
-        images = self.images(prof1)
-        monkeypatch.setattr(tatealg, "_POWER_MEMO_CAP", 4)
-        full = HomSpec(images)
-        fs = [rand_tate(prof1.base(), 3, rng) for _ in range(40)]
-        for f in fs:
-            evaluate(f, full, t_power(prof1, 3))
-        assert len(full._bounds) == 4
-        for k in (0, 1, 3, Fraction(9, 2), 30):
-            target = t_power(prof1, k)
-            for f in fs:
-                want = ref_evaluate_by_factors(f, images, target)
-                assert evaluate(f, full, target) == want == evaluate(f, HomSpec(images), target)
-            assert len(full._bounds) == 4
-
-    def test_two_targets_never_share_a_bound(self, prof1):
-        """Targets one step apart around a term's bound |x| (one keeps it,
-        one skips it), the zero target and the one target (whose Value
-        has the zero target's exponents), and |t|**2 over D and over a
-        finer denominator, each read in turn on one hom, evaluate as on a
-        fresh hom."""
-        base = prof1.base()
-        images = self.images(prof1)
-        f = make_tate(3, base, {(1, 0, 0): one(base), (0, 0, 0): one(base)})
-        x = value(prof1, 0, (1,))
-        step = t_power(prof1, Fraction(1, prof1.den))
-        targets = [x, value_mul(x, value_pow(step, -1)), zero_value(prof1), one_value(prof1),
-                   t_power(prof1, 2), value_pow(t_power(prof1, 2 * 3), Fraction(1, 3)),
-                   value_pow(t_power(prof1, 6), Fraction(1, 3 * prof1.den))]
-        assert targets[4] == targets[5]
-        hom = HomSpec(images)
-        for _ in range(2):
-            for target in targets + targets[::-1]:
-                got = evaluate(f, hom, target)
-                assert got == evaluate(f, HomSpec(images), target)
-                assert got == ref_evaluate_by_factors(f, images, target)
-        # |T_1| = |x| is not below the first target and lies below the second
-        assert evaluate(f, hom, targets[0]).floor.zero
-        assert evaluate(f, hom, targets[1]).floor == targets[1]
