@@ -279,15 +279,39 @@ class TestEvaluateLaws:
     def hom(images, profile):
         return HomSpec(tuple(make_series(profile, {(a, xs): c}) for c, a, xs in images))
 
+    @settings(max_examples=150, deadline=None)
+    @given(exact_evaluations())
+    def test_matches_reference_substitution(self, ops):
+        f, _, images, profile = ops
+        got = evaluate(f, self.hom(images, profile), zero_value(profile))
+        assert got.floor.zero
+        assert got.terms == ref_evaluate(f, images, profile.p)
+
     @settings(max_examples=200, deadline=None)
     @given(exact_evaluations(), st.integers(-1, 24))
-    def test_matches_reference_substitution(self, ops, target_exp):
+    def test_skip_rule_matches_reference_bound(self, ops, target_exp):
         """Whatever the target floor, the zero one (-1) or |t|**a, evaluate
-        keeps every term and returns the exact substitution with the zero
-        floor."""
+        skips no term, even one whose bound |c| prod |g_i|**e_i, summed
+        here by hand, lies below the target: it returns the exact
+        substitution with the zero floor."""
         f, _, images, profile = ops
         target = zero_value(profile) if target_exp < 0 else \
             t_power(profile, Fraction(target_exp, 2))
+        for e, coeff in f.terms.items():
+            a = min(t for t, _ in coeff.terms)
+            xs = [Fraction(0)] * profile.n
+            for ei, (_, ai, xsi) in zip(e, images):
+                a += ei * ai
+                xs = [x + ei * xi for x, xi in zip(xs, xsi)]
+            term = make_tate(f.m, f.base, {e: coeff})
+            got = evaluate(term, self.hom(images, profile), target)
+            assert got.floor.zero
+            assert got.terms == ref_evaluate(term, images, profile.p)
+            # the bound is the value of the leading term, kept whether it
+            # lies below the target or not
+            bound = value(profile, a, xs)
+            assert bound in [value(profile, *k) for k in got.terms]
+            assert all(value_le(value(profile, *k), bound) for k in got.terms)
         got = evaluate(f, self.hom(images, profile), target)
         assert got.floor.zero
         assert got.terms == ref_evaluate(f, images, profile.p)
