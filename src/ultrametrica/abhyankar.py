@@ -43,6 +43,10 @@ class TypeIVCoordinate:
 
     prefix: NestedPrefix
 
+    def __post_init__(self):
+        if not isinstance(self.prefix, NestedPrefix):
+            raise InputValidationError("a type-IV coordinate needs a nested prefix")
+
 
 @dataclass(frozen=True)
 class TowerPoint:

@@ -80,6 +80,8 @@ class NestedPrefix:
     def __post_init__(self):
         if not self.disks:
             raise InputValidationError("nested prefix needs at least one disk")
+        if not all(isinstance(d, DiskPoint) for d in self.disks):
+            raise InputValidationError("a nested prefix holds disks only")
         for k in range(len(self.disks) - 1):
             a, b = self.disks[k], self.disks[k + 1]
             if compare(b.radius, a.radius) is not Ordering.LESS:

@@ -29,6 +29,7 @@ from .tatealg import evaluate
 from .valuegroup import (
     RadiusProfile,
     ceil_weight,
+    numerator,
     t_power,
     value_le,
     weight_decimal,
@@ -83,6 +84,8 @@ class Config:
     def __post_init__(self):
         _check_range("depth", self.depth, 1, MAX_DEPTH)
         _check_range("trials", self.trials, 1, MAX_TRIALS)
+        if self.c_exponent is not None:
+            numerator(self.profile, self.c_exponent, "c_exponent")  # under parse_guard: exit 2
         if self.floor_exponent < 0:
             raise InputValidationError(
                 f"floor_exponent must be >= 0, got {self.floor_exponent}")

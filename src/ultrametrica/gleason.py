@@ -37,7 +37,6 @@ from .series import (
     _mul_lifted_into,
     gauss_norm,
     is_adapted,
-    lift_base,
     monomial,
     mul,
     neg,
@@ -217,21 +216,14 @@ class GleasonSchedule:
 
     def W(self, m: int) -> SeriesElement:
         """Lattice monomial prod V_k**h_{m,k} (1-based m)."""
-        return _lattice_monomial(self.profile, self.V, self.h_reps[m - 1])
-
-    def e(self, m: int) -> SeriesElement:
-        return monomial(self.profile.base(), 1, self.gammas[m - 1])
-
-    def eps(self, m: int) -> SeriesElement:
-        return monomial(self.profile.base(), 1, self.deltas[m - 1])
+        W = one(self.profile)
+        for hk, vk in zip(self.h_reps[m - 1], self.V):
+            W = mul(W, series_frac_pow(vk, hk))
+        return W
 
     def beta_exp(self, m: int) -> Fraction:
-        """t-exponent of beta_m."""
+        """t-exponent of beta_m, the coefficient of W_m**(p**b_m) in G."""
         return _beta_exponent(self.mode, self.gammas[m - 1], self.profile.p ** self.b[m - 1])
-
-    def beta(self, m: int) -> SeriesElement:
-        """Coefficient of W_m**(p**b_m) in the stored element (1-based m)."""
-        return monomial(self.profile.base(), 1, self.beta_exp(m))
 
     def d(self, m: int, i: int) -> SeriesElement:
         """Elimination coefficient d_{m,i} = eps_m * beta_i, for i < m."""
@@ -239,7 +231,7 @@ class GleasonSchedule:
 
     def term(self, m: int) -> SeriesElement:
         wpow = series_frac_pow(self.W(m), self.profile.p ** self.b[m - 1])
-        return mul(lift_base(self.beta(m), self.profile), wpow)
+        return mul(monomial(self.profile, 1, self.beta_exp(m)), wpow)
 
     def element(self, start: int = 1) -> SeriesElement:
         """The stored finite Gleason element (exact); from a later start
@@ -269,7 +261,7 @@ class GleasonSchedule:
         """(eps_m * sum_{i>=m} beta_i W_i**(p**b_i)) ** (1/p**b_m), exact."""
         if not 1 <= m <= self.depth:
             raise DepthError(f"schedule has depth {self.depth}, asked for step {m}")
-        expr = mul(lift_base(self.eps(m), self.profile), self.element(m))
+        expr = mul(monomial(self.profile, 1, self.deltas[m - 1]), self.element(m))
         return root_pk(expr, self.b[m - 1])
 
 
@@ -278,19 +270,14 @@ def _beta_exponent(mode: str, gamma: Fraction, pb) -> Fraction:
     return gamma * pb if mode == "alpha" else gamma
 
 
-def _lattice_monomial(profile, V, h) -> SeriesElement:
-    W = one(profile)
-    for hk, vk in zip(h, V):
-        W = mul(W, series_frac_pow(vk, hk))
-    return W
-
-
 def _check_monomials(V):
+    """The norms |V_k| of the exact monomials V, each below 1."""
     for v in V:
         if len(v._terms) != 1 or not v.floor.zero:
             raise InputValidationError("V entries must be exact monomials")
         if not value_lt(gauss_norm(v), one_value(v.profile)):
             raise WindowError("every |V_k| must be < 1")
+    return [gauss_norm(v) for v in V]
 
 
 def _pick_e_alpha(profile, nW):
@@ -319,6 +306,13 @@ def _pick_e_direct(profile, nV, nW, m: int):
     return zp_in_open_interval(lo, hi, profile.p)
 
 
+def _require_sigma_at_least_one(profile):
+    """Refuse sigma_s < 1, where no alpha-mode build can start."""
+    if value_lt(pi_value(profile), s_value(profile)):
+        raise InputValidationError(f"sigma_s = {profile.sigma_s} is below 1: no Frobenius"
+                                   f" height meets |term| < |t| at step 1")
+
+
 def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
     """Generic schedule builder over monomials V, stepping through the
     well-order of the exponent set J whose members rule.rep represents.
@@ -329,7 +323,8 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
     < s |pi| when m > 1 and (5) omega(m) p**b_m unlike every earlier
     omega(i) p**b_i, for the norms term = beta_m W_m**(p**b_m) and
     head = (eps_m beta_m)**(1/p**b_m) W_m.  Each window is one comparison
-    of Values, so every choice is exact.
+    of Values, so every choice is exact, and |W_m| = prod |V_k|**h_{m,k}
+    comes from the norms of V: the builder makes no series element.
 
     Heights strictly increase, so both modes scan b_m from b_{m-1} + 1.
     In direct mode that start enforces the growth.  In alpha mode (4)
@@ -351,16 +346,13 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
         raise InputValidationError("schedules require a free profile with n >= 1")
     if depth < 0:
         raise InputValidationError(f"schedule depth must be >= 0, got {depth}")
+    if mode == "alpha":
+        _require_sigma_at_least_one(profile)
     p = profile.p
-    one_norm, s, pi = one_value(profile), s_value(profile), pi_value(profile)
-    if mode == "alpha" and value_lt(pi, s):
-        raise InputValidationError(
-            f"sigma_s = {profile.sigma_s} is below 1: no Frobenius height meets "
-            f"|term| < |t| at step 1"
-        )
-    s_pi = value_mul(s, pi)
-    _check_monomials(V)
-    nV0 = gauss_norm(V[0]) if V else one_norm
+    one_norm, s = one_value(profile), s_value(profile)
+    s_pi = value_mul(s, pi_value(profile))
+    norms = _check_monomials(V)
+    nV0 = norms[0] if V else one_norm
     well = WellOrder(profile.n, p, rule)
 
     omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
@@ -370,8 +362,13 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
     for m in range(1, depth + 1):
         q = well.omega(m)
         h = rule.rep(q)
-        W = _lattice_monomial(profile, V, h)
-        nW = gauss_norm(W) if W._terms else one_norm
+        nW = one_norm  # |W_m| = prod |V_k|**h_{m,k}
+        for hk, v, nv in zip(h, V, norms):
+            if hk:  # the factor's exponents must fit the cap, as W(m) needs
+                (t, xs), = v._terms
+                for e in (t, *xs):
+                    numerator(profile, hk * Fraction(e, profile.den))
+                nW = value_mul(nW, value_pow(nv, hk))
         if mode == "alpha":
             gamma = _pick_e_alpha(profile, nW)
         else:
@@ -458,7 +455,6 @@ def _lattice_rule(profile: RadiusProfile, V) -> IndependentRep:
 def build_gmultivar(profile: RadiusProfile, V, depth: int, rule=None):
     """Gleason element for the lattice spanned by the monomials V, or for
     the exponent set of an explicit rule."""
-    _check_monomials(V)
     schedule = build_schedule(profile, tuple(V), rule or _lattice_rule(profile, V),
                               depth, mode="alpha")
     return schedule, schedule.element()
@@ -476,7 +472,8 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
         raise InputValidationError("build_gminus needs one free radius")
     if c.profile != profile.base() or len(c._terms) != 1:
         raise InputValidationError("c must be a base-field monomial")
-    cx_inv = mul(lift_base(c, profile), monomial(profile, 1, 0, (-1,)))
+    ((t, _), c0), = c._terms.items()
+    cx_inv = _monomial(profile, c0, t, (-profile.den,))
     n_cx = gauss_norm(cx_inv)
     if not (value_lt(n_cx, one_value(profile)) and value_lt(s_value(profile), n_cx)):
         raise WindowError("bad c: need s < |c x**-1| < 1")
@@ -488,7 +485,7 @@ def build_gminus(profile: RadiusProfile, c: SeriesElement, depth: int):
     for m in range(1, depth + 1):
         hm = schedule.h_reps[m - 1][0]
         exp = (hm * profile.p ** schedule.b[m - 1],)
-        terms[exp] = schedule.e(m)
+        terms[exp] = monomial(base, 1, schedule.gammas[m - 1])
     preimage = make_tate(1, base, terms)
     return schedule, g_minus, preimage
 
@@ -612,6 +609,7 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
+    _require_sigma_at_least_one(profile)  # before c, whose window narrows with s
     n = profile.n
     base = profile.base()
     # |c * prod(x_i**-1)| = |t|**w_c / prod(r_i) must lie in (s, 1).

@@ -190,8 +190,13 @@ def hom_to_json(hom: HomSpec) -> list:
 
 @parse_guard
 def point_from_json(data: dict):
+    """A disk, or a nested prefix whose "disks" entries are read as disks."""
     if "disks" in data:
-        return NestedPrefix(tuple(point_from_json(d) for d in data["disks"]))
+        return NestedPrefix(tuple(_disk_from_json(d) for d in data["disks"]))
+    return _disk_from_json(data)
+
+
+def _disk_from_json(data: dict) -> DiskPoint:
     center = series_from_json(data["center"])
     rprof = (
         profile_from_json(data["radius_profile"])
@@ -226,8 +231,8 @@ SCHEDULE_VERSION = 2
 
 
 def schedule_to_json(s: GleasonSchedule) -> dict:
-    """The scalars that define s; W, e, eps, beta and d are derived from
-    them.  An omega, h, gamma or delta past the cap raises
+    """The scalars that define s; W_m, e_m, eps_m, beta_m and d_{m,i} are
+    derived from them.  An omega, h, gamma or delta past the cap raises
     DenominatorCapError."""
     def exponent(x):
         numerator(s.profile, x)
@@ -303,7 +308,7 @@ def load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise InputValidationError(f"{path}: {exc}")
 
 

@@ -171,21 +171,6 @@ def with_floor(f: SeriesElement, floor: Value) -> SeriesElement:
     return _build(f.profile, dict(f._terms), value_max(f.floor, floor))
 
 
-def lift_base(f: SeriesElement, profile: RadiusProfile) -> SeriesElement:
-    """Embed a base-field element (n = 0) into a larger profile."""
-    if f.profile == profile:
-        return f
-    if f.profile.n != 0 or not profile.extends(f.profile):
-        raise ProfileMismatchError("can only lift base-field elements into extensions")
-    pad, D = profile._one.qn, f.profile.den
-    if profile.den == D:
-        terms = {(t, pad): c for (t, _), c in f._terms.items()}
-    else:  # a profile with another cap: re-express each exponent over its D
-        terms = {(numerator(profile, Fraction(t, D)), pad): c
-                 for (t, _), c in f._terms.items()}
-    return _build(profile, terms, value_lift(f.floor, profile))
-
-
 def _require_profile(f: SeriesElement, profile: RadiusProfile):
     if f.profile != profile:
         raise ProfileMismatchError("series elements live over different profiles")
@@ -304,10 +289,10 @@ def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
 
 
 def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int):
-    """Add sign * lift_base(c) * g into terms, for c over g's base profile
-    (with g's cap), without building the lift: _mul_into's loop, where a
-    lifted term has zero x exponents, so each product keeps the x tuple
-    of its g key and only the t numerators add."""
+    """Add sign * c * g into terms, for c over g's base profile (with g's
+    cap) read as an element of g's profile: _mul_into's loop, where a term
+    of c has zero x exponents, so each product keeps the x tuple of its g
+    key and only the t numerators add."""
     p = g.profile.p
     g_items = g._terms.items()
     for (t1, _), c1 in c._terms.items():

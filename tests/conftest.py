@@ -7,7 +7,6 @@ import pytest
 
 from ultrametrica.series import (
     add,
-    lift_base,
     make_series,
     monomial,
     mul,
@@ -48,6 +47,14 @@ def prof2():
 def prof_rational():
     """p = 2, one rational radius r = |t|."""
     return make_profile(2, [RationalRadius(Fraction(1))])
+
+
+def lift(c, profile):
+    """Reference embedding of the exact base-field element c into profile,
+    read through its Fraction view: each term c_a t**a becomes c_a t**a x**0."""
+    assert c.floor.zero
+    zeros = (0,) * profile.n
+    return make_series(profile, {(t, zeros): coeff for (t, _), coeff in c.terms.items()})
 
 
 def only_x(profile):
@@ -214,12 +221,12 @@ def ref_evaluate(f, images, p):
 def ref_evaluate_by_factors(f, images):
     """Reference evaluate of a Tate element f under exact images (series
     over one profile), one factor at a time: each term contributes
-    lift_base(c) times images[i]**e_i for i ascending, one mul per factor,
+    lift(c) times images[i]**e_i for i ascending, one mul per factor,
     and the contributions add left to right.  The result is exact."""
     profile = images[0].profile
     contribs = []
     for e, c in f.terms.items():
-        contrib = lift_base(c, profile)
+        contrib = lift(c, profile)
         for ei, g in zip(e, images):
             if ei:
                 contrib = mul(contrib, series_frac_pow(g, ei))

@@ -53,6 +53,12 @@ class TestDK:
         assert d_K(pt) == 0
         assert not is_abhyankar(pt)
 
+    def test_type_iv_needs_a_prefix(self, base):
+        # a disk is a point of type I-III, so it pins no type-IV coordinate
+        disk = DiskPoint(series_zero(base), t_power(base, 1))
+        with pytest.raises(InputValidationError, match="nested prefix"):
+            TypeIVCoordinate(disk)
+
     def test_empty_tower(self):
         pt = TowerPoint(())
         assert d_K(pt) == 0

@@ -86,6 +86,11 @@ class TestPrefix:
         with pytest.raises(InputValidationError):
             NestedPrefix((d1, d2))
 
+    def test_entries_must_be_disks(self, shrinking_prefix):
+        # a prefix of prefixes is no type-IV candidate: its entries are no disks
+        with pytest.raises(InputValidationError, match="disks only"):
+            NestedPrefix((shrinking_prefix,))
+
     def test_center_floor_must_beat_radius(self, base):
         from ultrametrica.series import with_floor
 

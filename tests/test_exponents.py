@@ -16,7 +16,6 @@ from ultrametrica.errors import DenominatorCapError, InputValidationError
 from ultrametrica.series import (
     add,
     frobenius,
-    lift_base,
     make_series,
     monomial,
     mul,
@@ -187,15 +186,12 @@ def test_rational_exponent_refusals(name):
 
 
 # Admissions of exponents derived from admitted ones: a root divides them
-# by a power of p and a lift re-expresses them over a smaller cap, so their
-# denominators are powers of p and only the cap can refuse them.  The last
+# by a power of p, so their denominators are powers of p and only the cap
+# can refuse them.  The last
 # rows pin the order of the checks.
 DERIVED_ADMISSIONS = {
     "root_pk": (lambda: root_pk(X, 40), DenominatorCapError,
                 "exponent with denominator p**40 exceeds the cap p**32"),
-    "lift_base into a smaller cap":
-        (lambda: lift_base(monomial(make_profile(2, [], max_denom_log=48), 1, PAST), P2),
-         DenominatorCapError, "exponent with denominator p**40 exceeds the cap p**32"),
     "make_tate cap before a later sign":
         (lambda: make_tate(2, BASE, {(PAST, Fraction(-1)): one(BASE)}),
          DenominatorCapError, "Tate exponent with denominator p**40 exceeds the cap p**32"),

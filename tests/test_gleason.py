@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, only_x, ref_heights, ref_tate_norm
+from conftest import float_weight, lift, only_x, ref_heights, ref_tate_norm
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
+    DenominatorCapError,
     DepthError,
     InputValidationError,
     InvariantViolationError,
@@ -33,7 +34,6 @@ from ultrametrica.gleason import (
 )
 from ultrametrica.series import (
     gauss_norm,
-    lift_base,
     make_series,
     monomial,
     mul,
@@ -185,7 +185,7 @@ class TestBuildGplus:
         # s <= |eps_m ** (1/p**b_m)| for every m
         sched, _ = build_gmultivar(prof, only_x(prof), 8)
         for m in range(1, 9):
-            delta = next(iter(sched.eps(m).terms))[0]
+            delta = sched.deltas[m - 1]
             assert delta / 2 ** sched.b[m - 1] <= prof.sigma_s
 
     def test_argnorm_property(self, prof):
@@ -193,10 +193,10 @@ class TestBuildGplus:
         sched, G = build_gmultivar(prof, only_x(prof), 6)
         p = prof.p
         for m in range(1, 7):
-            expr = mul(lift_base(sched.eps(m), prof), G)
+            expr = mul(monomial(prof, 1, sched.deltas[m - 1]), G)
             for i in range(1, m):
                 wpow = series_frac_pow(sched.W(i), p ** sched.b[i - 1])
-                expr = sub(expr, mul(lift_base(sched.d(m, i), prof), wpow))
+                expr = sub(expr, mul(lift(sched.d(m, i), prof), wpow))
             (_, xs), = res_ge(expr, gauss_norm(expr)).terms
             assert xs == (sched.omegas[m - 1][0] * p ** sched.b[m - 1],)
 
@@ -205,7 +205,7 @@ class TestBuildGplus:
         sched, G = build_gmultivar(prof, only_x(prof), 6)
         rebuilt = {}
         for m in range(1, 7):
-            gamma = next(iter(sched.e(m).terms))[0]
+            gamma = sched.gammas[m - 1]
             pb = 2 ** sched.b[m - 1]
             key = (gamma * pb, (sched.omegas[m - 1][0] * pb,))
             rebuilt[key] = 1
@@ -232,6 +232,15 @@ class TestThresholdBelowPi:
             build_gmultivar(prof, only_x(prof), 3)
         with pytest.raises(InputValidationError, match="below 1"):
             standard_surjection(prof, 3)
+
+    def test_standard_surjection_refuses_before_picking_c(self):
+        # s = |t|**(1/10**6) leaves c a window too narrow for the default
+        # cap, so picking c first would raise a cap error instead
+        prof = make_profile(2, [FreeRadius(2)], sigma_s=Fraction(1, 10**6))
+        with pytest.raises(InputValidationError) as refused:
+            standard_surjection(prof, 3)
+        assert str(refused.value) == ("sigma_s = 1/1000000 is below 1: no Frobenius height"
+                                      " meets |term| < |t| at step 1")
 
     def test_one_still_builds(self):
         prof = make_profile(2, [FreeRadius(2)], sigma_s=1, max_denom_log=32)
@@ -318,6 +327,41 @@ class TestHeights:
         self.check(build_gminus(prof, monomial(prof.base(), 1, 2), 20)[0])
 
 
+class TestWindowsOnNorms:
+    """build_schedule decides every window on Values, from the norms of V:
+    with gleason.mul and gleason.series_frac_pow raising, it returns the
+    schedule it returns without them."""
+
+    @pytest.mark.parametrize("case", ["G+", "two-variable lattice", "standard"])
+    def test_builds_no_series_element(self, monkeypatch, case):
+        prof1 = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+        prof2 = make_profile(2, [FreeRadius(2), FreeRadius(3)], max_denom_log=32)
+        xy = (monomial(prof2, 1, 0, (1, 0)), monomial(prof2, 1, 0, (0, 1)))
+        args = {
+            "G+": (prof1, only_x(prof1), gleason._lattice_rule(prof1, only_x(prof1)), 12),
+            "two-variable lattice": (prof2, xy, gleason._lattice_rule(prof2, xy), 12),
+            "standard": (prof2, standard_surjection(prof2, 1).schedule.V, MinZeroRep(2), 30),
+        }[case]
+        want = gleason.build_schedule(*args)
+
+        def refuse(*_):
+            raise AssertionError("build_schedule computed with a series element")
+
+        monkeypatch.setattr(gleason, "mul", refuse)
+        monkeypatch.setattr(gleason, "series_frac_pow", refuse)
+        assert gleason.build_schedule(*args) == want
+
+    def test_refuses_the_step_whose_lattice_monomial_leaves_the_cap(self):
+        # omega(9) = 1/8 needs x**(1/8), past the cap p**2: G could not hold
+        # it, so the build stops at step 9 rather than running on
+        prof = make_profile(2, [FreeRadius(2)], max_denom_log=2)
+        rule = gleason._lattice_rule(prof, only_x(prof))
+        assert len(gleason.build_schedule(prof, only_x(prof), rule, 8).b) == 8
+        with pytest.raises(DenominatorCapError) as refused:
+            gleason.build_schedule(prof, only_x(prof), rule, 12)
+        assert str(refused.value) == "exponent with denominator p**3 exceeds the cap p**2"
+
+
 class TestBuildGmultivar:
     def test_minus_lattice_coverage(self, prof):
         # V = (x, c x**-1) with the min-zero rule covers Z[1/p]
@@ -355,14 +399,14 @@ class TestBuildGminus:
 
     def test_depth_one_exact_substitution(self, prof, cm):
         sched, G, pre = build_gminus(prof, cm, 1)
-        hom = HomSpec((mul(lift_base(cm, prof), monomial(prof, 1, 0, (-1,))),))
+        hom = HomSpec((mul(lift(cm, prof), monomial(prof, 1, 0, (-1,))),))
         got = evaluate(pre, hom, t_power(prof, 40))
         assert got == G
         assert len(G.terms) == 1
 
     def test_depth_six_roundtrip(self, prof, cm):
         sched, G, pre = build_gminus(prof, cm, 6)
-        hom = HomSpec((mul(lift_base(cm, prof), monomial(prof, 1, 0, (-1,))),))
+        hom = HomSpec((mul(lift(cm, prof), monomial(prof, 1, 0, (-1,))),))
         # the deepest stored term is tiny; evaluate below all of them
         deepest = 2 * max(int(float_weight(make_norm(prof, k))) for k in G.terms) + 2
         got = evaluate(pre, hom, t_power(prof, deepest))
@@ -580,7 +624,7 @@ class ScaledAnswers:
 
     def answer(self, qn):
         ans = self.spec.answer(qn)
-        image = mul(lift_base(self.u, self.spec.profile), ans.image)
+        image = mul(lift(self.u, self.spec.profile), ans.image)
         if self.image_only:
             return OracleAnswer(ans.preimage, image, ans.certificate)
         cert = dataclasses.replace(ans.certificate, b_q=mul(ans.certificate.b_q, self.u))

@@ -444,6 +444,22 @@ ONE_X_T_SERIES = ('{"profile": {"p": 3, "radii": [{"sqrt": 2}]}, "terms": [{"t":
 # needs 2**256 terms.
 NEAR_ONE_SERIES = ('{"profile": {"p": 2, "radii": [], "max_denom_log": 256},'
                    ' "terms": [{"t": "0", "c": 1}, {"t": "1/%d", "c": 1}]}' % 2**256)
+# JSON nested deeper than json.load recurses.
+DEEP_JSON = "[" * 200000 + "]" * 200000
+# A disk of radius 1 about 0, for the Berkovich rows.
+DISK = '{"center": {"profile": {"p": 2, "radii": []}, "terms": []}, "radius": {"a": "1", "q": []}}'
+# A one-run config with two trials and one more key, given in %s.
+TWO_TRIALS_CONFIG = ('{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "trials": 2,'
+                     ' "floor_exponent": "3", %s}')
+
+
+def nested_disks(depth: int) -> str:
+    """DISK inside depth levels of {"disks": [...]}."""
+    text = DISK
+    for _ in range(depth):
+        text = '{"disks": [%s]}' % text
+    return text
+
 
 # (test id, command, input file text); the input file is the command's last
 # argument, and a row whose text is None gives no file.
@@ -530,6 +546,21 @@ MALFORMED_INPUTS = [
      ["gleason", "build", "--depth", "1", "--p", "2", "--config"], SMALL_CONFIG),
     ("gleason build --max-denom-log with --config is a usage error",
      ["gleason", "build", "--depth", "1", "--max-denom-log", "16", "--config"], SMALL_CONFIG),
+    ("norm deeply nested JSON", ["norm"], DEEP_JSON),
+    ("classify deeply nested JSON", ["classify"], DEEP_JSON),
+    ("abhyankar deeply nested JSON", ["abhyankar"], DEEP_JSON),
+    ("surject-verify --config deeply nested JSON", ["surject-verify", "--config"], DEEP_JSON),
+    ("classify prefix of prefixes", ["classify"], nested_disks(2)),
+    ("abhyankar type_iv disk", ["abhyankar"], '[{"type_iv": %s}]' % DISK),
+    ("classify disks nested 450 deep", ["classify"], nested_disks(450)),
+    ("config sigma_s 0.000001", ["surject-verify", "--config"],
+     TWO_TRIALS_CONFIG % '"sigma_s": "0.000001"'),
+    ("gleason build --config sigma_s 0.000001", ["gleason", "build", "--config"],
+     TWO_TRIALS_CONFIG % '"sigma_s": "0.000001"'),
+    ("config c_exponent past the cap", ["surject-verify", "--config"],
+     TWO_TRIALS_CONFIG % '"c_exponent": "262145/131072"'),
+    ("gleason build --config c_exponent past the cap", ["gleason", "build", "--config"],
+     TWO_TRIALS_CONFIG % '"c_exponent": "262145/131072"'),
 ]
 
 

@@ -27,6 +27,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    lift,
     ref_evaluate_by_factors,
     ref_leading_key,
     ref_mul,
@@ -39,7 +40,6 @@ from ultrametrica.series import (
     _mul_lifted_into,
     gauss_norm,
     invert,
-    lift_base,
     make_series,
     mul,
     neg,
@@ -331,7 +331,7 @@ def near_bound_evaluation(p, j):
 @example(radius_image_evaluation(2, Fraction(1, 3)))
 def test_evaluate_keeps_every_term_whatever_the_target(ops):
     """evaluate at the target equals evaluate at the zero target, and term
-    by term it gives lift_base(c) * image exactly, also where the bound
+    by term it gives lift(c) * image exactly, also where the bound
     |c| * |image| lies below the target."""
     f, images, target = ops
     prof = images[0].profile
@@ -339,7 +339,7 @@ def test_evaluate_keeps_every_term_whatever_the_target(ops):
     assert evaluate(f, hom, target) == evaluate(f, hom, zero_value(prof))
     for e, c in f._terms.items():
         got = evaluate(TateElement(f.m, f.base, {e: c}), hom, target)
-        assert got == mul(lift_base(c, prof), term_image(prof, images, e))
+        assert got == mul(lift(c, prof), term_image(prof, images, e))
 
 
 @st.composite
@@ -373,27 +373,27 @@ def lifted_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(lifted_products())
 def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
-    """_mul_lifted_into(terms, c, g, sign) adds sign * lift_base(c) * g into
+    """_mul_lifted_into(terms, c, g, sign) adds sign * lift(c) * g into
     terms as the multiply-accumulate loop does with the lift's terms,
     term for term and in dict order; the sum is that of the start and the
-    products sign * mul(lift_base(c), g), and one product into an empty
+    products sign * mul(lift(c), g), and one product into an empty
     dict is that product's terms, in its order."""
     start, products = ops
     prof = products[0][1].profile
     got, want = dict(start), dict(start)
     for c, g, sign in products:
         _mul_lifted_into(got, c, g, sign)
-        _mul_into(want, lift_base(c, prof)._terms.items(), g._terms, prof.p, sign)
+        _mul_into(want, lift(c, prof)._terms.items(), g._terms, prof.p, sign)
     assert list(got.items()) == list(want.items())
     summands = [make_series(prof, TermKeys(start, prof.den).items())]
     for c, g, sign in products:
-        h = mul(lift_base(c, prof), g)
+        h = mul(lift(c, prof), g)
         summands.append(h if sign == 1 else neg(h))
     assert got == series_sum(prof, summands)._terms
     c, g, sign = products[0]
     alone = {}
     _mul_lifted_into(alone, c, g, sign)
-    h = mul(lift_base(c, prof), g)
+    h = mul(lift(c, prof), g)
     assert list(alone.items()) == list((h if sign == 1 else neg(h))._terms.items())
 
 
