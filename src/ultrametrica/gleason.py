@@ -41,7 +41,6 @@ from .series import (
     mul,
     neg,
     one,
-    res_ge,
     root_pk,
     series_frac_pow,
     series_sum,
@@ -69,7 +68,6 @@ from .valuegroup import (
     value,
     value_le,
     value_lt,
-    value_max,
     value_mul,
     value_pow,
     weight_of,
@@ -505,6 +503,11 @@ class OracleAnswer:
 # Most oracle answers that one SurjectionSpec keeps.
 _ANSWER_MEMO_CAP = 512
 
+# Most division windows, one per step m and x exponent, that one
+# SurjectionSpec keeps; a seed-1 benchmark pass uses 168 (surject-n1) and
+# 573 (surject-n2).
+_WINDOW_MEMO_CAP = 4096
+
 
 @dataclass(frozen=True)
 class SurjectionSpec:
@@ -517,8 +520,9 @@ class SurjectionSpec:
     exponents (a DepthError is never stored); an answer depends only on q
     and the immutable spec, so it behaves as if absent.  _steps keeps
     divide_step's window values per step m (see step_values), for up to
-    MAX_STEPS steps, and _empty is the one empty exact Tate part that a
-    step which clears nothing returns.
+    MAX_STEPS steps; _windows keeps their integer bounds per step m and x
+    exponent (see window), for up to _WINDOW_MEMO_CAP pairs; and _empty is
+    the one empty exact Tate part that a step which clears nothing returns.
     """
 
     n: int
@@ -529,6 +533,7 @@ class SurjectionSpec:
     rule: MinZeroRep = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _empty: TateElement = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -598,6 +603,25 @@ class SurjectionSpec:
                 self._steps[m] = values
         return values
 
+    def window(self, m: int, xs: tuple):
+        """divide_step's integer window for step m and the x exponent
+        numerators xs over D: (lo, hi) such that the term t**(a/D) x**(xs/D)
+        has norm > upper exactly when a < lo and norm >= cut exactly when
+        a <= hi, for (upper, cut) = step_values(m).  With |term| =
+        |t|**(a/D) |x**(xs/D)|, lo = ceil(D w(upper / |x**(xs/D)|)) and
+        hi = floor(D w(cut / |x**(xs/D)|))."""
+        key = (m, xs)
+        bounds = self._windows.get(key)
+        if bounds is None:
+            D = self.profile.den
+            x_inv = value(self.profile, 0, tuple(Fraction(-x, D) for x in xs))
+            upper, cut = self.step_values(m)
+            bounds = (ceil_weight(weight_of(value_pow(value_mul(upper, x_inv), D))),
+                      floor_weight(weight_of(value_pow(value_mul(cut, x_inv), D))))
+            if len(self._windows) < _WINDOW_MEMO_CAP:
+                self._windows[key] = bounds
+        return bounds
+
 
 def standard_surjection(profile: RadiusProfile, depth: int,
                         c_exponent=None) -> SurjectionSpec:
@@ -650,19 +674,23 @@ def _step_values(profile: RadiusProfile, m: int):
 def divide_step(oracle, beta: SeriesElement, m: int):
     """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
     asking oracle.answer(qn) for each x exponent (numerators qn over D);
-    the oracle (a SurjectionSpec) also gives the step's window values and
-    its empty Tate part.
+    the oracle (a SurjectionSpec) also gives the step's window values,
+    their integer bounds per x exponent and its empty Tate part.
 
     Returns (f, residual) with residual = beta - phi(f),
     |residual| <= |pi|**(m+1) s and |f| <= |pi|**m.  When beta carries a
-    floor coarser than the cut, the cut clamps at the floor: stored
-    terms are still cleared and the residual bound degrades to the
-    floor, which is all a truncated input can certify.  A window that
-    clears nothing (|beta| below the clamped cut, or no stored terms)
+    floor coarser than the cut, the cut clamps at the floor: every stored
+    term, of norm >= floor, still clears and the residual bound degrades
+    to the floor, which is all a truncated input can certify.  A window
+    that clears nothing (every term below the cut, or no stored terms)
     returns the oracle's one empty exact Tate element and beta itself.
 
-    The window runs on integer term keys.  One pass over res_ge(beta, cut)
-    groups the cleared terms by x exponent into base-field keys (t, ()).
+    The window runs on integer term keys.  For a term (a, xs),
+    oracle.window(m, xs) = (lo, hi) decides both bounds: a < lo is a norm
+    above |pi|**m s, the step's window error, and a <= hi a norm >= the
+    cut.  One pass over beta's terms checks the first and groups the
+    cleared terms by x exponent into base-field keys (a, ()); an exact
+    beta's window makes no comparison of Values.
     The certificate's b_q must be one term c0 t**(t0 / D), a monomial (see
     AdaptedCertificate); one that is not breaks an invariant.  So each
     division coefficient b / b_q is a key shift, d = sum c c0**-1
@@ -675,18 +703,26 @@ def divide_step(oracle, beta: SeriesElement, m: int):
     floor of sub(beta, the series_sum of the products).
     """
     profile = beta.profile
-    upper, cut = oracle.step_values(m)
-    nb = gauss_norm(beta)
-    if nb is not None and value_lt(upper, nb):
-        raise InputValidationError(
-            f"beta norm exceeds the step-{m} window |pi|**{m} * s"
-        )
-    cut = value_max(cut, beta.floor)
-    if nb is None or value_lt(nb, cut):
+    cut = oracle.step_values(m)[1]
+    if not beta.floor.zero and value_lt(cut, beta.floor):
+        cut = beta.floor
+    window = oracle.window
+    bounds, groups = {}, {}
+    for (a, xs), c in beta._terms.items():
+        lo_hi = bounds.get(xs)
+        if lo_hi is None:
+            bounds[xs] = lo_hi = window(m, xs)
+        if a < lo_hi[0]:
+            raise InputValidationError(
+                f"beta norm exceeds the step-{m} window |pi|**{m} * s"
+            )
+        if a <= lo_hi[1]:
+            group = groups.get(xs)
+            if group is None:
+                groups[xs] = group = {}
+            group[a] = c
+    if not groups:
         return oracle._empty, beta
-    groups = {}
-    for (t, xs), c in res_ge(beta, cut)._terms.items():
-        groups.setdefault(xs, {})[t] = c
     base = profile.base()
     p, zero, bound = profile.p, base._zero, m * profile.den
     parts = []
@@ -747,7 +783,7 @@ def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageRes
     profile = beta.profile
     s = s_value(profile)
     nb = gauss_norm(beta)
-    if nb is not None and value_lt(s, nb):
+    if nb is not None and not value_le(nb, s):
         raise InputValidationError("reconstruct_preimage requires |beta| <= s")
     if nb is None and not beta.floor.zero and value_lt(s, beta.floor):
         raise FloorTooCoarseError(

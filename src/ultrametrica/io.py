@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log10
 
 from .abhyankar import GaussCoordinate, TowerPoint, TypeIVCoordinate
 from .berkovich import DiskPoint, NestedPrefix
@@ -35,14 +36,34 @@ from .valuegroup import (
 
 
 def frac_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # past the digit limit of int -> str
+        raise _digit_limit_error(x.numerator, x.denominator) from None
 
 
 def ratio_to_str(num: int, den: int) -> str:
     """num / den (den > 0) as frac_to_str writes it, in lowest terms."""
     g = gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past the digit limit of int -> str
+        raise _digit_limit_error(num, den) from None
+
+
+def _digit_limit_error(num: int, den: int) -> InputValidationError:
+    """The refusal of a rational num / den whose numerator or denominator
+    has more digits than Python converts to a string
+    (sys.get_int_max_str_digits(), 4300 by default), naming the count."""
+    n = max(abs(num), den)
+    digits = max(1, int(n.bit_length() * log10(2)))  # at most n's digit count
+    while 10**digits <= n:
+        digits += 1
+    return InputValidationError(
+        f"cannot write a rational whose numerator or denominator has {digits} digits,"
+        f" past the {sys.get_int_max_str_digits()}-digit limit of integer string conversion")
 
 
 def frac_from_str(s) -> Fraction:
@@ -308,7 +329,9 @@ def load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer literal past the digit
+        # limit of str -> int; RecursionError: nested too deeply
         raise InputValidationError(f"{path}: {exc}")
 
 

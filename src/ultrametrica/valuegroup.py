@@ -459,13 +459,24 @@ def largest_int_below(w: Weight) -> int:
     return ceil_weight(w) - 1
 
 
+# weight_decimal's strings of irrational weights, keyed by (c0,
+# tuple(irr.items()), den, digits), for up to _DECIMAL_MEMO_CAP weights: a
+# surject-verify run prints one string per trial and step, of few distinct
+# norms (659 of 5 698 in a seed-1 surject-n1 benchmark pass).
+_DECIMAL_MEMO = {}
+_DECIMAL_MEMO_CAP = 4096
+
+
 def weight_decimal(w: Weight, digits: int = 12) -> str:
     """Decimal rendering of a weight with the given digits after the point,
     rounded half up from num / den (a ratio that need not be in lowest
-    terms: no exact half lies between the two roundings)."""
+    terms: no exact half lies between the two roundings).  An irrational
+    weight's string is kept in _DECIMAL_MEMO."""
     if not w.irr:
-        num, den = w.c0, w.den
-    else:
+        return _decimal(w.c0, w.den, digits)
+    key = (w.c0, tuple(w.irr.items()), w.den, digits)
+    text = _DECIMAL_MEMO.get(key)
+    if text is None:
         # The midpoint of the first enclosure of refine() narrower than
         # 10**-(digits+2).  Every bounds(k) has hi - lo = sum|c_d| / g over
         # den = (w.den / g) << k, g the gcd bounds() reduces by, so that k
@@ -476,7 +487,14 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
         while width >= w.den // g << k:
             k *= 2
         lo, hi, den = w.bounds(k)
-        num, den = lo + hi, 2 * den
+        text = _decimal(lo + hi, 2 * den, digits)
+        if len(_DECIMAL_MEMO) < _DECIMAL_MEMO_CAP:
+            _DECIMAL_MEMO[key] = text
+    return text
+
+
+def _decimal(num: int, den: int, digits: int) -> str:
+    """num / den (den > 0) with digits after the point, rounded half up."""
     sign = "-" if num < 0 else ""
     scaled = (abs(num) * 10**digits + den // 2) // den
     whole, frac = divmod(scaled, 10**digits)

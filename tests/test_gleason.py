@@ -23,6 +23,7 @@ from ultrametrica.gleason import (
     IndependentRep,
     MinZeroRep,
     OracleAnswer,
+    SurjectionSpec,
     WellOrder,
     build_gminus,
     build_gmultivar,
@@ -32,20 +33,24 @@ from ultrametrica.gleason import (
     standard_surjection,
     verify_schedule,
 )
+from ultrametrica.sampling import random_series
 from ultrametrica.series import (
+    AdaptedCertificate,
     gauss_norm,
     make_series,
     monomial,
     mul,
+    one,
     res_ge,
     series_frac_pow,
     series_zero,
     sub,
     with_floor,
 )
-from ultrametrica.tatealg import HomSpec, evaluate, t_scale, t_sum
+from ultrametrica.tatealg import HomSpec, evaluate, t_scale, t_sum, tate_monomial
 from ultrametrica.valuegroup import (
     FreeRadius,
+    RationalRadius,
     make_profile,
     pi_value,
     s_value,
@@ -782,6 +787,165 @@ class TestDivideStep:
         beta = make_series(prof, {(Fraction(6), (Fraction(0),)): 1}, t_power(prof, 7))
         with pytest.raises(InputValidationError, match="window"):
             divide_step(spec21, beta, 2)
+
+
+class MonomialOracle:
+    """The parts of a SurjectionSpec that divide_step reads, over any
+    profile, rational radii included: the spec's own step_values and
+    window, with their memos, the empty Tate part, and for x**q the answer
+    image x**q * factor (factor a base-field element, 1 by default) with
+    b_q = 1 and the constant preimage 1, which divide_step does not check."""
+
+    step_values = SurjectionSpec.step_values
+    window = SurjectionSpec.window
+
+    def __init__(self, profile, factor=None):
+        self.profile, self.base = profile, profile.base()
+        self.num_vars = profile.n + 2
+        self._steps, self._windows = {}, {}
+        self._empty = t_sum(self.num_vars, self.base, ())
+        self.factor = factor or one(self.base)
+
+    def answer(self, qn):
+        D = self.profile.den
+        q = tuple(Fraction(x, D) for x in qn)
+        image = mul(lift(self.factor, self.profile), monomial(self.profile, 1, 0, q))
+        cert = AdaptedCertificate(q, s_value(self.profile), one(self.base), None,
+                                  (True, True, True))
+        pre = tate_monomial(self.num_vars, one(self.base), (0,) * self.num_vars)
+        return OracleAnswer(pre, image, cert)
+
+
+class TestDivisionWindow:
+    """divide_step decides its window on the integers (lo, hi) of
+    SurjectionSpec.window, per step and x exponent."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_window_bounds_decide_both_comparisons(self, data):
+        """a < lo exactly when |term| > upper and a <= hi exactly when
+        |term| >= cut, over p = 2 and 3, free and rational radii and a
+        sigma_s outside D**-1 Z."""
+        p = data.draw(st.sampled_from((2, 3)))
+        cap = data.draw(st.integers(1, 5))
+        free = [FreeRadius(d) for d in data.draw(
+            st.lists(st.sampled_from((2, 3, 5)), max_size=2, unique=True))]
+        rational = [RationalRadius(Fraction(data.draw(st.integers(0, 9)),
+                                            data.draw(st.sampled_from((1, 2, 3, p)))))
+                    for _ in range(data.draw(st.integers(0, 2)))]
+        radii = data.draw(st.permutations(free + rational))
+        finer = data.draw(st.sampled_from((p ** (cap + 1), 5 * p, 7)))
+        sigma_s = Fraction(data.draw(st.integers(1, 6 * finer)), finer)
+        profile = make_profile(p, radii, sigma_s, max_denom_log=cap)
+        D = profile.den
+        oracle = MonomialOracle(profile)
+        m = data.draw(st.integers(0, 6))
+        xs = tuple(data.draw(st.integers(-3 * D, 3 * D)) for _ in radii)
+        upper, cut = oracle.step_values(m)
+        lo, hi = oracle.window(m, xs)
+        drawn = data.draw(st.integers(lo - 2 * D, hi + 2 * D))
+        for a in (lo - 1, lo, hi, hi + 1, drawn):
+            norm = value(profile, Fraction(a, D), tuple(Fraction(x, D) for x in xs))
+            assert (a < lo) == value_lt(upper, norm)
+            assert (a <= hi) == value_le(cut, norm)
+
+    @pytest.fixture(scope="class")
+    def half(self):
+        """|x| = |t|**(1/2) and s = |t|**3: at m = 2, upper = |t|**5 and
+        cut = |t|**6, so t**(a/D) x has norm upper at a = 9D/2 = lo and
+        cut at a = 11D/2 = hi."""
+        return make_profile(2, [RationalRadius(Fraction(1, 2))], 3, max_denom_log=4)
+
+    @staticmethod
+    def term(profile, a):
+        D = profile.den
+        return make_series(profile, {(Fraction(a, D), (Fraction(1),)): 1})
+
+    def test_window_of_the_half_profile(self, half):
+        assert MonomialOracle(half).window(2, (half.den,)) == (72, 88)
+
+    def test_a_term_above_upper_is_refused(self, half):
+        with pytest.raises(InputValidationError, match="step-2 window"):
+            divide_step(MonomialOracle(half), self.term(half, 71), 2)
+
+    def test_a_term_at_upper_clears_into_a_residual_at_the_cut(self, half):
+        """a = lo: the norm is upper itself, inside the window; an image
+        x (1 + t) leaves -t**(a/D + 1) x, of norm exactly the cut."""
+        factor = make_series(half.base(), {(Fraction(0), ()): 1, (Fraction(1), ()): 1})
+        f, residual = divide_step(MonomialOracle(half, factor), self.term(half, 72), 2)
+        assert len(f.terms) == 1
+        assert gauss_norm(residual) == MonomialOracle(half).step_values(2)[1]
+
+    def test_a_term_at_the_cut_clears(self, half):
+        f, residual = divide_step(MonomialOracle(half), self.term(half, 88), 2)
+        assert len(f.terms) == 1
+        assert residual.terms == {}
+
+    def test_a_term_just_below_the_cut_stays(self, half):
+        oracle = MonomialOracle(half)
+        beta = self.term(half, 89)
+        f, residual = divide_step(oracle, beta, 2)
+        assert f is oracle._empty
+        assert residual is beta
+
+    def test_a_floor_above_the_cut_bounds_the_residual(self, half):
+        """With the floor |t|**(11/2) above the cut |t|**6, the image
+        x (1 + t**(1/2)) leaves a residual term of norm the floor itself:
+        the cut clamps at the floor, so the step accepts it."""
+        floor = t_power(half, Fraction(11, 2))
+        factor = make_series(half.base(), {(Fraction(0), ()): 1, (Fraction(1, 2), ()): 1})
+        beta = make_series(half, {(Fraction(9, 2), (Fraction(1),)): 1}, floor)
+        f, residual = divide_step(MonomialOracle(half, factor), beta, 2)
+        assert len(f.terms) == 1
+        assert gauss_norm(residual) == floor
+
+    def test_a_floor_that_swallows_the_cut_clears_every_stored_term(self, spec21, prof):
+        # m = 2: upper |t|**7, cut |t|**8, floor |t|**(15/2); both terms lie
+        # between the floor and upper
+        floor = t_power(prof, Fraction(15, 2))
+        beta = make_series(prof, {
+            (Fraction(6), (Fraction(1),)): 1,
+            (Fraction(7), (Fraction(0),)): 1,
+        }, floor)
+        f, residual = divide_step(spec21, beta, 2)
+        assert residual.terms == {}
+        assert residual.floor == floor
+        assert residual == sub(beta, evaluate(f, spec21.hom, zero_value(prof)))
+
+    def test_windows_are_kept_for_at_most_the_cap(self, prof, monkeypatch):
+        monkeypatch.setattr(gleason, "_WINDOW_MEMO_CAP", 3)
+        spec = standard_surjection(prof, 4)
+        pairs = [(m, (x * prof.den,)) for m in range(3) for x in range(-1, 2)]
+        fresh = [MonomialOracle(prof).window(m, xs) for m, xs in pairs]
+        assert [spec.window(m, xs) for m, xs in pairs] == fresh
+        assert list(spec._windows) == pairs[:3]
+        assert spec.window(*pairs[0]) is spec.window(*pairs[0])
+
+    @pytest.mark.parametrize("radii, cap, depth, steps", [
+        ((2,), 32, 21, 8),      # the surject-n1 benchmark configuration
+        ((2, 3), 110, 81, 4),   # surject-n2
+    ])
+    def test_an_exact_beta_makes_no_value_comparison(self, monkeypatch, radii, cap,
+                                                     depth, steps):
+        """Design guard: with gleason.res_ge and gleason.value_lt patched to
+        raise, reconstruction of exact drawn betas over a fresh spec (empty
+        memos) gives the results of an unpatched run."""
+        profile = make_profile(2, [FreeRadius(d) for d in radii], max_denom_log=cap)
+        warm, cold = standard_surjection(profile, depth), standard_surjection(profile, depth)
+        rng = random.Random(1)
+        pool = list(warm.schedule.omegas)
+        betas = [rescale_into_window(random_series(profile, rng, x_pool=pool,
+                                                   max_t_weight=12))[0]
+                 for _ in range(30)]
+        expected = [reconstruct_preimage(warm, beta, steps) for beta in betas]
+
+        def refuse(*args):
+            raise AssertionError("a Value comparison in a division window")
+
+        monkeypatch.setattr(gleason, "res_ge", refuse, raising=False)
+        monkeypatch.setattr(gleason, "value_lt", refuse)
+        assert [reconstruct_preimage(cold, beta, steps) for beta in betas] == expected
+        assert sum(len(r.preimage.terms) for r in expected) > 0
 
 
 class TestReconstruct:

@@ -448,6 +448,9 @@ NEAR_ONE_SERIES = ('{"profile": {"p": 2, "radii": [], "max_denom_log": 256},'
 DEEP_JSON = "[" * 200000 + "]" * 200000
 # A disk of radius 1 about 0, for the Berkovich rows.
 DISK = '{"center": {"profile": {"p": 2, "radii": []}, "terms": []}, "radius": {"a": "1", "q": []}}'
+# A profile whose heights b_m grow by about 12 a step: at depth 1000 the
+# term exponents of G pass Python's 4 300-digit limit for str(int).
+DEEP_HEIGHTS_CONFIG = '{"p": 3, "radii": [{"sqrt": 2}], "max_denom_log": 32, "sigma_s": "1"}'
 # A one-run config with two trials and one more key, given in %s.
 TWO_TRIALS_CONFIG = ('{"p": 2, "radii": [{"sqrt": 2}], "depth": 3, "trials": 2,'
                      ' "floor_exponent": "3", %s}')
@@ -561,6 +564,10 @@ MALFORMED_INPUTS = [
      TWO_TRIALS_CONFIG % '"c_exponent": "262145/131072"'),
     ("gleason build --config c_exponent past the cap", ["gleason", "build", "--config"],
      TWO_TRIALS_CONFIG % '"c_exponent": "262145/131072"'),
+    ("norm term c of 5000 digits", ["norm"],
+     '{"profile": {"p": 2, "radii": []}, "terms": [{"t": "0", "c": %s}]}' % ("7" * 5000)),
+    ("gleason build --depth 1000 past the digit limit",
+     ["gleason", "build", "--depth", "1000", "--config"], DEEP_HEIGHTS_CONFIG),
 ]
 
 
@@ -602,6 +609,28 @@ def test_gleason_build_at_the_depth_cap_finishes(tmp_path, n):
     assert out.stat().st_size < 2_000_000
     schedule = uio.schedule_from_json(json.loads(out.read_text())["schedule"])
     assert schedule.depth == MAX_DEPTH and len(schedule.V) == n + 1
+
+
+def test_the_writer_refuses_an_integer_past_the_digit_limit(tmp_path, capsys):
+    """io writes no rational whose numerator or denominator str() cannot
+    convert; it names the digit count.  gleason build refuses before it
+    opens --out: over p = 999999000001 the term exponents of G pass the
+    limit at depth 150."""
+    big = 10**5000
+    for write in (lambda: uio.ratio_to_str(big + 1, 3), lambda: uio.ratio_to_str(7, big),
+                  lambda: uio.frac_to_str(Fraction(1, big))):
+        with pytest.raises(InputValidationError, match="has 5001 digits, past the"):
+            write()
+    assert uio.ratio_to_str(-big // 2, big) == "-1/2"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p": 999999000001, "radii": [{"sqrt": 2}], "max_denom_log": 32,'
+                   ' "sigma_s": "1"}')
+    out = tmp_path / "spec.json"
+    assert main(["gleason", "build", "--depth", "150", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_INPUT
+    limit = sys.get_int_max_str_digits()
+    assert f"digits, past the {limit}-digit limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ultrametrica
 from conftest import float_weight, ref_bounds, ref_decimal, ref_sign, ref_weight_sum
-from ultrametrica import gleason, series, tatealg
+from ultrametrica import gleason, series, tatealg, valuegroup
 from ultrametrica.errors import (
     InputValidationError,
     ProfileMismatchError,
@@ -466,9 +466,47 @@ class TestOneWeightPath:
         sign = "-" if num < 0 else ""
         recorded = RecordingWeight._raw(w.c0, w.irr, w.den)
         recorded.ks = []
+        valuegroup._DECIMAL_MEMO.clear()
         assert weight_decimal(recorded, digits) == \
             f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
         assert recorded.ks == ks  # one enclosure, the reference's
+
+
+class TestDecimalMemo:
+    """weight_decimal keeps the string of each irrational weight."""
+
+    @staticmethod
+    def recorded(w):
+        r = RecordingWeight._raw(w.c0, dict(w.irr), w.den)
+        r.ks = []
+        return r
+
+    def test_an_equal_weight_takes_the_kept_string(self, prof1, monkeypatch):
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+        w = weight_of(value(prof1, Fraction(7, 3), (Fraction(5, 4),)))
+        first, second = self.recorded(w), self.recorded(w)
+        text = weight_decimal(first, 12)
+        assert len(first.ks) == 1  # one enclosure
+        assert weight_decimal(second, 12) is text
+        assert second.ks == []  # no enclosure built
+
+    def test_each_digit_count_has_its_own_string(self, prof1, monkeypatch):
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+        w = weight_of(value(prof1, 0, (1,)))
+        assert weight_decimal(w, 12) == "1.414213562373"
+        assert weight_decimal(w, 3) == "1.414"
+        assert weight_decimal(w, 12) == "1.414213562373"
+
+    def test_a_full_memo_computes_and_keeps_nothing(self, prof1, monkeypatch):
+        full = {("kept", i): "0.0" for i in range(4)}
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", full)
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO_CAP", 4)
+        w = self.recorded(weight_of(value(prof1, 0, (1,))))
+        assert weight_decimal(w, 12) == "1.414213562373"
+        assert w.ks and len(full) == 4
+        w.ks.clear()
+        assert weight_decimal(w, 12) == "1.414213562373"
+        assert w.ks  # computed again
 
 
 def imported_or_read_names(path):
@@ -535,6 +573,7 @@ KEPT_FOR_ROADMAP = {
 # of the criterion that checks it.
 KEPT_FOR_ACCEPTANCE = {
     "frobenius": 4,  # pth_root undoes it, exactly
+    "res_ge": 2,     # the leading term is unique
 }
 
 
