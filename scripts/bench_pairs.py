@@ -2,15 +2,18 @@
 """Alternating benchmark pairs of two checkouts, written as BENCH_<workload>.json.
 
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        --parent-commit PARENT_SHA --change-commit CHANGE_SHA \\
         --workload surject-n2 --seeds 1 7 --pairs 10 5 --seconds 20 \\
         --digest-seeds 1 2 3 23 --claim "..." --out BENCH_surject-n2.json
 
 Each checkout is a directory holding the files of one commit (a fresh
 ``git archive`` export, say); ``perfbench/run.py`` runs in it, against its
-own ``src/``.  A checkout that already holds ``perfbench/out/digests.json``
-is refused (exit 2, naming the file); the runs write that file, and it is
-removed again when the invocation ends, so one pair of exports serves
-every workload.  For each seed in turn, pair k runs
+own ``src/``.  An export holds no ``.git``, so the record names the two
+commits only as ``--parent-commit`` and ``--change-commit`` give them.
+A checkout that already holds ``perfbench/out/digests.json`` is refused
+(exit 2, naming the file); the runs write that file, and it is removed
+again when the invocation ends, so one pair of exports serves every
+workload.  For each seed in turn, pair k runs
 both sides once with ``--seconds``: even pairs run the parent first, odd
 pairs the change first.  The first seed is the claimed one (``seed_<s>`` in the output);
 every later seed is held out (``held_out_seed_<s>``).  ``--pairs`` gives
