@@ -15,11 +15,14 @@ are written all the same.
 """
 
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from ultrametrica import io as uio
+from ultrametrica.errors import UltrametricaError
 from ultrametrica.gleason import build_gminus, build_gmultivar, standard_surjection
 from ultrametrica.series import monomial
 from ultrametrica.valuegroup import FreeRadius, make_profile
@@ -129,3 +132,52 @@ def test_written_d_is_the_reference_d(kind, p):
         for i in range(1, m):
             beta = s.gammas[i - 1] * (p ** s.b[i - 1] if s.mode == "alpha" else 1)
             assert back.d(m, i) == monomial(base, 1, s.deltas[m - 1] + beta)
+
+
+# The sweep: one hash over many builds, so a rewrite of the builder is held
+# to every schedule (or refusal) it made before.  Standard surjections run
+# over p in {2, 3, 5} with the first 1-3 of the radii sqrt(2), sqrt(3),
+# sqrt(5), every cap in SWEEP_CAPS and depth in SWEEP_DEPTHS; depth 5 takes
+# every sigma_s in SWEEP_SIGMAS and the deeper builds one each, in turn by
+# cap, which keeps the sweep near a second.  G+ (build_gmultivar over x) and
+# G- (build_gminus, c = t**2) over sqrt(2) run over the same p, caps and
+# depths.  Each build contributes one line: its key and the sha256 of its
+# schedule JSON, or its key and its error's type and message.
+
+SWEEP_CAPS = (2, 4, 16, 32, 110)
+SWEEP_DEPTHS = (5, 30, 81)
+SWEEP_SIGMAS = (Fraction(1), Fraction(7, 2), None)  # None: default_sigma_s
+
+SWEEP_SHA256 = "f48aeff929dbef381488afca5661d18124dad8ff5c96f7af45551b001e317d14"
+
+
+def sweep_builds():
+    """(kind, p, n, cap, depth, sigma_s) for every build of the sweep."""
+    for p, n, cap, depth in itertools.product((2, 3, 5), (1, 2, 3), SWEEP_CAPS, SWEEP_DEPTHS):
+        for i, sigma in enumerate(SWEEP_SIGMAS):
+            if depth == 5 or i == SWEEP_CAPS.index(cap) % 3:
+                yield "standard", p, n, cap, depth, sigma
+    for kind, p, cap, depth in itertools.product(("G+", "G-"), (2, 3, 5), SWEEP_CAPS,
+                                                 SWEEP_DEPTHS):
+        yield kind, p, 1, cap, depth, None
+
+
+def sweep_line(kind, p, n, cap, depth, sigma) -> str:
+    key = f"{kind} p={p} n={n} cap={cap} depth={depth} sigma_s={sigma}"
+    prof = make_profile(p, [FreeRadius(d) for d in (2, 3, 5)[:n]], sigma_s=sigma,
+                        max_denom_log=cap)
+    try:
+        if kind == "standard":
+            schedule = standard_surjection(prof, depth).schedule
+        elif kind == "G+":
+            schedule = build_gmultivar(prof, (monomial(prof, 1, 0, (1,)),), depth)[0]
+        else:
+            schedule = build_gminus(prof, monomial(prof.base(), 1, 2), depth)[0]
+        return f"{key}: {schedule_hash(schedule)}"
+    except UltrametricaError as exc:
+        return f"{key}: {type(exc).__name__}: {exc}"
+
+
+def test_the_sweep_matches_the_recorded_hash():
+    lines = "\n".join(sweep_line(*build) for build in sweep_builds())
+    assert hashlib.sha256(lines.encode()).hexdigest() == SWEEP_SHA256
