@@ -17,8 +17,10 @@ runs exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DenominatorCapError,
@@ -42,7 +44,6 @@ from .series import (
     neg,
     one,
     root_pk,
-    series_frac_pow,
     series_sum,
 )
 from .tatealg import (
@@ -56,12 +57,13 @@ from .tatealg import (
 )
 from .valuegroup import (
     RadiusProfile,
+    _key_norm,
     ceil_weight,
     floor_weight,
-    is_p_exponent,
     numerator,
     one_value,
     pi_value,
+    ratio_numerator,
     row_reduce,
     s_value,
     t_power,
@@ -73,6 +75,7 @@ from .valuegroup import (
     weight_of,
     zero_value,
     zp_in_open_interval,
+    zp_in_weight_window,
 )
 
 _B_SAFETY = 100_000
@@ -96,35 +99,57 @@ def _exponent_str(q) -> str:
 
 
 class IndependentRep:
-    """J = nonnegative Z[1/p]-span of linearly independent exponents."""
+    """J = nonnegative Z[1/p]-span of linearly independent exponents.
+
+    The system sum h_k * v_k = q is solved once, for a symbolic q: row
+    reduction of [v_1 .. v_ell | I_n] gives integer rows _solve, one per
+    coefficient, with h = _solve q / _den, and integer rows _checks that
+    vanish on q exactly when q lies in the span.
+    """
 
     def __init__(self, exponents, p):
         self.exponents = [tuple(Fraction(x) for x in v) for v in exponents]
         self.p = p
         self.ell = len(self.exponents)
         self.n = len(self.exponents[0]) if self.exponents else 0
-        if len(row_reduce(self._system((0,) * self.n), self.ell)) != self.ell:
+        ell, n = self.ell, self.n
+        rows = [[v[j] for v in self.exponents] + [Fraction(int(i == j)) for i in range(n)]
+                for j in range(n)]
+        pivots = row_reduce(rows, ell)
+        if len(pivots) != ell:
             raise InputValidationError(
                 "monomial exponents are dependent; supply an explicit rule"
             )
+        solve = [None] * ell
+        for row, col in pivots:
+            solve[col] = [x / rows[row][col] for x in rows[row][ell:]]
+        self._den = lcm(*(x.denominator for r in solve for x in r))
+        self._solve = [[x.numerator * (self._den // x.denominator) for x in r] for r in solve]
+        self._checks = [[x.numerator * (lcm(*(y.denominator for y in r)) // x.denominator)
+                         for x in r] for r in (row[ell:] for row in rows[ell:])]
 
-    def _system(self, q):
-        """The n x (ell+1) augmented system sum h_k * v_k = q."""
-        return [[v[j] for v in self.exponents] + [Fraction(q[j])] for j in range(self.n)]
+    def rep_num(self, v, den):
+        """h for q = v / den (integer v, den > 0) as (numerators, their
+        denominator, a power of p), or None when q lies outside J."""
+        if any(sum(map(operator.mul, row, v)) for row in self._checks):
+            return None  # inconsistent: q outside the span
+        h = [sum(map(operator.mul, row, v)) for row in self._solve]
+        if any(x < 0 for x in h):
+            return None
+        den *= self._den
+        prime_to_p = den
+        while prime_to_p % self.p == 0:
+            prime_to_p //= self.p
+        if any(x % prime_to_p for x in h):
+            return None  # some h_k outside Z[1/p]
+        return tuple(x // prime_to_p for x in h), den // prime_to_p
 
     def rep(self, q):
-        # Solve the system exactly; the solution is unique by independence.
-        aug = self._system(q)
-        pivots = row_reduce(aug, self.ell)
-        if any(row[self.ell] != 0 for row in aug[len(pivots):]):
-            return None  # inconsistent: q outside the span
-        h = [Fraction(0)] * self.ell
-        for row, col in pivots:
-            h[col] = aug[row][self.ell] / aug[row][col]
-        for hk in h:
-            if hk < 0 or not is_p_exponent(hk, self.p):
-                return None
-        return tuple(h)
+        """h for the rational exponents q, as Fractions, or None."""
+        q = tuple(map(Fraction, q))
+        den = lcm(*(x.denominator for x in q))
+        h = self.rep_num(tuple(x.numerator * (den // x.denominator) for x in q), den)
+        return None if h is None else tuple(Fraction(x, h[1]) for x in h[0])
 
 
 class MinZeroRep:
@@ -139,8 +164,16 @@ class MinZeroRep:
         self.n = n
 
     def rep(self, q):
-        h0 = max(Fraction(0), -min(q))
-        return tuple(Fraction(x) + h0 for x in q) + (h0,)
+        """h for the exponents q: Fractions, or integer numerators over one
+        denominator (h is homogeneous in q, so it comes back over it)."""
+        h0 = -min(q)
+        if h0 < 0:
+            h0 -= h0  # zero, of q's type
+        return tuple(x + h0 for x in q) + (h0,)
+
+    def rep_num(self, v, den):
+        """h for q = v / den as (numerators, their denominator den)."""
+        return self.rep(v), den
 
 
 class WellOrder:
@@ -148,42 +181,48 @@ class WellOrder:
 
     k is the max denominator exponent, R the bounding-box radius of the
     scaled integer vector; the diagonal D makes every shell finite.
+    Members are enumerated as integer vectors v with their scale p**k, one
+    at a time as positions are asked for, and omega(m) reads member m as
+    Fractions.
     """
 
     def __init__(self, n: int, p: int, rule):
         self.n = n
         self.p = p
         self.rule = rule
-        self._order = []
-        self._next_shell = 0
+        self._order = []  # (v, p**k): the members so far, in rank order
+        self._members = self._enumerate()
 
-    def _shell_members(self, D):
-        out = []
-        for k in range(D + 1):
-            radii = [D] if k < D else range(D + 1)
-            scale = self.p**k
-            for R in radii:
-                for v in itertools.product(range(-R, R + 1), repeat=self.n):
-                    if max(abs(x) for x in v) != R:
-                        continue
-                    if k > 0 and all(x % self.p == 0 for x in v):
-                        continue
-                    q = tuple(Fraction(x, scale) for x in v)
-                    if self.rule.rep(q) is not None:
-                        out.append(q)
-        return out
+    def _enumerate(self):
+        n, p, rule = self.n, self.p, self.rule
+        for D in itertools.count():
+            for k in range(D + 1):
+                scale = p**k
+                for R in [D] if k < D else range(D + 1):
+                    for v in itertools.product(range(-R, R + 1), repeat=n):
+                        if max(map(abs, v)) != R:
+                            continue
+                        if k > 0 and all(x % p == 0 for x in v):
+                            continue
+                        if rule.rep_num(v, scale) is not None:
+                            yield v, scale
 
     def _grow(self):
-        self._order.extend(self._shell_members(self._next_shell))
-        self._next_shell += 1
+        self._order.append(next(self._members))
 
-    def omega(self, m: int):
-        """The m-th exponent, 1-based."""
+    def member(self, m: int):
+        """The m-th exponent (1-based) as (v, p**k): omega(m) = v / p**k in
+        lowest terms."""
         if m < 1:
             raise InputValidationError("well-order positions are 1-based")
         while len(self._order) < m:
             self._grow()
         return self._order[m - 1]
+
+    def omega(self, m: int):
+        """The m-th exponent, 1-based."""
+        v, scale = self.member(m)
+        return tuple(Fraction(x, scale) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +251,15 @@ class GleasonSchedule:
     deltas: tuple
     b: tuple
 
+    def _lattice_key(self, m: int):
+        """_lattice_key of W_m = prod V_k**h_{m,k} (1-based m)."""
+        return _lattice_key(self.profile, self.V,
+                            ((h.numerator, h.denominator) for h in self.h_reps[m - 1]))
+
     def W(self, m: int) -> SeriesElement:
         """Lattice monomial prod V_k**h_{m,k} (1-based m)."""
-        W = one(self.profile)
-        for hk, vk in zip(self.h_reps[m - 1], self.V):
-            W = mul(W, series_frac_pow(vk, hk))
-        return W
+        t, xs, c = self._lattice_key(m)
+        return _monomial(self.profile, c, t, xs)
 
     def beta_exp(self, m: int) -> Fraction:
         """t-exponent of beta_m, the coefficient of W_m**(p**b_m) in G."""
@@ -228,8 +270,12 @@ class GleasonSchedule:
         return monomial(self.profile.base(), 1, self.deltas[m - 1] + self.beta_exp(i))
 
     def term(self, m: int) -> SeriesElement:
-        wpow = series_frac_pow(self.W(m), self.profile.p ** self.b[m - 1])
-        return mul(monomial(self.profile, 1, self.beta_exp(m)), wpow)
+        """beta_m W_m**(p**b_m), one monomial: W_m's key times p**b_m plus
+        beta_m's t exponent, and W_m's coefficient (c**p = c in F_p)."""
+        t, xs, c = self._lattice_key(m)
+        pb = self.profile.p ** self.b[m - 1]
+        return _monomial(self.profile, c, numerator(self.profile, self.beta_exp(m)) + pb * t,
+                         tuple(pb * x for x in xs))
 
     def element(self, start: int = 1) -> SeriesElement:
         """The stored finite Gleason element (exact); from a later start
@@ -268,23 +314,43 @@ def _beta_exponent(mode: str, gamma: Fraction, pb) -> Fraction:
     return gamma * pb if mode == "alpha" else gamma
 
 
+def _lattice_key(profile, V, h):
+    """(t, xs, c) for the monomial c t**(t/D) x**(xs/D) = prod V_k**h_k, from
+    the terms of the exact one-term V_k and h given as (numerator,
+    denominator) pairs.  Each exponent h_k e of a factor V_k**h_k with
+    h_k != 0 passes ratio_numerator, the one admission gate, in the order
+    k, then t before xs; c = prod c_k**num_k, as c**(1/p) = c in F_p."""
+    D, p = profile.den, profile.p
+    t, xs, c = 0, [0] * profile.n, 1
+    for (num, den), v in zip(h, V):
+        if num:
+            ((vt, vxs), vc), = v._terms.items()
+            scale = den * D
+            t += ratio_numerator(profile, num * vt, scale)
+            for i, x in enumerate(vxs):
+                xs[i] += ratio_numerator(profile, num * x, scale)
+            c = c * pow(vc, num, p) % p
+    return t, tuple(xs), c
+
+
 def _check_monomials(V):
-    """The norms |V_k| of the exact monomials V, each below 1."""
+    """Refuse V unless each entry is an exact monomial of norm below 1."""
     for v in V:
         if len(v._terms) != 1 or not v.floor.zero:
             raise InputValidationError("V entries must be exact monomials")
         if not value_lt(gauss_norm(v), one_value(v.profile)):
             raise WindowError("every |V_k| must be < 1")
-    return [gauss_norm(v) for v in V]
 
 
-def _pick_e_alpha(profile, nW):
+def _pick_e_alpha(profile, tW, xW):
     """Exponent gamma for e_m = t**gamma with s |t|**(-1/2) < |e_m W_m| <
-    s |t|**-1: |t|**gamma lies between hi = s |t|**(-1/2) / |W_m| and
-    lo = s |t|**-1 / |W_m|."""
-    s_over_w = value_mul(s_value(profile), value_pow(nW, -1))
-    return zp_in_open_interval(value_mul(s_over_w, t_power(profile, -1)),
-                               value_mul(s_over_w, t_power(profile, Fraction(-1, 2))),
+    s |t|**-1, for W_m's key (tW, xW) over D: in weights, sigma - 1 - w(W_m)
+    < gamma < sigma - 1/2 - w(W_m), both ends over 2 E for s's denominator E."""
+    s = profile._s
+    f = 2 * (s.den // profile.den)
+    a = 2 * s.an - f * tW
+    xs = [-f * x for x in xW]
+    return zp_in_weight_window(profile, (a - 2 * s.den, xs), (a - s.den, xs), 2 * s.den,
                                profile.p)
 
 
@@ -313,16 +379,27 @@ def _require_sigma_at_least_one(profile):
 
 def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
     """Generic schedule builder over monomials V, stepping through the
-    well-order of the exponent set J whose members rule.rep represents.
+    well-order of the exponent set J whose members rule.rep_num represents.
 
     Chooses e_m = t**gamma_m in a deterministic window, eps_m = t**delta_m
     with the smallest exponent making every |d_{m,i}| <= 1, and the least
     b_m with (1) |term| < |t|**m, (3) s < |head| < 1, (4) |term|**(1/p**b_{m-1})
     < s |pi| when m > 1 and (5) omega(m) p**b_m unlike every earlier
     omega(i) p**b_i, for the norms term = beta_m W_m**(p**b_m) and
-    head = (eps_m beta_m)**(1/p**b_m) W_m.  Each window is one comparison
-    of Values, so every choice is exact, and |W_m| = prod |V_k|**h_{m,k}
-    comes from the norms of V: the builder makes no series element.
+    head = (eps_m beta_m)**(1/p**b_m) W_m.  In weights, p**b_m w(head) =
+    delta_m + w(term) in both modes, and delta_m >= 0, so once (1) holds
+    w(head) > 0: the half |head| < 1 of (3) follows from (1) and is not
+    tested apart.
+
+    Every choice is decided on integers, so it is exact.  The well-order
+    and rule.rep_num give omega(m) and h_m as integer numerators over
+    powers of p; W_m's key (t and x exponent numerators over D) is the sum
+    of the keys of V scaled by h_m (_lattice_key, whose admission refuses
+    exponents past the cap); gamma_m comes from the weight window of
+    _pick_e_alpha; and each of (1), (3) and (4) is one call of the sign
+    kernel on weight numerators over F = lcm(s's denominator, those of
+    gamma_m and delta_m).  The builder makes no series element, and its
+    alpha-mode steps make no Value.
 
     Heights strictly increase, so both modes scan b_m from b_{m-1} + 1.
     In direct mode that start enforces the growth.  In alpha mode (4)
@@ -346,36 +423,30 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
         raise InputValidationError(f"schedule depth must be >= 0, got {depth}")
     if mode == "alpha":
         _require_sigma_at_least_one(profile)
-    p = profile.p
-    one_norm, s = one_value(profile), s_value(profile)
-    s_pi = value_mul(s, pi_value(profile))
-    norms = _check_monomials(V)
-    nV0 = norms[0] if V else one_norm
+    p, D, sign, s = profile.p, profile.den, profile._sign, profile._s
+    _check_monomials(V)
+    nV0 = gauss_norm(V[0]) if V else one_value(profile)
     well = WellOrder(profile.n, p, rule)
 
     omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
     beta_min = Fraction(0)  # min(0, t-exponents of the beta_i so far)
-    exps_taken = set()  # x-exponents omega(i) * p**b_i
+    exps_taken = set()  # x-exponents omega(i) * p**b_i, as _scaled_key gives them
 
     for m in range(1, depth + 1):
-        q = well.omega(m)
-        h = rule.rep(q)
-        nW = one_norm  # |W_m| = prod |V_k|**h_{m,k}
-        for hk, v, nv in zip(h, V, norms):
-            if hk:  # the factor's exponents must fit the cap, as W(m) needs
-                (t, xs), = v._terms
-                for e in (t, *xs):
-                    numerator(profile, hk * Fraction(e, profile.den))
-                nW = value_mul(nW, value_pow(nv, hk))
+        v, scale = well.member(m)
+        hn, hden = rule.rep_num(v, scale)
+        # W_m's key; its exponents must fit the cap, as W(m) needs
+        tW, xW, _ = _lattice_key(profile, V, ((x, hden) for x in hn))
         if mode == "alpha":
-            gamma = _pick_e_alpha(profile, nW)
+            gamma = _pick_e_alpha(profile, tW, xW)
         else:
+            nW = _key_norm(profile, tW, xW, D)
             if value_le(nW, s):
                 raise WindowError(
                     f"step {m}: |W_m| <= s, head window unreachable "
                     f"(|omega(m)| beyond the adaptedness reach for this V)"
                 )
-            if nW == one_norm and m > 1:
+            if nW == one_value(profile) and m > 1:
                 raise WindowError(
                     f"step {m}: constant monomial after step 1 deadlocks the tails"
                 )
@@ -383,24 +454,31 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
 
         # eps_m = t**delta_m, smallest exponent with |eps_m * beta_i| <= 1.
         delta = -beta_min
+        # Every window in weights, as numerators over F: gamma -> g,
+        # delta -> d, sigma -> sig and W_m -> (tF, xF).
+        F = lcm(s.den, gamma.denominator, delta.denominator)
+        g = gamma.numerator * (F // gamma.denominator)
+        d = delta.numerator * (F // delta.denominator)
+        sig = s.an * (F // s.den)
+        tF, xF = tW * (F // D), [x * (F // D) for x in xW]
         for b_m in range(bs[-1] + 1 if bs else 0, _B_SAFETY):
             pb = p**b_m
-            beta_exp = _beta_exponent(mode, gamma, pb)
-            exps = tuple(x * pb for x in q)
-            term = value_mul(t_power(profile, beta_exp), value_pow(nW, pb))
-            head = value_mul(t_power(profile, (delta + beta_exp) / pb), nW)
-            if (value_lt(term, t_power(profile, m))
-                    and value_lt(head, one_norm) and value_lt(s, head)
-                    and (not bs or value_lt(value_pow(term, Fraction(1, p ** bs[-1])), s_pi))
-                    and exps not in exps_taken):
+            beta = g * pb if mode == "alpha" else g
+            # w(term) = (a_term + xs.alpha) / F and p**b_m w(head) =
+            # (a_term + d + xs.alpha) / F: (1), s < |head| of (3), (4), (5)
+            a_term, xs = beta + pb * tF, [pb * x for x in xF]
+            if (sign(a_term - m * F, xs) > 0
+                    and sign(sig * pb - a_term - d, [-x for x in xs]) > 0
+                    and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)
+                    and _scaled_key(v, scale, pb) not in exps_taken):
                 break
         else:
             raise DenominatorCapError("no admissible b_m below the safety bound")
 
-        beta_min = min(beta_min, beta_exp)
-        exps_taken.add(exps)
-        omegas.append(q)
-        h_reps.append(h)
+        beta_min = min(beta_min, _beta_exponent(mode, gamma, pb))
+        exps_taken.add(_scaled_key(v, scale, pb))
+        omegas.append(tuple(Fraction(x, scale) for x in v))
+        h_reps.append(tuple(Fraction(x, hden) for x in hn))
         gammas.append(gamma)
         deltas.append(delta)
         bs.append(b_m)
@@ -409,6 +487,15 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
         profile, mode, depth, tuple(V), tuple(omegas), tuple(h_reps),
         tuple(gammas), tuple(deltas), tuple(bs),
     )
+
+
+def _scaled_key(v, scale, pb):
+    """The exponent (v / scale) * pb, for powers scale and pb of p and v /
+    scale in lowest terms, as (numerators, p-power denominator) in lowest
+    terms: equal keys exactly when the exponents are equal."""
+    if pb >= scale:
+        return tuple(x * (pb // scale) for x in v), 1
+    return v, scale // pb
 
 
 def verify_schedule(schedule: GleasonSchedule, G: SeriesElement):

@@ -325,13 +325,26 @@ def surjection_to_json(spec: SurjectionSpec) -> dict:
     }
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal as an int; one past the digit limit of
+    str -> int raises ValueError naming its digit count, the limit and the
+    environment variable that sets it (Python's own text names a function)."""
+    try:
+        return int(text)
+    except ValueError:  # a JSON integer literal is well formed: the limit
+        raise ValueError(
+            f"an integer literal has {len(text.lstrip('-'))} digits, past the"
+            f" {sys.get_int_max_str_digits()}-digit limit of integer string conversion;"
+            f" the environment variable PYTHONINTMAXSTRDIGITS sets the limit") from None
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: malformed JSON, or an integer literal past the digit
-        # limit of str -> int; RecursionError: nested too deeply
+        # limit (see _json_int); RecursionError: nested too deeply
         raise InputValidationError(f"{path}: {exc}")
 
 

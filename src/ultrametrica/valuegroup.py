@@ -256,11 +256,18 @@ def cap_error(profile: RadiusProfile, e: Fraction, what: str = "exponent"):
 
 
 def numerator(profile: RadiusProfile, e: Fraction, what: str = "exponent") -> int:
-    """The exponent e as its numerator over D = profile.den, the one admission
-    gate for exponents; an e outside D**-1 * Z raises cap_error(profile, e, what)."""
-    n = exponent_numerator(profile.den, e)
-    if n is None:
-        raise cap_error(profile, e, what)
+    """The exponent e (an int or a Fraction) as its numerator over D =
+    profile.den: ratio_numerator(profile, e.numerator, e.denominator, what)."""
+    return ratio_numerator(profile, e.numerator, e.denominator, what)
+
+
+def ratio_numerator(profile: RadiusProfile, num: int, den: int, what: str = "exponent") -> int:
+    """The exponent num / den (den > 0, not necessarily in lowest terms) as
+    its numerator over D = profile.den, the one admission gate for
+    exponents; one outside D**-1 * Z raises cap_error(profile, num / den, what)."""
+    n, r = divmod(num * profile.den, den)
+    if r:
+        raise cap_error(profile, Fraction(num, den), what)
     return n
 
 
@@ -780,22 +787,37 @@ ZP_SEARCH_MAX_K = 64
 
 
 def zp_in_open_interval(lo: Value, hi: Value, p: int) -> Fraction:
-    """A rational x = u / p**k with |hi| < |t|**x < |lo|.
-
-    Scans denominators p**k from k = 0 upward and takes the largest
-    numerator u with |t|**(u / p**k) > |hi|, so the result is
-    deterministic and sits close to |hi|.  Raises WindowError when
-    |hi| >= |lo| or no denominator up to p**ZP_SEARCH_MAX_K works.
-    """
+    """A rational x = u / p**k with |hi| < |t|**x < |lo|: zp_in_weight_window
+    over the weights of hi and lo.  Raises WindowError when |hi| >= |lo|."""
     if not value_lt(hi, lo):
         raise WindowError(f"empty window ({hi}, {lo})")
+    if hi.zero:
+        raise InputValidationError("zero value has no finite weight")
+    al, ql, ah, qh, den = _over_one_den(lo, hi)
+    return zp_in_weight_window(lo.profile, (al, ql), (ah, qh), den, p)
+
+
+def zp_in_weight_window(profile: RadiusProfile, lo, hi, den: int, p: int) -> Fraction:
+    """A rational x = u / p**k with w_lo < x < w_hi, for w_lo and w_hi the
+    weights of the exponent numerators lo = (a, q) and hi over den.
+
+    Scans denominators p**k from k = 0 upward and takes the largest
+    numerator u with u / p**k < w_hi (largest_int_below of w_hi * p**k),
+    so the result is deterministic and sits close to w_hi; x > w_lo is one
+    call of the sign kernel, and no Value is built.  Raises WindowError
+    when no denominator up to p**ZP_SEARCH_MAX_K works (in particular
+    when w_hi <= w_lo).
+    """
+    (al, ql), (ah, qh) = lo, hi
+    sign = profile._sign
     scale = 1
-    for k in range(ZP_SEARCH_MAX_K + 1):
-        x = Fraction(largest_int_below(weight_of(value_pow(hi, scale))), scale)
-        if value_lt(t_power(lo.profile, x), lo):
-            return x
+    for _ in range(ZP_SEARCH_MAX_K + 1):
+        u = largest_int_below(_weight(profile, ah * scale, [x * scale for x in qh], den))
+        if sign(u * den - al * scale, [-x * scale for x in ql]) > 0:
+            return Fraction(u, scale)
         scale *= p
-    raise WindowError(f"no Z[1/p] point found in ({hi}, {lo}) up to p**{ZP_SEARCH_MAX_K}")
+    raise WindowError(f"no Z[1/p] point found in ({_value(profile, ah, qh, den)}, "
+                      f"{_value(profile, al, ql, den)}) up to p**{ZP_SEARCH_MAX_K}")
 
 
 def denom_log(x: Fraction, p: int) -> int:
@@ -808,13 +830,6 @@ def denom_log(x: Fraction, p: int) -> int:
     if den != 1:
         raise InputValidationError(f"{x} does not have a p-power denominator (p={p})")
     return k
-
-
-def is_p_exponent(x: Fraction, p: int) -> bool:
-    den = Fraction(x).denominator
-    while den % p == 0:
-        den //= p
-    return den == 1
 
 
 def row_reduce(rows, ncols):

@@ -292,3 +292,36 @@ def ref_leading_key(ds, keys):
         if best is None or ref_weight_cmp(ds, k, best) < 0:
             best = k
     return best
+
+
+def ref_zp_pick(p, lo, hi, max_k=64):
+    """Reference for zp_in_open_interval on weights lo < hi, each a pair
+    (rational, {d: c_d}) standing for rational + sum c_d sqrt(d): for the
+    least k in 0..max_k at which one exists, the rational u / p**k with
+    the largest u such that u / p**k < hi, if it exceeds lo; None when no
+    k up to max_k has one.  A weight with no square-root part is read in
+    Fractions; any other in mpmath at 60 digits more than p**max_k has,
+    so that hi * p**k keeps 60 digits after the point (it is irrational,
+    never an integer).  Calls no library code."""
+    import mpmath
+
+    def rational_only(w):
+        return not any(w[1].values())
+
+    with mpmath.workdps(60 + len(str(p**max_k))):
+        def real(w):
+            rational, irr = w
+            return (mpmath.mpf(rational.numerator) / rational.denominator
+                    + mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+                                  for d, c in irr.items()))
+
+        for k in range(max_k + 1):
+            scale = p**k
+            if rational_only(hi):
+                u = math.ceil(hi[0] * scale) - 1
+            else:
+                u = int(mpmath.floor(real(hi) * scale))
+            x = Fraction(u, scale)
+            if (x > lo[0]) if rational_only(lo) else (mpmath.mpf(u) / scale > real(lo)):
+                return x
+    return None

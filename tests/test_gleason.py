@@ -36,6 +36,7 @@ from ultrametrica.gleason import (
 from ultrametrica.sampling import random_series
 from ultrametrica.series import (
     AdaptedCertificate,
+    SeriesElement,
     gauss_norm,
     make_series,
     monomial,
@@ -326,6 +327,17 @@ class TestHeights:
         self.check(standard_surjection(prof, depth).schedule)
 
     @pytest.mark.parametrize("p", [2, 3])
+    def test_standard_surjection_at_sigma_one(self, p):
+        """At sigma_s = 1 step 1 picks gamma_1 in (0, 1/2) with
+        gamma_1 p**(b_1 - 1) = 1 (1/4 for p = 2, 1/3 for p = 3): one height
+        below b_1, |term| = |t|**(gamma_1 p**b) is |t| exactly, and (1),
+        |term| < |t|**m, is strict."""
+        prof = make_profile(p, [FreeRadius(2)], sigma_s=1, max_denom_log=32)
+        sched = standard_surjection(prof, 12).schedule
+        assert sched.gammas[0] * p ** (sched.b[0] - 1) == 1
+        self.check(sched)
+
+    @pytest.mark.parametrize("p", [2, 3])
     def test_gplus_and_gminus(self, p):
         prof = make_profile(p, [FreeRadius(2)], max_denom_log=32)
         self.check(build_gmultivar(prof, only_x(prof), 20)[0])
@@ -333,9 +345,9 @@ class TestHeights:
 
 
 class TestWindowsOnNorms:
-    """build_schedule decides every window on Values, from the norms of V:
-    with gleason.mul and gleason.series_frac_pow raising, it returns the
-    schedule it returns without them."""
+    """build_schedule decides every window on integer weights, from the
+    keys of V: with SeriesElement._raw, which every series constructor
+    reaches, raising, it returns the schedule it returns without it."""
 
     @pytest.mark.parametrize("case", ["G+", "two-variable lattice", "standard"])
     def test_builds_no_series_element(self, monkeypatch, case):
@@ -352,8 +364,7 @@ class TestWindowsOnNorms:
         def refuse(*_):
             raise AssertionError("build_schedule computed with a series element")
 
-        monkeypatch.setattr(gleason, "mul", refuse)
-        monkeypatch.setattr(gleason, "series_frac_pow", refuse)
+        monkeypatch.setattr(SeriesElement, "_raw", refuse)
         assert gleason.build_schedule(*args) == want
 
     def test_refuses_the_step_whose_lattice_monomial_leaves_the_cap(self):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -464,8 +465,9 @@ def nested_disks(depth: int) -> str:
     return text
 
 
-# (test id, command, input file text); the input file is the command's last
-# argument, and a row whose text is None gives no file.
+# (test id, command, input file text[, a pattern the error line matches]);
+# the input file is the command's last argument, and a row whose text is
+# None gives no file.
 MALFORMED_INPUTS = [
     ("norm", ["norm"], '{"profile": [2], "terms": []}'),
     ("norm without a file", ["norm"], None),
@@ -565,15 +567,20 @@ MALFORMED_INPUTS = [
     ("gleason build --config c_exponent past the cap", ["gleason", "build", "--config"],
      TWO_TRIALS_CONFIG % '"c_exponent": "262145/131072"'),
     ("norm term c of 5000 digits", ["norm"],
-     '{"profile": {"p": 2, "radii": []}, "terms": [{"t": "0", "c": %s}]}' % ("7" * 5000)),
+     '{"profile": {"p": 2, "radii": []}, "terms": [{"t": "0", "c": %s}]}' % ("7" * 5000),
+     r"^input error: \S+: an integer literal has 5000 digits, past the"
+     rf" {sys.get_int_max_str_digits()}-digit limit"
+     r" of integer string conversion; the environment variable PYTHONINTMAXSTRDIGITS"
+     r" sets the limit$"),
     ("gleason build --depth 1000 past the digit limit",
      ["gleason", "build", "--depth", "1000", "--config"], DEEP_HEIGHTS_CONFIG),
 ]
 
 
-@pytest.mark.parametrize("command,text", [row[1:] for row in MALFORMED_INPUTS],
+@pytest.mark.parametrize("command,text,match", [(*row[1:3], row[3] if len(row) > 3 else None)
+                                                for row in MALFORMED_INPUTS],
                          ids=[row[0] for row in MALFORMED_INPUTS])
-def test_malformed_input_exits_2(tmp_path, command, text):
+def test_malformed_input_exits_2(tmp_path, command, text, match):
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -588,6 +595,8 @@ def test_malformed_input_exits_2(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
     assert len(proc.stderr.splitlines()) == 1
+    if match is not None:
+        assert re.search(match, proc.stderr.rstrip("\n")), proc.stderr
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TRIAL = "tests/test_io_cli.py::TestCli::test_the_trial_checks_each_residual"
 WINDOW = "tests/test_gleason.py::TestDivisionWindow"
+HEIGHTS = "tests/test_gleason.py::TestHeights"
 
 # (row id, module under src/ultrametrica, source text, replacement,
 #  the node ids that must fail)
@@ -46,6 +47,24 @@ MUTANTS = [
      "        if a <= lo_hi[1]:", "        if a < lo_hi[1]:",
      [f"{WINDOW}::test_a_term_at_the_cut_clears",
       "tests/test_gleason.py::TestDivideStep::test_term_exactly_at_the_cut_is_cleared"]),
+    ("schedule condition (1) admits |term| = |t|**m", "gleason.py",
+     "sign(a_term - m * F, xs) > 0", "sign(a_term - m * F, xs) >= 0",
+     [f"{HEIGHTS}::test_standard_surjection_at_sigma_one[2]",
+      f"{HEIGHTS}::test_standard_surjection_at_sigma_one[3]"]),
+    ("schedule condition (3) drops s < |head|", "gleason.py",
+     "\n                    and sign(sig * pb - a_term - d, [-x for x in xs]) > 0", "",
+     [f"{HEIGHTS}::test_standard_surjection[30-1-2]"]),
+    ("schedule condition (4) dropped", "gleason.py",
+     "\n                    and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)", "",
+     [f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
+    ("schedule condition (5) dropped", "gleason.py",
+     "\n                    and _scaled_key(v, scale, pb) not in exps_taken", "",
+     ["tests/test_gleason.py::TestBuildGplus::test_exponent_distinctness",
+      f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
+    ("the picker admits the window's lower end", "valuegroup.py",
+     "if sign(u * den - al * scale, [-x * scale for x in ql]) > 0:",
+     "if sign(u * den - al * scale, [-x * scale for x in ql]) >= 0:",
+     ["tests/test_valuegroup.py::TestWeightTools::test_zp_pick_excludes_the_lower_end"]),
     ("the decimal memo key drops digits", "valuegroup.py",
      "key = (w.c0, tuple(w.irr.items()), w.den, digits)",
      "key = (w.c0, tuple(w.irr.items()), w.den)",

@@ -267,6 +267,13 @@ class TestWeightTools:
         assert ref_sign(Fraction(1, 3) - x, {2: Fraction(1)}) > 0
         assert x.denominator & (x.denominator - 1) == 0  # power of 2
 
+    def test_zp_pick_excludes_the_lower_end(self, prof1):
+        """|t|**x < |lo| is strict: in the window of weights (0, 1/2) the
+        largest numerators at p**0 and p**1 give 0, its lower end, and the
+        pick is 1/4."""
+        lo, hi = value(prof1, 0, (0,)), value(prof1, Fraction(1, 2), (0,))
+        assert zp_in_open_interval(lo, hi, 2) == Fraction(1, 4)
+
     def test_zp_pick_empty_window(self, prof1):
         v = value(prof1, 1, (0,))
         with pytest.raises(WindowError):
