@@ -123,10 +123,8 @@ class IndependentRep:
         solve = [None] * ell
         for row, col in pivots:
             solve[col] = [x / rows[row][col] for x in rows[row][ell:]]
-        self._den = lcm(*(x.denominator for r in solve for x in r))
-        self._solve = [[x.numerator * (self._den // x.denominator) for x in r] for r in solve]
-        self._checks = [[x.numerator * (lcm(*(y.denominator for y in r)) // x.denominator)
-                         for x in r] for r in (row[ell:] for row in rows[ell:])]
+        self._solve, self._den = _integer_rows(solve)
+        self._checks, _ = _integer_rows([row[ell:] for row in rows[ell:]])
 
     def rep_num(self, v, den):
         """h for q = v / den (integer v, den > 0) as (numerators, their
@@ -150,6 +148,12 @@ class IndependentRep:
         den = lcm(*(x.denominator for x in q))
         h = self.rep_num(tuple(x.numerator * (den // x.denominator) for x in q), den)
         return None if h is None else tuple(Fraction(x, h[1]) for x in h[0])
+
+
+def _integer_rows(rows):
+    """Rows of Fractions as (integer rows, den), rows = integer rows / den."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 class MinZeroRep:

@@ -13,10 +13,7 @@ target, even where the bound |c| * |image| lies below it, and a lifted
 product accumulates as the product of the lift does, under free radii
 with a rational one or without.  Last, under profiles that mix rational
 and free radii, two norms built along different paths compare equal
-exactly when they are == Values.  And the Z[1/p] picker,
-zp_in_open_interval, returns conftest's ref_zp_pick point (mpmath, no
-library code) over 0-3 free or rational radii: inside the window, at the
-least p-power denominator, with the largest numerator there."""
+exactly when they are == Values."""
 
 import functools
 import math
@@ -34,9 +31,7 @@ from conftest import (
     ref_evaluate_by_factors,
     ref_leading_key,
     ref_mul,
-    ref_sign,
     ref_weight_cmp,
-    ref_zp_pick,
 )
 from ultrametrica.gleason import divide_step, rescale_into_window, standard_surjection
 from ultrametrica.sampling import random_series
@@ -64,9 +59,7 @@ from ultrametrica.tatealg import (
     t_add,
     t_sum,
 )
-from ultrametrica.errors import WindowError
 from ultrametrica.valuegroup import (
-    ZP_SEARCH_MAX_K,
     FreeRadius,
     Ordering,
     RationalRadius,
@@ -80,7 +73,6 @@ from ultrametrica.valuegroup import (
     value_mul,
     value_pow,
     zero_value,
-    zp_in_open_interval,
 )
 
 FREE = (2, 3)
@@ -685,53 +677,3 @@ def test_equal_norms_are_equal_values(pair):
     assert (compare(u, v) is Ordering.EQUAL) == (u == v)
     if u == v:
         assert hash(u) == hash(v)
-
-
-@st.composite
-def zp_windows(draw):
-    """(p, profile, lo, hi, w_lo, w_hi): a profile over p in {2, 3, 5}
-    with 0-3 radii, each free (sqrt of 2, 3, 5 or 7) or rational (of
-    exponent 1, 1/2, 1/3 or 2/5); Values lo and hi whose exponents differ
-    by a small step, so the window is often narrow or empty; and their
-    weights as (rational, {d: c_d}) pairs, with each rational radius
-    folded into the rational part."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    ds = iter(draw(st.permutations((2, 3, 5, 7))))
-    rational = st.sampled_from((1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)))
-    radii = [FreeRadius(next(ds)) if draw(st.booleans()) else RationalRadius(draw(rational))
-             for _ in range(draw(st.integers(0, 3)))]
-    prof = make_profile(p, radii, max_denom_log=12)
-    frac = st.fractions(-20, 20, max_denominator=64)
-    step = st.fractions(-1, 1, max_denominator=16)
-    a, q = draw(frac), [draw(frac) for _ in radii]
-    ends = [(a, q), (a + draw(st.fractions(-1, 2, max_denominator=16)),
-                     [x + draw(step) for x in q])]
-
-    def weight(a, q):
-        rational = a + sum(x * r.exponent for x, r in zip(q, radii)
-                           if isinstance(r, RationalRadius))
-        return rational, {r.d: x for x, r in zip(q, radii) if isinstance(r, FreeRadius)}
-
-    lo, hi = (value(prof, a, q) for a, q in ends)
-    return p, prof, lo, hi, weight(*ends[0]), weight(*ends[1])
-
-
-@settings(max_examples=150, deadline=None)
-@given(zp_windows())
-def test_zp_pick_is_the_least_denominator_and_the_largest_numerator(window):
-    """zp_in_open_interval(lo, hi, p) lies strictly inside the window
-    w_lo < x < w_hi, has the least denominator p**k of any point inside,
-    and the largest numerator at that k: it is ref_zp_pick's point.  An
-    empty window, or one with no point up to p**ZP_SEARCH_MAX_K, raises
-    WindowError."""
-    p, prof, lo, hi, w_lo, w_hi = window
-    gap = (w_hi[0] - w_lo[0], {d: c - w_lo[1].get(d, 0) for d, c in w_hi[1].items()})
-    want = None if ref_sign(*gap) <= 0 else ref_zp_pick(p, w_lo, w_hi, ZP_SEARCH_MAX_K)
-    if want is None:
-        with pytest.raises(WindowError):
-            zp_in_open_interval(lo, hi, p)
-        return
-    x = zp_in_open_interval(lo, hi, p)
-    assert x == want
-    assert ref_sign(x - w_lo[0], {d: -c for d, c in w_lo[1].items()}) > 0
-    assert ref_sign(w_hi[0] - x, w_hi[1]) > 0

@@ -1,7 +1,5 @@
 import ast
-import decimal
 import math
-import operator
 import os
 import random
 from fractions import Fraction
@@ -11,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultrametrica
-from conftest import float_weight, ref_bounds, ref_decimal, ref_sign, ref_weight_sum
+from conftest import (
+    float_weight,
+    ref_bounds,
+    ref_sign,
+    ref_weight_sum,
+    ref_zp_pick,
+)
 from ultrametrica import gleason, series, tatealg, valuegroup
 from ultrametrica.errors import (
     InputValidationError,
@@ -258,6 +262,34 @@ class TestProfiles:
             value_lift(u, prof2)
 
 
+@st.composite
+def zp_windows(draw):
+    """(p, lo, hi, w_lo, w_hi): a profile over p in {2, 3, 5} with 0-3
+    radii, each free (sqrt of 2, 3, 5 or 7) or rational (of exponent 1,
+    1/2, 1/3 or 2/5); Values lo and hi whose exponents differ by a small
+    step, so the window is often narrow (1 - 2 sqrt(2) / 3 is about
+    0.057) or empty; and their weights as (rational, {d: c_d}) pairs, each
+    rational radius folded into the rational part."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ds = iter(draw(st.permutations((2, 3, 5, 7))))
+    rational = st.sampled_from((1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)))
+    radii = [FreeRadius(next(ds)) if draw(st.booleans()) else RationalRadius(draw(rational))
+             for _ in range(draw(st.integers(0, 3)))]
+    prof = make_profile(p, radii)
+    step = st.fractions(-1, 1, max_denominator=16)
+    a, q = draw(small_fracs), [draw(small_fracs) for _ in radii]
+    ends = [(a, q), (a + draw(st.fractions(-1, 2, max_denominator=16)),
+                     [x + draw(step) for x in q])]
+
+    def weight(a, q):
+        folded = a + sum(x * r.exponent for x, r in zip(q, radii)
+                         if isinstance(r, RationalRadius))
+        return folded, {r.d: x for x, r in zip(q, radii) if isinstance(r, FreeRadius)}
+
+    lo, hi = (value(prof, a, q) for a, q in ends)
+    return p, lo, hi, weight(*ends[0]), weight(*ends[1])
+
+
 class TestWeightTools:
     def test_zp_pick_lands_inside(self, prof1):
         lo = value(prof1, 0, (1,))                   # weight sqrt 2
@@ -282,47 +314,26 @@ class TestWeightTools:
             zp_in_open_interval(v, value(prof1, 0, (0,)), 2)  # |hi| > |lo|
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_zp_pick_is_the_largest_numerator_at_the_least_denominator(self, data):
-        """Over profiles with 0-2 free radii and Value endpoints: with
-        |hi| < |lo|, x is the largest u / p**k with |hi| < |t|**x < |lo| at
-        the least k that has one, found here by scanning k with weights
-        summed by hand and signed by ref_sign; otherwise WindowError."""
-        p = data.draw(st.sampled_from((2, 3, 5)))
-        ds = data.draw(st.lists(st.sampled_from(SQUAREFREE), max_size=2, unique=True))
-        prof = make_profile(p, [FreeRadius(d) for d in ds])
-        # hi's exponents are lo's plus a small step, so the window is
-        # often narrow (1 - 2 sqrt(2) / 3 is about 0.057) or empty
-        step = st.fractions(-3, 3, max_denominator=16)
-        a, q = data.draw(small_fracs), tuple(data.draw(small_fracs) for _ in ds)
-        da, dq = data.draw(step), tuple(data.draw(step) for _ in ds)
-        ends = [(a, q), (a + da, tuple(map(operator.add, q, dq)))]
-        lo, hi = (value(prof, a, q) for a, q in ends)
-        w_lo, w_hi = ((a, dict(zip(ds, q))) for a, q in ends)
-
-        def sign(w, x):
-            """The sign of the weight w minus the rational x."""
-            return ref_sign(*ref_weight_sum((1, w), (-1, (x, {}))))
-
-        if ref_sign(*ref_weight_sum((1, w_hi), (-1, w_lo))) <= 0:
+    @given(zp_windows())
+    def test_zp_pick_is_the_largest_numerator_at_the_least_denominator(self, window):
+        """Over profiles with 0-3 radii, free or rational, and Value
+        endpoints: zp_in_open_interval(lo, hi, p) is conftest's ref_zp_pick
+        point (mpmath, no library code), so it lies strictly inside the
+        window w_lo < x < w_hi, its denominator p**k is the least with a
+        point inside, and its numerator is the largest at that k.  An empty
+        window, or one with no point up to p**ZP_SEARCH_MAX_K, raises
+        WindowError."""
+        p, lo, hi, w_lo, w_hi = window
+        gap = ref_weight_sum((1, w_hi), (-1, w_lo))
+        want = None if ref_sign(*gap) <= 0 else ref_zp_pick(p, w_lo, w_hi, ZP_SEARCH_MAX_K)
+        if want is None:
             with pytest.raises(WindowError):
                 zp_in_open_interval(lo, hi, p)
             return
-        for k in range(ZP_SEARCH_MAX_K + 1):
-            scale = p**k
-            r, irr = ref_weight_sum((scale, w_hi))
-            u = int(ref_decimal(r, irr).to_integral_value(decimal.ROUND_FLOOR)) + 1
-            while sign(w_hi, Fraction(u, scale)) <= 0:
-                u -= 1
-            want = Fraction(u, scale)
-            if sign(w_lo, want) < 0:
-                break
-        else:
-            with pytest.raises(WindowError):
-                zp_in_open_interval(lo, hi, p)
-            return
-        assert zp_in_open_interval(lo, hi, p) == want
-        assert want.denominator == scale
+        x = zp_in_open_interval(lo, hi, p)
+        assert x == want
+        assert ref_sign(*ref_weight_sum((1, w_hi), (-1, (x, {})))) > 0
+        assert ref_sign(*ref_weight_sum((1, (x, {})), (-1, w_lo))) > 0
 
     def test_weight_decimal(self, prof1):
         s = weight_decimal(weight_of(value(prof1, 0, (1,))), 12)
