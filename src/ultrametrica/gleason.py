@@ -49,15 +49,18 @@ from .series import (
 from .tatealg import (
     HomSpec,
     TateElement,
+    _scale_into,
+    _tate_from,
     evaluate,
     make_tate,
-    t_scale,
     t_sum,
     tate_monomial,
 )
 from .valuegroup import (
     RadiusProfile,
     _key_norm,
+    _over_one_den,
+    _weight,
     ceil_weight,
     floor_weight,
     numerator,
@@ -72,6 +75,7 @@ from .valuegroup import (
     value_lt,
     value_mul,
     value_pow,
+    value_t_shift,
     weight_of,
     zero_value,
     zp_in_open_interval,
@@ -611,9 +615,10 @@ class SurjectionSpec:
     exponents (a DepthError is never stored); an answer depends only on q
     and the immutable spec, so it behaves as if absent.  _steps keeps
     divide_step's window values per step m (see step_values), for up to
-    MAX_STEPS steps; _windows keeps their integer bounds per step m and x
-    exponent (see window), for up to _WINDOW_MEMO_CAP pairs; and _empty is
-    the one empty exact Tate part that a step which clears nothing returns.
+    MAX_STEPS steps; _windows keeps their integer bounds in one dict per
+    step m, by x exponent (see window), for up to _WINDOW_MEMO_CAP pairs in
+    all; and _empty is the one empty exact Tate part that a step which
+    clears nothing returns.
     """
 
     n: int
@@ -694,6 +699,10 @@ class SurjectionSpec:
                 self._steps[m] = values
         return values
 
+    def step_windows(self, m: int) -> dict:
+        """Step m's stored windows {xs: window(m, xs)}, or an empty dict."""
+        return self._windows.get(m, {})
+
     def window(self, m: int, xs: tuple):
         """divide_step's integer window for step m and the x exponent
         numerators xs over D: (lo, hi) such that the term t**(a/D) x**(xs/D)
@@ -701,16 +710,15 @@ class SurjectionSpec:
         a <= hi, for (upper, cut) = step_values(m).  With |term| =
         |t|**(a/D) |x**(xs/D)|, lo = ceil(D w(upper / |x**(xs/D)|)) and
         hi = floor(D w(cut / |x**(xs/D)|))."""
-        key = (m, xs)
-        bounds = self._windows.get(key)
+        bounds = self.step_windows(m).get(xs)
         if bounds is None:
             D = self.profile.den
             x_inv = value(self.profile, 0, tuple(Fraction(-x, D) for x in xs))
             upper, cut = self.step_values(m)
             bounds = (ceil_weight(weight_of(value_pow(value_mul(upper, x_inv), D))),
                       floor_weight(weight_of(value_pow(value_mul(cut, x_inv), D))))
-            if len(self._windows) < _WINDOW_MEMO_CAP:
-                self._windows[key] = bounds
+            if sum(map(len, self._windows.values())) < _WINDOW_MEMO_CAP:
+                self._windows.setdefault(m, {})[xs] = bounds
         return bounds
 
 
@@ -762,47 +770,47 @@ def _step_values(profile: RadiusProfile, m: int):
     return value_mul(t_power(profile, m), s), value_mul(t_power(profile, m + 1), s)
 
 
-def divide_step(oracle, beta: SeriesElement, m: int):
+def divide_step(oracle, beta: SeriesElement, m: int, acc: dict = None):
     """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
     asking oracle.answer(qn) for each x exponent (numerators qn over D);
     the oracle (a SurjectionSpec) also gives the step's window values,
     their integer bounds per x exponent and its empty Tate part.
 
     Returns (f, residual) with residual = beta - phi(f),
-    |residual| <= |pi|**(m+1) s and |f| <= |pi|**m.  When beta carries a
-    floor coarser than the cut, the cut clamps at the floor: every stored
+    |residual| <= |pi|**(m+1) s and |f| <= |pi|**m; given a Tate
+    accumulator acc (see tatealg._scale_into), f goes into acc, which comes
+    back in its place.  When beta carries a floor coarser than the cut, the cut clamps at the floor: every stored
     term, of norm >= floor, still clears and the residual bound degrades
     to the floor, which is all a truncated input can certify.  A window
     that clears nothing (every term below the cut, or no stored terms)
     returns the oracle's one empty exact Tate element and beta itself.
 
-    The window runs on integer term keys.  For a term (a, xs),
-    oracle.window(m, xs) = (lo, hi) decides both bounds: a < lo is a norm
-    above |pi|**m s, the step's window error, and a <= hi a norm >= the
-    cut.  One pass over beta's terms checks the first and groups the
-    cleared terms by x exponent into base-field keys (a, ()); an exact
-    beta's window makes no comparison of Values.
+    The window runs on integer term keys.  For a term (a, xs), (lo, hi)
+    from the step's dict oracle.step_windows(m), or else oracle.window(m,
+    xs), decides both bounds: a < lo is a norm above |pi|**m s, the step's
+    window error, and a <= hi a norm >= the cut.  One pass over beta's
+    terms checks the first and groups the cleared terms by x exponent into
+    base-field keys (a, ()); an exact beta's window compares no Values.
     The certificate's b_q must be one term c0 t**(t0 / D), a monomial (see
     AdaptedCertificate); one that is not breaks an invariant.  So each
-    division coefficient b / b_q is a key shift, d = sum c c0**-1
-    t**((t - t0) / D), and |d| = |t|**(a / D) for a its least t numerator:
-    |d| < |pi|**m = |t|**m is the one comparison a > m D (the base and
-    the profile share D).  f is the one t_scale part when one x exponent
-    clears, and the t_sum of the parts otherwise.  The oracle's images
-    are exact, so the residual is beta's terms minus each lift(d) * image,
-    accumulated in one dict and cut once at beta's floor: the terms and
-    floor of sub(beta, the series_sum of the products).
+    division coefficient b / b_q is a key shift, the term dict d of sum c
+    c0**-1 t**((t - t0) / D), and |d| = |t|**(a / D) for a its least t
+    numerator: |d| < |pi|**m = |t|**m is the one comparison a > m D (the
+    base and the profile share D).  d times the answer's preimage goes into
+    the accumulator, and the residual is beta's terms minus each lift(d) *
+    image (the images are exact), accumulated in one dict and cut once at
+    beta's floor: the terms and floor of sub(beta, their series_sum).
     """
     profile = beta.profile
     cut = oracle.step_values(m)[1]
     if not beta.floor.zero and value_lt(cut, beta.floor):
         cut = beta.floor
-    window = oracle.window
-    bounds, groups = {}, {}
+    table, window = oracle.step_windows(m), oracle.window
+    groups = {}
     for (a, xs), c in beta._terms.items():
-        lo_hi = bounds.get(xs)
+        lo_hi = table.get(xs)
         if lo_hi is None:
-            bounds[xs] = lo_hi = window(m, xs)
+            lo_hi = window(m, xs)
         if a < lo_hi[0]:
             raise InputValidationError(
                 f"beta norm exceeds the step-{m} window |pi|**{m} * s"
@@ -813,10 +821,9 @@ def divide_step(oracle, beta: SeriesElement, m: int):
                 groups[xs] = group = {}
             group[a] = c
     if not groups:
-        return oracle._empty, beta
-    base = profile.base()
-    p, zero, bound = profile.p, base._zero, m * profile.den
-    parts = []
+        return oracle._empty if acc is None else acc, beta
+    p, bound = profile.p, m * profile.den
+    f = {} if acc is None else acc
     terms = dict(beta._terms)
     for qn, b_terms in sorted(groups.items()):
         try:
@@ -831,16 +838,14 @@ def divide_step(oracle, beta: SeriesElement, m: int):
         if min(b_terms) - t0 <= bound:
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
         inv = pow(c0, -1, p)
-        d = SeriesElement._raw(base, {(t - t0, ()): c * inv % p
-                                      for t, c in b_terms.items()}, zero)
-        parts.append(t_scale(ans.preimage, d))
-        _mul_lifted_into(terms, d, ans.image, -1)
-    f = parts[0] if len(parts) == 1 else t_sum(oracle.num_vars, base, parts)
+        d = {(t - t0, ()): c * inv % p for t, c in b_terms.items()}
+        _scale_into(f, ans.preimage._terms.items(), d, p)
+        _mul_lifted_into(terms, d.items(), ans.image._terms, p, -1)
     residual = _build(profile, terms, beta.floor)
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):
         raise InvariantViolationError("residual did not drop below |pi|**(m+1) s")
-    return f, residual
+    return _tate_from(oracle.num_vars, profile.base(), f) if acc is None else acc, residual
 
 
 @dataclass(frozen=True)
@@ -851,19 +856,26 @@ class PreimageResult:
 
 def rescale_into_window(beta: SeriesElement):
     """Multiply by an integer power of pi so that |beta| <= s; returns
-    (rescaled, k) with rescaled = t**k * beta."""
+    (rescaled, k) with rescaled = t**k * beta, as the key shift by k D
+    with beta's floor and stored norm times |t|**k."""
     profile = beta.profile
     nb = gauss_norm(beta)
     if nb is None:
         return beta, 0
-    k = max(0, ceil_weight(weight_of(value_mul(s_value(profile), value_pow(nb, -1)))))
+    sa, sq, na, nq, den = _over_one_den(s_value(profile), nb)
+    k = max(0, ceil_weight(_weight(profile, sa - na, map(operator.sub, sq, nq), den)))
     if k == 0:
         return beta, 0
-    return mul(_monomial(profile, 1, k * profile.den, profile._one.qn), beta), k
+    kD = k * profile.den
+    rescaled = SeriesElement._raw(profile, {(t + kD, xs): c for (t, xs), c in
+                                            beta._terms.items()}, value_t_shift(beta.floor, k))
+    object.__setattr__(rescaled, "_norm", value_t_shift(nb, k))
+    return rescaled, k
 
 
 def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageResult:
-    """Iterate the division algorithm to depth M.
+    """Iterate the division algorithm to depth M, every step adding its Tate
+    part into one accumulator, from which the preimage is built once.
 
     For exact beta the residual after step m has norm <= |pi|**(m+1) * s,
     monotonically nonincreasing; for a floored beta the bound clamps at
@@ -880,10 +892,8 @@ def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageRes
         raise FloorTooCoarseError(
             "floor exhaustion: beta is unknown already at |pi| * s"
         )
-    res = beta
-    parts, residuals = [], []
+    res, acc, residuals = beta, {}, []
     for m in range(depth):
-        g, res = divide_step(oracle, res, m)
-        parts.append(g)
+        res = divide_step(oracle, res, m, acc)[1]
         residuals.append(gauss_norm(res))
-    return PreimageResult(t_sum(oracle.num_vars, profile.base(), parts), tuple(residuals))
+    return PreimageResult(_tate_from(oracle.num_vars, profile.base(), acc), tuple(residuals))

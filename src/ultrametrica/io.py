@@ -257,7 +257,7 @@ def schedule_to_json(s: GleasonSchedule) -> dict:
     DenominatorCapError."""
     def exponent(x):
         numerator(s.profile, x)
-        return frac_to_str(x)
+        return ratio_to_str(x.numerator, x.denominator)
 
     return {
         "version": SCHEDULE_VERSION,

@@ -288,14 +288,14 @@ def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
                 terms[k] = s
 
 
-def _mul_lifted_into(terms: dict, c: SeriesElement, g: SeriesElement, sign: int):
-    """Add sign * c * g into terms, for c over g's base profile (with g's
-    cap) read as an element of g's profile: _mul_into's loop, where a term
-    of c has zero x exponents, so each product keeps the x tuple of its g
-    key and only the t numerators add."""
-    p = g.profile.p
-    g_items = g._terms.items()
-    for (t1, _), c1 in c._terms.items():
+def _mul_lifted_into(terms: dict, c_items, g_terms: dict, p: int, sign: int = 1):
+    """Add sign * c * g into terms, for c_items the (key, coefficient)
+    pairs of c over g's base profile (with g's cap), read as an element of
+    g's profile, and g_terms the term dict of g: _mul_into's loop, where a
+    term of c has zero x exponents, so each product keeps the x tuple of
+    its g key and only the t numerators add."""
+    g_items = g_terms.items()
+    for (t1, _), c1 in c_items:
         c1 *= sign
         for (t2, xs2), c2 in g_items:
             k = (t1 + t2, xs2)

@@ -22,7 +22,6 @@ from .series import (
     gauss_norm,
     mul,
     one,
-    series_sum,
 )
 from .valuegroup import (
     ExponentKeys,
@@ -60,6 +59,11 @@ class TateElement:
         return f"Tate[{self.m} vars, {n} terms]"
 
 
+# The term dict of the base field's one: scaling by it adds a Tate element
+# into an accumulator as it is.
+_ONE = {(0, ()): 1}
+
+
 def make_tate(m: int, base: RadiusProfile, terms) -> TateElement:
     if base.n != 0:
         raise InputValidationError("Tate coefficients must live over the base field")
@@ -78,23 +82,30 @@ def make_tate(m: int, base: RadiusProfile, terms) -> TateElement:
         if not c.floor.zero:
             raise InputValidationError("Tate coefficients must be exact (zero floor)")
         pairs.append((tuple(nums), c))
-    return _build_tate(m, base, pairs)
+    acc = {}
+    _scale_into(acc, pairs, _ONE, base.p)
+    return _tate_from(m, base, acc)
 
 
-def _build_tate(m: int, base: RadiusProfile, pairs) -> TateElement:
-    """Internal constructor from (exponent, exact coefficient) pairs,
-    exponents already validated as numerators over base.den: the
-    coefficients of a repeated exponent are summed by one series_sum, and
-    a coefficient with no terms is dropped."""
-    groups = {}
+def _scale_into(acc: dict, pairs, d_terms: dict, p: int):
+    """Add d * sum c T**e, over the (exponent, exact coefficient) pairs, into
+    the accumulator acc, {Tate exponent: {t key: coefficient}}, for d_terms
+    the term dict of an exact base-field d: each c times d by the lifted
+    multiply-accumulate loop, c's terms outer and in order, as mul(c, d)
+    forms them.  A key whose sum vanishes mod p leaves its dict."""
     for e, c in pairs:
-        groups.setdefault(e, []).append(c)
-    terms = {}
-    for e, cs in groups.items():
-        c = cs[0] if len(cs) == 1 else series_sum(base, cs)
-        if c._terms:
-            terms[e] = c
-    return TateElement(m, base, terms)
+        coeff = acc.get(e)
+        if coeff is None:
+            acc[e] = coeff = {}
+        _mul_lifted_into(coeff, c._terms.items(), d_terms, p)
+
+
+def _tate_from(m: int, base: RadiusProfile, acc: dict) -> TateElement:
+    """The Tate element of an accumulator, whose dicts it takes over: each
+    non-empty one becomes an exact coefficient, and an emptied one drops."""
+    zero = base._zero
+    return TateElement(m, base, {e: SeriesElement._raw(base, c, zero)
+                                 for e, c in acc.items() if c})
 
 
 def tate_monomial(m: int, coeff: SeriesElement, exps) -> TateElement:
@@ -107,14 +118,14 @@ def _require_compatible(f: TateElement, m: int, base: RadiusProfile):
 
 
 def t_sum(m: int, base: RadiusProfile, fs) -> TateElement:
-    """The sum of the Tate elements fs (m variables over base) in one pass:
-    their coefficients merge and cancelled ones drop once (the empty sum
-    is zero), as in series_sum."""
-    pairs = []
+    """The sum of the Tate elements fs (m variables over base) in one
+    accumulator: their coefficients merge and cancelled ones drop once (the
+    empty sum is zero)."""
+    acc = {}
     for f in fs:
         _require_compatible(f, m, base)
-        pairs.extend(f._terms.items())
-    return _build_tate(m, base, pairs)
+        _scale_into(acc, f._terms.items(), _ONE, base.p)
+    return _tate_from(m, base, acc)
 
 
 def t_add(f: TateElement, g: TateElement) -> TateElement:
@@ -122,26 +133,15 @@ def t_add(f: TateElement, g: TateElement) -> TateElement:
 
 
 def t_scale(f: TateElement, d: SeriesElement) -> TateElement:
-    """Multiply by an exact base-field element, coefficient-wise.
-
-    By one term d = c t**a, each coefficient's keys shift by a and its
-    coefficients scale by c, in the coefficient's own order, as mul's
-    one-term branch gives them; no two Tate exponents collide and each
-    coefficient keeps its terms, so nothing is merged or dropped.  Every
-    other d multiplies each coefficient by mul and rebuilds through
-    _build_tate."""
+    """Multiply by an exact base-field element, coefficient-wise: the
+    one-part case of _scale_into."""
     if d.profile != f.base:
         raise ProfileMismatchError("scalar lives over a different base")
     if not d.floor.zero:
         raise InputValidationError("Tate scalars must be exact (zero floor)")
-    if len(d._terms) == 1:
-        ((a, _), cd), = d._terms.items()
-        p, zero = f.base.p, f.base._zero
-        return TateElement(f.m, f.base, {
-            e: SeriesElement._raw(f.base, {(t + a, xs): x * cd % p
-                                           for (t, xs), x in c._terms.items()}, zero)
-            for e, c in f._terms.items()})
-    return _build_tate(f.m, f.base, [(e, mul(c, d)) for e, c in f._terms.items()])
+    acc = {}
+    _scale_into(acc, f._terms.items(), d._terms, f.base.p)
+    return _tate_from(f.m, f.base, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def evaluate(f: TateElement, hom: HomSpec, target_floor: Value) -> SeriesElement
         raise ProfileMismatchError("element base differs from hom target base")
     if target_floor.profile != profile:
         raise ProfileMismatchError("target floor lives over the wrong profile")
-    terms = {}
+    terms, p = {}, profile.p
     for e, c in f._terms.items():
-        _mul_lifted_into(terms, c, hom._monomial(e), 1)
+        _mul_lifted_into(terms, c._terms.items(), hom._monomial(e)._terms, p)
     return _build(profile, terms, profile._zero)

@@ -616,6 +616,11 @@ def t_power(profile: RadiusProfile, a) -> Value:
     return _key_norm(profile, a.numerator * (den // a.denominator), profile._one.qn, den)
 
 
+def value_t_shift(v: Value, k: int) -> Value:
+    """v * |t|**k for an integer k: an integer t exponent keeps den canonical."""
+    return v if v.zero else Value._raw(v.profile, v.an + k * v.den, v.qn, v.den)
+
+
 def pi_value(profile: RadiusProfile) -> Value:
     return t_power(profile, 1)
 
@@ -696,7 +701,9 @@ def _over_one_den(u: Value, v: Value):
 
 
 def compare(u: Value, v: Value) -> Ordering:
-    """Certified order of two norms as real numbers."""
+    """Certified order of two norms as real numbers (a Value equals itself)."""
+    if u is v:
+        return Ordering.EQUAL
     _require_same_profile(u, v)
     if u.zero and v.zero:
         return Ordering.EQUAL

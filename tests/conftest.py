@@ -12,14 +12,16 @@ from ultrametrica.series import (
     mul,
     series_frac_pow,
     series_zero,
+    sub,
 )
-from ultrametrica.tatealg import TateElement
+from ultrametrica.tatealg import TateElement, t_scale, t_sum
 from ultrametrica.valuegroup import (
     FreeRadius,
     Ordering,
     RationalRadius,
     compare,
     make_profile,
+    s_value,
     value,
     value_max,
     value_mul,
@@ -148,6 +150,37 @@ def ref_make_tate(m, base, pairs):
     return TateElement(m, base, {
         tuple(x.numerator * (base.den // x.denominator) for x in e): c
         for e, c in summed.items() if c.terms})
+
+
+def ref_reconstruct(oracle, beta, steps):
+    """Reference reconstruction, built as the division loop once built it,
+    from the public t_scale and t_sum: at step m the terms of norm >= |t|**(m+1)
+    s (clamped at beta's floor) are grouped by x exponent; each group's
+    coefficient b, divided by the monomial b_q = c0 t**t0 of its oracle
+    answer, gives d, and the step's part is the t_sum of t_scale(answer
+    preimage, d) over its groups.  The residual is the last one minus each
+    lift(d) * image.  Returns (the t_sum of the step parts, the residual
+    norms, the last residual)."""
+    profile, base = beta.profile, beta.profile.base()
+    D, p = profile.den, profile.p
+    zeros = (0,) * profile.n
+    res, parts, norms = beta, [], []
+    for m in range(steps):
+        cut = value_max(value_mul(value(profile, m + 1, zeros), s_value(profile)), res.floor)
+        groups = {}
+        for (t, xs), c in res.terms.items():
+            if compare(value(profile, t, xs), cut) is not Ordering.LESS:
+                groups.setdefault(xs, {})[t] = c
+        step = []
+        for xs, b in sorted(groups.items()):
+            ans = oracle.answer(tuple(int(x * D) for x in xs))
+            ((t0, _), c0), = ans.certificate.b_q.terms.items()
+            d = make_series(base, {(t - t0, ()): c * pow(c0, -1, p) for t, c in b.items()})
+            step.append(t_scale(ans.preimage, d))
+            res = sub(res, mul(lift(d, profile), ans.image))
+        parts.append(t_sum(oracle.num_vars, base, step))
+        norms.append(ref_gauss_norm(res))
+    return t_sum(oracle.num_vars, base, parts), tuple(norms), res
 
 
 def ref_tate_norm(f):

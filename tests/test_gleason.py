@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_weight, lift, only_x, ref_heights, ref_tate_norm
+from conftest import (
+    float_weight,
+    lift,
+    only_x,
+    ref_heights,
+    ref_reconstruct,
+    ref_tate_norm,
+)
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
@@ -802,13 +809,15 @@ class TestDivideStep:
 
 class MonomialOracle:
     """The parts of a SurjectionSpec that divide_step reads, over any
-    profile, rational radii included: the spec's own step_values and
-    window, with their memos, the empty Tate part, and for x**q the answer
-    image x**q * factor (factor a base-field element, 1 by default) with
-    b_q = 1 and the constant preimage 1, which divide_step does not check."""
+    profile, rational radii included: the spec's own step_values, window
+    and step_windows, with their memos, the empty Tate part, and for x**q
+    the answer image x**q * factor (factor a base-field element, 1 by
+    default) with b_q = 1 and the constant preimage 1, which divide_step
+    does not check."""
 
     step_values = SurjectionSpec.step_values
     window = SurjectionSpec.window
+    step_windows = SurjectionSpec.step_windows
 
     def __init__(self, profile, factor=None):
         self.profile, self.base = profile, profile.base()
@@ -929,7 +938,10 @@ class TestDivisionWindow:
         pairs = [(m, (x * prof.den,)) for m in range(3) for x in range(-1, 2)]
         fresh = [MonomialOracle(prof).window(m, xs) for m, xs in pairs]
         assert [spec.window(m, xs) for m, xs in pairs] == fresh
-        assert list(spec._windows) == pairs[:3]
+        assert {m: list(table) for m, table in spec._windows.items()} == {
+            0: [xs for _, xs in pairs[:3]]}
+        assert spec.step_windows(0) == dict(zip([xs for _, xs in pairs[:3]], fresh))
+        assert spec.step_windows(1) == {}
         assert spec.window(*pairs[0]) is spec.window(*pairs[0])
 
     @pytest.mark.parametrize("radii, cap, depth, steps", [
@@ -1012,6 +1024,37 @@ class TestReconstruct:
             nd = gauss_norm(diff)
             final = value_mul(value_pow(pi, 8), s)
             assert nd is None or value_le(nd, final)
+
+    def test_rescale_and_reconstruction_need_no_t_scale_t_sum_or_mul(self, monkeypatch):
+        """Design guard: with gleason.t_scale, gleason.t_sum and gleason.mul
+        patched to raise, the rescale and the reconstruction of exact betas
+        drawn for the surject-n1 configuration (p = 2, sqrt 2, cap 2**32,
+        depth 21, M = 8) give the laws' references: mul(t**k, beta) and
+        conftest.ref_reconstruct, which also fills the spec's answer memo."""
+        profile = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+        spec = standard_surjection(profile, 21)
+        rng = random.Random(1)
+        pool = list(spec.schedule.omegas)
+        betas = [random_series(profile, rng, x_pool=pool, max_t_weight=12)
+                 for _ in range(30)]
+        expected = []
+        for beta in betas:
+            k = rescale_into_window(beta)[1]
+            rescaled = mul(monomial(profile, 1, k), beta)
+            expected.append((rescaled, k, ref_reconstruct(spec, rescaled, 8)[:2]))
+
+        def refuse(*args):
+            raise AssertionError("a Tate element or a product built apart")
+
+        for name in ("t_scale", "t_sum", "mul"):
+            monkeypatch.setattr(gleason, name, refuse, raising=False)
+        for beta, (want, k, (preimage, norms)) in zip(betas, expected):
+            rescaled, shift = rescale_into_window(beta)
+            assert shift == k and rescaled == want and rescaled._norm == want._norm
+            result = reconstruct_preimage(spec, rescaled, 8)
+            assert result.preimage == preimage and result.residuals == norms
+        assert sum(k > 0 for _, k, _ in expected) and sum(
+            len(preimage.terms) > 0 for _, _, (preimage, _) in expected) > 20
 
     def test_norm_above_s_rejected(self, spec21, prof):
         beta = make_series(prof, {(Fraction(0), (Fraction(1),)): 1})

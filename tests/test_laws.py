@@ -29,11 +29,19 @@ from hypothesis import strategies as st
 from conftest import (
     lift,
     ref_evaluate_by_factors,
+    ref_gauss_norm,
     ref_leading_key,
     ref_mul,
+    ref_reconstruct,
     ref_weight_cmp,
 )
-from ultrametrica.gleason import divide_step, rescale_into_window, standard_surjection
+from test_gleason import MonomialOracle
+from ultrametrica.gleason import (
+    divide_step,
+    reconstruct_preimage,
+    rescale_into_window,
+    standard_surjection,
+)
 from ultrametrica.sampling import random_series
 from ultrametrica.series import (
     _mul_into,
@@ -41,6 +49,7 @@ from ultrametrica.series import (
     gauss_norm,
     invert,
     make_series,
+    monomial,
     mul,
     neg,
     one,
@@ -67,8 +76,10 @@ from ultrametrica.valuegroup import (
     _weight,
     compare,
     make_profile,
+    s_value,
     t_power,
     value,
+    value_le,
     value_lift,
     value_mul,
     value_pow,
@@ -373,16 +384,16 @@ def lifted_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(lifted_products())
 def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
-    """_mul_lifted_into(terms, c, g, sign) adds sign * lift(c) * g into
-    terms as the multiply-accumulate loop does with the lift's terms,
-    term for term and in dict order; the sum is that of the start and the
+    """_mul_lifted_into(terms, c's term pairs, g's term dict, p, sign) adds
+    sign * lift(c) * g into terms as the multiply-accumulate loop does with
+    the lift's terms, term for term and in dict order; the sum is that of the start and the
     products sign * mul(lift(c), g), and one product into an empty
     dict is that product's terms, in its order."""
     start, products = ops
     prof = products[0][1].profile
     got, want = dict(start), dict(start)
     for c, g, sign in products:
-        _mul_lifted_into(got, c, g, sign)
+        _mul_lifted_into(got, c._terms.items(), g._terms, prof.p, sign)
         _mul_into(want, lift(c, prof)._terms.items(), g._terms, prof.p, sign)
     assert list(got.items()) == list(want.items())
     summands = [make_series(prof, TermKeys(start, prof.den).items())]
@@ -392,7 +403,7 @@ def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
     assert got == series_sum(prof, summands)._terms
     c, g, sign = products[0]
     alone = {}
-    _mul_lifted_into(alone, c, g, sign)
+    _mul_lifted_into(alone, c._terms.items(), g._terms, prof.p, sign)
     h = mul(lift(c, prof), g)
     assert list(alone.items()) == list((h if sign == 1 else neg(h))._terms.items())
 
@@ -568,6 +579,104 @@ def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, ste
             cleared += bool(f.terms)
             beta = residual
     assert cleared >= 40  # steps that cleared terms, not only empty windows
+
+
+# ---------------------------------------------------------------------------
+# A reconstruction is the sum of its scaled parts; a rescale is a product.
+# ---------------------------------------------------------------------------
+
+# (p, radii, cap, depth, steps): surject-verify configurations over p in
+# {2, 3} and n in {1, 2}.
+RECONSTRUCTIONS = [(2, (2,), 32, 8, 8), (3, (2,), 20, 8, 8),
+                   (2, (2, 3), 32, 12, 4), (3, (2, 3), 20, 12, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def surjection(p, radii, cap, depth):
+    return standard_surjection(
+        make_profile(p, [FreeRadius(d) for d in radii], max_denom_log=cap), depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RECONSTRUCTIONS), st.integers(0, 2**32), st.booleans())
+def test_reconstruction_is_the_sum_of_the_scaled_parts(config, seed, floored):
+    """reconstruct_preimage's preimage and residual norms are those of
+    conftest.ref_reconstruct, the t_sum over steps of the t_sum over groups
+    of t_scale(answer preimage, d), for a target drawn as surject-verify
+    draws it, exact or floored at |t|**12."""
+    p, radii, cap, depth, steps = config
+    spec = surjection(p, radii, cap, depth)
+    profile = spec.profile
+    beta = random_series(profile, random.Random(seed), x_pool=list(spec.schedule.omegas),
+                         max_t_weight=12)
+    if floored:
+        beta = with_floor(beta, t_power(profile, 12))
+    beta, _ = rescale_into_window(beta)
+    got = reconstruct_preimage(spec, beta, steps)
+    preimage, norms, _ = ref_reconstruct(spec, beta, steps)
+    assert got.preimage == preimage
+    assert got.residuals == norms
+
+
+def test_two_parts_that_cancel_a_coefficient_leave_none():
+    """Over p = 2 with |x| = |t|**(1/2) and s = |t|**3, a stub oracle that
+    answers every x**q with the constant preimage 1 and b_q = 1: beta =
+    t**3 + t**3 x clears at step 0 as two parts, t**3 times 1 each, whose
+    coefficients at the Tate exponent 0 cancel.  The emptied coefficient
+    drops, so the preimage is zero, as the reference's is."""
+    half = make_profile(2, [RationalRadius(Fraction(1, 2))], 3, max_denom_log=4)
+    beta = make_series(half, {(3, (0,)): 1, (3, (1,)): 1})
+    oracle = MonomialOracle(half)
+    got = reconstruct_preimage(oracle, beta, 2)
+    preimage, norms, _ = ref_reconstruct(oracle, beta, 2)
+    assert got.preimage == preimage
+    assert preimage.terms == {}
+    assert got.residuals == norms == (None, None)
+
+
+@st.composite
+def rescale_targets(draw):
+    """A series over p in {2, 3} and 0-2 radii, free or rational, with a
+    sigma_s inside or outside D**-1 Z, t exponents between -12 and 12 over
+    p**0..2, exact or floored (at a norm whose denominator may be 3)."""
+    p = draw(st.sampled_from([2, 3]))
+    radii = draw(st.lists(st.sampled_from([FreeRadius(2), FreeRadius(3),
+                                           RationalRadius(Fraction(1, 3)),
+                                           RationalRadius(Fraction(5, 2))]),
+                          max_size=2, unique=True))
+    sigma_s = draw(st.sampled_from([None, Fraction(7, 2), Fraction(16, 3)]))
+    profile = make_profile(p, radii, sigma_s, max_denom_log=4)
+    scale = st.sampled_from([1, p, p * p])
+    terms = draw(st.dictionaries(
+        st.tuples(st.builds(Fraction, st.integers(-12 * p * p, 12 * p * p), scale),
+                  st.tuples(*[st.builds(Fraction, st.integers(-3, 3), scale)] * len(radii))),
+        st.integers(1, p - 1), max_size=4))
+    floor = None
+    if draw(st.booleans()):
+        floor = t_power(profile, Fraction(draw(st.integers(-4, 16)),
+                                          draw(st.sampled_from([1, p, 3]))))
+    return make_series(profile, terms, floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rescale_targets())
+def test_rescale_is_the_product_by_a_power_of_t(beta):
+    """rescale_into_window(beta) = (t**k * beta, k) for the least k >= 0 with
+    |t**k beta| <= s: its terms (in order), floor and stored norm are those
+    of mul(t**k, beta), and that norm is the reference Gauss norm."""
+    profile = beta.profile
+    nb = gauss_norm(beta)
+    rescaled, k = rescale_into_window(beta)
+    if nb is None:
+        assert (rescaled, k) == (beta, 0)
+        return
+    want = mul(monomial(profile, 1, k), beta)
+    assert list(rescaled._terms.items()) == list(want._terms.items())
+    assert rescaled.floor == want.floor
+    assert rescaled._norm == want._norm == ref_gauss_norm(rescaled)
+    s = s_value(profile)
+    assert value_le(rescaled._norm, s)
+    assert k == 0 or not value_le(value_mul(t_power(profile, k - 1), nb), s)
 
 
 # ---------------------------------------------------------------------------

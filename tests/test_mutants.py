@@ -65,6 +65,24 @@ MUTANTS = [
      "if sign(u * den - al * scale, [-x * scale for x in ql]) > 0:",
      "if sign(u * den - al * scale, [-x * scale for x in ql]) >= 0:",
      ["tests/test_valuegroup.py::TestWeightTools::test_zp_pick_excludes_the_lower_end"]),
+    ("divide_step drops its residual invariant", "gleason.py",
+     "    if nres is not None and not value_le(nres, cut):\n"
+     "        raise InvariantViolationError(\"residual did not drop below |pi|**(m+1) s\")\n", "",
+     ["tests/test_gleason.py::TestDivideStep::test_an_image_that_misses_beta_is_an_invariant_break"]),
+    ("the lifted loop, the Tate accumulator's, keeps a term whose sum is 0 mod p",
+     "series.py",
+     "            k = (t1 + t2, xs2)\n"
+     "            s = (terms.get(k, 0) + c1 * c2) % p\n"
+     "            if s == 0:\n"
+     "                terms.pop(k, None)\n"
+     "            else:\n"
+     "                terms[k] = s\n",
+     "            k = (t1 + t2, xs2)\n"
+     "            terms[k] = (terms.get(k, 0) + c1 * c2) % p\n",
+     ["tests/test_laws.py::test_two_parts_that_cancel_a_coefficient_leave_none"]),
+    ("the rescale shifts by (k - 1) D", "gleason.py",
+     "    kD = k * profile.den\n", "    kD = (k - 1) * profile.den\n",
+     ["tests/test_laws.py::test_rescale_is_the_product_by_a_power_of_t"]),
     ("the decimal memo key drops digits", "valuegroup.py",
      "key = (w.c0, tuple(w.irr.items()), w.den, digits)",
      "key = (w.c0, tuple(w.irr.items()), w.den)",
