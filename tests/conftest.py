@@ -153,14 +153,14 @@ def ref_make_tate(m, base, pairs):
 
 
 def ref_reconstruct(oracle, beta, steps):
-    """Reference reconstruction, built as the division loop once built it,
-    from the public t_scale and t_sum: at step m the terms of norm >= |t|**(m+1)
+    """Reference reconstruction from the public t_scale and t_sum, one Tate
+    element per part and per step: at step m the terms of norm >= |t|**(m+1)
     s (clamped at beta's floor) are grouped by x exponent; each group's
     coefficient b, divided by the monomial b_q = c0 t**t0 of its oracle
     answer, gives d, and the step's part is the t_sum of t_scale(answer
     preimage, d) over its groups.  The residual is the last one minus each
-    lift(d) * image.  Returns (the t_sum of the step parts, the residual
-    norms, the last residual)."""
+    lift(d) * image.  Returns the t_sum of the step parts and the residual
+    norms."""
     profile, base = beta.profile, beta.profile.base()
     D, p = profile.den, profile.p
     zeros = (0,) * profile.n
@@ -180,7 +180,7 @@ def ref_reconstruct(oracle, beta, steps):
             res = sub(res, mul(lift(d, profile), ans.image))
         parts.append(t_sum(oracle.num_vars, base, step))
         norms.append(ref_gauss_norm(res))
-    return t_sum(oracle.num_vars, base, parts), tuple(norms), res
+    return t_sum(oracle.num_vars, base, parts), tuple(norms)
 
 
 def ref_tate_norm(f):

@@ -6,9 +6,11 @@ evaluate above a nonzero floor does not depend on how each term's
 product is grouped, and neither does a sum of Tate elements.  Each runs
 over p in {2, 3} and n in {0, 1, 2} (radii, or Tate variables) against a
 conftest reference, the last over m in {1, 2} Tate variables against
-itself; the first two references call no library code.  Two more: a profile's integer sign
-kernel agrees with mpmath, and a division step's residual is beta minus
-the evaluation of its Tate part.  evaluate keeps every term whatever the
+itself; the first two references call no library code.  Four more: a
+profile's integer sign kernel agrees with mpmath, a division step's residual is beta minus
+the evaluation of its Tate part, a reconstruction's preimage is the
+t_sum of its t_scale parts (over p in {2, 3} and n in {1, 2}), and a
+rescale is the product by a power of t.  evaluate keeps every term whatever the
 target, even where the bound |c| * |image| lies below it, and a lifted
 product accumulates as the product of the lift does, under free radii
 with a rational one or without.  Last, under profiles that mix rational
@@ -613,7 +615,7 @@ def test_reconstruction_is_the_sum_of_the_scaled_parts(config, seed, floored):
         beta = with_floor(beta, t_power(profile, 12))
     beta, _ = rescale_into_window(beta)
     got = reconstruct_preimage(spec, beta, steps)
-    preimage, norms, _ = ref_reconstruct(spec, beta, steps)
+    preimage, norms = ref_reconstruct(spec, beta, steps)
     assert got.preimage == preimage
     assert got.residuals == norms
 
@@ -628,7 +630,7 @@ def test_two_parts_that_cancel_a_coefficient_leave_none():
     beta = make_series(half, {(3, (0,)): 1, (3, (1,)): 1})
     oracle = MonomialOracle(half)
     got = reconstruct_preimage(oracle, beta, 2)
-    preimage, norms, _ = ref_reconstruct(oracle, beta, 2)
+    preimage, norms = ref_reconstruct(oracle, beta, 2)
     assert got.preimage == preimage
     assert preimage.terms == {}
     assert got.residuals == norms == (None, None)
