@@ -58,9 +58,9 @@ from .tatealg import (
 )
 from .valuegroup import (
     RadiusProfile,
+    _ceil_numerators,
     _key_norm,
     _over_one_den,
-    _weight,
     ceil_weight,
     floor_weight,
     numerator,
@@ -474,9 +474,9 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
             beta = g * pb if mode == "alpha" else g
             # w(term) = (a_term + xs.alpha) / F and p**b_m w(head) =
             # (a_term + d + xs.alpha) / F: (1), s < |head| of (3), (4), (5)
-            a_term, xs = beta + pb * tF, [pb * x for x in xF]
+            a_term, xs = beta + pb * tF, tuple(pb * x for x in xF)
             if (sign(a_term - m * F, xs) > 0
-                    and sign(sig * pb - a_term - d, [-x for x in xs]) > 0
+                    and sign(sig * pb - a_term - d, tuple(-x for x in xs)) > 0
                     and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)
                     and _scaled_key(v, scale, pb) not in exps_taken):
                 break
@@ -863,7 +863,7 @@ def rescale_into_window(beta: SeriesElement):
     if nb is None:
         return beta, 0
     sa, sq, na, nq, den = _over_one_den(s_value(profile), nb)
-    k = max(0, ceil_weight(_weight(profile, sa - na, map(operator.sub, sq, nq), den)))
+    k = max(0, _ceil_numerators(profile, sa - na, tuple(map(operator.sub, sq, nq)), den))
     if k == 0:
         return beta, 0
     kD = k * profile.den

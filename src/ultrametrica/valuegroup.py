@@ -13,11 +13,10 @@ and comparing norms reduces to comparing weights (larger weight means
 smaller norm).  Norms are combined and ordered as Values only; a Weight
 is the real number behind one, read for rounding and printing.  Weights
 are linear combinations c0 + sum(c_d * sqrt(d)) over Q; square roots of
-distinct squarefree integers are linearly independent over Q, which
-gives an exact zero test.  With one or two free radii a nonzero sign
-follows from squaring integers; with more it is decided by interval
-refinement, doubling precision until the enclosing interval excludes
-zero; termination is guaranteed because the exact zero test runs first.
+distinct squarefree integers are linearly independent over Q, so a
+nonzero irrational part r is never an integer and a weight's sign and
+floor follow from the one integer floor(r) (_floor_root_sum), found by
+enclosures that shrink until both ends have one floor.
 
 Every exponent is an integer over one denominator.  Term exponents lie
 in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys
@@ -131,7 +130,9 @@ class RadiusProfile:
     lcm * exponent (0 for a free radius) for lcm the lcm of the rational
     exponents' denominators; the sign kernel _sign(a, q), the sign of the
     weight of the integer exponent numerators (a, q) over any positive
-    denominator; the zero, one and s values; and the n = 0 base profile.
+    denominator, and _floors, its memo of floor(sum q_i sqrt(d_i)) by q
+    (see _free_floor); the zero, one and s values; and the n = 0 base
+    profile.
     """
 
     p: int
@@ -143,6 +144,7 @@ class RadiusProfile:
     _rat: tuple = field(init=False, compare=False, repr=False)
     _lcm: int = field(init=False, compare=False, repr=False)
     _sign: object = field(init=False, compare=False, repr=False)
+    _floors: dict = field(init=False, compare=False, repr=False)
     _zero: "Value" = field(init=False, compare=False, repr=False)
     _one: "Value" = field(init=False, compare=False, repr=False)
     _s: "Value" = field(init=False, compare=False, repr=False)
@@ -178,6 +180,7 @@ class RadiusProfile:
             0 if f else r.exponent.numerator * (L // r.exponent.denominator)
             for r, f in zip(self.radii, free)))
         object.__setattr__(self, "_lcm", L)
+        object.__setattr__(self, "_floors", {})
         object.__setattr__(self, "_sign", _sign_kernel(self))
         object.__setattr__(self, "_zero", Value._raw(self, 0, q0, D, True))
         object.__setattr__(self, "_one", Value._raw(self, 0, q0, D))
@@ -341,8 +344,9 @@ class Weight:
     rational and irrational properties read them back as Fractions.
 
     A Weight is the real number a Value's exponent denotes (weight_of),
-    read for integer rounding, for printing and by the sign kernel with
-    three or more radii; norms are combined and ordered as Values."""
+    read for its sign, for integer rounding (each through the floor of its
+    irrational part, _floor_root_sum) and for printing (through bounds);
+    norms are combined and ordered as Values."""
 
     __slots__ = ("c0", "irr", "den")
 
@@ -385,32 +389,12 @@ class Weight:
             hi += c * (s + (c > 0))
         return lo, hi, D // g << k
 
-    def refine(self):
-        """The enclosures bounds(k) for k = 16, 32, 64, ...: the one
-        refinement loop behind sign and floor_weight (weight_decimal picks
-        its k from the same sequence without building the enclosures)."""
-        k = 16
-        while True:
-            yield self.bounds(k)
-            k *= 2
-
     def sign(self) -> int:
-        # Exact zero test first: independence of sqrt(d) over Q.
-        irr = self.irr
-        if len(irr) == 1:
-            ((d, b),) = irr.items()
-            return _sign_sqrt(self.c0, b, d)
-        if len(irr) == 2:
-            (d1, b), (d2, c) = irr.items()
-            return _sign_two(self.c0, b, d1, c, d2)
-        if not irr:
-            a = self.c0
-            return (a > 0) - (a < 0)
-        for lo, hi, _ in self.refine():
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        """The sign of c0 alone without a sqrt(d); otherwise the irrational
+        part r is never an integer, so +1 exactly when c0 + floor(r) >= 0."""
+        if not self.irr:
+            return (self.c0 > 0) - (self.c0 < 0)
+        return 1 if self.c0 + _floor_root_sum(self.irr.items()) >= 0 else -1
 
     def __repr__(self):
         parts = [str(self.rational)]
@@ -419,46 +403,35 @@ class Weight:
         return " + ".join(parts)
 
 
-def _sign_sqrt(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for squarefree d > 1: with b != 0 and a of the
-    other sign, compare a**2 with b**2 * d, never equal."""
-    sb = (b > 0) - (b < 0)
-    if sb == 0 or a == 0:
-        return sb or (a > 0) - (a < 0)
-    if (a > 0) == (b > 0):
-        return sb
-    return -sb if a * a > b * b * d else sb
-
-
-def _sign_two(a: int, b: int, d1: int, c: int, d2: int) -> int:
-    """Sign of a + b*sqrt(d1) + c*sqrt(d2) for distinct squarefree d1, d2 > 1.
-    With x = a + b*sqrt(d1) and y = c*sqrt(d2): y = 0 leaves the sign of x;
-    otherwise, when the signs differ, the larger square x**2 - y**2 =
-    (a**2 + d1*b**2 - d2*c**2) + 2ab*sqrt(d1) decides, and it is never zero
-    for y != 0."""
-    sx = _sign_sqrt(a, b, d1)
-    if not c:
-        return sx
-    sy = 1 if c > 0 else -1
-    if sx == sy or _sign_sqrt(a * a + d1 * b * b - d2 * c * c, 2 * a * b, d1) > 0:
-        return sx
-    return sy
+def _floor_root_sum(terms) -> int:
+    """The floor of sum(c * sqrt(d)) over the (d, c) pairs of terms, for
+    distinct squarefree d > 1 (d is not read where c = 0).  Over 2**k, each
+    c * sqrt(d) lies strictly between isqrt(c**2 * d << 2k) and that plus
+    one, or minus those when c < 0, an enclosure 2**-k wide whatever the
+    size of c; the sum of m such terms lies strictly inside (lo, lo + m)
+    over 2**k, and k doubles from 32 until both ends have one floor.  A
+    sum with a nonzero c is irrational, so k stops growing."""
+    terms = [(d, c) for d, c in terms if c]
+    k = 32
+    while True:
+        lo = 0
+        for d, c in terms:
+            s = isqrt(c * c * d << 2 * k)
+            lo += s if c > 0 else -s - 1
+        if lo >> k == (lo + len(terms)) >> k:
+            return lo >> k
+        k *= 2
 
 
 def floor_weight(w: Weight) -> int:
-    """Largest integer <= w."""
-    if not w.irr:
-        return w.c0 // w.den
-    for lo, hi, den in w.refine():
-        if lo // den == hi // den:
-            return lo // den
+    """Largest integer <= w: (c0 + floor(r)) // den for r the irrational
+    part, since c0 + r lies in [c0 + floor(r), c0 + floor(r) + 1)."""
+    return (w.c0 + _floor_root_sum(w.irr.items())) // w.den
 
 
 def ceil_weight(w: Weight) -> int:
-    """Smallest integer >= w."""
-    if not w.irr:
-        return -(-w.c0 // w.den)
-    return floor_weight(w) + 1  # irrational, never an integer
+    """Smallest integer >= w (an irrational weight is never an integer)."""
+    return floor_weight(w) + 1 if w.irr else -(-w.c0 // w.den)
 
 
 def largest_int_below(w: Weight) -> int:
@@ -484,10 +457,11 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
     key = (w.c0, tuple(w.irr.items()), w.den, digits)
     text = _DECIMAL_MEMO.get(key)
     if text is None:
-        # The midpoint of the first enclosure of refine() narrower than
-        # 10**-(digits+2).  Every bounds(k) has hi - lo = sum|c_d| / g over
-        # den = (w.den / g) << k, g the gcd bounds() reduces by, so that k
-        # is found from integers alone and bounds() runs once.
+        # The midpoint of the first enclosure bounds(k), k = 16, 32, 64,
+        # ..., narrower than 10**-(digits+2).  Every bounds(k) has hi - lo
+        # = sum|c_d| / g over den = (w.den / g) << k, g the gcd bounds()
+        # reduces by, so that k is found from integers alone and bounds()
+        # runs once.
         g = gcd(w.den, w.c0, *w.irr.values())
         width = sum(map(abs, w.irr.values())) // g * 10 ** (digits + 2)
         k = 16
@@ -655,29 +629,57 @@ def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
     if profile._rat:
         a, q = _fold(profile, a, q)
         den *= profile._lcm
-    irr = {}
-    for d, x in zip(profile._ds, q):
-        if x:
-            irr[d] = x
-    return Weight._raw(a, irr, den)
+    return Weight._raw(a, {d: x for d, x in zip(profile._ds, q) if x}, den)
+
+
+# Capacity of each profile's memo of irrational floors (_free_floor): a
+# seed-1 surject-n2 benchmark pass asks 11 749 signs of 2 768 vectors q.
+_FLOOR_MEMO_CAP = 4096
+
+
+def _free_floor(profile: RadiusProfile, q: tuple) -> int:
+    """floor(sum(q_i * sqrt(d_i))) for integer numerators q with every
+    rational slot 0 (see _fold), kept in profile._floors by q for up to
+    _FLOOR_MEMO_CAP vectors."""
+    floors = profile._floors
+    f = floors.get(q)
+    if f is None:
+        f = _floor_root_sum(zip(profile._ds, q))
+        if len(floors) < _FLOOR_MEMO_CAP:
+            floors[q] = f
+    return f
 
 
 def _sign_kernel(profile: RadiusProfile):
     """The function (a, q) -> sign of the weight of the integer exponent
-    numerators (a, q), q a sequence; the positive denominator does not
-    change a sign.  With no radius it is the sign of a, with one or two
-    free radii the rule of Weight.sign for that many square roots, and
-    otherwise Weight.sign itself."""
-    if not profile.radii:
-        return lambda a, q: (a > 0) - (a < 0)
-    if not profile._rat:  # every radius is free
-        if profile.n == 1:
-            (d,) = profile._ds
-            return lambda a, q: _sign_sqrt(a, q[0], d)
-        if profile.n == 2:
-            d1, d2 = profile._ds
-            return lambda a, q: _sign_two(a, q[0], d1, q[1], d2)
-    return lambda a, q: _weight(profile, a, q, 1).sign()
+    numerators (a, q), q a tuple; the positive denominator does not change
+    a sign.  A rational radius folds into a (see _fold).  For q != 0 the
+    free part r = sum(q_i * sqrt(d_i)) is irrational, so the sign is +1
+    exactly when a + floor(r) >= 0, a memo hit in profile._floors for a
+    repeated q; q = 0 leaves the sign of a."""
+    floors = profile._floors
+
+    def sign(a, q):
+        f = floors.get(q)
+        if f is None:
+            if not any(q):
+                return (a > 0) - (a < 0)
+            f = _free_floor(profile, q)
+        return 1 if a + f >= 0 else -1
+    if profile._rat:
+        return lambda a, q: sign(*_fold(profile, a, q))
+    return sign
+
+
+def _ceil_numerators(profile: RadiusProfile, a: int, q: tuple, den: int) -> int:
+    """ceil_weight of the weight of the exponent numerators (a, q) over
+    den, the floor of its free part read through _free_floor."""
+    if profile._rat:
+        a, q = _fold(profile, a, q)
+        den *= profile._lcm
+    if not any(q):
+        return -(-a // den)
+    return (a + _free_floor(profile, q)) // den + 1  # irrational, never an integer
 
 
 def weight_of(v: Value) -> Weight:
@@ -700,6 +702,10 @@ def _over_one_den(u: Value, v: Value):
             v.an * sv, tuple(x * sv for x in v.qn), den)
 
 
+# compare's answer by the sign of w(u) - w(v): larger weight, smaller norm.
+_BY_SIGN = (Ordering.EQUAL, Ordering.LESS, Ordering.GREATER)
+
+
 def compare(u: Value, v: Value) -> Ordering:
     """Certified order of two norms as real numbers (a Value equals itself)."""
     if u is v:
@@ -715,13 +721,7 @@ def compare(u: Value, v: Value) -> Ordering:
         ua, uq, va, vq = u.an, u.qn, v.an, v.qn
     else:
         ua, uq, va, vq, _ = _over_one_den(u, v)
-    sign = u.profile._sign(ua - va, tuple(map(operator.sub, uq, vq)))
-    # Larger weight means smaller norm.
-    if sign > 0:
-        return Ordering.LESS
-    if sign < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return _BY_SIGN[u.profile._sign(ua - va, tuple(map(operator.sub, uq, vq)))]
 
 
 def value_lt(u, v) -> bool:
@@ -820,7 +820,7 @@ def zp_in_weight_window(profile: RadiusProfile, lo, hi, den: int, p: int) -> Fra
     scale = 1
     for _ in range(ZP_SEARCH_MAX_K + 1):
         u = largest_int_below(_weight(profile, ah * scale, [x * scale for x in qh], den))
-        if sign(u * den - al * scale, [-x * scale for x in ql]) > 0:
+        if sign(u * den - al * scale, tuple(-x * scale for x in ql)) > 0:
             return Fraction(u, scale)
         scale *= p
     raise WindowError(f"no Z[1/p] point found in ({_value(profile, ah, qh, den)}, "

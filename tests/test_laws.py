@@ -75,8 +75,11 @@ from ultrametrica.valuegroup import (
     Ordering,
     RationalRadius,
     TermKeys,
+    Weight,
     _weight,
+    ceil_weight,
     compare,
+    floor_weight,
     make_profile,
     s_value,
     t_power,
@@ -440,40 +443,62 @@ SIGN_PROFILES = [
     make_profile(2, [FreeRadius(2), RationalRadius(Fraction(1, 3)), FreeRadius(3)]),
 ]
 
-COEFF_LIMIT = 2**64
+# The drawn coefficients reach 2**200, as surject-n2's set-up numerators
+# over D = 2**110 do; the Pell pairs stop at 2**64.
+COEFF_LIMIT = 2**200
+PELL_LIMIT = 2**64
+MP_DIGITS = 600
 
 
-def mp_sign(profile, a, q):
-    """Sign of a + sum q_i alpha_i (alpha_i = sqrt(d_i), or e_i for a
-    rational radius) times the lcm L of the e_i's denominators, from a
-    300-digit mpmath sum.  That sum is an integer combination A of 1 and
-    square roots of k <= 3 distinct squarefree d <= 5 with coefficients
-    below 2**67 in absolute value (inputs below 2**65, L <= 3).  When
-    A != 0, the product of its 2**k conjugates (every choice of signs on
-    the square roots) is a nonzero integer, so |A| >= 1 / M**(2**k - 1) for
-    M >= each conjugate's size: M < 2**67 * (1 + sqrt2 + sqrt3 + sqrt5) <
-    2**70, so |A| > 2**-490 > 10**-148.  mpmath's error at 300 digits is
-    below M * 10**-298, so a magnitude below 10**-200 is an exact zero and
-    the sign of any larger one is right."""
-    L = math.lcm(*(r.exponent.denominator for r in profile.radii
-                   if isinstance(r, RationalRadius)))
-    with mpmath.workdps(300):
-        total = mpmath.mpf(a * L)
-        for r, x in zip(profile.radii, q):
-            if isinstance(r, RationalRadius):
-                total += x * r.exponent.numerator * (L // r.exponent.denominator)
-            else:
-                total += x * L * mpmath.sqrt(r.d)
-        if abs(total) < mpmath.mpf(10) ** -200:
+@functools.cache
+def mp_root(d):
+    with mpmath.workdps(MP_DIGITS):
+        return mpmath.sqrt(d)
+
+
+def mp_sum(a, irr):
+    """a + sum c * sqrt(d) over the (d, c) items of irr, to MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        return mpmath.mpf(a) + sum((c * mp_root(d) for d, c in irr), mpmath.mpf(0))
+
+
+def mp_exact_sign(total) -> int:
+    """The sign of an mp_sum of integer coefficients below 2**205 in
+    absolute value over k <= 3 distinct squarefree d <= 5.  The exact sum A
+    is an integer combination of 1 and the square roots; when A != 0, the
+    product of its 2**k conjugates (every choice of signs on the square
+    roots) is a nonzero integer, so |A| >= 1 / M**(2**k - 1) for M >= each
+    conjugate's size: M < 2**205 * (1 + sqrt2 + sqrt3 + sqrt5) < 2**208, so
+    |A| > 2**-1456 > 10**-439.  mpmath's error at 600 digits is below
+    M * 10**-598 < 10**-535, so a magnitude below 10**-500 is an exact zero
+    and the sign of any larger one is right."""
+    with mpmath.workdps(MP_DIGITS):
+        if abs(total) < mpmath.mpf(10) ** -500:
             return 0
         return 1 if total > 0 else -1
 
 
+def mp_sign(profile, a, q):
+    """Sign of a + sum q_i alpha_i (alpha_i = sqrt(d_i), or e_i for a
+    rational radius) times the lcm L of the e_i's denominators: an
+    integer combination with coefficients below 2**203 (inputs below
+    2**201, L <= 3), signed by mp_exact_sign."""
+    L = math.lcm(*(r.exponent.denominator for r in profile.radii
+                   if isinstance(r, RationalRadius)))
+    c0, irr = a * L, []
+    for r, x in zip(profile.radii, q):
+        if isinstance(r, RationalRadius):
+            c0 += x * r.exponent.numerator * (L // r.exponent.denominator)
+        else:
+            irr.append((r.d, x * L))
+    return mp_exact_sign(mp_sum(c0, irr))
+
+
 def pell(d, x1, y1):
-    """The solutions (x, y) of x**2 - d*y**2 = 1 with x below COEFF_LIMIT,
+    """The solutions (x, y) of x**2 - d*y**2 = 1 with x below PELL_LIMIT,
     powers of the fundamental one: x - y*sqrt(d) = 1 / (x + y*sqrt(d))."""
     out, x, y = [], x1, y1
-    while x < COEFF_LIMIT:
+    while x < PELL_LIMIT:
         out.append((x, y))
         x, y = x * x1 + d * y * y1, x * y1 + y * x1
     return out
@@ -542,12 +567,77 @@ coefficients = st.one_of(st.just(0), st.integers(-COEFF_LIMIT + 1, COEFF_LIMIT -
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SIGN_PROFILES), st.data())
 def test_sign_kernel_matches_mpmath(profile, data):
-    """Integer coefficients below 2**64, zero often: the kernel and
+    """Integer coefficients below 2**200, zero often: the kernel and
     Weight.sign give mpmath's sign."""
     a = data.draw(coefficients)
     q = tuple(data.draw(coefficients) for _ in range(profile.n))
     want = mp_sign(profile, a, q)
     assert kernel_signs(profile, a, q) == (want, want)
+
+
+def mp_free_floor(profile, q):
+    """floor(sum q_i alpha_i) over the radii, the q of a kernel call at a =
+    0: a rational slot adds q_i e_i.  Exact, as its sum over the lcm L of
+    the e_i's denominators is signed by mp_sign after the floor is taken."""
+    L = math.lcm(*(r.exponent.denominator for r in profile.radii
+                   if isinstance(r, RationalRadius)))
+    rational = sum(x * r.exponent for r, x in zip(profile.radii, q)
+                   if isinstance(r, RationalRadius))
+    with mpmath.workdps(MP_DIGITS):
+        f = int(mpmath.floor(mp_sum(0, [(r.d, x) for r, x in zip(profile.radii, q)
+                                        if isinstance(r, FreeRadius)])
+                             + mpmath.mpf(rational.numerator) / rational.denominator))
+    assert mp_sign(profile, -f, q) >= 0 and mp_sign(profile, -f - 1, q) < 0
+    return f
+
+
+@pytest.mark.parametrize("index", range(len(SIGN_PROFILES)),
+                         ids=["free0", "free1", "free2", "free3", "mixed"])
+def test_the_floor_memo_answers_on_both_sides_of_each_floor(index):
+    """For each near-cancelling q, a - 1, a and a + 1 around a = -floor(r)
+    for r the weight of q alone, on a fresh profile: the first call of a
+    new free part stores its floor (a q without one leaves the sign of a)
+    and the next two read it; all three give mpmath's sign, and each stored
+    floor is mpmath's."""
+    base = SIGN_PROFILES[index]
+    profile = make_profile(base.p, base.radii, base.sigma_s, base.max_denom_log)
+    assert profile._floors == {} and profile._sign is not base._sign
+    free = [isinstance(r, FreeRadius) for r in profile.radii]
+    seen = set()
+    for _, q in near_cancelling(profile):
+        a = -mp_free_floor(profile, q)
+        part = tuple(x if f else 0 for f, x in zip(free, q))
+        size, stores = len(profile._floors), any(part) and part not in seen
+        for b in (a - 1, a, a + 1):
+            assert profile._sign(b, q) == mp_sign(profile, b, q), (b, q)
+            assert len(profile._floors) == size + stores, (b, q)
+        seen.add(part)
+    assert len(profile._floors) == len(seen - {(0,) * profile.n})
+    for key, f in profile._floors.items():
+        items = [(r.d, x) for r, x in zip(profile.radii, key) if isinstance(r, FreeRadius)]
+        assert mp_exact_sign(mp_sum(-f, items)) > 0 > mp_exact_sign(mp_sum(-f - 1, items))
+
+
+weight_coefficients = st.integers(-COEFF_LIMIT + 1, COEFF_LIMIT - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_coefficients, st.dictionaries(st.sampled_from((2, 3, 5)), weight_coefficients,
+                                            max_size=3),
+       st.one_of(st.just(1), st.integers(1, 2**120)))
+def test_floor_and_ceil_weight_match_mpmath(c0, irr, den):
+    """(c0 + sum c_d sqrt(d)) / den with integers below 2**200 and den below
+    2**121: floor_weight is the largest integer n with c0 - n den + sum
+    c_d sqrt(d) >= 0, as mp_exact_sign signs it, and ceil_weight is the
+    smallest with that sum <= 0."""
+    w = Weight(Fraction(c0, den), {d: Fraction(c, den) for d, c in irr.items()})
+    items = list(irr.items())
+    with mpmath.workdps(MP_DIGITS):
+        n = int(mpmath.floor(mp_sum(c0, items) / den))
+    signs = [mp_exact_sign(mp_sum(c0 - m * den, items)) for m in (n, n + 1)]
+    assert signs[0] >= 0 and signs[1] < 0
+    assert floor_weight(w) == n
+    assert ceil_weight(w) == (n if signs[0] == 0 else n + 1)
 
 
 # ---------------------------------------------------------------------------

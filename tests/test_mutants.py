@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRIAL = "tests/test_io_cli.py::TestCli::test_the_trial_checks_each_residual"
 WINDOW = "tests/test_gleason.py::TestDivisionWindow"
 HEIGHTS = "tests/test_gleason.py::TestHeights"
+PELL = "tests/test_laws.py::test_sign_kernel_on_near_cancelling_pell_pairs"
 
 # (row id, module under src/ultrametrica, source text, replacement,
 #  the node ids that must fail)
@@ -52,7 +53,7 @@ MUTANTS = [
      [f"{HEIGHTS}::test_standard_surjection_at_sigma_one[2]",
       f"{HEIGHTS}::test_standard_surjection_at_sigma_one[3]"]),
     ("schedule condition (3) drops s < |head|", "gleason.py",
-     "\n                    and sign(sig * pb - a_term - d, [-x for x in xs]) > 0", "",
+     "\n                    and sign(sig * pb - a_term - d, tuple(-x for x in xs)) > 0", "",
      [f"{HEIGHTS}::test_standard_surjection[30-1-2]"]),
     ("schedule condition (4) dropped", "gleason.py",
      "\n                    and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)", "",
@@ -62,8 +63,8 @@ MUTANTS = [
      ["tests/test_gleason.py::TestBuildGplus::test_exponent_distinctness",
       f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
     ("the picker admits the window's lower end", "valuegroup.py",
-     "if sign(u * den - al * scale, [-x * scale for x in ql]) > 0:",
-     "if sign(u * den - al * scale, [-x * scale for x in ql]) >= 0:",
+     "if sign(u * den - al * scale, tuple(-x * scale for x in ql)) > 0:",
+     "if sign(u * den - al * scale, tuple(-x * scale for x in ql)) >= 0:",
      ["tests/test_valuegroup.py::TestWeightTools::test_zp_pick_excludes_the_lower_end"]),
     ("divide_step drops its residual invariant", "gleason.py",
      "    if nres is not None and not value_le(nres, cut):\n"
@@ -83,6 +84,20 @@ MUTANTS = [
     ("the rescale shifts by (k - 1) D", "gleason.py",
      "    kD = k * profile.den\n", "    kD = (k - 1) * profile.den\n",
      ["tests/test_laws.py::test_rescale_is_the_product_by_a_power_of_t"]),
+    ("the sign kernel reads a + floor(r) = 0 as negative", "valuegroup.py",
+     "return 1 if a + f >= 0 else -1", "return 1 if a + f > 0 else -1",
+     [f"{PELL}[free1]", f"{PELL}[free2]", f"{PELL}[free3]", f"{PELL}[mixed]"]),
+    ("the enclosure of a negative c * sqrt(d) starts one unit high", "valuegroup.py",
+     "lo += s if c > 0 else -s - 1", "lo += s if c > 0 else -s",
+     [f"{PELL}[free2]", f"{PELL}[free3]", f"{PELL}[mixed]"]),
+    ("divide_step admits a coefficient at the bound", "gleason.py",
+     "if min(b_terms) - t0 <= bound:", "if min(b_terms) - t0 < bound:",
+     ["tests/test_gleason.py::TestDivideStep::"
+      "test_coefficient_at_the_bound_is_an_invariant_break[0-True]"]),
+    ("divide_step drops the inverse of c0", "gleason.py",
+     "inv = pow(c0, -1, p)", "inv = 1",
+     ["tests/test_gleason.py::TestDivideStep::"
+      "test_a_non_unit_coefficient_is_divided_by_its_inverse"]),
     ("the decimal memo key drops digits", "valuegroup.py",
      "key = (w.c0, tuple(w.irr.items()), w.den, digits)",
      "key = (w.c0, tuple(w.irr.items()), w.den)",

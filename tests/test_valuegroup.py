@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import random
@@ -12,6 +13,7 @@ import ultrametrica
 from conftest import (
     float_weight,
     ref_bounds,
+    ref_decimal,
     ref_sign,
     ref_weight_sum,
     ref_zp_pick,
@@ -458,9 +460,10 @@ class TestOneWeightPath:
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(0, 30))
     def test_weight_decimal_takes_the_first_narrow_enclosure(self, data, digits):
-        """weight_decimal against the midpoint of the first enclosure of
-        refine() narrower than 10**-(digits+2), rounded half up, over
-        profiles mixing 0-3 free radii with rational radii."""
+        """weight_decimal against the midpoint of the first enclosure
+        bounds(k), k = 16, 32, 64, ..., narrower than 10**-(digits+2),
+        rounded half up, over profiles mixing 0-3 free radii with rational
+        radii."""
         free = [FreeRadius(d) for d in data.draw(
             st.lists(st.sampled_from(SQUAREFREE), max_size=3, unique=True))]
         rational = [RationalRadius(Fraction(data.draw(st.integers(1, 14)),
@@ -473,10 +476,11 @@ class TestOneWeightPath:
         ks = []
         if w.irr:
             scale = 10 ** (digits + 2)
-            i, (num, den) = next((i, (lo + hi, 2 * den))
-                                 for i, (lo, hi, den) in enumerate(w.refine())
+            k, (num, den) = next((k, (lo + hi, 2 * den))
+                                 for k in (16 << i for i in itertools.count())
+                                 for lo, hi, den in [w.bounds(k)]
                                  if (hi - lo) * scale < den)
-            ks.append(16 << i)  # refine() runs k = 16, 32, 64, ...
+            ks.append(k)
         else:
             num, den = w.c0, w.den
         scaled = (abs(num) * 10**digits + den // 2) // den
@@ -525,6 +529,24 @@ class TestDecimalMemo:
         w.ks.clear()
         assert weight_decimal(w, 12) == "1.414213562373"
         assert w.ks  # computed again
+
+
+class TestFloorMemo:
+    """Each profile keeps the floor of the free part of each q its sign
+    kernel meets, for up to _FLOOR_MEMO_CAP vectors."""
+
+    def test_floors_are_kept_for_at_most_the_cap(self, monkeypatch):
+        monkeypatch.setattr(valuegroup, "_FLOOR_MEMO_CAP", 3)
+        prof = make_profile(2, [FreeRadius(2), FreeRadius(3)])
+        qs = [(x, y) for x in range(-2, 2) for y in (-1, 1)]
+        for q in qs:
+            r = ref_decimal(Fraction(0), {2: Fraction(q[0]), 3: Fraction(q[1])})
+            for a in range(-int(r) - 2, -int(r) + 3):
+                want = ref_sign(Fraction(a), {2: Fraction(q[0]), 3: Fraction(q[1])})
+                assert prof._sign(a, q) == want, (a, q)
+        assert list(prof._floors) == qs[:3]
+        assert all(prof._floors[q] == math.floor(ref_decimal(
+            Fraction(0), {2: Fraction(q[0]), 3: Fraction(q[1])})) for q in qs[:3])
 
 
 def imported_or_read_names(path):
