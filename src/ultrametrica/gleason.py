@@ -473,10 +473,11 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
             pb = p**b_m
             beta = g * pb if mode == "alpha" else g
             # w(term) = (a_term + xs.alpha) / F and p**b_m w(head) =
-            # (a_term + d + xs.alpha) / F: (1), s < |head| of (3), (4), (5)
+            # (a_term + d + xs.alpha) / F: (1), s < |head| of (3), (4), (5),
+            # each a sign of one xs, so one floor of the sign kernel's memo
             a_term, xs = beta + pb * tF, tuple(pb * x for x in xF)
             if (sign(a_term - m * F, xs) > 0
-                    and sign(sig * pb - a_term - d, tuple(-x for x in xs)) > 0
+                    and sign(a_term + d - sig * pb, xs) < 0
                     and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)
                     and _scaled_key(v, scale, pb) not in exps_taken):
                 break

@@ -434,11 +434,6 @@ def ceil_weight(w: Weight) -> int:
     return floor_weight(w) + 1 if w.irr else -(-w.c0 // w.den)
 
 
-def largest_int_below(w: Weight) -> int:
-    """Largest integer strictly less than w."""
-    return ceil_weight(w) - 1
-
-
 # weight_decimal's strings of irrational weights, keyed by (c0,
 # tuple(irr.items()), den, digits), for up to _DECIMAL_MEMO_CAP weights: a
 # surject-verify run prints one string per trial and step, of few distinct
@@ -809,18 +804,20 @@ def zp_in_weight_window(profile: RadiusProfile, lo, hi, den: int, p: int) -> Fra
     weights of the exponent numerators lo = (a, q) and hi over den.
 
     Scans denominators p**k from k = 0 upward and takes the largest
-    numerator u with u / p**k < w_hi (largest_int_below of w_hi * p**k),
-    so the result is deterministic and sits close to w_hi; x > w_lo is one
-    call of the sign kernel, and no Value is built.  Raises WindowError
-    when no denominator up to p**ZP_SEARCH_MAX_K works (in particular
-    when w_hi <= w_lo).
+    numerator u with u / p**k < w_hi (one less than the ceiling of w_hi *
+    p**k), so the result is deterministic and sits close to w_hi; x > w_lo
+    is one call of the sign kernel, and no Value is built.  Both read the
+    floor of a free part through the profile's memo, so when lo and hi
+    share q, as the alpha-mode picker's do, each scale computes one floor.
+    Raises WindowError when no denominator up to p**ZP_SEARCH_MAX_K works
+    (in particular when w_hi <= w_lo).
     """
     (al, ql), (ah, qh) = lo, hi
     sign = profile._sign
     scale = 1
     for _ in range(ZP_SEARCH_MAX_K + 1):
-        u = largest_int_below(_weight(profile, ah * scale, [x * scale for x in qh], den))
-        if sign(u * den - al * scale, tuple(-x * scale for x in ql)) > 0:
+        u = _ceil_numerators(profile, ah * scale, tuple(x * scale for x in qh), den) - 1
+        if sign(al * scale - u * den, tuple(x * scale for x in ql)) < 0:
             return Fraction(u, scale)
         scale *= p
     raise WindowError(f"no Z[1/p] point found in ({_value(profile, ah, qh, den)}, "

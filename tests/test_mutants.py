@@ -53,7 +53,7 @@ MUTANTS = [
      [f"{HEIGHTS}::test_standard_surjection_at_sigma_one[2]",
       f"{HEIGHTS}::test_standard_surjection_at_sigma_one[3]"]),
     ("schedule condition (3) drops s < |head|", "gleason.py",
-     "\n                    and sign(sig * pb - a_term - d, tuple(-x for x in xs)) > 0", "",
+     "\n                    and sign(a_term + d - sig * pb, xs) < 0", "",
      [f"{HEIGHTS}::test_standard_surjection[30-1-2]"]),
     ("schedule condition (4) dropped", "gleason.py",
      "\n                    and (not bs or sign(a_term - (sig + F) * p ** bs[-1], xs) > 0)", "",
@@ -63,8 +63,8 @@ MUTANTS = [
      ["tests/test_gleason.py::TestBuildGplus::test_exponent_distinctness",
       f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
     ("the picker admits the window's lower end", "valuegroup.py",
-     "if sign(u * den - al * scale, tuple(-x * scale for x in ql)) > 0:",
-     "if sign(u * den - al * scale, tuple(-x * scale for x in ql)) >= 0:",
+     "if sign(al * scale - u * den, tuple(x * scale for x in ql)) < 0:",
+     "if sign(al * scale - u * den, tuple(x * scale for x in ql)) <= 0:",
      ["tests/test_valuegroup.py::TestWeightTools::test_zp_pick_excludes_the_lower_end"]),
     ("divide_step drops its residual invariant", "gleason.py",
      "    if nres is not None and not value_le(nres, cut):\n"

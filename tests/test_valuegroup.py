@@ -37,7 +37,6 @@ from ultrametrica.valuegroup import (
     compare,
     floor_weight,
     in_sqrt_K,
-    largest_int_below,
     make_profile,
     value,
     value_lift,
@@ -401,7 +400,6 @@ class TestOneWeightPath:
         fl, ce = int(sympy.floor(expr)), int(sympy.ceiling(expr))
         assert floor_weight(w) == fl
         assert ceil_weight(w) == ce
-        assert largest_int_below(w) == (fl - 1 if expr == fl else fl)
         # weight_decimal rounds half up; it may be one unit off only when
         # |w| lies within its enclosure width of a rounding boundary.
         dec = sympy.Rational(weight_decimal(w, digits))
