@@ -28,7 +28,6 @@ from .series import gauss_norm, invert, sub
 from .tatealg import evaluate
 from .valuegroup import (
     RadiusProfile,
-    ceil_weight,
     numerator,
     t_power,
     value_le,
@@ -197,7 +196,7 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     spec = standard_surjection(profile, depth, c_exponent=config.c_exponent)
     steps = config.division_steps()
     floor_value = t_power(profile, config.floor_exponent)
-    max_t_weight = int(ceil_weight(weight_of(floor_value)))
+    max_t_weight = math.ceil(config.floor_exponent)
     bounds = [spec.step_values(m)[1] for m in range(steps)]
     eval_floor = spec.step_values(steps - 1)[1]
     pool = list(spec.schedule.omegas)

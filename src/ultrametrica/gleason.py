@@ -58,27 +58,18 @@ from .tatealg import (
 )
 from .valuegroup import (
     RadiusProfile,
-    _ceil_numerators,
-    _key_norm,
+    _floor_ceil,
     _over_one_den,
-    ceil_weight,
-    floor_weight,
     numerator,
     one_value,
-    pi_value,
     ratio_numerator,
     row_reduce,
     s_value,
-    t_power,
     value,
     value_le,
     value_lt,
-    value_mul,
-    value_pow,
     value_t_shift,
-    weight_of,
     zero_value,
-    zp_in_open_interval,
     zp_in_weight_window,
 )
 
@@ -362,25 +353,24 @@ def _pick_e_alpha(profile, tW, xW):
                                profile.p)
 
 
-def _pick_e_direct(profile, nV, nW, m: int):
-    """Paper window s < |e_m| < |V| - epsilon, folding condition (1) in
-    when W_m is the empty monomial."""
-    lo = nV
-    bound = t_power(profile, m)
-    if nW == one_value(profile) and value_le(bound, nV):
-        lo = bound
-    hi = s_value(profile)
-    if not value_lt(hi, lo):
-        raise WindowError(
-            f"direct-mode window empty at step {m}: cannot satisfy "
-            f"s < |e_m| < |V| with the convergence requirement"
-        )
-    return zp_in_open_interval(lo, hi, profile.p)
+def _pick_e_direct(profile, V, m: int, w_is_one: bool):
+    """Exponent gamma for e_m = t**gamma in the paper window s < |e_m| <
+    |V_1| (|V| = 1 when V is empty), with condition (1) folded in when W_m
+    is the empty monomial: |e_m| < |t|**m too.  In weights w_lo < gamma <
+    sigma_s for w_lo = w(V_1), or max(w(V_1), m) when w_is_one, both ends
+    over s's denominator E; an empty window raises WindowError."""
+    s = profile._s
+    f = s.den // profile.den
+    (a, xs), = V[0]._terms if V else ((0, s.qn),)
+    a, xs = a * f, tuple(x * f for x in xs)
+    if w_is_one and profile._sign(a - m * s.den, xs) < 0:
+        a, xs = m * s.den, s.qn
+    return zp_in_weight_window(profile, (a, xs), (s.an, s.qn), s.den, profile.p)
 
 
 def _require_sigma_at_least_one(profile):
     """Refuse sigma_s < 1, where no alpha-mode build can start."""
-    if value_lt(pi_value(profile), s_value(profile)):
+    if profile.sigma_s < 1:
         raise InputValidationError(f"sigma_s = {profile.sigma_s} is below 1: no Frobenius"
                                    f" height meets |term| < |t| at step 1")
 
@@ -404,10 +394,11 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
     powers of p; W_m's key (t and x exponent numerators over D) is the sum
     of the keys of V scaled by h_m (_lattice_key, whose admission refuses
     exponents past the cap); gamma_m comes from the weight window of
-    _pick_e_alpha; and each of (1), (3) and (4) is one call of the sign
-    kernel on weight numerators over F = lcm(s's denominator, those of
-    gamma_m and delta_m).  The builder makes no series element, and its
-    alpha-mode steps make no Value.
+    _pick_e_alpha or _pick_e_direct, and direct mode's |W_m| <= s refusal
+    is one call of the sign kernel on W_m's key; and each of (1), (3) and
+    (4) is one such call on weight numerators over F = lcm(s's
+    denominator, those of gamma_m and delta_m).  The builder makes no
+    series element, and in neither mode does a step make a Value.
 
     Heights strictly increase, so both modes scan b_m from b_{m-1} + 1.
     In direct mode that start enforces the growth.  In alpha mode (4)
@@ -433,7 +424,6 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
         _require_sigma_at_least_one(profile)
     p, D, sign, s = profile.p, profile.den, profile._sign, profile._s
     _check_monomials(V)
-    nV0 = gauss_norm(V[0]) if V else one_value(profile)
     well = WellOrder(profile.n, p, rule)
 
     omegas, h_reps, gammas, deltas, bs = [], [], [], [], []
@@ -448,17 +438,18 @@ def build_schedule(profile, V, rule, depth, mode="alpha") -> GleasonSchedule:
         if mode == "alpha":
             gamma = _pick_e_alpha(profile, tW, xW)
         else:
-            nW = _key_norm(profile, tW, xW, D)
-            if value_le(nW, s):
+            f = s.den // D
+            if sign(tW * f - s.an, tuple(x * f for x in xW)) >= 0:  # |W_m| <= s
                 raise WindowError(
                     f"step {m}: |W_m| <= s, head window unreachable "
                     f"(|omega(m)| beyond the adaptedness reach for this V)"
                 )
-            if nW == one_value(profile) and m > 1:
+            w_is_one = not tW and not any(xW)
+            if w_is_one and m > 1:
                 raise WindowError(
                     f"step {m}: constant monomial after step 1 deadlocks the tails"
                 )
-            gamma = _pick_e_direct(profile, nV0, nW, m)
+            gamma = _pick_e_direct(profile, V, m, w_is_one)
 
         # eps_m = t**delta_m, smallest exponent with |eps_m * beta_i| <= 1.
         delta = -beta_min
@@ -710,14 +701,18 @@ class SurjectionSpec:
         has norm > upper exactly when a < lo and norm >= cut exactly when
         a <= hi, for (upper, cut) = step_values(m).  With |term| =
         |t|**(a/D) |x**(xs/D)|, lo = ceil(D w(upper / |x**(xs/D)|)) and
-        hi = floor(D w(cut / |x**(xs/D)|))."""
+        hi = floor(D w(cut / |x**(xs/D)|)), each read from the value's
+        integers: D w(v / |x**(xs/D)|) has numerators D v.an and D v.q_i -
+        v.den xs_i over v.den."""
         bounds = self.step_windows(m).get(xs)
         if bounds is None:
-            D = self.profile.den
-            x_inv = value(self.profile, 0, tuple(Fraction(-x, D) for x in xs))
+            D, profile = self.profile.den, self.profile
+
+            def rounded(v):
+                return _floor_ceil(profile, D * v.an, tuple(
+                    D * q - v.den * x for q, x in zip(v.qn, xs)), v.den)
             upper, cut = self.step_values(m)
-            bounds = (ceil_weight(weight_of(value_pow(value_mul(upper, x_inv), D))),
-                      floor_weight(weight_of(value_pow(value_mul(cut, x_inv), D))))
+            bounds = rounded(upper)[1], rounded(cut)[0]
             if sum(map(len, self._windows.values())) < _WINDOW_MEMO_CAP:
                 self._windows.setdefault(m, {})[xs] = bounds
         return bounds
@@ -728,8 +723,9 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     """The (n+2)-variable surjection: T_i -> x_i, T_{n+1} -> c*prod(x_i**-1),
     T_{n+2} -> G for the min-zero lattice Gleason element G.
 
-    c defaults to the smallest t-power with s < |c * prod(x_i**-1)| < 1;
-    a caller-supplied c_exponent outside that window is an input error.
+    c defaults to t**ceil(sum(sqrt(d_i))), the least integer t-power with
+    |c * prod(x_i**-1)| < 1; a caller-supplied c_exponent outside the window
+    s < |c * prod(x_i**-1)| < 1 is an input error.
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
@@ -738,20 +734,15 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     base = profile.base()
     # |c * prod(x_i**-1)| = |t|**w_c / prod(r_i) must lie in (s, 1).
     minus_ones = (Fraction(-1),) * n
-    s, prod_r = s_value(profile), value(profile, 0, (1,) * n)
-
-    def in_window(w_c) -> bool:
-        norm = value(profile, w_c, minus_ones)
-        return value_lt(s, norm) and value_lt(norm, one_value(profile))
-
     if c_exponent is not None:
         w_c = Fraction(c_exponent)
-        if not in_window(w_c):
+        norm = value(profile, w_c, minus_ones)
+        if not (value_lt(s_value(profile), norm) and value_lt(norm, one_value(profile))):
             raise InputValidationError("c_exponent violates s < |c * prod(x_i**-1)| < 1")
     else:
-        w_c = Fraction(floor_weight(weight_of(prod_r)) + 1)
-        if not in_window(w_c):
-            w_c = zp_in_open_interval(prod_r, value_mul(prod_r, s), profile.p)
+        # ceil(r) - r lies in (0, 1) for the irrational r = sum(sqrt(d_i)),
+        # inside (0, sigma_s) as sigma_s >= 1
+        w_c = Fraction(_floor_ceil(profile, 0, (1,) * n, 1)[1])
     c = monomial(base, 1, w_c)
     V = tuple(monomial(profile, 1, 0, tuple(Fraction(int(i == j)) for j in range(n)))
               for i in range(n)) + (monomial(profile, 1, w_c, minus_ones),)
@@ -768,7 +759,7 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 def _step_values(profile: RadiusProfile, m: int):
     """Step m's window values (upper, cut) = (|pi|**m s, |pi|**(m+1) s)."""
     s = s_value(profile)
-    return value_mul(t_power(profile, m), s), value_mul(t_power(profile, m + 1), s)
+    return value_t_shift(s, m), value_t_shift(s, m + 1)
 
 
 def divide_step(oracle, beta: SeriesElement, m: int, acc: dict = None):
@@ -864,7 +855,7 @@ def rescale_into_window(beta: SeriesElement):
     if nb is None:
         return beta, 0
     sa, sq, na, nq, den = _over_one_den(s_value(profile), nb)
-    k = max(0, _ceil_numerators(profile, sa - na, tuple(map(operator.sub, sq, nq)), den))
+    k = max(0, _floor_ceil(profile, sa - na, tuple(map(operator.sub, sq, nq)), den)[1])
     if k == 0:
         return beta, 0
     kD = k * profile.den

@@ -666,15 +666,17 @@ def _sign_kernel(profile: RadiusProfile):
     return sign
 
 
-def _ceil_numerators(profile: RadiusProfile, a: int, q: tuple, den: int) -> int:
-    """ceil_weight of the weight of the exponent numerators (a, q) over
-    den, the floor of its free part read through _free_floor."""
+def _floor_ceil(profile: RadiusProfile, a: int, q: tuple, den: int) -> tuple:
+    """(floor, ceiling) of the weight of the exponent numerators (a, q) over
+    den: a rational radius folds into a (see _fold), and the floor of the
+    free part is read through _free_floor."""
     if profile._rat:
         a, q = _fold(profile, a, q)
         den *= profile._lcm
     if not any(q):
-        return -(-a // den)
-    return (a + _free_floor(profile, q)) // den + 1  # irrational, never an integer
+        return a // den, -(-a // den)
+    f = (a + _free_floor(profile, q)) // den
+    return f, f + 1  # irrational, never an integer
 
 
 def weight_of(v: Value) -> Weight:
@@ -784,19 +786,8 @@ def value_lift(v: Value, profile: RadiusProfile) -> Value:
 # ---------------------------------------------------------------------------
 
 
-# Largest k for which zp_in_open_interval tries the denominator p**k.
+# Largest k for which zp_in_weight_window tries the denominator p**k.
 ZP_SEARCH_MAX_K = 64
-
-
-def zp_in_open_interval(lo: Value, hi: Value, p: int) -> Fraction:
-    """A rational x = u / p**k with |hi| < |t|**x < |lo|: zp_in_weight_window
-    over the weights of hi and lo.  Raises WindowError when |hi| >= |lo|."""
-    if not value_lt(hi, lo):
-        raise WindowError(f"empty window ({hi}, {lo})")
-    if hi.zero:
-        raise InputValidationError("zero value has no finite weight")
-    al, ql, ah, qh, den = _over_one_den(lo, hi)
-    return zp_in_weight_window(lo.profile, (al, ql), (ah, qh), den, p)
 
 
 def zp_in_weight_window(profile: RadiusProfile, lo, hi, den: int, p: int) -> Fraction:
@@ -816,7 +807,7 @@ def zp_in_weight_window(profile: RadiusProfile, lo, hi, den: int, p: int) -> Fra
     sign = profile._sign
     scale = 1
     for _ in range(ZP_SEARCH_MAX_K + 1):
-        u = _ceil_numerators(profile, ah * scale, tuple(x * scale for x in qh), den) - 1
+        u = _floor_ceil(profile, ah * scale, tuple(x * scale for x in qh), den)[1] - 1
         if sign(al * scale - u * den, tuple(x * scale for x in ql)) < 0:
             return Fraction(u, scale)
         scale *= p

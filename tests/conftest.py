@@ -328,7 +328,7 @@ def ref_leading_key(ds, keys):
 
 
 def ref_zp_pick(p, lo, hi, max_k=64):
-    """Reference for zp_in_open_interval on weights lo < hi, each a pair
+    """Reference for zp_in_weight_window on weights lo < hi, each a pair
     (rational, {d: c_d}) standing for rational + sum c_d sqrt(d): for the
     least k in 0..max_k at which one exists, the rational u / p**k with
     the largest u such that u / p**k < hi, if it exceeds lo; None when no

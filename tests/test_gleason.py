@@ -12,10 +12,15 @@ from conftest import (
     float_weight,
     lift,
     only_x,
+    ref_decimal,
     ref_heights,
     ref_reconstruct,
+    ref_sign,
     ref_tate_norm,
+    ref_weight_sum,
+    ref_zp_pick,
 )
+import math
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
@@ -448,6 +453,47 @@ class TestBuildGminus:
     def test_bad_c_rejected(self, prof):
         with pytest.raises(WindowError):
             build_gminus(prof, monomial(prof.base(), 1, 20), 2)  # |c x**-1| < s
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_each_gamma_is_the_pick_of_the_direct_window(self, data):
+        """Over p in {2, 3, 5}, one free radius sqrt(d) and sigma_s in (1, 4],
+        with half the draws in the band w(c x**-1) < 1 < sigma_s <= 2, where
+        step 1's W_1 = 1 folds |e_1| < |t| into the lower end: each gamma_m
+        of build_gminus to depth 1-4 is ref_zp_pick on (w_lo, sigma_s), for
+        w_lo = w(c x**-1), or max(w(c x**-1), m) when h_m = 0, with every
+        weight signed by ref_sign.  The build refuses step m, with
+        WindowError, exactly at the first step whose |W_m| = |c x**-1|**h_m
+        is <= s or whose window has no pick."""
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        d = data.draw(st.sampled_from((2, 3, 5, 7)))
+        band = data.draw(st.booleans())
+        sigma = Fraction(data.draw(st.integers(5, 8 if band else 16)), 4)
+        # w_c = u / p**j with 0 < w_c - sqrt(d) < (1 if band else sigma)
+        j = data.draw(st.integers(0, 3))
+        top = math.floor(ref_decimal(p**j * (1 if band else sigma), {d: Fraction(p**j)}))
+        w_c = Fraction(data.draw(st.integers(math.isqrt(d * p ** (2 * j)) + 1, top)), p**j)
+        prof = make_profile(p, [FreeRadius(d)], sigma, max_denom_log=32)
+        c = monomial(prof.base(), 1, w_c)
+        well = WellOrder(1, p, gleason._lattice_rule(prof, (monomial(prof, 1, w_c, (-1,)),)))
+        w_v, s = (w_c, {d: Fraction(-1)}), (sigma, {})
+        depth, want = data.draw(st.integers(1, 4)), []
+        for m in range(1, depth + 1):
+            h = -well.omega(m)[0]  # V_1 = c x**-1, so h_m = -omega(m)
+            if ref_sign(*ref_weight_sum((h, w_v), (-1, s))) >= 0:
+                break  # |W_m| <= s
+            w_lo = w_v
+            if h == 0 and ref_sign(*ref_weight_sum((1, w_v), (-1, (m, {})))) < 0:
+                w_lo = (Fraction(m), {})
+            pick = ref_zp_pick(p, w_lo, s)
+            if pick is None:
+                break
+            want.append(pick)
+        if len(want) < depth:
+            with pytest.raises(WindowError):
+                build_gminus(prof, c, len(want) + 1)
+        if want:
+            assert build_gminus(prof, c, len(want))[0].gammas == tuple(want)
 
 
 class TestStandardSurjection:

@@ -62,6 +62,12 @@ MUTANTS = [
      "\n                    and _scaled_key(v, scale, pb) not in exps_taken", "",
      ["tests/test_gleason.py::TestBuildGplus::test_exponent_distinctness",
       f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
+    ("the window reads hi as the ceiling of D w(cut / |x**xs|)", "gleason.py",
+     "rounded(cut)[0]", "rounded(cut)[1]",
+     [f"{WINDOW}::test_window_bounds_decide_both_comparisons"]),
+    ("the window reads lo as the floor of D w(upper / |x**xs|)", "gleason.py",
+     "rounded(upper)[1]", "rounded(upper)[0]",
+     [f"{WINDOW}::test_window_bounds_decide_both_comparisons"]),
     ("the picker admits the window's lower end", "valuegroup.py",
      "if sign(al * scale - u * den, tuple(x * scale for x in ql)) < 0:",
      "if sign(al * scale - u * den, tuple(x * scale for x in ql)) <= 0:",

@@ -45,7 +45,7 @@ from ultrametrica.valuegroup import (
     weight_decimal,
     weight_of,
     zero_value,
-    zp_in_open_interval,
+    zp_in_weight_window,
 )
 from ultrametrica.valuegroup import _is_prime
 
@@ -291,37 +291,45 @@ def zp_windows(draw):
     return p, lo, hi, weight(*ends[0]), weight(*ends[1])
 
 
+def zp_pick(lo, hi, p):
+    """zp_in_weight_window on the weights of the Values lo and hi, given as
+    exponent numerators over one denominator."""
+    al, ql, ah, qh, den = valuegroup._over_one_den(lo, hi)
+    return zp_in_weight_window(lo.profile, (al, ql), (ah, qh), den, p)
+
+
 class TestWeightTools:
     def test_zp_pick_lands_inside(self, prof1):
         lo = value(prof1, 0, (1,))                   # weight sqrt 2
         hi = value(prof1, Fraction(1, 3), (1,))      # weight sqrt 2 + 1/3
-        x = zp_in_open_interval(lo, hi, 2)
+        x = zp_pick(lo, hi, 2)
         assert ref_sign(x, {2: Fraction(-1)}) > 0
         assert ref_sign(Fraction(1, 3) - x, {2: Fraction(1)}) > 0
         assert x.denominator & (x.denominator - 1) == 0  # power of 2
 
     def test_zp_pick_excludes_the_lower_end(self, prof1):
-        """|t|**x < |lo| is strict: in the window of weights (0, 1/2) the
+        """w_lo < x is strict: in the window of weights (0, 1/2) the
         largest numerators at p**0 and p**1 give 0, its lower end, and the
         pick is 1/4."""
         lo, hi = value(prof1, 0, (0,)), value(prof1, Fraction(1, 2), (0,))
-        assert zp_in_open_interval(lo, hi, 2) == Fraction(1, 4)
+        assert zp_pick(lo, hi, 2) == Fraction(1, 4)
 
     def test_zp_pick_empty_window(self, prof1):
         v = value(prof1, 1, (0,))
         with pytest.raises(WindowError):
-            zp_in_open_interval(v, v, 2)
+            zp_pick(v, v, 2)
         with pytest.raises(WindowError):
-            zp_in_open_interval(v, value(prof1, 0, (0,)), 2)  # |hi| > |lo|
+            zp_pick(v, value(prof1, 0, (0,)), 2)  # |hi| > |lo|
 
     @settings(max_examples=150, deadline=None)
     @given(zp_windows())
     def test_zp_pick_is_the_largest_numerator_at_the_least_denominator(self, window):
-        """Over profiles with 0-3 radii, free or rational, and Value
-        endpoints: zp_in_open_interval(lo, hi, p) is conftest's ref_zp_pick
-        point (mpmath, no library code), so it lies strictly inside the
-        window w_lo < x < w_hi, its denominator p**k is the least with a
-        point inside, and its numerator is the largest at that k.  An empty
+        """Over profiles with 0-3 radii, free or rational, and endpoints
+        given as the numerators of Values lo and hi over one denominator:
+        zp_in_weight_window picks conftest's ref_zp_pick point (mpmath, no
+        library code), so it lies strictly inside the window w_lo < x <
+        w_hi, its denominator p**k is the least with a point inside, and
+        its numerator is the largest at that k.  An empty
         window, or one with no point up to p**ZP_SEARCH_MAX_K, raises
         WindowError."""
         p, lo, hi, w_lo, w_hi = window
@@ -329,9 +337,9 @@ class TestWeightTools:
         want = None if ref_sign(*gap) <= 0 else ref_zp_pick(p, w_lo, w_hi, ZP_SEARCH_MAX_K)
         if want is None:
             with pytest.raises(WindowError):
-                zp_in_open_interval(lo, hi, p)
+                zp_pick(lo, hi, p)
             return
-        x = zp_in_open_interval(lo, hi, p)
+        x = zp_pick(lo, hi, p)
         assert x == want
         assert ref_sign(*ref_weight_sum((1, w_hi), (-1, (x, {})))) > 0
         assert ref_sign(*ref_weight_sum((1, (x, {})), (-1, w_lo))) > 0
@@ -708,3 +716,22 @@ def test_every_public_name_is_reached():
     assert not stray, f"no caller reaches {', '.join(stray)}"
     reached = reach(statements, outside)
     assert sorted(name for name in public if name not in reached) == sorted(kept)
+
+
+def test_every_import_is_read():
+    """Every name that a module of the package other than __init__ binds
+    with a top-level import (annotations aside) is read as a name somewhere
+    in that module."""
+    package = os.path.dirname(ultrametrica.__file__)
+    unread = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name)) as src:
+                tree = ast.parse(src.read())
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{name}: {alias.asname or alias.name}" for node in tree.body
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names
+                       if (alias.asname or alias.name.split(".")[0]) not in read | {"annotations"}]
+    assert not unread, f"imported and never read: {', '.join(unread)}"
