@@ -729,7 +729,7 @@ def standard_surjection(profile: RadiusProfile, depth: int,
     """
     if not profile.is_free or profile.n < 1:
         raise InputValidationError("standard surjection needs a free profile, n >= 1")
-    _require_sigma_at_least_one(profile)  # before c, whose window narrows with s
+    _require_sigma_at_least_one(profile)  # the default c needs sigma_s >= 1
     n = profile.n
     base = profile.base()
     # |c * prod(x_i**-1)| = |t|**w_c / prod(r_i) must lie in (s, 1).

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import os
 import random
 from fractions import Fraction
@@ -20,7 +21,6 @@ from conftest import (
     ref_weight_sum,
     ref_zp_pick,
 )
-import math
 import ultrametrica
 from ultrametrica import gleason
 from ultrametrica.errors import (
