@@ -37,14 +37,12 @@ from .valuegroup import (
 
 def frac_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:  # past the digit limit of int -> str
-        raise _digit_limit_error(x.numerator, x.denominator) from None
+    return ratio_to_str(x.numerator, x.denominator)
 
 
 def ratio_to_str(num: int, den: int) -> str:
-    """num / den (den > 0) as frac_to_str writes it, in lowest terms."""
+    """num / den (den > 0) in lowest terms, as "num/den", or "num" for an
+    integer; a rational past the digit limit is refused."""
     g = gcd(num, den)
     num, den = num // g, den // g
     try:

@@ -240,37 +240,18 @@ def product_floor(f: SeriesElement, g: SeriesElement) -> Value:
 
 
 def mul(f: SeriesElement, g: SeriesElement) -> SeriesElement:
-    """f * g.  By a one-term factor every key of the other factor shifts by
-    the same key, so no two products collide, and a product of two units
-    of F_p is a unit: the result is built in one pass, in the other
-    factor's order.  The shift keeps every weight difference, so the
-    result's leading key is the shifted leading key of the other factor,
-    and a norm stored on that factor gives the result's.  That key is
-    never below the product floor: each factor's norm is at least its
-    floor, so |f| |g| is at least each of the three candidates."""
+    """f * g: every product of a term of f and a term of g, accumulated by
+    _mul_into (f's terms outer, in order), then cut once at the product
+    floor.  No norm is stored on the result; gauss_norm takes it when
+    asked."""
     _require_profile(g, f.profile)
-    profile = f.profile
-    p = profile.p
-    floor = product_floor(f, g)
-    if len(f._terms) == 1 or len(g._terms) == 1:
-        one_term, other = (f, g) if len(f._terms) == 1 else (g, f)
-        ((t1, xs1), c1), = one_term._terms.items()
-        h = _build(profile, {
-            (t1 + t, tuple(map(operator.add, xs1, xs))): c1 * c % p
-            for (t, xs), c in other._terms.items()
-        }, floor)
-        n = other._norm
-        if n is not _UNSET and n is not None:
-            object.__setattr__(h, "_norm",
-                               value_mul(_key_norm(profile, t1, xs1, profile.den), n))
-        return h
     terms = {}
-    _mul_into(terms, f._terms.items(), g._terms, p)
-    return _build(profile, terms, floor)
+    _mul_into(terms, f._terms.items(), g._terms, f.profile.p)
+    return _build(f.profile, terms, product_floor(f, g))
 
 
-def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
-    """Add sign * f * g into terms, product by product (f's terms outer, in
+def _mul_into(terms: dict, f_items, g_terms: dict, p: int):
+    """Add f * g into terms, product by product (f's terms outer, in
     order), for f_items the (key, coefficient) pairs of f and g_terms the
     term dict of g: the one multiply-accumulate loop.  A key whose sum
     vanishes mod p leaves terms; nothing is cut at a floor, so a caller
@@ -278,7 +259,6 @@ def _mul_into(terms: dict, f_items, g_terms: dict, p: int, sign: int = 1):
     floors (a key fixes its norm, as in series_sum)."""
     g_items = g_terms.items()
     for (t1, xs1), c1 in f_items:
-        c1 *= sign
         for (t2, xs2), c2 in g_items:
             k = (t1 + t2, tuple(map(operator.add, xs1, xs2)))
             s = (terms.get(k, 0) + c1 * c2) % p

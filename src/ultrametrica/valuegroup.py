@@ -14,9 +14,10 @@ smaller norm).  Norms are combined and ordered as Values only; a Weight
 is the real number behind one, read for rounding and printing.  Weights
 are linear combinations c0 + sum(c_d * sqrt(d)) over Q; square roots of
 distinct squarefree integers are linearly independent over Q, so a
-nonzero irrational part r is never an integer and a weight's sign and
-floor follow from the one integer floor(r) (_floor_root_sum), found by
-enclosures that shrink until both ends have one floor.
+nonzero irrational part r is never an integer and a weight's sign,
+floor and decimal string each follow from one integer floor of a
+multiple of r (_floor_root_sum), found by enclosures that shrink until
+both ends have one floor.
 
 Every exponent is an integer over one denominator.  Term exponents lie
 in D**-1 * Z for the profile denominator D = p**max_denom_log, so keys
@@ -344,8 +345,8 @@ class Weight:
     rational and irrational properties read them back as Fractions.
 
     A Weight is the real number a Value's exponent denotes (weight_of),
-    read for its sign, for integer rounding (each through the floor of its
-    irrational part, _floor_root_sum) and for printing (through bounds);
+    read for its sign, for integer rounding and for printing, each through
+    one floor of a multiple of its irrational part (_floor_root_sum);
     norms are combined and ordered as Values."""
 
     __slots__ = ("c0", "irr", "den")
@@ -378,7 +379,8 @@ class Weight:
         """Integers (lo, hi, den) with lo/den <= self <= hi/den, width
         shrinking in k.  den = D << k for D the lcm of the coefficient
         denominators in lowest terms, and each sqrt(d) is enclosed by
-        isqrt(d << 2k) and that plus one, over 2**k."""
+        isqrt(d << 2k) and that plus one, over 2**k.  No library code
+        calls it; it stays while the benchmark traces it by name."""
         c0, irr, D = self.c0, self.irr, self.den
         g = gcd(D, c0, *irr.values())
         lo = hi = c0 // g << k
@@ -443,27 +445,22 @@ _DECIMAL_MEMO_CAP = 4096
 
 
 def weight_decimal(w: Weight, digits: int = 12) -> str:
-    """Decimal rendering of a weight with the given digits after the point,
-    rounded half up from num / den (a ratio that need not be in lowest
-    terms: no exact half lies between the two roundings).  An irrational
-    weight's string is kept in _DECIMAL_MEMO."""
+    """Decimal rendering of a weight with the given digits after the point:
+    |w| rounded half up, with w's sign.  An irrational weight w = (c0 + r)
+    / den takes one floor, F = floor(2N r) for N = 10**digits: then 2N den w
+    lies strictly between the integers m = 2N c0 + F and m + 1, so neither
+    0 nor a rounding boundary of N |w| (an odd multiple of den on that
+    scale) separates w from the midpoint (2m + 1) / (4N den), and w prints
+    as that rational does.  An irrational weight's string is kept in
+    _DECIMAL_MEMO."""
     if not w.irr:
         return _decimal(w.c0, w.den, digits)
     key = (w.c0, tuple(w.irr.items()), w.den, digits)
     text = _DECIMAL_MEMO.get(key)
     if text is None:
-        # The midpoint of the first enclosure bounds(k), k = 16, 32, 64,
-        # ..., narrower than 10**-(digits+2).  Every bounds(k) has hi - lo
-        # = sum|c_d| / g over den = (w.den / g) << k, g the gcd bounds()
-        # reduces by, so that k is found from integers alone and bounds()
-        # runs once.
-        g = gcd(w.den, w.c0, *w.irr.values())
-        width = sum(map(abs, w.irr.values())) // g * 10 ** (digits + 2)
-        k = 16
-        while width >= w.den // g << k:
-            k *= 2
-        lo, hi, den = w.bounds(k)
-        text = _decimal(lo + hi, 2 * den, digits)
+        n2 = 2 * 10**digits
+        m = n2 * w.c0 + _floor_root_sum((d, n2 * c) for d, c in w.irr.items())
+        text = _decimal(2 * m + 1, 2 * n2 * w.den, digits)
         if len(_DECIMAL_MEMO) < _DECIMAL_MEMO_CAP:
             _DECIMAL_MEMO[key] = text
     return text

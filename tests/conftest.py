@@ -295,6 +295,28 @@ def ref_decimal(rational, irr):
     return total
 
 
+def ref_weight_decimal(rational, irr, digits):
+    """rational + sum c_d sqrt(d) with digits after the point: |w| rounded
+    half up, with w's sign.  A rational w is rounded exactly; any other is
+    read from an 80-digit mpmath sum, and refused when that sum cannot
+    decide the rounding (|w| 10**digits within 10**-40 of a boundary)."""
+    if not any(irr.values()):
+        neg = rational < 0
+        n = math.floor(abs(Fraction(rational)) * 10**digits + Fraction(1, 2))
+    else:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            w = mpmath.mpf(rational.numerator) / rational.denominator
+            for d, c in irr.items():
+                w += mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+            scaled = abs(w) * 10**digits + mpmath.mpf(1) / 2
+            n = int(mpmath.floor(scaled))
+            assert min(scaled - n, n + 1 - scaled) > mpmath.mpf(10) ** -40, "undecided"
+            neg = w < 0
+    whole, frac = divmod(n, 10**digits)
+    return f"{'-' if neg else ''}{whole}.{str(frac).rjust(digits, '0')}"
+
+
 def ref_weight_sum(*terms):
     """The weight sum(c * w) over (c, w) pairs, each weight w a pair
     (rational, {d: c_d}) standing for rational + sum c_d sqrt(d)."""

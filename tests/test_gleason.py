@@ -1096,7 +1096,7 @@ class TestReconstruct:
             monkeypatch.setattr(gleason, name, refuse, raising=False)
         for beta, (want, k, (preimage, norms)) in zip(betas, expected):
             rescaled, shift = rescale_into_window(beta)
-            assert shift == k and rescaled == want and rescaled._norm == want._norm
+            assert shift == k and rescaled == want and rescaled._norm == gauss_norm(want)
             result = reconstruct_preimage(spec, rescaled, 8)
             assert result.preimage == preimage and result.residuals == norms
         assert any(k for _, k, _ in expected)

@@ -391,7 +391,8 @@ def lifted_products(draw):
 def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
     """_mul_lifted_into(terms, c's term pairs, g's term dict, p, sign) adds
     sign * lift(c) * g into terms as the multiply-accumulate loop does with
-    the lift's terms, term for term and in dict order; the sum is that of the start and the
+    the lift's terms, each coefficient times sign, term for term and in
+    dict order; the sum is that of the start and the
     products sign * mul(lift(c), g), and one product into an empty
     dict is that product's terms, in its order."""
     start, products = ops
@@ -399,7 +400,8 @@ def test_lifted_products_accumulate_as_the_products_of_the_lift(ops):
     got, want = dict(start), dict(start)
     for c, g, sign in products:
         _mul_lifted_into(got, c._terms.items(), g._terms, prof.p, sign)
-        _mul_into(want, lift(c, prof)._terms.items(), g._terms, prof.p, sign)
+        _mul_into(want, [(k, sign * v) for k, v in lift(c, prof)._terms.items()],
+                  g._terms, prof.p)
     assert list(got.items()) == list(want.items())
     summands = [make_series(prof, TermKeys(start, prof.den).items())]
     for c, g, sign in products:
@@ -755,7 +757,8 @@ def rescale_targets(draw):
 def test_rescale_is_the_product_by_a_power_of_t(beta):
     """rescale_into_window(beta) = (t**k * beta, k) for the least k >= 0 with
     |t**k beta| <= s: its terms (in order), floor and stored norm are those
-    of mul(t**k, beta), and that norm is the reference Gauss norm."""
+    of mul(t**k, beta), and that norm is the Gauss norm of that product and
+    the reference Gauss norm."""
     profile = beta.profile
     nb = gauss_norm(beta)
     rescaled, k = rescale_into_window(beta)
@@ -765,7 +768,7 @@ def test_rescale_is_the_product_by_a_power_of_t(beta):
     want = mul(monomial(profile, 1, k), beta)
     assert list(rescaled._terms.items()) == list(want._terms.items())
     assert rescaled.floor == want.floor
-    assert rescaled._norm == want._norm == ref_gauss_norm(rescaled)
+    assert rescaled._norm == gauss_norm(want) == ref_gauss_norm(rescaled)
     s = s_value(profile)
     assert value_le(rescaled._norm, s)
     assert k == 0 or not value_le(value_mul(t_power(profile, k - 1), nb), s)

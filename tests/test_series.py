@@ -570,6 +570,23 @@ def test_one_term_mul_matches_the_double_loop(family, data):
         kept = {k: c for k, c in ref_mul(a.terms, b.terms, prof.p).items()
                 if compare(value(prof, *k), floor) is not Ordering.LESS}
         assert list(h.terms.items()) == list(kept.items())
-        if h._norm is not series._UNSET:
-            assert h._norm == ref_gauss_norm(h)
         assert gauss_norm(h) == ref_gauss_norm(h)
+
+
+def test_a_one_term_product_runs_the_one_loop(prof1, monkeypatch):
+    """Design guard: mul by a one-term factor, on either side, runs
+    series._mul_into, the one multiply-accumulate loop, once per product,
+    and gives the double loop's terms in order."""
+    f = S(prof1, (1, 0, 0), (1, 2, 1), (1, Fraction(1, 2), Fraction(-1, 4)))
+    g = S(prof1, (1, 3, Fraction(1, 8)))
+    calls = []
+
+    def recording(terms, f_items, g_terms, p):
+        calls.append(len(g_terms))
+        return loop(terms, f_items, g_terms, p)
+
+    loop = series._mul_into
+    monkeypatch.setattr(series, "_mul_into", recording)
+    for a, b in ((f, g), (g, f)):
+        assert list(mul(a, b).terms.items()) == list(ref_mul(a.terms, b.terms, prof1.p).items())
+    assert calls == [1, 3]

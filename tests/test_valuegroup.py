@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 import os
 import random
@@ -15,6 +14,7 @@ from conftest import (
     ref_bounds,
     ref_decimal,
     ref_sign,
+    ref_weight_decimal,
     ref_weight_sum,
     ref_zp_pick,
 )
@@ -380,16 +380,6 @@ def weight_parts(draw):
     return draw(small_fracs), cancel, irr
 
 
-class RecordingWeight(Weight):
-    """A Weight that records the precision k of every bounds(k) call."""
-
-    __slots__ = ("ks",)
-
-    def bounds(self, k):
-        self.ks.append(k)
-        return super().bounds(k)
-
-
 class TestOneWeightPath:
     @settings(max_examples=150, deadline=None)
     @given(weight_parts(), st.integers(0, 14))
@@ -408,18 +398,11 @@ class TestOneWeightPath:
         fl, ce = int(sympy.floor(expr)), int(sympy.ceiling(expr))
         assert floor_weight(w) == fl
         assert ceil_weight(w) == ce
-        # weight_decimal rounds half up; it may be one unit off only when
-        # |w| lies within its enclosure width of a rounding boundary.
-        dec = sympy.Rational(weight_decimal(w, digits))
-        got = abs(dec) * 10**digits
-        scaled = abs(approx) * 10**digits + sympy.Rational(1, 2)
-        want = int(sympy.floor(scaled))
-        if min(scaled - want, want + 1 - scaled) > sympy.Rational(1, 100):
-            assert got == want
-        else:
-            assert abs(got - want) <= 1
-        if got:
-            assert (dec < 0) == (approx < 0)
+        # weight_decimal rounds |w| half up and writes w's sign.
+        text = weight_decimal(w, digits)
+        got = abs(sympy.Rational(text)) * 10**digits
+        assert got == int(sympy.floor(abs(approx) * 10**digits + sympy.Rational(1, 2)))
+        assert text.startswith("-") == bool(approx < 0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -465,11 +448,10 @@ class TestOneWeightPath:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(0, 30))
-    def test_weight_decimal_takes_the_first_narrow_enclosure(self, data, digits):
-        """weight_decimal against the midpoint of the first enclosure
-        bounds(k), k = 16, 32, 64, ..., narrower than 10**-(digits+2),
-        rounded half up, over profiles mixing 0-3 free radii with rational
-        radii."""
+    def test_weight_decimal_is_the_exact_rounding(self, data, digits):
+        """weight_decimal against conftest.ref_weight_decimal, |w| rounded
+        half up from an mpmath sum with w's sign, over profiles mixing 0-3
+        free radii with rational radii."""
         free = [FreeRadius(d) for d in data.draw(
             st.lists(st.sampled_from(SQUAREFREE), max_size=3, unique=True))]
         rational = [RationalRadius(Fraction(data.draw(st.integers(1, 14)),
@@ -479,44 +461,66 @@ class TestOneWeightPath:
         prof = make_profile(2, radii)
         exps = st.one_of(st.just(Fraction(0)), small_fracs)
         w = weight_of(value(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)))
-        ks = []
-        if w.irr:
-            scale = 10 ** (digits + 2)
-            k, (num, den) = next((k, (lo + hi, 2 * den))
-                                 for k in (16 << i for i in itertools.count())
-                                 for lo, hi, den in [w.bounds(k)]
-                                 if (hi - lo) * scale < den)
-            ks.append(k)
-        else:
-            num, den = w.c0, w.den
-        scaled = (abs(num) * 10**digits + den // 2) // den
-        whole, frac = divmod(scaled, 10**digits)
-        sign = "-" if num < 0 else ""
-        recorded = RecordingWeight._raw(w.c0, w.irr, w.den)
-        recorded.ks = []
         valuegroup._DECIMAL_MEMO.clear()
-        assert weight_decimal(recorded, digits) == \
-            f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
-        assert recorded.ks == ks  # one enclosure, the reference's
+        assert weight_decimal(w, digits) == ref_weight_decimal(w.rational, w.irrational, digits)
+
+    # Weights (c0 + sum c_d sqrt(d)) / den that an enclosure midpoint printed
+    # one unit off at 12 digits; each id is the exact string.
+    @pytest.mark.parametrize("c0, irr, den", [
+        (-236594500173273, {2: 127771296807}, 2**52),
+        (0, {2: 31268402337, 3: -138024431404}, 2**20),
+        (-151261373303429, {2: 158936245453}, 2**52),
+        (-12331971362431, {2: 129532615720}, 2**52),
+        (-109013781795551, {2: 157710711248}, 2**52),
+        (78241916077039, {2: 101379461511}, 2**52),
+    ], ids=["-0.052494409768", "-185818.795412835433", "-0.033536862955",
+            "-0.002697572072", "-0.024156398030", "0.017405030370"])
+    def test_weights_near_a_rounding_boundary_print_exactly(self, c0, irr, den, monkeypatch):
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+        w = Weight._raw(c0, irr, den)
+        assert weight_decimal(w, 12) == ref_weight_decimal(w.rational, w.irrational, 12)
+
+    def test_printing_takes_one_floor_and_no_enclosure(self, prof1, monkeypatch):
+        """Design guard: with Weight.bounds patched to raise, weight_decimal
+        prints irrational weights of either sign, from one
+        _floor_root_sum call each."""
+        def refuse(self, k):
+            raise AssertionError("an enclosure search")
+
+        monkeypatch.setattr(Weight, "bounds", refuse)
+        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+        calls = count_floors(monkeypatch)
+        assert weight_decimal(weight_of(value(prof1, 0, (1,))), 12) == "1.414213562373"
+        assert weight_decimal(Weight(1, {2: -1}), 1) == "-0.4"  # 1 - sqrt(2) = -0.414...
+        assert len(calls) == 2
+
+
+def count_floors(monkeypatch):
+    """Patch valuegroup._floor_root_sum to record each call; returns the
+    record."""
+    calls = []
+    floor = valuegroup._floor_root_sum
+
+    def counted(terms):
+        calls.append(1)
+        return floor(terms)
+
+    monkeypatch.setattr(valuegroup, "_floor_root_sum", counted)
+    return calls
 
 
 class TestDecimalMemo:
     """weight_decimal keeps the string of each irrational weight."""
 
-    @staticmethod
-    def recorded(w):
-        r = RecordingWeight._raw(w.c0, dict(w.irr), w.den)
-        r.ks = []
-        return r
-
     def test_an_equal_weight_takes_the_kept_string(self, prof1, monkeypatch):
         monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
         w = weight_of(value(prof1, Fraction(7, 3), (Fraction(5, 4),)))
-        first, second = self.recorded(w), self.recorded(w)
+        first, second = (Weight._raw(w.c0, dict(w.irr), w.den) for _ in range(2))
+        calls = count_floors(monkeypatch)
         text = weight_decimal(first, 12)
-        assert len(first.ks) == 1  # one enclosure
+        assert len(calls) == 1  # one floor
         assert weight_decimal(second, 12) is text
-        assert second.ks == []  # no enclosure built
+        assert len(calls) == 1  # no floor taken
 
     def test_each_digit_count_has_its_own_string(self, prof1, monkeypatch):
         monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
@@ -529,12 +533,13 @@ class TestDecimalMemo:
         full = {("kept", i): "0.0" for i in range(4)}
         monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", full)
         monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO_CAP", 4)
-        w = self.recorded(weight_of(value(prof1, 0, (1,))))
+        w = weight_of(value(prof1, 0, (1,)))
+        calls = count_floors(monkeypatch)
         assert weight_decimal(w, 12) == "1.414213562373"
-        assert w.ks and len(full) == 4
-        w.ks.clear()
+        assert calls and len(full) == 4
+        calls.clear()
         assert weight_decimal(w, 12) == "1.414213562373"
-        assert w.ks  # computed again
+        assert calls  # computed again
 
 
 class TestFloorMemo:
