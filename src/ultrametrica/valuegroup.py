@@ -458,8 +458,10 @@ def weight_decimal(w: Weight, digits: int = 12) -> str:
     key = (w.c0, tuple(w.irr.items()), w.den, digits)
     text = _DECIMAL_MEMO.get(key)
     if text is None:
+        # zip and map, not a generator over n2: a closure cell would be made
+        # on every call, memo hits included.
         n2 = 2 * 10**digits
-        m = n2 * w.c0 + _floor_root_sum((d, n2 * c) for d, c in w.irr.items())
+        m = n2 * w.c0 + _floor_root_sum(zip(w.irr, map(n2.__mul__, w.irr.values())))
         text = _decimal(2 * m + 1, 2 * n2 * w.den, digits)
         if len(_DECIMAL_MEMO) < _DECIMAL_MEMO_CAP:
             _DECIMAL_MEMO[key] = text
