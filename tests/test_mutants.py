@@ -114,6 +114,10 @@ MUTANTS = [
      "key = (w.c0, tuple(w.irr.items()), w.den, digits)",
      "key = (w.c0, tuple(w.irr.items()), w.den)",
      ["tests/test_valuegroup.py::TestDecimalMemo::test_each_digit_count_has_its_own_string"]),
+    ("the default c reads the floor of sum sqrt(d_i)", "gleason.py",
+     "w_c = Fraction(_floor_ceil(profile, 0, (1,) * n, 1)[1])",
+     "w_c = Fraction(_floor_ceil(profile, 0, (1,) * n, 1)[0])",
+     [f"{HEIGHTS}::test_standard_surjection[1-1-2]"]),
     ("the irrational rounding takes the lower end of its unit, not the midpoint",
      "valuegroup.py",
      "_decimal(2 * m + 1, 2 * n2 * w.den, digits)", "_decimal(2 * m, 2 * n2 * w.den, digits)",
