@@ -214,7 +214,20 @@ def neg(f: SeriesElement) -> SeriesElement:
 
 
 def sub(f: SeriesElement, g: SeriesElement) -> SeriesElement:
-    return add(f, neg(g))
+    """f - g in one pass: g's terms, negated, merge into a copy of f's, and
+    the drop rule runs once at max(f.floor, g.floor).  The terms, their
+    dict order and the floor are those of add(f, neg(g))."""
+    profile = f.profile
+    _require_profile(g, profile)
+    p = profile.p
+    terms = dict(f._terms)
+    for k, c in g._terms.items():
+        s = (terms.get(k, 0) - c) % p
+        if s == 0:
+            terms.pop(k, None)
+        else:
+            terms[k] = s
+    return _build(profile, terms, value_max(f.floor, g.floor))
 
 
 def product_floor(f: SeriesElement, g: SeriesElement) -> Value:

@@ -132,8 +132,8 @@ class RadiusProfile:
     exponents' denominators; the sign kernel _sign(a, q), the sign of the
     weight of the integer exponent numerators (a, q) over any positive
     denominator, and _floors, its memo of floor(sum q_i sqrt(d_i)) by q
-    (see _free_floor); the zero, one and s values; and the n = 0 base
-    profile.
+    (see _free_floor); _weights, the memo of each norm's Weight (see
+    weight_of); the zero, one and s values; and the n = 0 base profile.
     """
 
     p: int
@@ -146,6 +146,7 @@ class RadiusProfile:
     _lcm: int = field(init=False, compare=False, repr=False)
     _sign: object = field(init=False, compare=False, repr=False)
     _floors: dict = field(init=False, compare=False, repr=False)
+    _weights: dict = field(init=False, compare=False, repr=False)
     _zero: "Value" = field(init=False, compare=False, repr=False)
     _one: "Value" = field(init=False, compare=False, repr=False)
     _s: "Value" = field(init=False, compare=False, repr=False)
@@ -182,6 +183,7 @@ class RadiusProfile:
             for r, f in zip(self.radii, free)))
         object.__setattr__(self, "_lcm", L)
         object.__setattr__(self, "_floors", {})
+        object.__setattr__(self, "_weights", {})
         object.__setattr__(self, "_sign", _sign_kernel(self))
         object.__setattr__(self, "_zero", Value._raw(self, 0, q0, D, True))
         object.__setattr__(self, "_one", Value._raw(self, 0, q0, D))
@@ -347,9 +349,13 @@ class Weight:
     A Weight is the real number a Value's exponent denotes (weight_of),
     read for its sign, for integer rounding and for printing, each through
     one floor of a multiple of its irrational part (_floor_root_sum);
-    norms are combined and ordered as Values."""
+    norms are combined and ordered as Values.
 
-    __slots__ = ("c0", "irr", "den")
+    A Weight is never mutated after it is built: weight_of hands the one
+    Weight it keeps for a norm to every caller.  Only _text grows, with
+    the strings weight_decimal prints it as, keyed by digit count."""
+
+    __slots__ = ("c0", "irr", "den", "_text")
 
     def __init__(self, rational=0, irrational=None):
         rational = Fraction(rational)
@@ -358,6 +364,7 @@ class Weight:
         self.c0 = rational.numerator * (den // rational.denominator)
         self.irr = {d: c.numerator * (den // c.denominator) for d, c in irrational.items()}
         self.den = den
+        self._text = {}
 
     @classmethod
     def _raw(cls, c0, irr, den) -> "Weight":
@@ -365,6 +372,7 @@ class Weight:
         w.c0 = c0
         w.irr = irr
         w.den = den
+        w._text = {}
         return w
 
     @property
@@ -436,42 +444,36 @@ def ceil_weight(w: Weight) -> int:
     return floor_weight(w) + 1 if w.irr else -(-w.c0 // w.den)
 
 
-# weight_decimal's strings of irrational weights, keyed by (c0,
-# tuple(irr.items()), den, digits), for up to _DECIMAL_MEMO_CAP weights: a
-# surject-verify run prints one string per trial and step, of few distinct
-# norms (659 of 5 698 in a seed-1 surject-n1 benchmark pass).
-_DECIMAL_MEMO = {}
-_DECIMAL_MEMO_CAP = 4096
-
-
 def weight_decimal(w: Weight, digits: int = 12) -> str:
-    """Decimal rendering of a weight with the given digits after the point:
-    |w| rounded half up, with w's sign.  An irrational weight w = (c0 + r)
-    / den takes one floor, F = floor(2N r) for N = 10**digits: then 2N den w
-    lies strictly between the integers m = 2N c0 + F and m + 1, so neither
-    0 nor a rounding boundary of N |w| (an odd multiple of den on that
-    scale) separates w from the midpoint (2m + 1) / (4N den), and w prints
-    as that rational does.  An irrational weight's string is kept in
-    _DECIMAL_MEMO."""
-    if not w.irr:
-        return _decimal(w.c0, w.den, digits)
-    key = (w.c0, tuple(w.irr.items()), w.den, digits)
-    text = _DECIMAL_MEMO.get(key)
+    """Decimal rendering of a weight with the given digits after the point
+    (none and no point for 0 digits): |w| rounded half up, with w's sign.
+    An irrational weight w = (c0 + r) / den takes one floor, F = floor(2N
+    r) for N = 10**digits: then 2N den w lies strictly between the integers
+    m = 2N c0 + F and m + 1, so neither 0 nor a rounding boundary of N |w|
+    (an odd multiple of den on that scale) separates w from the midpoint
+    (2m + 1) / (4N den), and w prints as that rational does.  The string
+    is kept on w, by digits."""
+    text = w._text.get(digits)
     if text is None:
-        # zip and map, not a generator over n2: a closure cell would be made
-        # on every call, memo hits included.
-        n2 = 2 * 10**digits
-        m = n2 * w.c0 + _floor_root_sum(zip(w.irr, map(n2.__mul__, w.irr.values())))
-        text = _decimal(2 * m + 1, 2 * n2 * w.den, digits)
-        if len(_DECIMAL_MEMO) < _DECIMAL_MEMO_CAP:
-            _DECIMAL_MEMO[key] = text
+        if w.irr:
+            # zip and map, not a generator over n2: a closure cell would be
+            # made on every call.
+            n2 = 2 * 10**digits
+            m = n2 * w.c0 + _floor_root_sum(zip(w.irr, map(n2.__mul__, w.irr.values())))
+            text = _decimal(2 * m + 1, 2 * n2 * w.den, digits)
+        else:
+            text = _decimal(w.c0, w.den, digits)
+        w._text[digits] = text
     return text
 
 
 def _decimal(num: int, den: int, digits: int) -> str:
-    """num / den (den > 0) with digits after the point, rounded half up."""
+    """num / den (den > 0) with digits after the point, rounded half up
+    (an integer, with no point, for 0 digits)."""
     sign = "-" if num < 0 else ""
     scaled = (abs(num) * 10**digits + den // 2) // den
+    if not digits:
+        return f"{sign}{scaled}"
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
 
@@ -626,20 +628,22 @@ def _weight(profile: RadiusProfile, a: int, q, den: int) -> Weight:
     return Weight._raw(a, {d: x for d, x in zip(profile._ds, q) if x}, den)
 
 
-# Capacity of each profile's memo of irrational floors (_free_floor): a
-# seed-1 surject-n2 benchmark pass asks 11 749 signs of 2 768 vectors q.
-_FLOOR_MEMO_CAP = 4096
+# Capacity of each profile's memos, of irrational floors (_free_floor) and
+# of norms' weights (weight_of): a seed-1 surject-n2 benchmark pass asks
+# 11 749 signs of 2 768 vectors q, and a seed-1 surject-n1 pass prints
+# 5 698 residual weights of 659 norms.
+_PROFILE_MEMO_CAP = 4096
 
 
 def _free_floor(profile: RadiusProfile, q: tuple) -> int:
     """floor(sum(q_i * sqrt(d_i))) for integer numerators q with every
     rational slot 0 (see _fold), kept in profile._floors by q for up to
-    _FLOOR_MEMO_CAP vectors."""
+    _PROFILE_MEMO_CAP vectors."""
     floors = profile._floors
     f = floors.get(q)
     if f is None:
         f = _floor_root_sum(zip(profile._ds, q))
-        if len(floors) < _FLOOR_MEMO_CAP:
+        if len(floors) < _PROFILE_MEMO_CAP:
             floors[q] = f
     return f
 
@@ -679,10 +683,19 @@ def _floor_ceil(profile: RadiusProfile, a: int, q: tuple, den: int) -> tuple:
 
 
 def weight_of(v: Value) -> Weight:
-    """Exact weight w with |v| = |t|**w."""
+    """Exact weight w with |v| = |t|**w, kept in the profile's _weights by
+    the canonical integers (an, qn, den) for up to _PROFILE_MEMO_CAP norms;
+    past the cap each call builds a Weight and keeps none."""
     if v.zero:
         raise InputValidationError("zero value has no finite weight")
-    return _weight(v.profile, v.an, v.qn, v.den)
+    weights = v.profile._weights
+    key = (v.an, v.qn, v.den)
+    w = weights.get(key)
+    if w is None:
+        w = _weight(v.profile, v.an, v.qn, v.den)
+        if len(weights) < _PROFILE_MEMO_CAP:
+            weights[key] = w
+    return w
 
 
 def _require_same_profile(u: Value, v: Value):

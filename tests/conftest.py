@@ -296,8 +296,9 @@ def ref_decimal(rational, irr):
 
 
 def ref_weight_decimal(rational, irr, digits):
-    """rational + sum c_d sqrt(d) with digits after the point: |w| rounded
-    half up, with w's sign.  A rational w is rounded exactly; any other is
+    """rational + sum c_d sqrt(d) with digits after the point (none and no
+    point for 0 digits): |w| rounded half up, with w's sign.  A rational w
+    is rounded exactly; any other is
     read from an 80-digit mpmath sum, and refused when that sum cannot
     decide the rounding (|w| 10**digits within 10**-40 of a boundary)."""
     if not any(irr.values()):
@@ -313,8 +314,11 @@ def ref_weight_decimal(rational, irr, digits):
             n = int(mpmath.floor(scaled))
             assert min(scaled - n, n + 1 - scaled) > mpmath.mpf(10) ** -40, "undecided"
             neg = w < 0
+    sign = "-" if neg else ""
+    if digits == 0:
+        return f"{sign}{n}"
     whole, frac = divmod(n, 10**digits)
-    return f"{'-' if neg else ''}{whole}.{str(frac).rjust(digits, '0')}"
+    return f"{sign}{whole}.{str(frac).rjust(digits, '0')}"
 
 
 def ref_weight_sum(*terms):

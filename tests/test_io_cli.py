@@ -180,6 +180,63 @@ class TestSerialization:
             uio.frac_from_str("3/0")
 
 
+def count_ratio_writes(monkeypatch):
+    """Patch io.ratio_to_str to record each call; returns the record."""
+    calls = []
+    write = uio.ratio_to_str
+
+    def counted(num, den):
+        calls.append((num, den))
+        return write(num, den)
+
+    monkeypatch.setattr(uio, "ratio_to_str", counted)
+    return calls
+
+
+class TestExponentText:
+    """series_to_json and value_to_json read each exponent's string over
+    its denominator from io._EXPONENT_TEXT, for up to _EXPONENT_TEXT_CAP
+    pairs."""
+
+    def test_a_serialized_element_writes_no_exponent_again(self, sample_series, monkeypatch):
+        """Design guard: its terms and its floor read kept strings."""
+        monkeypatch.setattr(uio, "_EXPONENT_TEXT", {})
+        first = uio.series_to_json(sample_series, include_profile=False)
+        calls = count_ratio_writes(monkeypatch)
+        assert uio.series_to_json(sample_series, include_profile=False) == first
+        assert calls == []
+
+    def test_the_memo_tells_caps_apart(self, monkeypatch):
+        """t**(1/2**16) at cap 16 and t**(1/2**24) at cap 24 share the
+        numerator 1 over their profiles' denominators."""
+        monkeypatch.setattr(uio, "_EXPONENT_TEXT", {})
+        texts = []
+        for cap in (16, 24):
+            prof = make_profile(2, [FreeRadius(2)], max_denom_log=cap)
+            f = monomial(prof, 1, Fraction(1, 2**cap))
+            assert next(iter(f._terms))[0] == 1
+            texts.append(uio.series_to_json(f, include_profile=False)["terms"][0]["t"])
+        assert texts == ["1/65536", "1/16777216"]
+
+    def test_a_full_memo_computes_and_keeps_nothing(self, sample_series, monkeypatch):
+        full = {("kept", i): None for i in range(4)}
+        monkeypatch.setattr(uio, "_EXPONENT_TEXT", full)
+        monkeypatch.setattr(uio, "_EXPONENT_TEXT_CAP", 4)
+        calls = count_ratio_writes(monkeypatch)
+        want = uio.series_to_json(sample_series, include_profile=False)
+        assert len(calls) == 6  # t and x of two terms, a and q of the floor
+        assert uio.series_to_json(sample_series, include_profile=False) == want
+        assert len(calls) == 12 and len(full) == 4
+
+    def test_a_refusal_past_the_digit_limit_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(uio, "_EXPONENT_TEXT", {})
+        big = 10**5000
+        for _ in range(2):
+            with pytest.raises(InputValidationError, match="has 5001 digits, past the"):
+                uio.value_to_json(value(make_profile(2, []), Fraction(1, big)))
+        assert uio._EXPONENT_TEXT == {}
+
+
 class TestCli:
     def test_norm_command(self, tmp_path, sample_series, capsys):
         path = tmp_path / "f.json"

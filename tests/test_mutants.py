@@ -111,9 +111,15 @@ MUTANTS = [
      ["tests/test_gleason.py::TestDivideStep::"
       "test_a_non_unit_coefficient_is_divided_by_its_inverse"]),
     ("the decimal memo key drops digits", "valuegroup.py",
-     "key = (w.c0, tuple(w.irr.items()), w.den, digits)",
-     "key = (w.c0, tuple(w.irr.items()), w.den)",
+     "text = w._text.get(digits)", "text = next(iter(w._text.values()), None)",
      ["tests/test_valuegroup.py::TestDecimalMemo::test_each_digit_count_has_its_own_string"]),
+    ("the weight memo key drops den", "valuegroup.py",
+     "key = (v.an, v.qn, v.den)", "key = (v.an, v.qn)",
+     ["tests/test_valuegroup.py::TestDecimalMemo::"
+      "test_the_weight_memo_tells_denominators_apart"]),
+    ("the exponent-string memo key drops the denominator", "io.py",
+     "key = (num, den)", "key = num",
+     ["tests/test_io_cli.py::TestExponentText::test_the_memo_tells_caps_apart"]),
     ("the default c reads the floor of sum sqrt(d_i)", "gleason.py",
      "w_c = Fraction(_floor_ceil(profile, 0, (1,) * n, 1)[1])",
      "w_c = Fraction(_floor_ceil(profile, 0, (1,) * n, 1)[0])",

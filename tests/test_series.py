@@ -25,6 +25,7 @@ from ultrametrica.series import (
     make_series,
     monomial,
     mul,
+    neg,
     one,
     pth_root,
     res_ge,
@@ -551,6 +552,32 @@ def test_series_sum_is_the_fold_of_add(family):
     assert list(got.terms.items()) == list(want.terms.items())
     assert got.floor == want.floor
     assert add(fs[0], fs[-1]) == series_sum(prof, (fs[0], fs[-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_families(max_size=2))
+def test_sub_is_add_of_neg(family):
+    """sub(f, g) equals add(f, neg(g)) in its terms, their dict order and
+    its floor, on drawn floored elements whose keys repeat and cancel."""
+    prof, fs = family
+    f, g = (fs + [make_series(prof, {})] * 2)[:2]
+    for a, b in ((f, g), (g, f), (f, f)):
+        got, want = sub(a, b), add(a, neg(b))
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert got.floor == want.floor
+
+
+def test_sub_never_calls_neg(prof1, monkeypatch):
+    """Design guard: sub merges g's negated terms in one pass and builds
+    no neg(g) copy."""
+    def refuse(f):
+        raise AssertionError("sub called neg")
+
+    f = S(prof1, (1, 0, 0), (1, 2, 1))
+    g = S(prof1, (1, 2, 1), (1, 3, Fraction(1, 8)))
+    monkeypatch.setattr(series, "neg", refuse)
+    assert list(sub(f, g).terms.items()) == [((Fraction(0), (Fraction(0),)), 1),
+                                             ((Fraction(3), (Fraction(1, 8),)), 1)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,6 +19,7 @@ from conftest import (
     ref_zp_pick,
 )
 from ultrametrica import gleason, series, tatealg, valuegroup
+from ultrametrica.abhyankar import _free_class
 from ultrametrica.errors import (
     InputValidationError,
     ProfileMismatchError,
@@ -461,7 +462,6 @@ class TestOneWeightPath:
         prof = make_profile(2, radii)
         exps = st.one_of(st.just(Fraction(0)), small_fracs)
         w = weight_of(value(prof, data.draw(small_fracs), tuple(data.draw(exps) for _ in radii)))
-        valuegroup._DECIMAL_MEMO.clear()
         assert weight_decimal(w, digits) == ref_weight_decimal(w.rational, w.irrational, digits)
 
     # Weights (c0 + sum c_d sqrt(d)) / den that an enclosure midpoint printed
@@ -475,8 +475,7 @@ class TestOneWeightPath:
         (78241916077039, {2: 101379461511}, 2**52),
     ], ids=["-0.052494409768", "-185818.795412835433", "-0.033536862955",
             "-0.002697572072", "-0.024156398030", "0.017405030370"])
-    def test_weights_near_a_rounding_boundary_print_exactly(self, c0, irr, den, monkeypatch):
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+    def test_weights_near_a_rounding_boundary_print_exactly(self, c0, irr, den):
         w = Weight._raw(c0, irr, den)
         assert weight_decimal(w, 12) == ref_weight_decimal(w.rational, w.irrational, 12)
 
@@ -488,11 +487,20 @@ class TestOneWeightPath:
             raise AssertionError("an enclosure search")
 
         monkeypatch.setattr(Weight, "bounds", refuse)
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
         calls = count_floors(monkeypatch)
         assert weight_decimal(weight_of(value(prof1, 0, (1,))), 12) == "1.414213562373"
         assert weight_decimal(Weight(1, {2: -1}), 1) == "-0.4"  # 1 - sqrt(2) = -0.414...
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("w, text", [
+        (Weight(Fraction(3, 2)), "2"),
+        (Weight(1, {2: 1}), "2"),  # 1 + sqrt(2) = 2.414...
+        (Weight(Fraction(-1, 3)), "-0"),
+    ], ids=["3/2", "1+sqrt2", "-1/3"])
+    def test_zero_digits_print_an_integer_with_no_point(self, w, text):
+        """|w| rounded half up to an integer, with w's sign and no point."""
+        assert weight_decimal(w, 0) == text
+        assert ref_weight_decimal(w.rational, w.irrational, 0) == text
 
 
 def count_floors(monkeypatch):
@@ -509,45 +517,81 @@ def count_floors(monkeypatch):
     return calls
 
 
+def count_weight_builds(monkeypatch):
+    """Patch valuegroup._weight to record each call; returns the record."""
+    calls = []
+    build = valuegroup._weight
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(valuegroup, "_weight", counted)
+    return calls
+
+
 class TestDecimalMemo:
-    """weight_decimal keeps the string of each irrational weight."""
+    """weight_of keeps each norm's Weight in its profile's _weights, for up
+    to _PROFILE_MEMO_CAP norms, and each Weight keeps its printed strings
+    by digit count."""
 
     def test_an_equal_weight_takes_the_kept_string(self, prof1, monkeypatch):
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
-        w = weight_of(value(prof1, Fraction(7, 3), (Fraction(5, 4),)))
-        first, second = (Weight._raw(w.c0, dict(w.irr), w.den) for _ in range(2))
-        calls = count_floors(monkeypatch)
-        text = weight_decimal(first, 12)
-        assert len(calls) == 1  # one floor
-        assert weight_decimal(second, 12) is text
-        assert len(calls) == 1  # no floor taken
+        """Two equal norms built apart take one _weight build and one
+        _floor_root_sum."""
+        u, v = (value(prof1, Fraction(7, 3), (Fraction(5, 4),)) for _ in range(2))
+        assert u == v and u is not v
+        builds, floors = count_weight_builds(monkeypatch), count_floors(monkeypatch)
+        text = weight_decimal(weight_of(u), 12)
+        assert weight_decimal(weight_of(v), 12) is text
+        assert weight_of(v) is weight_of(u)
+        assert (len(builds), len(floors)) == (1, 1)
 
-    def test_each_digit_count_has_its_own_string(self, prof1, monkeypatch):
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", {})
+    def test_each_digit_count_has_its_own_string(self, prof1):
         w = weight_of(value(prof1, 0, (1,)))
         assert weight_decimal(w, 12) == "1.414213562373"
         assert weight_decimal(w, 3) == "1.414"
         assert weight_decimal(w, 12) == "1.414213562373"
+        assert w._text == {12: "1.414213562373", 3: "1.414"}
 
     def test_a_full_memo_computes_and_keeps_nothing(self, prof1, monkeypatch):
-        full = {("kept", i): "0.0" for i in range(4)}
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO", full)
-        monkeypatch.setattr(valuegroup, "_DECIMAL_MEMO_CAP", 4)
-        w = weight_of(value(prof1, 0, (1,)))
-        calls = count_floors(monkeypatch)
-        assert weight_decimal(w, 12) == "1.414213562373"
-        assert calls and len(full) == 4
-        calls.clear()
-        assert weight_decimal(w, 12) == "1.414213562373"
-        assert calls  # computed again
+        full = {("kept", i): None for i in range(4)}
+        object.__setattr__(prof1, "_weights", full)
+        monkeypatch.setattr(valuegroup, "_PROFILE_MEMO_CAP", 4)
+        v = value(prof1, 0, (1,))
+        builds, floors = count_weight_builds(monkeypatch), count_floors(monkeypatch)
+        for _ in range(2):
+            assert weight_decimal(weight_of(v), 12) == "1.414213562373"
+        assert (len(builds), len(floors)) == (2, 2)  # built and printed again
+        assert len(full) == 4 and weight_of(v) is not weight_of(v)
+
+    def test_the_weight_memo_tells_denominators_apart(self, prof1):
+        """value_pow(v, 1/2) has v's numerators over twice its denominator."""
+        D = prof1.den
+        v = value(prof1, Fraction(1, D), (Fraction(1, D),))
+        half = value_pow(v, Fraction(1, 2))
+        assert (half.an, half.qn, half.den) == (v.an, v.qn, 2 * v.den)
+        assert weight_of(v).rational == Fraction(1, D)
+        w = weight_of(half)
+        assert (w.rational, w.irrational) == (Fraction(1, 2 * D), {2: Fraction(1, 2 * D)})
+
+    def test_a_caller_that_mutates_its_free_class_leaves_the_weight(self, prof2):
+        """abhyankar._free_class hands out a copy of a kept Weight's
+        coefficients, so mutating it leaves the next weight_of unchanged."""
+        v = value(prof2, 1, (Fraction(1, 2), Fraction(-3, 4)))
+        cls = _free_class(v)
+        want = dict(weight_of(v).irr)
+        cls[2] = 99
+        cls.clear()
+        assert weight_of(v).irr == want
+        assert _free_class(v) == want
 
 
 class TestFloorMemo:
     """Each profile keeps the floor of the free part of each q its sign
-    kernel meets, for up to _FLOOR_MEMO_CAP vectors."""
+    kernel meets, for up to _PROFILE_MEMO_CAP vectors."""
 
     def test_floors_are_kept_for_at_most_the_cap(self, monkeypatch):
-        monkeypatch.setattr(valuegroup, "_FLOOR_MEMO_CAP", 3)
+        monkeypatch.setattr(valuegroup, "_PROFILE_MEMO_CAP", 3)
         prof = make_profile(2, [FreeRadius(2), FreeRadius(3)])
         qs = [(x, y) for x in range(-2, 2) for y in (-1, 1)]
         for q in qs:
