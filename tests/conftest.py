@@ -65,6 +65,20 @@ def only_x(profile):
     return (monomial(profile, 1, 0, (1,)),)
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch module.name to record the arguments of each call; returns
+    the record."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def float_weight(v):
     """Independent floating-point weight oracle for norm comparisons."""
     w = float(v.a)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import ultrametrica
-from conftest import only_x
+from conftest import count_calls, only_x
 from ultrametrica import io as uio
 from ultrametrica.berkovich import NestedPrefix
 from ultrametrica import cli
@@ -180,19 +180,6 @@ class TestSerialization:
             uio.frac_from_str("3/0")
 
 
-def count_ratio_writes(monkeypatch):
-    """Patch io.ratio_to_str to record each call; returns the record."""
-    calls = []
-    write = uio.ratio_to_str
-
-    def counted(num, den):
-        calls.append((num, den))
-        return write(num, den)
-
-    monkeypatch.setattr(uio, "ratio_to_str", counted)
-    return calls
-
-
 class TestExponentText:
     """series_to_json and value_to_json read each exponent's string over
     its denominator from io._EXPONENT_TEXT, for up to _EXPONENT_TEXT_CAP
@@ -202,7 +189,7 @@ class TestExponentText:
         """Design guard: its terms and its floor read kept strings."""
         monkeypatch.setattr(uio, "_EXPONENT_TEXT", {})
         first = uio.series_to_json(sample_series, include_profile=False)
-        calls = count_ratio_writes(monkeypatch)
+        calls = count_calls(monkeypatch, uio, "ratio_to_str")
         assert uio.series_to_json(sample_series, include_profile=False) == first
         assert calls == []
 
@@ -222,7 +209,7 @@ class TestExponentText:
         full = {("kept", i): None for i in range(4)}
         monkeypatch.setattr(uio, "_EXPONENT_TEXT", full)
         monkeypatch.setattr(uio, "_EXPONENT_TEXT_CAP", 4)
-        calls = count_ratio_writes(monkeypatch)
+        calls = count_calls(monkeypatch, uio, "ratio_to_str")
         want = uio.series_to_json(sample_series, include_profile=False)
         assert len(calls) == 6  # t and x of two terms, a and q of the floor
         assert uio.series_to_json(sample_series, include_profile=False) == want

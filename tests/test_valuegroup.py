@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ultrametrica
 from conftest import (
+    count_calls,
     float_weight,
     ref_bounds,
     ref_decimal,
@@ -504,30 +505,8 @@ class TestOneWeightPath:
 
 
 def count_floors(monkeypatch):
-    """Patch valuegroup._floor_root_sum to record each call; returns the
-    record."""
-    calls = []
-    floor = valuegroup._floor_root_sum
-
-    def counted(terms):
-        calls.append(1)
-        return floor(terms)
-
-    monkeypatch.setattr(valuegroup, "_floor_root_sum", counted)
-    return calls
-
-
-def count_weight_builds(monkeypatch):
-    """Patch valuegroup._weight to record each call; returns the record."""
-    calls = []
-    build = valuegroup._weight
-
-    def counted(*args):
-        calls.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(valuegroup, "_weight", counted)
-    return calls
+    """Record each call of valuegroup._floor_root_sum."""
+    return count_calls(monkeypatch, valuegroup, "_floor_root_sum")
 
 
 class TestDecimalMemo:
@@ -540,7 +519,8 @@ class TestDecimalMemo:
         _floor_root_sum."""
         u, v = (value(prof1, Fraction(7, 3), (Fraction(5, 4),)) for _ in range(2))
         assert u == v and u is not v
-        builds, floors = count_weight_builds(monkeypatch), count_floors(monkeypatch)
+        builds = count_calls(monkeypatch, valuegroup, "_weight")
+        floors = count_floors(monkeypatch)
         text = weight_decimal(weight_of(u), 12)
         assert weight_decimal(weight_of(v), 12) is text
         assert weight_of(v) is weight_of(u)
@@ -558,7 +538,8 @@ class TestDecimalMemo:
         object.__setattr__(prof1, "_weights", full)
         monkeypatch.setattr(valuegroup, "_PROFILE_MEMO_CAP", 4)
         v = value(prof1, 0, (1,))
-        builds, floors = count_weight_builds(monkeypatch), count_floors(monkeypatch)
+        builds = count_calls(monkeypatch, valuegroup, "_weight")
+        floors = count_floors(monkeypatch)
         for _ in range(2):
             assert weight_decimal(weight_of(v), 12) == "1.414213562373"
         assert (len(builds), len(floors)) == (2, 2)  # built and printed again
