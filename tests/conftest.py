@@ -312,9 +312,9 @@ def ref_decimal(rational, irr):
 def ref_weight_decimal(rational, irr, digits):
     """rational + sum c_d sqrt(d) with digits after the point (none and no
     point for 0 digits): |w| rounded half up, with w's sign.  A rational w
-    is rounded exactly; any other is
-    read from an 80-digit mpmath sum, and refused when that sum cannot
-    decide the rounding (|w| 10**digits within 10**-40 of a boundary)."""
+    is rounded exactly; any other is read from an 80-digit mpmath sum, and
+    refused when that sum cannot decide the rounding (|w| 10**digits
+    within 10**-40 of a boundary)."""
     if not any(irr.values()):
         neg = rational < 0
         n = math.floor(abs(Fraction(rational)) * 10**digits + Fraction(1, 2))
