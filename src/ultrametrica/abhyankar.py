@@ -20,7 +20,6 @@ from .valuegroup import (
     one_value,
     row_reduce,
     value_le,
-    weight_of,
 )
 
 
@@ -103,9 +102,11 @@ def factor_temkin(pt: TowerPoint) -> TemkinFactorization:
 
 
 def _free_class(v: Value):
-    """Class of |v| in R_{>0} / sqrt(|K^x|): the free-radius exponent vector
-    (integers over the weight's denominator, which scales no rank)."""
-    return dict(weight_of(v).irr)
+    """Class of |v| in R_{>0} / sqrt(|K^x|): v's free-radius numerators {d: q_i}
+    (v folds rational radii into its t exponent; its den scales no rank)."""
+    if v.zero:
+        raise InputValidationError("zero value has no finite weight")
+    return {d: x for d, x in zip(v.profile._ds, v.qn) if x}
 
 
 def _rank(vectors) -> int:

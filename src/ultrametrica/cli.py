@@ -197,8 +197,8 @@ def run_surjection_trials(config: Config, trials: int, depth: int, seed: int):
     steps = config.division_steps()
     floor_value = t_power(profile, config.floor_exponent)
     max_t_weight = math.ceil(config.floor_exponent)
-    bounds = [spec.step_values(m)[1] for m in range(steps)]
-    eval_floor = spec.step_values(steps - 1)[1]
+    bounds = [spec.step(m)[0] for m in range(steps)]
+    eval_floor = bounds[-1]
     pool = list(spec.schedule.omegas)
     rng = random.Random(seed)
     cases = []

@@ -53,7 +53,6 @@ from .tatealg import (
     _tate_from,
     evaluate,
     make_tate,
-    t_sum,
     tate_monomial,
 )
 from .valuegroup import (
@@ -78,11 +77,11 @@ _B_SAFETY = 100_000
 # Division steps M, given or derived from floor_exponent; the largest in
 # use is 8.  One trial with M = 10**5 took 14 s, nearly all of it on steps
 # past the floor that have nothing left to clear.  A SurjectionSpec keeps
-# the window values of at most this many steps.
+# the tables of at most this many steps.
 MAX_STEPS = 1000
 
 
-def _exponent_str(q) -> str:
+def _exponent_tuple_str(q) -> str:
     """The rational exponent tuple q as the wire format writes each entry:
     (45, 0) or (1/2, 3)."""
     return "(" + ", ".join(map(str, q)) + ")"
@@ -605,12 +604,9 @@ class SurjectionSpec:
     _memo keeps the oracle's answer per exponent q, keyed by q's
     numerators over the profile denominator D, for up to _ANSWER_MEMO_CAP
     exponents (a DepthError is never stored); an answer depends only on q
-    and the immutable spec, so it behaves as if absent.  _steps keeps
-    divide_step's window values per step m (see step_values), for up to
-    MAX_STEPS steps; _windows keeps their integer bounds in one dict per
-    step m, by x exponent (see window), for up to _WINDOW_MEMO_CAP pairs in
-    all; and _empty is the one empty exact Tate part that a step which
-    clears nothing returns.
+    and the immutable spec, so it behaves as if absent.  _steps keeps one
+    table per division step m (see step), for up to MAX_STEPS steps, and
+    the tables hold up to _WINDOW_MEMO_CAP integer windows in all.
     """
 
     n: int
@@ -621,11 +617,6 @@ class SurjectionSpec:
     rule: MinZeroRep = field(compare=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _empty: TateElement = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_empty", t_sum(self.num_vars, self.base, ()))
 
     @property
     def G(self) -> SeriesElement:
@@ -654,7 +645,7 @@ class SurjectionSpec:
     def schedule_answer(self, q):
         if q not in self.schedule.omegas:
             raise DepthError(
-                f"adapted oracle for {_exponent_str(q)}: it lies beyond the "
+                f"adapted oracle for {_exponent_tuple_str(q)}: it lies beyond the "
                 f"schedule's depth {self.schedule.depth}"
             )
         m = self.schedule.omegas.index(q) + 1
@@ -681,40 +672,33 @@ class SurjectionSpec:
                 self._memo[qn] = ans
         return ans
 
-    def step_values(self, m: int):
-        """divide_step's window values for step m, (upper, cut) =
-        (|pi|**m s, |pi|**(m+1) s) over the profile: _step_values(profile, m)."""
-        values = self._steps.get(m)
-        if values is None:
-            values = _step_values(self.profile, m)
+    def step(self, m: int):
+        """Division step m's table (cut, windows): the cut |pi|**(m+1) s and
+        the integer windows {xs: window(m, xs)} filled so far."""
+        table = self._steps.get(m)
+        if table is None:
+            table = value_t_shift(s_value(self.profile), m + 1), {}
             if len(self._steps) < MAX_STEPS:
-                self._steps[m] = values
-        return values
-
-    def step_windows(self, m: int) -> dict:
-        """Step m's stored windows {xs: window(m, xs)}, or an empty dict."""
-        return self._windows.get(m, {})
+                self._steps[m] = table
+        return table
 
     def window(self, m: int, xs: tuple):
         """divide_step's integer window for step m and the x exponent
         numerators xs over D: (lo, hi) such that the term t**(a/D) x**(xs/D)
-        has norm > upper exactly when a < lo and norm >= cut exactly when
-        a <= hi, for (upper, cut) = step_values(m).  With |term| =
-        |t|**(a/D) |x**(xs/D)|, lo = ceil(D w(upper / |x**(xs/D)|)) and
-        hi = floor(D w(cut / |x**(xs/D)|)), each read from the value's
-        integers: D w(v / |x**(xs/D)|) has numerators D v.an and D v.q_i -
-        v.den xs_i over v.den."""
-        bounds = self.step_windows(m).get(xs)
+        has norm > |pi|**m s exactly when a < lo and norm >= the cut
+        |pi|**(m+1) s exactly when a <= hi.  Both ends are s times a power
+        of |t|, so one rounding of X = D w(s / |x**(xs/D)|) gives them:
+        lo = ceil(X) + m D and hi = floor(X) + (m+1) D, where X has the
+        numerators D s.an and D s.q_i - s.den xs_i over s.den."""
+        windows = self.step(m)[1]
+        bounds = windows.get(xs)
         if bounds is None:
-            D, profile = self.profile.den, self.profile
-
-            def rounded(v):
-                return _floor_ceil(profile, D * v.an, tuple(
-                    D * q - v.den * x for q, x in zip(v.qn, xs)), v.den)
-            upper, cut = self.step_values(m)
-            bounds = rounded(upper)[1], rounded(cut)[0]
-            if sum(map(len, self._windows.values())) < _WINDOW_MEMO_CAP:
-                self._windows.setdefault(m, {})[xs] = bounds
+            D, s = self.profile.den, s_value(self.profile)
+            floor, ceil = _floor_ceil(self.profile, D * s.an, tuple(
+                D * q - s.den * x for q, x in zip(s.qn, xs)), s.den)
+            bounds = ceil + m * D, floor + (m + 1) * D
+            if sum(len(table[1]) for table in self._steps.values()) < _WINDOW_MEMO_CAP:
+                windows[xs] = bounds
         return bounds
 
 
@@ -756,53 +740,38 @@ def standard_surjection(profile: RadiusProfile, depth: int,
 # ---------------------------------------------------------------------------
 
 
-def _step_values(profile: RadiusProfile, m: int):
-    """Step m's window values (upper, cut) = (|pi|**m s, |pi|**(m+1) s)."""
-    s = s_value(profile)
-    return value_t_shift(s, m), value_t_shift(s, m + 1)
+def divide_step(oracle, beta: SeriesElement, m: int, acc: dict) -> SeriesElement:
+    """One division pass: clear every term of beta with norm >= the cut
+    |pi|**(m+1) s, asking oracle.answer(qn) for each x exponent (numerators
+    qn over D), and return the residual beta - phi(f), |residual| <= the
+    cut, for the step's Tate part f, |f| <= |pi|**m, which goes into the
+    Tate accumulator acc (see tatealg._scale_into).  A step that clears
+    nothing returns beta itself and adds nothing to acc.  When beta's floor
+    lies above the cut, the cut clamps at the floor: every stored term
+    still clears, and the residual bound degrades to the floor, all that a
+    truncated input can certify.
 
-
-def divide_step(oracle, beta: SeriesElement, m: int, acc: dict = None):
-    """One division pass: clear every term of beta with norm >= |pi|**(m+1) s,
-    asking oracle.answer(qn) for each x exponent (numerators qn over D);
-    the oracle (a SurjectionSpec) also gives the step's window values,
-    their integer bounds per x exponent and its empty Tate part.
-
-    Returns (f, residual) with residual = beta - phi(f),
-    |residual| <= |pi|**(m+1) s and |f| <= |pi|**m; given a Tate
-    accumulator acc (see tatealg._scale_into), f goes into acc, which comes
-    back in its place.  When beta carries a floor coarser than the cut, the cut clamps at the floor: every stored
-    term, of norm >= floor, still clears and the residual bound degrades
-    to the floor, which is all a truncated input can certify.  A window
-    that clears nothing (every term below the cut, or no stored terms)
-    returns the oracle's one empty exact Tate element and beta itself.
-
-    The window runs on integer term keys.  For a term (a, xs), (lo, hi)
-    from the step's dict oracle.step_windows(m), or else oracle.window(m,
-    xs), decides both bounds: a < lo is a norm above |pi|**m s, the step's
-    window error, and a <= hi a norm >= the cut.  One pass over beta's
-    terms checks the first and groups the cleared terms by x exponent into
-    base-field keys (a, ()); an exact beta's window compares no Values.
-    The certificate's b_q must be one term c0 t**(t0 / D), a monomial (see
-    AdaptedCertificate); one that is not breaks an invariant.  So each
-    division coefficient b / b_q is a key shift, the term dict d of sum c
-    c0**-1 t**((t - t0) / D), and |d| = |t|**(a / D) for a its least t
-    numerator: |d| < |pi|**m = |t|**m is the one comparison a > m D (the
-    base and the profile share D).  d times the answer's preimage goes into
-    the accumulator, and the residual is beta's terms minus each lift(d) *
-    image (the images are exact), accumulated in one dict and cut once at
-    beta's floor: the terms and floor of sub(beta, their series_sum).
+    The window runs on integer term keys: (lo, hi) from the step's table
+    oracle.step(m), or else oracle.window(m, xs), decides both bounds of a
+    term (a, xs): a < lo is a norm above |pi|**m s, the window error, and
+    a <= hi a norm >= the cut, so an exact beta's window compares no
+    Values.  The certificate's b_q must be one term c0 t**(t0 / D) (see
+    AdaptedCertificate), so each division coefficient b / b_q is a key
+    shift, the term dict d of sum c c0**-1 t**((t - t0) / D), and
+    |d| < |pi|**m is the one comparison a > m D for a its least t
+    numerator (the base and the profile share D).  d times the answer's
+    preimage goes into acc, and the residual is beta's terms minus each
+    lift(d) * image, accumulated in one dict and cut once at beta's floor.
     """
     profile = beta.profile
-    cut = oracle.step_values(m)[1]
+    cut, table = oracle.step(m)
     if not beta.floor.zero and value_lt(cut, beta.floor):
         cut = beta.floor
-    table, window = oracle.step_windows(m), oracle.window
     groups = {}
     for (a, xs), c in beta._terms.items():
         lo_hi = table.get(xs)
         if lo_hi is None:
-            lo_hi = window(m, xs)
+            lo_hi = oracle.window(m, xs)
         if a < lo_hi[0]:
             raise InputValidationError(
                 f"beta norm exceeds the step-{m} window |pi|**{m} * s"
@@ -813,31 +782,30 @@ def divide_step(oracle, beta: SeriesElement, m: int, acc: dict = None):
                 groups[xs] = group = {}
             group[a] = c
     if not groups:
-        return oracle._empty if acc is None else acc, beta
+        return beta
     p, bound = profile.p, m * profile.den
-    f = {} if acc is None else acc
     terms = dict(beta._terms)
     for qn, b_terms in sorted(groups.items()):
         try:
             ans = oracle.answer(qn)
         except DepthError as exc:
-            q = _exponent_str(Fraction(x, profile.den) for x in qn)
+            q = _exponent_tuple_str(Fraction(x, profile.den) for x in qn)
             raise OracleError(f"oracle failed for required exponent {q}: {exc}")
         if len(ans.certificate.b_q._terms) != 1:
-            q = _exponent_str(Fraction(x, profile.den) for x in qn)
+            q = _exponent_tuple_str(Fraction(x, profile.den) for x in qn)
             raise InvariantViolationError(f"the coefficient b_q of x**{q} is not a monomial")
         ((t0, _), c0), = ans.certificate.b_q._terms.items()
         if min(b_terms) - t0 <= bound:
             raise InvariantViolationError("division coefficient |d| >= |pi|**m")
         inv = pow(c0, -1, p)
         d = {(t - t0, ()): c * inv % p for t, c in b_terms.items()}
-        _scale_into(f, ans.preimage._terms.items(), d, p)
+        _scale_into(acc, ans.preimage._terms.items(), d, p)
         _mul_lifted_into(terms, d.items(), ans.image._terms, p, -1)
     residual = _build(profile, terms, beta.floor)
     nres = gauss_norm(residual)
     if nres is not None and not value_le(nres, cut):
         raise InvariantViolationError("residual did not drop below |pi|**(m+1) s")
-    return _tate_from(oracle.num_vars, profile.base(), f) if acc is None else acc, residual
+    return residual
 
 
 @dataclass(frozen=True)
@@ -886,6 +854,6 @@ def reconstruct_preimage(oracle, beta: SeriesElement, depth: int) -> PreimageRes
         )
     res, acc, residuals = beta, {}, []
     for m in range(depth):
-        res = divide_step(oracle, res, m, acc)[1]
+        res = divide_step(oracle, res, m, acc)
         residuals.append(gauss_norm(res))
     return PreimageResult(_tate_from(oracle.num_vars, profile.base(), acc), tuple(residuals))

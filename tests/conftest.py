@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ultrametrica import gleason, tatealg
 from ultrametrica.series import (
     add,
     make_series,
@@ -77,6 +78,15 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def one_step(oracle, beta, m):
+    """Division step m of beta into a fresh accumulator: (f, residual) for
+    f the step's Tate part, built from the accumulator as
+    reconstruct_preimage builds its preimage."""
+    acc = {}
+    residual = gleason.divide_step(oracle, beta, m, acc)
+    return tatealg._tate_from(oracle.num_vars, beta.profile.base(), acc), residual
 
 
 def float_weight(v):

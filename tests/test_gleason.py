@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_calls,
     float_weight,
     lift,
+    one_step,
     only_x,
     ref_decimal,
     ref_heights,
@@ -627,7 +629,7 @@ class TestMemosBehaveAsIfAbsent:
         # x**45 has weight 45 sqrt(2) = 63.6..., inside the step-58 window [63, 64]
         beta = make_series(prof, {(Fraction(0), (Fraction(45),)): 1})
         with pytest.raises(OracleError) as oracle:
-            divide_step(shallow, beta, 58)
+            one_step(shallow, beta, 58)
         for exc in (depth, oracle):
             message = str(exc.value)
             assert "(45)" in message and "Fraction(" not in message
@@ -704,7 +706,7 @@ class TestDivideStep:
     def test_single_monomial_zero_residual(self, spec21, prof):
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
         # weight 6 + 1.41 = 7.41 sits in the m = 2 window [7, 8)
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert residual.terms == {}
         assert len(f.terms) == 1
 
@@ -713,7 +715,7 @@ class TestDivideStep:
             (Fraction(6), (Fraction(1),)): 1,
             (Fraction(7), (Fraction(0),)): 1,
         })
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         cut = value_mul(value_pow(pi_value(prof), 3), s_value(prof))
         nr = gauss_norm(residual)
         assert nr is None or value_le(nr, cut)
@@ -722,37 +724,45 @@ class TestDivideStep:
 
     def test_below_cut_untouched(self, spec21, prof):
         beta = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert f.terms == {}
         assert residual == beta
 
     def test_window_violation_raises(self, spec21, prof):
         beta = make_series(prof, {(Fraction(0), (Fraction(1),)): 1})  # norm > s
         with pytest.raises(InputValidationError):
-            divide_step(spec21, beta, 2)
+            one_step(spec21, beta, 2)
 
     @pytest.mark.parametrize("sigma_s", [None, Fraction(16, 3)])
     def test_step_values_match_the_value_arithmetic(self, sigma_s):
-        """upper and cut against t_power and value_mul, also for a sigma_s
+        """Each step's cut against t_power and value_mul, also for a sigma_s
         outside D**-1 Z, whose values carry lcm(D, 3)."""
         profile = make_profile(2, [FreeRadius(2)], sigma_s, max_denom_log=8)
-        s = s_value(profile)
+        oracle = MonomialOracle(profile)
         for m in range(6):
-            assert gleason._step_values(profile, m) == (
-                value_mul(t_power(profile, m), s),
-                value_mul(t_power(profile, m + 1), s),
-            )
+            assert oracle.step(m)[0] == value_mul(t_power(profile, m + 1), s_value(profile))
 
     def test_step_values_are_kept_for_at_most_max_steps(self, prof):
         spec = standard_surjection(prof, 4)
         for m in range(gleason.MAX_STEPS + 3):
-            assert spec.step_values(m) == gleason._step_values(prof, m)
+            assert spec.step(m) == (value_mul(t_power(prof, m + 1), s_value(prof)), {})
         assert len(spec._steps) == gleason.MAX_STEPS
-        assert spec.step_values(5) is spec.step_values(5)
+        assert spec.step(5) is spec.step(5)
+        assert spec.step(gleason.MAX_STEPS) is not spec.step(gleason.MAX_STEPS)
 
-    def test_empty_windows_share_one_tate_part(self, spec21, prof):
-        below = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
-        assert divide_step(spec21, below, 2)[0] is divide_step(spec21, below, 3)[0]
+    def test_a_step_that_clears_nothing_adds_nothing(self, spec21, prof):
+        """Design guard: a beta below the cut, or one with no stored terms,
+        comes back itself, and the accumulator keeps what an earlier step
+        put in it."""
+        acc = {}
+        divide_step(spec21, make_series(prof, {(Fraction(6), (Fraction(1),)): 1}), 2, acc)
+        before = {e: dict(c) for e, c in acc.items()}
+        for beta in (make_series(prof, {(Fraction(30), (Fraction(1),)): 1}),
+                     series_zero(prof, t_power(prof, 6))):
+            for m in (2, 3):
+                assert divide_step(spec21, beta, m, acc) is beta
+                assert acc == before
+        assert before
 
     def test_non_monomial_coefficient_is_an_invariant_break(self, spec21, prof):
         """An oracle whose certificate for x**1 gives b_q = 1 + t: the
@@ -772,7 +782,7 @@ class TestDivideStep:
 
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
         with pytest.raises(InvariantViolationError) as exc:
-            divide_step(TwoTermCoefficient(), beta, 2)
+            one_step(TwoTermCoefficient(), beta, 2)
         assert str(exc.value) == "the coefficient b_q of x**(1) is not a monomial"
 
     @pytest.mark.parametrize("extra, breaks", [(0, True), (1, False)])
@@ -787,12 +797,12 @@ class TestDivideStep:
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
         if breaks:
             with pytest.raises(InvariantViolationError) as exc:
-                divide_step(ScaledAnswers(spec21, u), beta, 2)
+                one_step(ScaledAnswers(spec21, u), beta, 2)
             assert str(exc.value) == "division coefficient |d| >= |pi|**m"
             return
-        f, residual = divide_step(ScaledAnswers(spec21, u), beta, 2)
+        f, residual = one_step(ScaledAnswers(spec21, u), beta, 2)
         assert residual.terms == {}
-        assert f == divide_step(spec21, beta, 2)[0]
+        assert f == one_step(spec21, beta, 2)[0]
 
     def test_an_image_that_misses_beta_is_an_invariant_break(self, spec21, prof):
         """An oracle whose x**1 image is t times the certified one: the
@@ -801,7 +811,7 @@ class TestDivideStep:
         t = make_series(prof.base(), {(Fraction(1), ()): 1})
         beta = make_series(prof, {(Fraction(6), (Fraction(1),)): 1})
         with pytest.raises(InvariantViolationError) as exc:
-            divide_step(ScaledAnswers(spec21, t, image_only=True), beta, 2)
+            one_step(ScaledAnswers(spec21, t, image_only=True), beta, 2)
         assert str(exc.value) == "residual did not drop below |pi|**(m+1) s"
 
     def test_a_non_unit_coefficient_is_divided_by_its_inverse(self):
@@ -821,7 +831,7 @@ class TestDivideStep:
         exact = zero_value(profile)
         cleared = 0
         for m in range(4):
-            f, residual = divide_step(oracle, beta, m)
+            f, residual = one_step(oracle, beta, m)
             assert residual == sub(beta, evaluate(f, spec.hom, exact))
             cleared += len(f.terms)
             beta = residual
@@ -830,19 +840,19 @@ class TestDivideStep:
     def test_term_exactly_at_the_cut_is_cleared(self, spec21, prof):
         # |t**(m+1+sigma_s)| is the cut itself: the window holds it
         beta = make_series(prof, {(3 + prof.sigma_s, (Fraction(0),)): 1})
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert residual.terms == {}
         assert len(f.terms) == 1
 
     def test_below_cut_returns_beta_itself(self, spec21, prof):
         beta = make_series(prof, {(Fraction(30), (Fraction(1),)): 1})
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert residual is beta
         assert f == t_sum(spec21.num_vars, spec21.base, ())
 
     def test_floored_beta_without_terms_comes_back_as_itself(self, spec21, prof):
         beta = series_zero(prof, t_power(prof, 6))
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert residual is beta
         assert f == t_sum(spec21.num_vars, spec21.base, ())
 
@@ -850,26 +860,23 @@ class TestDivideStep:
         # norm above |pi|**2 s, with a floor above the step's cut
         beta = make_series(prof, {(Fraction(6), (Fraction(0),)): 1}, t_power(prof, 7))
         with pytest.raises(InputValidationError, match="window"):
-            divide_step(spec21, beta, 2)
+            one_step(spec21, beta, 2)
 
 
 class MonomialOracle:
     """The parts of a SurjectionSpec that divide_step reads, over any
-    profile, rational radii included: the spec's own step_values, window
-    and step_windows, with their memos, the empty Tate part, and for x**q
-    the answer image x**q * factor (factor a base-field element, 1 by
-    default) with b_q = 1 and the constant preimage 1, which divide_step
-    does not check."""
+    profile, rational radii included: the spec's own step and window, with
+    their memo, and for x**q the answer image x**q * factor (factor a
+    base-field element, 1 by default) with b_q = 1 and the constant
+    preimage 1, which divide_step does not check."""
 
-    step_values = SurjectionSpec.step_values
+    step = SurjectionSpec.step
     window = SurjectionSpec.window
-    step_windows = SurjectionSpec.step_windows
 
     def __init__(self, profile, factor=None):
         self.profile, self.base = profile, profile.base()
         self.num_vars = profile.n + 2
-        self._steps, self._windows = {}, {}
-        self._empty = t_sum(self.num_vars, self.base, ())
+        self._steps = {}
         self.factor = factor or one(self.base)
 
     def answer(self, qn):
@@ -907,7 +914,7 @@ class TestDivisionWindow:
         oracle = MonomialOracle(profile)
         m = data.draw(st.integers(0, 6))
         xs = tuple(data.draw(st.integers(-3 * D, 3 * D)) for _ in radii)
-        upper, cut = oracle.step_values(m)
+        upper, cut = (value_mul(t_power(profile, k), s_value(profile)) for k in (m, m + 1))
         lo, hi = oracle.window(m, xs)
         drawn = data.draw(st.integers(lo - 2 * D, hi + 2 * D))
         for a in (lo - 1, lo, hi, hi + 1, drawn):
@@ -932,26 +939,25 @@ class TestDivisionWindow:
 
     def test_a_term_above_upper_is_refused(self, half):
         with pytest.raises(InputValidationError, match="step-2 window"):
-            divide_step(MonomialOracle(half), self.term(half, 71), 2)
+            one_step(MonomialOracle(half), self.term(half, 71), 2)
 
     def test_a_term_at_upper_clears_into_a_residual_at_the_cut(self, half):
         """a = lo: the norm is upper itself, inside the window; an image
         x (1 + t) leaves -t**(a/D + 1) x, of norm exactly the cut."""
         factor = make_series(half.base(), {(Fraction(0), ()): 1, (Fraction(1), ()): 1})
-        f, residual = divide_step(MonomialOracle(half, factor), self.term(half, 72), 2)
+        f, residual = one_step(MonomialOracle(half, factor), self.term(half, 72), 2)
         assert len(f.terms) == 1
-        assert gauss_norm(residual) == MonomialOracle(half).step_values(2)[1]
+        assert gauss_norm(residual) == MonomialOracle(half).step(2)[0]
 
     def test_a_term_at_the_cut_clears(self, half):
-        f, residual = divide_step(MonomialOracle(half), self.term(half, 88), 2)
+        f, residual = one_step(MonomialOracle(half), self.term(half, 88), 2)
         assert len(f.terms) == 1
         assert residual.terms == {}
 
     def test_a_term_just_below_the_cut_stays(self, half):
-        oracle = MonomialOracle(half)
         beta = self.term(half, 89)
-        f, residual = divide_step(oracle, beta, 2)
-        assert f is oracle._empty
+        f, residual = one_step(MonomialOracle(half), beta, 2)
+        assert f.terms == {}
         assert residual is beta
 
     def test_a_floor_above_the_cut_bounds_the_residual(self, half):
@@ -961,7 +967,7 @@ class TestDivisionWindow:
         floor = t_power(half, Fraction(11, 2))
         factor = make_series(half.base(), {(Fraction(0), ()): 1, (Fraction(1, 2), ()): 1})
         beta = make_series(half, {(Fraction(9, 2), (Fraction(1),)): 1}, floor)
-        f, residual = divide_step(MonomialOracle(half, factor), beta, 2)
+        f, residual = one_step(MonomialOracle(half, factor), beta, 2)
         assert len(f.terms) == 1
         assert gauss_norm(residual) == floor
 
@@ -973,7 +979,7 @@ class TestDivisionWindow:
             (Fraction(6), (Fraction(1),)): 1,
             (Fraction(7), (Fraction(0),)): 1,
         }, floor)
-        f, residual = divide_step(spec21, beta, 2)
+        f, residual = one_step(spec21, beta, 2)
         assert residual.terms == {}
         assert residual.floor == floor
         assert residual == sub(beta, evaluate(f, spec21.hom, zero_value(prof)))
@@ -984,10 +990,8 @@ class TestDivisionWindow:
         pairs = [(m, (x * prof.den,)) for m in range(3) for x in range(-1, 2)]
         fresh = [MonomialOracle(prof).window(m, xs) for m, xs in pairs]
         assert [spec.window(m, xs) for m, xs in pairs] == fresh
-        assert {m: list(table) for m, table in spec._windows.items()} == {
-            0: [xs for _, xs in pairs[:3]]}
-        assert spec.step_windows(0) == dict(zip([xs for _, xs in pairs[:3]], fresh))
-        assert spec.step_windows(1) == {}
+        assert {m: windows for m, (_, windows) in spec._steps.items()} == {
+            0: dict(zip([xs for _, xs in pairs[:3]], fresh)), 1: {}, 2: {}}
         assert spec.window(*pairs[0]) is spec.window(*pairs[0])
 
     @pytest.mark.parametrize("radii, cap, depth, steps", [
@@ -1015,6 +1019,24 @@ class TestDivisionWindow:
         monkeypatch.setattr(gleason, "value_lt", refuse)
         assert [reconstruct_preimage(cold, beta, steps) for beta in betas] == expected
         assert sum(len(r.preimage.terms) for r in expected) > 0
+
+    def test_a_window_miss_rounds_once_and_a_second_pass_none(self, monkeypatch):
+        """Design guard: over a fresh surject-n1 spec, reconstruction of
+        drawn betas calls _floor_ceil once per window it keeps, and a second
+        pass over the same betas calls it 0 times."""
+        profile = make_profile(2, [FreeRadius(2)], max_denom_log=32)
+        spec = standard_surjection(profile, 21)
+        rng = random.Random(1)
+        pool = list(spec.schedule.omegas)
+        betas = [rescale_into_window(random_series(profile, rng, x_pool=pool,
+                                                   max_t_weight=12))[0]
+                 for _ in range(30)]
+        calls = count_calls(monkeypatch, gleason, "_floor_ceil")
+        first = [reconstruct_preimage(spec, beta, 8) for beta in betas]
+        assert len(calls) == sum(len(windows) for _, windows in spec._steps.values()) > 8
+        calls.clear()
+        assert [reconstruct_preimage(spec, beta, 8) for beta in betas] == first
+        assert calls == []
 
 
 class TestReconstruct:
@@ -1146,7 +1168,7 @@ class TestMidScheduleTails:
     def test_spawned_tail_stays_below_cut(self, spec25):
         prof = spec25.profile
         beta = make_series(prof, {(Fraction(5), (Fraction(4),)): 1})
-        f, residual = divide_step(spec25, beta, 5)
+        f, residual = one_step(spec25, beta, 5)
         nr = gauss_norm(residual)
         assert nr is not None  # the tail really was spawned
         cut = value_mul(value_pow(pi_value(prof), 6), s_value(prof))

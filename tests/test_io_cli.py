@@ -390,7 +390,7 @@ class TestCli:
 
         def reconstruct_then_change(spec, beta, steps):
             result = real(spec, beta, steps)
-            norms = [spec.step_values(m)[1] for m in range(steps)]
+            norms = [spec.step(m)[0] for m in range(steps)]
             if change == "first above its bound":
                 norms[0] = value_mul(norms[0], t_power(spec.profile, -1))
             elif change == "last rises under its bound":

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     lift,
+    one_step,
     ref_evaluate_by_factors,
     ref_gauss_norm,
     ref_leading_key,
@@ -39,7 +40,6 @@ from conftest import (
 )
 from test_gleason import MonomialOracle
 from ultrametrica.gleason import (
-    divide_step,
     reconstruct_preimage,
     rescale_into_window,
     standard_surjection,
@@ -668,7 +668,7 @@ def test_divide_step_residual_is_beta_minus_the_evaluated_part(radii, depth, ste
             beta = with_floor(beta, t_power(profile, 12))
         beta, _ = rescale_into_window(beta)
         for m in range(steps):
-            f, residual = divide_step(spec, beta, m)
+            f, residual = one_step(spec, beta, m)
             assert residual == sub(beta, evaluate(f, spec.hom, exact))
             cleared += bool(f.terms)
             beta = residual

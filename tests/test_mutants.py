@@ -68,11 +68,17 @@ MUTANTS = [
      ["tests/test_gleason.py::TestBuildGplus::test_exponent_distinctness",
       f"{HEIGHTS}::test_gplus_and_gminus[2]", f"{HEIGHTS}::test_gplus_and_gminus[3]"]),
     ("the window reads hi as the ceiling of D w(cut / |x**xs|)", "gleason.py",
-     "rounded(cut)[0]", "rounded(cut)[1]",
+     "floor + (m + 1) * D", "ceil + (m + 1) * D",
      [f"{WINDOW}::test_window_bounds_decide_both_comparisons"]),
     ("the window reads lo as the floor of D w(upper / |x**xs|)", "gleason.py",
-     "rounded(upper)[1]", "rounded(upper)[0]",
+     "ceil + m * D", "floor + m * D",
      [f"{WINDOW}::test_window_bounds_decide_both_comparisons"]),
+    ("the window shifts hi by m D, not (m + 1) D", "gleason.py",
+     "floor + (m + 1) * D", "floor + m * D",
+     [f"{WINDOW}::test_window_of_the_half_profile", f"{WINDOW}::test_a_term_at_the_cut_clears"]),
+    ("the step's cut reads |pi|**m s", "gleason.py",
+     "value_t_shift(s_value(self.profile), m + 1)", "value_t_shift(s_value(self.profile), m)",
+     ["tests/test_gleason.py::TestDivideStep::test_an_image_that_misses_beta_is_an_invariant_break"]),
     ("the picker admits the window's lower end", "valuegroup.py",
      "if sign(al * scale - u * den, tuple(x * scale for x in ql)) < 0:",
      "if sign(al * scale - u * den, tuple(x * scale for x in ql)) <= 0:",

@@ -556,8 +556,8 @@ class TestDecimalMemo:
         assert (w.rational, w.irrational) == (Fraction(1, 2 * D), {2: Fraction(1, 2 * D)})
 
     def test_a_caller_that_mutates_its_free_class_leaves_the_weight(self, prof2):
-        """abhyankar._free_class hands out a copy of a kept Weight's
-        coefficients, so mutating it leaves the next weight_of unchanged."""
+        """abhyankar._free_class builds its own dict from the Value's
+        numerators, so mutating it leaves the next weight_of unchanged."""
         v = value(prof2, 1, (Fraction(1, 2), Fraction(-3, 4)))
         cls = _free_class(v)
         want = dict(weight_of(v).irr)
